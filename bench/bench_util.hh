@@ -106,9 +106,9 @@ makeSystolicWorkers(const sweep::SweepRunner &runner, size_t num_points,
 
 /** One-shot convenience: simulate @p cfg with fresh state. */
 inline SystolicRun
-runSystolic(const scalesim::Config &cfg)
+runSystolic(const scalesim::Config &cfg, sim::EngineOptions opts = {})
 {
-    SystolicWorker worker;
+    SystolicWorker worker(opts);
     return worker.run(cfg);
 }
 
@@ -192,9 +192,6 @@ fullSweepRequested()
  *   --backend B   engine backend: "interp" or "compiled" (overrides
  *                 EQ_SIM_BACKEND; results are identical, only wall
  *                 time differs)
- *   --fuse M      superinstruction fusion on the compiled backend:
- *                 "on" or "off" (overrides EQ_SIM_FUSE; default on;
- *                 results are identical, only wall time differs)
  *   --journal P   journal completed points to P (sweep/journal.hh);
  *                 with --resume, replay an existing journal and
  *                 recompute only what is missing
@@ -211,7 +208,6 @@ struct HarnessArgs {
     std::string jsonPath;
     bool noWall = false;
     sim::Backend backend = sim::Backend::Auto;
-    sim::Fusion fuse = sim::Fusion::Auto;
     std::string journalPath;
     bool resume = false;
     std::string cachePath;
@@ -273,20 +269,6 @@ struct HarnessArgs {
                     std::exit(2);
                 }
             }
-            else if (arg == "--fuse") {
-                std::string v = next();
-                if (v == "on")
-                    a.fuse = sim::Fusion::On;
-                else if (v == "off")
-                    a.fuse = sim::Fusion::Off;
-                else {
-                    std::fprintf(stderr,
-                                 "--fuse expects 'on' or 'off', got "
-                                 "'%s'\n",
-                                 v.c_str());
-                    std::exit(2);
-                }
-            }
             else if (arg.rfind("--", 0) == 0) {
                 std::fprintf(stderr, "unknown option '%s'\n",
                              arg.c_str());
@@ -310,7 +292,6 @@ struct HarnessArgs {
     {
         sim::EngineOptions o;
         o.backend = backend;
-        o.fuse = fuse;
         return o;
     }
 

@@ -4,6 +4,10 @@
  * construction, event dispatch, block interpretation, and full systolic
  * simulations at several sizes. These quantify the constant factors
  * behind Fig. 12a's execution-time scaling.
+ *
+ * Every engine benchmark names its backend explicitly (in the
+ * benchmark name too), so a change of the EQ_SIM_BACKEND default can
+ * never silently move a series from one backend to another.
  */
 
 #include <benchmark/benchmark.h>
@@ -39,8 +43,16 @@ BM_BuildSystolicModule(benchmark::State &state)
 }
 BENCHMARK(BM_BuildSystolicModule)->Arg(2)->Arg(4)->Arg(8);
 
+sim::EngineOptions
+engineFor(sim::Backend backend)
+{
+    sim::EngineOptions opts;
+    opts.backend = backend;
+    return opts;
+}
+
 void
-BM_SimulateSystolic(benchmark::State &state)
+BM_SimulateSystolic(benchmark::State &state, sim::Backend backend)
 {
     scalesim::Config cfg;
     cfg.ah = cfg.aw = 4;
@@ -49,16 +61,19 @@ BM_SimulateSystolic(benchmark::State &state)
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
     for (auto _ : state) {
-        auto run = bench::runSystolic(cfg);
+        auto run = bench::runSystolic(cfg, engineFor(backend));
         benchmark::DoNotOptimize(run.report.cycles);
     }
     state.counters["cycles"] = static_cast<double>(
-        bench::runSystolic(cfg).report.cycles);
+        bench::runSystolic(cfg, engineFor(backend)).report.cycles);
 }
-BENCHMARK(BM_SimulateSystolic)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK_CAPTURE(BM_SimulateSystolic, compiled, sim::Backend::Compiled)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16);
 
 void
-BM_BatchSessionReuse(benchmark::State &state)
+BM_BatchSessionReuse(benchmark::State &state, sim::Backend backend)
 {
     // Batched re-runs of one pinned module: amortizes module build,
     // value numbering, and the dispatch table (vs BM_SimulateSystolic,
@@ -72,14 +87,17 @@ BM_BatchSessionReuse(benchmark::State &state)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::Simulator s;
+    sim::Simulator s(engineFor(backend));
     sim::BatchSession session(s, module.get());
     for (auto _ : state) {
         auto rep = session.run();
         benchmark::DoNotOptimize(rep.cycles);
     }
 }
-BENCHMARK(BM_BatchSessionReuse)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK_CAPTURE(BM_BatchSessionReuse, compiled, sim::Backend::Compiled)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16);
 
 void
 BM_CompiledVsInterp(benchmark::State &state, sim::Backend backend)
@@ -99,9 +117,7 @@ BM_CompiledVsInterp(benchmark::State &state, sim::Backend backend)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.backend = backend;
-    sim::Simulator s(opts);
+    sim::Simulator s(engineFor(backend));
     sim::BatchSession session(s, module.get());
     for (auto _ : state) {
         auto rep = session.run();
@@ -118,16 +134,16 @@ BENCHMARK_CAPTURE(BM_CompiledVsInterp, compiled, sim::Backend::Compiled)
     ->Arg(16);
 
 void
-BM_FusedVsCompiled(benchmark::State &state, sim::Fusion fuse)
+BM_FusedVsCompiled(benchmark::State &state)
 {
-    // The superinstruction-fusion comparison: batched re-runs of one
-    // pinned 8x8 systolic module on the compiled backend, fusion off
-    // vs on. Lowering *and* fusion are amortized by the session, so
-    // the two legs measure pure stream execution — per-record dispatch
-    // vs one dispatch per fused PE-body group (plus the dead-tensor
-    // and signature-lookup elimination fusion enables). Reports and
-    // cycle counts are identical between legs by construction; the
-    // dispatch-count drop is surfaced in the counters.
+    // Pure fused-stream execution: batched re-runs of one pinned 8x8
+    // systolic module on the compiled backend, so lowering and fusion
+    // are amortized by the session and the leg measures one dispatch
+    // per fused PE-body group (plus the dead-tensor and
+    // signature-lookup elimination fusion enables). The name and the
+    // `fused` arm are kept from when an unfused compiled mode existed
+    // to compare against, so the series stays continuous; ops vs
+    // dispatches are surfaced in the counters.
     scalesim::Config cfg;
     cfg.ah = cfg.aw = 8;
     cfg.c = 2;
@@ -137,10 +153,7 @@ BM_FusedVsCompiled(benchmark::State &state, sim::Fusion fuse)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    opts.fuse = fuse;
-    sim::Simulator s(opts);
+    sim::Simulator s(engineFor(sim::Backend::Compiled));
     sim::BatchSession session(s, module.get());
     uint64_t ops = 0, dispatches = 0;
     for (auto _ : state) {
@@ -152,31 +165,29 @@ BM_FusedVsCompiled(benchmark::State &state, sim::Fusion fuse)
     state.counters["ops"] = static_cast<double>(ops);
     state.counters["dispatches"] = static_cast<double>(dispatches);
 }
-BENCHMARK_CAPTURE(BM_FusedVsCompiled, unfused, sim::Fusion::Off)
-    ->Arg(4)
-    ->Arg(8);
-BENCHMARK_CAPTURE(BM_FusedVsCompiled, fused, sim::Fusion::On)
+BENCHMARK(BM_FusedVsCompiled)
+    ->Name("BM_FusedVsCompiled/fused")
     ->Arg(4)
     ->Arg(8);
 
 void
-BM_SoCContention(benchmark::State &state)
+BM_SoCContention(benchmark::State &state, sim::Backend backend)
 {
     // Multi-accelerator SoC with a shared bus/DMA: batched re-runs of
     // one pinned module, so the legs measure the engine's contention
     // machinery — connection-channel arbitration, DMA FIFO queueing,
     // SRAM bank occupancy, and wide awaits across tiles. The arg is
     // the bus bandwidth in bytes/cycle: 1 is bandwidth-starved (heavy
-    // arbitration traffic), 8 is the balanced design point. The SoC
-    // bodies are also rich in connection-carrying reads/writes the
-    // fuser must skip, so this doubles as the profile workload for
-    // follow-on fusion work (dispatches vs ops in the counters).
+    // arbitration traffic), 8 is the balanced design point. Both
+    // backends run it: scripts/soc_dispatch_summary.py checks that they
+    // agree on cycles and ops and that fusion (connection-carrying
+    // reads/writes included) cuts the compiled leg's dispatches.
     soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
     cfg.busBytesPerCycle = state.range(0);
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = soc::buildSocModule(ctx, cfg);
-    sim::Simulator s;
+    sim::Simulator s(engineFor(backend));
     sim::BatchSession session(s, module.get());
     uint64_t cycles = 0, ops = 0, dispatches = 0;
     for (auto _ : state) {
@@ -190,28 +201,32 @@ BM_SoCContention(benchmark::State &state)
     state.counters["ops"] = static_cast<double>(ops);
     state.counters["dispatches"] = static_cast<double>(dispatches);
 }
-BENCHMARK(BM_SoCContention)->Arg(1)->Arg(8);
+BENCHMARK_CAPTURE(BM_SoCContention, interp, sim::Backend::Interp)
+    ->Arg(1)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_SoCContention, compiled, sim::Backend::Compiled)
+    ->Arg(1)
+    ->Arg(8);
 
 void
 BM_CompileModule(benchmark::State &state)
 {
-    // Compilation cost alone (value numbering + lowering every region,
-    // from scratch each iteration): quantifies what a BatchSession's
-    // first run pays and its later runs amortize, so the amortization
-    // claim is measured, not asserted. Compare against one
-    // BM_CompiledVsInterp/compiled run of the same shape.
+    // Compilation cost alone (value numbering + lowering + fusion of
+    // every region, from scratch each iteration): quantifies what a
+    // BatchSession's first run pays and its later runs amortize, so
+    // the amortization claim is measured, not asserted. The arg is the
+    // PE array edge: every PE is one launch body, so the program count
+    // (and the microops counter) grows with it.
     scalesim::Config cfg;
-    cfg.ah = cfg.aw = 4;
+    cfg.ah = cfg.aw = static_cast<int>(state.range(0));
     cfg.c = 2;
-    cfg.h = cfg.w = static_cast<int>(state.range(0));
+    cfg.h = cfg.w = 8;
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    sim::Simulator s(opts);
+    sim::Simulator s(engineFor(sim::Backend::Compiled));
     size_t micro_ops = 0;
     for (auto _ : state) {
         micro_ops = s.precompile(module.get());
@@ -297,7 +312,7 @@ BM_InterpLoopNest(benchmark::State &state)
     }
     b.create<equeue::AwaitOp>(std::vector<ir::Value>{launch->result(0)});
 
-    sim::Simulator s;
+    sim::Simulator s(engineFor(sim::Backend::Interp));
     uint64_t ops = 0;
     for (auto _ : state) {
         auto rep = s.simulate(module.get());
@@ -310,7 +325,7 @@ BM_InterpLoopNest(benchmark::State &state)
 BENCHMARK(BM_InterpLoopNest)->Arg(32)->Arg(128);
 
 void
-BM_EventDispatch(benchmark::State &state)
+BM_EventDispatch(benchmark::State &state, sim::Backend backend)
 {
     // N chained 1-op launches on one processor: measures per-event cost.
     const int n = static_cast<int>(state.range(0));
@@ -341,16 +356,18 @@ BM_EventDispatch(benchmark::State &state)
         }
         b.create<equeue::AwaitOp>(std::vector<ir::Value>{dep});
         state.ResumeTiming();
-        sim::Simulator s;
+        sim::Simulator s(engineFor(backend));
         auto rep = s.simulate(module.get());
         benchmark::DoNotOptimize(rep.cycles);
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventDispatch)->Arg(100)->Arg(1000);
+BENCHMARK_CAPTURE(BM_EventDispatch, compiled, sim::Backend::Compiled)
+    ->Arg(100)
+    ->Arg(1000);
 
 void
-BM_LaunchIssue(benchmark::State &state)
+BM_LaunchIssue(benchmark::State &state, sim::Backend backend)
 {
     // Launch-dense microkernel: N chained 1-op launches on one
     // processor, module built ONCE and pinned in a BatchSession so
@@ -385,7 +402,7 @@ BM_LaunchIssue(benchmark::State &state)
     }
     b.create<equeue::AwaitOp>(std::vector<ir::Value>{dep});
 
-    sim::Simulator s;
+    sim::Simulator s(engineFor(backend));
     sim::BatchSession session(s, module.get());
     for (auto _ : state) {
         auto rep = session.run();
@@ -393,7 +410,9 @@ BM_LaunchIssue(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_LaunchIssue)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_LaunchIssue, compiled, sim::Backend::Compiled)
+    ->Arg(256)
+    ->Arg(1024);
 
 void
 BM_ServeWarmVsCold(benchmark::State &state, bool warm)
@@ -407,7 +426,8 @@ BM_ServeWarmVsCold(benchmark::State &state, bool warm)
     serve::ModelKey key = serve::defaultKey(serve::ModelKind::Systolic);
     key.systolic.ah = key.systolic.aw = 8;
 
-    serve::ProgramCache primed(4);
+    const sim::EngineOptions engine = engineFor(sim::Backend::Compiled);
+    serve::ProgramCache primed(4, engine);
     if (warm)
         primed.acquire(key).run(); // compile once, outside the loop
     for (auto _ : state) {
@@ -415,16 +435,16 @@ BM_ServeWarmVsCold(benchmark::State &state, bool warm)
             auto rep = primed.acquire(key).run();
             benchmark::DoNotOptimize(rep.cycles);
         } else {
-            serve::ProgramCache cache(4);
+            serve::ProgramCache cache(4, engine);
             auto rep = cache.acquire(key).run();
             benchmark::DoNotOptimize(rep.cycles);
         }
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_ServeWarmVsCold, cold, false)
+BENCHMARK_CAPTURE(BM_ServeWarmVsCold, compiled_cold, false)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ServeWarmVsCold, warm, true)
+BENCHMARK_CAPTURE(BM_ServeWarmVsCold, compiled_warm, true)
     ->Unit(benchmark::kMicrosecond);
 
 void
@@ -438,7 +458,7 @@ BM_SweepResume(benchmark::State &state, bool warm)
     spec.base = serve::defaultKey(serve::ModelKind::Systolic);
     spec.axes = {{"ah", {2, 4, 8}}, {"aw", {2, 4, 8}}};
 
-    sim::EngineOptions engine; // Auto: whatever the run selected
+    const sim::EngineOptions engine = engineFor(sim::Backend::Compiled);
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
 
@@ -472,9 +492,9 @@ BM_SweepResume(benchmark::State &state, bool warm)
         ::rmdir(dir);
     }
 }
-BENCHMARK_CAPTURE(BM_SweepResume, cold, false)
+BENCHMARK_CAPTURE(BM_SweepResume, compiled_cold, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SweepResume, warm, true)
+BENCHMARK_CAPTURE(BM_SweepResume, compiled_warm, true)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

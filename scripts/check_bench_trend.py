@@ -10,13 +10,15 @@ Usage:
     check_bench_trend.py BASELINE.json CURRENT.json \
         [--threshold 0.20] [--track PREFIX ...]
 
-Benchmarks are matched by exact name ("BM_SimulateSystolic/8"); the
---track prefixes select which families gate the build (default:
+Benchmarks are matched by exact name ("BM_SimulateSystolic/compiled/8");
+the --track prefixes select which families gate the build (default:
 BM_SimulateSystolic, BM_EventDispatch, BM_CompiledVsInterp,
-BM_FusedVsCompiled, BM_SoCContention, the serving layer's
-BM_ServeWarmVsCold cache legs, and the sweep durability layer's
-BM_SweepResume warm/cold legs). Untracked benchmarks are
-reported informationally. Stdlib only.
+BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the serving
+layer's BM_ServeWarmVsCold cache legs, and the sweep durability layer's
+BM_SweepResume warm/cold legs). Every engine benchmark carries its
+backend in its name, so a change of the default backend shows up as
+new series rather than as a silent jump in an old one. Untracked
+benchmarks are reported informationally. Stdlib only.
 
 Build-type guard: timings from a debug build are meaningless to gate
 on (and a debug baseline would make every release run look like a
@@ -72,8 +74,8 @@ def main():
     ap.add_argument("--track", nargs="*",
                     default=["BM_SimulateSystolic", "BM_EventDispatch",
                              "BM_CompiledVsInterp", "BM_FusedVsCompiled",
-                             "BM_SoCContention", "BM_ServeWarmVsCold",
-                             "BM_SweepResume"],
+                             "BM_SoCContention", "BM_LaunchIssue",
+                             "BM_ServeWarmVsCold", "BM_SweepResume"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",
                     choices=["cpu_time", "real_time"])

@@ -28,7 +28,7 @@ deadline_exceeded.  Sweep recovery is driven through the C++ client
 (serve_client --retries), which must deliver the byte-identical merged
 table through the same fault storm.
 
-Inherits EQ_SIM_BACKEND / EQ_SIM_FUSE, so CI runs it per backend mode.
+Inherits EQ_SIM_BACKEND, so CI runs it once per backend.
 
 Usage: serve_chaos.py [BUILD_DIR] [ROUNDS]   (default: build, 5)
 """

@@ -16,8 +16,8 @@ the NDJSON protocol over a raw socket with no client-library help:
   5. shutdown — acknowledged with "bye", after which the daemon
      process must exit 0 by itself.
 
-Inherits EQ_SIM_BACKEND / EQ_SIM_FUSE, so CI runs it once per backend
-mode and the byte-identical guarantee is checked in all three.
+Inherits EQ_SIM_BACKEND, so CI runs it once per backend and the
+byte-identical guarantee is checked on both.
 
 Usage: serve_smoke.py [BUILD_DIR]   (default: build)
 """

@@ -1,68 +1,83 @@
 #!/usr/bin/env python3
-"""Emit a markdown table of fused-vs-unfused SoC dispatch counts.
+"""Emit a markdown table of interp-vs-compiled SoC dispatch counts.
 
-Reads two google-benchmark JSON outputs of the BM_SoCContention legs —
-one recorded with EQ_SIM_FUSE=0, one with EQ_SIM_FUSE=1, both on the
-compiled backend — and prints a GitHub-flavored markdown table of the
-per-leg dispatchCount delta, for the CI job summary. Cycles and ops
-must be identical between the legs (fusion may only change how many
-dispatches execute the same work); a mismatch exits nonzero, because
-it means the fused backend diverged behaviourally.
+Reads one google-benchmark JSON output holding both backend legs of
+BM_SoCContention (BM_SoCContention/interp/N and
+BM_SoCContention/compiled/N) and prints a GitHub-flavored markdown
+table of the per-arg dispatchCount delta, for the CI job summary.
+Cycles and ops must be identical between the legs (the compiled
+backend may only change how many dispatches execute the same work), and
+the compiled leg must dispatch strictly fewer times (superinstruction
+fusion, connection-carrying reads/writes included). Either failure
+exits nonzero.
 
 Usage:
-    soc_dispatch_summary.py UNFUSED.json FUSED.json
+    soc_dispatch_summary.py SOC.json
 """
 
 import json
 import sys
 
+PREFIX = "BM_SoCContention/"
 
-def load_counters(path):
+
+def load_legs(path):
+    """Return {backend: {arg: row}} for the BM_SoCContention rows."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    legs = {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate" or "name" not in b:
+        name = b.get("name", "")
+        if b.get("run_type") == "aggregate" or not name.startswith(PREFIX):
             continue
-        out[b["name"]] = b
-    return out
+        backend, _, arg = name[len(PREFIX):].partition("/")
+        legs.setdefault(backend, {})[arg] = b
+    return legs
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    unfused = load_counters(sys.argv[1])
-    fused = load_counters(sys.argv[2])
-
-    names = sorted(set(unfused) & set(fused))
-    if not names:
-        print("error: no common benchmark rows between the two files",
-              file=sys.stderr)
+    legs = load_legs(sys.argv[1])
+    interp, compiled = legs.get("interp", {}), legs.get("compiled", {})
+    args = sorted(set(interp) & set(compiled), key=int)
+    if not args:
+        print("error: no BM_SoCContention arg has both an interp and a "
+              "compiled row", file=sys.stderr)
         return 2
 
-    print("### SoC shared-bus dispatch counts (compiled backend)\n")
-    print("| benchmark | cycles | ops | unfused dispatches "
-          "| fused dispatches | reduction |")
+    print("### SoC shared-bus dispatch counts (interp vs compiled)\n")
+    print("| bus bytes/cycle | cycles | ops | interp dispatches "
+          "| compiled dispatches | reduction |")
     print("|---|---|---|---|---|---|")
-    divergent = []
-    for name in names:
-        u, f = unfused[name], fused[name]
-        if (u.get("cycles") != f.get("cycles")
-                or u.get("ops") != f.get("ops")):
-            divergent.append(name)
-        ud, fd = u.get("dispatches", 0), f.get("dispatches", 0)
-        ratio = f"{ud / fd:.2f}x" if fd else "-"
-        print(f"| {name} | {u.get('cycles', 0):.0f} "
-              f"| {u.get('ops', 0):.0f} | {ud:.0f} | {fd:.0f} "
+    divergent, not_fewer = [], []
+    for arg in args:
+        i, c = interp[arg], compiled[arg]
+        if (i.get("cycles") != c.get("cycles")
+                or i.get("ops") != c.get("ops")):
+            divergent.append(arg)
+        idisp, cdisp = i.get("dispatches", 0), c.get("dispatches", 0)
+        if not cdisp < idisp:
+            not_fewer.append(arg)
+        ratio = f"{idisp / cdisp:.2f}x" if cdisp else "-"
+        print(f"| {arg} | {i.get('cycles', 0):.0f} "
+              f"| {i.get('ops', 0):.0f} | {idisp:.0f} | {cdisp:.0f} "
               f"| {ratio} |")
 
+    status = 0
     if divergent:
-        print(f"\nerror: cycles/ops differ between fused and unfused "
-              f"legs for: {', '.join(divergent)} -- fusion changed "
-              f"observable behaviour", file=sys.stderr)
-        return 1
-    return 0
+        print(f"\nerror: cycles/ops differ between the interp and "
+              f"compiled legs for arg(s) {', '.join(divergent)} -- the "
+              f"compiled backend changed observable behaviour",
+              file=sys.stderr)
+        status = 1
+    if not_fewer:
+        print(f"\nerror: the compiled leg did not dispatch strictly fewer "
+              f"times for arg(s) {', '.join(not_fewer)} -- fusion no "
+              f"longer covers the SoC bodies", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

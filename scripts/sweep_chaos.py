@@ -30,9 +30,9 @@ results do not depend on worker count, process count, kill timing, or
 how many times a point was recomputed — which is exactly what makes
 resume/retry/merge sound.
 
-Inherits EQ_SIM_BACKEND / EQ_SIM_FUSE, so CI runs it per backend mode
-(the emitted manifests pin the resolved mode; every relaunch obeys
-the manifest, not its own environment).
+Inherits EQ_SIM_BACKEND, so CI runs it once per backend (the emitted
+manifests pin the resolved backend; every relaunch obeys the manifest,
+not its own environment).
 
 Usage: sweep_chaos.py [BUILD_DIR] [ROUNDS]   (default: build, 3)
 """

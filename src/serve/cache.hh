@@ -52,7 +52,7 @@ class ProgramCache {
     };
 
     /** @p max_entries is clamped to >= 1; @p engine configures every
-     *  entry's Simulator (backend / fusion / env resolution happens
+     *  entry's Simulator (backend / env resolution happens
      *  per entry at first build). */
     explicit ProgramCache(size_t max_entries = 0,
                           sim::EngineOptions engine = {});

@@ -51,9 +51,7 @@ usage(const char *argv0)
         "                       torn=0.1,drop=0.05,werr=0.2,max=20:42\n"
         "                       (default $EQ_SERVE_FAULTS; testing only)\n"
         "  --backend MODE       auto|interp|compiled (default auto,\n"
-        "                       which resolves $EQ_SIM_BACKEND)\n"
-        "  --fuse MODE          auto|on|off (default auto, which\n"
-        "                       resolves $EQ_SIM_FUSE)\n",
+        "                       which resolves $EQ_SIM_BACKEND)\n",
         argv0);
 }
 
@@ -145,19 +143,6 @@ main(int argc, char **argv)
                 opts.engine.backend = sim::Backend::Compiled;
             else {
                 std::fprintf(stderr, "eqserved: bad --backend '%s'\n",
-                             mode.c_str());
-                return 2;
-            }
-        } else if (arg == "--fuse") {
-            const std::string mode = value();
-            if (mode == "auto")
-                opts.engine.fuse = sim::Fusion::Auto;
-            else if (mode == "on")
-                opts.engine.fuse = sim::Fusion::On;
-            else if (mode == "off")
-                opts.engine.fuse = sim::Fusion::Off;
-            else {
-                std::fprintf(stderr, "eqserved: bad --fuse '%s'\n",
                              mode.c_str());
                 return 2;
             }

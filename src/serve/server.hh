@@ -65,7 +65,7 @@ struct ServerOptions {
     size_t maxQueuedPerClient = 256; ///< backpressure cap
     size_t maxQueuedTotal = 0; ///< pool-wide shed cap; 0 = unlimited
     size_t maxLineBytes = 0; ///< request-line cap; 0 = env or 8 MiB
-    sim::EngineOptions engine;       ///< backend/fusion for every entry
+    sim::EngineOptions engine;       ///< backend for every entry
 };
 
 class Server {

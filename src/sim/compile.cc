@@ -11,8 +11,8 @@
  *  - every operand is resolved to a (hops, slot) SlotRef against the
  *    static environment chain (this scope, then each enclosing launch
  *    scope), every result to a local slot;
- *  - the per-class cost-table row for the op is folded into the
- *    record;
+ *  - the op's dense id is kept in the record, so its per-class cost is
+ *    one indexed load from the cost table;
  *  - attribute-dependent behavior is folded out: loop bounds, constant
  *    values, stream element counts, connection presence, and resolved
  *    component names become record fields or aux-pool entries;
@@ -20,8 +20,8 @@
  *    affine.parallel lower to Begin/End records that jump, nested
  *    builtin.modules inline (followed by a Halt, matching the
  *    interpreter's end-of-module semantics), and launch bodies are
- *    *not* inlined — they are separate scopes, compiled on first
- *    issue.
+ *    *not* inlined — they are separate scopes, compiled (and fused)
+ *    eagerly with their parent and pinned on its Launch records.
  *
  * Counting parity: the interpreter increments opsExecuted once per
  * dispatch; each record that corresponds to a dispatch carries
@@ -32,6 +32,7 @@
 #include "dialects/affine.hh"
 #include "dialects/equeue.hh"
 #include "sim/engine_impl.hh"
+#include "sim/fuse.hh"
 
 namespace eq {
 namespace sim {
@@ -134,13 +135,9 @@ class ModuleCompiler {
         if (counted)
             m.flags |= kFlagCounts;
         if (op) {
-            const uint32_t raw = op->opId().raw();
-            for (unsigned cls = 0; cls < kNumCostClasses; ++cls) {
-                const auto &row = _eng.costTable[cls];
-                eq_assert(raw < row.size(),
-                          "compile: op interned after cost-table build");
-                m.cost[cls] = row[raw];
-            }
+            m.costId = op->opId().raw();
+            eq_assert(m.costId < _eng.costTable[0].size(),
+                      "compile: op interned after cost-table build");
         }
         _prog->code.push_back(std::move(m));
         return static_cast<uint32_t>(_prog->code.size() - 1);
@@ -319,8 +316,12 @@ Simulator::Impl::programFor(ir::Block *root)
     auto it = programs.find(root);
     if (it != programs.end())
         return *it->second;
-    ModuleCompiler mc(*this, root);
-    return *programs.emplace(root, mc.compile()).first->second;
+    // Lowering compiles (and so fuses) launch bodies first, so the
+    // Launch records pin already-fused children; the lowered stream is
+    // then fused in place and never cached unfused.
+    auto prog = optimizeProgram(ModuleCompiler(*this, root).compile(),
+                                opFns);
+    return *programs.emplace(root, std::move(prog)).first->second;
 }
 
 size_t
@@ -333,13 +334,16 @@ Simulator::precompile(ir::Operation *module)
     // repeated calls measure (and re-do) the full lowering.
     impl.valueScopes.clear();
     impl.programs.clear();
-    impl.fusedPrograms.clear();
     impl.buildDispatchTable(module->context());
-    size_t ops =
-        impl.programFor(&module->region(0).front()).code.size();
+    // Count lowered micro-ops: a fused record stands for its elements.
+    auto count = [&](const CompiledBlock &prog) {
+        return prog.code.size() + prog.fusedElems.size() -
+               prog.fusedGroups.size();
+    };
+    size_t ops = count(impl.programFor(&module->region(0).front()));
     module->walk([&](ir::Operation *op) {
         if (op->opId() == impl.idLaunch)
-            ops += impl.programFor(&op->region(0).front()).code.size();
+            ops += count(impl.programFor(&op->region(0).front()));
     });
     return ops;
 }

@@ -15,17 +15,22 @@
  *  - operand references pre-resolved to (env-chain hops, slot) pairs
  *    (no scope-id walk per eval), result slots pre-resolved to local
  *    slot indices,
- *  - the (CostClass, OpId) cost-table row pre-folded into the record
- *    (one indexed load per executing processor class),
+ *  - the op's dense OpId kept in the record, so its cost is one
+ *    indexed load from the executing processor class's cost-table row,
  *  - loop bounds, constants, stream element counts, and resolved
  *    component names pre-folded out of the attribute dictionaries,
  *  - branch and region targets pre-computed as absolute pc indices
  *    into the stream (the stream is relocatable: it contains no
  *    pointers into itself).
  *
- * CompiledExec (compiled_exec.cc) then runs the stream with a dense
- * jump-table dispatch over the opcode — a computed jump straight to
- * the micro-op's code — instead of walking ir::Operation nodes.
+ * The fusion pass (sim/fuse.hh) then rewrites the stream once, wrapping
+ * every data, event, and extern record into MOp::Fused superinstruction
+ * groups; only control flow, linalg, and elaboration keep records of
+ * their own. CompiledExec (compiled_exec.cc) runs the fused stream
+ * with a dense jump-table dispatch over the opcode — a computed jump
+ * straight to the micro-op's code — instead of walking ir::Operation
+ * nodes. This is the production engine; the interpreter (interp.cc)
+ * is the reference it is tested against.
  *
  * Lifetime: a CompiledBlock borrows the IR (records keep the
  * originating ir::Operation* for attributes, trace labels, and cold
@@ -37,7 +42,6 @@
 #ifndef EQ_SIM_COMPILE_HH
 #define EQ_SIM_COMPILE_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -83,7 +87,6 @@ enum class MOp : uint8_t {
     RemSI,
     AddF,
     MulF,
-    ArithBad,   ///< unsupported arith op: fatal when executed
     // Memory and high-level compute.
     Load,       ///< affine.load: args = [memref, indices...]
     Store,      ///< affine.store: args = [value, memref, indices...]
@@ -120,8 +123,9 @@ struct SlotRef {
 
 constexpr uint32_t kNoSlot = 0xffffffffu;
 
-/** Deepest operand env-chain a fused group may reference; runs needing
- *  more (absurdly deep launch nesting) are simply left unfused. */
+/** Env-chain levels a fused group resolves once per entry; operands
+ *  referenced from deeper (absurdly deep launch nesting) walk the rest
+ *  of the chain per use. */
 constexpr uint32_t kMaxFusedHops = 8;
 
 /** MicroOp::flags bits (shared by MicroOp and FusedElem). */
@@ -132,7 +136,7 @@ enum : uint8_t {
     kFlagIsAddComp = 1 << 2,   ///< CreateComp record is an add_comp
     kFlagEqueueAlloc = 1 << 3, ///< Alloc record is an equeue.alloc
     kFlagImmIdx = 1 << 4,      ///< index operands folded to immediates
-                               ///< (aux/immBegin -> immIdx pool)
+                               ///< (FusedElem::immBegin -> immIdx)
     kFlagScalarize = 1 << 5,   ///< whole-cell read may bind a scalar
                                ///< instead of materializing a tensor
                                ///< (all uses proven scalar-compatible
@@ -153,14 +157,13 @@ struct MicroOp {
                                ///< always scope-local: hops == 0)
     uint32_t target = 0;    ///< branch target pc (loops)
     uint32_t aux = 0;       ///< index into the per-opcode aux pool
+    /** OpId::raw() of @ref op: indexes the engine's (CostClass, OpId)
+     *  cost table (CostModel::kDynamic defers to linalgCycles at
+     *  execution time, exactly like the interpreter). */
+    uint32_t costId = 0;
     int64_t imm = 0;        ///< pre-folded immediate (stream elems, ...)
     ir::Operation *op = nullptr; ///< originating IR op (attributes,
                                  ///< trace labels, cold paths)
-    /** Pre-folded cost-table row: occupancy cycles per executing
-     *  processor cost class (CostModel::kDynamic defers to
-     *  linalgCycles at execution time, exactly like the interpreter's
-     *  table). */
-    std::array<Cycles, kNumCostClasses> cost{};
 
     bool counts() const { return flags & kFlagCounts; }
     bool hasConn() const { return flags & kFlagHasConn; }
@@ -169,9 +172,10 @@ struct MicroOp {
 /**
  * One constituent of a fused superinstruction (MOp::Fused). Carries the
  * same pre-resolved fields as the MicroOp it replaces plus the
- * fusion-time specializations: the pre-combined cost row, an optional
- * cached op-function pointer (Extern), a pre-built trace label, and
- * immediate index offsets (kFlagImmIdx). Executing one FusedElem is
+ * fusion-time specializations: an optional cached op-function pointer
+ * (Extern), a pre-resolved trace label, and immediate index offsets
+ * (kFlagImmIdx). Kept small (one cache line): a server holds the
+ * programs of every cached model. Executing one FusedElem is
  * observationally identical to executing the original record —
  * per-element costs, memory/connection acquisition order, opsExecuted
  * accounting, and trace lines are all preserved; only the per-record
@@ -188,25 +192,29 @@ struct FusedElem {
     uint32_t immBegin = 0;      ///< into immIdx when kFlagImmIdx
     uint32_t resultBegin = 0;   ///< Extern: into resultPool
     uint32_t nresults = 0;      ///< Extern: result count
+    uint32_t costId = 0;        ///< as MicroOp::costId
     int64_t imm = 0;            ///< stream elems
     ir::Operation *op = nullptr;
     /** Extern: op function resolved at fuse time (registry entries are
      *  node-stable, so the pointer survives later re-registrations);
      *  null falls back to the by-signature lookup. */
     const OpFunction *fn = nullptr;
-    /** Pre-built trace label (op name / extern signature). */
-    std::string label;
-    /** Pre-folded cost row, copied from the replaced record. */
-    std::array<Cycles, kNumCostClasses> cost{};
+    /** Trace label (op name / extern signature), pointing into the
+     *  borrowed IR like @ref op. */
+    const std::string *label = nullptr;
 
     bool hasConn() const { return flags & kFlagHasConn; }
     bool immIdx() const { return flags & kFlagImmIdx; }
     bool scalarize() const { return flags & kFlagScalarize; }
 };
+static_assert(sizeof(FusedElem) <= 64, "FusedElem outgrew a cache line");
 
-/** A fused run of records, dispatched as one MOp::Fused record. */
+/** A fused run of records, dispatched as one MOp::Fused record: the
+ *  elements [elemsBegin, elemsBegin + numElems) of
+ *  CompiledBlock::fusedElems. */
 struct FusedGroup {
-    std::vector<FusedElem> elems;
+    uint32_t elemsBegin = 0;
+    uint32_t numElems = 0;
     /** Deepest env-chain hop count over all operand refs; the executor
      *  resolves each chain level once per group entry instead of
      *  walking parent links per operand ("SlotRef chain coalescing"). */
@@ -254,15 +262,16 @@ struct CompiledBlock {
     };
     std::vector<Capture> captures;
 
-    /** Superinstruction groups (MOp::Fused records; sim/fuse.cc). Only
-     *  populated in optimized programs. */
+    /** Superinstruction groups (MOp::Fused records; sim/fuse.cc) and
+     *  their elements, all groups' back to back. */
     std::vector<FusedGroup> fusedGroups;
+    std::vector<FusedElem> fusedElems;
     /** Immediate index operands folded from same-scope constants
-     *  (records/elems with kFlagImmIdx). */
+     *  (elements with kFlagImmIdx). */
     std::vector<int64_t> immIdx;
 
     /** Root block this program was compiled from (keys the program
-     *  caches; lets the fusion pass map child programs). */
+     *  cache). */
     ir::Block *root = nullptr;
     /** Scope this program was compiled against (must match the
      *  executing environment's scopeId). */

@@ -5,7 +5,10 @@
  * an opcode-indexed table — the function-pointer-table equivalent,
  * but with the loop state kept in registers across micro-ops).
  *
- * Every case mirrors the corresponding interpreter handler exactly —
+ * The main switch handles only what keeps its own record after fusion
+ * — control flow, linalg, and elaboration; every data, event, and
+ * extern op runs as an element of a MOp::Fused group in execFused().
+ * Each case mirrors the corresponding interpreter handler exactly —
  * same event creation order, same memory/connection acquisition
  * sequence, same trace records, same opsExecuted accounting — so the
  * two backends are byte-identical on goldens; only the per-op
@@ -21,14 +24,6 @@
 namespace eq {
 namespace sim {
 
-std::string
-CompiledExec::traceLabel(const MicroOp &m) const
-{
-    if (m.code == MOp::Extern)
-        return m.op->strAttr("signature");
-    return m.op->name();
-}
-
 bool
 CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                           Cycles cycles)
@@ -42,7 +37,7 @@ CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                 _eng.recordTrace("stall", _proc, now, start - now,
                                  "stall");
             if (cycles > 0)
-                _eng.recordTrace(traceLabel(m), _proc, start, cycles);
+                _eng.recordTrace(m.op->name(), _proc, start, cycles);
         }
     }
     _eng.noteActivity(end);
@@ -76,8 +71,10 @@ CompiledExec::finish(Cycles t)
         _eng.finishLaunch(_event, _proc, t);
     // The exec object lives in Impl::execs until the next reset, but
     // its environment is dead here — release it so the pool can hand
-    // it to the next launch.
+    // it to the next launch — and so is the extern call frame, whose
+    // argument copies would otherwise keep tensors alive.
     _env.reset();
+    _scratch = OpCall();
 }
 
 void
@@ -168,92 +165,6 @@ CompiledExec::resume(Cycles t)
             finish(now);
             return;
 
-        // --- scalar compute -----------------------------------------
-        case MOp::Constant:
-            bindLocal(m.result, _prog.consts[m.aux]);
-            ++_pc;
-            continue;
-        case MOp::AddI:
-            bindLocal(m.result, SimValue::ofInt(arg(m, 0).asInt() +
-                                                arg(m, 1).asInt()));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        case MOp::SubI:
-            bindLocal(m.result, SimValue::ofInt(arg(m, 0).asInt() -
-                                                arg(m, 1).asInt()));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        case MOp::MulI:
-            bindLocal(m.result, SimValue::ofInt(arg(m, 0).asInt() *
-                                                arg(m, 1).asInt()));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        case MOp::DivSI: {
-            int64_t lhs = arg(m, 0).asInt();
-            int64_t rhs = arg(m, 1).asInt();
-            bindLocal(m.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs / rhs));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::RemSI: {
-            int64_t lhs = arg(m, 0).asInt();
-            int64_t rhs = arg(m, 1).asInt();
-            bindLocal(m.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs % rhs));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::AddF:
-            bindLocal(m.result, SimValue::ofFloat(arg(m, 0).asFloat() +
-                                                  arg(m, 1).asFloat()));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        case MOp::MulF:
-            bindLocal(m.result, SimValue::ofFloat(arg(m, 0).asFloat() *
-                                                  arg(m, 1).asFloat()));
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        case MOp::ArithBad:
-            eq_fatal("unsupported arith op '", m.op->name(), "'");
-
-        // --- affine memory ------------------------------------------
-        case MOp::Load: {
-            BufferObj *buf = arg(m, 0).asBuffer();
-            int64_t idxbuf[kMaxRank];
-            const unsigned nidx = m.nargs - 1;
-            const int64_t *idx = recordIndices(m, 1, idxbuf);
-            int64_t off = buf->data->offset(idx, nidx);
-            Cycles start = _eng.bufferAccessStart(
-                buf, nullptr, /*is_write=*/false, 1,
-                (buf->data->elemBits + 7) / 8, now);
-            bindLocal(m.result, SimValue::ofInt(buf->data->data[off]));
-            if (chargeAfter(m, now, start, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::Store: {
-            BufferObj *buf = arg(m, 1).asBuffer();
-            int64_t idxbuf[kMaxRank];
-            const unsigned nidx = m.nargs - 2;
-            const int64_t *idx = recordIndices(m, 2, idxbuf);
-            int64_t off = buf->data->offset(idx, nidx);
-            Cycles start = _eng.bufferAccessStart(
-                buf, nullptr, /*is_write=*/true, 1,
-                (buf->data->elemBits + 7) / 8, now);
-            buf->data->data[off] = arg(m, 0).asInt();
-            if (chargeAfter(m, now, start, costOf(m)))
-                return;
-            continue;
-        }
-
         // --- linalg --------------------------------------------------
         case MOp::LinalgConv: {
             Cycles cycles = costOf(m);
@@ -284,286 +195,6 @@ CompiledExec::resume(Cycles t)
             if (chargeAfter(m, now, now, costOf(m)))
                 return;
             continue;
-
-        // --- EQueue data movement -----------------------------------
-        case MOp::Read: {
-            BufferObj *buf = arg(m, 0).asBuffer();
-            Connection *conn =
-                m.hasConn() ? arg(m, 1).asConnection() : nullptr;
-            const unsigned idx0 = m.hasConn() ? 2 : 1;
-            const unsigned nidx = m.nargs - idx0;
-            int64_t bytes;
-            int64_t words;
-            if (nidx == 0) {
-                auto copy = std::make_shared<Tensor>(*buf->data);
-                bytes = copy->sizeBytes();
-                words = buf->data->numElements();
-                bindLocal(m.result, SimValue::ofTensor(copy));
-            } else {
-                int64_t idxbuf[kMaxRank];
-                const int64_t *idx = recordIndices(m, idx0, idxbuf);
-                bytes = (buf->data->elemBits + 7) / 8;
-                words = 1;
-                bindLocal(
-                    m.result,
-                    SimValue::ofInt(
-                        buf->data
-                            ->data[buf->data->offset(idx, nidx)]));
-            }
-            Cycles start = _eng.bufferAccessStart(
-                buf, conn, /*is_write=*/false, words, bytes, now);
-            if (chargeAfter(m, now, start, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::Write: {
-            const SimValue &val = arg(m, 0);
-            BufferObj *buf = arg(m, 1).asBuffer();
-            Connection *conn =
-                m.hasConn() ? arg(m, 2).asConnection() : nullptr;
-            const unsigned idx0 = m.hasConn() ? 3 : 2;
-            const unsigned nidx = m.nargs - idx0;
-            int64_t bytes;
-            if (nidx == 0 && val.isTensor()) {
-                auto src = val.asTensor();
-                int64_t n = std::min(src->numElements(),
-                                     buf->data->numElements());
-                std::copy_n(src->data.begin(), n,
-                            buf->data->data.begin());
-                bytes = n * ((buf->data->elemBits + 7) / 8);
-            } else if (nidx > 0) {
-                int64_t idxbuf[kMaxRank];
-                const int64_t *idx = recordIndices(m, idx0, idxbuf);
-                buf->data->data[buf->data->offset(idx, nidx)] =
-                    val.asInt();
-                bytes = (buf->data->elemBits + 7) / 8;
-            } else {
-                // Scalar into rank-0/1 buffer: write element 0.
-                buf->data->data[0] = val.asInt();
-                bytes = (buf->data->elemBits + 7) / 8;
-            }
-            int64_t words = nidx == 0 && val.isTensor()
-                                ? val.asTensor()->numElements()
-                                : 1;
-            Cycles start = _eng.bufferAccessStart(
-                buf, conn, /*is_write=*/true, words, bytes, now);
-            if (chargeAfter(m, now, start, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::StreamRead: {
-            StreamFifo *fifo = arg(m, 0).asStream();
-            size_t elems = static_cast<size_t>(m.imm);
-            Cycles ready = fifo->readyTime(elems);
-            if (ready == StreamFifo::kNoReadyTime) {
-                // Not enough elements yet: wake (and re-execute this
-                // record) when the producer pushes.
-                _eng.streamWaiters[fifo].push_back(
-                    [this] { resume(_eng.now); });
-                return;
-            }
-            if (ready > now) {
-                // Same fast path as chargeAfter: re-execute this
-                // record at `ready` in place when nothing can
-                // interleave before it.
-                if (_eng.nothingPendingBefore(ready)) {
-                    _eng.now = ready;
-                    now = ready;
-                    continue;
-                }
-                _eng.scheduleAt(ready, [this, ready] { resume(ready); });
-                return;
-            }
-            auto vals = fifo->pop(elems);
-            auto tensor = Tensor::zeros({static_cast<int64_t>(elems)},
-                                        fifo->dataBits());
-            tensor->data = std::move(vals);
-            bindLocal(m.result, SimValue::ofTensor(tensor));
-            // Reader-side connection records bytes for profiling; the
-            // arrival rate was already shaped by the producer (§VII-E).
-            if (m.hasConn()) {
-                Connection *conn = arg(m, 1).asConnection();
-                int64_t bytes = tensor->sizeBytes();
-                conn->recordTransfer(
-                    true, now,
-                    now + std::max<Cycles>(conn->transferCycles(bytes),
-                                           1),
-                    bytes);
-            }
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        }
-        case MOp::StreamWrite: {
-            const SimValue &val = arg(m, 0);
-            StreamFifo *fifo = arg(m, 1).asStream();
-            Connection *conn =
-                m.hasConn() ? arg(m, 2).asConnection() : nullptr;
-            std::vector<int64_t> elems;
-            if (val.isTensor())
-                elems = val.asTensor()->data;
-            else
-                elems.push_back(val.asInt());
-            _eng.streamPush(fifo, conn, elems, now);
-            if (chargeAfter(m, now, now, costOf(m)))
-                return;
-            continue;
-        }
-
-        // --- events --------------------------------------------------
-        case MOp::ControlStart: {
-            Event *ev = _eng.newEvent(Event::Kind::Start, now);
-            _eng.completeEvent(ev, now);
-            bindLocal(m.result, SimValue::ofEvent(ev->id));
-            ++_pc;
-            continue;
-        }
-        case MOp::ControlAnd:
-        case MOp::ControlOr: {
-            bool is_and = m.code == MOp::ControlAnd;
-            Event *ev = _eng.newEvent(
-                is_and ? Event::Kind::And : Event::Kind::Or, now);
-            std::vector<EventId> deps;
-            deps.reserve(m.nargs);
-            for (unsigned i = 0; i < m.nargs; ++i)
-                deps.push_back(arg(m, i).asEvent());
-            ev->deps = deps;
-            bindLocal(m.result, SimValue::ofEvent(ev->id));
-            Event *evp = ev;
-            Simulator::Impl *eng = &_eng;
-            auto done = [eng, evp](Cycles dt) {
-                eng->completeEvent(evp, dt);
-            };
-            if (is_and)
-                _eng.whenAllDone(deps, done);
-            else
-                _eng.whenAnyDone(deps, done);
-            ++_pc;
-            continue;
-        }
-        case MOp::Launch: {
-            unsigned ndeps = static_cast<unsigned>(m.imm);
-            Event *ev = _eng.newEvent(Event::Kind::Launch, now);
-            for (unsigned i = 0; i < ndeps; ++i)
-                ev->deps.push_back(arg(m, i).asEvent());
-            ev->op = m.op;
-            ev->proc =
-                static_cast<Processor *>(arg(m, ndeps).asComponent());
-            ev->creatorEnv = _env;
-            ev->bodyProg = _prog.childProgs[m.aux];
-            bindLocal(m.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
-            _eng.enqueueOnProcessor(ev, now);
-            ++_pc;
-            continue;
-        }
-        case MOp::Memcpy: {
-            Event *ev = _eng.newEvent(Event::Kind::Memcpy, now);
-            ev->deps.push_back(arg(m, 0).asEvent());
-            ev->op = m.op;
-            ev->src = arg(m, 1).asBuffer();
-            ev->dst = arg(m, 2).asBuffer();
-            ev->proc =
-                static_cast<Processor *>(arg(m, 3).asComponent());
-            if (m.hasConn())
-                ev->conn = arg(m, 4).asConnection();
-            ev->creatorEnv = _env;
-            bindLocal(m.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
-            _eng.enqueueOnProcessor(ev, now);
-            ++_pc;
-            continue;
-        }
-        case MOp::Await: {
-            if (m.nargs == 0) {
-                // Await-all fast path (see BlockExec::execAwait):
-                // done events are timing-irrelevant (doneTime <= now),
-                // so compact the spawned list to the pending tail and
-                // subscribe to exactly those in one pass.
-                size_t w = 0;
-                for (EventId id : _spawned)
-                    if (!_eng.event(id)->done)
-                        _spawned[w++] = id;
-                _spawned.resize(w);
-                ++_pc;
-                if (w == 0)
-                    continue;
-                if (w == 1) {
-                    _eng.event(_spawned[0])->onDone.push_back(
-                        [this, now](Cycles dt) {
-                            resume(std::max(now, dt));
-                        });
-                    return;
-                }
-                auto state =
-                    std::make_shared<std::pair<size_t, Cycles>>(w, 0);
-                for (EventId id : _spawned)
-                    _eng.event(id)->onDone.push_back(
-                        [this, now, state](Cycles dt) {
-                            state->second =
-                                std::max(state->second, dt);
-                            if (--state->first == 0)
-                                resume(std::max(now, state->second));
-                        });
-                return;
-            }
-            std::vector<EventId> ids;
-            ids.reserve(m.nargs);
-            for (unsigned i = 0; i < m.nargs; ++i)
-                ids.push_back(arg(m, i).asEvent());
-            bool all_done = true;
-            Cycles max_t = now;
-            for (EventId id : ids) {
-                Event *ev = _eng.event(id);
-                if (!ev->done)
-                    all_done = false;
-                else
-                    max_t = std::max(max_t, ev->doneTime);
-            }
-            ++_pc;
-            if (all_done) {
-                now = std::max(now, max_t);
-                continue;
-            }
-            _eng.whenAllDone(ids, [this, now](Cycles dt) {
-                resume(std::max(now, dt));
-            });
-            return;
-        }
-        case MOp::Return:
-            if (_event) {
-                for (unsigned i = 0; i < m.nargs; ++i)
-                    _event->results.push_back(arg(m, i));
-            }
-            finish(now);
-            return;
-        case MOp::Extern: {
-            OpCall call;
-            call.op = m.op;
-            call.proc = _proc;
-            call.args.reserve(m.nargs);
-            for (unsigned i = 0; i < m.nargs; ++i)
-                call.args.push_back(arg(m, i));
-            OpFnResult r =
-                _eng.opFns.invoke(m.op->strAttr("signature"), call);
-            eq_assert(r.results.size() >= m.op->numResults(),
-                      "op function returned too few results for '",
-                      m.op->strAttr("signature"), "'");
-            for (unsigned i = 0; i < m.op->numResults(); ++i) {
-                // The dense environment uses None to mean "unbound"; a
-                // default-constructed result would read back as a
-                // missing binding later, so reject it here where the
-                // signature is known.
-                eq_assert(!r.results[i].isNone(), "op function for '",
-                          m.op->strAttr("signature"),
-                          "' returned an empty SimValue for result ", i);
-                bindLocal(_prog.resultPool[m.aux + i], r.results[i]);
-            }
-            Cycles cycles = std::max(costOf(m), r.cycles);
-            if (chargeAfter(m, now, now, cycles))
-                return;
-            continue;
-        }
 
         // --- elaboration (shared cores in elaborate.cc) -------------
         case MOp::CreateProc:
@@ -618,7 +249,7 @@ CompiledExec::resume(Cycles t)
             ++_pc;
             continue;
 
-        // --- superinstructions (sim/fuse.cc) ------------------------
+        // --- every data op: superinstructions (sim/fuse.cc) ---------
         case MOp::Fused:
             if (execFused(m, now))
                 return;
@@ -645,15 +276,15 @@ CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
                 _eng.recordTrace("stall", _proc, now, start - now,
                                  "stall");
             if (cycles > 0)
-                _eng.recordTrace(e.label, _proc, start, cycles);
+                _eng.recordTrace(*e.label, _proc, start, cycles);
         }
     }
     _eng.noteActivity(end);
     if (end > now) {
         // Same time-advance fast path as chargeAfter; a mid-group
         // suspension saves the element position so resume re-enters
-        // the group exactly where the unfused stream would have
-        // resumed its next record.
+        // the group exactly where the interpreter would resume its
+        // next op.
         if (_eng.nothingPendingBefore(end)) {
             _eng.now = end;
             now = end;
@@ -667,17 +298,16 @@ CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
 }
 
 /*
- * NOTE: each element case below intentionally restates the semantics
- * of the record it replaces (third copy after the interp handler and
- * the main switch) rather than sharing a templated core: the
- * specializations — coalesced arg resolution, scalarized cell reads,
- * cached extern functions, element-position suspension — are the
- * point of fusion, and a shared abstraction would obscure the
- * cycle-for-cycle mirroring that the three-way equivalence matrix
- * (tests/sim/test_backend_equiv.cc) and the fused golden legs pin.
- * When changing any op's semantics, update all three sites; the
- * matrix tests fail on any divergence an op can exhibit in the golden
- * workloads.
+ * The element cases below are the compiled backend's only definition
+ * of each data op (the fuser wraps even a lone record in a one-element
+ * group); the interpreter's handlers are the second, reference
+ * definition. They are written out per op rather than shared through a
+ * templated core: the specializations — coalesced arg resolution,
+ * scalarized cell reads, cached extern functions, element-position
+ * suspension — are the point of fusion. When changing any op's
+ * semantics, update both sites; the interp-vs-compiled equivalence
+ * tests (tests/sim/test_backend_equiv.cc, test_fuse.cc) and the golden
+ * legs fail on any divergence an op can exhibit in those workloads.
  */
 bool
 CompiledExec::execFused(const MicroOp &m, Cycles &now)
@@ -694,13 +324,21 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
     {
         Env *e = _env.get();
         levels[0] = e;
-        for (uint32_t h = 1; h <= g.maxHops; ++h) {
+        const uint32_t top = std::min(g.maxHops, kMaxFusedHops);
+        for (uint32_t h = 1; h <= top; ++h) {
             e = e->parent.get();
             levels[h] = e;
         }
     }
     auto slot = [&](const SlotRef &r) -> SimValue & {
-        return levels[r.hops]->slots[r.slot];
+        if (r.hops <= kMaxFusedHops)
+            return levels[r.hops]->slots[r.slot];
+        // Deeper than the coalesced levels (absurd launch nesting):
+        // walk the rest of the chain for this operand.
+        Env *e = levels[kMaxFusedHops];
+        for (uint32_t h = r.hops - kMaxFusedHops; h; --h)
+            e = e->parent.get();
+        return e->slots[r.slot];
     };
     auto argOf = [&](const FusedElem &e, unsigned i) -> const SimValue & {
         const SimValue &s = slot(_prog.args[e.argsBegin + i]);
@@ -723,12 +361,12 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
 
     uint32_t k = _subPc ? _subPc - 1 : 0;
     _subPc = 0;
-    const uint32_t n = static_cast<uint32_t>(g.elems.size());
-    for (; k < n; ++k) {
-        const FusedElem &e = g.elems[k];
-        // opsExecuted parity: every element was a counted dispatch in
-        // the unfused stream (elements re-executed after a stream wait
-        // re-count, exactly like their records would).
+    const FusedElem *elems = _prog.fusedElems.data() + g.elemsBegin;
+    for (; k < g.numElems; ++k) {
+        const FusedElem &e = elems[k];
+        // opsExecuted parity: every element is one interpreter
+        // dispatch (elements re-executed after a stream wait re-count,
+        // exactly like the interpreter's re-executed op).
         if (++_eng.opsExecuted > _eng.opts.maxOps)
             eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
                      "); runaway program?");
@@ -829,7 +467,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                     // All uses proven in-group and scalar-compatible:
                     // bind the cell's value directly — byte counts and
                     // consumer behavior match the 1-element tensor the
-                    // unfused record would have materialized.
+                    // interpreter would have materialized.
                     bytes = (buf->data->elemBits + 7) / 8;
                     words = 1;
                     bindLocal(e.result,
@@ -899,7 +537,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             Cycles ready = fifo->readyTime(elems);
             if (ready == StreamFifo::kNoReadyTime) {
                 // Re-execute this element when the producer pushes
-                // (the unfused record re-executes the same way).
+                // (the interpreter re-executes its op the same way).
                 _subPc = k + 1; // 1-based: resume at element k
                 _eng.streamWaiters[fifo].push_back(
                     [this] { resume(_eng.now); });
@@ -961,13 +599,13 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             for (unsigned i = 0; i < e.nargs; ++i)
                 _scratch.args.push_back(argOf(e, i));
             OpFnResult r = e.fn ? (*e.fn)(_scratch)
-                                : _eng.opFns.invoke(e.label, _scratch);
+                                : _eng.opFns.invoke(*e.label, _scratch);
             eq_assert(r.results.size() >= e.nresults,
                       "op function returned too few results for '",
-                      e.label, "'");
+                      *e.label, "'");
             for (unsigned i = 0; i < e.nresults; ++i) {
                 eq_assert(!r.results[i].isNone(), "op function for '",
-                          e.label,
+                          *e.label,
                           "' returned an empty SimValue for result ",
                           i);
                 bindLocal(_prog.resultPool[e.resultBegin + i],

@@ -10,11 +10,11 @@
  * walk per operand, cost-table lookup), CompiledExec's whole state is
  * a program counter: control flow follows pre-computed pc targets,
  * operands are pre-resolved (hops, slot) references, and the
- * executing processor's cost-class row is pre-folded into each
- * record. Suspension (timed ops, awaits, stream stalls) schedules a
- * resume at the saved pc, exactly mirroring the interpreter's
- * suspend/resume protocol so event ordering — and therefore traces
- * and reports — is byte-identical.
+ * executing processor's cost-class row is resolved once per exec, so
+ * a cost is one indexed load. Suspension (timed ops, awaits, stream
+ * stalls) schedules a resume at the saved pc, exactly mirroring the
+ * interpreter's suspend/resume protocol so event ordering — and
+ * therefore traces and reports — is byte-identical.
  */
 
 #ifndef EQ_SIM_COMPILED_EXEC_HH
@@ -31,8 +31,11 @@ class CompiledExec : public ExecBase {
                  const CompiledBlock &prog, EnvPtr env)
         : _eng(eng), _event(ev), _proc(proc), _prog(prog),
           _env(std::move(env)),
-          _cls(proc ? static_cast<unsigned>(proc->costClass())
-                    : static_cast<unsigned>(CostClass::Root))
+          _costRow(eng.costTable[proc ? static_cast<unsigned>(
+                                            proc->costClass())
+                                      : static_cast<unsigned>(
+                                            CostClass::Root)]
+                       .data())
     {
         eq_assert(_env->scopeId == prog.scopeId,
                   "compiled program bound to a foreign environment");
@@ -82,40 +85,17 @@ class CompiledExec : public ExecBase {
      *  type system long before execution. */
     static constexpr unsigned kMaxRank = 8;
 
-    /** Gather the trailing index operands [first, nargs) of @p m. */
-    unsigned
-    gatherIndices(const MicroOp &m, unsigned first, int64_t *out) const
-    {
-        const unsigned n = m.nargs - first;
-        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
-        for (unsigned i = 0; i < n; ++i)
-            out[i] = arg(m, first + i).asInt();
-        return n;
-    }
-
-    /** Index operands of @p m, honoring the fuse pass's constant-index
-     *  folding: pre-folded records read straight from the immediate
-     *  pool, others gather from slots into @p buf. */
-    const int64_t *
-    recordIndices(const MicroOp &m, unsigned first, int64_t *buf) const
-    {
-        if (m.flags & kFlagImmIdx)
-            return _prog.immIdx.data() + m.aux;
-        gatherIndices(m, first, buf);
-        return buf;
-    }
-
-    /** Pre-folded cost of @p m on the executing processor class. */
+    /** Cost of record or element @p r on the executing processor
+     *  class. */
+    template <typename Rec>
     Cycles
-    costOf(const MicroOp &m) const
+    costOf(const Rec &r) const
     {
-        Cycles c = m.cost[_cls];
+        Cycles c = _costRow[r.costId];
         if (c == CostModel::kDynamic)
-            c = CostModel::linalgCycles(m.op);
+            c = CostModel::linalgCycles(r.op);
         return c;
     }
-
-    std::string traceLabel(const MicroOp &m) const;
 
     /** Account for an op occupying the processor from @p start for
      *  @p cycles; advances the pc. @return true when the stream must
@@ -130,10 +110,10 @@ class CompiledExec : public ExecBase {
 
     /** Execute the superinstruction @p m (MOp::Fused) from the saved
      *  sub-position. Each constituent element is accounted exactly like
-     *  the record it replaced — per-element cost, memory/connection
-     *  acquisition, trace lines, opsExecuted, and suspend decisions —
-     *  so fused and unfused streams are byte-identical; only the
-     *  jump-table dispatch (and dead tensor materialization) is saved.
+     *  the interpreter accounts its op — per-element cost,
+     *  memory/connection acquisition, trace lines, opsExecuted, and
+     *  suspend decisions — so both backends are byte-identical; only
+     *  the per-op dispatch (and dead tensor materialization) is saved.
      *  @return true when the group suspended (resume re-enters it at
      *  @ref _subPc); false when it completed (pc already advanced). */
     bool execFused(const MicroOp &m, Cycles &now);
@@ -144,16 +124,6 @@ class CompiledExec : public ExecBase {
     bool chargeFused(const FusedElem &e, Cycles &now, Cycles start,
                      Cycles cycles, uint32_t k);
 
-    /** Pre-folded cost of fused element @p e on the executing class. */
-    Cycles
-    costOf(const FusedElem &e) const
-    {
-        Cycles c = e.cost[_cls];
-        if (c == CostModel::kDynamic)
-            c = CostModel::linalgCycles(e.op);
-        return c;
-    }
-
     void finish(Cycles t);
 
     Simulator::Impl &_eng;
@@ -161,7 +131,9 @@ class CompiledExec : public ExecBase {
     Processor *_proc; ///< executing processor (root proc at top level)
     const CompiledBlock &_prog;
     EnvPtr _env;
-    unsigned _cls;      ///< pre-resolved cost-class row index
+    /** The executing processor class's cost-table row (indexed by
+     *  costId); the table is stable for the whole run. */
+    const Cycles *_costRow;
     uint32_t _pc = 0;
     /** Resume position inside a suspended MOp::Fused group, 1-based:
      *  0 = enter the group fresh, k+1 = resume at element k. The

@@ -28,44 +28,11 @@ resolveBackend(Backend requested)
     if (requested != Backend::Auto)
         return requested;
     const char *env = std::getenv("EQ_SIM_BACKEND");
-    if (!env || !*env || std::strcmp(env, "interp") == 0)
-        return Backend::Interp;
-    if (std::strcmp(env, "compiled") == 0)
+    if (!env || !*env || std::strcmp(env, "compiled") == 0)
         return Backend::Compiled;
+    if (std::strcmp(env, "interp") == 0)
+        return Backend::Interp;
     eq_fatal("EQ_SIM_BACKEND must be 'interp' or 'compiled', got '",
-             env, "'");
-}
-
-/** Resolve Fusion::Auto against EQ_SIM_FUSE (default: on). */
-bool
-resolveFusion(Fusion requested)
-{
-    if (requested != Fusion::Auto)
-        return requested == Fusion::On;
-    const char *env = std::getenv("EQ_SIM_FUSE");
-    if (!env || !*env || std::strcmp(env, "1") == 0 ||
-        std::strcmp(env, "on") == 0)
-        return true;
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)
-        return false;
-    eq_fatal("EQ_SIM_FUSE must be '0'/'off' or '1'/'on', got '", env,
-             "'");
-}
-
-/** Resolve the launch-env pooling escape hatch against
- *  EQ_SIM_ENV_POOL (default: on). Pooling is a pure allocation
- *  optimization — reports and traces are identical either way — so
- *  the seam exists for bisection, not configuration. */
-bool
-resolveEnvPool()
-{
-    const char *env = std::getenv("EQ_SIM_ENV_POOL");
-    if (!env || !*env || std::strcmp(env, "1") == 0 ||
-        std::strcmp(env, "on") == 0)
-        return true;
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)
-        return false;
-    eq_fatal("EQ_SIM_ENV_POOL must be '0'/'off' or '1'/'on', got '",
              env, "'");
 }
 
@@ -144,8 +111,6 @@ Simulator::Simulator(EngineOptions opts) : _impl(std::make_unique<Impl>())
 {
     _impl->opts = opts;
     _impl->backend = resolveBackend(opts.backend);
-    _impl->fuse = resolveFusion(opts.fuse);
-    _impl->envPool = resolveEnvPool();
     _impl->traceData.setEnabled(opts.enableTrace);
 }
 
@@ -160,13 +125,7 @@ Simulator::backend() const
 bool
 Simulator::fusionEnabled() const
 {
-    return _impl->fuse;
-}
-
-bool
-Simulator::envPoolEnabled() const
-{
-    return _impl->envPool;
+    return _impl->backend == Backend::Compiled;
 }
 
 Trace &
@@ -216,7 +175,7 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
     if (backend == Backend::Compiled)
         exec = std::make_unique<CompiledExec>(*this, nullptr,
                                               rootProc.get(),
-                                              execProgramFor(root),
+                                              programFor(root),
                                               std::move(env));
     else
         exec = std::make_unique<BlockExec>(*this, nullptr,

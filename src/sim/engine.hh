@@ -37,30 +37,20 @@ namespace sim {
  *
  * Both backends share the event core, elaboration, cost model, and
  * report generation; cycle counts, reports, and traces are identical.
+ *  - Compiled (the production engine): lowers each region once into a
+ *    dense micro-op stream (pre-resolved slots, pre-folded costs,
+ *    pre-computed branch targets; see sim/compile.hh), then fuses
+ *    every run of data records into superinstructions (sim/fuse.hh),
+ *    and dispatches over that stream. Compilation is cached per
+ *    region, so BatchSession re-runs and sweeps pay it once per
+ *    structural config.
  *  - Interp: tree-walks ir::Operation nodes through the OpId handler
- *    table (the reference implementation).
- *  - Compiled: lowers each region once into a dense micro-op stream
- *    (pre-resolved slots, pre-folded costs, pre-computed branch
- *    targets; see sim/compile.hh) and dispatches over that stream.
- *    Compilation is cached per region, so BatchSession re-runs and
- *    sweeps pay it once per structural config.
+ *    table. Kept as the reference oracle the compiled backend is
+ *    tested against.
  *  - Auto (default): resolved from the EQ_SIM_BACKEND environment
- *    variable ("interp" | "compiled"), falling back to Interp.
+ *    variable ("compiled" | "interp"), falling back to Compiled.
  */
 enum class Backend : uint8_t { Auto, Interp, Compiled };
-
-/**
- * Superinstruction fusion over the compiled backend's micro-op streams
- * (sim/fuse.cc): recurring record sequences — Read→Mac→Write PE
- * bodies, Read→Write copies, StreamRead→compute→StreamWrite chains —
- * collapse into single superinstruction records, so one dispatch
- * executes the whole group. Observable behavior (cycles, reports,
- * traces, opsExecuted) is byte-identical; only wall time and the
- * dispatch count change. Auto resolves EQ_SIM_FUSE ("0"/"off" or
- * "1"/"on") at Simulator construction, defaulting to on. Ignored by
- * the interpreter backend.
- */
-enum class Fusion : uint8_t { Auto, On, Off };
 
 /** Engine configuration. */
 struct EngineOptions {
@@ -71,11 +61,8 @@ struct EngineOptions {
     /** Runaway-program guard: abort after this many interpreted ops. */
     uint64_t maxOps = 500'000'000;
     /** Execution backend; Auto resolves EQ_SIM_BACKEND at Simulator
-     *  construction. */
+     *  construction (default Compiled). */
     Backend backend = Backend::Auto;
-    /** Superinstruction fusion (compiled backend only); Auto resolves
-     *  EQ_SIM_FUSE at Simulator construction (default on). */
-    Fusion fuse = Fusion::Auto;
 };
 
 /**
@@ -103,24 +90,21 @@ class Simulator {
     /** The resolved execution backend (never Backend::Auto). */
     Backend backend() const;
 
-    /** The resolved superinstruction-fusion switch (never
-     *  Fusion::Auto). Only affects the compiled backend. */
+    /** Whether runs execute superinstruction-fused programs: always
+     *  on the compiled backend, never on the interpreter. */
     bool fusionEnabled() const;
-
-    /** The resolved launch-env pooling switch (EQ_SIM_ENV_POOL,
-     *  default on). Pure allocation optimization — identical reports
-     *  and traces either way; the seam exists for bisection. */
-    bool envPoolEnabled() const;
 
     /**
      * Lower every region of @p module to micro-op streams now, from
      * scratch (drops all cached numbering and programs first, so
      * repeated calls measure full compilation cost — this is the
      * BM_CompileModule hook, quantifying exactly the setup a
-     * BatchSession's first run pays and its re-runs amortize). Note a
-     * subsequent run still recompiles: per-run setup legitimately
-     * rebuilds caches unless a BatchSession pins the module.
-     * @return total number of micro-ops emitted
+     * BatchSession's first run pays and its re-runs amortize, fusion
+     * included). Note a subsequent run still recompiles: per-run setup
+     * legitimately rebuilds caches unless a BatchSession pins the
+     * module.
+     * @return total number of micro-ops lowered (a fused group counts
+     *         its elements)
      */
     size_t precompile(ir::Operation *module);
 

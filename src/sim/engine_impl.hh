@@ -257,17 +257,12 @@ class BlockExec : public ExecBase {
 struct Simulator::Impl {
     EngineOptions opts;
     /** Resolved execution backend (never Backend::Auto). */
-    Backend backend = Backend::Interp;
-    /** Resolved superinstruction-fusion switch (never Fusion::Auto);
-     *  only consulted on the compiled backend. */
-    bool fuse = true;
+    Backend backend = Backend::Compiled;
     Trace traceData;
     OpFunctionRegistry opFns;
     ComponentFactory factory;
 
     // --- environment pool ---------------------------------------------
-    /** Resolved EQ_SIM_ENV_POOL escape hatch (default: on). */
-    bool envPool = true;
     /** Recycled interpretation environments, free-listed by slot count
      *  so a reacquired env's slot vector needs no reallocation. Every
      *  launch issue draws from here instead of allocating (the hottest
@@ -330,31 +325,15 @@ struct Simulator::Impl {
     EnvPtr makeEnv(ir::Block *root, EnvPtr parent);
 
     // --- compiled backend ---------------------------------------------
-    /** Compiled micro-op programs, keyed by scope root block. Cached
-     *  and invalidated exactly like @ref valueScopes (the program
-     *  embeds the scope's slot assignment): batched re-runs of a
-     *  pinned module reuse them, a full reset clears them. */
+    /** Compiled (lowered, then fused) micro-op programs, keyed by
+     *  scope root block. Cached and invalidated exactly like
+     *  @ref valueScopes (the program embeds the scope's slot
+     *  assignment): batched re-runs of a pinned module reuse them, a
+     *  full reset clears them. */
     std::unordered_map<ir::Block *, std::unique_ptr<CompiledBlock>>
         programs;
-    /** Lower @p root once (cached); see compile.cc. */
+    /** Lower and fuse @p root once (cached); see compile.cc. */
     const CompiledBlock &programFor(ir::Block *root);
-
-    /** Fusion-optimized programs (sim/fuse.cc), cached and invalidated
-     *  exactly like @ref programs; launch-body children are optimized
-     *  first so parents pin the optimized child on Launch records. */
-    std::unordered_map<ir::Block *, std::unique_ptr<CompiledBlock>>
-        fusedPrograms;
-    /** Optimize @p root's program once (cached); see fuse.cc. */
-    const CompiledBlock &fusedProgramFor(ir::Block *root);
-
-    /** The program the compiled backend should execute for @p root:
-     *  the fusion-optimized stream when fusion is on, the plain
-     *  lowered stream otherwise. */
-    const CompiledBlock &
-    execProgramFor(ir::Block *root)
-    {
-        return fuse ? fusedProgramFor(root) : programFor(root);
-    }
 
     // --- per-run simulation state -------------------------------------
     std::vector<std::unique_ptr<Component>> components;
@@ -402,11 +381,11 @@ struct Simulator::Impl {
     uint64_t eventsExecuted = 0;
     uint64_t opsExecuted = 0;
     /** Counted dispatches: how many times the execution loop entered a
-     *  counted unit of work. One per interpreted op (interp), one per
-     *  counted micro-op record (compiled) — so it equals opsExecuted on
-     *  both — and one per superinstruction group with fusion on, where
-     *  it drops strictly below opsExecuted (the fusion win, surfaced in
-     *  SimReport::dispatchCount). */
+     *  counted unit of work. One per interpreted op on the interpreter
+     *  (so it equals opsExecuted there); on the compiled backend one
+     *  per counted control/linalg/elaboration record and one per
+     *  superinstruction group, so it drops below opsExecuted (the
+     *  fusion win, surfaced in SimReport::dispatchCount). */
     uint64_t dispatchCount = 0;
     std::unordered_map<std::string, int> nameCounters;
 

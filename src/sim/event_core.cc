@@ -35,10 +35,8 @@ Simulator::Impl::reset(bool keep_numbering)
     if (!keep_numbering) {
         valueScopes.clear();
         // Compiled programs embed the numbering (slot refs resolved
-        // against it), so they — and their fused rewrites — live and
-        // die with it.
+        // against it), so they live and die with it.
         programs.clear();
-        fusedPrograms.clear();
     }
     traceData.clear();
     rootProc = std::make_unique<Processor>("host", "Root");
@@ -212,12 +210,10 @@ Simulator::Impl::issueLaunch(Event *ev, Cycles t)
     std::unique_ptr<ExecBase> exec;
     if (backend == Backend::Compiled) {
         // Pre-compiled issue: the body program (pinned on the event by
-        // the Launch micro-op — already the fused rewrite when fusion
-        // is on) knows its scope size and its capture mapping, so no
-        // per-issue numbering lookup and no use chain walks — captures
-        // are slot-to-slot copies.
-        const CompiledBlock &prog =
-            ev->bodyProg ? *ev->bodyProg : execProgramFor(&body);
+        // the Launch micro-op) knows its scope size and its capture
+        // mapping, so no per-issue numbering lookup and no use chain
+        // walks — captures are slot-to-slot copies.
+        const CompiledBlock &prog = *ev->bodyProg;
         EnvPtr env = acquireEnv(prog.scopeId, prog.numSlots,
                                 ev->creatorEnv);
         for (const auto &cap : prog.captures) {

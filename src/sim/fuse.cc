@@ -4,11 +4,13 @@
  *
  * The pass is a single walk over a lowered CompiledBlock that
  *
- *  1. folds constant index operands (slots defined by arith.constant in
+ *  1. collapses every maximal run of adjacent fusible records (plus a
+ *     closing Return) into one MOp::Fused record — a lone fusible
+ *     record or Return becomes a one-element group, so the executor
+ *     defines each data op exactly once (CompiledExec::execFused),
+ *  2. folds constant index operands (slots defined by arith.constant in
  *     the same scope) into immediate offsets on load/store/read/write
- *     records,
- *  2. collapses maximal runs of adjacent fusible records into one
- *     MOp::Fused record per run, and
+ *     elements, and
  *  3. inside each run, proves which whole-cell reads may bind a scalar
  *     instead of materializing a 1-element tensor: the read's result
  *     must be used only later in the same run, and every consumer must
@@ -19,14 +21,14 @@
  * The rewritten stream is relocatable like the input: loop Begin/End
  * targets are remapped through an old-pc -> new-pc table. Branch
  * targets always land on run heads because every control record is
- * non-fusible, so a run can never straddle one.
+ * non-fusible, so a run can never straddle one. The rewrite happens in
+ * place: the lowered program's pools are kept, only its record stream
+ * is replaced, so no unfused copy outlives the pass.
  */
 
 #include "sim/fuse.hh"
 
 #include <algorithm>
-
-#include "sim/engine_impl.hh"
 
 namespace eq {
 namespace sim {
@@ -37,9 +39,9 @@ namespace {
  *  record — compute, data motion, and event ops whose semantics never
  *  read or manipulate the pc. Control flow (loops, nested modules,
  *  Halt), elaboration (structure ops run once, cold), and linalg
- *  keep their own records. Return is
- *  also absorbable, but only as a run terminator (handled by the run
- *  scanner, not here, since nothing may follow it in a group). */
+ *  keep their own records. Return is also absorbed, but only as a run
+ *  terminator (handled by the run scanner, not here, since nothing may
+ *  follow it in a group). */
 bool
 isFusible(const MicroOp &m)
 {
@@ -114,61 +116,52 @@ markDescendantUses(const CompiledBlock &prog, uint32_t depth,
 
 class Fuser {
   public:
-    Fuser(const CompiledBlock &in, const OpFunctionRegistry &opFns,
-          const std::vector<const CompiledBlock *> &childProgs)
-        : _in(in), _opFns(opFns)
+    Fuser(std::unique_ptr<CompiledBlock> prog,
+          const OpFunctionRegistry &opFns)
+        : _prog(std::move(prog)), _code(std::move(_prog->code)),
+          _opFns(opFns)
     {
-        _out = std::make_unique<CompiledBlock>();
-        _out->args = in.args;
-        _out->consts = in.consts;
-        _out->resultPool = in.resultPool;
-        _out->strings = in.strings;
-        _out->forLoops = in.forLoops;
-        _out->parLoops = in.parLoops;
-        _out->captures = in.captures;
-        _out->childProgs = childProgs;
-        _out->root = in.root;
-        _out->scopeId = in.scopeId;
-        _out->numSlots = in.numSlots;
+        _prog->code.clear();
+        _prog->fusedElems.reserve(_code.size());
         analyze();
     }
 
     std::unique_ptr<CompiledBlock>
-    run(FuseStats &stats)
+    run()
     {
-        const size_t n = _in.code.size();
+        const size_t n = _code.size();
         std::vector<uint32_t> oldToNew(n + 1, 0);
         size_t i = 0;
         while (i < n) {
             size_t j = i;
-            while (j < n && isFusible(_in.code[j]))
+            while (j < n && isFusible(_code[j]))
                 ++j;
-            // A Return may close a group (it terminates the scope, so
+            // A Return closes the group (it terminates the scope, so
             // nothing can follow it inside one).
-            if (j > i && j < n && _in.code[j].code == MOp::Return)
+            if (j < n && _code[j].code == MOp::Return)
                 ++j;
-            if (j - i >= 2 && fusibleHops(i, j)) {
-                for (size_t p = i; p < j; ++p)
-                    oldToNew[p] =
-                        static_cast<uint32_t>(_out->code.size());
-                emitGroup(i, j, stats);
-                i = j;
+            if (j == i) {
+                // Control, linalg, and elaboration keep their record.
+                oldToNew[i] = static_cast<uint32_t>(_prog->code.size());
+                _prog->code.push_back(_code[i++]);
                 continue;
             }
-            // Too short (or too deep) to fuse: copy records through,
-            // still applying the standalone constant-index fold.
-            const size_t copy_end = std::max(j, i + 1);
-            for (; i < copy_end; ++i) {
-                oldToNew[i] = static_cast<uint32_t>(_out->code.size());
-                MicroOp m = _in.code[i];
-                foldRecordIndices(m, stats);
-                _out->code.push_back(std::move(m));
-            }
+            for (size_t p = i; p < j; ++p)
+                oldToNew[p] = static_cast<uint32_t>(_prog->code.size());
+            emitGroup(i, j);
+            i = j;
         }
-        oldToNew[n] = static_cast<uint32_t>(_out->code.size());
+        oldToNew[n] = static_cast<uint32_t>(_prog->code.size());
+        // Programs stay cached for a module's lifetime (and a server
+        // holds many): drop the growth slack.
+        _prog->code.shrink_to_fit();
+        _prog->fusedGroups.shrink_to_fit();
+        _prog->fusedElems.shrink_to_fit();
+        _prog->args.shrink_to_fit();
+        _prog->immIdx.shrink_to_fit();
 
         // Relocate loop branch targets into the rewritten stream.
-        for (MicroOp &m : _out->code) {
+        for (MicroOp &m : _prog->code) {
             switch (m.code) {
             case MOp::ForBegin:
             case MOp::ForEnd:
@@ -180,7 +173,7 @@ class Fuser {
                 break;
             }
         }
-        return std::move(_out);
+        return std::move(_prog);
     }
 
   private:
@@ -206,20 +199,20 @@ class Fuser {
     void
     analyze()
     {
-        _constOf.assign(_in.numSlots, -1);
-        _escapes.assign(_in.numSlots, 0);
-        _uses.assign(_in.numSlots, {});
-        for (uint32_t pc = 0; pc < _in.code.size(); ++pc) {
-            const MicroOp &m = _in.code[pc];
+        _constOf.assign(_prog->numSlots, -1);
+        _escapes.assign(_prog->numSlots, 0);
+        _uses.assign(_prog->numSlots, {});
+        for (uint32_t pc = 0; pc < _code.size(); ++pc) {
+            const MicroOp &m = _code[pc];
             if (m.code == MOp::Constant && m.result != kNoSlot)
                 _constOf[m.result] = static_cast<int64_t>(m.aux);
             for (uint32_t a = 0; a < m.nargs; ++a) {
-                const SlotRef &r = _in.args[m.argsBegin + a];
+                const SlotRef &r = _prog->args[m.argsBegin + a];
                 if (r.hops == 0 && r.slot < _uses.size())
                     _uses[r.slot].push_back(UseSite{pc, a});
             }
         }
-        for (const CompiledBlock *c : _in.childProgs)
+        for (const CompiledBlock *c : _prog->childProgs)
             markDescendantUses(*c, 1, _escapes);
     }
 
@@ -232,7 +225,7 @@ class Fuser {
         int64_t c = _constOf[r.slot];
         if (c < 0)
             return false;
-        const SimValue &v = _in.consts[static_cast<size_t>(c)];
+        const SimValue &v = _prog->consts[static_cast<size_t>(c)];
         if (!v.isInt())
             return false;
         *value = v.asInt();
@@ -240,10 +233,10 @@ class Fuser {
     }
 
     /** Fold all-constant index operands of @p m into the immediate
-     *  pool (aux becomes the pool offset; a record with kFlagImmIdx
-     *  never reads its index slots). */
+     *  pool: on success @p e gets kFlagImmIdx and its immBegin (an
+     *  element with kFlagImmIdx never reads its index slots). */
     void
-    foldRecordIndices(MicroOp &m, FuseStats &stats)
+    foldIndices(const MicroOp &m, FusedElem &e)
     {
         unsigned first = indexOperandsBegin(m);
         if (first == 0 || m.nargs <= first)
@@ -253,28 +246,13 @@ class Fuser {
         if (nidx > 16)
             return;
         for (unsigned i = 0; i < nidx; ++i)
-            if (!constIntOperand(_in.args[m.argsBegin + first + i],
+            if (!constIntOperand(_prog->args[m.argsBegin + first + i],
                                  &vals[i]))
                 return;
-        m.aux = static_cast<uint32_t>(_out->immIdx.size());
-        m.flags |= kFlagImmIdx;
+        e.immBegin = static_cast<uint32_t>(_prog->immIdx.size());
+        e.flags |= kFlagImmIdx;
         for (unsigned i = 0; i < nidx; ++i)
-            _out->immIdx.push_back(vals[i]);
-        ++stats.immFolded;
-    }
-
-    /** A run is only fused when the group-entry env-level cache can
-     *  cover every operand reference. */
-    bool
-    fusibleHops(size_t i, size_t j) const
-    {
-        for (size_t p = i; p < j; ++p) {
-            const MicroOp &m = _in.code[p];
-            for (uint32_t a = 0; a < m.nargs; ++a)
-                if (_in.args[m.argsBegin + a].hops > kMaxFusedHops)
-                    return false;
-        }
-        return true;
+            _prog->immIdx.push_back(vals[i]);
     }
 
     /** May the whole-cell read at @p pc (result @p slot) skip tensor
@@ -288,7 +266,7 @@ class Fuser {
         for (const UseSite &u : _uses[slot]) {
             if (u.pc <= pc || u.pc >= end)
                 return false;
-            const MicroOp &user = _in.code[u.pc];
+            const MicroOp &user = _code[u.pc];
             switch (user.code) {
             case MOp::Write:
                 // Only the value operand of a whole-cell write.
@@ -311,13 +289,13 @@ class Fuser {
     }
 
     void
-    emitGroup(size_t i, size_t j, FuseStats &stats)
+    emitGroup(size_t i, size_t j)
     {
         FusedGroup g;
-        g.elems.reserve(j - i);
+        g.elemsBegin = static_cast<uint32_t>(_prog->fusedElems.size());
+        g.numElems = static_cast<uint32_t>(j - i);
         for (size_t p = i; p < j; ++p) {
-            MicroOp m = _in.code[p];
-            foldRecordIndices(m, stats);
+            const MicroOp &m = _code[p];
             FusedElem e;
             e.code = m.code;
             e.flags = m.flags;
@@ -327,47 +305,40 @@ class Fuser {
             e.aux = m.aux;
             e.imm = m.imm;
             e.op = m.op;
-            e.cost = m.cost;
-            if (m.flags & kFlagImmIdx) {
-                e.immBegin = m.aux;
-                e.aux = 0;
-            }
+            e.costId = m.costId;
+            foldIndices(m, e);
             for (uint32_t a = 0; a < m.nargs; ++a)
                 g.maxHops = std::max(
-                    g.maxHops, _in.args[m.argsBegin + a].hops);
+                    g.maxHops, _prog->args[m.argsBegin + a].hops);
             if (m.code == MOp::Extern) {
                 e.resultBegin = m.aux;
                 e.nresults = m.op->numResults();
-                e.label = m.op->strAttr("signature");
-                e.fn = _opFns.find(e.label);
+                e.label = &m.op->strAttr("signature");
+                e.fn = _opFns.find(*e.label);
             } else {
-                e.label = m.op ? m.op->name() : "?";
+                e.label = &m.op->name();
             }
             if (m.code == MOp::Read && !m.hasConn() && m.nargs == 1 &&
                 m.result != kNoSlot &&
                 mayScalarize(static_cast<uint32_t>(p), m.result,
-                             static_cast<uint32_t>(j))) {
+                             static_cast<uint32_t>(j)))
                 e.flags |= kFlagScalarize;
-                ++stats.scalarized;
-            }
-            g.elems.push_back(std::move(e));
+            _prog->fusedElems.push_back(e);
         }
 
         MicroOp f;
         f.code = MOp::Fused;
         // Elements count themselves (opsExecuted parity), so the
         // group record itself is uncounted.
-        f.aux = static_cast<uint32_t>(_out->fusedGroups.size());
-        f.op = _in.code[i].op;
-        _out->fusedGroups.push_back(std::move(g));
-        _out->code.push_back(std::move(f));
-        ++stats.groups;
-        stats.fusedRecords += static_cast<uint32_t>(j - i);
+        f.aux = static_cast<uint32_t>(_prog->fusedGroups.size());
+        f.op = _code[i].op;
+        _prog->fusedGroups.push_back(g);
+        _prog->code.push_back(std::move(f));
     }
 
-    const CompiledBlock &_in;
+    std::unique_ptr<CompiledBlock> _prog; ///< rewritten in place
+    std::vector<MicroOp> _code;           ///< the lowered record stream
     const OpFunctionRegistry &_opFns;
-    std::unique_ptr<CompiledBlock> _out;
     std::vector<int64_t> _constOf;    ///< slot -> consts index (-1)
     std::vector<char> _escapes;       ///< slot referenced by descendants
     std::vector<std::vector<UseSite>> _uses;
@@ -376,35 +347,10 @@ class Fuser {
 } // namespace
 
 std::unique_ptr<CompiledBlock>
-optimizeProgram(const CompiledBlock &in, const OpFunctionRegistry &opFns,
-                const std::vector<const CompiledBlock *> &childProgs,
-                FuseStats *stats)
+optimizeProgram(std::unique_ptr<CompiledBlock> prog,
+                const OpFunctionRegistry &opFns)
 {
-    eq_assert(childProgs.size() == in.childProgs.size(),
-              "fusion child-program mapping must be index-aligned");
-    FuseStats local;
-    Fuser fuser(in, opFns, childProgs);
-    auto out = fuser.run(local);
-    if (stats)
-        *stats = local;
-    return out;
-}
-
-const CompiledBlock &
-Simulator::Impl::fusedProgramFor(ir::Block *root)
-{
-    auto it = fusedPrograms.find(root);
-    if (it != fusedPrograms.end())
-        return *it->second;
-    const CompiledBlock &orig = programFor(root);
-    // Optimize launch bodies first so this scope's Launch records pin
-    // the optimized child programs on their events.
-    std::vector<const CompiledBlock *> children;
-    children.reserve(orig.childProgs.size());
-    for (const CompiledBlock *c : orig.childProgs)
-        children.push_back(&fusedProgramFor(c->root));
-    auto opt = optimizeProgram(orig, opFns, children);
-    return *fusedPrograms.emplace(root, std::move(opt)).first->second;
+    return Fuser(std::move(prog), opFns).run();
 }
 
 } // namespace sim

@@ -5,19 +5,18 @@
  * optimizations of compiled simulators like CVC, arXiv:1603.08059, and
  * Manticore, arXiv:2301.09413).
  *
- * After ModuleCompiler lowering (sim/compile.cc), a scope's stream
- * still pays one jump-table dispatch per IR op; in the systolic hot
- * loop that dispatch — plus the tensor materialization every
- * whole-cell read performs and the signature-string lookup every
- * `equeue.op` performs — dominates. optimizeProgram() rewrites a
- * CompiledBlock so that
+ * After ModuleCompiler lowering (sim/compile.cc), optimizeProgram()
+ * rewrites every CompiledBlock before it is cached, so the compiled
+ * backend only ever executes fused programs:
  *
- *  - maximal runs of adjacent simple records (reads, writes, stream
- *    ops, extern calls, scalar arith, constants) collapse into single
- *    MOp::Fused superinstruction records carrying the constituent
- *    elements with their pre-combined cost rows — one dispatch then
- *    executes the whole group (Read→Mac→Write, Read→Write copies,
- *    StreamRead→compute→StreamWrite, ...);
+ *  - every maximal run of adjacent data records (reads, writes, stream
+ *    ops, extern calls, scalar arith, constants, event ops) and any
+ *    Return becomes one MOp::Fused superinstruction record carrying the
+ *    constituent elements — one dispatch then executes the whole group (Read→Mac→Write,
+ *    Read→Write copies, StreamRead→compute→StreamWrite, ...). A lone
+ *    record becomes a one-element group, so CompiledExec::execFused is
+ *    the single compiled definition of every data op; only control
+ *    flow, linalg, and elaboration keep their own records;
  *  - whole-cell reads whose every use is inside the group and provably
  *    scalar-compatible are flagged kFlagScalarize, eliminating the
  *    per-read tensor allocation;
@@ -27,20 +26,20 @@
  *    chain level once per group entry instead of walking parent links
  *    per operand;
  *  - index operands that are same-scope constants fold into immediate
- *    offsets (kFlagImmIdx), on fused elements and standalone
- *    load/store/read/write records alike.
+ *    offsets (kFlagImmIdx).
  *
- * Observational equivalence is preserved by construction: every
- * element executes with the same per-op cost accounting, memory and
- * connection acquisition order, suspend/resume decisions, opsExecuted
- * accounting, and trace records as the record it replaced (fused
- * groups suspend and resume mid-group exactly where the unfused stream
- * would). Reports, traces, and goldens are byte-identical; only the
- * dispatch count — surfaced as SimReport::dispatchCount — drops.
+ * Observational equivalence with the interpreter is preserved by
+ * construction: every element executes with the same per-op cost
+ * accounting, memory and connection acquisition order, suspend/resume
+ * decisions, opsExecuted accounting, and trace records as the
+ * interpreter's handler for its op (groups suspend and resume
+ * mid-group exactly where the op-by-op walk would). Reports, traces,
+ * and goldens are byte-identical; only the dispatch count — surfaced
+ * as SimReport::dispatchCount — drops.
  */
 
-#ifndef EQ_SIM_FUSE_HH
-#define EQ_SIM_FUSE_HH
+#ifndef EQ_SIM_FUSION_HH
+#define EQ_SIM_FUSION_HH
 
 #include <memory>
 
@@ -51,30 +50,17 @@ namespace sim {
 
 class OpFunctionRegistry;
 
-/** Statistics of one optimizeProgram() run (for tests/diagnostics). */
-struct FuseStats {
-    uint32_t groups = 0;       ///< superinstructions emitted
-    uint32_t fusedRecords = 0; ///< original records they absorbed
-    uint32_t scalarized = 0;   ///< cell reads flagged kFlagScalarize
-    uint32_t immFolded = 0;    ///< records/elems with folded indices
-};
-
 /**
- * Rewrite @p in with superinstruction fusion and stream optimizations.
- * @param in        the ModuleCompiler-lowered program
- * @param opFns     registry used to cache extern function pointers
- * @param childProg maps each in.childProgs entry to the program the
- *                  optimized block should pin on its Launch records
- *                  (the optimized child); identity when fusion of
- *                  children is disabled
- * @param stats     optional out-param
+ * Rewrite the lowered program @p prog in place with superinstruction
+ * fusion (its pools are kept; only the record stream is replaced).
+ * Launch bodies pinned in prog->childProgs must already be fused.
+ * @param opFns registry used to cache extern function pointers
  */
 std::unique_ptr<CompiledBlock>
-optimizeProgram(const CompiledBlock &in, const OpFunctionRegistry &opFns,
-                const std::vector<const CompiledBlock *> &childProgs,
-                FuseStats *stats = nullptr);
+optimizeProgram(std::unique_ptr<CompiledBlock> prog,
+                const OpFunctionRegistry &opFns);
 
 } // namespace sim
 } // namespace eq
 
-#endif // EQ_SIM_FUSE_HH
+#endif // EQ_SIM_FUSION_HH

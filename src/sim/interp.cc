@@ -82,15 +82,6 @@ EnvPtr
 Simulator::Impl::acquireEnv(uint32_t scope_id, uint32_t num_slots,
                             EnvPtr parent)
 {
-    if (!envPool) {
-        // Escape hatch (EQ_SIM_ENV_POOL=0): the pre-pooling per-launch
-        // allocation, for bisection.
-        auto env = std::make_shared<Env>();
-        env->scopeId = scope_id;
-        env->slots.resize(num_slots);
-        env->parent = std::move(parent);
-        return env;
-    }
     Env *raw;
     auto it = envFreeList.find(num_slots);
     if (it != envFreeList.end() && !it->second.empty()) {
@@ -233,15 +224,15 @@ Simulator::Impl::buildDispatchTable(ir::Context &ctx)
     set(equeue::ExternOp::opName, &BlockExec::execExtern, MOp::Extern);
 
     // Dialect-prefix fallbacks for interned names with no specific
-    // handler: any other arith op reports a precise diagnostic; any
-    // other linalg op executes with its analytic cost only.
+    // handler: any other arith op reports a precise diagnostic (the
+    // compiled backend's MOp::Bad names the op too); any other linalg
+    // op executes with its analytic cost only.
     for (uint32_t raw = 0; raw < handlers.size(); ++raw) {
         if (handlers[raw])
             continue;
         const std::string &name = ctx.opName(ir::OpId(raw));
         if (startsWith(name, "arith.")) {
             handlers[raw] = &BlockExec::execArithUnsupported;
-            opcodes[raw] = MOp::ArithBad;
         } else if (startsWith(name, "linalg.")) {
             handlers[raw] = &BlockExec::execLinalg;
             opcodes[raw] = MOp::LinalgOther;

@@ -59,9 +59,9 @@ struct SimReport {
     uint64_t eventsExecuted = 0;
     uint64_t opsExecuted = 0;
     /** Counted dispatches of the execution loop. Equals opsExecuted on
-     *  the interpreter and the unfused compiled backend; drops below it
-     *  when superinstruction fusion collapses several ops into one
-     *  dispatch (print() shows it only in that case). Backend-dependent
+     *  the interpreter; drops below it on the compiled backend, where
+     *  superinstruction fusion collapses several ops into one dispatch
+     *  (print() shows it only when the two differ). Backend-dependent
      *  by design — every other field is backend-invariant. */
     uint64_t dispatchCount = 0;
     std::vector<ConnReport> connections;

@@ -5,7 +5,7 @@
  * runner's per-worker state, and the serving layer's program cache).
  *
  * A Session owns the full per-worker simulation stack: one ir::Context
- * (dialects registered once), one Simulator (backend/fusion options
+ * (dialects registered once), one Simulator (backend option
  * resolved once), and — after rebuild() — a pinned module plus the
  * BatchSession that amortizes verification, dispatch tables, value
  * numbering, and compiled/fused programs across repeated runs.

@@ -56,7 +56,6 @@ usage(const char *argv0)
         "  --threads N          worker threads (default "
         "$EQ_SWEEP_THREADS)\n"
         "  --backend MODE       auto|interp|compiled (default auto)\n"
-        "  --fuse MODE          auto|on|off (default auto)\n"
         "durability:\n"
         "  --journal PATH       journal completed points to PATH\n"
         "  --resume             replay an existing journal first\n"
@@ -229,7 +228,7 @@ headerFor(const serve::SweepSpec &spec,
     h.numPoints = points.size();
     h.schemaSig = sweep::schemaSignature(spec.schema());
     h.salt = spec.saltString();
-    sweep::resolveEngineMode(engine, &h.backend, &h.fuse);
+    h.backend = sweep::resolveEngineMode(engine);
     return h;
 }
 
@@ -306,8 +305,6 @@ shardMode(const Args &args)
     engine.backend = manifest.header.backend == "compiled"
                          ? sim::Backend::Compiled
                          : sim::Backend::Interp;
-    engine.fuse = manifest.header.fuse == "on" ? sim::Fusion::On
-                                               : sim::Fusion::Off;
 
     Args specArgs = args;
     specArgs.specPath = manifest.specPath;
@@ -457,19 +454,6 @@ main(int argc, char **argv)
                 args.engine.backend = sim::Backend::Compiled;
             else {
                 std::fprintf(stderr, "eqsweep: bad --backend '%s'\n",
-                             mode.c_str());
-                return kExitUsage;
-            }
-        } else if (arg == "--fuse") {
-            const std::string mode = value();
-            if (mode == "auto")
-                args.engine.fuse = sim::Fusion::Auto;
-            else if (mode == "on")
-                args.engine.fuse = sim::Fusion::On;
-            else if (mode == "off")
-                args.engine.fuse = sim::Fusion::Off;
-            else {
-                std::fprintf(stderr, "eqsweep: bad --fuse '%s'\n",
                              mode.c_str());
                 return kExitUsage;
             }

@@ -36,16 +36,6 @@ fnv1a(uint64_t h, uint64_t v)
     return h;
 }
 
-uint64_t
-fnv1aStr(uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::string
 hexU64(uint64_t v)
 {
@@ -162,7 +152,6 @@ JournalHeader::toJson() const
     out.set("points", static_cast<int64_t>(numPoints));
     out.set("schema", schemaSig);
     out.set("backend", backend);
-    out.set("fuse", fuse);
     out.set("salt", salt);
     return out;
 }
@@ -196,7 +185,12 @@ JournalHeader::fromJson(const serve::Json &j, JournalHeader *out,
     out->numPoints = uint64_t(points);
     out->schemaSig = j.getStr("schema", "");
     out->backend = j.getStr("backend", "");
-    out->fuse = j.getStr("fuse", "");
+    // Headers from before fusion was implied by the backend carry a
+    // "fuse" field; "off" names the removed unfused compiled mode,
+    // which must match no current backend (and so is refused, never
+    // merged).
+    if (j.getStr("fuse", "on") == "off")
+        out->backend += " (unfused)";
     out->salt = j.getStr("salt", "");
     return true;
 }
@@ -220,8 +214,6 @@ JournalHeader::matches(const JournalHeader &o, std::string *why) const
         return differ("schema", schemaSig, o.schemaSig);
     if (backend != o.backend)
         return differ("backend", backend, o.backend);
-    if (fuse != o.fuse)
-        return differ("fuse", fuse, o.fuse);
     if (salt != o.salt)
         return differ("salt", salt, o.salt);
     return true;
@@ -257,16 +249,14 @@ hashPoints(const std::vector<Point> &points)
     return h;
 }
 
-void
-resolveEngineMode(const sim::EngineOptions &engine, std::string *backend,
-                  std::string *fuse)
+std::string
+resolveEngineMode(const sim::EngineOptions &engine)
 {
     // A throwaway Simulator resolves Auto exactly like every run will
-    // (EQ_SIM_BACKEND / EQ_SIM_FUSE read once at construction).
-    sim::Simulator probe(engine);
-    *backend = probe.backend() == sim::Backend::Compiled ? "compiled"
-                                                         : "interp";
-    *fuse = probe.fusionEnabled() ? "on" : "off";
+    // (EQ_SIM_BACKEND read once at construction).
+    return sim::Simulator(engine).backend() == sim::Backend::Compiled
+               ? "compiled"
+               : "interp";
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +498,7 @@ runJournaledSweep(const SweepRunner &runner,
     header.numPoints = opts.numPoints ? opts.numPoints : points.size();
     header.schemaSig = schemaSignature(schema);
     header.salt = opts.salt;
-    resolveEngineMode(engine, &header.backend, &header.fuse);
+    header.backend = resolveEngineMode(engine);
 
     // Row slots by *position in @p points* (dense global indices may
     // be a shard's sub-range); journal/cache records address global
@@ -564,7 +554,7 @@ runJournaledSweep(const SweepRunner &runner,
     if (caching) {
         std::string cerr_;
         if (!cache.open(opts.cachePath, header.schemaSig, header.backend,
-                        header.fuse, schema, &cerr_)) {
+                        schema, &cerr_)) {
             if (err)
                 *err = cerr_;
             return JournalStatus::IoError;

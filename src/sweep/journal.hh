@@ -8,7 +8,7 @@
  * Durability discipline:
  *  - The header line is written and fsync'd before any record, so a
  *    journal that exists with a readable header is always attributable
- *    to exactly one (grid, schema, backend, fuse) combination.
+ *    to exactly one (grid, schema, backend) combination.
  *  - Records are appended with a single write(2) each on an O_APPEND
  *    fd; a crash can only tear the *last* record, never interleave or
  *    damage earlier ones. An optional fsync-per-record policy
@@ -21,7 +21,7 @@
  *    real corruption and recovery refuses loudly (JournalStatus::
  *    Corrupt) rather than merging garbage.
  *  - The header carries the grid hash, schema signature, and resolved
- *    backend/fuse mode; --resume against a journal whose header does
+ *    backend; --resume against a journal whose header does
  *    not match the current sweep is refused (HeaderMismatch), never
  *    silently merged.
  *  - Duplicate records for one point are legal (a resumed run or a
@@ -72,7 +72,6 @@ struct JournalHeader {
     uint64_t numPoints = 0;  ///< dense points in the full grid
     std::string schemaSig;   ///< schemaSignature() of the table schema
     std::string backend;     ///< resolved engine backend ("interp"/...)
-    std::string fuse;        ///< resolved fusion mode ("on"/"off")
     std::string salt;        ///< caller identity (model + base config)
 
     serve::Json toJson() const;
@@ -93,11 +92,10 @@ std::string schemaSignature(const std::vector<Column> &schema);
  *  filter changed) yields a different hash. */
 uint64_t hashPoints(const std::vector<Point> &points);
 
-/** The resolved ("interp"/"compiled", "on"/"off") mode strings a
- *  header records for @p engine — resolution happens exactly like a
- *  Simulator would (Auto reads EQ_SIM_BACKEND / EQ_SIM_FUSE). */
-void resolveEngineMode(const sim::EngineOptions &engine,
-                       std::string *backend, std::string *fuse);
+/** The resolved backend name ("interp"/"compiled") a header records
+ *  for @p engine — resolution happens exactly like a Simulator would
+ *  (Auto reads EQ_SIM_BACKEND). */
+std::string resolveEngineMode(const sim::EngineOptions &engine);
 
 /** One recovered journal record. */
 struct JournalRecord {

@@ -138,7 +138,6 @@ ResultCache::writeHeader(std::string *err)
     h.set("version", kCacheVersion);
     h.set("schema", _schemaSig);
     h.set("backend", _backend);
-    h.set("fuse", _fuse);
     const std::string line = h.dump() + "\n";
     if (::write(_fd, line.data(), line.size()) !=
         ssize_t(line.size())) {
@@ -158,14 +157,13 @@ ResultCache::writeHeader(std::string *err)
 
 bool
 ResultCache::open(const std::string &path, const std::string &schema_sig,
-                  const std::string &backend, const std::string &fuse,
+                  const std::string &backend,
                   const std::vector<Column> &schema, std::string *err)
 {
     close();
     _path = path;
     _schemaSig = schema_sig;
     _backend = backend;
-    _fuse = fuse;
     _schema = schema;
     _byHash.clear();
     _stats = Stats();
@@ -192,9 +190,10 @@ ResultCache::open(const std::string &path, const std::string &schema_sig,
             hj.getInt("version", -1) != kCacheVersion ||
             hj.getStr("schema", "") != schema_sig ||
             hj.getStr("backend", "") != backend ||
-            hj.getStr("fuse", "") != fuse) {
+            hj.getStr("fuse", "on") == "off") {
             // Stale or unreadable header: the whole file describes
-            // rows this sweep must not reuse.
+            // rows this sweep must not reuse ("fuse":"off" marks rows
+            // of the removed unfused compiled mode).
             rewrite = true;
             size_t droppedRows = 0;
             for (char c : text)

@@ -20,7 +20,7 @@
  * indistinguishable from a recomputed one.
  *
  * File format: one NDJSON header line (schema signature + resolved
- * backend/fuse mode), then one CRC-protected record per row, appended
+ * backend), then one CRC-protected record per row, appended
  * with a single write(2) each. Unlike the journal, a damaged or
  * mismatched cache is never an error: a cache can always be recomputed,
  * so open() quietly truncates a torn tail, drops everything from the
@@ -64,12 +64,12 @@ class ResultCache {
      * Bind to @p path and load every valid row recorded under a
      * matching header. Creates the file (with a fresh header) when
      * absent; rewrites it when the existing header does not match
-     * @p schema_sig / @p backend / @p fuse — counting the dropped rows
+     * @p schema_sig / @p backend — counting the dropped rows
      * in stats().discarded — and truncates torn/corrupt suffixes.
      * Returns false only on I/O errors.
      */
     bool open(const std::string &path, const std::string &schema_sig,
-              const std::string &backend, const std::string &fuse,
+              const std::string &backend,
               const std::vector<Column> &schema, std::string *err);
 
     /** The cached row for @p key, or nullptr. Full string equality —
@@ -118,7 +118,6 @@ class ResultCache {
     std::string _path;
     std::string _schemaSig;
     std::string _backend;
-    std::string _fuse;
     std::vector<Column> _schema;
     std::unordered_map<uint64_t, std::vector<Row>> _byHash;
     Stats _stats;

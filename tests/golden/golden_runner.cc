@@ -22,10 +22,10 @@
  *   soc_hetero_starved              WS+OS mix behind a narrow Window
  *                                   bus with few SRAM banks
  *
- * --update-goldens first runs every selected scenario on all three
- * execution backends (interp, compiled, compiled+fused) and refuses to
- * write anything if they disagree, so a regressed backend can never
- * become the recorded truth.
+ * --update-goldens first runs every selected scenario on both
+ * execution backends (interp, compiled) and refuses to write anything
+ * if they disagree, so a regressed backend can never become the
+ * recorded truth.
  *
  * Usage:
  *   golden_runner                          check every scenario
@@ -341,15 +341,14 @@ printDiff(const std::string &expect, const std::string &actual)
     }
 }
 
-/** Render a scenario's golden text under one explicit backend mode. */
+/** Render a scenario's golden text under one explicit backend. */
 bool
-renderForMode(const Scenario &sc, sim::Backend backend, sim::Fusion fuse,
-              std::string *text, std::string *err)
+renderForMode(const Scenario &sc, sim::Backend backend, std::string *text,
+              std::string *err)
 {
     sim::EngineOptions opts;
     opts.enableTrace = true;
     opts.backend = backend;
-    opts.fuse = fuse;
     sim::Simulator s(opts);
     sim::SimReport rep = sc.run(s, err);
     if (!err->empty())
@@ -369,25 +368,23 @@ updateScenario(const Scenario &sc, const std::string &path)
     struct ModeSpec {
         const char *label;
         sim::Backend backend;
-        sim::Fusion fuse;
     };
     const ModeSpec modes[] = {
-        {"interp", sim::Backend::Interp, sim::Fusion::Off},
-        {"compiled", sim::Backend::Compiled, sim::Fusion::Off},
-        {"compiled+fused", sim::Backend::Compiled, sim::Fusion::On},
+        {"interp", sim::Backend::Interp},
+        {"compiled", sim::Backend::Compiled},
     };
-    std::string texts[3];
-    for (int i = 0; i < 3; ++i) {
+    constexpr int kModes = 2;
+    std::string texts[kModes];
+    for (int i = 0; i < kModes; ++i) {
         std::string err;
-        if (!renderForMode(sc, modes[i].backend, modes[i].fuse, &texts[i],
-                           &err)) {
+        if (!renderForMode(sc, modes[i].backend, &texts[i], &err)) {
             std::fprintf(stderr,
                          "[%s] FAILED to produce a report (%s): %s\n",
                          sc.name.c_str(), modes[i].label, err.c_str());
             return 1;
         }
     }
-    for (int i = 1; i < 3; ++i) {
+    for (int i = 1; i < kModes; ++i) {
         if (texts[i] == texts[0])
             continue;
         std::fprintf(stderr,
@@ -405,7 +402,7 @@ updateScenario(const Scenario &sc, const std::string &path)
         return 1;
     }
     out << texts[0];
-    std::printf("[%s] golden updated, 3-backend matrix agreed (%s)\n",
+    std::printf("[%s] golden updated, 2-backend matrix agreed (%s)\n",
                 sc.name.c_str(), path.c_str());
     return 0;
 }

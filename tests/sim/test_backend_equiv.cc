@@ -1,20 +1,20 @@
 /**
  * @file
- * Backend equivalence: the compiled backend — with superinstruction
- * fusion off *and* on — must be *observationally byte-identical* to
- * the interpreter: same cycles, same event/op counts, same per-memory
- * traffic, per-connection bandwidth statistics, per-processor
- * utilization, and the same operation-level trace stream (times,
- * durations, labels, and record order) — across the six golden-trace
- * scenarios (FIR on AI Engines, conv lowered through the full pass
- * pipeline onto 4x4/8x8 WS/OS systolic arrays). The only sanctioned
+ * Backend equivalence: the compiled (always fused) backend must be
+ * *observationally byte-identical* to the interpreter, its reference
+ * oracle: same cycles, same event/op counts, same per-memory traffic,
+ * per-connection bandwidth statistics, per-processor utilization, and
+ * the same operation-level trace stream (times, durations, labels, and
+ * record order) — across the golden-trace scenarios (FIR on AI
+ * Engines, conv lowered through the full pass pipeline onto 4x4/8x8
+ * WS/OS systolic arrays, the SoC scenarios). The only sanctioned
  * difference is SimReport::dispatchCount: equal to opsExecuted on the
- * interpreter and the unfused compiled backend, strictly lower with
- * fusion on (the fusion win).
+ * interpreter, strictly lower on the compiled backend (the fusion
+ * win).
  *
  * Also pins the backend-selection seam: EngineOptions::backend wins,
  * EQ_SIM_BACKEND resolves Backend::Auto, and the default is the
- * interpreter (ditto EngineOptions::fuse / EQ_SIM_FUSE, default on).
+ * compiled backend.
  */
 
 #include <cstdlib>
@@ -40,15 +40,11 @@ struct RunOutcome {
     std::vector<std::string> trace; ///< one rendered line per event
 };
 
-/** The three execution modes of the equivalence matrix. */
-struct Mode {
-    sim::Backend backend;
-    sim::Fusion fuse;
-};
+/** The two backends of the equivalence matrix. */
+using Mode = sim::Backend;
 
-constexpr Mode kInterp{sim::Backend::Interp, sim::Fusion::Off};
-constexpr Mode kCompiled{sim::Backend::Compiled, sim::Fusion::Off};
-constexpr Mode kFused{sim::Backend::Compiled, sim::Fusion::On};
+constexpr Mode kInterp = sim::Backend::Interp;
+constexpr Mode kCompiled = sim::Backend::Compiled;
 
 std::vector<std::string>
 renderTrace(const sim::Trace &trace)
@@ -116,26 +112,30 @@ expectOutcomesIdentical(const RunOutcome &interp,
             << "first trace divergence at event " << i;
 }
 
-/** Assert the whole three-way matrix for one scenario: interp vs
- *  compiled vs compiled+fused outcomes line-identical, opsExecuted
- *  dispatch parity off fusion, and a strict dispatch-count drop with
- *  fusion on (the systolic PE bodies must actually fuse). */
+/** Assert the two-way matrix for one scenario: interp vs compiled
+ *  outcomes line-identical, opsExecuted dispatch parity on the
+ *  interpreter, and a strict dispatch-count drop on the compiled
+ *  backend (the PE bodies must actually fuse). */
 void
-expectMatrix(const RunOutcome &interp, const RunOutcome &compiled,
-             const RunOutcome &fused, bool expect_fusion_win)
+expectMatrix(const RunOutcome &interp, const RunOutcome &compiled)
 {
     expectOutcomesIdentical(interp, compiled);
-    expectOutcomesIdentical(interp, fused);
-    expectOutcomesIdentical(compiled, fused);
     EXPECT_EQ(interp.report.dispatchCount, interp.report.opsExecuted);
-    EXPECT_EQ(compiled.report.dispatchCount,
+    EXPECT_LT(compiled.report.dispatchCount,
               compiled.report.opsExecuted);
-    if (expect_fusion_win)
-        EXPECT_LT(fused.report.dispatchCount,
-                  compiled.report.dispatchCount);
-    else
-        EXPECT_LE(fused.report.dispatchCount,
-                  compiled.report.dispatchCount);
+}
+
+RunOutcome
+simulate(Mode mode, ir::Operation *module)
+{
+    sim::EngineOptions opts;
+    opts.enableTrace = true;
+    opts.backend = mode;
+    sim::Simulator s(opts);
+    RunOutcome out;
+    out.report = s.simulate(module);
+    out.trace = renderTrace(s.trace());
+    return out;
 }
 
 RunOutcome
@@ -144,15 +144,7 @@ runFir(Mode mode, const aie::FirConfig &cfg)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = aie::buildFirModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.enableTrace = true;
-    opts.backend = mode.backend;
-    opts.fuse = mode.fuse;
-    sim::Simulator s(opts);
-    RunOutcome out;
-    out.report = s.simulate(module.get());
-    out.trace = renderTrace(s.trace());
-    return out;
+    return simulate(mode, module.get());
 }
 
 RunOutcome
@@ -174,15 +166,7 @@ runSystolic(Mode mode, int array, scalesim::Dataflow df)
         module.get(), passes::Stage::Systolic, cfg);
     EXPECT_TRUE(diag.empty()) << diag;
 
-    sim::EngineOptions opts;
-    opts.enableTrace = true;
-    opts.backend = mode.backend;
-    opts.fuse = mode.fuse;
-    sim::Simulator s(opts);
-    RunOutcome out;
-    out.report = s.simulate(module.get());
-    out.trace = renderTrace(s.trace());
-    return out;
+    return simulate(mode, module.get());
 }
 
 RunOutcome
@@ -191,15 +175,7 @@ runSoc(Mode mode, const soc::SocConfig &cfg)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = soc::buildSocModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.enableTrace = true;
-    opts.backend = mode.backend;
-    opts.fuse = mode.fuse;
-    sim::Simulator s(opts);
-    RunOutcome out;
-    out.report = s.simulate(module.get());
-    out.trace = renderTrace(s.trace());
-    return out;
+    return simulate(mode, module.get());
 }
 
 RunOutcome
@@ -208,63 +184,43 @@ runSocPipeline(Mode mode, const soc::PipelineConfig &cfg)
     ir::Context ctx;
     ir::registerAllDialects(ctx);
     auto module = soc::buildPipelineModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.enableTrace = true;
-    opts.backend = mode.backend;
-    opts.fuse = mode.fuse;
-    sim::Simulator s(opts);
-    RunOutcome out;
-    out.report = s.simulate(module.get());
-    out.trace = renderTrace(s.trace());
-    return out;
+    return simulate(mode, module.get());
 }
 
 TEST(BackendEquivTest, FirAieCase3)
 {
     expectMatrix(runFir(kInterp, aie::FirConfig::case3()),
-                 runFir(kCompiled, aie::FirConfig::case3()),
-                 runFir(kFused, aie::FirConfig::case3()),
-                 /*expect_fusion_win=*/true);
+                 runFir(kCompiled, aie::FirConfig::case3()));
 }
 
 TEST(BackendEquivTest, FirAieCase4)
 {
     expectMatrix(runFir(kInterp, aie::FirConfig::case4()),
-                 runFir(kCompiled, aie::FirConfig::case4()),
-                 runFir(kFused, aie::FirConfig::case4()),
-                 /*expect_fusion_win=*/true);
+                 runFir(kCompiled, aie::FirConfig::case4()));
 }
 
 TEST(BackendEquivTest, Systolic4x4Ws)
 {
     expectMatrix(runSystolic(kInterp, 4, scalesim::Dataflow::WS),
-                 runSystolic(kCompiled, 4, scalesim::Dataflow::WS),
-                 runSystolic(kFused, 4, scalesim::Dataflow::WS),
-                 /*expect_fusion_win=*/true);
+                 runSystolic(kCompiled, 4, scalesim::Dataflow::WS));
 }
 
 TEST(BackendEquivTest, Systolic4x4Os)
 {
     expectMatrix(runSystolic(kInterp, 4, scalesim::Dataflow::OS),
-                 runSystolic(kCompiled, 4, scalesim::Dataflow::OS),
-                 runSystolic(kFused, 4, scalesim::Dataflow::OS),
-                 /*expect_fusion_win=*/true);
+                 runSystolic(kCompiled, 4, scalesim::Dataflow::OS));
 }
 
 TEST(BackendEquivTest, Systolic8x8Ws)
 {
     expectMatrix(runSystolic(kInterp, 8, scalesim::Dataflow::WS),
-                 runSystolic(kCompiled, 8, scalesim::Dataflow::WS),
-                 runSystolic(kFused, 8, scalesim::Dataflow::WS),
-                 /*expect_fusion_win=*/true);
+                 runSystolic(kCompiled, 8, scalesim::Dataflow::WS));
 }
 
 TEST(BackendEquivTest, Systolic8x8Os)
 {
     expectMatrix(runSystolic(kInterp, 8, scalesim::Dataflow::OS),
-                 runSystolic(kCompiled, 8, scalesim::Dataflow::OS),
-                 runSystolic(kFused, 8, scalesim::Dataflow::OS),
-                 /*expect_fusion_win=*/true);
+                 runSystolic(kCompiled, 8, scalesim::Dataflow::OS));
 }
 
 /** Shared-bus SoC: the PE bodies mix fusable register traffic with
@@ -274,13 +230,11 @@ TEST(BackendEquivTest, Systolic8x8Os)
 TEST(BackendEquivTest, SocSharedBusContention)
 {
     soc::SocConfig cfg = soc::SocConfig::heteroStarved();
-    expectMatrix(runSoc(kInterp, cfg), runSoc(kCompiled, cfg),
-                 runSoc(kFused, cfg),
-                 /*expect_fusion_win=*/true);
+    expectMatrix(runSoc(kInterp, cfg), runSoc(kCompiled, cfg));
 }
 
 /** Boundary-op fusion on the dual-tile shared-bus scenario: beyond the
- *  usual three-way identity, assert the fused dispatch count drops far
+ *  usual two-way identity, assert the fused dispatch count drops far
  *  enough that conn-carrying bus reads/writes must themselves be inside
  *  fused groups. Interior-only fusion (MACs, address math) reaches
  *  roughly dispatchCount ≈ opsExecuted/2.7 on this workload; with the
@@ -292,10 +246,9 @@ TEST(BackendEquivTest, SocDualSharedBusBoundaryFusion)
     soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
     RunOutcome interp = runSoc(kInterp, cfg);
     RunOutcome compiled = runSoc(kCompiled, cfg);
-    RunOutcome fused = runSoc(kFused, cfg);
-    expectMatrix(interp, compiled, fused, /*expect_fusion_win=*/true);
-    EXPECT_LT(fused.report.dispatchCount * 3,
-              fused.report.opsExecuted);
+    expectMatrix(interp, compiled);
+    EXPECT_LT(compiled.report.dispatchCount * 3,
+              compiled.report.opsExecuted);
 }
 
 /** Buffered layer pipeline: overlapping items queue on stage
@@ -305,13 +258,11 @@ TEST(BackendEquivTest, SocPipelineBuffered)
 {
     soc::PipelineConfig cfg = soc::PipelineConfig::small();
     expectMatrix(runSocPipeline(kInterp, cfg),
-                 runSocPipeline(kCompiled, cfg),
-                 runSocPipeline(kFused, cfg),
-                 /*expect_fusion_win=*/true);
+                 runSocPipeline(kCompiled, cfg));
 }
 
 /** Save/restore one environment variable so the selection-seam tests
- *  are env-neutral even under the compiled/fused CI legs. */
+ *  are env-neutral even under the interpreter CI leg. */
 class EnvGuard {
   public:
     explicit EnvGuard(const char *name) : _name(name)
@@ -341,79 +292,34 @@ TEST(BackendEquivTest, SelectionSeam)
     EnvGuard guard("EQ_SIM_BACKEND");
 
     unsetenv("EQ_SIM_BACKEND");
-    EXPECT_EQ(sim::Simulator().backend(), sim::Backend::Interp);
-
-    setenv("EQ_SIM_BACKEND", "compiled", 1);
     EXPECT_EQ(sim::Simulator().backend(), sim::Backend::Compiled);
 
     setenv("EQ_SIM_BACKEND", "interp", 1);
     EXPECT_EQ(sim::Simulator().backend(), sim::Backend::Interp);
 
+    setenv("EQ_SIM_BACKEND", "compiled", 1);
+    EXPECT_EQ(sim::Simulator().backend(), sim::Backend::Compiled);
+
     // An explicit option always beats the environment.
     sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    setenv("EQ_SIM_BACKEND", "interp", 1);
-    EXPECT_EQ(sim::Simulator(opts).backend(), sim::Backend::Compiled);
+    opts.backend = sim::Backend::Interp;
+    setenv("EQ_SIM_BACKEND", "compiled", 1);
+    EXPECT_EQ(sim::Simulator(opts).backend(), sim::Backend::Interp);
 }
 
+/** Fusion is no longer a separate switch: it follows the backend. */
 TEST(BackendEquivTest, FusionSelectionSeam)
 {
-    EnvGuard guard("EQ_SIM_FUSE");
+    EnvGuard guard("EQ_SIM_BACKEND");
 
-    // Default on.
-    unsetenv("EQ_SIM_FUSE");
+    unsetenv("EQ_SIM_BACKEND");
     EXPECT_TRUE(sim::Simulator().fusionEnabled());
-
-    setenv("EQ_SIM_FUSE", "0", 1);
+    setenv("EQ_SIM_BACKEND", "interp", 1);
     EXPECT_FALSE(sim::Simulator().fusionEnabled());
-    setenv("EQ_SIM_FUSE", "off", 1);
-    EXPECT_FALSE(sim::Simulator().fusionEnabled());
-    setenv("EQ_SIM_FUSE", "1", 1);
-    EXPECT_TRUE(sim::Simulator().fusionEnabled());
-    setenv("EQ_SIM_FUSE", "on", 1);
-    EXPECT_TRUE(sim::Simulator().fusionEnabled());
 
-    // An explicit option always beats the environment.
     sim::EngineOptions opts;
-    opts.fuse = sim::Fusion::On;
-    setenv("EQ_SIM_FUSE", "0", 1);
+    opts.backend = sim::Backend::Compiled;
     EXPECT_TRUE(sim::Simulator(opts).fusionEnabled());
-    opts.fuse = sim::Fusion::Off;
-    unsetenv("EQ_SIM_FUSE");
-    EXPECT_FALSE(sim::Simulator(opts).fusionEnabled());
-}
-
-TEST(BackendEquivTest, EnvPoolSelectionSeam)
-{
-    EnvGuard guard("EQ_SIM_ENV_POOL");
-
-    // Default on.
-    unsetenv("EQ_SIM_ENV_POOL");
-    EXPECT_TRUE(sim::Simulator().envPoolEnabled());
-
-    setenv("EQ_SIM_ENV_POOL", "0", 1);
-    EXPECT_FALSE(sim::Simulator().envPoolEnabled());
-    setenv("EQ_SIM_ENV_POOL", "off", 1);
-    EXPECT_FALSE(sim::Simulator().envPoolEnabled());
-    setenv("EQ_SIM_ENV_POOL", "1", 1);
-    EXPECT_TRUE(sim::Simulator().envPoolEnabled());
-    setenv("EQ_SIM_ENV_POOL", "on", 1);
-    EXPECT_TRUE(sim::Simulator().envPoolEnabled());
-}
-
-/** Env pooling is a pure allocation optimization: with the pool
- *  disabled the whole outcome (report and trace) must stay
- *  line-identical on a launch-heavy scenario. */
-TEST(BackendEquivTest, EnvPoolOutcomeNeutral)
-{
-    EnvGuard guard("EQ_SIM_ENV_POOL");
-    soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
-
-    setenv("EQ_SIM_ENV_POOL", "1", 1);
-    RunOutcome pooled = runSoc(kInterp, cfg);
-    setenv("EQ_SIM_ENV_POOL", "0", 1);
-    RunOutcome unpooled = runSoc(kInterp, cfg);
-    expectOutcomesIdentical(pooled, unpooled);
 }
 
 TEST(BackendEquivTest, PrecompileCountsMicroOps)

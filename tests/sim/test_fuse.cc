@@ -1,14 +1,17 @@
 /**
  * @file
  * Superinstruction fusion (sim/fuse.cc) unit tests: known PE-body
- * sequences must actually fuse (dispatchCount strictly below the
- * unfused compiled backend's, which equals opsExecuted), while every
- * observable outcome — cycles, per-processor busy/ops, per-memory
- * traffic, trace streams — stays byte-identical across interp /
- * compiled / compiled+fused. Also covers the escape analysis (a cell
- * read whose value leaves the launch body keeps its materialized
- * tensor), the affine load/store + scalar-arith fusion with constant
- * index folding, and fused-program caching under BatchSession.
+ * sequences must actually fuse (dispatchCount strictly below
+ * opsExecuted, which is what an op-by-op dispatch would count), while
+ * every observable outcome — cycles, per-processor busy/ops,
+ * per-memory traffic, trace streams — stays byte-identical between the
+ * interpreter and the compiled backend. Also covers the escape
+ * analysis (a cell read whose value leaves the launch body keeps its
+ * materialized tensor), the affine load/store + scalar-arith fusion
+ * with constant index folding, fused-program caching under
+ * BatchSession, and the shapes that form one-element groups: operand
+ * chains deeper than kMaxFusedHops, a Return after a non-fusible
+ * record, and lone records between loop records.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "dialects/arith.hh"
 #include "passes/pipeline.hh"
 #include "scalesim/scalesim.hh"
+#include "sim/compile.hh"
 #include "sim/engine.hh"
 #include "systolic/generator.hh"
 #include "testutil.hh"
@@ -75,12 +79,11 @@ expectIdentical(const Outcome &a, const Outcome &b)
 }
 
 Outcome
-simulate(ir::Operation *module, sim::Backend backend, sim::Fusion fuse)
+simulate(ir::Operation *module, sim::Backend backend)
 {
     sim::EngineOptions opts;
     opts.enableTrace = true;
     opts.backend = backend;
-    opts.fuse = fuse;
     sim::Simulator s(opts);
     Outcome out;
     out.report = s.simulate(module);
@@ -98,33 +101,43 @@ class FuseTest : public test::RegisteredModuleTest {
             ->result(0);
     }
 
-    /** Run the module on all three modes and assert the outcomes are
-     *  identical; returns {unfused, fused} dispatch counts. */
+    /** Run the module on both backends and assert the outcomes are
+     *  identical; returns the compiled run's {ops, dispatches}. */
     std::pair<uint64_t, uint64_t>
     expectMatrixIdentical()
     {
-        Outcome interp =
-            simulate(module.get(), sim::Backend::Interp, sim::Fusion::Off);
-        Outcome unfused = simulate(module.get(), sim::Backend::Compiled,
-                                   sim::Fusion::Off);
-        Outcome fused = simulate(module.get(), sim::Backend::Compiled,
-                                 sim::Fusion::On);
-        expectIdentical(interp, unfused);
-        expectIdentical(interp, fused);
+        Outcome interp = simulate(module.get(), sim::Backend::Interp);
+        Outcome compiled = simulate(module.get(), sim::Backend::Compiled);
+        expectIdentical(interp, compiled);
         EXPECT_EQ(interp.report.dispatchCount,
                   interp.report.opsExecuted);
-        EXPECT_EQ(unfused.report.dispatchCount,
-                  unfused.report.opsExecuted);
-        return {unfused.report.dispatchCount,
-                fused.report.dispatchCount};
+        EXPECT_LE(compiled.report.dispatchCount,
+                  compiled.report.opsExecuted);
+        return {compiled.report.opsExecuted,
+                compiled.report.dispatchCount};
     }
+
+    /** A launch of @p proc depending on @p dep, with no captures and
+     *  no results; the builder is parked in its body. */
+    ir::Block &
+    openLaunch(Value dep, Value proc,
+               std::vector<ir::Type> results = {})
+    {
+        auto launch = b->create<equeue::LaunchOp>(
+            std::vector<Value>{dep}, proc, std::vector<Value>{},
+            std::move(results));
+        lastLaunch = launch.op();
+        ir::Block &body = equeue::LaunchOp(launch.op()).body();
+        b->setInsertionPointToEnd(&body);
+        return body;
+    }
+
+    ir::Operation *lastLaunch = nullptr;
 };
 
 /** The systolic stage-R shape: Read a, Read stat, Read acc, mac,
  *  Write res, Write a — one launch per PE step. The six-record body
- *  run must collapse to a single superinstruction: per launch the
- *  fused stream dispatches Fused + Return = 2 counted units instead
- *  of 7. */
+ *  run plus its Return must collapse to a single superinstruction. */
 TEST_F(FuseTest, PeBodyReadMacWriteFuses)
 {
     auto mem = b->create<equeue::CreateMemOp>(
@@ -174,12 +187,11 @@ TEST_F(FuseTest, PeBodyReadMacWriteFuses)
     }
     b->create<equeue::AwaitOp>(std::vector<Value>{dep});
 
-    auto [unfused, fused] = expectMatrixIdentical();
-    EXPECT_LT(fused, unfused);
+    auto [ops, dispatches] = expectMatrixIdentical();
     // Each launch body (read, read, read, mac, write, write, return)
-    // collapses from 7 counted dispatches to 1; the top-level
-    // control_start + 3 launches + await run collapses from 5 to 1.
-    EXPECT_EQ(unfused - fused, uint64_t(kLaunches) * 6 + 4);
+    // collapses from 7 ops to 1 dispatch; the top-level control_start
+    // + 3 launches + await run collapses from 5 to 1.
+    EXPECT_EQ(ops - dispatches, uint64_t(kLaunches) * 6 + 4);
 }
 
 /** Read→Write copy pairs (the systolic stage-W shape) fuse too. */
@@ -217,10 +229,10 @@ TEST_F(FuseTest, CellCopyPairsFuse)
     }
     b->create<equeue::AwaitOp>(std::vector<Value>{launch->result(0)});
 
-    auto [unfused, fused] = expectMatrixIdentical();
-    // Body read/write/read/write/return: 5 dispatches -> 1; top-level
+    auto [ops, dispatches] = expectMatrixIdentical();
+    // Body read/write/read/write/return: 5 ops -> 1 dispatch; top-level
     // control_start + launch + await: 3 -> 1.
-    EXPECT_EQ(unfused - fused, uint64_t(4 + 2));
+    EXPECT_EQ(ops - dispatches, uint64_t(4 + 2));
 }
 
 /** A cell read whose value escapes the launch body (returned to the
@@ -259,13 +271,13 @@ TEST_F(FuseTest, EscapingReadStaysEquivalent)
     b->create<equeue::WriteOp>(launch->result(1), sink, Value(),
                                std::vector<Value>{});
 
-    auto [unfused, fused] = expectMatrixIdentical();
-    EXPECT_LT(fused, unfused);
+    auto [ops, dispatches] = expectMatrixIdentical();
+    EXPECT_LT(dispatches, ops);
 }
 
 /** Affine-stage lowering: scalar-arith + load/store bodies (with
  *  constant index operands where the lowering produced them) fuse and
- *  stay equivalent through the whole matrix. */
+ *  stay equivalent to the interpreter. */
 TEST_F(FuseTest, AffineLoweredConvFusesAndMatches)
 {
     scalesim::Config cfg;
@@ -279,15 +291,11 @@ TEST_F(FuseTest, AffineLoweredConvFusesAndMatches)
         passes::lowerConvModule(conv.get(), passes::Stage::Affine, cfg);
     ASSERT_TRUE(diag.empty()) << diag;
 
-    Outcome interp =
-        simulate(conv.get(), sim::Backend::Interp, sim::Fusion::Off);
-    Outcome unfused =
-        simulate(conv.get(), sim::Backend::Compiled, sim::Fusion::Off);
-    Outcome fused =
-        simulate(conv.get(), sim::Backend::Compiled, sim::Fusion::On);
-    expectIdentical(interp, unfused);
-    expectIdentical(interp, fused);
-    EXPECT_LT(fused.report.dispatchCount, unfused.report.dispatchCount);
+    Outcome interp = simulate(conv.get(), sim::Backend::Interp);
+    Outcome compiled = simulate(conv.get(), sim::Backend::Compiled);
+    expectIdentical(interp, compiled);
+    EXPECT_LT(compiled.report.dispatchCount,
+              compiled.report.opsExecuted);
 }
 
 /** BatchSession caches the fused programs like everything else:
@@ -304,7 +312,6 @@ TEST_F(FuseTest, BatchSessionReusesFusedPrograms)
 
     sim::EngineOptions opts;
     opts.backend = sim::Backend::Compiled;
-    opts.fuse = sim::Fusion::On;
     sim::Simulator s(opts);
     sim::BatchSession session(s, module.get());
     auto first = session.run();
@@ -316,8 +323,8 @@ TEST_F(FuseTest, BatchSessionReusesFusedPrograms)
 }
 
 /** The report text surfaces the dispatch count exactly when it
- *  differs from opsExecuted — fused runs show it, unfused stay
- *  unchanged. */
+ *  differs from opsExecuted — compiled (fused) runs show it,
+ *  interpreter runs stay unchanged. */
 TEST_F(FuseTest, ReportPrintsDispatchesOnlyWhenFused)
 {
     scalesim::Config cfg;
@@ -328,20 +335,136 @@ TEST_F(FuseTest, ReportPrintsDispatchesOnlyWhenFused)
     cfg.fh = cfg.fw = 2;
     auto module = systolic::buildSystolicModule(ctx, cfg);
 
-    auto render = [&](sim::Fusion fuse) {
+    auto render = [&](sim::Backend backend) {
         sim::EngineOptions opts;
-        opts.backend = sim::Backend::Compiled;
-        opts.fuse = fuse;
+        opts.backend = backend;
         sim::Simulator s(opts);
         auto rep = s.simulate(module.get());
         std::ostringstream os;
         rep.print(os);
         return os.str();
     };
-    EXPECT_EQ(render(sim::Fusion::Off).find("dispatches:"),
+    EXPECT_EQ(render(sim::Backend::Interp).find("dispatches:"),
               std::string::npos);
-    EXPECT_NE(render(sim::Fusion::On).find("dispatches:"),
+    EXPECT_NE(render(sim::Backend::Compiled).find("dispatches:"),
               std::string::npos);
+}
+
+/** Launches nested deeper than kMaxFusedHops whose bodies use
+ *  top-level values (their processor, two cells) directly: the
+ *  group-entry level cache cannot cover the deepest operands, so
+ *  execFused walks the rest of the env chain for them. Each level runs
+ *  on its own processor (a parent awaiting a child on its own
+ *  processor would never finish). */
+TEST_F(FuseTest, LaunchChainDeeperThanMaxFusedHops)
+{
+    const unsigned kDepth = sim::kMaxFusedHops + 3;
+    auto mem = b->create<equeue::CreateMemOp>(
+        std::string("Register"), std::vector<int64_t>{64}, 32u, 8u);
+    std::vector<Value> procs;
+    for (unsigned d = 0; d < kDepth; ++d)
+        procs.push_back(
+            b->create<equeue::CreateProcOp>(std::string("MAC"))
+                ->result(0));
+    Value src = allocCell(mem->result(0));
+    Value dst = allocCell(mem->result(0));
+    Value dep = b->create<equeue::ControlStartOp>()->result(0);
+
+    std::vector<ir::Operation *> launches;
+    for (unsigned d = 0; d < kDepth; ++d) {
+        openLaunch(dep, procs[d]);
+        launches.push_back(lastLaunch);
+        dep = b->create<equeue::ControlStartOp>()->result(0);
+    }
+    // Innermost body: kDepth hops up to the cells.
+    Value v = b->create<equeue::ReadOp>(src, Value(),
+                                        std::vector<Value>{})
+                  ->result(0);
+    b->create<equeue::WriteOp>(v, dst, Value(), std::vector<Value>{});
+    b->create<equeue::ReturnOp>(std::vector<Value>{});
+    // Close each enclosing body: await its child, then return.
+    for (unsigned d = kDepth; d-- > 0;) {
+        ir::Operation *launch = launches[d];
+        b->setInsertionPointAfter(launch);
+        b->create<equeue::AwaitOp>(
+            std::vector<Value>{launch->result(0)});
+        if (d > 0)
+            b->create<equeue::ReturnOp>(std::vector<Value>{});
+    }
+
+    auto [ops, dispatches] = expectMatrixIdentical();
+    EXPECT_LT(dispatches, ops);
+}
+
+/** A launch body whose Return follows a loop (a non-fusible ForEnd):
+ *  the Return becomes a one-element group and still publishes the
+ *  launch result. */
+TEST_F(FuseTest, ReturnAfterNonFusibleRecord)
+{
+    Value proc =
+        b->create<equeue::CreateProcOp>(std::string("MAC"))->result(0);
+    Value start = b->create<equeue::ControlStartOp>()->result(0);
+    ir::Block &body = openLaunch(start, proc, {ctx.i32Type()});
+    ir::Operation *launch = lastLaunch;
+    Value seven =
+        b->create<arith::ConstantOp>(int64_t{7}, ctx.i32Type())
+            ->result(0);
+    auto loop = b->create<affine::ForOp>(int64_t{0}, int64_t{3},
+                                         int64_t{1});
+    {
+        ir::OpBuilder::InsertionGuard g(*b);
+        affine::ForOp f(loop.op());
+        b->setInsertionPointToEnd(&f.body());
+        b->create<arith::AddIOp>(f.inductionVar(), seven);
+        b->create<affine::YieldOp>(std::vector<Value>{});
+    }
+    b->setInsertionPointToEnd(&body);
+    b->create<equeue::ReturnOp>(std::vector<Value>{seven});
+    b->setInsertionPointToEnd(&this->body());
+    b->create<equeue::AwaitOp>(std::vector<Value>{launch->result(0)});
+    b->create<arith::MulIOp>(launch->result(1), launch->result(1));
+
+    expectMatrixIdentical();
+}
+
+/** Lone fusible records sandwiched between loop records, at every
+ *  nesting level: each becomes a one-element group. */
+TEST_F(FuseTest, SingletonsBetweenLoopRecords)
+{
+    Value proc =
+        b->create<equeue::CreateProcOp>(std::string("MAC"))->result(0);
+    Value start = b->create<equeue::ControlStartOp>()->result(0);
+    ir::Block &body = openLaunch(start, proc);
+    ir::Operation *launch = lastLaunch;
+    auto emitLoop = [&](int64_t trips, auto &&inner) {
+        auto loop = b->create<affine::ForOp>(int64_t{0}, trips,
+                                             int64_t{1});
+        ir::OpBuilder::InsertionGuard g(*b);
+        affine::ForOp f(loop.op());
+        b->setInsertionPointToEnd(&f.body());
+        inner(f.inductionVar());
+        b->create<affine::YieldOp>(std::vector<Value>{});
+    };
+    emitLoop(3, [&](Value i) {
+        // ForBegin, AddI, ForBegin: a singleton between loop records.
+        Value twice = b->create<arith::AddIOp>(i, i)->result(0);
+        emitLoop(2, [&](Value j) {
+            // ForBegin, MulI, Yield.
+            b->create<arith::MulIOp>(twice, j);
+        });
+        // ForEnd, SubI, Yield.
+        b->create<arith::SubIOp>(twice, i);
+    });
+    // Between two top-level loops of the body.
+    b->create<arith::ConstantOp>(int64_t{1}, ctx.i32Type());
+    emitLoop(2, [&](Value k) { b->create<arith::AddIOp>(k, k); });
+    b->setInsertionPointToEnd(&body);
+    b->create<equeue::ReturnOp>(std::vector<Value>{});
+    b->setInsertionPointToEnd(&this->body());
+    b->create<equeue::AwaitOp>(std::vector<Value>{launch->result(0)});
+
+    auto [ops, dispatches] = expectMatrixIdentical();
+    EXPECT_LT(dispatches, ops);
 }
 
 } // namespace

@@ -95,7 +95,6 @@ class JournalTest : public ::testing::Test {
                std::string(info->name()) + ".ndjson";
         std::remove(path.c_str());
         engine.backend = sim::Backend::Interp;
-        engine.fuse = sim::Fusion::Off;
     }
 
     /** Run the a×b sweep journaled at `path`; returns the status and
@@ -134,7 +133,6 @@ TEST_F(JournalTest, HeaderRoundTripAndMatches)
     h.numPoints = 42;
     h.schemaSig = "a:i;x:r;s:s";
     h.backend = "compiled";
-    h.fuse = "on";
     h.salt = "model base";
 
     sweep::JournalHeader back;
@@ -296,6 +294,42 @@ TEST_F(JournalTest, DifferentSaltRefusesAsHeaderMismatch)
                   "another model"),
               sweep::JournalStatus::HeaderMismatch);
     EXPECT_NE(err.find("salt"), std::string::npos) << err;
+}
+
+/** Journals written while an unfused compiled mode existed carry a
+ *  "fuse" header field. "fuse":"off" names that removed mode: resuming
+ *  such a journal must refuse as a header mismatch, never merge. A
+ *  legacy "fuse":"on" header is the current engine and resumes. */
+TEST_F(JournalTest, LegacyUnfusedHeaderRefusesAsHeaderMismatch)
+{
+    engine.backend = sim::Backend::Compiled;
+    sweep::Table t1{abSchema()};
+    sweep::ResumeStats st;
+    std::string err;
+    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    const std::string original = slurp(path);
+    auto withFuse = [&](const std::string &mode) {
+        std::string text = original;
+        size_t at = text.find(",\"salt\":");
+        EXPECT_LT(at, text.find('\n'));
+        return text.insert(at, ",\"fuse\":\"" + mode + "\"");
+    };
+
+    spill(path, withFuse("off"));
+    sweep::Table t2{abSchema()};
+    size_t calls = 0;
+    EXPECT_EQ(run(true, &t2, &st, &err, &calls),
+              sweep::JournalStatus::HeaderMismatch);
+    EXPECT_NE(err.find("backend"), std::string::npos) << err;
+    EXPECT_EQ(calls, 0u);
+
+    spill(path, withFuse("on"));
+    sweep::Table t3{abSchema()};
+    ASSERT_EQ(run(true, &t3, &st, &err, &calls),
+              sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(t1.csv(), t3.csv());
 }
 
 TEST_F(JournalTest, DuplicateRecordsResolveLastWriteWins)

@@ -54,7 +54,7 @@ class ResultCacheTest : public ::testing::Test {
     bool
     openDefault(sweep::ResultCache &cache, std::string *err)
     {
-        return cache.open(path, kSig, "interp", "off", schema(), err);
+        return cache.open(path, kSig, "interp", schema(), err);
     }
 
     std::string path;
@@ -104,7 +104,7 @@ TEST_F(ResultCacheTest, HeaderMismatchRewritesInsteadOfServingStale)
     // Same file, different backend: the rows must not be reused.
     sweep::ResultCache cache;
     ASSERT_TRUE(
-        cache.open(path, kSig, "compiled", "on", schema(), &err))
+        cache.open(path, kSig, "compiled", schema(), &err))
         << err;
     EXPECT_EQ(cache.stats().loaded, 0u);
     EXPECT_EQ(cache.stats().discarded, 1u);
@@ -198,7 +198,6 @@ TEST_F(ResultCacheTest, OneAxisChangeRecomputesOnlyNewPoints)
     };
     sim::EngineOptions engine;
     engine.backend = sim::Backend::Interp;
-    engine.fuse = sim::Fusion::Off;
     sweep::JournalOptions opts;
     opts.cachePath = path;
     sweep::SweepRunner runner({1});

@@ -38,7 +38,6 @@ abHeader(uint64_t num_points)
     h.numPoints = num_points;
     h.schemaSig = sweep::schemaSignature(abSchema());
     h.backend = "interp";
-    h.fuse = "off";
     h.salt = "ab";
     return h;
 }
@@ -111,6 +110,33 @@ TEST(ShardManifestTest, RangeBeyondGridRefusesToLoad)
     sweep::ShardManifest back;
     EXPECT_FALSE(sweep::ShardManifest::load(path, &back, &err));
     EXPECT_NE(err.find("exceeds"), std::string::npos) << err;
+}
+
+/** A manifest written while an unfused compiled mode existed, with
+ *  "fuse":"off" in its header, names a mode no current engine runs: it
+ *  loads, but its header matches no current sweep's, so eqsweep
+ *  --shard refuses it as journal_header_mismatch. */
+TEST(ShardManifestTest, LegacyUnfusedHeaderMatchesNoCurrentSweep)
+{
+    sweep::ShardManifest m;
+    m.shard = 0;
+    m.numShards = 1;
+    m.beginPoint = 0;
+    m.endPoint = 4;
+    m.header = abHeader(4);
+    m.header.backend = "compiled";
+    serve::Json header = m.header.toJson();
+    header.set("fuse", "off");
+    serve::Json legacy = m.toJson();
+    legacy.set("header", header);
+
+    sweep::ShardManifest back;
+    std::string err;
+    ASSERT_TRUE(sweep::ShardManifest::fromJson(legacy, &back, &err))
+        << err;
+    std::string why;
+    EXPECT_FALSE(back.header.matches(m.header, &why));
+    EXPECT_NE(why.find("backend"), std::string::npos) << why;
 }
 
 TEST(ShardManifestTest, ManifestsPartitionTheGridExactly)
@@ -209,7 +235,7 @@ TEST(ShardMergeTest, DuplicatePointsResolveLastWriteWins)
 
 /** The merge-determinism satellite: 1/2/4-shard journals of a real
  *  systolic sweep merge byte-identically to the single-process
- *  SweepRunner CSV — in all three backend modes. */
+ *  SweepRunner CSV — on both backends. */
 TEST(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
 {
     serve::SweepSpec spec;
@@ -225,12 +251,8 @@ TEST(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
     std::vector<Mode> modes;
     modes.push_back({"interp", {}});
     modes.back().engine.backend = sim::Backend::Interp;
-    modes.push_back({"compiled-nofuse", {}});
+    modes.push_back({"compiled", {}});
     modes.back().engine.backend = sim::Backend::Compiled;
-    modes.back().engine.fuse = sim::Fusion::Off;
-    modes.push_back({"compiled-fuse", {}});
-    modes.back().engine.backend = sim::Backend::Compiled;
-    modes.back().engine.fuse = sim::Fusion::On;
 
     for (const Mode &mode : modes) {
         SCOPED_TRACE(mode.name);
@@ -244,8 +266,7 @@ TEST(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
         header.numPoints = points.size();
         header.schemaSig = sweep::schemaSignature(spec.schema());
         header.salt = spec.saltString();
-        sweep::resolveEngineMode(mode.engine, &header.backend,
-                                 &header.fuse);
+        header.backend = sweep::resolveEngineMode(mode.engine);
 
         for (int nshards : {1, 2, 4}) {
             SCOPED_TRACE(nshards);
