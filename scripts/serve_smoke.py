@@ -9,11 +9,14 @@ the NDJSON protocol over a raw socket with no client-library help:
   2. malformed and unknown requests — answered with "ok": false on a
      connection that stays usable;
   3. stats — cache counters must show the cross-request reuse;
-  4. a sweep request — the streamed rows, re-merged by their dense
+  4. out-of-range configs (zero stages, an ah past int range, no
+     accelerators) — each answered bad_request naming the field, and
+     a valid simulate on the same connection still succeeds;
+  5. a sweep request — the streamed rows, re-merged by their dense
      point index, must byte-match the in-process SweepRunner CSV
      (serve_client --local), and must do so at every daemon worker
      count tried (1 and 3);
-  5. shutdown — acknowledged with "bye", after which the daemon
+  6. shutdown — acknowledged with "bye", after which the daemon
      process must exit 0 by itself.
 
 Inherits EQ_SIM_BACKEND, so CI runs it once per backend and the
@@ -147,6 +150,24 @@ def check_simulate_and_stats(port):
     print(f"  simulate/stats ok (port {port})")
 
 
+def check_out_of_range(port):
+    conn = Lines(port)
+    for model, config, field in (("pipeline", {"stages": 0}, "stages"),
+                                 ("systolic", {"ah": 4294967298}, "ah"),
+                                 ("soc", {"accels": []}, "accels")):
+        resp = conn.request({"op": "simulate", "model": model,
+                             "config": config})
+        err = resp.get("error") or {}
+        if resp.get("ok") or err.get("code") != "bad_request" \
+                or field not in err.get("message", ""):
+            fail(f"out-of-range {model} {config} not rejected: {resp}")
+    good = conn.request({"op": "simulate", "id": 4, "model": "pipeline"})
+    if not good.get("ok") or good["report"]["cycles"] <= 0:
+        fail(f"simulate after rejected configs failed: {good}")
+    conn.close()
+    print(f"  out-of-range configs rejected (port {port})")
+
+
 def sweep_args():
     return ["--model", "systolic", "--axis", "ah=2,4",
             "--axis", "aw=2,4,8"]
@@ -185,6 +206,7 @@ def main():
         with Daemon(build_dir, workers) as daemon:
             if workers == 1:
                 check_simulate_and_stats(daemon.port)
+                check_out_of_range(daemon.port)
             check_sweep_matches_local(build_dir, daemon.port,
                                       local_csv)
             check_shutdown(daemon.port)

@@ -10,15 +10,8 @@ namespace scalesim {
 std::string
 dataflowName(Dataflow df)
 {
-    switch (df) {
-      case Dataflow::WS:
-        return "WS";
-      case Dataflow::IS:
-        return "IS";
-      case Dataflow::OS:
-        return "OS";
-    }
-    return "?";
+    const size_t i = size_t(df);
+    return i < kDataflowNames.size() ? kDataflowNames[i] : "?";
 }
 
 int64_t
@@ -46,37 +39,6 @@ Config::d2() const
         return int64_t(fh) * fw * c;
     }
     return 0;
-}
-
-namespace {
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
-uint64_t
-Config::hash() const
-{
-    uint64_t hv = 0xcbf29ce484222325ull;
-    hv = fnv1a(hv, uint64_t(ah));
-    hv = fnv1a(hv, uint64_t(aw));
-    hv = fnv1a(hv, uint64_t(dataflow));
-    hv = fnv1a(hv, uint64_t(c));
-    hv = fnv1a(hv, uint64_t(h));
-    hv = fnv1a(hv, uint64_t(w));
-    hv = fnv1a(hv, uint64_t(n));
-    hv = fnv1a(hv, uint64_t(fh));
-    hv = fnv1a(hv, uint64_t(fw));
-    hv = fnv1a(hv, uint64_t(elemBytes));
-    return hv;
 }
 
 int64_t

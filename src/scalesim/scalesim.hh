@@ -23,14 +23,20 @@
 #ifndef EQ_SCALESIM_SCALESIM_HH
 #define EQ_SCALESIM_SCALESIM_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "base/fields.hh"
 
 namespace eq {
 namespace scalesim {
 
 enum class Dataflow { WS, IS, OS };
+
+/** Wire names of Dataflow, indexed by value. */
+constexpr std::array<const char *, 3> kDataflowNames = {"WS", "IS", "OS"};
 
 std::string dataflowName(Dataflow df);
 
@@ -59,27 +65,31 @@ struct Config {
         return int64_t(n) * eh() * ew() * c * fh * fw;
     }
 
-    /** Structural identity: two equal configs generate identical
-     *  modules, so batched sweeps may reuse the built module. */
-    friend bool
-    operator==(const Config &a, const Config &b)
+    /** Wire names and accepted ranges, in declaration order. */
+    static constexpr auto
+    fields()
     {
-        return a.ah == b.ah && a.aw == b.aw &&
-               a.dataflow == b.dataflow && a.c == b.c && a.h == b.h &&
-               a.w == b.w && a.n == b.n && a.fh == b.fh &&
-               a.fw == b.fw && a.elemBytes == b.elemBytes;
-    }
-    friend bool
-    operator!=(const Config &a, const Config &b)
-    {
-        return !(a == b);
+        return std::make_tuple(
+            intField("ah", &Config::ah, 1),
+            intField("aw", &Config::aw, 1),
+            enumField("df", &Config::dataflow, kDataflowNames),
+            intField("c", &Config::c, 0),
+            intField("h", &Config::h, 0),
+            intField("w", &Config::w, 0),
+            intField("n", &Config::n, 0),
+            intField("fh", &Config::fh, 0),
+            intField("fw", &Config::fw, 0),
+            intField("elem_bytes", &Config::elemBytes, 0));
     }
 
-    /** FNV-1a over every structural field (mirrors soc::SocConfig);
-     *  stable across runs so caches can key on it. Equal configs hash
-     *  equal; the converse is NOT guaranteed — cache lookups must
-     *  verify full operator== equality on a hash hit. */
-    uint64_t hash() const;
+    /** Structural identity: two equal configs generate identical
+     *  modules, so batched sweeps may reuse the built module. */
+    bool operator==(const Config &o) const { return fieldsEqual(*this, o); }
+    bool operator!=(const Config &o) const { return !(*this == o); }
+
+    /** Stable FNV-1a over every field, so caches can key on it; cache
+     *  lookups must still verify operator== on a hash hit. */
+    uint64_t hash() const { return fieldsHash(*this); }
 };
 
 /** Model outputs compared in Fig. 9. */

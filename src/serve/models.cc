@@ -1,8 +1,11 @@
 #include "serve/models.hh"
 
 #include <cassert>
-#include <memory>
+#include <deque>
+#include <iterator>
+#include <optional>
 
+#include "base/hash.hh"
 #include "sim/session.hh"
 #include "systolic/generator.hh"
 
@@ -11,28 +14,20 @@ namespace serve {
 
 namespace {
 
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+/** Wire names of ModelKind, indexed by value. */
+constexpr const char *kModelNames[] = {"systolic", "soc", "pipeline"};
 
-bool
-dataflowFromName(const std::string &name, scalesim::Dataflow *out)
+/** Call @p f with the ModelKey member holding @p kind's config. */
+template <class F>
+auto
+withConfig(ModelKind kind, F &&f)
 {
-    if (name == "WS")
-        *out = scalesim::Dataflow::WS;
-    else if (name == "IS")
-        *out = scalesim::Dataflow::IS;
-    else if (name == "OS")
-        *out = scalesim::Dataflow::OS;
-    else
-        return false;
-    return true;
+    switch (kind) {
+    case ModelKind::Soc: return f(&ModelKey::soc);
+    case ModelKind::Pipeline: return f(&ModelKey::pipeline);
+    case ModelKind::Systolic: break;
+    }
+    return f(&ModelKey::systolic);
 }
 
 } // namespace
@@ -43,78 +38,54 @@ dataflowFromName(const std::string &name, scalesim::Dataflow *out)
 const char *
 modelName(ModelKind kind)
 {
-    switch (kind) {
-    case ModelKind::Systolic: return "systolic";
-    case ModelKind::Soc: return "soc";
-    case ModelKind::Pipeline: return "pipeline";
-    }
-    return "?";
+    const size_t i = size_t(kind);
+    return i < std::size(kModelNames) ? kModelNames[i] : "?";
 }
 
 bool
 modelFromName(const std::string &name, ModelKind *out)
 {
-    if (name == "systolic")
-        *out = ModelKind::Systolic;
-    else if (name == "soc")
-        *out = ModelKind::Soc;
-    else if (name == "pipeline")
-        *out = ModelKind::Pipeline;
-    else
-        return false;
-    return true;
+    for (size_t i = 0; i < std::size(kModelNames); ++i) {
+        if (name == kModelNames[i]) {
+            *out = static_cast<ModelKind>(i);
+            return true;
+        }
+    }
+    return false;
 }
 
 ModelKey
 ModelKey::systolicKey(const scalesim::Config &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Systolic;
-    k.systolic = cfg;
-    return k;
+    return {ModelKind::Systolic, cfg, {}, {}};
 }
 
 ModelKey
 ModelKey::socKey(const soc::SocConfig &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Soc;
-    k.soc = cfg;
-    return k;
+    return {ModelKind::Soc, {}, cfg, {}};
 }
 
 ModelKey
 ModelKey::pipelineKey(const soc::PipelineConfig &cfg)
 {
-    ModelKey k;
-    k.kind = ModelKind::Pipeline;
-    k.pipeline = cfg;
-    return k;
+    return {ModelKind::Pipeline, {}, {}, cfg};
 }
 
 uint64_t
 ModelKey::hash() const
 {
-    uint64_t h = fnv1a(0xcbf29ce484222325ull, uint64_t(kind));
-    switch (kind) {
-    case ModelKind::Systolic: return fnv1a(h, systolic.hash());
-    case ModelKind::Soc: return fnv1a(h, soc.hash());
-    case ModelKind::Pipeline: return fnv1a(h, pipeline.hash());
-    }
-    return h;
+    const uint64_t h = fnv1a(kFnvOffset, uint64_t(kind));
+    return fnv1a(h, withConfig(kind, [&](auto m) {
+                     return (this->*m).hash();
+                 }));
 }
 
 bool
 ModelKey::operator==(const ModelKey &o) const
 {
-    if (kind != o.kind)
-        return false;
-    switch (kind) {
-    case ModelKind::Systolic: return systolic == o.systolic;
-    case ModelKind::Soc: return soc == o.soc;
-    case ModelKind::Pipeline: return pipeline == o.pipeline;
-    }
-    return false;
+    return kind == o.kind &&
+           withConfig(kind, [&](auto m) { return this->*m == o.*m; });
 }
 
 ir::OwningOpRef
@@ -133,96 +104,168 @@ ModelKey::build(ir::Context &ctx) const
 ModelKey
 defaultKey(ModelKind kind)
 {
-    ModelKey k;
-    k.kind = kind;
-    return k; // default-constructed configs are each family's default
+    return {kind, {}, {}, {}}; // default configs are family defaults
 }
 
 // ---------------------------------------------------------------------------
-// Config <-> JSON
-
-Json
-modelKeyToJson(const ModelKey &key)
-{
-    Json out = Json::object();
-    switch (key.kind) {
-    case ModelKind::Systolic: {
-        const auto &c = key.systolic;
-        out.set("ah", c.ah);
-        out.set("aw", c.aw);
-        out.set("df", scalesim::dataflowName(c.dataflow));
-        out.set("c", c.c);
-        out.set("h", c.h);
-        out.set("w", c.w);
-        out.set("n", c.n);
-        out.set("fh", c.fh);
-        out.set("fw", c.fw);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
-    case ModelKind::Soc: {
-        const auto &c = key.soc;
-        Json accels = Json::array();
-        for (const auto &t : c.accels) {
-            Json a = Json::object();
-            a.set("ah", t.ah);
-            a.set("aw", t.aw);
-            a.set("df", scalesim::dataflowName(t.dataflow));
-            a.set("link_bw", t.linkBytesPerCycle);
-            accels.push(std::move(a));
-        }
-        out.set("accels", std::move(accels));
-        out.set("bus_bw", c.busBytesPerCycle);
-        out.set("bus_kind", c.busKind);
-        out.set("sram_banks", int64_t(c.sramBanks));
-        out.set("dmas", c.dmaEngines);
-        out.set("rounds", c.rounds);
-        out.set("steps", c.steps);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
-    case ModelKind::Pipeline: {
-        const auto &c = key.pipeline;
-        out.set("stages", c.stages);
-        out.set("batches", c.batches);
-        out.set("tile_elems", c.tileElems);
-        out.set("compute", c.computePerElem);
-        out.set("dma_bw", c.dmaBytesPerCycle);
-        out.set("hop_bw", c.hopBytesPerCycle);
-        out.set("elem_bytes", c.elemBytes);
-        break;
-    }
-    }
-    return out;
-}
+// Config <-> JSON, folded over the configs' field tables
 
 namespace {
 
-bool
-wantInt(const Json &v, const std::string &field, int64_t *out,
-        std::string *err)
+template <class S>
+Json
+encode(const S &s)
 {
-    if (!v.isNumber() || !v.isInt()) {
-        *err = "config field '" + field + "' must be an integer";
+    Json out = Json::object();
+    forEachField(S::fields(), [&](const auto &f) {
+        const auto &v = s.*(f.member);
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_enum_v<T>) {
+            out.set(f.name, f.names[size_t(v)]);
+        } else if constexpr (kIsList<T>) {
+            Json list = Json::array();
+            for (const auto &entry : v)
+                list.push(encode(entry));
+            out.set(f.name, std::move(list));
+        } else {
+            out.set(f.name, v);
+        }
+    });
+    return out;
+}
+
+/** Range-check @p v against @p f, then store it. */
+template <class S, class T>
+bool
+assignInt(const IntField<S, T> &f, int64_t v, S *s, std::string *err)
+{
+    if (v < f.min || v > f.max) {
+        *err = "config field '" + std::string(f.name) + "' must be in [" +
+               std::to_string(f.min) + ", " + std::to_string(f.max) + "]";
         return false;
     }
-    *out = v.asInt();
+    s->*(f.member) = static_cast<T>(v);
     return true;
 }
 
+template <class S>
+bool decode(const Json &obj, const std::string &label, S *s,
+            std::string *err);
+
+template <class S, class T>
 bool
-wantDataflow(const Json &v, const std::string &field,
-             scalesim::Dataflow *out, std::string *err)
+decodeField(const IntField<S, T> &f, const Json &v, S *s, std::string *err)
 {
-    if (!v.isStr() || !dataflowFromName(v.asStr(), out)) {
-        *err = "config field '" + field + "' must be \"WS\", \"IS\" "
-               "or \"OS\"";
+    if (!v.isNumber() || !v.isInt()) {
+        *err = "config field '" + std::string(f.name) +
+               "' must be an integer";
+        return false;
+    }
+    return assignInt(f, v.asInt(), s, err);
+}
+
+template <class S, class T, size_t N>
+bool
+decodeField(const EnumField<S, T, N> &f, const Json &v, S *s,
+            std::string *err)
+{
+    for (size_t i = 0; v.isStr() && i < N; ++i) {
+        if (v.asStr() == f.names[i]) {
+            if constexpr (std::is_enum_v<T>)
+                s->*(f.member) = static_cast<T>(i);
+            else
+                s->*(f.member) = v.asStr();
+            return true;
+        }
+    }
+    *err = "config field '" + std::string(f.name) + "' must be ";
+    for (size_t i = 0; i < N; ++i) {
+        *err += i == 0 ? "" : i + 1 == N ? " or " : ", ";
+        *err += "\"" + std::string(f.names[i]) + "\"";
+    }
+    return false;
+}
+
+template <class S, class E>
+bool
+decodeField(const ListField<S, E> &f, const Json &v, S *s,
+            std::string *err)
+{
+    const std::string name = f.name;
+    if (!v.isArray()) {
+        *err = "config field '" + name + "' must be an array";
+        return false;
+    }
+    if (v.items().size() < f.minEntries) {
+        *err = "config field '" + name + "' needs at least " +
+               std::to_string(f.minEntries) +
+               (f.minEntries == 1 ? " entry" : " entries");
+        return false;
+    }
+    std::vector<E> &list = s->*(f.member);
+    list.clear();
+    for (const Json &entry : v.items()) {
+        if (!entry.isObject()) {
+            *err = std::string(f.label) + " entries must be objects";
+            return false;
+        }
+        list.emplace_back();
+        if (!decode(entry, f.label, &list.back(), err))
+            return false;
+    }
+    return true;
+}
+
+/** Override the fields of @p s present in @p obj; @p label names S in
+ *  the unknown-field error. */
+template <class S>
+bool
+decode(const Json &obj, const std::string &label, S *s, std::string *err)
+{
+    for (const auto &m : obj.members()) {
+        bool found = false;
+        bool ok = true;
+        forEachField(S::fields(), [&](const auto &f) {
+            if (!found && m.first == f.name) {
+                found = true;
+                ok = decodeField(f, m.second, s, err);
+            }
+        });
+        if (!found)
+            *err = "unknown " + label + " field '" + m.first + "'";
+        if (!found || !ok)
+            return false;
+    }
+    return true;
+}
+
+/** Sweep axes are the integer fields (plus applyAxis's composites). */
+template <class F>
+constexpr bool kIsAxis = false;
+template <class S, class T>
+constexpr bool kIsAxis<IntField<S, T>> = true;
+
+/** Constraints between fields, which no single field's range in the
+ *  tables expresses. */
+bool
+checkCrossFields(const ModelKey &key, std::string *err)
+{
+    const scalesim::Config &c = key.systolic;
+    if (key.kind == ModelKind::Systolic && (c.fh > c.h || c.fw > c.w)) {
+        *err = c.fh > c.h ? "config field 'fh' must not exceed 'h'"
+                          : "config field 'fw' must not exceed 'w'";
         return false;
     }
     return true;
 }
 
 } // namespace
+
+Json
+modelKeyToJson(const ModelKey &key)
+{
+    return withConfig(key.kind, [&](auto m) { return encode(key.*m); });
+}
 
 bool
 modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
@@ -235,144 +278,11 @@ modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
         *err = "\"config\" must be an object";
         return false;
     }
-    for (const auto &m : config.members()) {
-        const std::string &f = m.first;
-        const Json &v = m.second;
-        int64_t i = 0;
-        switch (kind) {
-        case ModelKind::Systolic: {
-            auto &c = out->systolic;
-            if (f == "df") {
-                if (!wantDataflow(v, f, &c.dataflow, err))
-                    return false;
-                continue;
-            }
-            int *target = nullptr;
-            if (f == "ah")
-                target = &c.ah;
-            else if (f == "aw")
-                target = &c.aw;
-            else if (f == "c")
-                target = &c.c;
-            else if (f == "h")
-                target = &c.h;
-            else if (f == "w")
-                target = &c.w;
-            else if (f == "n")
-                target = &c.n;
-            else if (f == "fh")
-                target = &c.fh;
-            else if (f == "fw")
-                target = &c.fw;
-            else if (f == "elem_bytes")
-                target = &c.elemBytes;
-            if (!target) {
-                *err = "unknown systolic config field '" + f + "'";
-                return false;
-            }
-            if (!wantInt(v, f, &i, err))
-                return false;
-            *target = static_cast<int>(i);
-            continue;
-        }
-        case ModelKind::Soc: {
-            auto &c = out->soc;
-            if (f == "accels") {
-                if (!v.isArray()) {
-                    *err = "config field 'accels' must be an array";
-                    return false;
-                }
-                c.accels.clear();
-                for (const Json &aj : v.items()) {
-                    if (!aj.isObject()) {
-                        *err = "accel entries must be objects";
-                        return false;
-                    }
-                    soc::TileSpec t;
-                    for (const auto &am : aj.members()) {
-                        if (am.first == "ah" || am.first == "aw") {
-                            if (!wantInt(am.second, am.first, &i, err))
-                                return false;
-                            (am.first == "ah" ? t.ah : t.aw) =
-                                static_cast<int>(i);
-                        } else if (am.first == "df") {
-                            if (!wantDataflow(am.second, am.first,
-                                              &t.dataflow, err))
-                                return false;
-                        } else if (am.first == "link_bw") {
-                            if (!wantInt(am.second, am.first, &i, err))
-                                return false;
-                            t.linkBytesPerCycle = i;
-                        } else {
-                            *err = "unknown accel field '" + am.first +
-                                   "'";
-                            return false;
-                        }
-                    }
-                    c.accels.push_back(t);
-                }
-                continue;
-            }
-            if (f == "bus_kind") {
-                if (!v.isStr() || (v.asStr() != "Streaming" &&
-                                   v.asStr() != "Window")) {
-                    *err = "config field 'bus_kind' must be "
-                           "\"Streaming\" or \"Window\"";
-                    return false;
-                }
-                c.busKind = v.asStr();
-                continue;
-            }
-            if (f == "bus_bw" || f == "sram_banks" || f == "dmas" ||
-                f == "rounds" || f == "steps" || f == "elem_bytes") {
-                if (!wantInt(v, f, &i, err))
-                    return false;
-                if (f == "bus_bw")
-                    c.busBytesPerCycle = i;
-                else if (f == "sram_banks")
-                    c.sramBanks = static_cast<unsigned>(i);
-                else if (f == "dmas")
-                    c.dmaEngines = static_cast<int>(i);
-                else if (f == "rounds")
-                    c.rounds = static_cast<int>(i);
-                else if (f == "steps")
-                    c.steps = static_cast<int>(i);
-                else
-                    c.elemBytes = i;
-                continue;
-            }
-            *err = "unknown soc config field '" + f + "'";
-            return false;
-        }
-        case ModelKind::Pipeline: {
-            auto &c = out->pipeline;
-            if (f == "stages" || f == "batches" || f == "tile_elems" ||
-                f == "compute" || f == "dma_bw" || f == "hop_bw" ||
-                f == "elem_bytes") {
-                if (!wantInt(v, f, &i, err))
-                    return false;
-                if (f == "stages")
-                    c.stages = static_cast<int>(i);
-                else if (f == "batches")
-                    c.batches = static_cast<int>(i);
-                else if (f == "tile_elems")
-                    c.tileElems = i;
-                else if (f == "compute")
-                    c.computePerElem = static_cast<int>(i);
-                else if (f == "dma_bw")
-                    c.dmaBytesPerCycle = i;
-                else if (f == "hop_bw")
-                    c.hopBytesPerCycle = i;
-                else
-                    c.elemBytes = i;
-                continue;
-            }
-            *err = "unknown pipeline config field '" + f + "'";
-            return false;
-        }
-        }
-    }
-    return true;
+    const std::string label = std::string(modelName(kind)) + " config";
+    return withConfig(kind, [&](auto m) {
+               return decode(config, label, &(out->*m), err);
+           }) &&
+           checkCrossFields(*out, err);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,114 +292,60 @@ bool
 applyAxis(ModelKey *key, const std::string &axis, int64_t value,
           std::string *err)
 {
-    switch (key->kind) {
-    case ModelKind::Systolic: {
-        auto &c = key->systolic;
-        if (axis == "ah")
-            c.ah = static_cast<int>(value);
-        else if (axis == "aw")
-            c.aw = static_cast<int>(value);
-        else if (axis == "hw")
-            c.h = c.w = static_cast<int>(value);
-        else if (axis == "h")
-            c.h = static_cast<int>(value);
-        else if (axis == "w")
-            c.w = static_cast<int>(value);
-        else if (axis == "c")
-            c.c = static_cast<int>(value);
-        else if (axis == "n")
-            c.n = static_cast<int>(value);
-        else if (axis == "f")
-            c.fh = c.fw = static_cast<int>(value);
-        else if (axis == "fh")
-            c.fh = static_cast<int>(value);
-        else if (axis == "fw")
-            c.fw = static_cast<int>(value);
-        else if (axis == "df") {
+    // Composite axes first; every other axis is an integer field.
+    if (key->kind == ModelKind::Systolic) {
+        if (axis == "hw")
+            return applyAxis(key, "h", value, err) &&
+                   applyAxis(key, "w", value, err);
+        if (axis == "f")
+            return applyAxis(key, "fh", value, err) &&
+                   applyAxis(key, "fw", value, err);
+        if (axis == "df") {
             if (value < 0 || value > 2) {
-                if (err)
-                    *err = "axis 'df' takes 0 (WS), 1 (IS) or 2 (OS)";
+                *err = "axis 'df' takes 0 (WS), 1 (IS) or 2 (OS)";
                 return false;
             }
-            c.dataflow = value == 0   ? scalesim::Dataflow::WS
-                         : value == 1 ? scalesim::Dataflow::IS
+            key->systolic.dataflow = static_cast<scalesim::Dataflow>(value);
+            return true;
+        }
+    }
+    if (key->kind == ModelKind::Soc && axis == "tiles") {
+        if (value < 1) {
+            *err = "axis 'tiles' must be >= 1";
+            return false;
+        }
+        // The fig_soc_contention convention: N alternating WS/OS
+        // 2x2 tiles on 8 B/cyc private links.
+        auto &accels = key->soc.accels;
+        accels.clear();
+        for (int64_t a = 0; a < value; ++a) {
+            soc::TileSpec t;
+            t.ah = t.aw = 2;
+            t.dataflow = (a % 2 == 0) ? scalesim::Dataflow::WS
                                       : scalesim::Dataflow::OS;
-        }
-        else if (axis == "elem_bytes")
-            c.elemBytes = static_cast<int>(value);
-        else {
-            if (err)
-                *err = "unknown systolic axis '" + axis + "'";
-            return false;
+            t.linkBytesPerCycle = 8;
+            accels.push_back(t);
         }
         return true;
     }
-    case ModelKind::Soc: {
-        auto &c = key->soc;
-        if (axis == "tiles") {
-            if (value < 1) {
-                if (err)
-                    *err = "axis 'tiles' must be >= 1";
-                return false;
+    bool found = false;
+    bool ok = withConfig(key->kind, [&](auto m) {
+        auto &cfg = key->*m;
+        bool set = false;
+        forEachField(cfg.fields(), [&](const auto &f) {
+            if constexpr (kIsAxis<std::decay_t<decltype(f)>>) {
+                if (!found && axis == f.name) {
+                    found = true;
+                    set = assignInt(f, value, &cfg, err);
+                }
             }
-            // The fig_soc_contention convention: N alternating WS/OS
-            // 2x2 tiles on 8 B/cyc private links.
-            c.accels.clear();
-            for (int64_t a = 0; a < value; ++a) {
-                soc::TileSpec t;
-                t.ah = t.aw = 2;
-                t.dataflow = (a % 2 == 0) ? scalesim::Dataflow::WS
-                                          : scalesim::Dataflow::OS;
-                t.linkBytesPerCycle = 8;
-                c.accels.push_back(t);
-            }
-        }
-        else if (axis == "dmas")
-            c.dmaEngines = static_cast<int>(value);
-        else if (axis == "bus_bw")
-            c.busBytesPerCycle = value;
-        else if (axis == "rounds")
-            c.rounds = static_cast<int>(value);
-        else if (axis == "steps")
-            c.steps = static_cast<int>(value);
-        else if (axis == "sram_banks")
-            c.sramBanks = static_cast<unsigned>(value);
-        else if (axis == "elem_bytes")
-            c.elemBytes = value;
-        else {
-            if (err)
-                *err = "unknown soc axis '" + axis + "'";
-            return false;
-        }
-        return true;
-    }
-    case ModelKind::Pipeline: {
-        auto &c = key->pipeline;
-        if (axis == "stages")
-            c.stages = static_cast<int>(value);
-        else if (axis == "batches")
-            c.batches = static_cast<int>(value);
-        else if (axis == "tile_elems")
-            c.tileElems = value;
-        else if (axis == "compute")
-            c.computePerElem = static_cast<int>(value);
-        else if (axis == "dma_bw")
-            c.dmaBytesPerCycle = value;
-        else if (axis == "hop_bw")
-            c.hopBytesPerCycle = value;
-        else if (axis == "elem_bytes")
-            c.elemBytes = value;
-        else {
-            if (err)
-                *err = "unknown pipeline axis '" + axis + "'";
-            return false;
-        }
-        return true;
-    }
-    }
-    if (err)
-        *err = "bad model kind";
-    return false;
+        });
+        return set;
+    });
+    if (!found)
+        *err = "unknown " + std::string(modelName(key->kind)) + " axis '" +
+               axis + "'";
+    return found && ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -533,16 +389,32 @@ SweepSpec::schema() const
     return cols;
 }
 
+namespace {
+
+/** spec.base with @p point's axis values applied; false (with *err)
+ *  on a bad axis name or value. */
+bool
+resolveKey(const SweepSpec &spec, const sweep::Point &point,
+           ModelKey *key, std::string *err)
+{
+    *key = spec.base;
+    for (const auto &a : spec.axes) {
+        if (!applyAxis(key, a.name, point.at(a.name), err))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 ModelKey
 SweepSpec::keyAt(const sweep::Point &point) const
 {
-    ModelKey key = base;
-    for (const auto &a : axes) {
-        std::string err;
-        bool ok = applyAxis(&key, a.name, point.at(a.name), &err);
-        assert(ok && "SweepSpec::keyAt on unvalidated spec");
-        (void)ok;
-    }
+    ModelKey key;
+    std::string err;
+    bool ok = resolveKey(*this, point, &key, &err);
+    assert(ok && "SweepSpec::keyAt on unvalidated spec");
+    (void)ok;
     return key;
 }
 
@@ -602,20 +474,24 @@ bool
 SweepSpec::validate(std::string *err) const
 {
     if (axes.empty()) {
-        if (err)
-            *err = "sweep needs at least one axis";
+        *err = "sweep needs at least one axis";
         return false;
     }
     for (const auto &a : axes) {
         if (a.values.empty()) {
-            if (err)
-                *err = "axis '" + a.name + "' has no values";
+            *err = "axis '" + a.name + "' has no values";
             return false;
         }
-        for (int64_t v : a.values) {
-            ModelKey probe = base;
-            if (!applyAxis(&probe, a.name, v, err))
-                return false;
+    }
+    // Every resolved point, not every value: a cross-field constraint
+    // (fh <= h) can fail only for some combinations of axis values.
+    const sweep::Grid g = grid();
+    for (const sweep::Point &p : g.points()) {
+        ModelKey key;
+        if (!resolveKey(*this, p, &key, err) ||
+            !checkCrossFields(key, err)) {
+            *err += " (sweep point " + std::to_string(p.index()) + ")";
+            return false;
         }
     }
     return true;
@@ -707,6 +583,43 @@ SweepSpec::fromJson(const Json &request, SweepSpec *out,
 // ---------------------------------------------------------------------------
 // In-process reference sweep
 
+namespace {
+
+/** One Session per sweep worker, rebuilt only when the point's
+ *  structural key changes — the same build-cache-run path the daemon's
+ *  ProgramCache entries use. Worker w only ever runs on one thread, so
+ *  no locking. */
+class SweepWorkers {
+  public:
+    SweepWorkers(unsigned n, sim::EngineOptions engine)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            _workers.emplace_back(engine);
+    }
+
+    sim::SimReport
+    run(unsigned w, const ModelKey &key)
+    {
+        Worker &worker = _workers[w];
+        if (!worker.key || *worker.key != key) {
+            worker.session.rebuild(
+                [&](ir::Context &ctx) { return key.build(ctx); });
+            worker.key = key;
+        }
+        return worker.session.run();
+    }
+
+  private:
+    struct Worker {
+        explicit Worker(sim::EngineOptions opts) : session(opts) {}
+        sim::Session session;
+        std::optional<ModelKey> key;
+    };
+    std::deque<Worker> _workers; // Session is neither copied nor moved
+};
+
+} // namespace
+
 sweep::Table
 runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
@@ -717,35 +630,12 @@ runLocalSweep(const SweepSpec &spec, unsigned threads,
     ropts.threads = threads;
     sweep::SweepRunner runner(ropts);
 
-    // One Session per worker, rebuilt only when the point's structural
-    // key changes — the same build-cache-run path the daemon's
-    // ProgramCache entries use.
-    struct Worker {
-        explicit Worker(sim::EngineOptions opts) : session(opts) {}
-        sim::Session session;
-        ModelKey key;
-        bool hasKey = false;
-    };
-    std::vector<std::unique_ptr<Worker>> workers;
-    unsigned n = runner.threadsFor(points.size());
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.push_back(std::make_unique<Worker>(engine));
-
+    SweepWorkers workers(runner.threadsFor(points.size()), engine);
     return runner.run(
         points, spec.schema(),
         [&](const sweep::Point &p,
             unsigned w) -> std::vector<sweep::Cell> {
-            Worker &worker = *workers[w];
-            ModelKey key = spec.keyAt(p);
-            if (!worker.hasKey || worker.key != key) {
-                worker.session.rebuild([&](ir::Context &ctx) {
-                    return key.build(ctx);
-                });
-                worker.key = key;
-                worker.hasKey = true;
-            }
-            return spec.row(p, worker.session.run());
+            return spec.row(p, workers.run(w, spec.keyAt(p)));
         });
 }
 
@@ -763,36 +653,14 @@ runLocalSweepDurable(const SweepSpec &spec,
     ropts.threads = threads;
     sweep::SweepRunner runner(ropts);
 
-    // Same per-worker Session discipline as runLocalSweep — worker w
-    // only ever runs on one thread, so no locking.
-    struct Worker {
-        explicit Worker(sim::EngineOptions opts) : session(opts) {}
-        sim::Session session;
-        ModelKey key;
-        bool hasKey = false;
-    };
-    std::vector<std::unique_ptr<Worker>> workers;
-    unsigned n = runner.threadsFor(points.size());
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.push_back(std::make_unique<Worker>(engine));
-
+    SweepWorkers workers(runner.threadsFor(points.size()), engine);
     return sweep::runJournaledSweep(
         runner, points, spec.schema(),
         [&](const sweep::Point &p) { return spec.pointKey(p); },
         [&](const sweep::Point &p,
             unsigned w) -> std::vector<sweep::Cell> {
-            Worker &worker = *workers[w];
-            ModelKey key = spec.keyAt(p);
-            if (!worker.hasKey || worker.key != key) {
-                worker.session.rebuild([&](ir::Context &ctx) {
-                    return key.build(ctx);
-                });
-                worker.key = key;
-                worker.hasKey = true;
-            }
             std::vector<sweep::Cell> cells =
-                spec.row(p, worker.session.run());
+                spec.row(p, workers.run(w, spec.keyAt(p)));
             if (on_point)
                 on_point(p);
             return cells;

@@ -76,23 +76,27 @@ struct ModelKey {
  *  fields fall back to). */
 ModelKey defaultKey(ModelKind kind);
 
-/** Config <-> JSON. toJson dumps every structural field; fromJson
+/** Config <-> JSON, both folded over the configs' field tables
+ *  (fields()): toJson dumps every field in table order; fromJson
  *  starts from defaultKey(kind) and overrides the fields present in
- *  @p config (unknown fields are an error, so typos never silently
- *  simulate the default). */
+ *  @p config. Unknown fields, wrong types and values outside a field's
+ *  declared range are errors naming the field, so typos never silently
+ *  simulate the default and bad sizes never reach a generator. */
 Json modelKeyToJson(const ModelKey &key);
 bool modelKeyFromJson(ModelKind kind, const Json &config, ModelKey *out,
                       std::string *err);
 
 /**
  * Apply one named sweep-axis value onto a key (e.g. "ah"=8 for
- * systolic, "tiles"=4 or "bus_bw"=16 for soc). Axis vocabulary:
- *   systolic: ah aw hw h w c n f fh fw df elem_bytes
- *   soc:      tiles dmas bus_bw rounds steps sram_banks elem_bytes
- *   pipeline: stages batches tile_elems compute dma_bw hop_bw
- *             elem_bytes
- * "tiles" resizes the SoC to N alternating WS/OS 2x2 tiles (the
- * fig_soc_contention convention). Returns false on an unknown axis.
+ * systolic, "tiles"=4 or "bus_bw"=16 for soc). The one-to-one axes
+ * are the family's integer fields, under their wire names and ranges;
+ * the composite axes are:
+ *   systolic: hw (h and w), f (fh and fw), df (0 WS, 1 IS, 2 OS)
+ *   soc:      tiles (N alternating WS/OS 2x2 tiles, the
+ *             fig_soc_contention convention)
+ * Returns false, with the reason in @p err, on an unknown axis or an
+ * out-of-range value. Constraints across fields (fh <= h) are left to
+ * SweepSpec::validate, which sees every axis of a point at once.
  */
 bool applyAxis(ModelKey *key, const std::string &axis, int64_t value,
                std::string *err);
@@ -128,7 +132,8 @@ struct SweepSpec {
     std::vector<sweep::Cell> row(const sweep::Point &point,
                                  const sim::SimReport &report) const;
 
-    /** Check every axis name/value against the base key. */
+    /** Check every grid point's resolved key: axis names, field
+     *  ranges and the constraints across fields. */
     bool validate(std::string *err) const;
 
     /** Content key of @p point for the result cache: the model name

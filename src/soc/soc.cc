@@ -16,26 +16,6 @@ namespace {
 using ir::OpBuilder;
 using ir::Value;
 
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-uint64_t
-fnv1aStr(uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 /** Per-PE register cells inside one tile. */
 struct PeRegs {
     Value inA;    ///< operand arriving from the left
@@ -606,40 +586,6 @@ struct PipelineEmitter {
 };
 
 } // namespace
-
-uint64_t
-SocConfig::hash() const
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const TileSpec &t : accels) {
-        h = fnv1a(h, uint64_t(t.ah));
-        h = fnv1a(h, uint64_t(t.aw));
-        h = fnv1a(h, uint64_t(t.dataflow));
-        h = fnv1a(h, uint64_t(t.linkBytesPerCycle));
-    }
-    h = fnv1a(h, uint64_t(busBytesPerCycle));
-    h = fnv1aStr(h, busKind);
-    h = fnv1a(h, sramBanks);
-    h = fnv1a(h, uint64_t(dmaEngines));
-    h = fnv1a(h, uint64_t(rounds));
-    h = fnv1a(h, uint64_t(steps));
-    h = fnv1a(h, uint64_t(elemBytes));
-    return h;
-}
-
-uint64_t
-PipelineConfig::hash() const
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, uint64_t(stages));
-    h = fnv1a(h, uint64_t(batches));
-    h = fnv1a(h, uint64_t(tileElems));
-    h = fnv1a(h, uint64_t(computePerElem));
-    h = fnv1a(h, uint64_t(dmaBytesPerCycle));
-    h = fnv1a(h, uint64_t(hopBytesPerCycle));
-    h = fnv1a(h, uint64_t(elemBytes));
-    return h;
-}
 
 SocConfig
 SocConfig::dualSharedBus()

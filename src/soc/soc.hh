@@ -34,10 +34,12 @@
 #ifndef EQ_SOC_SOC_HH
 #define EQ_SOC_SOC_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
 #include "ir/builder.hh"
 #include "scalesim/scalesim.hh"
 
@@ -51,13 +53,25 @@ struct TileSpec {
     scalesim::Dataflow dataflow = scalesim::Dataflow::WS;
     int64_t linkBytesPerCycle = 8; ///< private link (preload/drain)
 
-    bool operator==(const TileSpec &o) const
+    /** Wire names and accepted ranges, in declaration order. */
+    static constexpr auto
+    fields()
     {
-        return ah == o.ah && aw == o.aw && dataflow == o.dataflow &&
-               linkBytesPerCycle == o.linkBytesPerCycle;
+        return std::make_tuple(
+            intField("ah", &TileSpec::ah, 1),
+            intField("aw", &TileSpec::aw, 1),
+            enumField("df", &TileSpec::dataflow, scalesim::kDataflowNames),
+            // As for every *_bw field: 0 means unlimited, and the
+            // verifier rejects negative bandwidths.
+            intField("link_bw", &TileSpec::linkBytesPerCycle, 0));
     }
+
+    bool operator==(const TileSpec &o) const { return fieldsEqual(*this, o); }
     bool operator!=(const TileSpec &o) const { return !(*this == o); }
 };
+
+/** Wire names of the shared-bus connection kinds. */
+constexpr std::array<const char *, 2> kBusKinds = {"Streaming", "Window"};
 
 /** Shared-bus multi-accelerator SoC configuration. */
 struct SocConfig {
@@ -70,18 +84,26 @@ struct SocConfig {
     int steps = 4;                ///< systolic steps per round
     int64_t elemBytes = 4;
 
-    bool operator==(const SocConfig &o) const
+    /** Wire names and accepted ranges, in declaration order. */
+    static constexpr auto
+    fields()
     {
-        return accels == o.accels &&
-               busBytesPerCycle == o.busBytesPerCycle &&
-               busKind == o.busKind && sramBanks == o.sramBanks &&
-               dmaEngines == o.dmaEngines && rounds == o.rounds &&
-               steps == o.steps && elemBytes == o.elemBytes;
+        return std::make_tuple(
+            listField("accels", &SocConfig::accels, "accel", 1),
+            intField("bus_bw", &SocConfig::busBytesPerCycle, 0),
+            enumField("bus_kind", &SocConfig::busKind, kBusKinds),
+            intField("sram_banks", &SocConfig::sramBanks, 1),
+            intField("dmas", &SocConfig::dmaEngines, 1),
+            intField("rounds", &SocConfig::rounds, 0),
+            intField("steps", &SocConfig::steps, 0),
+            intField("elem_bytes", &SocConfig::elemBytes, 0));
     }
+
+    bool operator==(const SocConfig &o) const { return fieldsEqual(*this, o); }
     bool operator!=(const SocConfig &o) const { return !(*this == o); }
 
     /** FNV-1a over every field; stable across runs for cache keying. */
-    uint64_t hash() const;
+    uint64_t hash() const { return fieldsHash(*this); }
 
     /** Two identical WS tiles contending for one bus + one DMA. */
     static SocConfig dualSharedBus();
@@ -99,21 +121,30 @@ struct PipelineConfig {
     int64_t hopBytesPerCycle = 4; ///< stage-to-stage hop bandwidth
     int64_t elemBytes = 4;
 
+    /** Wire names and accepted ranges, in declaration order. */
+    static constexpr auto
+    fields()
+    {
+        return std::make_tuple(
+            intField("stages", &PipelineConfig::stages, 1),
+            intField("batches", &PipelineConfig::batches, 1),
+            intField("tile_elems", &PipelineConfig::tileElems, 0),
+            intField("compute", &PipelineConfig::computePerElem, 0),
+            intField("dma_bw", &PipelineConfig::dmaBytesPerCycle, 0),
+            intField("hop_bw", &PipelineConfig::hopBytesPerCycle, 0),
+            intField("elem_bytes", &PipelineConfig::elemBytes, 0));
+    }
+
     bool operator==(const PipelineConfig &o) const
     {
-        return stages == o.stages && batches == o.batches &&
-               tileElems == o.tileElems &&
-               computePerElem == o.computePerElem &&
-               dmaBytesPerCycle == o.dmaBytesPerCycle &&
-               hopBytesPerCycle == o.hopBytesPerCycle &&
-               elemBytes == o.elemBytes;
+        return fieldsEqual(*this, o);
     }
     bool operator!=(const PipelineConfig &o) const
     {
         return !(*this == o);
     }
 
-    uint64_t hash() const;
+    uint64_t hash() const { return fieldsHash(*this); }
 
     static PipelineConfig small();
 };

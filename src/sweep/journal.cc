@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "base/fsutil.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "sweep/resultcache.hh"
 
@@ -25,45 +26,6 @@ namespace eq {
 namespace sweep {
 
 namespace {
-
-uint64_t
-fnv1a(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::string
-hexU64(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-bool
-hexToU64(const std::string &s, uint64_t *out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    uint64_t v = 0;
-    for (char c : s) {
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | uint64_t(d);
-    }
-    *out = v;
-    return true;
-}
 
 /** Record payload (no CRC member yet) in canonical member order. */
 std::string
@@ -240,7 +202,7 @@ schemaSignature(const std::vector<Column> &schema)
 uint64_t
 hashPoints(const std::vector<Point> &points)
 {
-    uint64_t h = fnv1a(0xcbf29ce484222325ull, points.size());
+    uint64_t h = fnv1a(kFnvOffset, points.size());
     for (const auto &p : points) {
         h = fnv1a(h, p.index());
         for (int64_t v : p.values())

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "base/fsutil.hh"
+#include "base/hash.hh"
 #include "serve/protocol.hh"
 
 namespace eq {
@@ -24,35 +25,6 @@ namespace sweep {
 namespace {
 
 constexpr int kCacheVersion = 1;
-
-std::string
-hexU64(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-bool
-hexToU64(const std::string &s, uint64_t *out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    uint64_t v = 0;
-    for (char c : s) {
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | uint64_t(d);
-    }
-    *out = v;
-    return true;
-}
 
 std::string
 recordPayload(uint64_t hash, const std::string &key,
@@ -122,12 +94,7 @@ ResultCache::close()
 uint64_t
 ResultCache::hashKey(const std::string &key)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1aBytes(kFnvOffset, key);
 }
 
 bool

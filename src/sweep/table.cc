@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "base/stringutil.hh"
 
 namespace eq {
 namespace sweep {
@@ -154,23 +155,6 @@ csvEscape(const std::string &s)
         out += ch;
     }
     out += '"';
-    return out;
-}
-
-/** JSON string escaping (the subset our cell contents can hit). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char ch : s) {
-        switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += ch;
-        }
-    }
     return out;
 }
 

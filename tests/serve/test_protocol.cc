@@ -4,7 +4,9 @@
  * kind bit-exactly (ints stay ints, doubles go through "%.17g", object
  * member order is preserved — the determinism the byte-identical
  * served-sweep guarantee rests on), the parser rejects malformed
- * input, and the ModelKey JSON codec is strict about unknown fields.
+ * input, and the ModelKey JSON codec is strict about unknown fields
+ * and out-of-range values and keeps the bytes earlier journals and
+ * caches were keyed on.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
@@ -357,20 +362,151 @@ TEST(ServeJsonFuzz, DeepNestingIsRejectedNotOverflowed)
     EXPECT_NE(err.find("deep"), std::string::npos) << err;
 }
 
-TEST(ServeModels, ModelKeyJsonRoundTrip)
+/** Every field mutation @p base's table allows, one field at a time
+ *  (list fields: each field of the first entry, then one more entry),
+ *  labelled with the field's wire name. */
+template <class S>
+std::vector<std::pair<std::string, S>>
+mutations(const S &base)
 {
-    for (serve::ModelKind kind :
-         {serve::ModelKind::Systolic, serve::ModelKind::Soc,
-          serve::ModelKind::Pipeline}) {
-        serve::ModelKey key = serve::defaultKey(kind);
-        Json cfg = serve::modelKeyToJson(key);
+    std::vector<std::pair<std::string, S>> out;
+    forEachField(S::fields(), [&](const auto &f) {
+        S s = base;
+        auto &v = s.*(f.member);
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_enum_v<T>) {
+            v = static_cast<T>((size_t(v) + 1) % f.names.size());
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            v = v == f.names[0] ? f.names[1] : f.names[0];
+        } else if constexpr (std::is_integral_v<T>) {
+            v += 1;
+        } else {
+            for (const auto &[name, entry] : mutations(v.front())) {
+                S t = base;
+                (t.*(f.member)).front() = entry;
+                out.push_back({std::string(f.name) + "[0]." + name, t});
+            }
+            v.push_back(v.front());
+        }
+        out.push_back({f.name, s});
+    });
+    return out;
+}
+
+/** One family's key plus the model-config member it sets. */
+template <class M>
+void
+checkEveryField(const serve::ModelKey &base, M member, size_t expected)
+{
+    const std::string bytes = serve::modelKeyToJson(base).dump();
+    const auto muts = mutations(base.*member);
+    EXPECT_EQ(muts.size(), expected) << bytes;
+    for (const auto &[name, cfg] : muts) {
+        serve::ModelKey key = base;
+        key.*member = cfg;
+        EXPECT_TRUE(key != base) << name;
+        EXPECT_NE(key.hash(), base.hash()) << name;
+        const Json json = serve::modelKeyToJson(key);
+        EXPECT_NE(json.dump(), bytes) << name;
         serve::ModelKey back;
         std::string err;
-        ASSERT_TRUE(serve::modelKeyFromJson(kind, cfg, &back, &err))
-            << err;
-        EXPECT_TRUE(back == key) << serve::modelName(kind);
-        EXPECT_EQ(back.hash(), key.hash());
+        ASSERT_TRUE(serve::modelKeyFromJson(key.kind, reparse(json), &back,
+                                            &err))
+            << name << ": " << err;
+        EXPECT_TRUE(back == key) << name;
     }
+}
+
+TEST(ServeModels, ModelKeyJsonRoundTrip)
+{
+    // The wire bytes of releases before the field tables: journal salts
+    // and result-cache keys are built from exactly these strings, so
+    // journals and caches written then must stay resumable.
+    const struct {
+        serve::ModelKey key;
+        serve::SweepAxis axis;
+        const char *json;
+        const char *point; ///< the resolved config at axis value 1
+    } cases[] = {
+        {serve::defaultKey(serve::ModelKind::Systolic),
+         {"ah", {2, 8}},
+         R"({"ah":4,"aw":4,"df":"WS","c":1,"h":8,"w":8,"n":1,"fh":2,)"
+         R"("fw":2,"elem_bytes":4})",
+         R"({"ah":8,"aw":4,"df":"WS","c":1,"h":8,"w":8,"n":1,"fh":2,)"
+         R"("fw":2,"elem_bytes":4})"},
+        {serve::defaultKey(serve::ModelKind::Soc),
+         {"tiles", {1, 3}},
+         R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
+         R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":8,)"
+         R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
+         R"("steps":4,"elem_bytes":4})",
+         R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
+         R"({"ah":2,"aw":2,"df":"OS","link_bw":8},)"
+         R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":8,)"
+         R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
+         R"("steps":4,"elem_bytes":4})"},
+        {serve::defaultKey(serve::ModelKind::Pipeline),
+         {"stages", {2, 5}},
+         R"({"stages":4,"batches":6,"tile_elems":16,"compute":2,)"
+         R"("dma_bw":8,"hop_bw":4,"elem_bytes":4})",
+         R"({"stages":5,"batches":6,"tile_elems":16,"compute":2,)"
+         R"("dma_bw":8,"hop_bw":4,"elem_bytes":4})"},
+        {serve::ModelKey::socKey(soc::SocConfig::dualSharedBus()),
+         {"bus_bw", {16, 32}},
+         R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
+         R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":8,)"
+         R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
+         R"("steps":4,"elem_bytes":4})",
+         R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
+         R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":32,)"
+         R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
+         R"("steps":4,"elem_bytes":4})"},
+        {serve::ModelKey::socKey(soc::SocConfig::heteroStarved()),
+         {"sram_banks", {1, 8}},
+         R"({"accels":[{"ah":2,"aw":3,"df":"WS","link_bw":8},)"
+         R"({"ah":3,"aw":2,"df":"OS","link_bw":2}],"bus_bw":4,)"
+         R"("bus_kind":"Window","sram_banks":2,"dmas":1,"rounds":2,)"
+         R"("steps":3,"elem_bytes":4})",
+         R"({"accels":[{"ah":2,"aw":3,"df":"WS","link_bw":8},)"
+         R"({"ah":3,"aw":2,"df":"OS","link_bw":2}],"bus_bw":4,)"
+         R"("bus_kind":"Window","sram_banks":8,"dmas":1,"rounds":2,)"
+         R"("steps":3,"elem_bytes":4})"},
+    };
+    for (const auto &c : cases) {
+        const std::string model = serve::modelName(c.key.kind);
+        Json cfg = serve::modelKeyToJson(c.key);
+        EXPECT_EQ(cfg.dump(), c.json) << model;
+
+        serve::SweepSpec spec;
+        spec.base = c.key;
+        spec.axes.push_back(c.axis);
+        std::string err;
+        ASSERT_TRUE(spec.validate(&err)) << err;
+        EXPECT_EQ(spec.saltString(), model + " " + c.json);
+        const sweep::Grid grid = spec.grid();
+        EXPECT_EQ(spec.pointKey(grid.points().at(1)), model + " " + c.point);
+
+        serve::ModelKey back;
+        ASSERT_TRUE(serve::modelKeyFromJson(c.key.kind, reparse(cfg), &back,
+                                            &err))
+            << err;
+        EXPECT_TRUE(back == c.key) << model;
+        EXPECT_EQ(back.hash(), c.key.hash());
+    }
+}
+
+TEST(ServeModels, EveryTableFieldShowsInIdentityAndWireBytes)
+{
+    using serve::ModelKey;
+    using serve::ModelKind;
+    // 10 systolic fields; soc: 8 fields + 4 per accel entry; 7 pipeline.
+    checkEveryField(serve::defaultKey(ModelKind::Systolic),
+                    &ModelKey::systolic, 10);
+    checkEveryField(serve::defaultKey(ModelKind::Soc), &ModelKey::soc, 12);
+    checkEveryField(ModelKey::socKey(soc::SocConfig::heteroStarved()),
+                    &ModelKey::soc, 12);
+    checkEveryField(serve::defaultKey(ModelKind::Pipeline),
+                    &ModelKey::pipeline, 7);
 }
 
 TEST(ServeModels, ModelKeyJsonOverridesFields)
@@ -392,13 +528,48 @@ TEST(ServeModels, ModelKeyJsonOverridesFields)
 
 TEST(ServeModels, ModelKeyJsonRejectsUnknownFields)
 {
-    Json cfg = Json::object();
-    cfg.set("ahh", 8); // typo must not silently simulate the default
-    serve::ModelKey key;
-    std::string err;
-    EXPECT_FALSE(serve::modelKeyFromJson(serve::ModelKind::Systolic,
-                                         cfg, &key, &err));
-    EXPECT_NE(err.find("ahh"), std::string::npos) << err;
+    const struct {
+        serve::ModelKind kind;
+        const char *config;
+        const char *error;
+    } cases[] = {
+        // A typo must not silently simulate the default.
+        {serve::ModelKind::Systolic, R"({"ahh":8})",
+         "unknown systolic config field 'ahh'"},
+        {serve::ModelKind::Soc, R"({"accels":[{"ahh":1}]})",
+         "unknown accel field 'ahh'"},
+        {serve::ModelKind::Pipeline, R"({"stages":2.5})",
+         "config field 'stages' must be an integer"},
+        {serve::ModelKind::Systolic, R"({"df":"XS"})",
+         R"(config field 'df' must be "WS", "IS" or "OS")"},
+        {serve::ModelKind::Soc, R"({"bus_kind":"Ring"})",
+         R"(config field 'bus_kind' must be "Streaming" or "Window")"},
+        {serve::ModelKind::Soc, R"({"accels":[1]})",
+         "accel entries must be objects"},
+        // Out of the declared range, including values an int would
+        // silently truncate (2^32 + 2 used to answer as ah = 2).
+        {serve::ModelKind::Systolic, R"({"ah":4294967298})",
+         "config field 'ah' must be in [1, 2147483647]"},
+        {serve::ModelKind::Soc, R"({"sram_banks":0})",
+         "config field 'sram_banks' must be in [1, 4294967295]"},
+        {serve::ModelKind::Soc, R"({"accels":[{"link_bw":-1}]})",
+         "config field 'link_bw' must be in [0, 9223372036854775807]"},
+        {serve::ModelKind::Soc, R"({"accels":[]})",
+         "config field 'accels' needs at least 1 entry"},
+        {serve::ModelKind::Systolic, R"({"h":1,"w":1})",
+         "config field 'fh' must not exceed 'h'"},
+        {serve::ModelKind::Systolic, R"({"w":1})",
+         "config field 'fw' must not exceed 'w'"},
+    };
+    for (const auto &c : cases) {
+        Json cfg;
+        std::string err;
+        ASSERT_TRUE(Json::parse(c.config, &cfg, &err)) << err;
+        serve::ModelKey key;
+        EXPECT_FALSE(serve::modelKeyFromJson(c.kind, cfg, &key, &err))
+            << c.config;
+        EXPECT_EQ(err, c.error) << c.config;
+    }
 }
 
 TEST(ServeModels, ApplyAxisChangesKeyIdentity)
@@ -412,6 +583,31 @@ TEST(ServeModels, ApplyAxisChangesKeyIdentity)
 
     EXPECT_FALSE(serve::applyAxis(&b, "bogus_axis", 1, &err));
     EXPECT_NE(err.find("bogus_axis"), std::string::npos) << err;
+
+    // Axes take their field's range: no truncation, no zero-sized array.
+    EXPECT_FALSE(serve::applyAxis(&b, "aw", 0, &err));
+    EXPECT_EQ(err, "config field 'aw' must be in [1, 2147483647]");
+    EXPECT_FALSE(serve::applyAxis(&b, "hw", int64_t(1) << 32, &err));
+    EXPECT_NE(err.find("'h'"), std::string::npos) << err;
+    serve::ModelKey p = serve::defaultKey(serve::ModelKind::Pipeline);
+    EXPECT_FALSE(serve::applyAxis(&p, "stages", 0, &err));
+    EXPECT_NE(err.find("stages"), std::string::npos) << err;
+}
+
+TEST(ServeModels, SweepValidateChecksEveryResolvedPoint)
+{
+    // Each value is in range on its own; only the point h=1, f=2
+    // breaks fh <= h, which keyAt would otherwise hand a generator.
+    serve::SweepSpec spec;
+    spec.base = serve::defaultKey(serve::ModelKind::Systolic);
+    spec.axes.push_back({"h", {8, 1}});
+    spec.axes.push_back({"f", {1, 2}});
+    std::string err;
+    EXPECT_FALSE(spec.validate(&err));
+    EXPECT_NE(err.find("'fh'"), std::string::npos) << err;
+
+    spec.axes.back().values = {1};
+    EXPECT_TRUE(spec.validate(&err)) << err;
 }
 
 } // namespace

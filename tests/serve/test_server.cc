@@ -10,8 +10,9 @@
  * Hardening coverage: structured error codes, deadline_ms expiry,
  * client-disconnect-mid-sweep cancellation (the queues drain and a
  * later client still gets byte-identical cache-warm results),
- * backpressure with retry_after_ms, oversized-frame rejection, and
- * retry/backoff recovery through injected faults.
+ * backpressure with retry_after_ms, oversized-frame rejection,
+ * out-of-range configs answered bad_request on a connection that keeps
+ * serving, and retry/backoff recovery through injected faults.
  */
 
 #include <gtest/gtest.h>
@@ -202,6 +203,57 @@ TEST(ServeServer, ProtocolErrorsKeepConnectionAlive)
     EXPECT_EQ(serve::parseError(resp).code, ErrorCode::BadRequest);
 
     // The connection survives all of it.
+    auto good =
+        client.simulate(serve::defaultKey(serve::ModelKind::Systolic));
+    EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(ServeServer, OutOfRangeConfigsAreRejectedAndServingContinues)
+{
+    // Each of these once killed the daemon (SIGFPE, abort, exit), was
+    // silently truncated, or answered a plausible report.
+    const struct {
+        const char *model;
+        const char *config;
+        const char *field;
+    } cases[] = {
+        {"systolic", R"({"ah":0})", "ah"},
+        {"systolic", R"({"aw":0})", "aw"},
+        {"systolic", R"({"h":1,"w":1,"fh":2,"fw":2})", "fh"},
+        {"systolic", R"({"ah":4294967298})", "ah"},
+        {"systolic", R"({"ah":-3})", "ah"},
+        {"systolic", R"({"c":-1})", "'c'"},
+        {"soc", R"({"accels":[]})", "accels"},
+        {"soc", R"({"dmas":0})", "dmas"},
+        {"soc", R"({"sram_banks":0})", "sram_banks"},
+        {"soc", R"({"steps":-1})", "steps"},
+        {"soc", R"({"bus_bw":-1})", "bus_bw"},
+        {"soc", R"({"accels":[{"link_bw":-1}]})", "link_bw"},
+        {"soc", R"({"accels":[{"ah":0,"aw":0}]})", "ah"},
+        {"pipeline", R"({"stages":0})", "stages"},
+        {"pipeline", R"({"batches":0})", "batches"},
+        {"pipeline", R"({"tile_elems":-4})", "tile_elems"},
+    };
+    auto server = startServer();
+    Client client;
+    connectTo(*server, &client);
+    for (const auto &c : cases) {
+        Json req = Json::object();
+        req.set("op", "simulate");
+        req.set("model", c.model);
+        Json cfg;
+        std::string err;
+        ASSERT_TRUE(Json::parse(c.config, &cfg, &err)) << err;
+        req.set("config", cfg);
+        Json resp;
+        ASSERT_TRUE(client.roundTrip(req, &resp, &err))
+            << c.model << " " << c.config << ": " << err;
+        EXPECT_FALSE(resp.getBool("ok", true)) << c.config;
+        serve::ErrorInfo info = serve::parseError(resp);
+        EXPECT_EQ(info.code, ErrorCode::BadRequest) << c.config;
+        EXPECT_NE(info.message.find(c.field), std::string::npos)
+            << c.config << ": " << info.message;
+    }
     auto good =
         client.simulate(serve::defaultKey(serve::ModelKind::Systolic));
     EXPECT_TRUE(good.ok) << good.error;

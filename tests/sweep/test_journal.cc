@@ -173,6 +173,12 @@ TEST_F(JournalTest, HashPointsSeesValuesAndOrder)
     sweep::Grid g3;
     g3.axis("a", {5, 6}).axis("b", {1, 2, 3}); // axes swapped
     EXPECT_NE(h1, sweep::hashPoints(g3.points()));
+
+    // Persisted in every journal header: earlier journals resume only
+    // while this value holds.
+    sweep::Grid g4;
+    g4.axis("ah", {2, 4, 8});
+    EXPECT_EQ(sweep::hashPoints(g4.points()), 0x689dc9c5c55823abull);
 }
 
 TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)

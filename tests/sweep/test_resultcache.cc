@@ -70,6 +70,16 @@ TEST_F(ResultCacheTest, RowsPersistAcrossOpens)
         ASSERT_TRUE(cache.append("k2", rowFor(2), &err)) << err;
         EXPECT_EQ(cache.stats().appended, 2u);
     }
+    // Key hashes are persisted as 16 hex digits: caches written by
+    // earlier releases are found only while these bytes hold.
+    EXPECT_EQ(sweep::ResultCache::hashKey("systolic {\"ah\":4}"),
+              0x4bda16730ed14b08ull);
+    std::string text;
+    ASSERT_TRUE(fs::readFile(path, &text, &err)) << err;
+    EXPECT_NE(text.find("\"h\":\"08be0f07b56224c1\",\"key\":\"k1\""),
+              std::string::npos)
+        << text;
+
     sweep::ResultCache cache;
     ASSERT_TRUE(openDefault(cache, &err)) << err;
     EXPECT_EQ(cache.stats().loaded, 2u);
