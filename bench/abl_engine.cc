@@ -14,6 +14,8 @@
 
 #include "bench_util.hh"
 #include "dialects/equeue.hh"
+#include "ir/builder.hh"
+#include "systolic/generator.hh"
 
 using namespace eq;
 
@@ -127,7 +129,8 @@ main()
     std::printf("# Ablation 3: engine event throughput\n");
     {
         auto t0 = std::chrono::steady_clock::now();
-        auto run = bench::runSystolic(cfg);
+        auto run = serve::SweepWorkers(1).run(
+            0, serve::ModelKey::systolicKey(cfg));
         auto t1 = std::chrono::steady_clock::now();
         double secs = std::chrono::duration<double>(t1 - t0).count();
         std::printf("  events=%llu ops=%llu wall=%.4fs -> %.0f events/s, "

@@ -1,177 +1,40 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses, built on the sweep
- * subsystem (src/sweep/): per-worker systolic simulation state with
- * batched module reuse, self-timed runs, and the common command-line
- * surface (--threads/--csv/--json) every harness exposes.
+ * subsystem (src/sweep/) and the serve::SweepWorkers session pool:
+ * the common command-line surface (--threads/--csv/--json) every
+ * harness exposes and the journaled sweep driver behind it.
  */
 
 #ifndef EQ_BENCH_BENCH_UTIL_HH
 #define EQ_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ir/builder.hh"
-#include "scalesim/scalesim.hh"
+#include "base/stringutil.hh"
+#include "serve/models.hh"
 #include "sim/engine.hh"
-#include "sim/session.hh"
-#include "soc/soc.hh"
 #include "sweep/grid.hh"
 #include "sweep/journal.hh"
 #include "sweep/runner.hh"
 #include "sweep/table.hh"
-#include "systolic/generator.hh"
 
 namespace eq {
 namespace bench {
 
-/** Engine-side result of simulating one systolic configuration. The
- *  helper times itself: @ref buildSeconds is module construction only,
- *  @ref simSeconds is engine execution only — harnesses must not wrap
- *  their own clocks around the call (they used to time build+simulate
- *  together, inconsistently between figures). */
-struct SystolicRun {
-    sim::SimReport report;
-    int64_t sramReadBytes = 0;
-    int64_t sramWriteBytes = 0;
-    double ofmapWriteBw = 0.0;
-    double buildSeconds = 0.0; ///< module (re)build; 0 when reused
-    double simSeconds = 0.0;   ///< engine wall time (report.wallSeconds)
-};
-
-/**
- * Per-worker systolic simulation state for sharded sweeps, built on
- * sim::Session (one Context + Simulator + pinned module/BatchSession
- * per worker): the session is rebuilt only when a point's structural
- * parameters change, so repeated runs of an unchanged point reuse the
- * module, its value numbering, the dispatch tables, and any compiled
- * programs. The config comparison stays typed (operator==), so reuse
- * never depends on hash uniqueness.
- */
-class SystolicWorker {
-  public:
-    explicit SystolicWorker(sim::EngineOptions opts = {})
-        : _session(opts)
-    {
-    }
-
-    SystolicRun
-    run(const scalesim::Config &cfg)
-    {
-        SystolicRun out;
-        if (!_session.ready() || _cfg != cfg) {
-            _session.rebuild([&](ir::Context &ctx) {
-                return systolic::buildSystolicModule(ctx, cfg);
-            });
-            _cfg = cfg;
-            out.buildSeconds = _session.lastBuildSeconds();
-        }
-        out.report = _session.run();
-        out.simSeconds = out.report.wallSeconds;
-        for (const auto &m : out.report.memories) {
-            if (m.kind == "SRAM") {
-                out.sramReadBytes += m.bytesRead;
-                out.sramWriteBytes += m.bytesWritten;
-            }
-        }
-        out.ofmapWriteBw =
-            out.sramWriteBytes /
-            std::max<double>(1.0, double(out.report.cycles));
-        return out;
-    }
-
-  private:
-    sim::Session _session;
-    scalesim::Config _cfg;
-};
-
-/** One pool of workers sized for @p runner sharding @p num_points. */
-inline std::vector<std::unique_ptr<SystolicWorker>>
-makeSystolicWorkers(const sweep::SweepRunner &runner, size_t num_points,
-                    sim::EngineOptions opts = {})
+/** Average SRAM (ofmap) write bandwidth of a systolic run, in bytes
+ *  per simulated cycle. */
+inline double
+ofmapWriteBw(const sim::SimReport &report)
 {
-    std::vector<std::unique_ptr<SystolicWorker>> workers;
-    unsigned n = runner.threadsFor(num_points);
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.push_back(std::make_unique<SystolicWorker>(opts));
-    return workers;
-}
-
-/** One-shot convenience: simulate @p cfg with fresh state. */
-inline SystolicRun
-runSystolic(const scalesim::Config &cfg, sim::EngineOptions opts = {})
-{
-    SystolicWorker worker(opts);
-    return worker.run(cfg);
-}
-
-/** Engine-side result of simulating one SoC configuration. */
-struct SocRun {
-    sim::SimReport report;
-    int64_t busReadBytes = 0;
-    int64_t busWriteBytes = 0;
-    double busMaxPortion = 0.0; ///< peak bus occupancy (read+write)
-    double buildSeconds = 0.0;  ///< module (re)build; 0 when reused
-    double simSeconds = 0.0;    ///< engine wall time
-};
-
-/**
- * Per-worker SoC simulation state for sharded sweeps: the SocWorker
- * analogue of SystolicWorker, keyed on soc::SocConfig — the same
- * sim::Session build-cache-run path, rebuilt only when the point's
- * config stops being value-equal to the previous one.
- */
-class SocWorker {
-  public:
-    explicit SocWorker(sim::EngineOptions opts = {}) : _session(opts) {}
-
-    SocRun
-    run(const soc::SocConfig &cfg)
-    {
-        SocRun out;
-        if (!_session.ready() || _cfg != cfg) {
-            _session.rebuild([&](ir::Context &ctx) {
-                return soc::buildSocModule(ctx, cfg);
-            });
-            _cfg = cfg;
-            out.buildSeconds = _session.lastBuildSeconds();
-        }
-        out.report = _session.run();
-        out.simSeconds = out.report.wallSeconds;
-        if (!out.report.connections.empty()) {
-            // The bus is the first connection the generator creates.
-            const auto &bus = out.report.connections.front();
-            out.busReadBytes = bus.readBytes;
-            out.busWriteBytes = bus.writeBytes;
-            out.busMaxPortion =
-                bus.maxBwPortionRead + bus.maxBwPortionWrite;
-        }
-        return out;
-    }
-
-  private:
-    sim::Session _session;
-    soc::SocConfig _cfg;
-};
-
-/** One pool of SoC workers sized for @p runner sharding @p num_points. */
-inline std::vector<std::unique_ptr<SocWorker>>
-makeSocWorkers(const sweep::SweepRunner &runner, size_t num_points,
-               sim::EngineOptions opts = {})
-{
-    std::vector<std::unique_ptr<SocWorker>> workers;
-    unsigned n = runner.threadsFor(num_points);
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.push_back(std::make_unique<SocWorker>(opts));
-    return workers;
+    return serve::sramTraffic(report).writeBytes /
+           std::max<double>(1.0, double(report.cycles));
 }
 
 /** True when the full (slow) sweep was requested via EQ_FULL_SWEEP=1. */
@@ -230,16 +93,13 @@ struct HarnessArgs {
             };
             if (arg == "--threads") {
                 std::string v = next();
-                char *end = nullptr;
-                long n = std::strtol(v.c_str(), &end, 10);
-                if (n <= 0 || end == v.c_str() || *end != '\0') {
+                if (!parseInt(v, 1u, &a.threads)) {
                     std::fprintf(stderr,
                                  "--threads expects a positive "
                                  "integer, got '%s'\n",
                                  v.c_str());
                     std::exit(2);
                 }
-                a.threads = static_cast<unsigned>(n);
             }
             else if (arg == "--csv")
                 a.csvPath = next();
@@ -311,13 +171,6 @@ struct HarnessArgs {
         return o;
     }
 
-    /** True when any durability flag asks for the journaled path. */
-    bool
-    wantsDurability() const
-    {
-        return !journalPath.empty() || !cachePath.empty();
-    }
-
     /** Print @p table to stdout and write any requested CSV/JSON.
      *  With --no-wall, wall-clock columns (by convention named with an
      *  `_s` seconds suffix) are dropped, leaving only deterministic
@@ -365,11 +218,11 @@ struct HarnessArgs {
 };
 
 /**
- * Run a harness sweep with the crash-safety layer when the user asked
- * for it (--journal/--cache), else the plain SweepRunner path —
- * byte-identical tables either way for deterministic columns
- * (wall-clock columns replay recorded values; --no-wall drops them
- * before comparison, as always).
+ * Run a harness sweep through runJournaledSweep: with no --journal or
+ * --cache that is the plain SweepRunner path, and with them the
+ * crash-safety layer — byte-identical tables either way for
+ * deterministic columns (wall-clock columns replay recorded values;
+ * --no-wall drops them before comparison, as always).
  *
  * The content key of a point is @p salt plus its axis values in grid
  * order — enough identity for a harness whose fixed config is folded
@@ -384,9 +237,6 @@ runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
          std::vector<sweep::Column> schema, const std::string &salt,
          const sweep::SweepRunner::RowFn &fn)
 {
-    if (!args.wantsDurability())
-        return runner.run(points, std::move(schema), fn);
-
     auto keyFn = [&salt](const sweep::Point &p) {
         std::string key = salt;
         for (int64_t v : p.values()) {
@@ -411,24 +261,14 @@ runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
         default: std::exit(1);
         }
     }
-    std::fprintf(stderr,
-                 "# resume: computed=%zu journal=%zu cache=%zu "
-                 "truncated_bytes=%llu\n",
-                 stats.computed, stats.fromJournal, stats.fromCache,
-                 static_cast<unsigned long long>(
-                     stats.journalTruncatedBytes));
+    if (!args.journalPath.empty() || !args.cachePath.empty())
+        std::fprintf(stderr,
+                     "# resume: computed=%zu journal=%zu cache=%zu "
+                     "truncated_bytes=%llu\n",
+                     stats.computed, stats.fromJournal, stats.fromCache,
+                     static_cast<unsigned long long>(
+                         stats.journalTruncatedBytes));
     return table;
-}
-
-/** The dataflow axis every systolic sweep shares (axis value -> df). */
-inline scalesim::Dataflow
-dataflowFromAxis(int64_t v)
-{
-    switch (v) {
-    case 0: return scalesim::Dataflow::WS;
-    case 1: return scalesim::Dataflow::IS;
-    default: return scalesim::Dataflow::OS;
-    }
 }
 
 } // namespace bench

@@ -14,6 +14,7 @@
 
 #include "bench_util.hh"
 #include "passes/pipeline.hh"
+#include "systolic/generator.hh"
 
 using namespace eq;
 using passes::Stage;

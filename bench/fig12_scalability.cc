@@ -6,9 +6,9 @@
  * (4,050 points in the paper).
  *
  * The sweep runs through the SweepRunner subsystem: points shard across
- * a worker pool (one Context + Simulator per worker), so the full grid
- * (EQ_FULL_SWEEP=1) is minutes-fast on a multicore host instead of an
- * opt-in marathon. Rows are ordered by point index — byte-identical for
+ * a serve::SweepWorkers session pool (one sim::Session per worker), so
+ * the full grid (EQ_FULL_SWEEP=1) is minutes-fast on a multicore host
+ * instead of an opt-in marathon. Rows are ordered by point index — byte-identical for
  * any thread count (EQ_SWEEP_THREADS or --threads N).
  *
  * Columns: simulated cycles (x-axis of every subplot), simulator
@@ -35,48 +35,50 @@ main(int argc, char **argv)
     auto args = bench::HarnessArgs::parse(argc, argv);
     const bool full = bench::fullSweepRequested();
 
-    sweep::Grid grid;
-    grid.axis("df", {0, 1, 2})
-        .axis("ah", full ? std::vector<int64_t>{2, 4, 8, 16, 32}
-                         : std::vector<int64_t>{2, 8, 32})
-        .axis("hw", full ? std::vector<int64_t>{2, 4, 8, 16, 32}
-                         : std::vector<int64_t>{4, 16})
-        .axis("f", full ? std::vector<int64_t>{1, 2, 4}
-                        : std::vector<int64_t>{1, 2})
-        .axis("n", full ? std::vector<int64_t>{1, 2, 4, 8, 16, 32}
-                        : std::vector<int64_t>{2, 8})
-        .filter([](const sweep::Point &p) {
-            // Filter must fit inside the ifmap.
-            return p.at("hw") >= p.at("f");
-        });
+    serve::SweepSpec spec;
+    spec.axes = {
+        {"df", {0, 1, 2}},
+        {"ah", full ? std::vector<int64_t>{2, 4, 8, 16, 32}
+                    : std::vector<int64_t>{2, 8, 32}},
+        {"hw", full ? std::vector<int64_t>{2, 4, 8, 16, 32}
+                    : std::vector<int64_t>{4, 16}},
+        {"f", full ? std::vector<int64_t>{1, 2, 4}
+                   : std::vector<int64_t>{1, 2}},
+        {"n", full ? std::vector<int64_t>{1, 2, 4, 8, 16, 32}
+                   : std::vector<int64_t>{2, 8}},
+    };
+    sweep::Grid grid = spec.grid();
+    grid.filter([](const sweep::Point &p) {
+        // Filter must fit inside the ifmap.
+        return p.at("hw") >= p.at("f");
+    });
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    auto workers = bench::makeSystolicWorkers(runner, points.size(),
-                                              args.engineOptions());
+    serve::SweepWorkers workers(runner.threadsFor(points.size()),
+                                args.engineOptions());
 
     std::printf("# Fig 12: scalability sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
                 runner.threadsFor(points.size()));
 
-    auto cfgAt = [](const sweep::Point &p) {
-        scalesim::Config cfg;
-        cfg.ah = static_cast<int>(p.at("ah"));
+    // The axes set df, Ah, H = W, Fh = Fw and N; the array keeps 64
+    // PEs (Aw = 64/Ah) and the channel count follows the filter.
+    std::vector<serve::ModelKey> keys;
+    keys.reserve(points.size());
+    for (const auto &p : points) {
+        keys.push_back(spec.keyAt(p));
+        scalesim::Config &cfg = keys.back().systolic;
         cfg.aw = 64 / cfg.ah;
-        cfg.c = static_cast<int>(p.at("f"));
-        cfg.h = cfg.w = static_cast<int>(p.at("hw"));
-        cfg.n = static_cast<int>(p.at("n"));
-        cfg.fh = cfg.fw = static_cast<int>(p.at("f"));
-        cfg.dataflow = bench::dataflowFromAxis(p.at("df"));
-        return cfg;
-    };
+        cfg.c = cfg.fh;
+    }
 
     // Fused analytic pass over the full grid, indexed by dense point
     // index; the sweep below never calls the analytic model.
     std::vector<scalesim::Config> cfgs;
     cfgs.reserve(points.size());
-    for (const auto &p : points)
-        cfgs.push_back(cfgAt(p));
+    for (const auto &key : keys)
+        cfgs.push_back(key.systolic);
     auto ss_results = scalesim::simulateBatch(cfgs);
 
     std::vector<sweep::Column> schema{
@@ -97,7 +99,7 @@ main(int argc, char **argv)
         full ? "fig12 full" : "fig12 sampled",
         [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
             const scalesim::Config &cfg = cfgs[p.index()];
-            auto run = workers[w]->run(cfg);
+            auto run = workers.run(w, keys[p.index()]);
             const auto &ss = ss_results[p.index()];
             return {scalesim::dataflowName(cfg.dataflow),
                     cfg.ah,
@@ -106,7 +108,7 @@ main(int argc, char **argv)
                     cfg.fh,
                     cfg.n,
                     static_cast<int64_t>(run.report.cycles),
-                    run.simSeconds,
+                    run.report.wallSeconds,
                     ss.peakWriteBwTimesPortion,
                     static_cast<int64_t>(ss.loopIterations)};
         });

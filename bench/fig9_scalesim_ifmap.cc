@@ -5,8 +5,8 @@
  * simulated cycles and average SRAM ofmap write bandwidth for both
  * simulators, plus wall-clock execution time (the §VI-C cost
  * comparison: SCALE-Sim <= 1.1 s vs EQueue <= 7.2 s in the paper).
- * Engine build and simulate time are reported separately (the helper
- * times itself; eq_wall_s is pure engine execution).
+ * Engine build and simulate time are reported separately (the
+ * session pool times the rebuild; eq_wall_s is pure engine execution).
  *
  * The analytic columns are batched: every point's SCALE-Sim result is
  * computed up front in one scalesim::simulateBatch pass, so the sweep
@@ -28,8 +28,15 @@ main(int argc, char **argv)
                 "ifmap swept\n");
 
     // Every swept ifmap already fits the fixed 2x2 filter (hw >= fh).
-    sweep::Grid grid;
-    grid.axis("hw", {2, 4, 8, 16, 32});
+    serve::SweepSpec spec;
+    scalesim::Config &base = spec.base.systolic;
+    base.ah = base.aw = 4;
+    base.c = 3;
+    base.n = 1;
+    base.fh = base.fw = 2;
+    base.dataflow = scalesim::Dataflow::WS;
+    spec.axes = {{"hw", {2, 4, 8, 16, 32}}};
+    const sweep::Grid grid = spec.grid();
 
     std::vector<sweep::Column> schema{
         {"ifmap", sweep::ValueKind::Str, 8, 0},
@@ -44,26 +51,15 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    auto workers = bench::makeSystolicWorkers(runner, points.size(),
-                                              args.engineOptions());
-
-    auto cfgAt = [](const sweep::Point &p) {
-        scalesim::Config cfg;
-        cfg.ah = cfg.aw = 4;
-        cfg.c = 3;
-        cfg.h = cfg.w = static_cast<int>(p.at("hw"));
-        cfg.n = 1;
-        cfg.fh = cfg.fw = 2;
-        cfg.dataflow = scalesim::Dataflow::WS;
-        return cfg;
-    };
+    serve::SweepWorkers workers(runner.threadsFor(points.size()),
+                                args.engineOptions());
 
     // Fused analytic pass: all SCALE-Sim columns, indexed by the dense
     // point index, computed before the sweep starts.
     std::vector<scalesim::Config> cfgs;
     cfgs.reserve(points.size());
     for (const auto &p : points)
-        cfgs.push_back(cfgAt(p));
+        cfgs.push_back(spec.keyAt(p).systolic);
     auto t0 = std::chrono::steady_clock::now();
     auto ss_results = scalesim::simulateBatch(cfgs);
     double ss_wall_each =
@@ -76,15 +72,15 @@ main(int argc, char **argv)
         points, schema,
         [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
             int hw = static_cast<int>(p.at("hw"));
-            auto run = workers[w]->run(cfgs[p.index()]);
+            auto run = workers.run(w, spec.keyAt(p));
             const auto &ss = ss_results[p.index()];
             return {std::to_string(hw) + "x" + std::to_string(hw),
                     static_cast<int64_t>(run.report.cycles),
                     static_cast<int64_t>(ss.cycles),
-                    run.ofmapWriteBw,
+                    bench::ofmapWriteBw(run.report),
                     ss.avgOfmapWriteBw,
                     run.buildSeconds,
-                    run.simSeconds,
+                    run.report.wallSeconds,
                     ss_wall_each};
         });
 

@@ -3,8 +3,8 @@
  * Fig. 9c/9d: EQueue vs SCALE-Sim on a 4x4 WS systolic array with a
  * fixed 32x32 ifmap, sweeping the filter size (2x2 .. 32x32, C = 3).
  * Reports simulated cycles and average SRAM ofmap write bandwidth.
- * Engine build and simulate time are reported separately (the helper
- * times itself; eq_wall_s is pure engine execution).
+ * Engine build and simulate time are reported separately (the
+ * session pool times the rebuild; eq_wall_s is pure engine execution).
  *
  * Note on shape: cycles grow with the filter until the ofmap collapses
  * (Fh = H leaves a single output pixel), an artifact of the edge of the
@@ -29,8 +29,15 @@ main(int argc, char **argv)
     std::printf("# Fig 9c/9d: 4x4 WS array, ifmap fixed at 32x32, "
                 "weights swept\n");
 
-    sweep::Grid grid;
-    grid.axis("f", {2, 4, 8, 16, 32});
+    serve::SweepSpec spec;
+    scalesim::Config &base = spec.base.systolic;
+    base.ah = base.aw = 4;
+    base.c = 3;
+    base.h = base.w = 32;
+    base.n = 1;
+    base.dataflow = scalesim::Dataflow::WS;
+    spec.axes = {{"f", {2, 4, 8, 16, 32}}};
+    const sweep::Grid grid = spec.grid();
 
     std::vector<sweep::Column> schema{
         {"weight", sweep::ValueKind::Str, 8, 0},
@@ -45,25 +52,14 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    auto workers = bench::makeSystolicWorkers(runner, points.size(),
-                                              args.engineOptions());
-
-    auto cfgAt = [](const sweep::Point &p) {
-        scalesim::Config cfg;
-        cfg.ah = cfg.aw = 4;
-        cfg.c = 3;
-        cfg.h = cfg.w = 32;
-        cfg.n = 1;
-        cfg.fh = cfg.fw = static_cast<int>(p.at("f"));
-        cfg.dataflow = scalesim::Dataflow::WS;
-        return cfg;
-    };
+    serve::SweepWorkers workers(runner.threadsFor(points.size()),
+                                args.engineOptions());
 
     // Fused analytic pass (see fig9_scalesim_ifmap.cc).
     std::vector<scalesim::Config> cfgs;
     cfgs.reserve(points.size());
     for (const auto &p : points)
-        cfgs.push_back(cfgAt(p));
+        cfgs.push_back(spec.keyAt(p).systolic);
     auto t0 = std::chrono::steady_clock::now();
     auto ss_results = scalesim::simulateBatch(cfgs);
     double ss_wall_each =
@@ -76,15 +72,15 @@ main(int argc, char **argv)
         points, schema,
         [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
             int f = static_cast<int>(p.at("f"));
-            auto run = workers[w]->run(cfgs[p.index()]);
+            auto run = workers.run(w, spec.keyAt(p));
             const auto &ss = ss_results[p.index()];
             return {std::to_string(f) + "x" + std::to_string(f),
                     static_cast<int64_t>(run.report.cycles),
                     static_cast<int64_t>(ss.cycles),
-                    run.ofmapWriteBw,
+                    bench::ofmapWriteBw(run.report),
                     ss.avgOfmapWriteBw,
                     run.buildSeconds,
-                    run.simSeconds,
+                    run.report.wallSeconds,
                     ss_wall_each};
         });
 

@@ -6,9 +6,12 @@
  * paper-style "how much does the interconnect cost" curve for systems
  * bigger than one accelerator.
  *
- * Runs on the SweepRunner subsystem: points shard across a worker pool
- * (one Context + Simulator + reusable BatchSession per worker, keyed on
- * soc::SocConfig), and rows are ordered by point index so the table is
+ * Runs on the SweepRunner subsystem: points shard across a
+ * serve::SweepWorkers session pool (one sim::Session per worker, reused
+ * while the point's ModelKey is unchanged), and each point's config is
+ * the dual-shared-bus SoC with the axes applied through
+ * serve::applyAxis — "tiles" is N alternating WS/OS 2x2 tiles on
+ * 8 B/cyc private links. Rows are ordered by point index so the table is
  * byte-identical for any --threads value. Simulated columns are
  * backend-independent; pass --no-wall to drop the wall-clock column
  * when diffing across machines.
@@ -23,52 +26,32 @@
 
 using namespace eq;
 
-namespace {
-
-soc::SocConfig
-configAt(int64_t tiles, int64_t dmas, int64_t bus_bw)
-{
-    soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
-    cfg.accels.clear();
-    for (int64_t a = 0; a < tiles; ++a) {
-        // Alternate dataflows so the bus carries both boundary reads
-        // (everyone) and WS result writes / OS operand streams.
-        soc::TileSpec t;
-        t.ah = t.aw = 2;
-        t.dataflow = (a % 2 == 0) ? scalesim::Dataflow::WS
-                                  : scalesim::Dataflow::OS;
-        t.linkBytesPerCycle = 8;
-        cfg.accels.push_back(t);
-    }
-    cfg.dmaEngines = static_cast<int>(dmas);
-    cfg.busBytesPerCycle = bus_bw;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     auto args = bench::HarnessArgs::parse(argc, argv);
     const bool full = bench::fullSweepRequested();
 
-    sweep::Grid grid;
-    grid.axis("tiles", full ? std::vector<int64_t>{1, 2, 3, 4, 6, 8}
-                            : std::vector<int64_t>{1, 2, 4})
-        .axis("dmas", full ? std::vector<int64_t>{1, 2, 4}
-                           : std::vector<int64_t>{1, 2})
-        .axis("bus_bw", full ? std::vector<int64_t>{1, 2, 4, 8, 16, 32}
-                             : std::vector<int64_t>{2, 8, 32})
-        .filter([](const sweep::Point &p) {
-            // A DMA pool larger than the tile count never arbitrates.
-            return p.at("dmas") <= p.at("tiles");
-        });
+    serve::SweepSpec spec;
+    spec.base = serve::ModelKey::socKey(soc::SocConfig::dualSharedBus());
+    spec.axes = {
+        {"tiles", full ? std::vector<int64_t>{1, 2, 3, 4, 6, 8}
+                       : std::vector<int64_t>{1, 2, 4}},
+        {"dmas", full ? std::vector<int64_t>{1, 2, 4}
+                      : std::vector<int64_t>{1, 2}},
+        {"bus_bw", full ? std::vector<int64_t>{1, 2, 4, 8, 16, 32}
+                        : std::vector<int64_t>{2, 8, 32}},
+    };
+    sweep::Grid grid = spec.grid();
+    grid.filter([](const sweep::Point &p) {
+        // A DMA pool larger than the tile count never arbitrates.
+        return p.at("dmas") <= p.at("tiles");
+    });
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    auto workers = bench::makeSocWorkers(runner, points.size(),
-                                         args.engineOptions());
+    serve::SweepWorkers workers(runner.threadsFor(points.size()),
+                                args.engineOptions());
 
     std::printf("# SoC shared-bus contention sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
@@ -89,16 +72,16 @@ main(int argc, char **argv)
         args, runner, points, schema,
         full ? "fig_soc_contention full" : "fig_soc_contention sampled",
         [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
-            auto run = workers[w]->run(
-                configAt(p.at("tiles"), p.at("dmas"), p.at("bus_bw")));
+            auto run = workers.run(w, spec.keyAt(p));
+            const serve::BusTraffic bus = serve::busTraffic(run.report);
             return {p.at("tiles"),
                     p.at("dmas"),
                     p.at("bus_bw"),
                     static_cast<int64_t>(run.report.cycles),
-                    run.busReadBytes,
-                    run.busWriteBytes,
-                    run.busMaxPortion,
-                    run.simSeconds};
+                    bus.readBytes,
+                    bus.writeBytes,
+                    bus.peakPortion,
+                    run.report.wallSeconds};
         });
 
     args.emit(table);

@@ -18,8 +18,11 @@
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
 #include "dialects/equeue.hh"
+#include "ir/builder.hh"
 #include "serve/cache.hh"
 #include "serve/models.hh"
+#include "sim/session.hh"
+#include "systolic/generator.hh"
 
 using namespace eq;
 
@@ -60,12 +63,17 @@ BM_SimulateSystolic(benchmark::State &state, sim::Backend backend)
     cfg.h = cfg.w = static_cast<int>(state.range(0));
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
+    // A one-worker pool per run: fresh session, build, simulate.
+    auto runOnce = [&] {
+        return serve::SweepWorkers(1, engineFor(backend))
+            .run(0, serve::ModelKey::systolicKey(cfg))
+            .report;
+    };
     for (auto _ : state) {
-        auto run = bench::runSystolic(cfg, engineFor(backend));
-        benchmark::DoNotOptimize(run.report.cycles);
+        auto rep = runOnce();
+        benchmark::DoNotOptimize(rep.cycles);
     }
-    state.counters["cycles"] = static_cast<double>(
-        bench::runSystolic(cfg, engineFor(backend)).report.cycles);
+    state.counters["cycles"] = static_cast<double>(runOnce().cycles);
 }
 BENCHMARK_CAPTURE(BM_SimulateSystolic, compiled, sim::Backend::Compiled)
     ->Arg(4)
@@ -84,11 +92,10 @@ BM_BatchSessionReuse(benchmark::State &state, sim::Backend backend)
     cfg.h = cfg.w = static_cast<int>(state.range(0));
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::Simulator s(engineFor(backend));
-    sim::BatchSession session(s, module.get());
+    sim::Session session(engineFor(backend));
+    session.rebuild([&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    });
     for (auto _ : state) {
         auto rep = session.run();
         benchmark::DoNotOptimize(rep.cycles);
@@ -114,11 +121,10 @@ BM_CompiledVsInterp(benchmark::State &state, sim::Backend backend)
     cfg.h = cfg.w = static_cast<int>(state.range(0));
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::Simulator s(engineFor(backend));
-    sim::BatchSession session(s, module.get());
+    sim::Session session(engineFor(backend));
+    session.rebuild([&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    });
     for (auto _ : state) {
         auto rep = session.run();
         benchmark::DoNotOptimize(rep.cycles);
@@ -150,11 +156,10 @@ BM_FusedVsCompiled(benchmark::State &state)
     cfg.h = cfg.w = static_cast<int>(state.range(0));
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::Simulator s(engineFor(sim::Backend::Compiled));
-    sim::BatchSession session(s, module.get());
+    sim::Session session(engineFor(sim::Backend::Compiled));
+    session.rebuild([&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    });
     uint64_t ops = 0, dispatches = 0;
     for (auto _ : state) {
         auto rep = session.run();
@@ -184,11 +189,9 @@ BM_SoCContention(benchmark::State &state, sim::Backend backend)
     // reads/writes included) cuts the compiled leg's dispatches.
     soc::SocConfig cfg = soc::SocConfig::dualSharedBus();
     cfg.busBytesPerCycle = state.range(0);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = soc::buildSocModule(ctx, cfg);
-    sim::Simulator s(engineFor(backend));
-    sim::BatchSession session(s, module.get());
+    sim::Session session(engineFor(backend));
+    session.rebuild(
+        [&](ir::Context &ctx) { return soc::buildSocModule(ctx, cfg); });
     uint64_t cycles = 0, ops = 0, dispatches = 0;
     for (auto _ : state) {
         auto rep = session.run();
@@ -213,7 +216,7 @@ BM_CompileModule(benchmark::State &state)
 {
     // Compilation cost alone (value numbering + lowering + fusion of
     // every region, from scratch each iteration): quantifies what a
-    // BatchSession's first run pays and its later runs amortize, so
+    // Session's first run pays and its later runs amortize, so
     // the amortization claim is measured, not asserted. The arg is the
     // PE array edge: every PE is one launch body, so the program count
     // (and the microops counter) grows with it.
@@ -370,40 +373,39 @@ void
 BM_LaunchIssue(benchmark::State &state, sim::Backend backend)
 {
     // Launch-dense microkernel: N chained 1-op launches on one
-    // processor, module built ONCE and pinned in a BatchSession so
+    // processor, module built ONCE and pinned in a Session so
     // every iteration measures pure issue-side machinery — launch
     // enqueue, env acquisition (the pool's hottest path), the
     // same-time FIFO, and completion wakeups — with no IR-construction
     // noise (BM_EventDispatch rebuilds the module per iteration and
     // measures cold per-event cost instead).
     const int n = static_cast<int>(state.range(0));
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = ir::createModule(ctx);
-    ir::OpBuilder b(ctx);
-    b.setInsertionPointToEnd(&module->region(0).front());
-    auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
-    auto start = b.create<equeue::ControlStartOp>();
-    ir::Value dep = start->result(0);
-    for (int i = 0; i < n; ++i) {
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<ir::Value>{dep}, proc->result(0),
-            std::vector<ir::Value>{}, std::vector<ir::Type>{});
-        {
-            ir::OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            auto c =
-                b.create<arith::ConstantOp>(int64_t{1}, ctx.i32Type());
-            b.create<arith::AddIOp>(c->result(0), c->result(0));
-            b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    sim::Session session(engineFor(backend));
+    session.rebuild([n](ir::Context &ctx) {
+        auto module = ir::createModule(ctx);
+        ir::OpBuilder b(ctx);
+        b.setInsertionPointToEnd(&module->region(0).front());
+        auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+        auto start = b.create<equeue::ControlStartOp>();
+        ir::Value dep = start->result(0);
+        for (int i = 0; i < n; ++i) {
+            auto launch = b.create<equeue::LaunchOp>(
+                std::vector<ir::Value>{dep}, proc->result(0),
+                std::vector<ir::Value>{}, std::vector<ir::Type>{});
+            {
+                ir::OpBuilder::InsertionGuard g(b);
+                equeue::LaunchOp l(launch.op());
+                b.setInsertionPointToEnd(&l.body());
+                auto c =
+                    b.create<arith::ConstantOp>(int64_t{1}, ctx.i32Type());
+                b.create<arith::AddIOp>(c->result(0), c->result(0));
+                b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+            }
+            dep = launch->result(0);
         }
-        dep = launch->result(0);
-    }
-    b.create<equeue::AwaitOp>(std::vector<ir::Value>{dep});
-
-    sim::Simulator s(engineFor(backend));
-    sim::BatchSession session(s, module.get());
+        b.create<equeue::AwaitOp>(std::vector<ir::Value>{dep});
+        return module;
+    });
     for (auto _ : state) {
         auto rep = session.run();
         benchmark::DoNotOptimize(rep.cycles);
@@ -421,7 +423,7 @@ BM_ServeWarmVsCold(benchmark::State &state, bool warm)
     // request pays module construction + verify + compile before its
     // first simulated cycle (fresh ProgramCache every iteration); a
     // warm request starts simulating immediately off the
-    // BatchSession-pinned entry. The ratio is the per-request win of
+    // Session-pinned entry. The ratio is the per-request win of
     // the cross-request program cache.
     serve::ModelKey key = serve::defaultKey(serve::ModelKind::Systolic);
     key.systolic.ah = key.systolic.aw = 8;

@@ -41,8 +41,10 @@ main(int argc, char **argv)
                 base.ah, base.aw, base.c, base.h, base.w, base.n,
                 base.fh, base.fw, base.c);
 
-    sweep::Grid grid;
-    grid.axis("df", {0, 1, 2});
+    serve::SweepSpec spec;
+    spec.base = serve::ModelKey::systolicKey(base);
+    spec.axes = {{"df", {0, 1, 2}}};
+    const sweep::Grid grid = spec.grid();
 
     std::vector<sweep::Column> schema{
         {"df", sweep::ValueKind::Str, 4, 0},
@@ -56,16 +58,17 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    auto workers = bench::makeSystolicWorkers(runner, points.size(),
-                                              args.engineOptions());
+    serve::SweepWorkers workers(runner.threadsFor(points.size()),
+                                args.engineOptions());
 
     auto table = runner.run(
         points, schema,
         [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
-            scalesim::Config cfg = base;
-            cfg.dataflow = bench::dataflowFromAxis(p.at("df"));
-            auto run = workers[w]->run(cfg);
+            const serve::ModelKey key = spec.keyAt(p);
+            const scalesim::Config &cfg = key.systolic;
+            auto run = workers.run(w, key);
             auto ss = scalesim::simulate(cfg);
+            const serve::SramTraffic sram = serve::sramTraffic(run.report);
 
             double mac_util = 0.0;
             int macs = 0;
@@ -79,8 +82,8 @@ main(int argc, char **argv)
                     static_cast<int64_t>(run.report.cycles),
                     static_cast<int64_t>(ss.cycles),
                     static_cast<int64_t>(ss.folds),
-                    run.sramReadBytes,
-                    run.sramWriteBytes,
+                    sram.readBytes,
+                    sram.writeBytes,
                     macs ? 100.0 * mac_util / macs : 0.0};
         });
 

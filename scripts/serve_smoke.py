@@ -17,7 +17,10 @@ the NDJSON protocol over a raw socket with no client-library help:
      (serve_client --local), and must do so at every daemon worker
      count tried (1 and 3);
   6. shutdown — acknowledged with "bye", after which the daemon
-     process must exit 0 by itself.
+     process must exit 0 by itself;
+  7. numeric flags are strict — a --workers value past unsigned
+     range (or with trailing junk) is a usage error (exit 2), never a
+     silently wrapped worker count.
 
 Inherits EQ_SIM_BACKEND, so CI runs it once per backend and the
 byte-identical guarantee is checked on both.
@@ -193,6 +196,22 @@ def check_shutdown(port):
     conn.close()
 
 
+def check_strict_flags(build_dir):
+    binary = os.path.join(build_dir, "src", "eqserved")
+    for flag, value in (("--workers", "4294967297"), ("--workers", "2x"),
+                        ("--cache-entries", "99999999999999999999")):
+        try:
+            proc = subprocess.run([binary, flag, value],
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, timeout=10)
+        except subprocess.TimeoutExpired:
+            fail(f"eqserved {flag} {value} started serving instead of "
+                 f"exiting 2 (usage)")
+        if proc.returncode != 2:
+            fail(f"eqserved {flag} {value} exited {proc.returncode}, "
+                 f"want 2 (usage): {proc.stdout.decode()}")
+
+
 def main():
     build_dir = sys.argv[1] if len(sys.argv) > 1 else "build"
     client = os.path.join(build_dir, "examples", "serve_client")
@@ -210,6 +229,7 @@ def main():
             check_sweep_matches_local(build_dir, daemon.port,
                                       local_csv)
             check_shutdown(daemon.port)
+    check_strict_flags(build_dir)
     print("serve smoke: all checks passed")
 
 

@@ -56,6 +56,49 @@ crc32(const void *data, size_t len, uint32_t seed)
     return crc ^ 0xffffffffu;
 }
 
+std::string
+sealRecord(const std::string &payload)
+{
+    uint32_t crc = crc32(payload.data(), payload.size());
+    std::string line = payload;
+    line.pop_back(); // trailing '}'
+    line += ",\"crc\":";
+    line += std::to_string(crc);
+    line += "}\n";
+    return line;
+}
+
+bool
+writeAll(int fd, const std::string &data, const std::string &what,
+         std::string *err)
+{
+    size_t off = 0;
+    while (off < data.size()) {
+        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            setErr(err, what);
+            return false;
+        }
+        off += size_t(n);
+    }
+    return true;
+}
+
+bool
+writeSynced(int fd, const std::string &data, const std::string &what,
+            std::string *err)
+{
+    if (!writeAll(fd, data, "write " + what, err))
+        return false;
+    if (::fsync(fd) != 0) {
+        setErr(err, "fsync " + what);
+        return false;
+    }
+    return true;
+}
+
 bool
 writeFileAtomic(const std::string &path, const std::string &data,
                 std::string *err)
@@ -67,21 +110,7 @@ writeFileAtomic(const std::string &path, const std::string &data,
         setErr(err, "open " + tmp);
         return false;
     }
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            setErr(err, "write " + tmp);
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return false;
-        }
-        off += size_t(n);
-    }
-    if (::fsync(fd) != 0) {
-        setErr(err, "fsync " + tmp);
+    if (!writeSynced(fd, data, tmp, err)) {
         ::close(fd);
         ::unlink(tmp.c_str());
         return false;

@@ -1,8 +1,26 @@
 #include "base/stringutil.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
 
 namespace eq {
+
+bool
+parseInt(const std::string &text, int64_t min, int64_t max, int64_t *out)
+{
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(text.c_str(), &end, 10);
+    if (errno == ERANGE || end != text.c_str() + text.size() || v < min ||
+        v > max)
+        return false;
+    *out = v;
+    return true;
+}
 
 std::vector<std::string>
 split(const std::string &s, char sep)

@@ -1,7 +1,6 @@
 #include "serve/cache.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "serve/faults.hh"
@@ -35,18 +34,6 @@ ProgramCache::ProgramCache(size_t max_entries, sim::EngineOptions engine)
     if (_capacity < 1)
         _capacity = 1;
     _stats.capacity = _capacity;
-}
-
-size_t
-ProgramCache::defaultEntries()
-{
-    if (const char *env = std::getenv("EQ_SERVE_CACHE_ENTRIES")) {
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<size_t>(n);
-    }
-    return 32;
 }
 
 ProgramCache::Handle

@@ -4,9 +4,9 @@
  * programs.
  *
  * Each entry owns a full sim::Session for one structural config — a
- * Context, a Simulator, the built module, and the BatchSession whose
- * value numbering, dispatch tables, and compiled + fused micro-op
- * programs survive between runs. The cache is a bounded LRU keyed by
+ * Context, a Simulator and the pinned module, whose value numbering,
+ * dispatch tables, and compiled + fused micro-op programs survive
+ * between runs. The cache is a bounded LRU keyed by
  * the config's FNV-1a structural hash; on a hash hit the stored
  * ModelKey is ALWAYS compared for full structural equality
  * (operator==) before reuse, so a hash collision costs a second entry
@@ -57,8 +57,8 @@ class ProgramCache {
     explicit ProgramCache(size_t max_entries = 0,
                           sim::EngineOptions engine = {});
 
-    /** EQ_SERVE_CACHE_ENTRIES when set and positive, else 32. */
-    static size_t defaultEntries();
+    /** The capacity a max_entries of 0 selects. */
+    static constexpr size_t defaultEntries() { return 32; }
 
     class Entry;
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "base/fsutil.hh"
+#include "base/stringutil.hh"
 #include "serve/faults.hh"
 #include "serve/server.hh"
 
@@ -38,32 +39,30 @@ usage(const char *argv0)
         "  --host ADDR          bind address (default 127.0.0.1)\n"
         "  --port N             TCP port; 0 = ephemeral (default 0)\n"
         "  --port-file PATH     write the bound port to PATH\n"
-        "  --cache-entries N    program-cache capacity\n"
-        "                       (default $EQ_SERVE_CACHE_ENTRIES or 32)\n"
-        "  --workers N          scheduler worker threads\n"
-        "                       (default $EQ_SERVE_WORKERS or hw)\n"
+        "  --cache-entries N    program-cache capacity (default 32)\n"
+        "  --workers N          scheduler worker threads (default hw)\n"
         "  --max-queue N        per-client queued-job cap (default 256)\n"
         "  --max-queue-total N  pool-wide queued-job cap; excess\n"
         "                       requests are shed (default unlimited)\n"
-        "  --max-line N         request-line byte cap\n"
-        "                       (default $EQ_SERVE_MAX_LINE or 8 MiB)\n"
+        "  --max-line N         request-line byte cap (default 8 MiB)\n"
         "  --faults SPEC        deterministic fault injection, e.g.\n"
         "                       torn=0.1,drop=0.05,werr=0.2,max=20:42\n"
-        "                       (default $EQ_SERVE_FAULTS; testing only)\n"
+        "                       (testing only)\n"
         "  --backend MODE       auto|interp|compiled (default auto,\n"
         "                       which resolves $EQ_SIM_BACKEND)\n",
         argv0);
 }
 
-bool
-parseNum(const char *text, long *out)
+/** Parse @p text into @p out (>= @p min), or exit 2 naming @p flag. */
+template <class T>
+void
+parseFlag(const std::string &flag, const char *text, T min, T *out)
 {
-    char *end = nullptr;
-    long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n < 0)
-        return false;
-    *out = n;
-    return true;
+    if (!parseInt(text, min, out)) {
+        std::fprintf(stderr, "eqserved: bad %s '%s'\n", flag.c_str(),
+                     text);
+        std::exit(2);
+    }
 }
 
 } // namespace
@@ -74,9 +73,6 @@ main(int argc, char **argv)
     serve::ServerOptions opts;
     std::string portFile;
     std::string faultSpec;
-    bool faultsFromFlag = false;
-    if (const char *env = std::getenv("EQ_SERVE_FAULTS"))
-        faultSpec = env;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -88,51 +84,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        long n = 0;
         if (arg == "--host") {
             opts.host = value();
         } else if (arg == "--port") {
-            if (!parseNum(value(), &n) || n > 65535) {
-                std::fprintf(stderr, "eqserved: bad --port\n");
-                return 2;
-            }
-            opts.port = static_cast<uint16_t>(n);
+            parseFlag(arg, value(), uint16_t(0), &opts.port);
         } else if (arg == "--port-file") {
             portFile = value();
         } else if (arg == "--cache-entries") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr, "eqserved: bad --cache-entries\n");
-                return 2;
-            }
-            opts.cacheEntries = static_cast<size_t>(n);
+            parseFlag(arg, value(), size_t(1), &opts.cacheEntries);
         } else if (arg == "--workers") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr, "eqserved: bad --workers\n");
-                return 2;
-            }
-            opts.workers = static_cast<unsigned>(n);
+            parseFlag(arg, value(), 1u, &opts.workers);
         } else if (arg == "--max-queue") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr, "eqserved: bad --max-queue\n");
-                return 2;
-            }
-            opts.maxQueuedPerClient = static_cast<size_t>(n);
+            parseFlag(arg, value(), size_t(1), &opts.maxQueuedPerClient);
         } else if (arg == "--max-queue-total") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr,
-                             "eqserved: bad --max-queue-total\n");
-                return 2;
-            }
-            opts.maxQueuedTotal = static_cast<size_t>(n);
+            parseFlag(arg, value(), size_t(1), &opts.maxQueuedTotal);
         } else if (arg == "--max-line") {
-            if (!parseNum(value(), &n) || n < 1) {
-                std::fprintf(stderr, "eqserved: bad --max-line\n");
-                return 2;
-            }
-            opts.maxLineBytes = static_cast<size_t>(n);
+            parseFlag(arg, value(), size_t(1), &opts.maxLineBytes);
         } else if (arg == "--faults") {
             faultSpec = value();
-            faultsFromFlag = true;
         } else if (arg == "--backend") {
             const std::string mode = value();
             if (mode == "auto")
@@ -160,8 +129,7 @@ main(int argc, char **argv)
     if (!faultSpec.empty()) {
         std::string ferr;
         if (!serve::FaultInjector::configureFromText(faultSpec, &ferr)) {
-            std::fprintf(stderr, "eqserved: bad %s: %s\n",
-                         faultsFromFlag ? "--faults" : "EQ_SERVE_FAULTS",
+            std::fprintf(stderr, "eqserved: bad --faults: %s\n",
                          ferr.c_str());
             return 2;
         }

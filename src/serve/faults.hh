@@ -7,7 +7,7 @@
  * requests, forced ProgramCache build failures — is guarded by one of
  * the static decision points below. With no plan configured they are
  * single relaxed-atomic-load no-ops, so the fast path pays nothing;
- * with a plan (EQ_SERVE_FAULTS=<spec>:<seed> or eqserved --faults)
+ * with a plan (eqserved --faults <spec>:<seed>)
  * every decision is drawn from a seeded SplitMix64 stream, so a chaos
  * run is reproducible for a given seed and serial request order.
  *
@@ -22,7 +22,7 @@
  *               goes quiescent, which bounds how long a retrying
  *               client can be starved (default: unbounded)
  * followed by an optional ":<seed>" suffix (default seed 1), e.g.
- *   EQ_SERVE_FAULTS=torn=0.1,werr=0.25,build=0.2,max=16:7
+ *   --faults torn=0.1,werr=0.25,build=0.2,max=16:7
  */
 
 #ifndef EQ_SERVE_FAULTS_HH

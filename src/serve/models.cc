@@ -1,12 +1,9 @@
 #include "serve/models.hh"
 
 #include <cassert>
-#include <deque>
 #include <iterator>
-#include <optional>
 
 #include "base/hash.hh"
-#include "sim/session.hh"
 #include "systolic/generator.hh"
 
 namespace eq {
@@ -315,7 +312,9 @@ applyAxis(ModelKey *key, const std::string &axis, int64_t value,
             return false;
         }
         // The fig_soc_contention convention: N alternating WS/OS
-        // 2x2 tiles on 8 B/cyc private links.
+        // 2x2 tiles on 8 B/cyc private links, so the bus carries both
+        // boundary reads (everyone) and WS result writes / OS operand
+        // streams.
         auto &accels = key->soc.accels;
         accels.clear();
         for (int64_t a = 0; a < value; ++a) {
@@ -418,6 +417,32 @@ SweepSpec::keyAt(const sweep::Point &point) const
     return key;
 }
 
+SramTraffic
+sramTraffic(const sim::SimReport &report)
+{
+    SramTraffic t;
+    for (const auto &m : report.memories) {
+        if (m.kind == "SRAM") {
+            t.readBytes += m.bytesRead;
+            t.writeBytes += m.bytesWritten;
+        }
+    }
+    return t;
+}
+
+BusTraffic
+busTraffic(const sim::SimReport &report)
+{
+    BusTraffic t;
+    if (!report.connections.empty()) {
+        const auto &bus = report.connections.front();
+        t.readBytes = bus.readBytes;
+        t.writeBytes = bus.writeBytes;
+        t.peakPortion = bus.maxBwPortionRead + bus.maxBwPortionWrite;
+    }
+    return t;
+}
+
 std::vector<sweep::Cell>
 SweepSpec::row(const sweep::Point &point,
                const sim::SimReport &report) const
@@ -427,34 +452,20 @@ SweepSpec::row(const sweep::Point &point,
         cells.push_back(point.at(a.name));
     switch (base.kind) {
     case ModelKind::Systolic: {
-        int64_t rd = 0, wr = 0;
-        for (const auto &m : report.memories) {
-            if (m.kind == "SRAM") {
-                rd += m.bytesRead;
-                wr += m.bytesWritten;
-            }
-        }
+        const SramTraffic sram = sramTraffic(report);
         cells.push_back(static_cast<int64_t>(report.cycles));
         cells.push_back(static_cast<int64_t>(report.opsExecuted));
-        cells.push_back(rd);
-        cells.push_back(wr);
+        cells.push_back(sram.readBytes);
+        cells.push_back(sram.writeBytes);
         break;
     }
     case ModelKind::Soc: {
-        int64_t rd = 0, wr = 0;
-        double peak = 0.0;
-        if (!report.connections.empty()) {
-            // The bus is the first connection the generator creates.
-            const auto &bus = report.connections.front();
-            rd = bus.readBytes;
-            wr = bus.writeBytes;
-            peak = bus.maxBwPortionRead + bus.maxBwPortionWrite;
-        }
+        const BusTraffic bus = busTraffic(report);
         cells.push_back(static_cast<int64_t>(report.cycles));
         cells.push_back(static_cast<int64_t>(report.opsExecuted));
-        cells.push_back(rd);
-        cells.push_back(wr);
-        cells.push_back(peak);
+        cells.push_back(bus.readBytes);
+        cells.push_back(bus.writeBytes);
+        cells.push_back(bus.peakPortion);
         break;
     }
     case ModelKind::Pipeline: {
@@ -581,62 +592,41 @@ SweepSpec::fromJson(const Json &request, SweepSpec *out,
 }
 
 // ---------------------------------------------------------------------------
-// In-process reference sweep
+// In-process sweeps
 
-namespace {
+SweepWorkers::SweepWorkers(unsigned n, sim::EngineOptions engine)
+{
+    for (unsigned i = 0; i < n; ++i)
+        _workers.emplace_back(engine);
+}
 
-/** One Session per sweep worker, rebuilt only when the point's
- *  structural key changes — the same build-cache-run path the daemon's
- *  ProgramCache entries use. Worker w only ever runs on one thread, so
- *  no locking. */
-class SweepWorkers {
-  public:
-    SweepWorkers(unsigned n, sim::EngineOptions engine)
-    {
-        for (unsigned i = 0; i < n; ++i)
-            _workers.emplace_back(engine);
+SweepWorkers::Run
+SweepWorkers::run(unsigned w, const ModelKey &key)
+{
+    Worker &worker = _workers[w];
+    Run out;
+    if (!worker.key || *worker.key != key) {
+        worker.session.rebuild(
+            [&](ir::Context &ctx) { return key.build(ctx); });
+        worker.key = key;
+        out.buildSeconds = worker.session.lastBuildSeconds();
     }
-
-    sim::SimReport
-    run(unsigned w, const ModelKey &key)
-    {
-        Worker &worker = _workers[w];
-        if (!worker.key || *worker.key != key) {
-            worker.session.rebuild(
-                [&](ir::Context &ctx) { return key.build(ctx); });
-            worker.key = key;
-        }
-        return worker.session.run();
-    }
-
-  private:
-    struct Worker {
-        explicit Worker(sim::EngineOptions opts) : session(opts) {}
-        sim::Session session;
-        std::optional<ModelKey> key;
-    };
-    std::deque<Worker> _workers; // Session is neither copied nor moved
-};
-
-} // namespace
+    out.report = worker.session.run();
+    return out;
+}
 
 sweep::Table
 runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
 {
-    sweep::Grid g = spec.grid();
-    auto points = g.points();
-    sweep::RunnerOptions ropts;
-    ropts.threads = threads;
-    sweep::SweepRunner runner(ropts);
-
-    SweepWorkers workers(runner.threadsFor(points.size()), engine);
-    return runner.run(
-        points, spec.schema(),
-        [&](const sweep::Point &p,
-            unsigned w) -> std::vector<sweep::Cell> {
-            return spec.row(p, workers.run(w, spec.keyAt(p)));
-        });
+    const sweep::Grid g = spec.grid();
+    sweep::Table table{spec.schema()};
+    sweep::JournalStatus status = runLocalSweepDurable(
+        spec, g.points(), threads, engine, {}, &table, nullptr, nullptr);
+    // Without a journal or a cache there is nothing to refuse.
+    assert(status == sweep::JournalStatus::Ok);
+    (void)status;
+    return table;
 }
 
 sweep::JournalStatus
@@ -660,7 +650,7 @@ runLocalSweepDurable(const SweepSpec &spec,
         [&](const sweep::Point &p,
             unsigned w) -> std::vector<sweep::Cell> {
             std::vector<sweep::Cell> cells =
-                spec.row(p, workers.run(w, spec.keyAt(p)));
+                spec.row(p, workers.run(w, spec.keyAt(p)).report);
             if (on_point)
                 on_point(p);
             return cells;

@@ -24,6 +24,8 @@
 #define EQ_SERVE_MODELS_HH
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "scalesim/scalesim.hh"
 #include "serve/protocol.hh"
 #include "sim/engine.hh"
+#include "sim/session.hh"
 #include "soc/soc.hh"
 #include "sweep/grid.hh"
 #include "sweep/journal.hh"
@@ -153,10 +156,61 @@ struct SweepSpec {
                          std::string *err);
 };
 
+/** SRAM traffic of a systolic report, summed over every SRAM — the
+ *  sram_rd_B / sram_wr_B metrics. */
+struct SramTraffic {
+    int64_t readBytes = 0;
+    int64_t writeBytes = 0;
+};
+SramTraffic sramTraffic(const sim::SimReport &report);
+
+/** Shared-bus traffic of a SoC report (the bus is the first connection
+ *  the generator creates) — the bus_rd_B / bus_wr_B / bus_peak
+ *  metrics; peakPortion is the peak read + write occupancy. */
+struct BusTraffic {
+    int64_t readBytes = 0;
+    int64_t writeBytes = 0;
+    double peakPortion = 0.0;
+};
+BusTraffic busTraffic(const sim::SimReport &report);
+
 /**
- * Run @p spec in-process through the SweepRunner (one sim::Session per
- * worker, BatchSession reuse per structural key) — the reference the
- * served path must reproduce byte-identically.
+ * The per-worker session pool every in-process sweep runs on (the
+ * bench harnesses, runLocalSweep*, the examples): one sim::Session per
+ * sweep worker, rebuilt only when the worker's next ModelKey stops
+ * being equal to the one it pinned, so repeated runs of an unchanged
+ * config reuse the module, its value numbering, the dispatch tables
+ * and the compiled programs. The comparison is full structural
+ * equality, never a hash. Worker @p w must only ever run on one
+ * thread at a time (SweepRunner's worker ids guarantee it), so there
+ * is no locking.
+ */
+class SweepWorkers {
+  public:
+    /** One pool run. */
+    struct Run {
+        sim::SimReport report;
+        double buildSeconds = 0.0; ///< session rebuild; 0 when reused
+    };
+
+    SweepWorkers(unsigned n, sim::EngineOptions engine = {});
+
+    Run run(unsigned w, const ModelKey &key);
+
+  private:
+    struct Worker {
+        explicit Worker(sim::EngineOptions opts) : session(opts) {}
+        sim::Session session;
+        std::optional<ModelKey> key;
+    };
+    std::deque<Worker> _workers; // Session is neither copied nor moved
+};
+
+/**
+ * Run @p spec in-process through the SweepRunner on a SweepWorkers
+ * pool — the reference the served path must reproduce
+ * byte-identically. The same body as runLocalSweepDurable over the
+ * full grid with no journal or cache.
  */
 sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
                            sim::EngineOptions engine = {});

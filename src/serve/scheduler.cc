@@ -1,6 +1,5 @@
 #include "serve/scheduler.hh"
 
-#include <cstdlib>
 #include <utility>
 
 namespace eq {
@@ -13,12 +12,6 @@ resolveWorkers(unsigned requested)
 {
     if (requested)
         return requested;
-    if (const char *env = std::getenv("EQ_SERVE_WORKERS")) {
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<unsigned>(n);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -48,8 +48,7 @@ namespace eq {
 namespace serve {
 
 struct SchedulerOptions {
-    /** Worker threads; 0 = EQ_SERVE_WORKERS env, else hardware
-     *  concurrency (min 1). */
+    /** Worker threads; 0 = hardware concurrency (min 1). */
     unsigned workers = 0;
     /** Per-client queued-job cap (backpressure bound). */
     size_t maxQueuedPerClient = 256;

@@ -34,20 +34,6 @@ deadlinePassed(Clock::time_point deadline)
     return deadline != Clock::time_point{} && Clock::now() > deadline;
 }
 
-size_t
-resolveMaxLine(size_t requested)
-{
-    if (requested)
-        return requested;
-    if (const char *env = std::getenv("EQ_SERVE_MAX_LINE")) {
-        char *end = nullptr;
-        long long n = std::strtoll(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<size_t>(n);
-    }
-    return LineReader::kDefaultMaxLine;
-}
-
 } // namespace
 
 /** One accepted connection. Writes are serialized by `writeMu` so
@@ -117,7 +103,8 @@ struct Server::State {
 Server::Server(ServerOptions opts)
     : _opts(std::move(opts)), _state(std::make_unique<State>())
 {
-    _maxLine = resolveMaxLine(_opts.maxLineBytes);
+    _maxLine = _opts.maxLineBytes ? _opts.maxLineBytes
+                                  : LineReader::kDefaultMaxLine;
     _cache = std::make_unique<ProgramCache>(_opts.cacheEntries,
                                             _opts.engine);
     Scheduler::Options sopts;

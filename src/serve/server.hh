@@ -31,7 +31,7 @@
  *  - When a client disconnects, its reader marks the connection gone
  *    and every still-queued point is cancelled — workers stop burning
  *    cycles for a dead socket.
- *  - Request lines are capped (maxLineBytes / EQ_SERVE_MAX_LINE,
+ *  - Request lines are capped (maxLineBytes / eqserved --max-line,
  *    default 8 MiB); an endless line answers frame_too_large instead
  *    of growing the daemon's memory without bound.
  *  - The FaultInjector seams (torn writes, dropped connections,
@@ -61,10 +61,10 @@ struct ServerOptions {
     std::string host = "127.0.0.1";
     uint16_t port = 0;     ///< 0 = ephemeral (read back via port())
     size_t cacheEntries = 0; ///< 0 = ProgramCache::defaultEntries()
-    unsigned workers = 0;  ///< scheduler pool; 0 = EQ_SERVE_WORKERS/hw
+    unsigned workers = 0;  ///< scheduler pool; 0 = hardware concurrency
     size_t maxQueuedPerClient = 256; ///< backpressure cap
     size_t maxQueuedTotal = 0; ///< pool-wide shed cap; 0 = unlimited
-    size_t maxLineBytes = 0; ///< request-line cap; 0 = env or 8 MiB
+    size_t maxLineBytes = 0; ///< request-line cap; 0 = 8 MiB
     sim::EngineOptions engine;       ///< backend for every entry
 };
 

@@ -204,34 +204,5 @@ Simulator::simulate(ir::Operation *module)
     return _impl->runModule(module, /*reuse_compiled=*/false);
 }
 
-// ---------------------------------------------------------------------------
-// BatchSession
-
-BatchSession::BatchSession(Simulator &sim, ir::Operation *module)
-    : _sim(sim), _module(module)
-{
-    eq_assert(module && module->name() == "builtin.module",
-              "BatchSession expects a builtin.module");
-}
-
-SimReport
-BatchSession::run()
-{
-    // Verify once: the module is pinned and unchanged across runs.
-    if (_runs == 0 && _sim._impl->opts.verifyModule) {
-        std::string err = _module->verify();
-        if (!err.empty())
-            eq_fatal("module verification failed: ", err);
-    }
-    // The first run must rebuild everything: numbering or dispatch
-    // tables left over from another module/context (possibly destroyed,
-    // their addresses reusable) cannot be trusted. From the second run
-    // on, the previous run interpreted exactly this pinned module, so
-    // its numbering and tables are authoritative.
-    bool reuse = _runs > 0;
-    ++_runs;
-    return _sim._impl->runModule(_module, reuse);
-}
-
 } // namespace sim
 } // namespace eq

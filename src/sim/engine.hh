@@ -32,6 +32,8 @@
 namespace eq {
 namespace sim {
 
+class Session;
+
 /**
  * Execution backend of the engine's hot loop.
  *
@@ -42,7 +44,7 @@ namespace sim {
  *    pre-computed branch targets; see sim/compile.hh), then fuses
  *    every run of data records into superinstructions (sim/fuse.hh),
  *    and dispatches over that stream. Compilation is cached per
- *    region, so BatchSession re-runs and sweeps pay it once per
+ *    region, so Session re-runs and sweeps pay it once per
  *    structural config.
  *  - Interp: tree-walks ir::Operation nodes through the OpId handler
  *    table. Kept as the reference oracle the compiled backend is
@@ -99,10 +101,9 @@ class Simulator {
      * scratch (drops all cached numbering and programs first, so
      * repeated calls measure full compilation cost — this is the
      * BM_CompileModule hook, quantifying exactly the setup a
-     * BatchSession's first run pays and its re-runs amortize, fusion
+     * Session's first run pays and its re-runs amortize, fusion
      * included). Note a subsequent run still recompiles: per-run setup
-     * legitimately rebuilds caches unless a BatchSession pins the
-     * module.
+     * legitimately rebuilds caches unless a Session pins the module.
      * @return total number of micro-ops lowered (a fused group counts
      *         its elements)
      */
@@ -119,43 +120,8 @@ class Simulator {
     struct Impl;
 
   private:
-    friend class BatchSession;
+    friend class Session; // pinned re-runs call Impl::runModule
     std::unique_ptr<Impl> _impl;
-};
-
-/**
- * Batched runs of one unchanged module (ROADMAP "Batched runs").
- *
- * A session pins a module and amortizes per-run setup across repeated
- * simulations: the module is verified once, the OpId dispatch table and
- * (CostClass, OpId) cost table are rebuilt only when the module's
- * context interns new op names, and the value-numbering scopes
- * (ValueImpl slot assignments) — plus, on the compiled backend, the
- * lowered micro-op programs — survive between runs. Per-run state —
- * components, buffers, events, the heap — still resets fully, so a
- * batched run's report is cycle-identical to a fresh Simulator's.
- *
- * The pinned module must stay alive and structurally unchanged for the
- * session's lifetime; when a sweep point changes structural parameters,
- * build a new module and open a new session (the Simulator, with its
- * registered op functions and component kinds, is reusable across
- * sessions).
- */
-class BatchSession {
-  public:
-    /** Pin @p module (kept alive by the caller) to @p sim. */
-    BatchSession(Simulator &sim, ir::Operation *module);
-
-    /** Simulate the pinned module once more. */
-    SimReport run();
-
-    ir::Operation *module() const { return _module; }
-    uint64_t runsCompleted() const { return _runs; }
-
-  private:
-    Simulator &_sim;
-    ir::Operation *_module;
-    uint64_t _runs = 0;
 };
 
 } // namespace sim

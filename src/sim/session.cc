@@ -3,6 +3,8 @@
 #include <cassert>
 #include <chrono>
 
+#include "sim/engine_impl.hh"
+
 namespace eq {
 namespace sim {
 
@@ -16,21 +18,15 @@ Session::rebuild(const BuildFn &build)
 {
     using clock = std::chrono::steady_clock;
     auto t0 = clock::now();
-    _session.reset(); // the session pins the module; drop it first
     _module = ir::OwningOpRef();
+    _runs = 0;
     _lastBuildSeconds = 0.0;
-    try {
-        _module = build(_ctx);
-    } catch (...) {
-        // A failed build must leave the session coherently "not
-        // ready" — no stale module, no session pinning it — so a
-        // caller (e.g. the serving layer's ProgramCache) can catch,
-        // report a structured error, and retry the build later.
-        _module = ir::OwningOpRef();
-        throw;
-    }
+    // A failed build throws past the assignment and leaves the session
+    // coherently "not ready" — no stale module — so a caller (e.g. the
+    // serving layer's ProgramCache) can catch, report a structured
+    // error, and retry the build later.
+    _module = build(_ctx);
     assert(_module.get() && "Session build function returned no module");
-    _session.emplace(_sim, _module.get());
     _lastBuildSeconds =
         std::chrono::duration<double>(clock::now() - t0).count();
 }
@@ -39,7 +35,17 @@ SimReport
 Session::run()
 {
     assert(ready() && "Session::run before rebuild()");
-    return _session->run();
+    // The first run is a plain simulate(): verify once and rebuild
+    // numbering and dispatch tables from scratch, since leftovers from
+    // an earlier module (possibly destroyed, its addresses reusable)
+    // cannot be trusted. From then on the previous run interpreted
+    // exactly this pinned module, so its numbering and tables are
+    // authoritative. A run that throws does not count.
+    SimReport report =
+        _runs == 0 ? _sim.simulate(_module.get())
+                   : _sim._impl->runModule(_module.get(), /*reuse=*/true);
+    ++_runs;
+    return report;
 }
 
 } // namespace sim

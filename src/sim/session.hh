@@ -1,21 +1,28 @@
 /**
  * @file
- * sim::Session — the one build-cache-run path shared by every consumer
- * of the engine that re-runs modules (bench harness workers, the sweep
- * runner's per-worker state, and the serving layer's program cache).
+ * sim::Session — the one API for running a pinned module again and
+ * again, and the build-cache-run path every re-running consumer of the
+ * engine shares (serve::SweepWorkers, the pool behind the bench
+ * harnesses and in-process sweeps, and the serving layer's program
+ * cache).
  *
  * A Session owns the full per-worker simulation stack: one ir::Context
- * (dialects registered once), one Simulator (backend option
- * resolved once), and — after rebuild() — a pinned module plus the
- * BatchSession that amortizes verification, dispatch tables, value
- * numbering, and compiled/fused programs across repeated runs.
+ * (dialects registered once), one Simulator (backend option resolved
+ * once), and — after rebuild() — a pinned module. The first run after
+ * a rebuild verifies the module and fully resets the engine's value
+ * numbering (the new module's blocks may alias destroyed ones); later
+ * runs keep the numbering, the dispatch tables and the compiled/fused
+ * programs. Per-run state — components, buffers, events, the heap —
+ * always resets, so every run is cycle-identical to a fresh
+ * Simulator's. Plain simulator().simulate() calls in between are
+ * safe: the next run renumbers and relowers lazily.
  *
  * The Session does not decide *when* to rebuild: callers key on their
- * own structural config (value equality in the bench workers, hash +
- * full structural equality in serve::ProgramCache) and call rebuild()
- * exactly when the key changes. This keeps the collision-safety
- * decision where the typed config lives while the build/pin/run
- * mechanics stay in one place.
+ * own structural config (serve::ModelKey equality in SweepWorkers,
+ * hash + full structural equality in serve::ProgramCache) and call
+ * rebuild() exactly when the key changes. This keeps the
+ * collision-safety decision where the typed config lives while the
+ * build/pin/run mechanics stay in one place.
  */
 
 #ifndef EQ_SIM_SESSION_HH
@@ -23,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "ir/context.hh"
 #include "ir/operation.hh"
@@ -44,12 +50,12 @@ class Session {
     Session &operator=(const Session &) = delete;
 
     /** True once rebuild() has pinned a module. */
-    bool ready() const { return _session.has_value(); }
+    bool ready() const { return _module.get() != nullptr; }
 
     /**
      * Drop the current module (if any) and pin a fresh one built by
-     * @p build. The previous BatchSession is destroyed first — it pins
-     * the old module — and the build is self-timed (lastBuildSeconds).
+     * @p build; the next run() starts from a full engine reset. The
+     * build is self-timed (lastBuildSeconds).
      */
     void rebuild(const BuildFn &build);
 
@@ -62,10 +68,7 @@ class Session {
     double lastBuildSeconds() const { return _lastBuildSeconds; }
 
     /** Runs completed on the currently pinned module. */
-    uint64_t runsCompleted() const
-    {
-        return _session ? _session->runsCompleted() : 0;
-    }
+    uint64_t runsCompleted() const { return _runs; }
 
     ir::Context &context() { return _ctx; }
     Simulator &simulator() { return _sim; }
@@ -75,7 +78,7 @@ class Session {
     ir::Context _ctx;
     Simulator _sim;
     ir::OwningOpRef _module;
-    std::optional<BatchSession> _session;
+    uint64_t _runs = 0;
     double _lastBuildSeconds = 0.0;
 };
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "base/fsutil.hh"
+#include "base/stringutil.hh"
 #include "serve/models.hh"
 #include "sweep/shard.hh"
 
@@ -117,9 +118,8 @@ parseAxis(const std::string &text, serve::SweepAxis *out)
         if (end == pos)
             return false;
         const std::string item = text.substr(pos, end - pos);
-        char *endp = nullptr;
-        long v = std::strtol(item.c_str(), &endp, 10);
-        if (endp == item.c_str() || *endp != '\0')
+        int64_t v = 0;
+        if (!parseInt(item, INT64_MIN, INT64_MAX, &v))
             return false;
         out->values.push_back(v);
         if (comma == std::string::npos)
@@ -443,7 +443,10 @@ main(int argc, char **argv)
         } else if (arg == "--axis") {
             args.axisSpecs.push_back(value());
         } else if (arg == "--threads") {
-            args.threads = unsigned(std::atoi(value()));
+            if (!parseInt(value(), 0u, &args.threads)) {
+                std::fprintf(stderr, "eqsweep: bad --threads\n");
+                return kExitUsage;
+            }
         } else if (arg == "--backend") {
             const std::string mode = value();
             if (mode == "auto")
@@ -466,8 +469,7 @@ main(int argc, char **argv)
         } else if (arg == "--fsync") {
             args.durability.fsyncEachRecord = true;
         } else if (arg == "--emit-shards") {
-            args.emitShards = std::atoi(value());
-            if (args.emitShards < 1) {
+            if (!parseInt(value(), 1, &args.emitShards)) {
                 std::fprintf(stderr, "eqsweep: bad --emit-shards\n");
                 return kExitUsage;
             }

@@ -39,19 +39,6 @@ recordPayload(size_t index, const std::string &key,
     return rec.dump();
 }
 
-/** payload "{...}" -> full line "{...,\"crc\":N}". */
-std::string
-sealRecord(const std::string &payload)
-{
-    uint32_t crc = fs::crc32(payload.data(), payload.size());
-    std::string line = payload;
-    line.pop_back(); // trailing '}'
-    line += ",\"crc\":";
-    line += std::to_string(crc);
-    line += "}\n";
-    return line;
-}
-
 /** Strict-parse one record line: JSON shape, schema-typed cells,
  *  index bounds, and the CRC over the canonically re-dumped payload
  *  (which also rejects any reordering or content tampering). */
@@ -260,19 +247,10 @@ Journal::create(const std::string &path, const JournalHeader &header,
             *err = "create " + path + ": " + std::strerror(errno);
         return false;
     }
-    const std::string line = header.toJson().dump() + "\n";
-    if (::write(_fd, line.data(), line.size()) !=
-        ssize_t(line.size())) {
-        if (err)
-            *err = "write header " + path + ": " + std::strerror(errno);
-        close();
-        return false;
-    }
     // The header is the journal's provenance: records must never hit
     // the disk before it does.
-    if (::fsync(_fd) != 0) {
-        if (err)
-            *err = "fsync header " + path + ": " + std::strerror(errno);
+    if (!fs::writeSynced(_fd, header.toJson().dump() + "\n",
+                         "header " + path, err)) {
         close();
         return false;
     }
@@ -297,6 +275,7 @@ Journal::recover(const std::string &path, const JournalHeader *expect,
     size_t headerEnd = text.find('\n');
     if (headerEnd == std::string::npos) {
         rec.status = JournalStatus::Corrupt;
+        rec.tornHeader = true;
         rec.error = "journal header was torn (no complete header line)";
         return rec;
     }
@@ -359,8 +338,7 @@ Journal::openResume(const std::string &path, const JournalHeader &expect,
                     Recovery *out_recovery)
 {
     Recovery rec = recover(path, &expect, _schema);
-    if (rec.status == JournalStatus::Corrupt && !rec.headerValid &&
-        rec.error.find("torn") != std::string::npos) {
+    if (rec.tornHeader) {
         // Crash during create(): no records can exist; start over.
         rec = Recovery();
         rec.header = expect;
@@ -396,7 +374,8 @@ bool
 Journal::append(size_t index, const std::string &key,
                 const std::vector<Cell> &cells, std::string *err)
 {
-    const std::string line = sealRecord(recordPayload(index, key, cells));
+    const std::string line =
+        fs::sealRecord(recordPayload(index, key, cells));
     std::lock_guard<std::mutex> lock(_mu);
     if (_fd < 0) {
         if (err)
@@ -405,19 +384,8 @@ Journal::append(size_t index, const std::string &key,
     }
     // One write(2) per record on an O_APPEND fd: concurrent appenders
     // never interleave, and a crash can only tear the final record.
-    size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::write(_fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = std::string("journal write: ") +
-                       std::strerror(errno);
-            return false;
-        }
-        off += size_t(n);
-    }
+    if (!fs::writeAll(_fd, line, "journal write", err))
+        return false;
     if (_fsyncEach && ::fsync(_fd) != 0) {
         if (err)
             *err = std::string("journal fsync: ") + std::strerror(errno);
@@ -472,14 +440,17 @@ runJournaledSweep(const SweepRunner &runner,
     std::vector<std::vector<Cell>> rows(points.size());
     std::vector<bool> done(points.size(), false);
 
+    // Content keys address the journal and the cache only; with
+    // neither this is the plain SweepRunner path.
+    const bool journaling = !opts.journalPath.empty();
+    const bool caching = !opts.cachePath.empty();
     std::vector<std::string> keys(points.size());
-    for (size_t s = 0; s < points.size(); ++s)
+    for (size_t s = 0; (journaling || caching) && s < points.size(); ++s)
         keys[s] = keyFn(points[s]);
 
     // 1) Replay the journal (authoritative for this exact grid).
     Journal journal;
     journal.setSchema(schema);
-    const bool journaling = !opts.journalPath.empty();
     if (journaling && opts.resume && fs::fileExists(opts.journalPath)) {
         Journal::Recovery rec;
         if (journal.openResume(opts.journalPath, header, &rec) !=
@@ -512,7 +483,6 @@ runJournaledSweep(const SweepRunner &runner,
 
     // 2) Content-keyed cache fills what the journal did not.
     ResultCache cache;
-    const bool caching = !opts.cachePath.empty();
     if (caching) {
         std::string cerr_;
         if (!cache.open(opts.cachePath, header.schemaSig, header.backend,

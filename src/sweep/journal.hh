@@ -122,6 +122,7 @@ class Journal {
         JournalStatus status = JournalStatus::Ok;
         std::string error;                  ///< set when status != Ok
         bool headerValid = false;           ///< header line parsed
+        bool tornHeader = false; ///< no complete header line (Corrupt)
         JournalHeader header;               ///< parsed header
         std::vector<JournalRecord> records; ///< file order (dups kept)
         uint64_t truncatedBytes = 0;        ///< torn tail dropped

@@ -37,18 +37,6 @@ recordPayload(uint64_t hash, const std::string &key,
     return rec.dump();
 }
 
-std::string
-sealRecord(const std::string &payload)
-{
-    uint32_t crc = fs::crc32(payload.data(), payload.size());
-    std::string line = payload;
-    line.pop_back();
-    line += ",\"crc\":";
-    line += std::to_string(crc);
-    line += "}\n";
-    return line;
-}
-
 bool
 parseRecordLine(const std::string &line,
                 const std::vector<Column> &schema, uint64_t *hash,
@@ -105,21 +93,8 @@ ResultCache::writeHeader(std::string *err)
     h.set("version", kCacheVersion);
     h.set("schema", _schemaSig);
     h.set("backend", _backend);
-    const std::string line = h.dump() + "\n";
-    if (::write(_fd, line.data(), line.size()) !=
-        ssize_t(line.size())) {
-        if (err)
-            *err = "write cache header " + _path + ": " +
-                   std::strerror(errno);
-        return false;
-    }
-    if (::fsync(_fd) != 0) {
-        if (err)
-            *err = "fsync cache header " + _path + ": " +
-                   std::strerror(errno);
-        return false;
-    }
-    return true;
+    return fs::writeSynced(_fd, h.dump() + "\n", "cache header " + _path,
+                           err);
 }
 
 bool
@@ -282,21 +257,8 @@ ResultCache::appendRecordLine(uint64_t hash, const std::string &key,
             *err = "result cache is not open";
         return false;
     }
-    const std::string line = sealRecord(recordPayload(hash, key, cells));
-    size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::write(_fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = std::string("cache write: ") +
-                       std::strerror(errno);
-            return false;
-        }
-        off += size_t(n);
-    }
-    return true;
+    return fs::writeAll(_fd, fs::sealRecord(recordPayload(hash, key, cells)),
+                        "cache write", err);
 }
 
 bool

@@ -4,9 +4,9 @@
  *
  * The runner shards a Grid's points across a pool of worker threads.
  * Nothing is shared between workers — each gets a dense worker id with
- * which the caller indexes per-worker state (typically one ir::Context
- * plus one sim::Simulator / sim::BatchSession; see bench/bench_util.hh
- * for the systolic instantiation), following the bulk-synchronous
+ * which the caller indexes per-worker state (typically one sim::Session
+ * in a serve::SweepWorkers pool, as every in-process sweep does),
+ * following the bulk-synchronous
  * independent-unit model that makes simulator sweeps embarrassingly
  * parallel. Points are claimed dynamically (an atomic cursor) for load
  * balance, but results land in a slot per point index, so the emitted

@@ -178,8 +178,8 @@ runFir(sim::Simulator &s, const aie::FirConfig &cfg, std::string *err)
 }
 
 sim::SimReport
-runSystolicPipeline(sim::Simulator &s, const scalesim::Config &cfg,
-                    std::string *err)
+simulateSystolicPipeline(sim::Simulator &s, const scalesim::Config &cfg,
+                         std::string *err)
 {
     ir::Context ctx;
     ir::registerAllDialects(ctx);
@@ -274,7 +274,7 @@ allScenarios()
                      "conv lowered Linalg->Systolic, " +
                          scalesim::dataflowName(g.df) + " dataflow",
                      [cfg](sim::Simulator &s, std::string *err) {
-                         return runSystolicPipeline(s, cfg, err);
+                         return simulateSystolicPipeline(s, cfg, err);
                      }});
     }
     v.push_back({"soc_dual_shared_bus",

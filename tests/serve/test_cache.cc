@@ -53,7 +53,7 @@ TEST(ServeCache, ColdThenWarm)
     EXPECT_TRUE(warmHandle.warm());
     sim::SimReport warmReport = warmHandle.run();
 
-    // Cached (BatchSession-pinned) reruns are byte-identical to the
+    // Cached (Session-pinned) reruns are byte-identical to the
     // first, freshly compiled run.
     EXPECT_EQ(deterministicReport(coldReport),
               deterministicReport(warmReport));
@@ -207,14 +207,12 @@ TEST(ServeCache, InjectedBuildFailureLeavesEntryRetryable)
     EXPECT_EQ(cache.stats().runs, 1u);
 }
 
-TEST(ServeCache, DefaultEntriesReadsEnv)
+TEST(ServeCache, DefaultCapacity)
 {
-    // Not set in the test environment: documented default.
-    if (getenv("EQ_SERVE_CACHE_ENTRIES") == nullptr) {
-        EXPECT_EQ(ProgramCache::defaultEntries(), 32u);
-    }
+    // A capacity of 0 selects the documented default of 32 entries.
+    EXPECT_EQ(ProgramCache::defaultEntries(), 32u);
     ProgramCache cache(0);
-    EXPECT_EQ(cache.stats().capacity, ProgramCache::defaultEntries());
+    EXPECT_EQ(cache.stats().capacity, 32u);
 }
 
 } // namespace

@@ -148,7 +148,7 @@ runFir(Mode mode, const aie::FirConfig &cfg)
 }
 
 RunOutcome
-runSystolic(Mode mode, int array, scalesim::Dataflow df)
+runArray(Mode mode, int array, scalesim::Dataflow df)
 {
     scalesim::Config cfg;
     cfg.ah = cfg.aw = array;
@@ -201,26 +201,26 @@ TEST(BackendEquivTest, FirAieCase4)
 
 TEST(BackendEquivTest, Systolic4x4Ws)
 {
-    expectMatrix(runSystolic(kInterp, 4, scalesim::Dataflow::WS),
-                 runSystolic(kCompiled, 4, scalesim::Dataflow::WS));
+    expectMatrix(runArray(kInterp, 4, scalesim::Dataflow::WS),
+                 runArray(kCompiled, 4, scalesim::Dataflow::WS));
 }
 
 TEST(BackendEquivTest, Systolic4x4Os)
 {
-    expectMatrix(runSystolic(kInterp, 4, scalesim::Dataflow::OS),
-                 runSystolic(kCompiled, 4, scalesim::Dataflow::OS));
+    expectMatrix(runArray(kInterp, 4, scalesim::Dataflow::OS),
+                 runArray(kCompiled, 4, scalesim::Dataflow::OS));
 }
 
 TEST(BackendEquivTest, Systolic8x8Ws)
 {
-    expectMatrix(runSystolic(kInterp, 8, scalesim::Dataflow::WS),
-                 runSystolic(kCompiled, 8, scalesim::Dataflow::WS));
+    expectMatrix(runArray(kInterp, 8, scalesim::Dataflow::WS),
+                 runArray(kCompiled, 8, scalesim::Dataflow::WS));
 }
 
 TEST(BackendEquivTest, Systolic8x8Os)
 {
-    expectMatrix(runSystolic(kInterp, 8, scalesim::Dataflow::OS),
-                 runSystolic(kCompiled, 8, scalesim::Dataflow::OS));
+    expectMatrix(runArray(kInterp, 8, scalesim::Dataflow::OS),
+                 runArray(kCompiled, 8, scalesim::Dataflow::OS));
 }
 
 /** Shared-bus SoC: the PE bodies mix fusable register traffic with

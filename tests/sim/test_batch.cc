@@ -1,18 +1,18 @@
 /**
- * @file
- * BatchSession semantics: batched re-runs of a pinned module must be
+ * sim::Session reuse semantics: re-runs of a pinned module must be
  * observationally identical to a fresh Simulator per run — same cycles,
  * same event/op counts, same memory traffic, same processor busy time —
- * while actually reusing the dispatch tables and value numbering. Also
- * covers the hazard cases: sessions across module rebuilds in one
- * context, interleaved plain simulate() calls, and multiple live
- * sessions on one Simulator.
+ * while actually reusing the dispatch tables, value numbering and (on
+ * the compiled backend) the lowered programs. Also covers the hazard
+ * cases on both backends: a rebuild whose new module may reuse the old
+ * one's addresses, and plain simulate() calls interleaved on the
+ * session's own Simulator.
  */
 
 #include <gtest/gtest.h>
 
 #include "ir/builder.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "systolic/generator.hh"
 
 namespace {
@@ -60,7 +60,7 @@ expectReportsIdentical(const sim::SimReport &a, const sim::SimReport &b)
     }
 }
 
-/** One fresh-everything run, the pre-batch baseline. */
+/** One fresh-everything run, the reference every reused run matches. */
 sim::SimReport
 freshRun(const scalesim::Config &cfg)
 {
@@ -71,15 +71,31 @@ freshRun(const scalesim::Config &cfg)
     return s.simulate(module.get());
 }
 
-TEST(BatchSessionTest, RepeatedRunsAreCycleIdentical)
+sim::EngineOptions
+engineFor(sim::Backend backend)
+{
+    sim::EngineOptions opts;
+    opts.backend = backend;
+    return opts;
+}
+
+sim::Session::BuildFn
+builderFor(const scalesim::Config &cfg)
+{
+    return [cfg](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    };
+}
+
+/** Later runs reuse the session's tables (and, on the compiled
+ *  backend, the lowered programs); every run must match a fresh
+ *  Simulator. */
+void
+checkRepeatedRuns(sim::Backend backend)
 {
     auto cfg = smallConfig(4, scalesim::Dataflow::WS);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::Simulator s;
-    sim::BatchSession session(s, module.get());
-
+    sim::Session session(engineFor(backend));
+    session.rebuild(builderFor(cfg));
     auto first = session.run();
     expectReportsIdentical(first, freshRun(cfg));
     for (int i = 0; i < 3; ++i)
@@ -87,156 +103,86 @@ TEST(BatchSessionTest, RepeatedRunsAreCycleIdentical)
     EXPECT_EQ(session.runsCompleted(), 4u);
 }
 
+/** A plain simulate() of another module on the session's own Simulator
+ *  resets numbering (and drops the compiled programs); the session's
+ *  next run renumbers and relowers lazily. */
+void
+checkInterleavedPlainSimulate(sim::Backend backend)
+{
+    auto cfg_a = smallConfig(4, scalesim::Dataflow::WS);
+    auto cfg_b = smallConfig(3, scalesim::Dataflow::OS);
+    sim::Session session(engineFor(backend));
+    session.rebuild(builderFor(cfg_a));
+    auto mod_b = systolic::buildSystolicModule(session.context(), cfg_b);
+
+    auto baseline = session.run();
+    auto other = session.simulator().simulate(mod_b.get());
+    expectReportsIdentical(other, freshRun(cfg_b));
+    expectReportsIdentical(session.run(), baseline);
+}
+
+/** rebuild() destroys the old module before building the new one, so
+ *  the allocator may hand the new blocks the old addresses; the first
+ *  run after the rebuild must renumber (and relower) from scratch. */
+void
+checkRebuildAtReusedAddress(sim::Backend backend)
+{
+    auto cfg1 = smallConfig(4, scalesim::Dataflow::WS);
+    auto cfg2 = smallConfig(3, scalesim::Dataflow::IS);
+    sim::Session session(engineFor(backend));
+    session.rebuild(builderFor(cfg1));
+    expectReportsIdentical(session.run(), freshRun(cfg1));
+
+    session.rebuild(builderFor(cfg2));
+    expectReportsIdentical(session.run(), freshRun(cfg2));
+    expectReportsIdentical(session.run(), freshRun(cfg2));
+}
+
+TEST(BatchSessionTest, RepeatedRunsAreCycleIdentical)
+{
+    checkRepeatedRuns(sim::Backend::Interp);
+}
+
+TEST(BatchSessionTest, CompiledBackendBatchesAreCycleIdentical)
+{
+    checkRepeatedRuns(sim::Backend::Compiled);
+}
+
 TEST(BatchSessionTest, MatchesFreshSimulatorAcrossConfigs)
 {
-    // The sweep-worker pattern: one context + simulator, module and
-    // session rebuilt per structural point.
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    sim::Simulator s;
+    // The sweep-worker pattern: one session, rebuilt per structural
+    // point.
+    sim::Session session;
     for (int hw : {2, 3, 4}) {
         for (auto df : {scalesim::Dataflow::WS, scalesim::Dataflow::OS}) {
             auto cfg = smallConfig(hw, df);
-            auto module = systolic::buildSystolicModule(ctx, cfg);
-            sim::BatchSession session(s, module.get());
-            auto batched = session.run();
-            expectReportsIdentical(batched, freshRun(cfg));
-            // Second batched run exercises the numbering-reuse path.
-            expectReportsIdentical(session.run(), batched);
+            session.rebuild(builderFor(cfg));
+            auto first = session.run();
+            expectReportsIdentical(first, freshRun(cfg));
+            // The second run exercises the numbering-reuse path.
+            expectReportsIdentical(session.run(), first);
         }
     }
 }
 
 TEST(BatchSessionTest, SurvivesInterleavedPlainSimulate)
 {
-    auto cfg_a = smallConfig(4, scalesim::Dataflow::WS);
-    auto cfg_b = smallConfig(3, scalesim::Dataflow::OS);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto mod_a = systolic::buildSystolicModule(ctx, cfg_a);
-    auto mod_b = systolic::buildSystolicModule(ctx, cfg_b);
-    sim::Simulator s;
-    sim::BatchSession session(s, mod_a.get());
-
-    auto baseline = session.run();
-    // A plain simulate() of another module fully resets numbering...
-    auto other = s.simulate(mod_b.get());
-    expectReportsIdentical(other, freshRun(cfg_b));
-    // ...and the session recovers (renumbering lazily) on its next run.
-    expectReportsIdentical(session.run(), baseline);
-}
-
-TEST(BatchSessionTest, TwoLiveSessionsAlternate)
-{
-    auto cfg_a = smallConfig(4, scalesim::Dataflow::WS);
-    auto cfg_b = smallConfig(2, scalesim::Dataflow::OS);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto mod_a = systolic::buildSystolicModule(ctx, cfg_a);
-    auto mod_b = systolic::buildSystolicModule(ctx, cfg_b);
-    sim::Simulator s;
-    sim::BatchSession sa(s, mod_a.get());
-    sim::BatchSession sb(s, mod_b.get());
-
-    auto ra = sa.run();
-    auto rb = sb.run();
-    expectReportsIdentical(ra, freshRun(cfg_a));
-    expectReportsIdentical(rb, freshRun(cfg_b));
-    // Alternating keeps both correct (numbering for both modules can
-    // coexist; both stay alive for the session lifetimes).
-    expectReportsIdentical(sa.run(), ra);
-    expectReportsIdentical(sb.run(), rb);
-    expectReportsIdentical(sa.run(), ra);
-}
-
-TEST(BatchSessionTest, CompiledBackendBatchesAreCycleIdentical)
-{
-    // The compiled backend caches the lowered micro-op programs across
-    // batched re-runs (sweeps pay compilation once per structural
-    // config); every run must still match a fresh-Simulator run.
-    auto cfg = smallConfig(4, scalesim::Dataflow::WS);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-    sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    sim::Simulator s(opts);
-    sim::BatchSession session(s, module.get());
-
-    auto first = session.run();
-    expectReportsIdentical(first, freshRun(cfg));
-    for (int i = 0; i < 3; ++i)
-        expectReportsIdentical(session.run(), first);
+    checkInterleavedPlainSimulate(sim::Backend::Interp);
 }
 
 TEST(BatchSessionTest, CompiledBackendSurvivesInterleavedPlainSimulate)
 {
-    // A plain simulate() of another module clears numbering *and* the
-    // compiled program cache; the session must recover (relower) on
-    // its next run.
-    auto cfg_a = smallConfig(4, scalesim::Dataflow::WS);
-    auto cfg_b = smallConfig(3, scalesim::Dataflow::OS);
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto mod_a = systolic::buildSystolicModule(ctx, cfg_a);
-    auto mod_b = systolic::buildSystolicModule(ctx, cfg_b);
-    sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    sim::Simulator s(opts);
-    sim::BatchSession session(s, mod_a.get());
-
-    auto baseline = session.run();
-    auto other = s.simulate(mod_b.get());
-    expectReportsIdentical(other, freshRun(cfg_b));
-    expectReportsIdentical(session.run(), baseline);
-}
-
-TEST(BatchSessionTest, CompiledBackendSessionAfterModuleRebuild)
-{
-    // The sweep-worker rebuild path under the compiled backend: a new
-    // module may reuse the old one's block addresses; the new
-    // session's first run must renumber and relower from scratch.
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    sim::EngineOptions opts;
-    opts.backend = sim::Backend::Compiled;
-    sim::Simulator s(opts);
-    auto cfg1 = smallConfig(4, scalesim::Dataflow::WS);
-    auto cfg2 = smallConfig(3, scalesim::Dataflow::IS);
-
-    ir::OwningOpRef module = systolic::buildSystolicModule(ctx, cfg1);
-    auto report1 = [&] {
-        sim::BatchSession session(s, module.get());
-        return session.run();
-    }();
-    expectReportsIdentical(report1, freshRun(cfg1));
-
-    module = systolic::buildSystolicModule(ctx, cfg2);
-    sim::BatchSession session(s, module.get());
-    expectReportsIdentical(session.run(), freshRun(cfg2));
+    checkInterleavedPlainSimulate(sim::Backend::Compiled);
 }
 
 TEST(BatchSessionTest, SessionAfterModuleRebuildAtSameAddressIsSafe)
 {
-    // The sweep-worker rebuild path: destroy the old module, build a
-    // new one (allocator may reuse addresses), open a new session. The
-    // first run of the new session must renumber from scratch.
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    sim::Simulator s;
-    auto cfg1 = smallConfig(4, scalesim::Dataflow::WS);
-    auto cfg2 = smallConfig(3, scalesim::Dataflow::IS);
+    checkRebuildAtReusedAddress(sim::Backend::Interp);
+}
 
-    ir::OwningOpRef module = systolic::buildSystolicModule(ctx, cfg1);
-    auto report1 = [&] {
-        sim::BatchSession session(s, module.get());
-        return session.run();
-    }();
-    expectReportsIdentical(report1, freshRun(cfg1));
-
-    module = systolic::buildSystolicModule(ctx, cfg2);
-    sim::BatchSession session(s, module.get());
-    expectReportsIdentical(session.run(), freshRun(cfg2));
+TEST(BatchSessionTest, CompiledBackendSessionAfterModuleRebuild)
+{
+    checkRebuildAtReusedAddress(sim::Backend::Compiled);
 }
 
 } // namespace

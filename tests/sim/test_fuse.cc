@@ -9,7 +9,7 @@
  * analysis (a cell read whose value leaves the launch body keeps its
  * materialized tensor), the affine load/store + scalar-arith fusion
  * with constant index folding, fused-program caching under
- * BatchSession, and the shapes that form one-element groups: operand
+ * sim::Session, and the shapes that form one-element groups: operand
  * chains deeper than kMaxFusedHops, a Return after a non-fusible
  * record, and lone records between loop records.
  */
@@ -25,6 +25,7 @@
 #include "scalesim/scalesim.hh"
 #include "sim/compile.hh"
 #include "sim/engine.hh"
+#include "sim/session.hh"
 #include "systolic/generator.hh"
 #include "testutil.hh"
 
@@ -298,9 +299,9 @@ TEST_F(FuseTest, AffineLoweredConvFusesAndMatches)
               compiled.report.opsExecuted);
 }
 
-/** BatchSession caches the fused programs like everything else:
+/** Session caches the fused programs like everything else:
  *  repeated runs are identical, including the dispatch count. */
-TEST_F(FuseTest, BatchSessionReusesFusedPrograms)
+TEST_F(FuseTest, SessionReusesFusedPrograms)
 {
     scalesim::Config cfg;
     cfg.ah = cfg.aw = 2;
@@ -308,12 +309,12 @@ TEST_F(FuseTest, BatchSessionReusesFusedPrograms)
     cfg.h = cfg.w = 4;
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    auto module = systolic::buildSystolicModule(ctx, cfg);
-
     sim::EngineOptions opts;
     opts.backend = sim::Backend::Compiled;
-    sim::Simulator s(opts);
-    sim::BatchSession session(s, module.get());
+    sim::Session session(opts);
+    session.rebuild([&](ir::Context &c) {
+        return systolic::buildSystolicModule(c, cfg);
+    });
     auto first = session.run();
     auto second = session.run();
     EXPECT_EQ(first.cycles, second.cycles);

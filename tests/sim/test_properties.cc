@@ -9,6 +9,7 @@
 
 #include "aie/fir.hh"
 #include "sim/engine.hh"
+#include "sim/session.hh"
 #include "soc/soc.hh"
 #include "systolic/generator.hh"
 
@@ -110,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(Cores, FirPropertySweep,
 /** SoC scenarios swept over the shipped families plus contention
  *  variants: exact shared-bus byte conservation, per-array utilization
  *  bounds under contention, and arbitration determinism across both
- *  repeated fresh runs and BatchSession reuse. */
+ *  repeated fresh runs and Session reuse. */
 class SocPropertySweep : public ::testing::TestWithParam<int> {
   protected:
     static soc::SocConfig
@@ -208,14 +209,12 @@ TEST_P(SocPropertySweep, ArbitrationDeterministicAcrossRunsAndSessions)
     EXPECT_EQ(r1.eventsExecuted, r2.eventsExecuted);
     EXPECT_EQ(r1.opsExecuted, r2.opsExecuted);
 
-    // BatchSession reuse must replay the same arbitration decisions:
+    // Session reuse must replay the same arbitration decisions:
     // identical cycles, traffic, and per-processor busy time on every
     // rerun of the pinned module.
-    ir::Context ctx;
-    ir::registerAllDialects(ctx);
-    auto module = soc::buildSocModule(ctx, cfg);
-    sim::Simulator s;
-    sim::BatchSession session(s, module.get());
+    sim::Session session;
+    session.rebuild(
+        [&](ir::Context &ctx) { return soc::buildSocModule(ctx, cfg); });
     for (int run = 0; run < 3; ++run) {
         auto rep = session.run();
         EXPECT_EQ(rep.cycles, r1.cycles) << "run " << run;

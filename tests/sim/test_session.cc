@@ -3,7 +3,7 @@
  * sim::Session contract: one Context + Simulator + pinned module
  * behind a rebuild()/run() facade. ready() flips on the first rebuild,
  * repeated runs of the same pinned module report identical
- * deterministic fields (BatchSession reuse), rebuild() swaps the
+ * deterministic fields, rebuild() swaps the
  * pinned program (reports track the new config), and run counters /
  * build timing behave as documented.
  */

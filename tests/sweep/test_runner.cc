@@ -7,20 +7,18 @@
  * exactly once with a worker id inside the pool.
  *
  * The determinism suite runs both a pure-function grid and a real
- * engine sweep through the harnesses' own worker helper
- * (bench::SystolicWorker: one Context + Simulator + BatchSession per
- * worker), covering the exact sweep-runner contract the experiment
- * harnesses rely on.
+ * engine sweep through the session pool the harnesses use
+ * (serve::SweepWorkers: one sim::Session per worker), covering the
+ * exact sweep-runner contract the experiment harnesses rely on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <thread>
 
-#include "bench_util.hh"
+#include "serve/models.hh"
 #include "sweep/runner.hh"
 
 namespace {
@@ -153,14 +151,15 @@ TEST(SweepRunnerTest, EngineSweepByteIdenticalAcrossThreadCounts)
         sweep::RunnerOptions opts;
         opts.threads = threads;
         sweep::SweepRunner runner(opts);
-        auto workers = bench::makeSystolicWorkers(runner, grid.size());
+        serve::SweepWorkers workers(runner.threadsFor(grid.size()));
 
         auto table = runner.run(
             grid, schema,
             [&](const sweep::Point &p, unsigned w) -> std::vector<Cell> {
+                auto key = serve::ModelKey::systolicKey(configFor(p));
                 return {p.at("df"), p.at("hw"), p.at("n"),
                         static_cast<int64_t>(
-                            workers[w]->run(configFor(p)).report.cycles)};
+                            workers.run(w, key).report.cycles)};
             });
         if (baseline.empty())
             baseline = table.csv();

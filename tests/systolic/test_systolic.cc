@@ -18,7 +18,7 @@ using systolic::Config;
 using systolic::Dataflow;
 
 sim::SimReport
-runSystolic(const Config &cfg)
+simulateFresh(const Config &cfg)
 {
     ir::Context ctx;
     ir::registerAllDialects(ctx);
@@ -46,7 +46,7 @@ TEST(SystolicTest, TinyWsMatchesAnalyticModelExactly)
     cfg.n = 2;
     cfg.fh = cfg.fw = 2; // K=4, N=2, T=4
     cfg.dataflow = Dataflow::WS;
-    auto rep = runSystolic(cfg);
+    auto rep = simulateFresh(cfg);
     auto ref = scalesim::simulate(cfg);
     EXPECT_EQ(rep.cycles, ref.cycles);
 }
@@ -60,7 +60,7 @@ TEST(SystolicTest, SramTrafficMatchesModel)
     cfg.n = 4;
     cfg.fh = cfg.fw = 2;
     cfg.dataflow = Dataflow::WS;
-    auto rep = runSystolic(cfg);
+    auto rep = simulateFresh(cfg);
     auto ref = scalesim::simulate(cfg);
     // SRAM reads = ifmap stream + weight preload; writes = ofmap exits.
     EXPECT_EQ(sramBytes(rep, false),
@@ -77,7 +77,7 @@ TEST(SystolicTest, OsHasNoPreloadTraffic)
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
     cfg.dataflow = Dataflow::OS;
-    auto rep = runSystolic(cfg);
+    auto rep = simulateFresh(cfg);
     auto ref = scalesim::simulate(cfg);
     EXPECT_EQ(rep.cycles, ref.cycles);
     EXPECT_EQ(sramBytes(rep, false),
@@ -93,7 +93,7 @@ TEST(SystolicTest, MacUnitsAreBusyDuringStreaming)
     cfg.h = cfg.w = 4;
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    auto rep = runSystolic(cfg);
+    auto rep = simulateFresh(cfg);
     uint64_t mac_busy = 0;
     for (const auto &p : rep.processors)
         if (p.kind == "MAC")
@@ -122,7 +122,7 @@ TEST_P(SystolicVsScaleSim, CyclesAndTrafficAgree)
     if (cfg.h < cfg.fh)
         GTEST_SKIP();
 
-    auto rep = runSystolic(cfg);
+    auto rep = simulateFresh(cfg);
     auto ref = scalesim::simulate(cfg);
     EXPECT_EQ(rep.cycles, ref.cycles)
         << "dataflow=" << scalesim::dataflowName(df) << " ah=" << ah
