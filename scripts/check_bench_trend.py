@@ -13,9 +13,11 @@ Usage:
 Benchmarks are matched by exact name ("BM_SimulateSystolic/compiled/8");
 the --track prefixes select which families gate the build (default:
 BM_SimulateSystolic, BM_EventDispatch, BM_CompiledVsInterp,
-BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the serving
-layer's BM_ServeWarmVsCold cache legs, and the sweep durability layer's
-BM_SweepResume warm/cold legs). Every engine benchmark carries its
+BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the pinned
+warm-run path BM_BatchSessionReuse, the serving layer's
+BM_ServeWarmVsCold cache legs, and the sweep durability layer's
+BM_SweepResume warm/cold legs). CI passes no --track, so this default
+is the one list of gated families. Every engine benchmark carries its
 backend in its name, so a change of the default backend shows up as
 new series rather than as a silent jump in an old one. Untracked
 benchmarks are reported informationally. Stdlib only.
@@ -75,6 +77,7 @@ def main():
                     default=["BM_SimulateSystolic", "BM_EventDispatch",
                              "BM_CompiledVsInterp", "BM_FusedVsCompiled",
                              "BM_SoCContention", "BM_LaunchIssue",
+                             "BM_BatchSessionReuse",
                              "BM_ServeWarmVsCold", "BM_SweepResume"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",

@@ -30,6 +30,7 @@
  */
 
 #include "dialects/affine.hh"
+#include "base/stringutil.hh"
 #include "dialects/equeue.hh"
 #include "sim/engine_impl.hh"
 #include "sim/fuse.hh"
@@ -238,10 +239,16 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
                                     : SimValue::ofInt(v.asInt()));
         break;
     }
-    case MOp::CreateComp:
+    case MOp::CreateComp: {
         if (op->opId() == _eng.idAddComp)
             m.flags |= kFlagIsAddComp;
+        // The subcomponent names (the verifier pins one per operand),
+        // parsed once here: aux -> the first.
+        m.aux = static_cast<uint32_t>(_prog->strings.size());
+        for (std::string &name : split(op->strAttr("names"), ' '))
+            _prog->strings.push_back(std::move(name));
         break;
+    }
     case MOp::GetComp: {
         m.aux = static_cast<uint32_t>(_prog->strings.size());
         _prog->strings.push_back(

@@ -66,7 +66,8 @@ enum class MOp : uint8_t {
     CreateMem,
     CreateStream,
     CreateConnection,
-    CreateComp, ///< create_comp / add_comp (kFlagIsAddComp)
+    CreateComp, ///< create_comp / add_comp (kFlagIsAddComp); aux ->
+                ///< strings (one name per subcomponent operand)
     GetComp,    ///< get_comp / extract_comp; child name pre-resolved
     Alloc,      ///< equeue.alloc / memref.alloc (kFlagEqueueAlloc)
     Dealloc,
@@ -231,7 +232,8 @@ struct CompiledBlock {
     std::vector<SimValue> consts;
     /** Extra result slots for multi-result ops (MOp::Extern). */
     std::vector<uint32_t> resultPool;
-    /** Pre-resolved component child names (MOp::GetComp). */
+    /** Pre-resolved component child names (MOp::GetComp) and parsed
+     *  subcomponent name lists (MOp::CreateComp). */
     std::vector<std::string> strings;
 
     struct ForLoopInfo {

@@ -54,10 +54,27 @@ CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
             now = end;
             return false;
         }
-        _eng.scheduleAt(end, [this, end] { resume(end); });
+        _eng.scheduleAt(end,
+                        [this, gen = _gen, end] { wake(gen, end); });
         return true;
     }
     return false;
+}
+
+CompiledExec *
+Simulator::Impl::acquireExec(Event *ev, Processor *proc,
+                             const CompiledBlock &prog, EnvPtr env)
+{
+    CompiledExec *x;
+    if (freeExecs.empty()) {
+        compiledExecs.push_back(std::make_unique<CompiledExec>(*this));
+        x = compiledExecs.back().get();
+    } else {
+        x = freeExecs.back();
+        freeExecs.pop_back();
+    }
+    x->init(ev, proc, prog, std::move(env));
+    return x;
 }
 
 void
@@ -69,12 +86,11 @@ CompiledExec::finish(Cycles t)
     _eng.noteActivity(t);
     if (_event)
         _eng.finishLaunch(_event, _proc, t);
-    // The exec object lives in Impl::execs until the next reset, but
-    // its environment is dead here — release it so the pool can hand
-    // it to the next launch — and so is the extern call frame, whose
-    // argument copies would otherwise keep tensors alive.
-    _env.reset();
-    _scratch = OpCall();
+    // Nothing can wake this exec any more (a running exec has no
+    // pending wakeup), so it goes straight back to the pool. The
+    // caller returns without touching it again.
+    release();
+    _eng.freeExecs.push_back(this);
 }
 
 void
@@ -83,7 +99,7 @@ CompiledExec::resume(Cycles t)
     eq_assert(!_finished, "resuming finished block");
     Cycles now = t;
     _eng.now = std::max(_eng.now, t);
-    const MicroOp *code = _prog.code.data();
+    const MicroOp *code = _prog->code.data();
     for (;;) {
         const MicroOp &m = code[_pc];
         if (m.counts()) {
@@ -95,7 +111,7 @@ CompiledExec::resume(Cycles t)
         switch (m.code) {
         // --- control flow -------------------------------------------
         case MOp::ForBegin: {
-            const auto &fl = _prog.forLoops[m.aux];
+            const auto &fl = _prog->forLoops[m.aux];
             if (fl.lb >= fl.ub) {
                 _pc = m.target;
                 continue;
@@ -105,7 +121,7 @@ CompiledExec::resume(Cycles t)
             continue;
         }
         case MOp::ForEnd: {
-            const auto &fl = _prog.forLoops[m.aux];
+            const auto &fl = _prog->forLoops[m.aux];
             int64_t iv = local(fl.ivSlot).asInt() + fl.step;
             if (iv < fl.ub) {
                 local(fl.ivSlot) = SimValue::ofInt(iv);
@@ -116,7 +132,7 @@ CompiledExec::resume(Cycles t)
             continue;
         }
         case MOp::ParBegin: {
-            const auto &pl = _prog.parLoops[m.aux];
+            const auto &pl = _prog->parLoops[m.aux];
             bool empty = pl.lbs.empty();
             for (size_t i = 0; i < pl.lbs.size(); ++i)
                 if (pl.lbs[i] >= pl.ubs[i])
@@ -131,7 +147,7 @@ CompiledExec::resume(Cycles t)
             continue;
         }
         case MOp::ParEnd: {
-            const auto &pl = _prog.parLoops[m.aux];
+            const auto &pl = _prog->parLoops[m.aux];
             // Lexicographic increment of the induction vector, kept
             // live in the slots themselves.
             int dim = static_cast<int>(pl.ivSlots.size()) - 1;
@@ -219,12 +235,13 @@ CompiledExec::resume(Cycles t)
             continue;
         case MOp::CreateComp: {
             bool is_add = m.flags & kFlagIsAddComp;
-            std::vector<SimValue> vals;
-            vals.reserve(m.nargs);
+            _scratch.args.clear();
             for (unsigned i = 0; i < m.nargs; ++i)
-                vals.push_back(arg(m, i));
-            SimValue r = _eng.elabCreateOrAddComp(m.op, vals.data(),
-                                                  vals.size(), is_add);
+                _scratch.args.push_back(arg(m, i));
+            SimValue r = _eng.elabCreateOrAddComp(
+                _scratch.args.data(), _scratch.args.size(), is_add,
+                _prog->strings.data() + m.aux);
+            _scratch.args.clear();
             if (!is_add)
                 bindLocal(m.result, r);
             ++_pc;
@@ -233,7 +250,7 @@ CompiledExec::resume(Cycles t)
         case MOp::GetComp:
             bindLocal(m.result,
                       _eng.elabGetComp(arg(m, 0).asComponent(),
-                                       _prog.strings[m.aux]));
+                                       _prog->strings[m.aux]));
             ++_pc;
             continue;
         case MOp::Alloc: {
@@ -291,7 +308,8 @@ CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
             return false;
         }
         _subPc = k + 2; // 1-based: resume at element k + 1
-        _eng.scheduleAt(end, [this, end] { resume(end); });
+        _eng.scheduleAt(end,
+                        [this, gen = _gen, end] { wake(gen, end); });
         return true;
     }
     return false;
@@ -312,7 +330,7 @@ CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
 bool
 CompiledExec::execFused(const MicroOp &m, Cycles &now)
 {
-    const FusedGroup &g = _prog.fusedGroups[m.aux];
+    const FusedGroup &g = _prog->fusedGroups[m.aux];
     // One jump-table dispatch for the whole group; re-entries after a
     // mid-group suspension do not re-count it.
     if (_subPc == 0)
@@ -341,7 +359,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
         return e->slots[r.slot];
     };
     auto argOf = [&](const FusedElem &e, unsigned i) -> const SimValue & {
-        const SimValue &s = slot(_prog.args[e.argsBegin + i]);
+        const SimValue &s = slot(_prog->args[e.argsBegin + i]);
         eq_assert(!s.isNone(),
                   "use of value with no runtime binding (op '",
                   e.op ? e.op->name() : "?",
@@ -351,7 +369,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
     auto indices = [&](const FusedElem &e, unsigned first,
                        int64_t *buf) -> const int64_t * {
         if (e.immIdx())
-            return _prog.immIdx.data() + e.immBegin;
+            return _prog->immIdx.data() + e.immBegin;
         const unsigned n = e.nargs - first;
         eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
         for (unsigned i = 0; i < n; ++i)
@@ -361,7 +379,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
 
     uint32_t k = _subPc ? _subPc - 1 : 0;
     _subPc = 0;
-    const FusedElem *elems = _prog.fusedElems.data() + g.elemsBegin;
+    const FusedElem *elems = _prog->fusedElems.data() + g.elemsBegin;
     for (; k < g.numElems; ++k) {
         const FusedElem &e = elems[k];
         // opsExecuted parity: every element is one interpreter
@@ -372,31 +390,30 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                      "); runaway program?");
         switch (e.code) {
         case MOp::Constant:
-            bindLocal(e.result, _prog.consts[e.aux]);
+            bindLocal(e.result, _prog->consts[e.aux]);
             continue;
         case MOp::AddI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() +
-                                                argOf(e, 1).asInt()));
+            bindLocal(e.result, SimValue::ofInt(arithAddI(
+                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
             if (chargeFused(e, now, now, costOf(e), k))
                 return true;
             continue;
         case MOp::SubI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() -
-                                                argOf(e, 1).asInt()));
+            bindLocal(e.result, SimValue::ofInt(arithSubI(
+                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
             if (chargeFused(e, now, now, costOf(e), k))
                 return true;
             continue;
         case MOp::MulI:
-            bindLocal(e.result, SimValue::ofInt(argOf(e, 0).asInt() *
-                                                argOf(e, 1).asInt()));
+            bindLocal(e.result, SimValue::ofInt(arithMulI(
+                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
             if (chargeFused(e, now, now, costOf(e), k))
                 return true;
             continue;
         case MOp::DivSI: {
             int64_t lhs = argOf(e, 0).asInt();
             int64_t rhs = argOf(e, 1).asInt();
-            bindLocal(e.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs / rhs));
+            bindLocal(e.result, SimValue::ofInt(arithDivSI(lhs, rhs)));
             if (chargeFused(e, now, now, costOf(e), k))
                 return true;
             continue;
@@ -404,8 +421,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
         case MOp::RemSI: {
             int64_t lhs = argOf(e, 0).asInt();
             int64_t rhs = argOf(e, 1).asInt();
-            bindLocal(e.result,
-                      SimValue::ofInt(rhs == 0 ? 0 : lhs % rhs));
+            bindLocal(e.result, SimValue::ofInt(arithRemSI(lhs, rhs)));
             if (chargeFused(e, now, now, costOf(e), k))
                 return true;
             continue;
@@ -540,7 +556,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 // (the interpreter re-executes its op the same way).
                 _subPc = k + 1; // 1-based: resume at element k
                 _eng.streamWaiters[fifo].push_back(
-                    [this] { resume(_eng.now); });
+                    [this, gen = _gen] { wake(gen, _eng.now); });
                 return true;
             }
             if (ready > now) {
@@ -551,8 +567,9 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                     continue;
                 }
                 _subPc = k + 1; // 1-based: resume at element k
-                _eng.scheduleAt(ready,
-                                [this, ready] { resume(ready); });
+                _eng.scheduleAt(ready, [this, gen = _gen, ready] {
+                    wake(gen, ready);
+                });
                 return true;
             }
             auto vals = fifo->pop(elems);
@@ -608,7 +625,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                           *e.label,
                           "' returned an empty SimValue for result ",
                           i);
-                bindLocal(_prog.resultPool[e.resultBegin + i],
+                bindLocal(_prog->resultPool[e.resultBegin + i],
                           r.results[i]);
             }
             Cycles cycles = std::max(costOf(e), r.cycles);
@@ -619,7 +636,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
 
         // --- events (position-independent, so they fuse too) --------
         case MOp::ControlStart: {
-            Event *ev = _eng.newEvent(Event::Kind::Start, now);
+            Event *ev = _eng.newEvent(Event::Kind::Start);
             _eng.completeEvent(ev, now);
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             continue;
@@ -628,41 +645,35 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
         case MOp::ControlOr: {
             bool is_and = e.code == MOp::ControlAnd;
             Event *ev = _eng.newEvent(
-                is_and ? Event::Kind::And : Event::Kind::Or, now);
-            std::vector<EventId> deps;
-            deps.reserve(e.nargs);
+                is_and ? Event::Kind::And : Event::Kind::Or);
             for (unsigned i = 0; i < e.nargs; ++i)
-                deps.push_back(argOf(e, i).asEvent());
-            ev->deps = deps;
+                ev->deps.push_back(argOf(e, i).asEvent());
             bindLocal(e.result, SimValue::ofEvent(ev->id));
-            Event *evp = ev;
             Simulator::Impl *eng = &_eng;
-            auto done = [eng, evp](Cycles dt) {
-                eng->completeEvent(evp, dt);
-            };
+            auto done = [eng, ev](Cycles dt) { eng->completeEvent(ev, dt); };
             if (is_and)
-                _eng.whenAllDone(deps, done);
+                _eng.whenAllDone(ev->deps.data(), ev->deps.size(), done);
             else
-                _eng.whenAnyDone(deps, done);
+                _eng.whenAnyDone(ev->deps.data(), ev->deps.size(), done);
             continue;
         }
         case MOp::Launch: {
             unsigned ndeps = static_cast<unsigned>(e.imm);
-            Event *ev = _eng.newEvent(Event::Kind::Launch, now);
+            Event *ev = _eng.newEvent(Event::Kind::Launch);
             for (unsigned i = 0; i < ndeps; ++i)
                 ev->deps.push_back(argOf(e, i).asEvent());
             ev->op = e.op;
             ev->proc = static_cast<Processor *>(
                 argOf(e, ndeps).asComponent());
             ev->creatorEnv = _env;
-            ev->bodyProg = _prog.childProgs[e.aux];
+            ev->bodyProg = _prog->childProgs[e.aux];
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             _spawned.push_back(ev->id);
             _eng.enqueueOnProcessor(ev, now);
             continue;
         }
         case MOp::Memcpy: {
-            Event *ev = _eng.newEvent(Event::Kind::Memcpy, now);
+            Event *ev = _eng.newEvent(Event::Kind::Memcpy);
             ev->deps.push_back(argOf(e, 0).asEvent());
             ev->op = e.op;
             ev->src = argOf(e, 1).asBuffer();
@@ -678,6 +689,9 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             continue;
         }
         case MOp::Await: {
+            auto wakeAt = [this, gen = _gen, now](Cycles dt) {
+                wake(gen, std::max(now, dt));
+            };
             if (e.nargs == 0) {
                 // Await-all fast path (see BlockExec::execAwait):
                 // done events are timing-irrelevant (doneTime <= now),
@@ -691,32 +705,16 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 if (w == 0)
                     continue;
                 _subPc = k + 2; // 1-based: resume at element k + 1
-                if (w == 1) {
-                    _eng.event(_spawned[0])->onDone.push_back(
-                        [this, now](Cycles dt) {
-                            resume(std::max(now, dt));
-                        });
-                    return true;
-                }
-                auto state =
-                    std::make_shared<std::pair<size_t, Cycles>>(w, 0);
-                for (EventId id : _spawned)
-                    _eng.event(id)->onDone.push_back(
-                        [this, now, state](Cycles dt) {
-                            state->second =
-                                std::max(state->second, dt);
-                            if (--state->first == 0)
-                                resume(std::max(now, state->second));
-                        });
+                _eng.whenAllDone(_spawned.data(), w, wakeAt);
                 return true;
             }
-            std::vector<EventId> ids;
-            ids.reserve(e.nargs);
-            for (unsigned i = 0; i < e.nargs; ++i)
-                ids.push_back(argOf(e, i).asEvent());
+            std::vector<EventId> &ids = _eng.idScratch;
+            ids.clear();
             bool all_done = true;
             Cycles max_t = now;
-            for (EventId id : ids) {
+            for (unsigned i = 0; i < e.nargs; ++i) {
+                EventId id = argOf(e, i).asEvent();
+                ids.push_back(id);
                 Event *ev = _eng.event(id);
                 if (!ev->done)
                     all_done = false;
@@ -728,9 +726,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 continue;
             }
             _subPc = k + 2; // 1-based: resume at element k + 1
-            _eng.whenAllDone(ids, [this, now](Cycles dt) {
-                resume(std::max(now, dt));
-            });
+            _eng.whenAllDone(ids.data(), ids.size(), wakeAt);
             return true;
         }
         case MOp::Return:

@@ -25,24 +25,55 @@
 namespace eq {
 namespace sim {
 
-class CompiledExec : public ExecBase {
+/**
+ * One execution of a compiled program. Execs are pooled by the engine
+ * (Simulator::Impl::acquireExec): init() binds a pooled exec to a new
+ * launch, and finish() returns it to the free list. Every wakeup the
+ * exec schedules carries the generation it was scheduled under, so a
+ * stale wakeup fails an assertion instead of running another launch's
+ * program.
+ */
+class CompiledExec {
   public:
-    CompiledExec(Simulator::Impl &eng, Event *ev, Processor *proc,
-                 const CompiledBlock &prog, EnvPtr env)
-        : _eng(eng), _event(ev), _proc(proc), _prog(prog),
-          _env(std::move(env)),
-          _costRow(eng.costTable[proc ? static_cast<unsigned>(
-                                            proc->costClass())
-                                      : static_cast<unsigned>(
-                                            CostClass::Root)]
-                       .data())
+    explicit CompiledExec(Simulator::Impl &eng) : _eng(eng) {}
+
+    /** Bind this (idle) exec to a run of @p prog for launch @p ev
+     *  (null: the module top level) on @p proc in @p env. */
+    void
+    init(Event *ev, Processor *proc, const CompiledBlock &prog, EnvPtr env)
     {
-        eq_assert(_env->scopeId == prog.scopeId,
+        eq_assert(env->scopeId == prog.scopeId,
                   "compiled program bound to a foreign environment");
+        _event = ev;
+        _proc = proc;
+        _prog = &prog;
+        _env = std::move(env);
+        _costRow =
+            _eng.costTable[proc ? static_cast<unsigned>(proc->costClass())
+                                : static_cast<unsigned>(CostClass::Root)]
+                .data();
+        _pc = 0;
+        _subPc = 0;
+        _spawned.clear();
+        _finished = false;
+        ++_gen;
     }
 
-    /** Re-enter the stream at simulation time @p t (at the saved pc). */
-    void resume(Cycles t) override;
+    /** Go idle: drop the environment and the call frame's argument
+     *  copies (which would otherwise keep tensors alive), keeping the
+     *  vectors' capacity for the next launch. */
+    void
+    release()
+    {
+        _env.reset();
+        _scratch.op = nullptr;
+        _scratch.args.clear();
+        _finished = true;
+    }
+
+    /** (Re-)enter the stream at simulation time @p t (at the saved
+     *  pc). */
+    void resume(Cycles t);
 
   private:
     /** Resolve a pre-compiled value reference along the env chain. */
@@ -55,12 +86,21 @@ class CompiledExec : public ExecBase {
         return e->slots[r.slot];
     }
 
+    /** Scheduled re-entry: @p gen is the generation the wakeup was
+     *  scheduled under. */
+    void
+    wake(uint32_t gen, Cycles t)
+    {
+        eq_assert(gen == _gen, "resuming a recycled exec");
+        resume(t);
+    }
+
     /** Operand @p i of record @p m; asserts it has a runtime binding
      *  (mirrors the interpreter's eval diagnostics). */
     const SimValue &
     arg(const MicroOp &m, unsigned i) const
     {
-        const SimValue &s = slotAt(_prog.args[m.argsBegin + i]);
+        const SimValue &s = slotAt(_prog->args[m.argsBegin + i]);
         eq_assert(!s.isNone(),
                   "use of value with no runtime binding (op '",
                   m.op ? m.op->name() : "?",
@@ -127,13 +167,13 @@ class CompiledExec : public ExecBase {
     void finish(Cycles t);
 
     Simulator::Impl &_eng;
-    Event *_event;    ///< null for the module top level
-    Processor *_proc; ///< executing processor (root proc at top level)
-    const CompiledBlock &_prog;
+    Event *_event = nullptr; ///< null for the module top level
+    Processor *_proc = nullptr; ///< executing processor (root proc at top)
+    const CompiledBlock *_prog = nullptr;
     EnvPtr _env;
     /** The executing processor class's cost-table row (indexed by
      *  costId); the table is stable for the whole run. */
-    const Cycles *_costRow;
+    const Cycles *_costRow = nullptr;
     uint32_t _pc = 0;
     /** Resume position inside a suspended MOp::Fused group, 1-based:
      *  0 = enter the group fresh, k+1 = resume at element k. The
@@ -142,11 +182,14 @@ class CompiledExec : public ExecBase {
      *  producer), so re-entries never re-count the group dispatch.
      *  Only nonzero while suspended at _pc. */
     uint32_t _subPc = 0;
-    /** Scratch equeue.op call frame: cleared per call, so repeated
-     *  extern elements reuse the argument vector's capacity. */
+    /** Scratch equeue.op call frame (also create_comp's operand
+     *  list): cleared per call, so its argument vector's capacity is
+     *  reused across calls and launches. */
     OpCall _scratch;
     std::vector<EventId> _spawned;
-    bool _finished = false;
+    /** Bumped by init(); see wake(). */
+    uint32_t _gen = 0;
+    bool _finished = true;
 };
 
 } // namespace sim

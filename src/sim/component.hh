@@ -209,8 +209,14 @@ class Processor : public Device {
     CostClass costClass() const;
 
     /// @name Event queue
+    /// The FIFO of launched events waiting to issue, threaded through
+    /// Event::nextQueued so queueing never allocates (maintained by the
+    /// engine's event core, event_core.cc).
     /// @{
-    std::deque<Event *> &queue() { return _queue; }
+    bool queueEmpty() const { return _queueHead == nullptr; }
+    Event *queueFront() const { return _queueHead; }
+    void pushQueue(Event *ev);
+    void popQueue();
     bool busy() const { return _busy; }
     void setBusy(bool b) { _busy = b; }
     /// @}
@@ -225,7 +231,8 @@ class Processor : public Device {
 
   private:
     std::string _kind;
-    std::deque<Event *> _queue;
+    Event *_queueHead = nullptr;
+    Event *_queueTail = nullptr;
     bool _busy = false;
     Cycles _busyCycles = 0;
     uint64_t _opsExecuted = 0;

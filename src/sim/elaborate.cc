@@ -77,9 +77,9 @@ Simulator::Impl::elabCreateConnection(ir::Operation *op)
 }
 
 SimValue
-Simulator::Impl::elabCreateOrAddComp(ir::Operation *op,
-                                     const SimValue *args, size_t nargs,
-                                     bool is_add)
+Simulator::Impl::elabCreateOrAddComp(const SimValue *args, size_t nargs,
+                                     bool is_add,
+                                     const std::string *names)
 {
     Component *comp;
     size_t first_sub = 0;
@@ -91,7 +91,6 @@ Simulator::Impl::elabCreateOrAddComp(ir::Operation *op,
         comp = owned.get();
         components.push_back(std::move(owned));
     }
-    std::vector<std::string> names = split(op->strAttr("names"), ' ');
     for (size_t i = first_sub; i < nargs; ++i) {
         const SimValue &sub = args[i];
         Component *child = sub.isStream()
@@ -117,13 +116,22 @@ SimValue
 Simulator::Impl::elabAlloc(ir::Operation *op, Memory *mem)
 {
     ir::Type bt = op->result(0).type();
-    auto buf = std::make_unique<BufferObj>();
-    buf->data = Tensor::zeros(bt.shape(), bt.elemBits());
+    const std::vector<int64_t> &shape = bt.shape();
+    if (numBuffers == buffers.size())
+        buffers.push_back(std::make_unique<BufferObj>());
+    BufferObj *buf = buffers[numBuffers++].get();
+    // Reuse the previous run's buffer at this position when it has the
+    // same shape and width and no one else holds its tensor; it starts
+    // zeroed like a fresh one.
+    std::shared_ptr<Tensor> &t = buf->data;
+    if (t && t.use_count() == 1 && t->shape == shape &&
+        t->elemBits == bt.elemBits())
+        std::fill(t->data.begin(), t->data.end(), 0);
+    else
+        t = Tensor::zeros(shape, bt.elemBits());
     buf->mem = mem;
     buf->label = freshName("buf");
-    SimValue v = SimValue::ofBuffer(buf.get());
-    buffers.push_back(std::move(buf));
-    return v;
+    return SimValue::ofBuffer(buf);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,8 +186,9 @@ BlockExec::execCreateOrAddComp(ir::Operation *op, Cycles &now)
     args.reserve(op->numOperands());
     for (unsigned i = 0; i < op->numOperands(); ++i)
         args.push_back(eval(op->operand(i)));
-    SimValue r =
-        _eng.elabCreateOrAddComp(op, args.data(), args.size(), is_add);
+    std::vector<std::string> names = split(op->strAttr("names"), ' ');
+    SimValue r = _eng.elabCreateOrAddComp(args.data(), args.size(), is_add,
+                                          names.data());
     if (!is_add)
         bind(op->result(0), r);
     return advanceFree();

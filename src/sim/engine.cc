@@ -171,19 +171,15 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
 
     ir::Block *root = &module->region(0).front();
     EnvPtr env = makeEnv(root, nullptr);
-    std::unique_ptr<ExecBase> exec;
-    if (backend == Backend::Compiled)
-        exec = std::make_unique<CompiledExec>(*this, nullptr,
-                                              rootProc.get(),
-                                              programFor(root),
-                                              std::move(env));
-    else
-        exec = std::make_unique<BlockExec>(*this, nullptr,
-                                           rootProc.get(), root,
-                                           std::move(env));
-    ExecBase *raw = exec.get();
-    execs.push_back(std::move(exec));
-    raw->start(0);
+    if (backend == Backend::Compiled) {
+        acquireExec(nullptr, rootProc.get(), programFor(root),
+                    std::move(env))
+            ->resume(0);
+    } else {
+        blockExecs.push_back(std::make_unique<BlockExec>(
+            *this, nullptr, rootProc.get(), root, std::move(env)));
+        blockExecs.back()->resume(0);
+    }
     runHeap();
 
     auto t1 = std::chrono::steady_clock::now();

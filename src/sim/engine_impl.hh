@@ -30,9 +30,9 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/inline_function.hh"
@@ -45,14 +45,47 @@ namespace eq {
 namespace sim {
 
 class BlockExec;
+class CompiledExec;
 
 /** Scheduled-work callback. Small-buffer-optimized: the engine's
  *  callbacks capture at most a this-pointer and a few counters, so
- *  scheduling a suspended op never allocates (ROADMAP "Event-core
- *  allocation pressure"). */
+ *  scheduling a suspended op never allocates. */
 using SchedFn = InlineFunction<void()>;
 /** Event-completion callback (receives the completion time). */
 using DoneFn = InlineFunction<void(Cycles)>;
+
+struct Env;
+class EnvPool;
+
+/**
+ * Intrusive, non-atomic reference to a pooled Env. The engine is
+ * single-threaded per Simulator, so a plain counter in the Env replaces
+ * shared_ptr's separately allocated, atomically counted control block;
+ * when the last reference drops, the env returns to its EnvPool.
+ */
+class EnvPtr {
+  public:
+    EnvPtr() = default;
+    EnvPtr(std::nullptr_t) {}
+    /** Adopt @p e (taking one reference). */
+    explicit EnvPtr(Env *e);
+    EnvPtr(const EnvPtr &o);
+    EnvPtr(EnvPtr &&o) noexcept : _p(o._p) { o._p = nullptr; }
+    EnvPtr &
+    operator=(EnvPtr o) noexcept
+    {
+        std::swap(_p, o._p);
+        return *this;
+    }
+    ~EnvPtr() { reset(); }
+
+    Env *get() const { return _p; }
+    Env *operator->() const { return _p; }
+    void reset();
+
+  private:
+    Env *_p = nullptr;
+};
 
 /**
  * Dense value environment for one numbering scope (an interpreted
@@ -63,8 +96,12 @@ using DoneFn = InlineFunction<void(Cycles)>;
  */
 struct Env {
     uint32_t scopeId = 0;
+    /** Live EnvPtr references (see EnvPtr). */
+    uint32_t refs = 0;
+    /** Pool this env returns to when the last reference drops. */
+    EnvPool *pool = nullptr;
     std::vector<SimValue> slots;
-    std::shared_ptr<Env> parent;
+    EnvPtr parent;
 
     /** Resolve @p v along the scope chain; null when unbound. */
     const SimValue *
@@ -93,27 +130,89 @@ struct Env {
     }
 };
 
-using EnvPtr = std::shared_ptr<Env>;
-
 /**
- * A suspended/executing block program, owned by the engine for the
- * duration of a run. Both backends implement this: BlockExec walks the
- * IR, CompiledExec runs a pre-lowered micro-op stream. The event core
- * only ever needs to (re)enter execution at a simulation time.
+ * Recycled environments, free-listed by slot count so a reacquired
+ * env's slot vector never reallocates. Every launch issue draws from
+ * here; envs come back as soon as their last reference drops
+ * (typically when the launch completes). The pool survives reset(), so
+ * re-runs of a pinned module allocate no environments at all.
  */
-class ExecBase {
+class EnvPool {
   public:
-    virtual ~ExecBase() = default;
+    /** An env of @p num_slots unbound slots for scope @p scope_id,
+     *  chained onto @p parent (interp.cc). */
+    EnvPtr acquire(uint32_t scope_id, uint32_t num_slots, EnvPtr parent);
+    /** Return @p e, whose last reference just dropped (interp.cc). */
+    void recycle(Env *e);
 
-    /** (Re-)enter execution at simulation time @p t. */
-    virtual void resume(Cycles t) = 0;
-
-    void
-    start(Cycles t)
-    {
-        resume(t);
-    }
+  private:
+    std::unordered_map<uint32_t, std::vector<std::unique_ptr<Env>>> _free;
 };
+
+inline EnvPtr::EnvPtr(Env *e) : _p(e)
+{
+    if (_p)
+        ++_p->refs;
+}
+
+inline EnvPtr::EnvPtr(const EnvPtr &o) : _p(o._p)
+{
+    if (_p)
+        ++_p->refs;
+}
+
+inline void
+EnvPtr::reset()
+{
+    if (Env *e = _p) {
+        _p = nullptr;
+        if (--e->refs == 0)
+            e->pool->recycle(e);
+    }
+}
+
+/// @name Integer arith semantics, shared by both backends
+/// addi/subi/muli wrap in two's complement (computed in uint64_t, so
+/// overflow is defined). divsi/remsi by zero give 0, and
+/// INT64_MIN divsi -1 gives INT64_MIN (remsi 0) instead of trapping.
+/// @{
+inline int64_t
+arithAddI(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+arithSubI(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+arithMulI(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+arithDivSI(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return 0;
+    if (b == -1)
+        return arithSubI(0, a);
+    return a / b;
+}
+
+inline int64_t
+arithRemSI(int64_t a, int64_t b)
+{
+    return b == 0 || b == -1 ? 0 : a % b;
+}
+/// @}
 
 /** A scheduled/executing event (§III-D): launch, memcpy, or control. */
 struct Event {
@@ -135,13 +234,78 @@ struct Event {
     BufferObj *dst = nullptr;
     Connection *conn = nullptr;
 
+    /** Next event in @ref proc's issue queue (Processor::pushQueue). */
+    Event *nextQueued = nullptr;
+
     bool done = false;
     bool issueSubscribed = false;
-    Cycles createdAt = 0;
-    Cycles startTime = 0;
     Cycles doneTime = 0;
     std::vector<SimValue> results;
     std::vector<DoneFn> onDone;
+
+    /** Back to the default state, keeping the vectors' capacity (and
+     *  releasing held envs and tensors). */
+    void
+    clear()
+    {
+        deps.clear();
+        op = nullptr;
+        proc = nullptr;
+        creatorEnv.reset();
+        bodyProg = nullptr;
+        src = dst = nullptr;
+        conn = nullptr;
+        nextQueued = nullptr;
+        done = issueSubscribed = false;
+        doneTime = 0;
+        results.clear();
+        onDone.clear();
+    }
+};
+
+/**
+ * Event storage: a slab of fixed-size chunks. Addresses are stable
+ * (chunks never move), an id maps to its slot with a shift and a mask,
+ * and clear() keeps every chunk and every event's vector capacity, so
+ * re-runs of a pinned module create events without allocating. Chunks
+ * are small (64 events), so a fresh Simulator pays little up front and
+ * at most one chunk is ever spare.
+ */
+class EventSlab {
+  public:
+    size_t size() const { return _size; }
+
+    Event &
+    operator[](EventId id)
+    {
+        return _chunks[id >> kChunkShift][id & (kChunk - 1)];
+    }
+
+    /** A cleared event with id size(). */
+    Event &
+    append()
+    {
+        if ((_size >> kChunkShift) == _chunks.size())
+            _chunks.push_back(std::make_unique<Event[]>(kChunk));
+        Event &ev = (*this)[_size];
+        ev.id = _size++;
+        return ev;
+    }
+
+    /** Drop every event, keeping the storage. */
+    void
+    clear()
+    {
+        for (EventId id = 0; id < _size; ++id)
+            (*this)[id].clear();
+        _size = 0;
+    }
+
+  private:
+    static constexpr unsigned kChunkShift = 6;
+    static constexpr size_t kChunk = size_t(1) << kChunkShift;
+    std::vector<std::unique_ptr<Event[]>> _chunks;
+    size_t _size = 0;
 };
 
 /**
@@ -151,7 +315,7 @@ struct Event {
  * stalls) subscribe to wakeups. Per-op behavior lives in handler member
  * functions dispatched through the engine's OpId-indexed table.
  */
-class BlockExec : public ExecBase {
+class BlockExec {
   public:
     BlockExec(Simulator::Impl &eng, Event *ev, Processor *proc,
               ir::Block *block, EnvPtr env)
@@ -160,8 +324,8 @@ class BlockExec : public ExecBase {
         _frames.push_back(Frame{block, block->begin(), nullptr, 0, {}});
     }
 
-    /** Re-enter interpretation at simulation time @p t. */
-    void resume(Cycles t) override;
+    /** (Re-)enter interpretation at simulation time @p t. */
+    void resume(Cycles t);
 
     enum class Step { Continue, Suspend, Finished };
     /** Handler for one op kind; the dispatch table stores these. */
@@ -262,28 +426,16 @@ struct Simulator::Impl {
     OpFunctionRegistry opFns;
     ComponentFactory factory;
 
-    // --- environment pool ---------------------------------------------
-    /** Recycled interpretation environments, free-listed by slot count
-     *  so a reacquired env's slot vector needs no reallocation. Every
-     *  launch issue draws from here instead of allocating (the hottest
-     *  allocation site in launch-dense workloads); envs return via
-     *  their shared_ptr deleter as soon as the last reference drops —
-     *  typically when the launch completes, not at end of run. The
-     *  pool deliberately survives reset() so batched re-runs of a
-     *  pinned module reach steady state with zero env allocation.
-     *  Declared before the per-run state below: member destruction
-     *  runs in reverse order, so env deleters fired while events/execs
-     *  tear down always find the pool alive (pooled envs hold no
-     *  parent refs, so draining the pool itself never re-enters it). */
-    std::unordered_map<uint32_t, std::vector<std::unique_ptr<Env>>>
-        envFreeList;
-    /** Pooled replacement for make_shared<Env>: an env of @p num_slots
-     *  cleared slots, chained onto @p parent, returned to the free
-     *  list when released. */
-    EnvPtr acquireEnv(uint32_t scope_id, uint32_t num_slots,
-                      EnvPtr parent);
-    /** Deleter target of pooled envs (interp.cc). */
-    void recycleEnv(Env *e);
+    // --- reused engine state -----------------------------------------
+    // Every allocation the engine makes per launch, event or op has a
+    // home here (or further down: the event slab, the queues, the join
+    // records, the compiled-exec pool, the buffers) that survives
+    // reset() (the buffers only while the module stays the same), so
+    // re-runs of a pinned module reach a steady state that never calls
+    // malloc. The env pool is declared first: members are destroyed in
+    // reverse order, so envs released while the events and execs below
+    // tear down always find it alive.
+    EnvPool envPool;
 
     // --- per-run dispatch state ---------------------------------------
     /** Handler table indexed by OpId::raw(); null = uninterpretable. */
@@ -337,13 +489,26 @@ struct Simulator::Impl {
 
     // --- per-run simulation state -------------------------------------
     std::vector<std::unique_ptr<Component>> components;
+    /** Buffers by allocation order. A reset that keeps the numbering
+     *  (a re-run of the same module) keeps the previous run's, and
+     *  elabAlloc reuses the one at its position (zero-filled) when
+     *  shape and width match and nothing outside holds its tensor. */
     std::vector<std::unique_ptr<BufferObj>> buffers;
-    /** Owned by value in a deque: addresses are push-stable and a new
-     *  event costs no separate allocation (events are created per
-     *  launch/memcpy/control op — the hottest allocation site in
-     *  event-dense workloads). */
-    std::deque<Event> events;
-    std::vector<std::unique_ptr<ExecBase>> execs;
+    /** Buffers allocated so far in this run (a prefix of @ref buffers). */
+    size_t numBuffers = 0;
+    EventSlab events;
+    /** Interpreter execs of this run (the oracle backend is not
+     *  pooled). */
+    std::vector<std::unique_ptr<BlockExec>> blockExecs;
+    /** Every CompiledExec this engine has made. An exec returns to
+     *  @ref freeExecs when its program finishes, so the pool's size is
+     *  the number of execs live at once; reset() returns the rest. */
+    std::vector<std::unique_ptr<CompiledExec>> compiledExecs;
+    std::vector<CompiledExec *> freeExecs;
+    /** A pooled exec running @p prog for launch @p ev (null: the
+     *  module top level) on @p proc in @p env (compiled_exec.cc). */
+    CompiledExec *acquireExec(Event *ev, Processor *proc,
+                              const CompiledBlock &prog, EnvPtr env);
     std::unordered_map<StreamFifo *, std::vector<SchedFn>> streamWaiters;
     std::unique_ptr<Processor> rootProc;
 
@@ -369,12 +534,16 @@ struct Simulator::Impl {
      *  issue, launch completion re-issue, and stream notification all
      *  schedule at `now`, so the common launch-issue round-trip was a
      *  heap push + pop at an unchanged time; routing those items here
-     *  makes them O(1) deque traffic instead. Items are appended with
-     *  t == now and `now` is monotone, so the deque is always sorted
+     *  makes them O(1) queue traffic instead. Items are appended with
+     *  t == now and `now` is monotone, so the queue is always sorted
      *  by (t, seq) and runHeap() can merge it against the heap by the
      *  exact same ordering — the total execution order (and therefore
-     *  every trace byte) is identical to the single-heap schedule. */
-    std::deque<HeapItem> nowQ;
+     *  every trace byte) is identical to the single-heap schedule.
+     *  A vector read from @ref nowHead; it is emptied (keeping its
+     *  capacity) whenever the head catches up, which happens before
+     *  every time advance. */
+    std::vector<HeapItem> nowQ;
+    size_t nowHead = 0;
     uint64_t seqCounter = 0;
     Cycles now = 0;
     Cycles endTime = 0;
@@ -414,7 +583,8 @@ struct Simulator::Impl {
     bool
     nothingPendingBefore(Cycles end) const
     {
-        return nowQ.empty() && (heap.empty() || heap.front().t > end);
+        return nowHead == nowQ.size() &&
+               (heap.empty() || heap.front().t > end);
     }
 
     void
@@ -423,7 +593,7 @@ struct Simulator::Impl {
         endTime = std::max(endTime, t);
     }
 
-    Event *newEvent(Event::Kind kind, Cycles t);
+    Event *newEvent(Event::Kind kind);
 
     Event *
     event(EventId id)
@@ -432,12 +602,38 @@ struct Simulator::Impl {
         return &events[id];
     }
 
+    /** A pending join over several events (whenAllDone/whenAnyDone):
+     *  @ref pending subscriptions are outstanding; an all-join fires
+     *  @ref fn with the latest completion time when the last one
+     *  lands, an any-join with the first completion time. Pooled in
+     *  @ref joins and addressed by index, so subscribing costs no
+     *  allocation. */
+    struct Join {
+        uint32_t pending = 0;
+        bool any = false;
+        bool fired = false;
+        Cycles t = 0;
+        DoneFn fn;
+    };
+    std::vector<Join> joins;
+    std::vector<uint32_t> freeJoins;
+    /** Subscribe a fresh join to every not-yet-done event of @p ids. */
+    void joinUndone(const EventId *ids, size_t n, bool any, Cycles t0,
+                    DoneFn fn);
+    /** One subscribed event of join @p j completed at @p t. */
+    void fireJoin(uint32_t j, Cycles t);
+
     void completeEvent(Event *ev, Cycles t);
 
-    /** Invoke @p fn(max completion time) once all of @p ids are done. */
-    void whenAllDone(const std::vector<EventId> &ids, DoneFn fn);
-    /** Invoke @p fn(first completion time) once any of @p ids is done. */
-    void whenAnyDone(const std::vector<EventId> &ids, DoneFn fn);
+    /** Invoke @p fn(max completion time) once all of the @p n events
+     *  @p ids are done. */
+    void whenAllDone(const EventId *ids, size_t n, DoneFn fn);
+    /** Invoke @p fn(first completion time) once any of them is done. */
+    void whenAnyDone(const EventId *ids, size_t n, DoneFn fn);
+    /** Scratch id list for awaits and control joins: filled and handed
+     *  to whenAllDone/whenAnyDone, which read it before any callback
+     *  can run. */
+    std::vector<EventId> idScratch;
 
     void enqueueOnProcessor(Event *ev, Cycles t);
     void tryIssue(Processor *proc, Cycles t);
@@ -462,12 +658,14 @@ struct Simulator::Impl {
     SimValue elabCreateStream(ir::Operation *op);
     SimValue elabCreateConnection(ir::Operation *op);
     /** create_comp / add_comp; @p args are the evaluated operands (for
-     *  add_comp, args[0] is the existing composite). Returns the new
-     *  composite for create_comp, None for add_comp. */
-    SimValue elabCreateOrAddComp(ir::Operation *op, const SimValue *args,
-                                 size_t nargs, bool is_add);
+     *  add_comp, args[0] is the existing composite) and @p names the
+     *  parsed `names` attribute, one per subcomponent operand. Returns
+     *  the new composite for create_comp, None for add_comp. */
+    SimValue elabCreateOrAddComp(const SimValue *args, size_t nargs,
+                                 bool is_add, const std::string *names);
     SimValue elabGetComp(Component *comp, const std::string &child_name);
-    /** @p mem is null for memref.alloc (host allocation). */
+    /** @p mem is null for memref.alloc (host allocation). Reuses the
+     *  previous run's buffer at the same position (see @ref buffers). */
     SimValue elabAlloc(ir::Operation *op, Memory *mem);
 
     // --- data-motion cores (handlers.cc) ------------------------------

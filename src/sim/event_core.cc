@@ -19,19 +19,35 @@ void
 Simulator::Impl::reset(bool keep_numbering)
 {
     components.clear();
-    buffers.clear();
+    // A re-run of the same module keeps exactly the last run's buffers
+    // for elabAlloc to reuse by position. A new module's buffers rarely
+    // line up with the old ones, and keeping those would only add them
+    // to the new run's peak memory.
+    buffers.resize(keep_numbering ? numBuffers : 0);
+    numBuffers = 0;
     events.clear();
-    execs.clear();
+    blockExecs.clear();
+    // Execs still suspended (a run that deadlocked or threw) rejoin
+    // the pool too.
+    freeExecs.clear();
+    for (auto &x : compiledExecs) {
+        x->release();
+        freeExecs.push_back(x.get());
+    }
     streamWaiters.clear();
     heap.clear();
     nowQ.clear();
+    nowHead = 0;
+    joins.clear();
+    freeJoins.clear();
     seqCounter = 0;
     now = 0;
     endTime = 0;
     eventsExecuted = 0;
     opsExecuted = 0;
     dispatchCount = 0;
-    nameCounters.clear();
+    for (auto &kv : nameCounters)
+        kv.second = 0;
     if (!keep_numbering) {
         valueScopes.clear();
         // Compiled programs embed the numbering (slot refs resolved
@@ -50,12 +66,10 @@ Simulator::Impl::freshName(const std::string &base)
 }
 
 Event *
-Simulator::Impl::newEvent(Event::Kind kind, Cycles t)
+Simulator::Impl::newEvent(Event::Kind kind)
 {
-    Event &ev = events.emplace_back();
-    ev.id = events.size() - 1;
+    Event &ev = events.append();
     ev.kind = kind;
-    ev.createdAt = t;
     return &ev;
 }
 
@@ -67,10 +81,12 @@ Simulator::Impl::completeEvent(Event *ev, Cycles t)
     ev->doneTime = t;
     noteActivity(t);
     ++eventsExecuted;
-    auto callbacks = std::move(ev->onDone);
+    // Run the callbacks in place: every subscription path checks done
+    // first, so none can be added from here on, and the slab keeps
+    // this event (and the list's capacity) where it is.
+    for (size_t i = 0; i < ev->onDone.size(); ++i)
+        ev->onDone[i](t);
     ev->onDone.clear();
-    for (auto &cb : callbacks)
-        cb(t);
     // The creator environment is only needed up to completion (issue
     // reads captures from it, finishLaunch publishes results into it,
     // both before this point); dropping the reference now lets pooled
@@ -80,13 +96,68 @@ Simulator::Impl::completeEvent(Event *ev, Cycles t)
 }
 
 void
-Simulator::Impl::whenAllDone(const std::vector<EventId> &ids, DoneFn fn)
+Simulator::Impl::joinUndone(const EventId *ids, size_t n, bool any,
+                            Cycles t0, DoneFn fn)
+{
+    uint32_t j;
+    if (freeJoins.empty()) {
+        j = static_cast<uint32_t>(joins.size());
+        joins.emplace_back();
+    } else {
+        j = freeJoins.back();
+        freeJoins.pop_back();
+    }
+    Join &join = joins[j];
+    join.pending = 0;
+    join.any = any;
+    join.fired = false;
+    join.t = t0;
+    join.fn = std::move(fn);
+    for (size_t i = 0; i < n; ++i) {
+        Event *ev = event(ids[i]);
+        if (ev->done)
+            continue;
+        ++join.pending;
+        ev->onDone.push_back([this, j](Cycles t) { fireJoin(j, t); });
+    }
+}
+
+void
+Simulator::Impl::fireJoin(uint32_t j, Cycles t)
+{
+    // The callback may create joins (and so move @ref joins): take
+    // what it needs and release the record before calling it.
+    Join &join = joins[j];
+    bool fire;
+    Cycles ft;
+    if (join.any) {
+        fire = !join.fired;
+        join.fired = true;
+        ft = t;
+    } else {
+        join.t = std::max(join.t, t);
+        fire = join.pending == 1;
+        ft = join.t;
+    }
+    DoneFn fn;
+    if (fire)
+        fn = std::move(join.fn);
+    if (--join.pending == 0) {
+        join.fn = DoneFn();
+        freeJoins.push_back(j);
+    }
+    if (fire)
+        fn(ft);
+}
+
+void
+Simulator::Impl::whenAllDone(const EventId *ids, size_t n, DoneFn fn)
 {
     // Single-dependency fast path (the overwhelmingly common case:
-    // chained launches): subscribe the callback directly, no shared
-    // join state. Callback position — and therefore completion
-    // ordering — is exactly what the general path would produce.
-    if (ids.size() == 1) {
+    // chained launches): subscribe the callback directly, no join
+    // record. Callback position — and therefore completion ordering —
+    // is exactly what the general path would produce.
+    if (n == 1) {
         Event *ev = event(ids[0]);
         if (ev->done)
             fn(ev->doneTime);
@@ -94,65 +165,65 @@ Simulator::Impl::whenAllDone(const std::vector<EventId> &ids, DoneFn fn)
             ev->onDone.push_back(std::move(fn));
         return;
     }
-    auto state = std::make_shared<std::pair<size_t, Cycles>>(0, 0);
-    for (EventId id : ids) {
-        Event *ev = event(id);
+    size_t undone = 0;
+    Cycles t0 = 0;
+    for (size_t i = 0; i < n; ++i) {
+        Event *ev = event(ids[i]);
         if (ev->done)
-            state->second = std::max(state->second, ev->doneTime);
+            t0 = std::max(t0, ev->doneTime);
         else
-            ++state->first;
+            ++undone;
     }
-    if (state->first == 0) {
-        fn(state->second);
+    if (undone == 0) {
+        fn(t0);
         return;
     }
-    auto shared_fn = std::make_shared<DoneFn>(std::move(fn));
-    for (EventId id : ids) {
-        Event *ev = event(id);
-        if (ev->done)
-            continue;
-        ev->onDone.push_back([state, shared_fn](Cycles t) {
-            state->second = std::max(state->second, t);
-            if (--state->first == 0)
-                (*shared_fn)(state->second);
-        });
-    }
+    joinUndone(ids, n, /*any=*/false, t0, std::move(fn));
 }
 
 void
-Simulator::Impl::whenAnyDone(const std::vector<EventId> &ids, DoneFn fn)
+Simulator::Impl::whenAnyDone(const EventId *ids, size_t n, DoneFn fn)
 {
-    for (EventId id : ids) {
-        if (event(id)->done) {
-            fn(event(id)->doneTime);
+    for (size_t i = 0; i < n; ++i) {
+        if (event(ids[i])->done) {
+            fn(event(ids[i])->doneTime);
             return;
         }
     }
-    auto fired = std::make_shared<bool>(false);
-    auto shared_fn = std::make_shared<DoneFn>(std::move(fn));
-    for (EventId id : ids) {
-        event(id)->onDone.push_back([fired, shared_fn](Cycles t) {
-            if (!*fired) {
-                *fired = true;
-                (*shared_fn)(t);
-            }
-        });
-    }
+    joinUndone(ids, n, /*any=*/true, 0, std::move(fn));
+}
+
+void
+Processor::pushQueue(Event *ev)
+{
+    if (_queueTail)
+        _queueTail->nextQueued = ev;
+    else
+        _queueHead = ev;
+    _queueTail = ev;
+}
+
+void
+Processor::popQueue()
+{
+    _queueHead = _queueHead->nextQueued;
+    if (!_queueHead)
+        _queueTail = nullptr;
 }
 
 void
 Simulator::Impl::enqueueOnProcessor(Event *ev, Cycles t)
 {
-    ev->proc->queue().push_back(ev);
+    ev->proc->pushQueue(ev);
     scheduleAt(t, [this, proc = ev->proc, t] { tryIssue(proc, t); });
 }
 
 void
 Simulator::Impl::tryIssue(Processor *proc, Cycles t)
 {
-    if (proc->busy() || proc->queue().empty())
+    if (proc->busy() || proc->queueEmpty())
         return;
-    Event *head = proc->queue().front();
+    Event *head = proc->queueFront();
     // All dependencies must be complete before the head may issue
     // (head-of-line blocking, as in Fig. 5). First pass counts the
     // pending deps without allocating — issue attempts happen per
@@ -179,23 +250,18 @@ Simulator::Impl::tryIssue(Processor *proc, Cycles t)
             };
             if (num_undone == 1) {
                 // Same subscription whenAllDone would make, minus the
-                // id-vector and join-state allocations.
+                // join record.
                 event(undone_id)->onDone.push_back(std::move(wake));
             } else {
-                std::vector<EventId> undone;
-                undone.reserve(num_undone);
-                for (EventId id : head->deps)
-                    if (!event(id)->done)
-                        undone.push_back(id);
-                whenAllDone(undone, std::move(wake));
+                joinUndone(head->deps.data(), head->deps.size(),
+                           /*any=*/false, 0, std::move(wake));
             }
         }
         return;
     }
-    proc->queue().pop_front();
+    proc->popQueue();
     proc->setBusy(true);
     head->issueSubscribed = false;
-    head->startTime = dep_time;
     if (head->kind == Event::Kind::Launch)
         issueLaunch(head, dep_time);
     else
@@ -205,17 +271,14 @@ Simulator::Impl::tryIssue(Processor *proc, Cycles t)
 void
 Simulator::Impl::issueLaunch(Event *ev, Cycles t)
 {
-    equeue::LaunchOp launch(ev->op);
-    ir::Block &body = launch.body();
-    std::unique_ptr<ExecBase> exec;
     if (backend == Backend::Compiled) {
         // Pre-compiled issue: the body program (pinned on the event by
         // the Launch micro-op) knows its scope size and its capture
         // mapping, so no per-issue numbering lookup and no use chain
         // walks — captures are slot-to-slot copies.
         const CompiledBlock &prog = *ev->bodyProg;
-        EnvPtr env = acquireEnv(prog.scopeId, prog.numSlots,
-                                ev->creatorEnv);
+        EnvPtr env = envPool.acquire(prog.scopeId, prog.numSlots,
+                                     ev->creatorEnv);
         for (const auto &cap : prog.captures) {
             Env *e = env->parent.get();
             for (uint32_t h = cap.src.hops; h; --h)
@@ -226,29 +289,25 @@ Simulator::Impl::issueLaunch(Event *ev, Cycles t)
                       "add an event dependency");
             env->slots[cap.argSlot] = sv;
         }
-        exec = std::make_unique<CompiledExec>(*this, ev, ev->proc, prog,
-                                              std::move(env));
-    } else {
-        EnvPtr env = makeEnv(&body, ev->creatorEnv);
-        // Resolve captured values now (lazy capture: results of
-        // earlier events are published by the time our dependencies
-        // are done).
-        auto captured = launch.captured();
-        for (size_t i = 0; i < captured.size(); ++i) {
-            const SimValue *sv =
-                ev->creatorEnv->find(captured[i].impl());
-            eq_assert(sv,
-                      "launch captures value that is not yet computed; "
-                      "add an event dependency");
-            env->bind(body.argument(static_cast<unsigned>(i)).impl(),
-                      *sv);
-        }
-        exec = std::make_unique<BlockExec>(*this, ev, ev->proc, &body,
-                                           std::move(env));
+        acquireExec(ev, ev->proc, prog, std::move(env))->resume(t);
+        return;
     }
-    ExecBase *raw = exec.get();
-    execs.push_back(std::move(exec));
-    raw->start(t);
+    equeue::LaunchOp launch(ev->op);
+    ir::Block &body = launch.body();
+    EnvPtr env = makeEnv(&body, ev->creatorEnv);
+    // Resolve captured values now (lazy capture: results of earlier
+    // events are published by the time our dependencies are done).
+    auto captured = launch.captured();
+    for (size_t i = 0; i < captured.size(); ++i) {
+        const SimValue *sv = ev->creatorEnv->find(captured[i].impl());
+        eq_assert(sv,
+                  "launch captures value that is not yet computed; "
+                  "add an event dependency");
+        env->bind(body.argument(static_cast<unsigned>(i)).impl(), *sv);
+    }
+    blockExecs.push_back(std::make_unique<BlockExec>(
+        *this, ev, ev->proc, &body, std::move(env)));
+    blockExecs.back()->resume(t);
 }
 
 void
@@ -327,21 +386,24 @@ Simulator::Impl::runHeap()
     // current time with globally increasing sequence numbers), so
     // merging against the heap by the same (t, seq) key pops every
     // item in exactly the order the single-heap schedule would.
-    while (!heap.empty() || !nowQ.empty()) {
+    while (!heap.empty() || nowHead < nowQ.size()) {
         bool from_nowq;
         if (heap.empty()) {
             from_nowq = true;
-        } else if (nowQ.empty()) {
+        } else if (nowHead == nowQ.size()) {
             from_nowq = false;
         } else {
-            const HeapItem &a = nowQ.front();
+            const HeapItem &a = nowQ[nowHead];
             const HeapItem &b = heap.front();
             from_nowq = std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
         }
         HeapItem item;
         if (from_nowq) {
-            item = std::move(nowQ.front());
-            nowQ.pop_front();
+            item = std::move(nowQ[nowHead++]);
+            if (nowHead == nowQ.size()) {
+                nowQ.clear();
+                nowHead = 0;
+            }
         } else {
             std::pop_heap(heap.begin(), heap.end(), HeapAfter{});
             item = std::move(heap.back());

@@ -153,24 +153,27 @@ BlockExec::execArithConstant(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execAddI(ir::Operation *op, Cycles &now)
 {
-    bind(op->result(0), SimValue::ofInt(eval(op->operand(0)).asInt() +
-                                        eval(op->operand(1)).asInt()));
+    int64_t lhs = eval(op->operand(0)).asInt();
+    int64_t rhs = eval(op->operand(1)).asInt();
+    bind(op->result(0), SimValue::ofInt(arithAddI(lhs, rhs)));
     return advanceAfter(op, now, now, opCost(op));
 }
 
 BlockExec::Step
 BlockExec::execSubI(ir::Operation *op, Cycles &now)
 {
-    bind(op->result(0), SimValue::ofInt(eval(op->operand(0)).asInt() -
-                                        eval(op->operand(1)).asInt()));
+    int64_t lhs = eval(op->operand(0)).asInt();
+    int64_t rhs = eval(op->operand(1)).asInt();
+    bind(op->result(0), SimValue::ofInt(arithSubI(lhs, rhs)));
     return advanceAfter(op, now, now, opCost(op));
 }
 
 BlockExec::Step
 BlockExec::execMulI(ir::Operation *op, Cycles &now)
 {
-    bind(op->result(0), SimValue::ofInt(eval(op->operand(0)).asInt() *
-                                        eval(op->operand(1)).asInt()));
+    int64_t lhs = eval(op->operand(0)).asInt();
+    int64_t rhs = eval(op->operand(1)).asInt();
+    bind(op->result(0), SimValue::ofInt(arithMulI(lhs, rhs)));
     return advanceAfter(op, now, now, opCost(op));
 }
 
@@ -179,7 +182,7 @@ BlockExec::execDivSI(ir::Operation *op, Cycles &now)
 {
     int64_t lhs = eval(op->operand(0)).asInt();
     int64_t rhs = eval(op->operand(1)).asInt();
-    bind(op->result(0), SimValue::ofInt(rhs == 0 ? 0 : lhs / rhs));
+    bind(op->result(0), SimValue::ofInt(arithDivSI(lhs, rhs)));
     return advanceAfter(op, now, now, opCost(op));
 }
 
@@ -188,7 +191,7 @@ BlockExec::execRemSI(ir::Operation *op, Cycles &now)
 {
     int64_t lhs = eval(op->operand(0)).asInt();
     int64_t rhs = eval(op->operand(1)).asInt();
-    bind(op->result(0), SimValue::ofInt(rhs == 0 ? 0 : lhs % rhs));
+    bind(op->result(0), SimValue::ofInt(arithRemSI(lhs, rhs)));
     return advanceAfter(op, now, now, opCost(op));
 }
 
@@ -387,7 +390,7 @@ BlockExec::execStreamWrite(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execControlStart(ir::Operation *op, Cycles &now)
 {
-    Event *ev = _eng.newEvent(Event::Kind::Start, now);
+    Event *ev = _eng.newEvent(Event::Kind::Start);
     _eng.completeEvent(ev, now);
     bind(op->result(0), SimValue::ofEvent(ev->id));
     return advanceFree();
@@ -396,20 +399,17 @@ BlockExec::execControlStart(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execControlAndOr(ir::Operation *op, Cycles &now)
 {
+    (void)now;
     bool is_and = op->opId() == _eng.idControlAnd;
-    Event *ev = _eng.newEvent(is_and ? Event::Kind::And : Event::Kind::Or,
-                              now);
-    std::vector<EventId> deps;
+    Event *ev = _eng.newEvent(is_and ? Event::Kind::And : Event::Kind::Or);
     for (ir::Value v : op->operands())
-        deps.push_back(eval(v).asEvent());
-    ev->deps = deps;
+        ev->deps.push_back(eval(v).asEvent());
     bind(op->result(0), SimValue::ofEvent(ev->id));
-    Event *evp = ev;
-    auto done = [this, evp](Cycles t) { _eng.completeEvent(evp, t); };
+    auto done = [this, ev](Cycles t) { _eng.completeEvent(ev, t); };
     if (is_and)
-        _eng.whenAllDone(deps, done);
+        _eng.whenAllDone(ev->deps.data(), ev->deps.size(), done);
     else
-        _eng.whenAnyDone(deps, done);
+        _eng.whenAnyDone(ev->deps.data(), ev->deps.size(), done);
     return advanceFree();
 }
 
@@ -417,7 +417,7 @@ BlockExec::Step
 BlockExec::execLaunch(ir::Operation *op, Cycles &now)
 {
     equeue::LaunchOp launch(op);
-    Event *ev = _eng.newEvent(Event::Kind::Launch, now);
+    Event *ev = _eng.newEvent(Event::Kind::Launch);
     for (ir::Value d : launch.deps())
         ev->deps.push_back(eval(d).asEvent());
     ev->op = op;
@@ -434,7 +434,7 @@ BlockExec::Step
 BlockExec::execMemcpy(ir::Operation *op, Cycles &now)
 {
     equeue::MemcpyOp mc(op);
-    Event *ev = _eng.newEvent(Event::Kind::Memcpy, now);
+    Event *ev = _eng.newEvent(Event::Kind::Memcpy);
     ev->deps.push_back(eval(mc.dep()).asEvent());
     ev->op = op;
     ev->proc = static_cast<Processor *>(eval(mc.dma()).asComponent());
@@ -469,28 +469,18 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
         ++_frames.back().it;
         if (w == 0)
             return Step::Continue;
-        if (w == 1) {
-            // Same direct subscription whenAllDone's size-1 path makes.
-            _eng.event(_spawned[0])->onDone.push_back(
-                [this, now](Cycles t) { resume(std::max(now, t)); });
-            return Step::Suspend;
-        }
-        auto state = std::make_shared<std::pair<size_t, Cycles>>(w, 0);
-        for (EventId id : _spawned)
-            _eng.event(id)->onDone.push_back(
-                [this, now, state](Cycles t) {
-                    state->second = std::max(state->second, t);
-                    if (--state->first == 0)
-                        resume(std::max(now, state->second));
-                });
+        _eng.whenAllDone(_spawned.data(), w, [this, now](Cycles t) {
+            resume(std::max(now, t));
+        });
         return Step::Suspend;
     }
-    std::vector<EventId> ids;
-    for (ir::Value v : op->operands())
-        ids.push_back(eval(v).asEvent());
+    std::vector<EventId> &ids = _eng.idScratch;
+    ids.clear();
     bool all_done = true;
     Cycles max_t = now;
-    for (EventId id : ids) {
+    for (ir::Value v : op->operands()) {
+        EventId id = eval(v).asEvent();
+        ids.push_back(id);
         Event *ev = _eng.event(id);
         if (!ev->done)
             all_done = false;
@@ -502,7 +492,7 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
         now = std::max(now, max_t);
         return Step::Continue;
     }
-    _eng.whenAllDone(ids,
+    _eng.whenAllDone(ids.data(), ids.size(),
                      [this, now](Cycles t) { resume(std::max(now, t)); });
     return Step::Suspend;
 }

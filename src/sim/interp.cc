@@ -75,20 +75,20 @@ EnvPtr
 Simulator::Impl::makeEnv(ir::Block *root, EnvPtr parent)
 {
     const ValueScope &vs = scopeFor(root);
-    return acquireEnv(vs.scopeId, vs.numSlots, std::move(parent));
+    return envPool.acquire(vs.scopeId, vs.numSlots, std::move(parent));
 }
 
 EnvPtr
-Simulator::Impl::acquireEnv(uint32_t scope_id, uint32_t num_slots,
-                            EnvPtr parent)
+EnvPool::acquire(uint32_t scope_id, uint32_t num_slots, EnvPtr parent)
 {
     Env *raw;
-    auto it = envFreeList.find(num_slots);
-    if (it != envFreeList.end() && !it->second.empty()) {
+    auto it = _free.find(num_slots);
+    if (it != _free.end() && !it->second.empty()) {
         raw = it->second.back().release();
         it->second.pop_back();
     } else {
         raw = new Env();
+        raw->pool = this;
     }
     // Free-listed by slot count, so this resize never reallocates on a
     // recycled env (capacity == num_slots) and default-constructs the
@@ -96,11 +96,11 @@ Simulator::Impl::acquireEnv(uint32_t scope_id, uint32_t num_slots,
     raw->scopeId = scope_id;
     raw->slots.resize(num_slots);
     raw->parent = std::move(parent);
-    return EnvPtr(raw, [this](Env *e) { recycleEnv(e); });
+    return EnvPtr(raw);
 }
 
 void
-Simulator::Impl::recycleEnv(Env *e)
+EnvPool::recycle(Env *e)
 {
     // Drop the chain first: releasing our parent reference may recycle
     // the parent reentrantly, and no free-list reference is held yet
@@ -111,7 +111,7 @@ Simulator::Impl::recycleEnv(Env *e)
     // Keep the slot vector's capacity but release held payloads
     // (tensors, buffers) now rather than at the next acquire.
     e->slots.clear();
-    envFreeList[key].emplace_back(e);
+    _free[key].emplace_back(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,9 +355,9 @@ BlockExec::finish(Cycles t)
     _eng.noteActivity(t);
     if (_event)
         _eng.finishLaunch(_event, _proc, t);
-    // The exec object lives in Impl::execs until the next reset, but
-    // its environment is dead here — release it so the pool can hand
-    // it to the next launch.
+    // The exec object lives in Impl::blockExecs until the next reset,
+    // but its environment is dead here — release it so the pool can
+    // hand it to the next launch.
     _env.reset();
 }
 

@@ -12,9 +12,11 @@
 #ifndef EQ_SIM_OPFUNCTIONS_HH
 #define EQ_SIM_OPFUNCTIONS_HH
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/operation.hh"
@@ -31,10 +33,46 @@ struct OpCall {
     Processor *proc = nullptr;
 };
 
+/** An op function's result values. The first kInline stay in place, so
+ *  a typical call returns without allocating; push_back, size and []
+ *  work as on a std::vector. */
+class ResultList {
+  public:
+    static constexpr size_t kInline = 4;
+
+    void
+    push_back(SimValue v)
+    {
+        if (_n < kInline)
+            _inline[_n] = std::move(v);
+        else
+            _spill.push_back(std::move(v));
+        ++_n;
+    }
+
+    size_t size() const { return _n; }
+
+    SimValue &
+    operator[](size_t i)
+    {
+        return i < kInline ? _inline[i] : _spill[i - kInline];
+    }
+    const SimValue &
+    operator[](size_t i) const
+    {
+        return i < kInline ? _inline[i] : _spill[i - kInline];
+    }
+
+  private:
+    std::array<SimValue, kInline> _inline;
+    std::vector<SimValue> _spill;
+    size_t _n = 0;
+};
+
 /** What an operation function reports back to the scheduler. */
 struct OpFnResult {
     Cycles cycles = 1;
-    std::vector<SimValue> results;
+    ResultList results;
 };
 
 using OpFunction = std::function<OpFnResult(const OpCall &)>;

@@ -1,10 +1,13 @@
 /**
  * @file
  * Basic engine tests: structure elaboration, scalar compute on launch
- * blocks, affine loops, linalg analytic costs, the Fig. 2 toy example.
+ * blocks (including integer overflow and division edge cases), affine
+ * loops, linalg analytic costs, the Fig. 2 toy example.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
@@ -105,6 +108,62 @@ TEST_F(EngineBasicTest, LaunchReturnsValuesToCreator)
     auto rep = s.simulate(module.get());
     // 5*5=25 computed in launch1 (1 cycle), 25+1 in launch2 (1 cycle).
     EXPECT_EQ(rep.cycles, 2u);
+}
+
+TEST_F(EngineBasicTest, IntegerArithWrapsAndDivisionNeverTraps)
+{
+    const int64_t kMin = std::numeric_limits<int64_t>::min();
+    const int64_t kMax = std::numeric_limits<int64_t>::max();
+    auto proc = b->create<equeue::CreateProcOp>(std::string("ARMr5"));
+    auto start = b->create<equeue::ControlStartOp>();
+    auto launch = b->create<equeue::LaunchOp>(
+        std::vector<ir::Value>{start->result(0)}, proc->result(0),
+        std::vector<ir::Value>{}, std::vector<ir::Type>{});
+    {
+        ir::OpBuilder::InsertionGuard g(*b);
+        b->setInsertionPointToEnd(&equeue::LaunchOp(launch.op()).body());
+        auto cst = [&](int64_t v) {
+            return b->create<arith::ConstantOp>(v, ctx.i64Type())
+                ->result(0);
+        };
+        ir::Value max = cst(kMax), min = cst(kMin), one = cst(1),
+                  neg1 = cst(-1), two = cst(2), zero = cst(0);
+        std::vector<ir::Value> probes = {
+            b->create<arith::AddIOp>(max, one)->result(0),
+            b->create<arith::SubIOp>(min, one)->result(0),
+            b->create<arith::MulIOp>(max, two)->result(0),
+            b->create<arith::MulIOp>(min, neg1)->result(0),
+            b->create<arith::DivSIOp>(min, neg1)->result(0),
+            b->create<arith::RemSIOp>(min, neg1)->result(0),
+            b->create<arith::DivSIOp>(max, zero)->result(0),
+            b->create<arith::RemSIOp>(max, zero)->result(0),
+            b->create<arith::DivSIOp>(min, two)->result(0),
+        };
+        b->create<equeue::ExternOp>(std::string("probe"), probes,
+                                    std::vector<ir::Type>{});
+        b->create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    }
+    b->create<equeue::AwaitOp>(std::vector<ir::Value>{launch->result(0)});
+
+    // Two's-complement wrap for add/sub/mul; INT64_MIN / -1 is
+    // INT64_MIN with remainder 0; division by zero gives 0.
+    const std::vector<int64_t> expected = {kMin, kMax, -2,      kMin, kMin,
+                                           0,    0,    0,  kMin / 2};
+    for (sim::Backend backend :
+         {sim::Backend::Interp, sim::Backend::Compiled}) {
+        sim::EngineOptions opts;
+        opts.backend = backend;
+        sim::Simulator s(opts);
+        std::vector<int64_t> probed;
+        s.opFunctions().registerOp("probe", [&](const sim::OpCall &call) {
+            for (const sim::SimValue &v : call.args)
+                probed.push_back(v.asInt());
+            return sim::OpFnResult{};
+        });
+        s.simulate(module.get());
+        EXPECT_EQ(probed, expected)
+            << (backend == sim::Backend::Interp ? "interp" : "compiled");
+    }
 }
 
 TEST_F(EngineBasicTest, AffineLoopOnHostExecutesAllIterations)

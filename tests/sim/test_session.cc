@@ -5,11 +5,19 @@
  * repeated runs of the same pinned module report identical
  * deterministic fields, rebuild() swaps the
  * pinned program (reports track the new config), and run counters /
- * build timing behave as documented.
+ * build timing behave as documented. The engine's pooled state (envs,
+ * execs, events, joins, buffers) is invisible: runs of any size in any
+ * order match a fresh Simulator, and reused buffers start zeroed.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "dialects/arith.hh"
+#include "dialects/equeue.hh"
+#include "ir/builder.hh"
 #include "scalesim/scalesim.hh"
 #include "sim/session.hh"
 #include "systolic/generator.hh"
@@ -118,6 +126,151 @@ TEST(SimSession, MatchesFreshSimulator)
     EXPECT_EQ(sessionReport.cycles, fresh.cycles);
     EXPECT_EQ(sessionReport.opsExecuted, fresh.opsExecuted);
     EXPECT_EQ(sessionReport.eventsExecuted, fresh.eventsExecuted);
+}
+
+/** A run's report (wall time zeroed) and trace, rendered to text. */
+std::string
+render(sim::SimReport report, const sim::Trace &trace)
+{
+    report.wallSeconds = 0.0;
+    std::ostringstream os;
+    report.print(os);
+    for (const sim::TraceEvent &ev : trace.events())
+        os << ev.ts << " " << ev.dur << " " << ev.cat << " " << ev.pid
+           << " " << ev.tid << " " << ev.name << "\n";
+    return os.str();
+}
+
+sim::EngineOptions
+tracedOn(sim::Backend backend)
+{
+    sim::EngineOptions opts;
+    opts.backend = backend;
+    opts.enableTrace = true;
+    return opts;
+}
+
+/** @p cfg on a fresh Simulator in a fresh context. */
+std::string
+freshRun(const scalesim::Config &cfg, sim::Backend backend)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto module = systolic::buildSystolicModule(ctx, cfg);
+    sim::Simulator sim(tracedOn(backend));
+    sim::SimReport report = sim.simulate(module.get());
+    return render(report, sim.trace());
+}
+
+void
+expectPoolsInvisible(sim::Backend backend)
+{
+    scalesim::Config big;
+    big.ah = big.aw = 16;
+    big.dataflow = scalesim::Dataflow::IS;
+    scalesim::Config small;
+    small.ah = small.aw = 2;
+    small.dataflow = scalesim::Dataflow::WS;
+    scalesim::Config other;
+    other.ah = other.aw = 4;
+    other.dataflow = scalesim::Dataflow::OS;
+    const std::string bigRef = freshRun(big, backend);
+    const std::string smallRef = freshRun(small, backend);
+    const std::string otherRef = freshRun(other, backend);
+
+    sim::Session session(tracedOn(backend));
+    // A module outside the session, run on the session's simulator in
+    // between pinned runs.
+    auto otherModule = systolic::buildSystolicModule(session.context(), other);
+    auto runOther = [&] {
+        sim::SimReport r = session.simulator().simulate(otherModule.get());
+        return render(r, session.simulator().trace());
+    };
+    auto runPinned = [&] {
+        sim::SimReport r = session.run();
+        return render(r, session.simulator().trace());
+    };
+
+    session.rebuild(systolicBuilder(big));
+    EXPECT_EQ(runPinned(), bigRef);
+    EXPECT_EQ(runPinned(), bigRef);
+    EXPECT_EQ(runOther(), otherRef);
+    EXPECT_EQ(runPinned(), bigRef);
+
+    session.rebuild(systolicBuilder(small));
+    EXPECT_EQ(runPinned(), smallRef);
+    EXPECT_EQ(runOther(), otherRef);
+    EXPECT_EQ(runPinned(), smallRef);
+
+    session.rebuild(systolicBuilder(big));
+    EXPECT_EQ(runPinned(), bigRef);
+    EXPECT_EQ(runPinned(), bigRef);
+}
+
+TEST(SimSession, PooledStateIsInvisibleInterp)
+{
+    expectPoolsInvisible(sim::Backend::Interp);
+}
+
+TEST(SimSession, PooledStateIsInvisibleCompiled)
+{
+    expectPoolsInvisible(sim::Backend::Compiled);
+}
+
+/** A launch that reads an allocated cell before writing 7 into it. */
+ir::OwningOpRef
+readBeforeWriteModule(ir::Context &ctx)
+{
+    ir::OwningOpRef module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+    auto mem = b.create<equeue::CreateMemOp>(
+        std::string("SRAM"), std::vector<int64_t>{64}, 32u, 1u);
+    auto buf = b.create<equeue::AllocOp>(mem->result(0),
+                                         std::vector<int64_t>{4}, 32u);
+    auto start = b.create<equeue::ControlStartOp>();
+    auto launch = b.create<equeue::LaunchOp>(
+        std::vector<ir::Value>{start->result(0)}, proc->result(0),
+        std::vector<ir::Value>{buf->result(0)}, std::vector<ir::Type>{});
+    {
+        ir::OpBuilder::InsertionGuard g(b);
+        equeue::LaunchOp l(launch.op());
+        b.setInsertionPointToEnd(&l.body());
+        ir::Value cell = l.body().argument(0);
+        auto idx = b.create<arith::ConstantOp>(int64_t{2}, ctx.i32Type());
+        auto seven = b.create<arith::ConstantOp>(int64_t{7}, ctx.i32Type());
+        auto old = b.create<equeue::ReadOp>(
+            cell, ir::Value(), std::vector<ir::Value>{idx->result(0)});
+        b.create<equeue::ExternOp>(std::string("probe"),
+                                   std::vector<ir::Value>{old->result(0)},
+                                   std::vector<ir::Type>{});
+        b.create<equeue::WriteOp>(seven->result(0), cell, ir::Value(),
+                                  std::vector<ir::Value>{idx->result(0)});
+        b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    }
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{launch->result(0)});
+    return module;
+}
+
+TEST(SimSession, ReusedBuffersStartZeroed)
+{
+    for (sim::Backend backend :
+         {sim::Backend::Interp, sim::Backend::Compiled}) {
+        sim::EngineOptions opts;
+        opts.backend = backend;
+        sim::Session session(opts);
+        std::vector<int64_t> probed;
+        session.simulator().opFunctions().registerOp(
+            "probe", [&](const sim::OpCall &call) {
+                probed.push_back(call.args[0].asInt());
+                return sim::OpFnResult{};
+            });
+        session.rebuild(readBeforeWriteModule);
+        for (int i = 0; i < 3; ++i)
+            session.run();
+        EXPECT_EQ(probed, (std::vector<int64_t>{0, 0, 0}));
+    }
 }
 
 } // namespace
