@@ -204,6 +204,31 @@ TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)
     EXPECT_EQ(t1.csv(), t2.csv());
 }
 
+/** The whole file, header line included: journals written by earlier
+ *  releases resume only while these bytes hold. */
+TEST_F(JournalTest, FileBytesArePinned)
+{
+    sweep::Grid grid;
+    grid.axis("a", {1, 2, 3}).axis("b", {5});
+    sweep::Table t{abSchema()};
+    sweep::ResumeStats st;
+    std::string err;
+    ASSERT_EQ(run(false, &t, &st, &err, nullptr, &grid, "pin"),
+              sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_EQ(slurp(path),
+              "{\"journal\":\"eqsweep\",\"version\":1,"
+              "\"grid_hash\":\"bc336acfc656ec20\",\"points\":3,"
+              "\"schema\":\"a:i;b:i;prod:i\",\"backend\":\"interp\","
+              "\"salt\":\"pin\"}\n"
+              "{\"i\":0,\"key\":\"a=1,b=5\",\"cells\":[1,5,5],"
+              "\"crc\":1604940431}\n"
+              "{\"i\":1,\"key\":\"a=2,b=5\",\"cells\":[2,5,10],"
+              "\"crc\":3255338826}\n"
+              "{\"i\":2,\"key\":\"a=3,b=5\",\"cells\":[3,5,15],"
+              "\"crc\":43982337}\n");
+}
+
 TEST_F(JournalTest, TornTailRecordIsTruncatedAndRecomputed)
 {
     sweep::Table t1{abSchema()};

@@ -57,8 +57,57 @@ class ResultCacheTest : public ::testing::Test {
         return cache.open(path, kSig, "interp", schema(), err);
     }
 
+    /** Sweep @p grid's "a" axis through runJournaledSweep with the
+     *  cache at `path`; @p calls counts simulated points. */
+    sweep::JournalStatus
+    cachedSweep(const sweep::Grid &grid, sweep::Table *table,
+                sweep::ResumeStats *stats, std::string *err,
+                size_t *calls = nullptr)
+    {
+        sim::EngineOptions engine;
+        engine.backend = sim::Backend::Interp;
+        sweep::JournalOptions opts;
+        opts.cachePath = path;
+        sweep::SweepRunner runner({1});
+        return runJournaledSweep(
+            runner, grid.points(), schema(),
+            [](const sweep::Point &p) {
+                return "a=" + std::to_string(p.at("a"));
+            },
+            [&](const sweep::Point &p, unsigned) {
+                if (calls)
+                    ++*calls;
+                return rowFor(p.at("a"));
+            },
+            opts, engine, table, stats, err);
+    }
+
     std::string path;
 };
+
+/** The whole file, header line included: caches written by earlier
+ *  releases are reused only while these bytes hold. */
+TEST_F(ResultCacheTest, FileBytesArePinned)
+{
+    sweep::Grid grid;
+    grid.axis("a", {1, 2, 3});
+    sweep::Table t{schema()};
+    sweep::ResumeStats st;
+    std::string err;
+    ASSERT_EQ(cachedSweep(grid, &t, &st, &err), sweep::JournalStatus::Ok)
+        << err;
+    std::string text;
+    ASSERT_TRUE(fs::readFile(path, &text, &err)) << err;
+    EXPECT_EQ(text,
+              "{\"cache\":\"eqsweep-results\",\"version\":1,"
+              "\"schema\":\"a:i;val:r\",\"backend\":\"interp\"}\n"
+              "{\"h\":\"e650e41904922b36\",\"key\":\"a=1\","
+              "\"cells\":[1,1.5],\"crc\":4037453027}\n"
+              "{\"h\":\"e650e31904922983\",\"key\":\"a=2\","
+              "\"cells\":[2,3],\"crc\":2051060904}\n"
+              "{\"h\":\"e650e219049227d0\",\"key\":\"a=3\","
+              "\"cells\":[3,4.5],\"crc\":3578475191}\n");
+}
 
 TEST_F(ResultCacheTest, RowsPersistAcrossOpens)
 {

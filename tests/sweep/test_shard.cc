@@ -96,6 +96,36 @@ TEST(ShardManifestTest, RoundTripsThroughDisk)
     EXPECT_TRUE(back.header.matches(m.header, &why)) << why;
 }
 
+/** The saved manifest, its "header" member included: manifests emitted
+ *  by earlier releases load and match only while these bytes hold. */
+TEST(ShardManifestTest, SavedBytesArePinned)
+{
+    sweep::ShardManifest m;
+    m.shard = 1;
+    m.numShards = 2;
+    m.beginPoint = 2;
+    m.endPoint = 3;
+    m.header = abHeader(3);
+    m.specPath = "d/spec.json";
+    m.journalPath = "d/shard-1.journal.ndjson";
+    m.heartbeatPath = "d/shard-1.heartbeat.json";
+
+    const std::string path = tempPath("manifest.json");
+    std::string err, text;
+    ASSERT_TRUE(m.save(path, &err)) << err;
+    ASSERT_TRUE(fs::readFile(path, &text, &err)) << err;
+    EXPECT_EQ(text,
+              "{\"manifest\":\"eqsweep-shard\",\"shard\":1,"
+              "\"num_shards\":2,\"begin\":2,\"end\":3,"
+              "\"header\":{\"journal\":\"eqsweep\",\"version\":1,"
+              "\"grid_hash\":\"000000000000feed\",\"points\":3,"
+              "\"schema\":\"a:i;sq:i\",\"backend\":\"interp\","
+              "\"salt\":\"ab\"},"
+              "\"spec\":\"d/spec.json\","
+              "\"journal\":\"d/shard-1.journal.ndjson\","
+              "\"heartbeat\":\"d/shard-1.heartbeat.json\"}\n");
+}
+
 TEST(ShardManifestTest, RangeBeyondGridRefusesToLoad)
 {
     sweep::ShardManifest m;
