@@ -71,16 +71,16 @@ struct HarnessArgs {
     std::string jsonPath;
     bool noWall = false;
     sim::Backend backend = sim::Backend::Auto;
-    std::string journalPath;
-    bool resume = false;
-    std::string cachePath;
-    bool fsyncEachRecord = false;
+    sweep::JournalOptions durability;
+    std::string program; ///< argv[0]'s basename, for error lines
     std::vector<std::string> positional;
 
     static HarnessArgs
     parse(int argc, char **argv)
     {
         HarnessArgs a;
+        a.program = argv[0];
+        a.program = a.program.substr(a.program.rfind('/') + 1);
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
             auto next = [&]() -> std::string {
@@ -108,13 +108,13 @@ struct HarnessArgs {
             else if (arg == "--no-wall")
                 a.noWall = true;
             else if (arg == "--journal")
-                a.journalPath = next();
+                a.durability.journalPath = next();
             else if (arg == "--resume")
-                a.resume = true;
+                a.durability.resume = true;
             else if (arg == "--cache")
-                a.cachePath = next();
+                a.durability.cachePath = next();
             else if (arg == "--fsync")
-                a.fsyncEachRecord = true;
+                a.durability.fsyncEachRecord = true;
             else if (arg == "--backend") {
                 std::string v = next();
                 if (v == "interp")
@@ -152,22 +152,6 @@ struct HarnessArgs {
     {
         sim::EngineOptions o;
         o.backend = backend;
-        return o;
-    }
-
-    /** The durability knobs as runJournaledSweep options. @p salt
-     *  names this harness's sweep identity (harness name + fixed
-     *  config), so a journal from a different figure refuses to
-     *  resume even when the grids coincide. */
-    sweep::JournalOptions
-    journalOptions(const std::string &salt) const
-    {
-        sweep::JournalOptions o;
-        o.journalPath = journalPath;
-        o.resume = resume;
-        o.cachePath = cachePath;
-        o.fsyncEachRecord = fsyncEachRecord;
-        o.salt = salt;
         return o;
     }
 
@@ -224,12 +208,13 @@ struct HarnessArgs {
  * deterministic columns (wall-clock columns replay recorded values;
  * --no-wall drops them before comparison, as always).
  *
- * The content key of a point is @p salt plus its axis values in grid
- * order — enough identity for a harness whose fixed config is folded
- * into the salt. A refused journal (header mismatch, mid-file
- * corruption) exits with eqsweep's structured-error discipline rather
- * than silently recomputing: exit 3 = journal_header_mismatch,
- * 4 = journal_corrupt, 1 = I/O.
+ * @p salt names this harness's sweep identity (harness name + fixed
+ * config), so a journal from a different figure refuses to resume even
+ * when the grids coincide. The content key of a point is @p salt plus
+ * its axis values in grid order. A refused journal (header mismatch,
+ * mid-file corruption) exits with eqsweep's structured error line and
+ * exit code (sweep::printError, sweep::exitCodeFor) rather than
+ * silently recomputing.
  */
 inline sweep::Table
 runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
@@ -245,29 +230,22 @@ runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
         }
         return key;
     };
+    const sweep::RowLogHeader identity = sweep::gridIdentity(
+        points, schema, salt, args.engineOptions());
     sweep::Table table{schema};
     sweep::ResumeStats stats;
     std::string err;
     sweep::JournalStatus status = sweep::runJournaledSweep(
-        runner, points, std::move(schema), keyFn, fn,
-        args.journalOptions(salt), args.engineOptions(), &table,
-        &stats, &err);
+        runner, points, std::move(schema), keyFn, fn, args.durability,
+        identity, &table, &stats, &err);
     if (status != sweep::JournalStatus::Ok) {
-        std::fprintf(stderr, "error: {\"code\":\"%s\"}: %s\n",
-                     sweep::journalStatusName(status), err.c_str());
-        switch (status) {
-        case sweep::JournalStatus::HeaderMismatch: std::exit(3);
-        case sweep::JournalStatus::Corrupt: std::exit(4);
-        default: std::exit(1);
-        }
+        sweep::printError(args.program, sweep::journalStatusName(status),
+                          err);
+        std::exit(sweep::exitCodeFor(status));
     }
-    if (!args.journalPath.empty() || !args.cachePath.empty())
-        std::fprintf(stderr,
-                     "# resume: computed=%zu journal=%zu cache=%zu "
-                     "truncated_bytes=%llu\n",
-                     stats.computed, stats.fromJournal, stats.fromCache,
-                     static_cast<unsigned long long>(
-                         stats.journalTruncatedBytes));
+    if (!args.durability.journalPath.empty() ||
+        !args.durability.cachePath.empty())
+        sweep::printResumeStats(stats);
     return table;
 }
 

@@ -463,6 +463,8 @@ BM_SweepResume(benchmark::State &state, bool warm)
     const sim::EngineOptions engine = engineFor(sim::Backend::Compiled);
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
+    const sweep::RowLogHeader identity = sweep::gridIdentity(
+        points, spec.schema(), spec.saltString(), engine);
 
     char dirTemplate[] = "/tmp/eqsim_bm_sweep_XXXXXX";
     const char *dir = mkdtemp(dirTemplate);
@@ -473,7 +475,7 @@ BM_SweepResume(benchmark::State &state, bool warm)
         sweep::ResumeStats st;
         std::string err;
         serve::runLocalSweepDurable(spec, points, 1, engine, opts,
-                                    &primer, &st, &err);
+                                    identity, &primer, &st, &err);
     }
     for (auto _ : state) {
         sweep::Table table{spec.schema()};
@@ -481,7 +483,7 @@ BM_SweepResume(benchmark::State &state, bool warm)
         std::string err;
         if (warm) {
             serve::runLocalSweepDurable(spec, points, 1, engine, opts,
-                                        &table, &st, &err);
+                                        identity, &table, &st, &err);
         } else {
             table = serve::runLocalSweep(spec, 1, engine);
         }

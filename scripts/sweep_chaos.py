@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Chaos test of crash-safe sweeps: SIGKILL shards mid-run, corrupt
-journal tails, and swap specs out from under manifests — then assert
-the sweep still converges to the byte-identical fault-free answer.
+journal tails and result caches, and swap specs out from under
+manifests — then assert the sweep still converges to the
+byte-identical fault-free answer.
 
-Three rounds, each against a single-process reference CSV:
+Four rounds, each against a single-process reference CSV:
 
   kill-resume-merge   shards are dispatched as separate processes and
                       SIGKILLed mid-flight (seeded, several per
@@ -23,7 +24,13 @@ Three rounds, each against a single-process reference CSV:
                       emitted; the shard must refuse with exit 3 and
                       a structured {"code":"journal_header_mismatch"}
                       error line — never silently journal under the
-                      old identity.
+                      old identity;
+  damaged cache       a --cache file filled by a whole-grid run gets a
+                      torn tail, a bit flip mid-file, or a header
+                      naming the other backend; the cache discards
+                      rather than refuses, so every re-run must exit 0,
+                      emit the reference CSV, and replay exactly the
+                      rows that survived (its "cache=" count).
 
 The byte-identity assertions all lean on the determinism guarantee:
 results do not depend on worker count, process count, kill timing, or
@@ -235,6 +242,70 @@ def header_mismatch_round(eqsweep):
         shutil.rmtree(other_dir, ignore_errors=True)
 
 
+def damage_cache(data, flavor):
+    """Return (damaged bytes, rows a discarding reader keeps)."""
+    lines = data.splitlines(keepends=True)
+    header, records = lines[0], lines[1:]
+    if flavor == "torn":
+        return data[:-9], len(records) - 1
+    if flavor == "bitflip":
+        # Flip a CRC digit of the middle record: it and everything
+        # after it are dropped, the records before it survive.
+        mid = len(records) // 2
+        line = bytearray(records[mid])
+        at = line.index(b'"crc":') + len(b'"crc":')
+        line[at] ^= 0x01
+        return (header + b"".join(records[:mid]) + bytes(line) +
+                b"".join(records[mid + 1:])), mid
+    h = json.loads(header)
+    h["backend"] = "interp" if h["backend"] == "compiled" else "compiled"
+    return (json.dumps(h, separators=(",", ":")).encode() + b"\n" +
+            b"".join(records)), 0
+
+
+def damaged_cache_round(eqsweep):
+    """Fill a result cache with a whole-grid run, damage it three ways,
+    and re-run after each: exit 0, the reference CSV byte for byte, and
+    a replay of exactly the surviving rows."""
+    cache_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-cache-")
+    cache = os.path.join(cache_dir, "cache.ndjson")
+
+    def run_cached(what):
+        proc = subprocess.run(
+            [eqsweep] + SPEC_ARGS + ["--threads", "2", "--cache", cache],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=600)
+        if proc.returncode != 0:
+            fail(f"{what}: cached sweep exited {proc.returncode}: "
+                 f"{proc.stderr.decode()}")
+        if proc.stdout != REFERENCE:
+            fail(f"{what}: cached sweep CSV differs from reference")
+        computed, _, cached, _ = resume_stats(proc.stderr.decode())
+        return computed, cached
+
+    try:
+        rows, cached = run_cached("fill")
+        if cached != 0:
+            fail(f"fill: a fresh cache served {cached} rows")
+        for flavor in ("torn", "bitflip", "backend"):
+            with open(cache, "rb") as f:
+                data = f.read()
+            if data.count(b"\n") != rows + 1:
+                fail(f"{flavor}: cache does not hold every row before "
+                     f"the damage")
+            damaged, survivors = damage_cache(data, flavor)
+            with open(cache, "wb") as f:
+                f.write(damaged)
+            computed, cached = run_cached(f"{flavor} cache")
+            if cached != survivors or computed != rows - survivors:
+                fail(f"{flavor} cache: replayed {cached} and computed "
+                     f"{computed}, expected {survivors} and "
+                     f"{rows - survivors}")
+            log(f"{flavor} cache: replayed {cached}, recomputed "
+                f"{computed}, CSV byte-identical")
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
 def main():
     global REFERENCE
     build_dir = sys.argv[1] if len(sys.argv) > 1 else "build"
@@ -249,8 +320,10 @@ def main():
     corrupt_tail_round(eqsweep, "torn")
     corrupt_tail_round(eqsweep, "bitflip")
     header_mismatch_round(eqsweep)
+    damaged_cache_round(eqsweep)
     print(f"sweep chaos: {rounds} kill rounds + 2 tail-corruption "
-          "rounds + header refusal passed (merges byte-identical)")
+          "rounds + header refusal + 3 cache-damage rounds passed "
+          "(outputs byte-identical)")
 
 
 if __name__ == "__main__":

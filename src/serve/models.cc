@@ -620,9 +620,13 @@ runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
 {
     const sweep::Grid g = spec.grid();
+    const std::vector<sweep::Point> points = g.points();
     sweep::Table table{spec.schema()};
     sweep::JournalStatus status = runLocalSweepDurable(
-        spec, g.points(), threads, engine, {}, &table, nullptr, nullptr);
+        spec, points, threads, engine, {},
+        sweep::gridIdentity(points, spec.schema(), spec.saltString(),
+                            engine),
+        &table, nullptr, nullptr);
     // Without a journal or a cache there is nothing to refuse.
     assert(status == sweep::JournalStatus::Ok);
     (void)status;
@@ -634,6 +638,7 @@ runLocalSweepDurable(const SweepSpec &spec,
                      const std::vector<sweep::Point> &points,
                      unsigned threads, sim::EngineOptions engine,
                      const sweep::JournalOptions &opts,
+                     const sweep::RowLogHeader &identity,
                      sweep::Table *out, sweep::ResumeStats *stats,
                      std::string *err,
                      const std::function<void(const sweep::Point &)>
@@ -655,7 +660,7 @@ runLocalSweepDurable(const SweepSpec &spec,
                 on_point(p);
             return cells;
         },
-        opts, engine, out, stats, err);
+        opts, identity, out, stats, err);
 }
 
 } // namespace serve

@@ -146,7 +146,7 @@ struct SweepSpec {
     std::string pointKey(const sweep::Point &point) const;
 
     /** The sweep identity beyond the grid (model name + base config) —
-     *  what JournalOptions::salt carries into the journal header so a
+     *  the salt of the journal header (sweep::gridIdentity), so a
      *  journal from a different model/base refuses to resume even when
      *  the grids coincide. */
     std::string saltString() const;
@@ -221,7 +221,9 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
  * pointKey()) are replayed, the rest simulated and journaled as they
  * complete. @p points selects the slice to run — a shard's sub-range,
  * or the grid's full point set (pass spec.grid().points()); the
- * points must come from this spec's grid. Table assembly and refusal
+ * points must come from this spec's grid, and @p identity is the
+ * whole grid's (sweep::gridIdentity over spec.grid().points(),
+ * spec.schema() and spec.saltString()). Table assembly and refusal
  * semantics are runJournaledSweep's. @p on_point (optional) fires
  * after each freshly *computed* point, on the worker thread that ran
  * it — the shard heartbeat hook; the callee synchronizes.
@@ -229,7 +231,8 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
 sweep::JournalStatus runLocalSweepDurable(
     const SweepSpec &spec, const std::vector<sweep::Point> &points,
     unsigned threads, sim::EngineOptions engine,
-    const sweep::JournalOptions &opts, sweep::Table *out,
+    const sweep::JournalOptions &opts,
+    const sweep::RowLogHeader &identity, sweep::Table *out,
     sweep::ResumeStats *stats, std::string *err,
     const std::function<void(const sweep::Point &)> &on_point = {});
 

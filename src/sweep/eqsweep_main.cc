@@ -12,11 +12,12 @@
  *   --merge DIR    merge the dir's shard journals into one table,
  *                  byte-identical to a single-process run
  *
- * Failures speak the journal's structured vocabulary on stderr —
+ * Failures speak the sweep layer's structured vocabulary on stderr
+ * (sweep::printError) —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
  * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage, 3 header
- * mismatch, 4 corrupt journal, 5 incomplete merge. Dispatch scripts
- * branch on these, never on prose.
+ * mismatch, 4 corrupt journal (sweep::exitCodeFor), 5 incomplete
+ * merge. Dispatch scripts branch on these, never on prose.
  */
 
 #include <cstdio>
@@ -35,11 +36,9 @@ using namespace eq;
 
 namespace {
 
+// 1, 3 and 4 are sweep::exitCodeFor's refusal codes.
 constexpr int kExitOk = 0;
-constexpr int kExitIo = 1;
 constexpr int kExitUsage = 2;
-constexpr int kExitHeaderMismatch = 3;
-constexpr int kExitCorrupt = 4;
 constexpr int kExitIncomplete = 5;
 
 void
@@ -74,32 +73,12 @@ usage(const char *argv0)
         argv0);
 }
 
-void
-structuredError(const std::string &code, const std::string &message)
-{
-    serve::Json e = serve::Json::object();
-    e.set("code", code);
-    e.set("message", message);
-    std::fprintf(stderr, "eqsweep: error: %s\n", e.dump().c_str());
-}
-
-int
-exitCodeFor(sweep::JournalStatus status)
-{
-    switch (status) {
-    case sweep::JournalStatus::Ok: return kExitOk;
-    case sweep::JournalStatus::IoError: return kExitIo;
-    case sweep::JournalStatus::HeaderMismatch: return kExitHeaderMismatch;
-    case sweep::JournalStatus::Corrupt: return kExitCorrupt;
-    }
-    return kExitIo;
-}
-
 int
 refuse(sweep::JournalStatus status, const std::string &message)
 {
-    structuredError(sweep::journalStatusName(status), message);
-    return exitCodeFor(status);
+    sweep::printError("eqsweep", sweep::journalStatusName(status),
+                      message);
+    return sweep::exitCodeFor(status);
 }
 
 /** "name=v1,v2,..." -> SweepAxis. */
@@ -137,22 +116,9 @@ emitTable(const sweep::Table &table, const std::string &csv_path)
         return kExitOk;
     }
     std::string err;
-    if (!fs::writeFileAtomic(csv_path, table.csv(), &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+    if (!fs::writeFileAtomic(csv_path, table.csv(), &err))
+        return refuse(sweep::JournalStatus::IoError, err);
     return kExitOk;
-}
-
-void
-printResumeStats(const sweep::ResumeStats &st)
-{
-    std::fprintf(stderr,
-                 "# resume: computed=%zu journal=%zu cache=%zu "
-                 "truncated_bytes=%llu\n",
-                 st.computed, st.fromJournal, st.fromCache,
-                 static_cast<unsigned long long>(
-                     st.journalTruncatedBytes));
 }
 
 struct Args {
@@ -217,37 +183,22 @@ buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
     return serve::SweepSpec::fromJson(request, spec, err);
 }
 
-/** The full-grid identity this spec + engine mode journals under. */
-sweep::JournalHeader
-headerFor(const serve::SweepSpec &spec,
-          const std::vector<sweep::Point> &points,
-          const sim::EngineOptions &engine)
-{
-    sweep::JournalHeader h;
-    h.gridHash = sweep::hashPoints(points);
-    h.numPoints = points.size();
-    h.schemaSig = sweep::schemaSignature(spec.schema());
-    h.salt = spec.saltString();
-    h.backend = sweep::resolveEngineMode(engine);
-    return h;
-}
-
 int
 runWhole(const Args &args, const serve::SweepSpec &spec)
 {
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
-    sweep::JournalOptions opts = args.durability;
-    opts.salt = spec.saltString();
     sweep::Table table{spec.schema()};
     sweep::ResumeStats stats;
     std::string err;
     sweep::JournalStatus status = serve::runLocalSweepDurable(
-        spec, points, args.threads, args.engine, opts, &table, &stats,
-        &err);
+        spec, points, args.threads, args.engine, args.durability,
+        sweep::gridIdentity(points, spec.schema(), spec.saltString(),
+                            args.engine),
+        &table, &stats, &err);
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
-    printResumeStats(stats);
+    sweep::printResumeStats(stats);
     return emitTable(table, args.csvPath);
 }
 
@@ -255,20 +206,20 @@ int
 emitShardsMode(const Args &args, const serve::SweepSpec &spec)
 {
     if (args.shardDir.empty()) {
-        structuredError("usage", "--emit-shards needs --shard-dir");
+        sweep::printError("eqsweep", "usage",
+                          "--emit-shards needs --shard-dir");
         return kExitUsage;
     }
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
-    sweep::JournalHeader header = headerFor(spec, points, args.engine);
+    sweep::RowLogHeader header = sweep::gridIdentity(
+        points, spec.schema(), spec.saltString(), args.engine);
 
     const std::string specPath = args.shardDir + "/spec.json";
     std::string err;
     if (!fs::writeFileAtomic(specPath, spec.toJson().dump() + "\n",
-                             &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+                             &err))
+        return refuse(sweep::JournalStatus::IoError, err);
     std::vector<sweep::ShardManifest> manifests =
         sweep::makeShardManifests(points.size(), args.emitShards,
                                   header, args.shardDir);
@@ -278,10 +229,8 @@ emitShardsMode(const Args &args, const serve::SweepSpec &spec)
         const std::string path = args.shardDir + "/shard-" +
                                  std::to_string(manifest.shard) +
                                  ".manifest.json";
-        if (!manifest.save(path, &err)) {
-            structuredError("io_error", err);
-            return kExitIo;
-        }
+        if (!manifest.save(path, &err))
+            return refuse(sweep::JournalStatus::IoError, err);
         std::printf("%s\n", path.c_str());
     }
     return kExitOk;
@@ -293,10 +242,8 @@ shardMode(const Args &args)
     sweep::ShardManifest manifest;
     std::string err;
     if (!sweep::ShardManifest::load(args.shardManifest, &manifest,
-                                    &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+                                    &err))
+        return refuse(sweep::JournalStatus::IoError, err);
 
     // The manifest pins the engine mode; this process obeys it rather
     // than its own environment, so every shard of a dispatch — and
@@ -309,23 +256,21 @@ shardMode(const Args &args)
     Args specArgs = args;
     specArgs.specPath = manifest.specPath;
     serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+    if (!buildSpec(specArgs, &spec, &err))
+        return refuse(sweep::JournalStatus::IoError, err);
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
 
     // A swapped spec.json must not silently journal under the old
     // manifest's identity.
-    sweep::JournalHeader expect = headerFor(spec, points, engine);
+    sweep::RowLogHeader expect = sweep::gridIdentity(
+        points, spec.schema(), spec.saltString(), engine);
     std::string why;
     if (!manifest.header.matches(expect, &why))
         return refuse(sweep::JournalStatus::HeaderMismatch,
                       "manifest does not describe this spec: " + why);
-    if (manifest.endPoint > points.size())
-        return refuse(sweep::JournalStatus::HeaderMismatch,
-                      "shard range exceeds the grid");
+    // load() refused a range beyond the manifest's grid, and that grid
+    // is this spec's: the slice is in bounds.
 
     std::vector<sweep::Point> slice(
         points.begin() + ptrdiff_t(manifest.beginPoint),
@@ -334,9 +279,6 @@ shardMode(const Args &args)
     sweep::JournalOptions opts = args.durability;
     opts.journalPath = manifest.journalPath;
     opts.resume = true; // relaunch after a kill is the normal case
-    opts.salt = expect.salt;
-    opts.gridHash = expect.gridHash;
-    opts.numPoints = expect.numPoints;
 
     sweep::Heartbeat heartbeat(manifest.heartbeatPath, manifest.shard);
     std::mutex beatMu;
@@ -346,15 +288,15 @@ shardMode(const Args &args)
     sweep::Table table{spec.schema()};
     sweep::ResumeStats stats;
     sweep::JournalStatus status = serve::runLocalSweepDurable(
-        spec, slice, args.threads, engine, opts, &table, &stats, &err,
-        [&](const sweep::Point &) {
+        spec, slice, args.threads, engine, opts, expect, &table, &stats,
+        &err, [&](const sweep::Point &) {
             std::lock_guard<std::mutex> lock(beatMu);
             heartbeat.beat(++completed);
         });
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
     heartbeat.beat(slice.size());
-    printResumeStats(stats);
+    sweep::printResumeStats(stats);
     std::fprintf(stderr, "# shard %d: points [%llu, %llu) done\n",
                  manifest.shard,
                  static_cast<unsigned long long>(manifest.beginPoint),
@@ -371,19 +313,15 @@ mergeMode(const Args &args)
     sweep::ShardManifest first;
     std::string err;
     if (!sweep::ShardManifest::load(
-            args.mergeDir + "/shard-0.manifest.json", &first, &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+            args.mergeDir + "/shard-0.manifest.json", &first, &err))
+        return refuse(sweep::JournalStatus::IoError, err);
     std::vector<std::string> journals;
     for (int k = 0; k < first.numShards; ++k) {
         sweep::ShardManifest m;
         const std::string path = args.mergeDir + "/shard-" +
                                  std::to_string(k) + ".manifest.json";
-        if (!sweep::ShardManifest::load(path, &m, &err)) {
-            structuredError("io_error", err);
-            return kExitIo;
-        }
+        if (!sweep::ShardManifest::load(path, &m, &err))
+            return refuse(sweep::JournalStatus::IoError, err);
         std::string why;
         if (!m.header.matches(first.header, &why))
             return refuse(sweep::JournalStatus::HeaderMismatch,
@@ -395,10 +333,8 @@ mergeMode(const Args &args)
     Args specArgs = args;
     specArgs.specPath = first.specPath;
     serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err)) {
-        structuredError("io_error", err);
-        return kExitIo;
-    }
+    if (!buildSpec(specArgs, &spec, &err))
+        return refuse(sweep::JournalStatus::IoError, err);
 
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
@@ -407,12 +343,11 @@ mergeMode(const Args &args)
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
     if (!missing.empty()) {
-        structuredError(
-            "incomplete_merge",
-            std::to_string(missing.size()) + " of " +
-                std::to_string(first.header.numPoints) +
-                " points missing (first: " +
-                std::to_string(missing.front()) + ")");
+        sweep::printError("eqsweep", "incomplete_merge",
+                          std::to_string(missing.size()) + " of " +
+                              std::to_string(first.header.numPoints) +
+                              " points missing (first: " +
+                              std::to_string(missing.front()) + ")");
         return kExitIncomplete;
     }
     return emitTable(table, args.csvPath);
@@ -504,7 +439,7 @@ main(int argc, char **argv)
     serve::SweepSpec spec;
     std::string err;
     if (!buildSpec(args, &spec, &err)) {
-        structuredError("usage", err);
+        sweep::printError("eqsweep", "usage", err);
         return kExitUsage;
     }
     if (args.emitShards > 0)

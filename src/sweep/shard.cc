@@ -54,7 +54,8 @@ ShardManifest::fromJson(const serve::Json &j, ShardManifest *out,
     }
     out->beginPoint = uint64_t(begin);
     out->endPoint = uint64_t(end);
-    if (!JournalHeader::fromJson(*header, &out->header, err))
+    if (!RowLogHeader::fromJson(*header, RowLogHeader::Kind::Journal,
+                                &out->header, err))
         return false;
     if (out->endPoint > out->header.numPoints) {
         if (err)
@@ -92,7 +93,7 @@ ShardManifest::load(const std::string &path, ShardManifest *out,
 
 std::vector<ShardManifest>
 makeShardManifests(uint64_t num_points, int num_shards,
-                   const JournalHeader &header, const std::string &dir)
+                   const RowLogHeader &header, const std::string &dir)
 {
     if (num_shards < 1)
         num_shards = 1;
@@ -125,7 +126,7 @@ makeShardManifests(uint64_t num_points, int num_shards,
 
 JournalStatus
 mergeShardJournals(const std::vector<std::string> &paths,
-                   const JournalHeader &expect,
+                   const RowLogHeader &expect,
                    const std::vector<Column> &schema, Table *out,
                    std::vector<uint64_t> *missing, std::string *err)
 {
@@ -133,7 +134,8 @@ mergeShardJournals(const std::vector<std::string> &paths,
     // records) overwrite earlier ones: last-write-wins.
     std::map<uint64_t, std::vector<Cell>> rows;
     for (const std::string &path : paths) {
-        Journal::Recovery rec = Journal::recover(path, &expect, schema);
+        RowLog::Recovery rec = RowLog::recover(path, expect, schema,
+                                               RowLog::Policy::Refuse);
         if (rec.status != JournalStatus::Ok) {
             if (err)
                 *err = path + ": " + rec.error;

@@ -6,7 +6,7 @@
  * A sweep over N dense points is split into contiguous index ranges
  * [begin, end), one ShardManifest per range. Each manifest is a
  * self-contained work order — the full grid's identity (the
- * JournalHeader every shard journals under) plus the slice to run and
+ * RowLogHeader every shard journals under) plus the slice to run and
  * the journal/heartbeat paths to use — written atomically so a
  * dispatcher crash never leaves a half-written manifest.
  *
@@ -45,7 +45,7 @@ struct ShardManifest {
     int numShards = 1;      ///< total shards in the dispatch
     uint64_t beginPoint = 0; ///< dense index range [beginPoint,
     uint64_t endPoint = 0;   ///<                    endPoint)
-    JournalHeader header;    ///< full-grid identity (all shards equal)
+    RowLogHeader header;     ///< full-grid identity (all shards equal)
     std::string specPath;    ///< SweepSpec JSON the shard should load
     std::string journalPath; ///< where the shard journals its points
     std::string heartbeatPath; ///< where the shard beats after points
@@ -68,7 +68,7 @@ struct ShardManifest {
  * for the caller. @p num_shards is clamped to [1, num_points].
  */
 std::vector<ShardManifest> makeShardManifests(
-    uint64_t num_points, int num_shards, const JournalHeader &header,
+    uint64_t num_points, int num_shards, const RowLogHeader &header,
     const std::string &dir);
 
 /**
@@ -86,7 +86,7 @@ std::vector<ShardManifest> makeShardManifests(
  * dispatcher's signal to relaunch, not an error here.
  */
 JournalStatus mergeShardJournals(const std::vector<std::string> &paths,
-                                 const JournalHeader &expect,
+                                 const RowLogHeader &expect,
                                  const std::vector<Column> &schema,
                                  Table *out,
                                  std::vector<uint64_t> *missing,

@@ -5,13 +5,19 @@
  * valid records after it refuses as Corrupt; a header-less file is
  * recreated; duplicate records resolve last-write-wins), and the
  * header checks that keep a stale journal from silently merging into
- * the wrong sweep.
+ * the wrong sweep; the pinned file bytes; and a failed append that
+ * stops the sweep from simulating further points.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+
+#include <sys/resource.h>
 
 #include "base/fsutil.hh"
 #include "sweep/journal.hh"
@@ -68,7 +74,7 @@ spill(const std::string &path, const std::string &text)
     out << text;
 }
 
-/** A correctly CRC-sealed record line, the way Journal::append builds
+/** A correctly CRC-sealed record line, the way RowLog::append builds
  *  one — for forging duplicates and collision probes. */
 std::string
 sealedRecord(size_t index, const std::string &key,
@@ -110,7 +116,6 @@ class JournalTest : public ::testing::Test {
         sweep::JournalOptions opts;
         opts.journalPath = path;
         opts.resume = resume;
-        opts.salt = salt;
         sweep::SweepRunner runner({1});
         return runJournaledSweep(
             runner, points, abSchema(), abKey,
@@ -119,7 +124,8 @@ class JournalTest : public ::testing::Test {
                     ++*calls;
                 return abRow(p);
             },
-            opts, engine, table, stats, err);
+            opts, sweep::gridIdentity(points, abSchema(), salt, engine),
+            table, stats, err);
     }
 
     std::string path;
@@ -128,17 +134,17 @@ class JournalTest : public ::testing::Test {
 
 TEST_F(JournalTest, HeaderRoundTripAndMatches)
 {
-    sweep::JournalHeader h;
+    sweep::RowLogHeader h;
     h.gridHash = 0x0123456789abcdefull;
     h.numPoints = 42;
     h.schemaSig = "a:i;x:r;s:s";
     h.backend = "compiled";
     h.salt = "model base";
 
-    sweep::JournalHeader back;
+    sweep::RowLogHeader back;
     std::string err;
-    ASSERT_TRUE(
-        sweep::JournalHeader::fromJson(h.toJson(), &back, &err))
+    ASSERT_TRUE(sweep::RowLogHeader::fromJson(
+        h.toJson(), sweep::RowLogHeader::Kind::Journal, &back, &err))
         << err;
     std::string why;
     EXPECT_TRUE(h.matches(back, &why)) << why;
@@ -422,6 +428,60 @@ TEST_F(JournalTest, UnreadableHeaderLineRefusesAsCorrupt)
     std::string err;
     EXPECT_EQ(run(true, &t, &st, &err), sweep::JournalStatus::Corrupt);
     EXPECT_NE(err.find("header"), std::string::npos) << err;
+}
+
+/** A journal that stops taking rows (a full disk) fails the sweep
+ *  without simulating the rest of the grid: each worker runs at most
+ *  the point it already had in hand. */
+TEST_F(JournalTest, FailedAppendStopsSimulating)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    sweep::Grid grid;
+    grid.axis("a", {1, 2, 3, 4, 5, 6, 7, 8}).axis("b", {5, 6, 7, 8});
+    const auto points = grid.points();
+    const unsigned threads = 2;
+    const sweep::RowLogHeader identity =
+        sweep::gridIdentity(points, abSchema(), "", engine);
+    EXPECT_EXIT(
+        {
+            // Room for the header line and not one byte of a record;
+            // writes past the limit fail with EFBIG, not a signal.
+            std::signal(SIGXFSZ, SIG_IGN);
+            rlimit lim;
+            ::getrlimit(RLIMIT_FSIZE, &lim);
+            lim.rlim_cur = identity.toJson().dump().size() + 1;
+            ::setrlimit(RLIMIT_FSIZE, &lim);
+
+            std::atomic<size_t> calls{0};
+            sweep::JournalOptions opts;
+            opts.journalPath = path;
+            sweep::SweepRunner runner({threads});
+            sweep::Table t{abSchema()};
+            std::string err;
+            const sweep::JournalStatus status = runJournaledSweep(
+                runner, points, abSchema(), abKey,
+                [&](const sweep::Point &p, unsigned) {
+                    ++calls;
+                    return abRow(p);
+                },
+                opts, identity, &t, nullptr, &err);
+            std::fprintf(stderr, "status=%s calls=%zu\n",
+                         sweep::journalStatusName(status), calls.load());
+            std::exit(status == sweep::JournalStatus::IoError &&
+                              calls.load() <= threads
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "status=io_error");
+}
+
+TEST_F(JournalTest, ExitCodesAreStable)
+{
+    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::Ok), 0);
+    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::IoError), 1);
+    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::HeaderMismatch),
+              3);
+    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::Corrupt), 4);
 }
 
 TEST_F(JournalTest, StatusNamesAreStable)

@@ -2,10 +2,9 @@
  * @file
  * ResultCache semantics: persistence across opens, the
  * never-serve-stale-rows header policy (mismatch rewrites, it does not
- * error), tail/middle damage degradation, the forced-collision seam
- * proving full-key verification, and the headline behaviour — after a
- * one-axis change, a cached sweep recomputes only the genuinely new
- * configurations.
+ * error), tail/middle damage degradation, the pinned file bytes, and
+ * the headline behaviour — after a one-axis change, a cached sweep
+ * recomputes only the genuinely new configurations.
  */
 
 #include <gtest/gtest.h>
@@ -69,8 +68,9 @@ class ResultCacheTest : public ::testing::Test {
         sweep::JournalOptions opts;
         opts.cachePath = path;
         sweep::SweepRunner runner({1});
+        const std::vector<sweep::Point> points = grid.points();
         return runJournaledSweep(
-            runner, grid.points(), schema(),
+            runner, points, schema(),
             [](const sweep::Point &p) {
                 return "a=" + std::to_string(p.at("a"));
             },
@@ -79,7 +79,8 @@ class ResultCacheTest : public ::testing::Test {
                     ++*calls;
                 return rowFor(p.at("a"));
             },
-            opts, engine, table, stats, err);
+            opts, sweep::gridIdentity(points, schema(), "", engine),
+            table, stats, err);
     }
 
     std::string path;
@@ -121,7 +122,7 @@ TEST_F(ResultCacheTest, RowsPersistAcrossOpens)
     }
     // Key hashes are persisted as 16 hex digits: caches written by
     // earlier releases are found only while these bytes hold.
-    EXPECT_EQ(sweep::ResultCache::hashKey("systolic {\"ah\":4}"),
+    EXPECT_EQ(sweep::hashKey("systolic {\"ah\":4}"),
               0x4bda16730ed14b08ull);
     std::string text;
     ASSERT_TRUE(fs::readFile(path, &text, &err)) << err;
@@ -229,62 +230,27 @@ TEST_F(ResultCacheTest, DamageMidFileDropsTheSuffixNotTheCache)
     EXPECT_EQ(cache.lookup("k3"), nullptr);
 }
 
-TEST_F(ResultCacheTest, ForcedHashCollisionKeepsKeysApart)
-{
-    std::string err;
-    sweep::ResultCache cache;
-    ASSERT_TRUE(openDefault(cache, &err)) << err;
-    ASSERT_TRUE(cache.appendHashed(42, "alpha", rowFor(1), &err));
-    ASSERT_TRUE(cache.appendHashed(42, "beta", rowFor(2), &err));
-
-    const std::vector<Cell> *a = cache.lookupHashed(42, "alpha");
-    const std::vector<Cell> *b = cache.lookupHashed(42, "beta");
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ((*a)[0].asInt(), 1);
-    EXPECT_EQ((*b)[0].asInt(), 2);
-    EXPECT_GT(cache.stats().collisions, 0u);
-    EXPECT_EQ(cache.lookupHashed(42, "gamma"), nullptr);
-}
-
 TEST_F(ResultCacheTest, OneAxisChangeRecomputesOnlyNewPoints)
 {
     // The headline re-plot scenario, through the full journaled-sweep
     // path: sweep a∈{1,2,3} with a cache, then sweep a∈{1,2,3,4} —
     // only a=4 may simulate.
-    auto key = [](const sweep::Point &p) {
-        return "a=" + std::to_string(p.at("a"));
-    };
-    sim::EngineOptions engine;
-    engine.backend = sim::Backend::Interp;
-    sweep::JournalOptions opts;
-    opts.cachePath = path;
-    sweep::SweepRunner runner({1});
-    std::vector<Column> sch = schema();
-
     size_t calls = 0;
-    auto fn = [&](const sweep::Point &p, unsigned) {
-        ++calls;
-        return rowFor(p.at("a"));
-    };
-
     sweep::Grid g1;
     g1.axis("a", {1, 2, 3});
-    sweep::Table t1{sch};
+    sweep::Table t1{schema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(runJournaledSweep(runner, g1.points(), sch, key, fn,
-                                opts, engine, &t1, &st, &err),
+    ASSERT_EQ(cachedSweep(g1, &t1, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 3u);
 
     sweep::Grid g2;
     g2.axis("a", {1, 2, 3, 4});
-    sweep::Table t2{sch};
+    sweep::Table t2{schema()};
     calls = 0;
-    ASSERT_EQ(runJournaledSweep(runner, g2.points(), sch, key, fn,
-                                opts, engine, &t2, &st, &err),
+    ASSERT_EQ(cachedSweep(g2, &t2, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 1u) << "only the new point may simulate";

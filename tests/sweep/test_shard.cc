@@ -30,10 +30,10 @@ abSchema()
             {"sq", ValueKind::Int, 0, 0}};
 }
 
-sweep::JournalHeader
+sweep::RowLogHeader
 abHeader(uint64_t num_points)
 {
-    sweep::JournalHeader h;
+    sweep::RowLogHeader h;
     h.gridHash = 0xfeedu;
     h.numPoints = num_points;
     h.schemaSig = sweep::schemaSignature(abSchema());
@@ -44,12 +44,15 @@ abHeader(uint64_t num_points)
 
 /** A journal at @p path holding rows a -> a*a for the given indices. */
 void
-writeAbJournal(const std::string &path, const sweep::JournalHeader &h,
+writeAbJournal(const std::string &path, const sweep::RowLogHeader &h,
                const std::vector<std::pair<size_t, int64_t>> &rows)
 {
-    sweep::Journal j;
+    sweep::RowLog j(sweep::RowLog::Policy::Refuse);
+    sweep::RowLog::Recovery rec;
+    ASSERT_EQ(j.open(path, h, abSchema(), /*resume=*/false, &rec),
+              sweep::JournalStatus::Ok)
+        << rec.error;
     std::string err;
-    ASSERT_TRUE(j.create(path, h, &err)) << err;
     for (const auto &[index, a] : rows)
         ASSERT_TRUE(j.append(index, "a=" + std::to_string(a),
                              {a, a * a}, &err))
@@ -206,7 +209,7 @@ TEST(HeartbeatTest, BeatsAreAtomicAndMonotone)
 
 TEST(ShardMergeTest, MissingPointsAreReportedNotInvented)
 {
-    sweep::JournalHeader h = abHeader(5);
+    sweep::RowLogHeader h = abHeader(5);
     const std::string j0 = tempPath("s0.ndjson");
     writeAbJournal(j0, h, {{0, 10}, {1, 11}, {3, 13}});
 
@@ -223,11 +226,11 @@ TEST(ShardMergeTest, MissingPointsAreReportedNotInvented)
 
 TEST(ShardMergeTest, MismatchedJournalHeaderRefuses)
 {
-    sweep::JournalHeader h = abHeader(4);
+    sweep::RowLogHeader h = abHeader(4);
     const std::string j0 = tempPath("s0.ndjson");
     const std::string j1 = tempPath("s1.ndjson");
     writeAbJournal(j0, h, {{0, 10}, {1, 11}});
-    sweep::JournalHeader other = h;
+    sweep::RowLogHeader other = h;
     other.backend = "compiled";
     writeAbJournal(j1, other, {{2, 12}, {3, 13}});
 
@@ -245,7 +248,7 @@ TEST(ShardMergeTest, DuplicatePointsResolveLastWriteWins)
     // Shard 1 recomputed point 1 after shard 0's range was reassigned
     // to it mid-dispatch: both journals hold index 1; the later path
     // wins.
-    sweep::JournalHeader h = abHeader(3);
+    sweep::RowLogHeader h = abHeader(3);
     const std::string j0 = tempPath("s0.ndjson");
     const std::string j1 = tempPath("s1.ndjson");
     writeAbJournal(j0, h, {{0, 10}, {1, 11}});
@@ -291,12 +294,8 @@ TEST(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
 
         sweep::Grid grid = spec.grid();
         std::vector<sweep::Point> points = grid.points();
-        sweep::JournalHeader header;
-        header.gridHash = sweep::hashPoints(points);
-        header.numPoints = points.size();
-        header.schemaSig = sweep::schemaSignature(spec.schema());
-        header.salt = spec.saltString();
-        header.backend = sweep::resolveEngineMode(mode.engine);
+        const sweep::RowLogHeader header = sweep::gridIdentity(
+            points, spec.schema(), spec.saltString(), mode.engine);
 
         for (int nshards : {1, 2, 4}) {
             SCOPED_TRACE(nshards);
@@ -318,13 +317,10 @@ TEST(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
                 sweep::JournalOptions opts;
                 opts.journalPath = m.journalPath;
                 opts.resume = true;
-                opts.salt = header.salt;
-                opts.gridHash = header.gridHash;
-                opts.numPoints = header.numPoints;
                 sweep::Table part{spec.schema()};
                 sweep::ResumeStats st;
                 ASSERT_EQ(serve::runLocalSweepDurable(
-                              spec, slice, 1, mode.engine, opts,
+                              spec, slice, 1, mode.engine, opts, header,
                               &part, &st, &err),
                           sweep::JournalStatus::Ok)
                     << err;
