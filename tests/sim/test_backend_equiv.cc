@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "aie/fir.hh"
+#include "dialects/arith.hh"
+#include "dialects/equeue.hh"
 #include "ir/builder.hh"
 #include "passes/pipeline.hh"
 #include "scalesim/scalesim.hh"
@@ -259,6 +261,113 @@ TEST(BackendEquivTest, SocPipelineBuffered)
     soc::PipelineConfig cfg = soc::PipelineConfig::small();
     expectMatrix(runSocPipeline(kInterp, cfg),
                  runSocPipeline(kCompiled, cfg));
+}
+
+/** A launch on @p proc, after @p deps, running @p n 1-cycle addi ops
+ *  (a chain the fuser turns into one group). */
+ir::Value
+busyLaunch(ir::OpBuilder &b, std::vector<ir::Value> deps, ir::Value proc,
+           int n)
+{
+    auto launch = b.create<equeue::LaunchOp>(std::move(deps), proc,
+                                             std::vector<ir::Value>{},
+                                             std::vector<ir::Type>{});
+    ir::OpBuilder::InsertionGuard g(b);
+    equeue::LaunchOp l(launch.op());
+    b.setInsertionPointToEnd(&l.body());
+    ir::Context &ctx = b.context();
+    auto one = b.create<arith::ConstantOp>(int64_t{1}, ctx.i32Type());
+    ir::Value acc = one->result(0);
+    for (int i = 0; i < n; ++i)
+        acc = b.create<arith::AddIOp>(acc, one->result(0))->result(0);
+    b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    return launch->result(0);
+}
+
+/** A launch on @p proc capturing @p stream that, @p n times, runs one
+ *  addi and then pushes its value (@p write) or pops one element. */
+ir::Value
+streamLaunch(ir::OpBuilder &b, ir::Value dep, ir::Value proc,
+             ir::Value stream, int n, bool write)
+{
+    auto launch = b.create<equeue::LaunchOp>(
+        std::vector<ir::Value>{dep}, proc, std::vector<ir::Value>{stream},
+        std::vector<ir::Type>{});
+    ir::OpBuilder::InsertionGuard g(b);
+    equeue::LaunchOp l(launch.op());
+    b.setInsertionPointToEnd(&l.body());
+    ir::Context &ctx = b.context();
+    auto one = b.create<arith::ConstantOp>(int64_t{1}, ctx.i32Type());
+    ir::Value acc = one->result(0);
+    for (int i = 0; i < n; ++i) {
+        acc = b.create<arith::AddIOp>(acc, one->result(0))->result(0);
+        if (write)
+            b.create<equeue::StreamWriteOp>(acc, l.body().argument(0),
+                                            ir::Value());
+        else
+            b.create<equeue::StreamReadOp>(l.body().argument(0),
+                                           int64_t{1}, 32u, ir::Value());
+    }
+    b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    return launch->result(0);
+}
+
+/** Every kind of pending engine work in one module: a launch queued
+ *  behind two dependencies that are both still pending (the issue
+ *  queue's join), a control_or whose second dependency lands late, a
+ *  control_and, a DMA memcpy queued behind it, two readers blocked on
+ *  one stream FIFO while the producer pushes one element at a time,
+ *  and a top-level await-all. */
+RunOutcome
+runWakeupKinds(Mode mode)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    auto proc = [&] {
+        return b.create<equeue::CreateProcOp>(std::string("ARMr5"))
+            ->result(0);
+    };
+    ir::Value p0 = proc(), p1 = proc(), p2 = proc();
+    ir::Value prod = proc(), r0 = proc(), r1 = proc();
+    ir::Value dma = b.create<equeue::CreateDmaOp>()->result(0);
+    auto sram = b.create<equeue::CreateMemOp>(
+        std::string("SRAM"), std::vector<int64_t>{64}, 32u, 2u);
+    ir::Value src = b.create<equeue::AllocOp>(sram->result(0),
+                                              std::vector<int64_t>{16}, 32u)
+                        ->result(0);
+    ir::Value dst = b.create<equeue::AllocOp>(sram->result(0),
+                                              std::vector<int64_t>{16}, 32u)
+                        ->result(0);
+    ir::Value stream = b.create<equeue::CreateStreamOp>(32u)->result(0);
+    ir::Value start = b.create<equeue::ControlStartOp>()->result(0);
+
+    ir::Value fast = busyLaunch(b, {start}, p0, 3);
+    ir::Value slow = busyLaunch(b, {start}, p1, 9);
+    busyLaunch(b, {fast, slow}, p2, 2);
+    ir::Value any = b.create<equeue::ControlOrOp>(
+                         std::vector<ir::Value>{fast, slow})
+                        ->result(0);
+    busyLaunch(b, {any}, p0, 4);
+    ir::Value all = b.create<equeue::ControlAndOp>(
+                         std::vector<ir::Value>{fast, slow})
+                        ->result(0);
+    b.create<equeue::MemcpyOp>(all, src, dst, dma);
+    streamLaunch(b, start, r0, stream, 3, /*write=*/false);
+    streamLaunch(b, start, r1, stream, 3, /*write=*/false);
+    streamLaunch(b, start, prod, stream, 6, /*write=*/true);
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{});
+    return simulate(mode, module.get());
+}
+
+TEST(BackendEquivTest, EveryWakeupKind)
+{
+    RunOutcome interp = runWakeupKinds(kInterp);
+    RunOutcome compiled = runWakeupKinds(kCompiled);
+    expectMatrix(interp, compiled);
+    EXPECT_EQ(interp.report.cycles, 17u);
 }
 
 /** Save/restore one environment variable so the selection-seam tests
