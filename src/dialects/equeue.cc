@@ -503,6 +503,16 @@ verifyEvents(ir::Operation *op)
     return "";
 }
 
+/** control_and/control_or: a join over no events would never complete
+ *  (or) or complete before anything happened (and). */
+std::string
+verifyJoin(ir::Operation *op)
+{
+    if (op->numOperands() == 0)
+        return "requires at least one event operand";
+    return verifyEvents(op);
+}
+
 std::string
 verifyExternOp(ir::Operation *op)
 {
@@ -533,8 +543,8 @@ registerDialect(ir::Context &ctx)
     ctx.registerOp({StreamReadOp::opName, nullptr, false});
     ctx.registerOp({StreamWriteOp::opName, nullptr, false});
     ctx.registerOp({ControlStartOp::opName, nullptr, false});
-    ctx.registerOp({ControlAndOp::opName, verifyEvents, false});
-    ctx.registerOp({ControlOrOp::opName, verifyEvents, false});
+    ctx.registerOp({ControlAndOp::opName, verifyJoin, false});
+    ctx.registerOp({ControlOrOp::opName, verifyJoin, false});
     ctx.registerOp({LaunchOp::opName, verifyLaunch, false});
     ctx.registerOp({MemcpyOp::opName, verifyMemcpy, false});
     ctx.registerOp({AwaitOp::opName, verifyEvents, false});

@@ -276,7 +276,8 @@ class ControlStartOp : public ir::OpView {
     static ir::Operation *build(ir::OpBuilder &b);
 };
 
-/** `equeue.control_and(events...) -> event` — ready when all finish. */
+/** `equeue.control_and(events...) -> event` — ready when all finish
+ *  (at least one event). */
 class ControlAndOp : public ir::OpView {
   public:
     using OpView::OpView;
@@ -287,7 +288,8 @@ class ControlAndOp : public ir::OpView {
                                 std::vector<ir::Value> events);
 };
 
-/** `equeue.control_or(events...) -> event` — ready when any finishes. */
+/** `equeue.control_or(events...) -> event` — ready when any finishes
+ *  (at least one event). */
 class ControlOrOp : public ir::OpView {
   public:
     using OpView::OpView;

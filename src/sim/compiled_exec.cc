@@ -54,8 +54,7 @@ CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
             now = end;
             return false;
         }
-        _eng.scheduleAt(end,
-                        [this, gen = _gen, end] { wake(gen, end); });
+        _eng.scheduleAt(end, wakeup());
         return true;
     }
     return false;
@@ -308,8 +307,7 @@ CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
             return false;
         }
         _subPc = k + 2; // 1-based: resume at element k + 1
-        _eng.scheduleAt(end,
-                        [this, gen = _gen, end] { wake(gen, end); });
+        _eng.scheduleAt(end, wakeup());
         return true;
     }
     return false;
@@ -555,8 +553,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 // Re-execute this element when the producer pushes
                 // (the interpreter re-executes its op the same way).
                 _subPc = k + 1; // 1-based: resume at element k
-                _eng.streamWaiters[fifo].push_back(
-                    [this, gen = _gen] { wake(gen, _eng.now); });
+                _eng.streamWaiters[fifo].push_back(wakeup());
                 return true;
             }
             if (ready > now) {
@@ -567,9 +564,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                     continue;
                 }
                 _subPc = k + 1; // 1-based: resume at element k
-                _eng.scheduleAt(ready, [this, gen = _gen, ready] {
-                    wake(gen, ready);
-                });
+                _eng.scheduleAt(ready, wakeup());
                 return true;
             }
             auto vals = fifo->pop(elems);
@@ -649,8 +644,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             for (unsigned i = 0; i < e.nargs; ++i)
                 ev->deps.push_back(argOf(e, i).asEvent());
             bindLocal(e.result, SimValue::ofEvent(ev->id));
-            Simulator::Impl *eng = &_eng;
-            auto done = [eng, ev](Cycles dt) { eng->completeEvent(ev, dt); };
+            Wakeup done{Wakeup::Kind::Complete, 0, ev, 0};
             if (is_and)
                 _eng.whenAllDone(ev->deps.data(), ev->deps.size(), done);
             else
@@ -689,9 +683,6 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             continue;
         }
         case MOp::Await: {
-            auto wakeAt = [this, gen = _gen, now](Cycles dt) {
-                wake(gen, std::max(now, dt));
-            };
             if (e.nargs == 0) {
                 // Await-all fast path (see BlockExec::execAwait):
                 // done events are timing-irrelevant (doneTime <= now),
@@ -705,7 +696,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 if (w == 0)
                     continue;
                 _subPc = k + 2; // 1-based: resume at element k + 1
-                _eng.whenAllDone(_spawned.data(), w, wakeAt);
+                _eng.whenAllDone(_spawned.data(), w, wakeup(now));
                 return true;
             }
             std::vector<EventId> &ids = _eng.idScratch;
@@ -726,7 +717,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 continue;
             }
             _subPc = k + 2; // 1-based: resume at element k + 1
-            _eng.whenAllDone(ids.data(), ids.size(), wakeAt);
+            _eng.whenAllDone(ids.data(), ids.size(), wakeup(now));
             return true;
         }
         case MOp::Return:

@@ -75,7 +75,23 @@ class CompiledExec {
      *  pc). */
     void resume(Cycles t);
 
+    /** Scheduled re-entry: @p gen is the generation the wakeup was
+     *  scheduled under. */
+    void
+    wake(uint32_t gen, Cycles t)
+    {
+        eq_assert(gen == _gen, "resuming a recycled exec");
+        resume(t);
+    }
+
   private:
+    /** Resumes this run at max(@p floor, fire time). */
+    Wakeup
+    wakeup(Cycles floor = 0)
+    {
+        return {Wakeup::Kind::ResumeExec, _gen, this, floor};
+    }
+
     /** Resolve a pre-compiled value reference along the env chain. */
     SimValue &
     slotAt(const SlotRef &r) const
@@ -84,15 +100,6 @@ class CompiledExec {
         for (uint32_t h = r.hops; h; --h)
             e = e->parent.get();
         return e->slots[r.slot];
-    }
-
-    /** Scheduled re-entry: @p gen is the generation the wakeup was
-     *  scheduled under. */
-    void
-    wake(uint32_t gen, Cycles t)
-    {
-        eq_assert(gen == _gen, "resuming a recycled exec");
-        resume(t);
     }
 
     /** Operand @p i of record @p m; asserts it has a runtime binding

@@ -6,6 +6,8 @@
  *
  *  - event_core.cc: the discrete-event heap, event lifecycle,
  *    dependency subscription, and processor issue queues (§III-D).
+ *    All pending work there is Wakeup records (below), run by one
+ *    switch in Simulator::Impl::fire.
  *  - elaborate.cc:  shared elaboration cores for structure ops that
  *    build the modeled hardware (create_proc/dma/mem/comp/..., alloc),
  *    plus the interpreter's thin handler wrappers.
@@ -35,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/inline_function.hh"
 #include "base/logging.hh"
 #include "sim/compile.hh"
 #include "sim/costmodel.hh"
@@ -47,12 +48,32 @@ namespace sim {
 class BlockExec;
 class CompiledExec;
 
-/** Scheduled-work callback. Small-buffer-optimized: the engine's
- *  callbacks capture at most a this-pointer and a few counters, so
- *  scheduling a suspended op never allocates. */
-using SchedFn = InlineFunction<void()>;
-/** Event-completion callback (receives the completion time). */
-using DoneFn = InlineFunction<void(Cycles)>;
+/**
+ * One piece of pending engine work, as plain data. The heap, the
+ * same-time queue, event completion lists, join records and stream
+ * waiter lists all hold these; Simulator::Impl::fire runs one at time
+ * t (its scheduled time, or the completion time of the event it waits
+ * on) with a single switch.
+ */
+struct Wakeup {
+    enum class Kind : uint8_t {
+        ResumeExec,    ///< resume a CompiledExec at max(floor, t)
+        ResumeBlock,   ///< resume a BlockExec at max(floor, t)
+        TryIssue,      ///< issue the Processor's queue head if it can
+        ScheduleIssue, ///< schedule a TryIssue of the Processor at t
+        FinishMemcpy,  ///< complete the memcpy Event, free and poke its DMA
+        Complete,      ///< complete the control_and/or Event
+        Join,          ///< one event of join `index` completed
+    };
+    Kind kind;
+    /** ResumeExec: the exec's generation; Join: the join's index. */
+    uint32_t index;
+    /** The exec, block, processor or event the kind names. */
+    void *target;
+    /** Resumes only: the earliest resume time (an await's `now`). */
+    Cycles floor;
+};
+static_assert(sizeof(Wakeup) == 24, "a wakeup is three words");
 
 struct Env;
 class EnvPool;
@@ -241,7 +262,8 @@ struct Event {
     bool issueSubscribed = false;
     Cycles doneTime = 0;
     std::vector<SimValue> results;
-    std::vector<DoneFn> onDone;
+    /** Run at completion, in subscription order. */
+    std::vector<Wakeup> onDone;
 
     /** Back to the default state, keeping the vectors' capacity (and
      *  releasing held envs and tensors). */
@@ -326,6 +348,12 @@ class BlockExec {
 
     /** (Re-)enter interpretation at simulation time @p t. */
     void resume(Cycles t);
+    /** Resumes this block at max(@p floor, fire time). */
+    Wakeup
+    wakeup(Cycles floor = 0)
+    {
+        return {Wakeup::Kind::ResumeBlock, 0, this, floor};
+    }
 
     enum class Step { Continue, Suspend, Finished };
     /** Handler for one op kind; the dispatch table stores these. */
@@ -509,17 +537,17 @@ struct Simulator::Impl {
      *  module top level) on @p proc in @p env (compiled_exec.cc). */
     CompiledExec *acquireExec(Event *ev, Processor *proc,
                               const CompiledBlock &prog, EnvPtr env);
-    std::unordered_map<StreamFifo *, std::vector<SchedFn>> streamWaiters;
+    /** Readers blocked on each FIFO, woken by its next push. */
+    std::unordered_map<StreamFifo *, std::vector<Wakeup>> streamWaiters;
     std::unique_ptr<Processor> rootProc;
 
-    /** One pending heap entry. The callback is an SBO functor, and the
-     *  heap is a hand-rolled binary heap over a plain vector (rather
-     *  than std::priority_queue, whose const top() would force a copy
-     *  of the move-only callback on every pop). */
+    /** One pending heap entry: a wakeup, fired at @ref t. The heap is
+     *  a binary heap over a plain vector, so runHeap() can merge its
+     *  front against @ref nowQ. */
     struct HeapItem {
         Cycles t;
         uint64_t seq;
-        SchedFn fn;
+        Wakeup w;
     };
     /** Min-ordering on (time, sequence) for push_heap/pop_heap. */
     struct HeapAfter {
@@ -567,13 +595,13 @@ struct Simulator::Impl {
     std::string freshName(const std::string &base);
 
     void
-    scheduleAt(Cycles t, SchedFn fn)
+    scheduleAt(Cycles t, Wakeup w)
     {
         if (t == now) {
-            nowQ.push_back({t, seqCounter++, std::move(fn)});
+            nowQ.push_back({t, seqCounter++, w});
             return;
         }
-        heap.push_back({t, seqCounter++, std::move(fn)});
+        heap.push_back({t, seqCounter++, w});
         std::push_heap(heap.begin(), heap.end(), HeapAfter{});
     }
 
@@ -602,9 +630,13 @@ struct Simulator::Impl {
         return &events[id];
     }
 
+    /** Run @p w at time @p t: the one dispatch point of every wakeup
+     *  kind. */
+    void fire(const Wakeup &w, Cycles t);
+
     /** A pending join over several events (whenAllDone/whenAnyDone):
      *  @ref pending subscriptions are outstanding; an all-join fires
-     *  @ref fn with the latest completion time when the last one
+     *  @ref then with the latest completion time when the last one
      *  lands, an any-join with the first completion time. Pooled in
      *  @ref joins and addressed by index, so subscribing costs no
      *  allocation. */
@@ -613,26 +645,27 @@ struct Simulator::Impl {
         bool any = false;
         bool fired = false;
         Cycles t = 0;
-        DoneFn fn;
+        Wakeup then{};
     };
     std::vector<Join> joins;
     std::vector<uint32_t> freeJoins;
     /** Subscribe a fresh join to every not-yet-done event of @p ids. */
     void joinUndone(const EventId *ids, size_t n, bool any, Cycles t0,
-                    DoneFn fn);
+                    Wakeup then);
     /** One subscribed event of join @p j completed at @p t. */
     void fireJoin(uint32_t j, Cycles t);
 
     void completeEvent(Event *ev, Cycles t);
 
-    /** Invoke @p fn(max completion time) once all of the @p n events
-     *  @p ids are done. */
-    void whenAllDone(const EventId *ids, size_t n, DoneFn fn);
-    /** Invoke @p fn(first completion time) once any of them is done. */
-    void whenAnyDone(const EventId *ids, size_t n, DoneFn fn);
+    /** Fire @p w at the max completion time once all of the @p n
+     *  events @p ids are done. */
+    void whenAllDone(const EventId *ids, size_t n, Wakeup w);
+    /** Fire @p w at the first completion time once any of them is
+     *  done. */
+    void whenAnyDone(const EventId *ids, size_t n, Wakeup w);
     /** Scratch id list for awaits and control joins: filled and handed
-     *  to whenAllDone/whenAnyDone, which read it before any callback
-     *  can run. */
+     *  to whenAllDone/whenAnyDone, which read it before any wakeup
+     *  can fire. */
     std::vector<EventId> idScratch;
 
     void enqueueOnProcessor(Event *ev, Cycles t);
@@ -798,7 +831,7 @@ BlockExec::advanceAfter(ir::Operation *op, Cycles &now, Cycles start,
             now = end;
             return Step::Continue;
         }
-        _eng.scheduleAt(end, [this, end] { resume(end); });
+        _eng.scheduleAt(end, wakeup());
         return Step::Suspend;
     }
     return Step::Continue;

@@ -81,11 +81,11 @@ Simulator::Impl::completeEvent(Event *ev, Cycles t)
     ev->doneTime = t;
     noteActivity(t);
     ++eventsExecuted;
-    // Run the callbacks in place: every subscription path checks done
+    // Fire the wakeups in place: every subscription path checks done
     // first, so none can be added from here on, and the slab keeps
     // this event (and the list's capacity) where it is.
-    for (size_t i = 0; i < ev->onDone.size(); ++i)
-        ev->onDone[i](t);
+    for (const Wakeup &w : ev->onDone)
+        fire(w, t);
     ev->onDone.clear();
     // The creator environment is only needed up to completion (issue
     // reads captures from it, finishLaunch publishes results into it,
@@ -96,8 +96,41 @@ Simulator::Impl::completeEvent(Event *ev, Cycles t)
 }
 
 void
+Simulator::Impl::fire(const Wakeup &w, Cycles t)
+{
+    switch (w.kind) {
+    case Wakeup::Kind::ResumeExec:
+        static_cast<CompiledExec *>(w.target)->wake(w.index,
+                                                    std::max(w.floor, t));
+        return;
+    case Wakeup::Kind::ResumeBlock:
+        static_cast<BlockExec *>(w.target)->resume(std::max(w.floor, t));
+        return;
+    case Wakeup::Kind::TryIssue:
+        tryIssue(static_cast<Processor *>(w.target), t);
+        return;
+    case Wakeup::Kind::ScheduleIssue:
+        scheduleAt(t, {Wakeup::Kind::TryIssue, 0, w.target, 0});
+        return;
+    case Wakeup::Kind::FinishMemcpy: {
+        Event *ev = static_cast<Event *>(w.target);
+        completeEvent(ev, t);
+        ev->proc->setBusy(false);
+        tryIssue(ev->proc, t);
+        return;
+    }
+    case Wakeup::Kind::Complete:
+        completeEvent(static_cast<Event *>(w.target), t);
+        return;
+    case Wakeup::Kind::Join:
+        fireJoin(w.index, t);
+        return;
+    }
+}
+
+void
 Simulator::Impl::joinUndone(const EventId *ids, size_t n, bool any,
-                            Cycles t0, DoneFn fn)
+                            Cycles t0, Wakeup then)
 {
     uint32_t j;
     if (freeJoins.empty()) {
@@ -112,85 +145,78 @@ Simulator::Impl::joinUndone(const EventId *ids, size_t n, bool any,
     join.any = any;
     join.fired = false;
     join.t = t0;
-    join.fn = std::move(fn);
+    join.then = then;
     for (size_t i = 0; i < n; ++i) {
         Event *ev = event(ids[i]);
         if (ev->done)
             continue;
         ++join.pending;
-        ev->onDone.push_back([this, j](Cycles t) { fireJoin(j, t); });
+        ev->onDone.push_back({Wakeup::Kind::Join, j, nullptr, 0});
     }
 }
 
 void
 Simulator::Impl::fireJoin(uint32_t j, Cycles t)
 {
-    // The callback may create joins (and so move @ref joins): take
-    // what it needs and release the record before calling it.
+    // Firing may create joins (and so move @ref joins): take what it
+    // needs and release the record first.
     Join &join = joins[j];
-    bool fire;
+    bool fires;
     Cycles ft;
     if (join.any) {
-        fire = !join.fired;
+        fires = !join.fired;
         join.fired = true;
         ft = t;
     } else {
         join.t = std::max(join.t, t);
-        fire = join.pending == 1;
+        fires = join.pending == 1;
         ft = join.t;
     }
-    DoneFn fn;
-    if (fire)
-        fn = std::move(join.fn);
-    if (--join.pending == 0) {
-        join.fn = DoneFn();
+    Wakeup then = join.then;
+    if (--join.pending == 0)
         freeJoins.push_back(j);
-    }
-    if (fire)
-        fn(ft);
+    if (fires)
+        fire(then, ft);
 }
 
 void
-Simulator::Impl::whenAllDone(const EventId *ids, size_t n, DoneFn fn)
+Simulator::Impl::whenAllDone(const EventId *ids, size_t n, Wakeup w)
 {
-    // Single-dependency fast path (the overwhelmingly common case:
-    // chained launches): subscribe the callback directly, no join
-    // record. Callback position — and therefore completion ordering —
-    // is exactly what the general path would produce.
-    if (n == 1) {
-        Event *ev = event(ids[0]);
-        if (ev->done)
-            fn(ev->doneTime);
-        else
-            ev->onDone.push_back(std::move(fn));
-        return;
-    }
     size_t undone = 0;
+    Event *pending = nullptr;
     Cycles t0 = 0;
     for (size_t i = 0; i < n; ++i) {
         Event *ev = event(ids[i]);
-        if (ev->done)
+        if (ev->done) {
             t0 = std::max(t0, ev->doneTime);
-        else
+        } else {
             ++undone;
+            pending = ev;
+        }
     }
     if (undone == 0) {
-        fn(t0);
-        return;
+        fire(w, t0);
+    } else if (undone == 1) {
+        // The common case (chained launches): subscribe directly, no
+        // join record. The wakeup lands where the join's would, and
+        // fires at the same time: done events finished no later than
+        // the pending one will.
+        pending->onDone.push_back(w);
+    } else {
+        joinUndone(ids, n, /*any=*/false, t0, w);
     }
-    joinUndone(ids, n, /*any=*/false, t0, std::move(fn));
 }
 
 void
-Simulator::Impl::whenAnyDone(const EventId *ids, size_t n, DoneFn fn)
+Simulator::Impl::whenAnyDone(const EventId *ids, size_t n, Wakeup w)
 {
     for (size_t i = 0; i < n; ++i) {
         if (event(ids[i])->done) {
-            fn(event(ids[i])->doneTime);
+            fire(w, event(ids[i])->doneTime);
             return;
         }
     }
-    joinUndone(ids, n, /*any=*/true, 0, std::move(fn));
+    joinUndone(ids, n, /*any=*/true, 0, w);
 }
 
 void
@@ -215,7 +241,7 @@ void
 Simulator::Impl::enqueueOnProcessor(Event *ev, Cycles t)
 {
     ev->proc->pushQueue(ev);
-    scheduleAt(t, [this, proc = ev->proc, t] { tryIssue(proc, t); });
+    scheduleAt(t, {Wakeup::Kind::TryIssue, 0, ev->proc, 0});
 }
 
 void
@@ -225,37 +251,24 @@ Simulator::Impl::tryIssue(Processor *proc, Cycles t)
         return;
     Event *head = proc->queueFront();
     // All dependencies must be complete before the head may issue
-    // (head-of-line blocking, as in Fig. 5). First pass counts the
-    // pending deps without allocating — issue attempts happen per
-    // event and almost always find zero or one pending.
-    size_t num_undone = 0;
-    EventId undone_id = 0;
+    // (head-of-line blocking, as in Fig. 5).
+    bool ready = true;
     Cycles dep_time = t;
     for (EventId id : head->deps) {
         Event *dep = event(id);
-        if (!dep->done) {
-            ++num_undone;
-            undone_id = id;
-        } else {
+        if (dep->done)
             dep_time = std::max(dep_time, dep->doneTime);
-        }
+        else
+            ready = false;
     }
-    if (num_undone) {
+    if (!ready) {
+        // Subscribe once. The wakeup schedules the next try-issue at
+        // the completion time rather than calling it, so the attempt
+        // keeps its (t, seq) position.
         if (!head->issueSubscribed) {
             head->issueSubscribed = true;
-            DoneFn wake = [this, proc](Cycles done_t) {
-                scheduleAt(done_t, [this, proc, done_t] {
-                    tryIssue(proc, done_t);
-                });
-            };
-            if (num_undone == 1) {
-                // Same subscription whenAllDone would make, minus the
-                // join record.
-                event(undone_id)->onDone.push_back(std::move(wake));
-            } else {
-                joinUndone(head->deps.data(), head->deps.size(),
-                           /*any=*/false, 0, std::move(wake));
-            }
+            whenAllDone(head->deps.data(), head->deps.size(),
+                        {Wakeup::Kind::ScheduleIssue, 0, proc, 0});
         }
         return;
     }
@@ -323,7 +336,7 @@ Simulator::Impl::finishLaunch(Event *ev, Processor *proc, Cycles t)
     }
     completeEvent(ev, t);
     proc->setBusy(false);
-    scheduleAt(t, [this, proc, t] { tryIssue(proc, t); });
+    scheduleAt(t, {Wakeup::Kind::TryIssue, 0, proc, 0});
 }
 
 void
@@ -354,16 +367,10 @@ Simulator::Impl::issueMemcpy(Event *ev, Cycles t)
     if (dst->mem)
         dst->mem->recordAccess(true, bytes);
 
-    Processor *proc = ev->proc;
-    proc->recordBusy(dur);
-    proc->recordOp();
-    recordTrace("equeue.memcpy", proc, start, dur);
-    Cycles end = start + dur;
-    scheduleAt(end, [this, ev, proc, end] {
-        completeEvent(ev, end);
-        proc->setBusy(false);
-        tryIssue(proc, end);
-    });
+    ev->proc->recordBusy(dur);
+    ev->proc->recordOp();
+    recordTrace("equeue.memcpy", ev->proc, start, dur);
+    scheduleAt(start + dur, {Wakeup::Kind::FinishMemcpy, 0, ev, 0});
 }
 
 void
@@ -372,10 +379,9 @@ Simulator::Impl::notifyStream(StreamFifo *fifo)
     auto it = streamWaiters.find(fifo);
     if (it == streamWaiters.end())
         return;
-    auto waiters = std::move(it->second);
-    streamWaiters.erase(it);
-    for (auto &w : waiters)
-        scheduleAt(now, std::move(w));
+    for (const Wakeup &w : it->second)
+        scheduleAt(now, w);
+    it->second.clear();
 }
 
 void
@@ -399,19 +405,19 @@ Simulator::Impl::runHeap()
         }
         HeapItem item;
         if (from_nowq) {
-            item = std::move(nowQ[nowHead++]);
+            item = nowQ[nowHead++];
             if (nowHead == nowQ.size()) {
                 nowQ.clear();
                 nowHead = 0;
             }
         } else {
             std::pop_heap(heap.begin(), heap.end(), HeapAfter{});
-            item = std::move(heap.back());
+            item = heap.back();
             heap.pop_back();
         }
         eq_assert(item.t >= now, "time went backwards in the scheduler");
         now = item.t;
-        item.fn();
+        fire(item.w, item.t);
     }
 }
 

@@ -339,15 +339,13 @@ BlockExec::execStreamRead(ir::Operation *op, Cycles &now)
     size_t elems = static_cast<size_t>(op->intAttr("elems"));
     Cycles ready = fifo->readyTime(elems);
     if (ready == StreamFifo::kNoReadyTime) {
-        // Not enough elements yet: wake when the producer pushes.
-        _eng.streamWaiters[fifo].push_back([this] {
-            // Re-dispatch the same op at the engine's current time.
-            resume(_eng.now);
-        });
+        // Not enough elements yet: re-dispatch the same op when the
+        // producer pushes.
+        _eng.streamWaiters[fifo].push_back(wakeup());
         return Step::Suspend;
     }
     if (ready > now) {
-        _eng.scheduleAt(ready, [this, ready] { resume(ready); });
+        _eng.scheduleAt(ready, wakeup());
         return Step::Suspend;
     }
     auto vals = fifo->pop(elems);
@@ -405,7 +403,7 @@ BlockExec::execControlAndOr(ir::Operation *op, Cycles &now)
     for (ir::Value v : op->operands())
         ev->deps.push_back(eval(v).asEvent());
     bind(op->result(0), SimValue::ofEvent(ev->id));
-    auto done = [this, ev](Cycles t) { _eng.completeEvent(ev, t); };
+    Wakeup done{Wakeup::Kind::Complete, 0, ev, 0};
     if (is_and)
         _eng.whenAllDone(ev->deps.data(), ev->deps.size(), done);
     else
@@ -469,9 +467,7 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
         ++_frames.back().it;
         if (w == 0)
             return Step::Continue;
-        _eng.whenAllDone(_spawned.data(), w, [this, now](Cycles t) {
-            resume(std::max(now, t));
-        });
+        _eng.whenAllDone(_spawned.data(), w, wakeup(now));
         return Step::Suspend;
     }
     std::vector<EventId> &ids = _eng.idScratch;
@@ -492,8 +488,7 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
         now = std::max(now, max_t);
         return Step::Continue;
     }
-    _eng.whenAllDone(ids.data(), ids.size(),
-                     [this, now](Cycles t) { resume(std::max(now, t)); });
+    _eng.whenAllDone(ids.data(), ids.size(), wakeup(now));
     return Step::Suspend;
 }
 

@@ -127,6 +127,22 @@ TEST_F(EQueueDialectTest, MemcpyVerifies)
     EXPECT_EQ(m.dst(), b1->result(0));
 }
 
+TEST_F(EQueueDialectTest, EmptyJoinsRejectedEmptyAwaitAccepted)
+{
+    auto start = b->create<equeue::ControlStartOp>();
+    std::vector<ir::Value> one{start->result(0)};
+    EXPECT_EQ(b->create<equeue::ControlAndOp>(one)->verify(), "");
+    EXPECT_EQ(b->create<equeue::ControlOrOp>(one)->verify(), "");
+    EXPECT_NE(b->create<equeue::ControlAndOp>(std::vector<ir::Value>{})
+                  ->verify(),
+              "");
+    EXPECT_NE(
+        b->create<equeue::ControlOrOp>(std::vector<ir::Value>{})->verify(),
+        "");
+    // A bare await keeps its "await every spawned event" form.
+    EXPECT_EQ(b->create<equeue::AwaitOp>()->verify(), "");
+}
+
 TEST_F(EQueueDialectTest, ReadWriteConnAndIndexLayout)
 {
     auto mem = b->create<equeue::CreateMemOp>(
