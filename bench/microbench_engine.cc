@@ -46,6 +46,31 @@ BM_BuildSystolicModule(benchmark::State &state)
 }
 BENCHMARK(BM_BuildSystolicModule)->Arg(2)->Arg(4)->Arg(8);
 
+void
+BM_ModuleBuildTeardown(benchmark::State &state)
+{
+    // IR storage cost on the path every cold sweep point and serve
+    // cache miss takes: Session::rebuild drops the pinned module and
+    // builds the next one in the session's reused Context. Each
+    // iteration is one teardown plus one build of the same module.
+    scalesim::Config cfg;
+    cfg.ah = cfg.aw = static_cast<int>(state.range(0));
+    cfg.c = 2;
+    cfg.h = cfg.w = 8;
+    cfg.n = 4;
+    cfg.fh = cfg.fw = 2;
+    auto build = [&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    };
+    sim::Session session;
+    session.rebuild(build);
+    for (auto _ : state) {
+        session.rebuild(build);
+        benchmark::DoNotOptimize(session.module());
+    }
+}
+BENCHMARK(BM_ModuleBuildTeardown)->Arg(4)->Arg(8)->Arg(16);
+
 sim::EngineOptions
 engineFor(sim::Backend backend)
 {

@@ -5,6 +5,9 @@
 
 #include "testutil.hh"
 
+#include <utility>
+#include <vector>
+
 #include "ir/context.hh"
 #include "ir/operation.hh"
 
@@ -13,6 +16,28 @@ namespace {
 using namespace eq;
 
 class OperationTest : public test::UnregisteredModuleTest {};
+
+using UseList = std::vector<std::pair<ir::Operation *, unsigned>>;
+
+/** The (user, operand index) pairs of @p v, in use-list order. */
+UseList
+usesOf(ir::Value v)
+{
+    UseList out;
+    for (auto [user, idx] : v.uses())
+        out.emplace_back(user, idx);
+    return out;
+}
+
+/** The ops of @p blk, in block order. */
+std::vector<ir::Operation *>
+opsOf(ir::Block &blk)
+{
+    std::vector<ir::Operation *> out;
+    for (ir::Operation *op : blk)
+        out.push_back(op);
+    return out;
+}
 
 TEST_F(OperationTest, CreateWithResultsAndOperands)
 {
@@ -125,6 +150,125 @@ TEST_F(OperationTest, IntAttrHelpers)
     EXPECT_EQ(op->intAttrOr("missing", 9), 9);
     op->removeAttr("x");
     EXPECT_EQ(op->intAttrOr("x", 1), 1);
+}
+
+TEST_F(OperationTest, UseListKeepsAttachOrder)
+{
+    auto *a = b->create("test.def", {ctx.i32Type()}, {});
+    auto *u1 = b->create("test.use", {}, {a->result(0)});
+    auto *u2 = b->create("test.use", {}, {a->result(0), a->result(0)});
+    u1->appendOperand(a->result(0));
+    EXPECT_EQ(usesOf(a->result(0)),
+              (UseList{{u1, 0}, {u2, 0}, {u2, 1}, {u1, 1}}));
+}
+
+TEST_F(OperationTest, SetOperandMovesUseToTail)
+{
+    auto *a = b->create("test.def", {ctx.i32Type()}, {});
+    auto *c = b->create("test.def", {ctx.i32Type()}, {});
+    auto *u1 = b->create("test.use", {}, {a->result(0)});
+    auto *u2 = b->create("test.use", {}, {a->result(0)});
+    auto *u3 = b->create("test.use", {}, {a->result(0)});
+    u1->setOperand(0, c->result(0));
+    EXPECT_EQ(usesOf(a->result(0)), (UseList{{u2, 0}, {u3, 0}}));
+    EXPECT_EQ(usesOf(c->result(0)), (UseList{{u1, 0}}));
+    u1->setOperand(0, a->result(0));
+    EXPECT_EQ(usesOf(a->result(0)), (UseList{{u2, 0}, {u3, 0}, {u1, 0}}));
+    EXPECT_FALSE(c->result(0).hasUses());
+    // Re-setting the same value also re-attaches the use at the tail.
+    u2->setOperand(0, a->result(0));
+    EXPECT_EQ(usesOf(a->result(0)), (UseList{{u3, 0}, {u1, 0}, {u2, 0}}));
+}
+
+TEST_F(OperationTest, EraseOperandReindexesUsesInPlace)
+{
+    auto *a = b->create("test.def", {ctx.i32Type()}, {});
+    auto *c = b->create("test.def", {ctx.i32Type()}, {});
+    auto *u = b->create("test.use", {},
+                        {a->result(0), c->result(0), a->result(0),
+                         c->result(0)});
+    auto *u2 = b->create("test.use", {}, {a->result(0)});
+    u->eraseOperand(1);
+    EXPECT_EQ(u->numOperands(), 3u);
+    EXPECT_EQ(usesOf(a->result(0)), (UseList{{u, 0}, {u, 1}, {u2, 0}}));
+    EXPECT_EQ(usesOf(c->result(0)), (UseList{{u, 2}}));
+    u->eraseOperand(0);
+    EXPECT_EQ(usesOf(a->result(0)), (UseList{{u, 0}, {u2, 0}}));
+    EXPECT_EQ(usesOf(c->result(0)), (UseList{{u, 1}}));
+    EXPECT_EQ(u->operand(0), a->result(0));
+    EXPECT_EQ(u->operand(1), c->result(0));
+}
+
+TEST_F(OperationTest, RauwKeepsUseOrder)
+{
+    auto *a = b->create("test.def", {ctx.i32Type()}, {});
+    auto *c = b->create("test.def", {ctx.i32Type()}, {});
+    auto *u1 = b->create("test.use", {}, {c->result(0)});
+    auto *u2 = b->create("test.use", {}, {a->result(0)});
+    auto *u3 = b->create("test.use", {}, {a->result(0), a->result(0)});
+    a->result(0).replaceAllUsesWith(c->result(0));
+    EXPECT_EQ(usesOf(c->result(0)),
+              (UseList{{u1, 0}, {u2, 0}, {u3, 0}, {u3, 1}}));
+}
+
+TEST_F(OperationTest, BlockPositionThroughEdits)
+{
+    ir::Block &blk = body();
+    auto *o1 = b->create("test.a", {}, {});
+    auto *o2 = b->create("test.b", {}, {});
+    auto *o3 = b->create("test.c", {}, {});
+    using Ops = std::vector<ir::Operation *>;
+    EXPECT_EQ(opsOf(blk), (Ops{o1, o2, o3}));
+
+    // insert: before an iterator, and at end().
+    auto *o4 = b->createDetached("test.d", {}, {});
+    auto it = blk.insert(blk.find(o2), o4);
+    EXPECT_EQ(*it, o4);
+    EXPECT_EQ(o4->block(), &blk);
+    auto *o5 = b->createDetached("test.e", {}, {});
+    blk.insert(blk.end(), o5);
+    EXPECT_EQ(opsOf(blk), (Ops{o1, o4, o2, o3, o5}));
+    EXPECT_EQ(blk.size(), 5u);
+
+    // moveBefore: later to earlier, earlier to later, onto itself.
+    o5->moveBefore(o1);
+    EXPECT_EQ(opsOf(blk), (Ops{o5, o1, o4, o2, o3}));
+    o1->moveBefore(o3);
+    EXPECT_EQ(opsOf(blk), (Ops{o5, o4, o2, o1, o3}));
+    o2->moveBefore(o2);
+    EXPECT_EQ(opsOf(blk), (Ops{o5, o4, o2, o1, o3}));
+
+    // moveToEnd: within the block, and into another block.
+    o5->moveToEnd(&blk);
+    EXPECT_EQ(opsOf(blk), (Ops{o4, o2, o1, o3, o5}));
+    auto *holder = b->create("test.region", {}, {}, {}, 1);
+    ir::Block *inner = holder->region(0).addBlock();
+    o2->moveToEnd(inner);
+    o4->moveToEnd(inner);
+    EXPECT_EQ(opsOf(*inner), (Ops{o2, o4}));
+    EXPECT_EQ(o2->block(), inner);
+    EXPECT_EQ(o2->parentOp(), holder);
+    EXPECT_EQ(opsOf(blk), (Ops{o1, o3, o5, holder}));
+
+    // remove: detached but alive; re-insertable.
+    o3->remove();
+    EXPECT_EQ(o3->block(), nullptr);
+    EXPECT_EQ(opsOf(blk), (Ops{o1, o5, holder}));
+    EXPECT_EQ(blk.find(o3), blk.end());
+    blk.push_back(o3);
+    EXPECT_EQ(opsOf(blk), (Ops{o1, o5, holder, o3}));
+
+    // erase: front, middle, back.
+    o1->erase();
+    EXPECT_EQ(opsOf(blk), (Ops{o5, holder, o3}));
+    o4->erase();
+    EXPECT_EQ(opsOf(*inner), (Ops{o2}));
+    o3->erase();
+    EXPECT_EQ(opsOf(blk), (Ops{o5, holder}));
+    EXPECT_EQ(blk.front(), o5);
+    EXPECT_EQ(blk.back(), holder);
+    EXPECT_EQ(blk.terminator(), holder);
+    EXPECT_EQ(blk.size(), 2u);
 }
 
 } // namespace
