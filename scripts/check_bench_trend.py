@@ -15,8 +15,9 @@ the --track prefixes select which families gate the build (default:
 BM_SimulateSystolic, BM_EventDispatch, BM_CompiledVsInterp,
 BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the pinned
 warm-run path BM_BatchSessionReuse, the serving layer's
-BM_ServeWarmVsCold cache legs, and the sweep durability layer's
-BM_SweepResume warm/cold legs). CI passes no --track, so this default
+BM_ServeWarmVsCold cache legs, the sweep durability layer's
+BM_SweepResume warm/cold legs, and the IR storage path's
+BM_ModuleBuildTeardown). CI passes no --track, so this default
 is the one list of gated families. Every engine benchmark carries its
 backend in its name, so a change of the default backend shows up as
 new series rather than as a silent jump in an old one. Untracked
@@ -78,7 +79,8 @@ def main():
                              "BM_CompiledVsInterp", "BM_FusedVsCompiled",
                              "BM_SoCContention", "BM_LaunchIssue",
                              "BM_BatchSessionReuse",
-                             "BM_ServeWarmVsCold", "BM_SweepResume"],
+                             "BM_ServeWarmVsCold", "BM_SweepResume",
+                             "BM_ModuleBuildTeardown"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",
                     choices=["cpu_time", "real_time"])

@@ -1,6 +1,7 @@
 #include "ir/attribute.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -9,115 +10,97 @@
 namespace eq {
 namespace ir {
 
-// The private constructor is only reachable from these factories, so the
-// factories are defined via a small friend-free helper in this TU.
-struct AttrFactory {
-    static Attribute
-    create(AttrStorage st)
-    {
-        return Attribute(std::make_shared<const AttrStorage>(std::move(st)));
-    }
-};
-
 Attribute
 Attribute::unit()
 {
-    AttrStorage st;
-    st.kind = AttrKind::Unit;
-    return AttrFactory::create(std::move(st));
+    return Attribute(AttrKind::Unit);
 }
 
 Attribute
 Attribute::boolean(bool v)
 {
-    AttrStorage st;
-    st.kind = AttrKind::Bool;
-    st.b = v;
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::Bool);
+    a._scalar.b = v;
+    return a;
 }
 
 Attribute
 Attribute::integer(int64_t v)
 {
-    AttrStorage st;
-    st.kind = AttrKind::Int;
-    st.i = v;
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::Int);
+    a._scalar.i = v;
+    return a;
 }
 
 Attribute
 Attribute::floating(double v)
 {
-    AttrStorage st;
-    st.kind = AttrKind::Float;
-    st.f = v;
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::Float);
+    a._scalar.f = v;
+    return a;
 }
 
 Attribute
 Attribute::string(std::string v)
 {
-    AttrStorage st;
-    st.kind = AttrKind::String;
-    st.s = std::move(v);
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::String);
+    a._heap = std::make_shared<const AttrStorage>(
+        AttrStorage{std::move(v), {}, {}});
+    return a;
 }
 
 Attribute
 Attribute::typeRef(Type t)
 {
-    AttrStorage st;
-    st.kind = AttrKind::TypeRef;
-    st.t = t;
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::TypeRef);
+    a._scalar.t = t.impl();
+    return a;
 }
 
 Attribute
 Attribute::array(std::vector<Attribute> elems)
 {
-    AttrStorage st;
-    st.kind = AttrKind::Array;
-    st.arr = std::move(elems);
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::Array);
+    a._heap = std::make_shared<const AttrStorage>(
+        AttrStorage{{}, std::move(elems), {}});
+    return a;
 }
 
 Attribute
 Attribute::i64Array(std::vector<int64_t> elems)
 {
-    AttrStorage st;
-    st.kind = AttrKind::I64Array;
-    st.ints = std::move(elems);
-    return AttrFactory::create(std::move(st));
+    Attribute a(AttrKind::I64Array);
+    a._heap = std::make_shared<const AttrStorage>(
+        AttrStorage{{}, {}, std::move(elems)});
+    return a;
 }
 
 bool
 Attribute::operator==(const Attribute &o) const
 {
-    if (_impl == o._impl)
+    if (_set != o._set)
+        return false;
+    if (!_set)
         return true;
-    if (!_impl || !o._impl)
+    if (_kind != o._kind)
         return false;
-    const AttrStorage &a = *_impl;
-    const AttrStorage &b = *o._impl;
-    if (a.kind != b.kind)
-        return false;
-    switch (a.kind) {
+    switch (_kind) {
       case AttrKind::Unit:
         return true;
       case AttrKind::Bool:
-        return a.b == b.b;
+        return _scalar.b == o._scalar.b;
       case AttrKind::Int:
-        return a.i == b.i;
+        return _scalar.i == o._scalar.i;
       case AttrKind::Float:
-        return a.f == b.f;
-      case AttrKind::String:
-        return a.s == b.s;
+        return _scalar.f == o._scalar.f;
       case AttrKind::TypeRef:
-        return a.t == b.t;
+        return _scalar.t == o._scalar.t;
+      case AttrKind::String:
+        return _heap == o._heap || _heap->s == o._heap->s;
       case AttrKind::Array:
-        return a.arr == b.arr;
+        return _heap == o._heap || _heap->arr == o._heap->arr;
       case AttrKind::I64Array:
-        return a.ints == b.ints;
+        return _heap == o._heap || _heap->ints == o._heap->ints;
     }
     return false;
 }
@@ -125,109 +108,109 @@ Attribute::operator==(const Attribute &o) const
 AttrKind
 Attribute::kind() const
 {
-    eq_assert(_impl, "null attribute dereference");
-    return _impl->kind;
+    eq_assert(_set, "null attribute dereference");
+    return _kind;
 }
 
 bool
 Attribute::asBool() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::Bool, "not a bool attr");
-    return _impl->b;
+    eq_assert(_set && _kind == AttrKind::Bool, "not a bool attr");
+    return _scalar.b;
 }
 
 int64_t
 Attribute::asInt() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::Int, "not an int attr");
-    return _impl->i;
+    eq_assert(_set && _kind == AttrKind::Int, "not an int attr");
+    return _scalar.i;
 }
 
 double
 Attribute::asFloat() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::Float, "not a float attr");
-    return _impl->f;
+    eq_assert(_set && _kind == AttrKind::Float, "not a float attr");
+    return _scalar.f;
 }
 
 const std::string &
 Attribute::asString() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::String,
-              "not a string attr");
-    return _impl->s;
+    eq_assert(_set && _kind == AttrKind::String, "not a string attr");
+    return _heap->s;
 }
 
 Type
 Attribute::asType() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::TypeRef, "not a type attr");
-    return _impl->t;
+    eq_assert(_set && _kind == AttrKind::TypeRef, "not a type attr");
+    return Type(_scalar.t);
 }
 
 const std::vector<Attribute> &
 Attribute::asArray() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::Array, "not an array attr");
-    return _impl->arr;
+    eq_assert(_set && _kind == AttrKind::Array, "not an array attr");
+    return _heap->arr;
 }
 
 const std::vector<int64_t> &
 Attribute::asI64Array() const
 {
-    eq_assert(_impl && _impl->kind == AttrKind::I64Array,
+    eq_assert(_set && _kind == AttrKind::I64Array,
               "not an i64 array attr");
-    return _impl->ints;
+    return _heap->ints;
 }
 
 std::string
 Attribute::str() const
 {
-    if (!_impl)
+    if (!_set)
         return "<<null>>";
     std::ostringstream os;
-    switch (_impl->kind) {
+    switch (_kind) {
       case AttrKind::Unit:
         os << "unit";
         break;
       case AttrKind::Bool:
-        os << (_impl->b ? "true" : "false");
+        os << (_scalar.b ? "true" : "false");
         break;
       case AttrKind::Int:
-        os << _impl->i;
+        os << _scalar.i;
         break;
       case AttrKind::Float: {
-        std::ostringstream f;
-        f << _impl->f;
-        std::string body = f.str();
+        // The shortest form that reads back as exactly this double.
+        char buf[32];
+        auto res = std::to_chars(buf, buf + sizeof(buf), _scalar.f);
+        std::string_view body(buf, static_cast<size_t>(res.ptr - buf));
         os << body;
         // Mark as float for the parser when it would read as an int.
-        if (body.find_first_of(".e") == std::string::npos)
+        if (body.find_first_of(".e") == std::string_view::npos)
             os << ".0";
         break;
       }
       case AttrKind::String:
-        os << '"' << jsonEscape(_impl->s) << '"';
+        os << '"' << jsonEscape(_heap->s) << '"';
         break;
       case AttrKind::TypeRef:
-        os << _impl->t.str();
+        os << asType().str();
         break;
       case AttrKind::Array: {
         os << '[';
-        for (size_t i = 0; i < _impl->arr.size(); ++i) {
+        for (size_t i = 0; i < _heap->arr.size(); ++i) {
             if (i)
                 os << ", ";
-            os << _impl->arr[i].str();
+            os << _heap->arr[i].str();
         }
         os << ']';
         break;
       }
       case AttrKind::I64Array: {
         os << "dense[";
-        for (size_t i = 0; i < _impl->ints.size(); ++i) {
+        for (size_t i = 0; i < _heap->ints.size(); ++i) {
             if (i)
                 os << ", ";
-            os << _impl->ints[i];
+            os << _heap->ints[i];
         }
         os << ']';
         break;
@@ -236,35 +219,58 @@ Attribute::str() const
     return os.str();
 }
 
-Attribute
-AttrDict::get(const std::string &name) const
+const AttrDict::Entry *
+AttrDict::find(std::string_view name) const
 {
-    for (const auto &e : _entries)
+    for (const Entry &e : *this)
         if (e.first == name)
-            return e.second;
-    return Attribute();
+            return &e;
+    return nullptr;
+}
+
+Attribute
+AttrDict::get(std::string_view name) const
+{
+    const Entry *e = find(name);
+    return e ? e->second : Attribute();
 }
 
 void
-AttrDict::set(const std::string &name, Attribute attr)
+AttrDict::set(std::string_view name, Attribute attr)
 {
-    for (auto &e : _entries) {
-        if (e.first == name) {
-            e.second = std::move(attr);
-            return;
-        }
+    if (const Entry *e = find(name)) {
+        const_cast<Entry *>(e)->second = std::move(attr);
+        return;
     }
-    _entries.emplace_back(name, std::move(attr));
+    if (!_inline && _many.empty()) {
+        _one = Entry(name, std::move(attr));
+        _inline = true;
+        return;
+    }
+    if (_inline) {
+        _many.reserve(4);
+        _many.push_back(std::move(_one));
+        _one = Entry();
+        _inline = false;
+    }
+    _many.emplace_back(name, std::move(attr));
 }
 
 void
-AttrDict::erase(const std::string &name)
+AttrDict::erase(std::string_view name)
 {
-    _entries.erase(std::remove_if(_entries.begin(), _entries.end(),
-                                  [&](const Entry &e) {
-                                      return e.first == name;
-                                  }),
-                   _entries.end());
+    if (_inline) {
+        if (_one.first == name) {
+            _one = Entry();
+            _inline = false;
+        }
+        return;
+    }
+    _many.erase(std::remove_if(_many.begin(), _many.end(),
+                               [&](const Entry &e) {
+                                   return e.first == name;
+                               }),
+                _many.end());
 }
 
 } // namespace ir

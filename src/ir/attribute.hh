@@ -2,9 +2,12 @@
  * @file
  * Immutable attributes attached to operations.
  *
- * Unlike types, attributes are not interned: they are value-semantic
- * handles onto shared immutable storage, compared structurally. This keeps
- * the Context simple while preserving MLIR-like ergonomics.
+ * An Attribute is a small value type compared structurally. Unit, bool,
+ * int, float and type attributes live inline in the handle, so making,
+ * copying and dropping one never touches the heap. Only string, array
+ * and i64-array attributes keep their payload in shared immutable
+ * storage. Attributes are not uniqued in the Context, which keeps the
+ * factories context-free.
  */
 
 #ifndef EQ_IR_ATTRIBUTE_HH
@@ -13,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/type.hh"
@@ -33,14 +37,9 @@ enum class AttrKind : uint8_t {
 
 class Attribute;
 
-/** Immutable payload shared between attribute handles. */
+/** Shared payload of the string, array and i64-array kinds. */
 struct AttrStorage {
-    AttrKind kind = AttrKind::Unit;
-    bool b = false;
-    int64_t i = 0;
-    double f = 0.0;
     std::string s;
-    Type t;
     std::vector<Attribute> arr;
     std::vector<int64_t> ints;
 };
@@ -59,13 +58,13 @@ class Attribute {
     static Attribute array(std::vector<Attribute> elems);
     static Attribute i64Array(std::vector<int64_t> elems);
 
-    explicit operator bool() const { return _impl != nullptr; }
+    explicit operator bool() const { return _set; }
     bool operator==(const Attribute &o) const;
     bool operator!=(const Attribute &o) const { return !(*this == o); }
 
     AttrKind kind() const;
-    bool isInt() const { return kind() == AttrKind::Int; }
-    bool isString() const { return kind() == AttrKind::String; }
+    bool isInt() const { return _set && _kind == AttrKind::Int; }
+    bool isString() const { return _set && _kind == AttrKind::String; }
 
     bool asBool() const;
     int64_t asInt() const;
@@ -79,36 +78,52 @@ class Attribute {
     std::string str() const;
 
   private:
-    friend struct AttrFactory;
-    explicit Attribute(std::shared_ptr<const AttrStorage> impl)
-        : _impl(std::move(impl))
-    {}
-    std::shared_ptr<const AttrStorage> _impl;
+    explicit Attribute(AttrKind kind) : _kind(kind), _set(true) {}
+
+    AttrKind _kind = AttrKind::Unit;
+    bool _set = false;
+    union {
+        bool b;
+        int64_t i;
+        double f;
+        const TypeStorage *t;
+    } _scalar{};
+    std::shared_ptr<const AttrStorage> _heap; ///< String/Array/I64Array
 };
 
-/** An ordered (deterministically printed) name->attribute dictionary. */
+/**
+ * An ordered (deterministically printed) name->attribute dictionary.
+ * Most operations carry at most one attribute, so a lone entry lives
+ * inline; a second one moves the entries to a vector.
+ */
 class AttrDict {
   public:
     using Entry = std::pair<std::string, Attribute>;
 
     /** Look up an attribute; returns a null handle when absent. */
-    Attribute get(const std::string &name) const;
+    Attribute get(std::string_view name) const;
     /** Insert or overwrite. */
-    void set(const std::string &name, Attribute attr);
+    void set(std::string_view name, Attribute attr);
     /** Remove if present. */
-    void erase(const std::string &name);
-    bool contains(const std::string &name) const
+    void erase(std::string_view name);
+    bool contains(std::string_view name) const
     {
-        return static_cast<bool>(get(name));
+        return find(name) != nullptr;
     }
 
-    bool empty() const { return _entries.empty(); }
-    size_t size() const { return _entries.size(); }
-    auto begin() const { return _entries.begin(); }
-    auto end() const { return _entries.end(); }
+    bool empty() const { return size() == 0; }
+    size_t size() const { return _inline ? 1 : _many.size(); }
+    const Entry *begin() const { return _inline ? &_one : _many.data(); }
+    const Entry *end() const { return begin() + size(); }
 
   private:
-    std::vector<Entry> _entries;
+    const Entry *find(std::string_view name) const;
+
+    /** The lone entry lives in _one while _inline holds; otherwise
+     *  every entry is in _many. */
+    bool _inline = false;
+    Entry _one;
+    std::vector<Entry> _many;
 };
 
 } // namespace ir

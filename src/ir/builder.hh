@@ -11,6 +11,7 @@
 #define EQ_IR_BUILDER_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/logging.hh"
@@ -62,27 +63,25 @@ class OpBuilder {
 
     /** Create and insert an op at the current insertion point. */
     Operation *
-    create(const std::string &name, std::vector<Type> result_types,
-           std::vector<Value> operands, AttrDict attrs = {},
+    create(std::string_view name, TypeRange result_types,
+           ValueRange operands, AttrDict attrs = {},
            unsigned num_regions = 0)
     {
-        Operation *op = Operation::create(*_ctx, name,
-                                          std::move(result_types),
-                                          std::move(operands),
-                                          std::move(attrs), num_regions);
+        Operation *op = Operation::create(*_ctx, name, result_types,
+                                          operands, std::move(attrs),
+                                          num_regions);
         insert(op);
         return op;
     }
 
     /** Create a detached op (no insertion). */
     Operation *
-    createDetached(const std::string &name, std::vector<Type> result_types,
-                   std::vector<Value> operands, AttrDict attrs = {},
+    createDetached(std::string_view name, TypeRange result_types,
+                   ValueRange operands, AttrDict attrs = {},
                    unsigned num_regions = 0)
     {
-        return Operation::create(*_ctx, name, std::move(result_types),
-                                 std::move(operands), std::move(attrs),
-                                 num_regions);
+        return Operation::create(*_ctx, name, result_types, operands,
+                                 std::move(attrs), num_regions);
     }
 
     /** Typed creation: OpT must expose

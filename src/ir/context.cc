@@ -74,141 +74,112 @@ OpIdCache::get(Context &ctx) const
 }
 
 Type
-Context::intern(TypeStorage st)
+Context::intern(TypeKind kind, unsigned width,
+                const std::vector<int64_t> &shape, unsigned elem_bits)
 {
-    for (const auto &existing : _typeStorage)
-        if (*existing == st)
+    // Compare in place: a hit (the common case) copies no shape.
+    for (const auto &existing : _typeStorage) {
+        if (existing->kind == kind && existing->width == width &&
+            existing->elemBits == elem_bits && existing->shape == shape)
             return Type(existing.get());
-    _typeStorage.push_back(std::make_unique<TypeStorage>(std::move(st)));
+    }
+    auto st = std::make_unique<TypeStorage>();
+    st->kind = kind;
+    st->width = width;
+    st->shape = shape;
+    st->elemBits = elem_bits;
+    _typeStorage.push_back(std::move(st));
     return Type(_typeStorage.back().get());
 }
 
 Type
 Context::noneType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::None;
-    return intern(std::move(st));
+    return intern(TypeKind::None);
 }
 
 Type
 Context::indexType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Index;
-    return intern(std::move(st));
+    return intern(TypeKind::Index);
 }
 
 Type
 Context::intType(unsigned width)
 {
-    TypeStorage st;
-    st.kind = TypeKind::Integer;
-    st.width = width;
-    return intern(std::move(st));
+    return intern(TypeKind::Integer, width);
 }
 
 Type
 Context::floatType(unsigned width)
 {
-    TypeStorage st;
-    st.kind = TypeKind::Float;
-    st.width = width;
-    return intern(std::move(st));
+    return intern(TypeKind::Float, width);
 }
 
 Type
-Context::tensorType(std::vector<int64_t> shape, unsigned elem_bits)
+Context::tensorType(const std::vector<int64_t> &shape, unsigned elem_bits)
 {
-    TypeStorage st;
-    st.kind = TypeKind::Tensor;
-    st.shape = std::move(shape);
-    st.elemBits = elem_bits;
-    return intern(std::move(st));
+    return intern(TypeKind::Tensor, 0, shape, elem_bits);
 }
 
 Type
-Context::memrefType(std::vector<int64_t> shape, unsigned elem_bits)
+Context::memrefType(const std::vector<int64_t> &shape, unsigned elem_bits)
 {
-    TypeStorage st;
-    st.kind = TypeKind::MemRef;
-    st.shape = std::move(shape);
-    st.elemBits = elem_bits;
-    return intern(std::move(st));
+    return intern(TypeKind::MemRef, 0, shape, elem_bits);
 }
 
 Type
 Context::eventType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Event;
-    return intern(std::move(st));
+    return intern(TypeKind::Event);
 }
 
 Type
 Context::procType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Proc;
-    return intern(std::move(st));
+    return intern(TypeKind::Proc);
 }
 
 Type
 Context::memType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Mem;
-    return intern(std::move(st));
+    return intern(TypeKind::Mem);
 }
 
 Type
 Context::dmaType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Dma;
-    return intern(std::move(st));
+    return intern(TypeKind::Dma);
 }
 
 Type
 Context::compType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Comp;
-    return intern(std::move(st));
+    return intern(TypeKind::Comp);
 }
 
 Type
 Context::connectionType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Connection;
-    return intern(std::move(st));
+    return intern(TypeKind::Connection);
 }
 
 Type
 Context::streamType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Stream;
-    return intern(std::move(st));
+    return intern(TypeKind::Stream);
 }
 
 Type
-Context::bufferType(std::vector<int64_t> shape, unsigned elem_bits)
+Context::bufferType(const std::vector<int64_t> &shape, unsigned elem_bits)
 {
-    TypeStorage st;
-    st.kind = TypeKind::Buffer;
-    st.shape = std::move(shape);
-    st.elemBits = elem_bits;
-    return intern(std::move(st));
+    return intern(TypeKind::Buffer, 0, shape, elem_bits);
 }
 
 Type
 Context::anyType()
 {
-    TypeStorage st;
-    st.kind = TypeKind::Any;
-    return intern(std::move(st));
+    return intern(TypeKind::Any);
 }
 
 void

@@ -56,8 +56,8 @@ class Context {
     Type i32Type() { return intType(32); }
     Type i64Type() { return intType(64); }
     Type floatType(unsigned width = 32);
-    Type tensorType(std::vector<int64_t> shape, unsigned elem_bits);
-    Type memrefType(std::vector<int64_t> shape, unsigned elem_bits);
+    Type tensorType(const std::vector<int64_t> &shape, unsigned elem_bits);
+    Type memrefType(const std::vector<int64_t> &shape, unsigned elem_bits);
     Type eventType();
     Type procType();
     Type memType();
@@ -65,7 +65,7 @@ class Context {
     Type compType();
     Type connectionType();
     Type streamType();
-    Type bufferType(std::vector<int64_t> shape, unsigned elem_bits);
+    Type bufferType(const std::vector<int64_t> &shape, unsigned elem_bits);
     Type anyType();
     /// @}
 
@@ -104,7 +104,9 @@ class Context {
     uint64_t nextOperationId() { return _nextOperationId++; }
 
   private:
-    Type intern(TypeStorage st);
+    Type intern(TypeKind kind, unsigned width = 0,
+                const std::vector<int64_t> &shape = {},
+                unsigned elem_bits = 0);
 
     std::vector<std::unique_ptr<TypeStorage>> _typeStorage;
     /** Interned op names; index == OpId::raw(). unique_ptr keeps the

@@ -1,12 +1,30 @@
 #include "ir/operation.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <new>
 
 #include "base/logging.hh"
 
 namespace eq {
 namespace ir {
+
+namespace {
+
+/** Move an operand slot to @p to, pointing its use-list neighbours
+ *  (or its value's list ends) at the new address. */
+void
+moveOperand(OpOperand *from, OpOperand *to)
+{
+    *to = *from;
+    *from = OpOperand{};
+    ValueImpl *v = to->value;
+    if (!v)
+        return;
+    (to->prevUse ? to->prevUse->nextUse : v->firstUse) = to;
+    (to->nextUse ? to->nextUse->prevUse : v->lastUse) = to;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // Value
@@ -16,69 +34,124 @@ Value::replaceAllUsesWith(Value other) const
 {
     eq_assert(_impl, "RAUW on null value");
     eq_assert(other, "RAUW with null value");
-    // Copy: setOperand mutates the use list we are iterating.
-    auto uses = _impl->uses;
-    for (auto &[op, idx] : uses)
-        op->setOperand(idx, other);
+    if (other == *this)
+        return;
+    // Oldest use first, so the uses keep their order on @p other.
+    while (OpOperand *use = _impl->firstUse) {
+        _impl->detach(use);
+        other.impl()->attach(use);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Operation
 
-Operation::Operation(Context &ctx, std::string_view name)
-    : _ctx(&ctx), _opId(ctx.internOpName(name)),
-      _id(ctx.nextOperationId())
+ValueImpl *
+Operation::resultStorage() const
+{
+    return reinterpret_cast<ValueImpl *>(const_cast<Operation *>(this + 1));
+}
+
+Region *
+Operation::regionStorage() const
+{
+    return reinterpret_cast<Region *>(resultStorage() + _numResults);
+}
+
+OpOperand *
+Operation::inlineOperandStorage() const
+{
+    return reinterpret_cast<OpOperand *>(regionStorage() + _numRegions);
+}
+
+Operation::Operation(Context &ctx, std::string_view name, AttrDict attrs,
+                     unsigned num_results, unsigned num_regions,
+                     unsigned num_operands)
+    : _ctx(&ctx), _id(ctx.nextOperationId()),
+      _opId(ctx.internOpName(name)), _numResults(num_results),
+      _numRegions(num_regions), _operandCapacity(num_operands),
+      _attrs(std::move(attrs))
 {
     _name = &ctx.opName(_opId);
+    _operands = inlineOperandStorage();
 }
 
 Operation *
 Operation::create(Context &ctx, std::string_view name,
-                  std::vector<Type> result_types,
-                  std::vector<Value> operands, AttrDict attrs,
-                  unsigned num_regions)
+                  TypeRange result_types, ValueRange operands,
+                  AttrDict attrs, unsigned num_regions)
 {
-    auto *op = new Operation(ctx, name);
-    op->_attrs = std::move(attrs);
-    for (size_t i = 0; i < result_types.size(); ++i) {
-        ValueImpl impl;
-        impl.type = result_types[i];
-        impl.defOp = op;
-        impl.index = static_cast<unsigned>(i);
-        op->_results.push_back(std::move(impl));
+    auto num_results = static_cast<unsigned>(result_types.size());
+    auto num_operands = static_cast<unsigned>(operands.size());
+    size_t bytes = sizeof(Operation) + num_results * sizeof(ValueImpl) +
+                   num_regions * sizeof(Region) +
+                   num_operands * sizeof(OpOperand);
+    void *mem = ::operator new(bytes);
+    auto *op = new (mem) Operation(ctx, name, std::move(attrs), num_results,
+                                   num_regions, num_operands);
+    ValueImpl *results = op->resultStorage();
+    for (unsigned i = 0; i < num_results; ++i) {
+        auto *res = new (&results[i]) ValueImpl();
+        res->type = result_types[i];
+        res->defOp = op;
+        res->index = i;
     }
-    for (Value v : operands)
-        op->appendOperand(v);
+    Region *regions = op->regionStorage();
     for (unsigned i = 0; i < num_regions; ++i)
-        op->_regions.push_back(std::make_unique<Region>(op));
+        new (&regions[i]) Region(op);
+    for (unsigned i = 0; i < num_operands; ++i) {
+        Value v = operands[i];
+        eq_assert(v, "appending null operand to ", op->name());
+        auto *slot = new (&op->_operands[i]) OpOperand();
+        slot->owner = op;
+        v.impl()->attach(slot);
+    }
+    op->_numOperands = num_operands;
     return op;
 }
 
 Operation::~Operation()
 {
-    dropOperands();
-    // Results must have no remaining uses; passes are responsible for
-    // RAUW-ing before erasing. Dangling uses would corrupt the IR.
-    for (auto &res : _results) {
-        eq_assert(res.uses.empty(),
-                  "destroying op '", name(), "' with live uses");
-    }
-    _regions.clear();
+    ValueImpl *results = resultStorage();
+    for (unsigned i = 0; i < _numResults; ++i)
+        results[i].~ValueImpl();
+    Region *regions = regionStorage();
+    for (unsigned i = 0; i < _numRegions; ++i)
+        regions[i].~Region();
+    if (_operands != inlineOperandStorage())
+        ::operator delete(_operands);
 }
 
 void
-Operation::dropOperands()
+Operation::destroyTree(Operation *op)
 {
-    for (unsigned i = 0; i < _operands.size(); ++i) {
-        ValueImpl *impl = _operands[i];
-        if (!impl)
-            continue;
-        auto &uses = impl->uses;
-        uses.erase(std::remove(uses.begin(), uses.end(),
-                               std::make_pair(this, i)),
-                   uses.end());
-        _operands[i] = nullptr;
+    // Passes are responsible for RAUW-ing before erasing: a use left
+    // behind would dangle.
+    ValueImpl *results = op->resultStorage();
+    for (unsigned i = 0; i < op->_numResults; ++i) {
+        eq_assert(!results[i].firstUse, "destroying op '", op->name(),
+                  "' with live uses");
     }
+    Region *regions = op->regionStorage();
+    for (unsigned r = 0; r < op->_numRegions; ++r)
+        for (Block &block : regions[r])
+            block.destroyContents();
+    op->~Operation();
+    ::operator delete(op);
+}
+
+void
+Operation::dropAllReferences()
+{
+    for (unsigned i = 0; i < _numOperands; ++i) {
+        OpOperand &slot = _operands[i];
+        if (slot.value)
+            slot.value->detach(&slot);
+    }
+    Region *regions = regionStorage();
+    for (unsigned r = 0; r < _numRegions; ++r)
+        for (Block &block : regions[r])
+            block.dropAllReferences();
 }
 
 std::string
@@ -98,34 +171,29 @@ Operation::shortName() const
 Value
 Operation::operand(unsigned i) const
 {
-    eq_assert(i < _operands.size(), "operand index ", i, " out of range in ",
+    eq_assert(i < _numOperands, "operand index ", i, " out of range in ",
               name());
-    return Value(_operands[i]);
+    return Value(_operands[i].value);
 }
 
 void
 Operation::setOperand(unsigned i, Value v)
 {
-    eq_assert(i < _operands.size(), "operand index out of range");
+    eq_assert(i < _numOperands, "operand index out of range");
     eq_assert(v, "setting null operand");
-    ValueImpl *old = _operands[i];
-    if (old) {
-        auto &uses = old->uses;
-        uses.erase(std::remove(uses.begin(), uses.end(),
-                               std::make_pair(this, i)),
-                   uses.end());
-    }
-    _operands[i] = v.impl();
-    v.impl()->uses.emplace_back(this, i);
+    OpOperand &slot = _operands[i];
+    if (slot.value)
+        slot.value->detach(&slot);
+    v.impl()->attach(&slot);
 }
 
 std::vector<Value>
 Operation::operands() const
 {
     std::vector<Value> out;
-    out.reserve(_operands.size());
-    for (ValueImpl *impl : _operands)
-        out.emplace_back(impl);
+    out.reserve(_numOperands);
+    for (unsigned i = 0; i < _numOperands; ++i)
+        out.emplace_back(_operands[i].value);
     return out;
 }
 
@@ -133,89 +201,93 @@ void
 Operation::appendOperand(Value v)
 {
     eq_assert(v, "appending null operand to ", name());
-    unsigned idx = static_cast<unsigned>(_operands.size());
-    _operands.push_back(v.impl());
-    v.impl()->uses.emplace_back(this, idx);
+    if (_numOperands == _operandCapacity) {
+        unsigned cap = std::max(4u, 2 * _operandCapacity);
+        auto *grown =
+            static_cast<OpOperand *>(::operator new(cap * sizeof(OpOperand)));
+        for (unsigned i = 0; i < cap; ++i)
+            new (&grown[i]) OpOperand();
+        for (unsigned i = 0; i < _numOperands; ++i)
+            moveOperand(&_operands[i], &grown[i]);
+        if (_operands != inlineOperandStorage())
+            ::operator delete(_operands);
+        _operands = grown;
+        _operandCapacity = cap;
+    }
+    OpOperand *slot = new (&_operands[_numOperands++]) OpOperand();
+    slot->owner = this;
+    v.impl()->attach(slot);
 }
 
 void
 Operation::eraseOperand(unsigned i)
 {
-    eq_assert(i < _operands.size(), "operand index out of range");
-    ValueImpl *old = _operands[i];
-    if (old) {
-        auto &uses = old->uses;
-        uses.erase(std::remove(uses.begin(), uses.end(),
-                               std::make_pair(this, i)),
-                   uses.end());
-    }
-    // Shift the remaining operands down and re-index their uses.
-    for (unsigned j = i + 1; j < _operands.size(); ++j) {
-        ValueImpl *impl = _operands[j];
-        for (auto &use : impl->uses) {
-            if (use.first == this && use.second == j)
-                use.second = j - 1;
-        }
-        _operands[j - 1] = impl;
-    }
-    _operands.pop_back();
+    eq_assert(i < _numOperands, "operand index out of range");
+    OpOperand &slot = _operands[i];
+    if (slot.value)
+        slot.value->detach(&slot);
+    // Shift the rest down; each keeps its place in its use list and so
+    // reads as one index lower.
+    for (unsigned j = i + 1; j < _numOperands; ++j)
+        moveOperand(&_operands[j], &_operands[j - 1]);
+    --_numOperands;
 }
 
 Value
 Operation::result(unsigned i)
 {
-    eq_assert(i < _results.size(), "result index ", i, " out of range in ",
+    eq_assert(i < _numResults, "result index ", i, " out of range in ",
               name());
-    return Value(&_results[i]);
+    return Value(&resultStorage()[i]);
 }
 
 std::vector<Value>
 Operation::results()
 {
     std::vector<Value> out;
-    out.reserve(_results.size());
-    for (auto &impl : _results)
-        out.emplace_back(&impl);
+    out.reserve(_numResults);
+    for (unsigned i = 0; i < _numResults; ++i)
+        out.emplace_back(&resultStorage()[i]);
     return out;
 }
 
 int64_t
-Operation::intAttr(const std::string &name) const
+Operation::intAttr(std::string_view name) const
 {
     Attribute a = attr(name);
-    eq_assert(a && a.isInt(), "op '", this->name(), "' missing int attr '",
-              name, "'");
+    eq_assert(a.isInt(), "op '", this->name(), "' missing int attr '", name,
+              "'");
     return a.asInt();
 }
 
 int64_t
-Operation::intAttrOr(const std::string &name, int64_t dflt) const
+Operation::intAttrOr(std::string_view name, int64_t dflt) const
 {
     Attribute a = attr(name);
-    return (a && a.isInt()) ? a.asInt() : dflt;
+    return a.isInt() ? a.asInt() : dflt;
 }
 
 const std::string &
-Operation::strAttr(const std::string &name) const
+Operation::strAttr(std::string_view name) const
 {
     Attribute a = attr(name);
-    eq_assert(a && a.isString(), "op '", this->name(),
-              "' missing string attr '", name, "'");
+    eq_assert(a.isString(), "op '", this->name(), "' missing string attr '",
+              name, "'");
     return a.asString();
 }
 
 Region &
 Operation::region(unsigned i)
 {
-    eq_assert(i < _regions.size(), "region index out of range in ", name());
-    return *_regions[i];
+    eq_assert(i < _numRegions, "region index out of range in ", name());
+    return regionStorage()[i];
 }
 
 const Region &
 Operation::region(unsigned i) const
 {
-    eq_assert(i < _regions.size(), "region index out of range in ", name());
-    return *_regions[i];
+    eq_assert(i < _numRegions, "region index out of range in ", name());
+    return regionStorage()[i];
 }
 
 Operation *
@@ -235,7 +307,8 @@ void
 Operation::erase()
 {
     remove();
-    delete this;
+    dropAllReferences();
+    destroyTree(this);
 }
 
 void
@@ -244,9 +317,8 @@ Operation::moveBefore(Operation *other)
     eq_assert(other && other->block(), "moveBefore needs an attached op");
     if (other == this)
         return;
-    Block *b = other->block();
     remove();
-    b->insert(b->find(other), this);
+    other->block()->insert(Block::iterator(other), this);
 }
 
 void
@@ -260,31 +332,29 @@ Operation *
 Operation::clone(std::map<ValueImpl *, Value> &mapping) const
 {
     std::vector<Type> result_types;
-    for (const auto &res : _results)
-        result_types.push_back(res.type);
+    result_types.reserve(_numResults);
+    for (unsigned i = 0; i < _numResults; ++i)
+        result_types.push_back(resultStorage()[i].type);
     std::vector<Value> operands;
-    for (ValueImpl *impl : _operands) {
+    operands.reserve(_numOperands);
+    for (unsigned i = 0; i < _numOperands; ++i) {
+        ValueImpl *impl = _operands[i].value;
         auto it = mapping.find(impl);
-        operands.push_back(it != mapping.end() ? it->second
-                                               : Value(impl));
+        operands.push_back(it != mapping.end() ? it->second : Value(impl));
     }
     Operation *copy = Operation::create(*_ctx, name(), result_types,
-                                        operands, _attrs,
-                                        static_cast<unsigned>(
-                                            _regions.size()));
-    for (size_t i = 0; i < _results.size(); ++i)
-        mapping[const_cast<ValueImpl *>(&_results[i])] = copy->result(
-            static_cast<unsigned>(i));
-    for (size_t r = 0; r < _regions.size(); ++r) {
-        for (auto &block : *_regions[r]) {
-            Block *new_block = copy->region(static_cast<unsigned>(r))
-                                   .addBlock();
-            for (unsigned a = 0; a < block->numArguments(); ++a) {
+                                        operands, _attrs, _numRegions);
+    for (unsigned i = 0; i < _numResults; ++i)
+        mapping[&resultStorage()[i]] = copy->result(i);
+    for (unsigned r = 0; r < _numRegions; ++r) {
+        for (Block &block : region(r)) {
+            Block *new_block = copy->region(r).addBlock();
+            for (unsigned a = 0; a < block.numArguments(); ++a) {
                 Value new_arg =
-                    new_block->addArgument(block->argument(a).type());
-                mapping[block->argument(a).impl()] = new_arg;
+                    new_block->addArgument(block.argument(a).type());
+                mapping[block.argument(a).impl()] = new_arg;
             }
-            for (Operation *inner : *block)
+            for (Operation *inner : block)
                 new_block->push_back(inner->clone(mapping));
         }
     }
@@ -294,13 +364,17 @@ Operation::clone(std::map<ValueImpl *, Value> &mapping) const
 void
 Operation::walk(const std::function<void(Operation *)> &fn)
 {
+    // Read before the callback: it may erase this op (when it has no
+    // regions) or move it.
+    unsigned num_regions = _numRegions;
     fn(this);
-    for (auto &region : _regions) {
-        for (auto &block : *region) {
-            // Copy: fn may erase/move ops while we iterate.
-            std::vector<Operation *> ops(block->begin(), block->end());
-            for (Operation *op : ops)
+    for (unsigned r = 0; r < num_regions; ++r) {
+        for (Block &block : regionStorage()[r]) {
+            for (Operation *op = block.front(); op;) {
+                Operation *next = op->_next;
                 op->walk(fn);
+                op = next;
+            }
         }
     }
 }
@@ -309,8 +383,8 @@ std::string
 Operation::verify()
 {
     // Structural checks first.
-    for (unsigned i = 0; i < _operands.size(); ++i) {
-        if (!_operands[i])
+    for (unsigned i = 0; i < _numOperands; ++i) {
+        if (!_operands[i].value)
             return "op '" + name() + "' has null operand";
     }
     const OpInfo *info = _ctx->lookupOp(_opId);
@@ -323,9 +397,9 @@ Operation::verify()
             return "op '" + name() + "': " + err;
     }
     // Verify nested ops.
-    for (auto &region : _regions) {
-        for (auto &block : *region) {
-            for (Operation *op : *block) {
+    for (unsigned r = 0; r < _numRegions; ++r) {
+        for (Block &block : regionStorage()[r]) {
+            for (Operation *op : block) {
                 std::string err = op->verify();
                 if (!err.empty())
                     return err;
@@ -340,72 +414,115 @@ Operation::verify()
 
 Block::~Block()
 {
-    // Destroy in reverse so later uses die before their defs, keeping the
-    // "no live uses at destruction" invariant cheap to check.
-    while (!_ops.empty()) {
-        Operation *op = _ops.back();
-        _ops.pop_back();
-        op->setBlock(nullptr);
-        delete op;
+    dropAllReferences();
+    destroyContents();
+}
+
+void
+Block::dropAllReferences()
+{
+    for (Operation *op = _first; op; op = op->_next)
+        op->dropAllReferences();
+}
+
+void
+Block::destroyContents()
+{
+    for (Operation *op = _first; op;) {
+        Operation *next = op->_next;
+        Operation::destroyTree(op);
+        op = next;
     }
+    _first = _last = nullptr;
+    _size = 0;
+    for (ArgChunk *chunk = _argsHead; chunk;) {
+        ArgChunk *next = chunk->next;
+        for (unsigned i = 0; i < chunk->size; ++i)
+            chunk->args()[i].~ValueImpl();
+        ::operator delete(chunk);
+        chunk = next;
+    }
+    _argsHead = _argsTail = nullptr;
+    _numArgs = 0;
 }
 
 Value
 Block::addArgument(Type t)
 {
-    ValueImpl impl;
-    impl.type = t;
-    impl.ownerBlock = this;
-    impl.index = static_cast<unsigned>(_args.size());
-    _args.push_back(std::move(impl));
-    return Value(&_args.back());
+    if (!_argsTail || _argsTail->size == _argsTail->capacity) {
+        // Launch bodies capture up to about eight values: one chunk.
+        unsigned cap = std::max(8u, _numArgs);
+        void *mem = ::operator new(sizeof(ArgChunk) + cap * sizeof(ValueImpl));
+        auto *chunk = new (mem) ArgChunk{nullptr, 0, cap};
+        (_argsTail ? _argsTail->next : _argsHead) = chunk;
+        _argsTail = chunk;
+    }
+    auto *impl = new (&_argsTail->args()[_argsTail->size++]) ValueImpl();
+    impl->type = t;
+    impl->ownerBlock = this;
+    impl->index = _numArgs++;
+    return Value(impl);
 }
 
 Value
 Block::argument(unsigned i)
 {
-    eq_assert(i < _args.size(), "block argument index out of range");
-    return Value(&_args[i]);
+    eq_assert(i < _numArgs, "block argument index out of range");
+    ArgChunk *chunk = _argsHead;
+    while (i >= chunk->size) {
+        i -= chunk->size;
+        chunk = chunk->next;
+    }
+    return Value(&chunk->args()[i]);
 }
 
 std::vector<Value>
 Block::arguments()
 {
     std::vector<Value> out;
-    out.reserve(_args.size());
-    for (auto &impl : _args)
-        out.emplace_back(&impl);
+    out.reserve(_numArgs);
+    for (ArgChunk *chunk = _argsHead; chunk; chunk = chunk->next)
+        for (unsigned i = 0; i < chunk->size; ++i)
+            out.emplace_back(&chunk->args()[i]);
     return out;
 }
 
 void
 Block::push_back(Operation *op)
 {
-    _ops.push_back(op);
-    op->setBlock(this);
+    insert(end(), op);
 }
 
 Block::iterator
 Block::insert(iterator where, Operation *op)
 {
-    auto it = _ops.insert(where, op);
-    op->setBlock(this);
-    return it;
+    eq_assert(!op->_block, "inserting an op that is already in a block");
+    Operation *next = where == end() ? nullptr : *where;
+    Operation *prev = next ? next->_prev : _last;
+    op->_prev = prev;
+    op->_next = next;
+    (prev ? prev->_next : _first) = op;
+    (next ? next->_prev : _last) = op;
+    op->_block = this;
+    ++_size;
+    return iterator(op);
 }
 
 void
 Block::remove(Operation *op)
 {
-    auto it = find(op);
-    eq_assert(it != _ops.end(), "removing op not in block");
-    _ops.erase(it);
-    op->setBlock(nullptr);
+    eq_assert(op->_block == this, "removing op not in block");
+    (op->_prev ? op->_prev->_next : _first) = op->_next;
+    (op->_next ? op->_next->_prev : _last) = op->_prev;
+    op->_prev = op->_next = nullptr;
+    op->_block = nullptr;
+    --_size;
 }
 
 Block::iterator
 Block::find(Operation *op)
 {
-    return std::find(_ops.begin(), _ops.end(), op);
+    return op && op->_block == this ? iterator(op) : end();
 }
 
 Operation *
@@ -414,27 +531,47 @@ Block::parentOp() const
     return _parent ? _parent->parentOp() : nullptr;
 }
 
-Operation *
-Block::terminator()
-{
-    return _ops.empty() ? nullptr : _ops.back();
-}
-
 // ---------------------------------------------------------------------------
 // Region
+
+Region::~Region()
+{
+    for (Block *block = _first; block;) {
+        Block *next = block->_nextBlock;
+        delete block;
+        block = next;
+    }
+}
+
+size_t
+Region::numBlocks() const
+{
+    size_t n = 0;
+    for (Block *block = _first; block; block = block->_nextBlock)
+        ++n;
+    return n;
+}
 
 Block *
 Region::addBlock()
 {
-    _blocks.push_back(std::make_unique<Block>());
-    _blocks.back()->setParentRegion(this);
-    return _blocks.back().get();
+    auto *block = new Block();
+    push_back(block);
+    return block;
+}
+
+void
+Region::push_back(Block *block)
+{
+    block->_parent = this;
+    (_last ? _last->_nextBlock : _first) = block;
+    _last = block;
 }
 
 Block &
 Region::ensureBlock()
 {
-    if (_blocks.empty())
+    if (!_first)
         addBlock();
     return front();
 }
@@ -446,7 +583,8 @@ void
 OwningOpRef::reset()
 {
     if (_op) {
-        delete _op;
+        _op->dropAllReferences();
+        Operation::destroyTree(_op);
         _op = nullptr;
     }
 }

@@ -3,20 +3,31 @@
  * Operation / Block / Region: the region-nested IR core.
  *
  * Ownership: a Region owns its Blocks; a Block owns its Operations; an
- * Operation owns its Regions. Deleting the top-level module op releases the
- * whole tree. Operations are created detached via Operation::create and
- * become owned when inserted into a block.
+ * Operation owns its Regions. Operations are created detached via
+ * Operation::create and become owned when inserted into a block.
+ *
+ * Storage, laid out as MLIR lays out its ops: each Operation is one heap
+ * allocation holding the op, its result values, its regions and its
+ * operand slots. Operand slots are sized at creation; appendOperand
+ * beyond that moves them to a separate array. A Block links its ops
+ * through prev/next pointers inside each Operation, so insert, remove,
+ * find and moveBefore are O(1), and a Region links its blocks the same
+ * way. Block arguments live in a short chain of argument chunks, so
+ * their addresses never move.
+ *
+ * Teardown of a whole tree (OwningOpRef::reset, Operation::erase, a
+ * Block's destructor) first drops every operand reference in the tree,
+ * then frees each op: about one free per op.
  */
 
 #ifndef EQ_IR_OPERATION_HH
 #define EQ_IR_OPERATION_HH
 
-#include <deque>
 #include <functional>
-#include <list>
+#include <iterator>
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/attribute.hh"
@@ -43,12 +54,9 @@ class Operation {
      * @param num_regions number of (initially empty) regions
      */
     static Operation *create(Context &ctx, std::string_view name,
-                             std::vector<Type> result_types,
-                             std::vector<Value> operands,
+                             TypeRange result_types, ValueRange operands,
                              AttrDict attrs = {},
                              unsigned num_regions = 0);
-
-    ~Operation();
 
     Operation(const Operation &) = delete;
     Operation &operator=(const Operation &) = delete;
@@ -68,7 +76,7 @@ class Operation {
 
     /// @name Operands
     /// @{
-    size_t numOperands() const { return _operands.size(); }
+    size_t numOperands() const { return _numOperands; }
     Value operand(unsigned i) const;
     void setOperand(unsigned i, Value v);
     std::vector<Value> operands() const;
@@ -80,32 +88,29 @@ class Operation {
 
     /// @name Results
     /// @{
-    size_t numResults() const { return _results.size(); }
+    size_t numResults() const { return _numResults; }
     Value result(unsigned i = 0);
     std::vector<Value> results();
     /// @}
 
     /// @name Attributes
     /// @{
-    Attribute attr(const std::string &name) const
-    {
-        return _attrs.get(name);
-    }
-    void setAttr(const std::string &name, Attribute a)
+    Attribute attr(std::string_view name) const { return _attrs.get(name); }
+    void setAttr(std::string_view name, Attribute a)
     {
         _attrs.set(name, std::move(a));
     }
-    void removeAttr(const std::string &name) { _attrs.erase(name); }
+    void removeAttr(std::string_view name) { _attrs.erase(name); }
     const AttrDict &attrs() const { return _attrs; }
     /** Convenience accessors that fail loudly when missing. */
-    int64_t intAttr(const std::string &name) const;
-    int64_t intAttrOr(const std::string &name, int64_t dflt) const;
-    const std::string &strAttr(const std::string &name) const;
+    int64_t intAttr(std::string_view name) const;
+    int64_t intAttrOr(std::string_view name, int64_t dflt) const;
+    const std::string &strAttr(std::string_view name) const;
     /// @}
 
     /// @name Regions
     /// @{
-    size_t numRegions() const { return _regions.size(); }
+    size_t numRegions() const { return _numRegions; }
     Region &region(unsigned i = 0);
     const Region &region(unsigned i = 0) const;
     /// @}
@@ -115,9 +120,14 @@ class Operation {
     Block *block() const { return _block; }
     /** The op owning the region containing this op (null at top level). */
     Operation *parentOp() const;
+    /** The next / previous op in the containing block (null at the
+     *  ends or when detached). */
+    Operation *nextInBlock() const { return _next; }
+    Operation *prevInBlock() const { return _prev; }
     /** Unlink from the containing block without destroying. */
     void remove();
-    /** Unlink and destroy this op; operands' use lists are updated. */
+    /** Unlink and destroy this op and everything nested in it; operands'
+     *  use lists are updated. Its results must have no uses left. */
     void erase();
     /** Move this op immediately before @p other (same or other block). */
     void moveBefore(Operation *other);
@@ -125,8 +135,17 @@ class Operation {
     void moveToEnd(Block *target);
     /// @}
 
-    /** Pre-order walk over this op and all nested ops. */
+    /**
+     * Pre-order walk over this op and all nested ops. Each op's
+     * successor is fetched before the callback runs, so the callback
+     * may erase the op it is given (when it has no regions) or move it;
+     * an op moved ahead of the walk is visited again.
+     */
     void walk(const std::function<void(Operation *)> &fn);
+
+    /** Unlink every operand of this op and of every op nested in it
+     *  from its value's use list. */
+    void dropAllReferences();
 
     /**
      * Deep-copy this operation (attributes, regions, block args).
@@ -144,25 +163,47 @@ class Operation {
     void print(std::ostream &os) const;
     std::string str() const;
 
-    /** Internal: called by Block when inserting/removing. */
-    void setBlock(Block *b) { _block = b; }
-
   private:
-    Operation(Context &ctx, std::string_view name);
+    friend class Block;
+    friend class OwningOpRef;
+    friend struct OpOperand;
 
-    /** Drop all operand uses (called by erase/destructor). */
-    void dropOperands();
+    Operation(Context &ctx, std::string_view name, AttrDict attrs,
+              unsigned num_results, unsigned num_regions,
+              unsigned num_operands);
+    ~Operation();
 
+    /// @name Trailing storage of the op's single allocation
+    /// @{
+    ValueImpl *resultStorage() const;
+    Region *regionStorage() const;
+    OpOperand *inlineOperandStorage() const;
+    /// @}
+    /** Free a tree whose references were already dropped. */
+    static void destroyTree(Operation *op);
+
+    Operation *_prev = nullptr; ///< intrusive block op list
+    Operation *_next = nullptr;
+    Block *_block = nullptr;
     Context *_ctx;
     const std::string *_name; ///< pooled; owned by the Context
-    OpId _opId;
     uint64_t _id;
-    std::vector<ValueImpl *> _operands; ///< non-owning
-    std::deque<ValueImpl> _results;     ///< owned, address-stable
+    OpId _opId;
+    unsigned _numResults;
+    unsigned _numRegions;
+    unsigned _numOperands = 0;
+    unsigned _operandCapacity;
+    OpOperand *_operands; ///< inline storage until appendOperand grows it
     AttrDict _attrs;
-    std::vector<std::unique_ptr<Region>> _regions;
-    Block *_block = nullptr;
+    // Trailing storage: ValueImpl results[_numResults], Region
+    // regions[_numRegions], OpOperand operands[capacity at creation].
 };
+
+inline unsigned
+OpOperand::index() const
+{
+    return static_cast<unsigned>(this - owner->_operands);
+}
 
 /** A straight-line sequence of operations with block arguments. */
 class Block {
@@ -176,22 +217,52 @@ class Block {
     /// @name Arguments
     /// @{
     Value addArgument(Type t);
-    size_t numArguments() const { return _args.size(); }
+    size_t numArguments() const { return _numArgs; }
     Value argument(unsigned i);
     std::vector<Value> arguments();
     /// @}
 
     /// @name Operations (owned)
     /// @{
-    using OpList = std::list<Operation *>;
-    using iterator = OpList::iterator;
+    /** Iterates the block's ops in order; stays valid across edits
+     *  that do not remove the op it points at. */
+    class iterator {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Operation *;
+        using difference_type = std::ptrdiff_t;
+        using pointer = Operation *const *;
+        using reference = Operation *const &;
 
-    bool empty() const { return _ops.empty(); }
-    size_t size() const { return _ops.size(); }
-    iterator begin() { return _ops.begin(); }
-    iterator end() { return _ops.end(); }
-    Operation *front() { return _ops.front(); }
-    Operation *back() { return _ops.back(); }
+        iterator() = default;
+        explicit iterator(Operation *op) : _op(op) {}
+        reference operator*() const { return _op; }
+        iterator &
+        operator++()
+        {
+            _op = _op->nextInBlock();
+            return *this;
+        }
+        iterator
+        operator++(int)
+        {
+            iterator old = *this;
+            _op = _op->nextInBlock();
+            return old;
+        }
+        bool operator==(const iterator &o) const { return _op == o._op; }
+        bool operator!=(const iterator &o) const { return _op != o._op; }
+
+      private:
+        Operation *_op = nullptr;
+    };
+
+    bool empty() const { return _first == nullptr; }
+    size_t size() const { return _size; }
+    iterator begin() { return iterator(_first); }
+    iterator end() { return iterator(); }
+    Operation *front() { return _first; }
+    Operation *back() { return _last; }
 
     /** Append, taking ownership. */
     void push_back(Operation *op);
@@ -205,32 +276,80 @@ class Block {
 
     Region *parentRegion() const { return _parent; }
     Operation *parentOp() const;
-    void setParentRegion(Region *r) { _parent = r; }
+    /** The next block of the parent region, or null. */
+    Block *nextInRegion() const { return _nextBlock; }
 
     /** The trailing terminator op, or nullptr when empty. */
-    Operation *terminator();
+    Operation *terminator() { return _last; }
 
   private:
-    std::deque<ValueImpl> _args; ///< address-stable
-    OpList _ops;
+    friend class Region;
+    friend class Operation;
+
+    /** A fixed-capacity run of block arguments; chunks never move. */
+    struct ArgChunk {
+        ArgChunk *next;
+        unsigned size;
+        unsigned capacity;
+        ValueImpl *args() { return reinterpret_cast<ValueImpl *>(this + 1); }
+    };
+
+    void dropAllReferences();
+    /** Free the ops and arguments (references already dropped). */
+    void destroyContents();
+
+    Operation *_first = nullptr; ///< intrusive op list
+    Operation *_last = nullptr;
+    size_t _size = 0;
     Region *_parent = nullptr;
+    Block *_nextBlock = nullptr; ///< next block in the parent region
+    ArgChunk *_argsHead = nullptr;
+    ArgChunk *_argsTail = nullptr;
+    unsigned _numArgs = 0;
 };
 
 /** A list of blocks owned by an operation. */
 class Region {
   public:
     explicit Region(Operation *parent) : _parent(parent) {}
+    ~Region();
 
     Region(const Region &) = delete;
     Region &operator=(const Region &) = delete;
 
-    bool empty() const { return _blocks.empty(); }
-    size_t numBlocks() const { return _blocks.size(); }
-    Block &front() { return *_blocks.front(); }
-    const Block &front() const { return *_blocks.front(); }
+    /** Iterates the region's blocks (as Block &) in order. */
+    class iterator {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Block;
+        using difference_type = std::ptrdiff_t;
+        using pointer = Block *;
+        using reference = Block &;
+
+        explicit iterator(Block *b) : _b(b) {}
+        Block &operator*() const { return *_b; }
+        iterator &
+        operator++()
+        {
+            _b = _b->nextInRegion();
+            return *this;
+        }
+        bool operator==(const iterator &o) const { return _b == o._b; }
+        bool operator!=(const iterator &o) const { return _b != o._b; }
+
+      private:
+        Block *_b;
+    };
+
+    bool empty() const { return _first == nullptr; }
+    size_t numBlocks() const;
+    Block &front() { return *_first; }
+    const Block &front() const { return *_first; }
     Block *addBlock();
-    auto begin() { return _blocks.begin(); }
-    auto end() { return _blocks.end(); }
+    /** Append a detached block, taking ownership. */
+    void push_back(Block *block);
+    iterator begin() const { return iterator(_first); }
+    iterator end() const { return iterator(nullptr); }
 
     Operation *parentOp() const { return _parent; }
 
@@ -238,8 +357,11 @@ class Region {
     Block &ensureBlock();
 
   private:
+    friend class Operation;
+
     Operation *_parent;
-    std::vector<std::unique_ptr<Block>> _blocks;
+    Block *_first = nullptr;
+    Block *_last = nullptr;
 };
 
 /** Owning handle for a detached op tree (usually the module). */
@@ -268,6 +390,7 @@ class OwningOpRef {
         _op = nullptr;
         return op;
     }
+    /** Destroy the tree: drop every reference in it, then free each op. */
     void reset();
 
   private:

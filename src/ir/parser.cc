@@ -156,8 +156,8 @@ class Lexer {
             while (_pos < _src.size() &&
                    (std::isdigit(static_cast<unsigned char>(_src[_pos])) ||
                     _src[_pos] == '.' || _src[_pos] == 'e' ||
-                    (_src[_pos] == '-' && _pos > 0 &&
-                     _src[_pos - 1] == 'e'))) {
+                    ((_src[_pos] == '-' || _src[_pos] == '+') &&
+                     _pos > 0 && _src[_pos - 1] == 'e'))) {
                 text.push_back(_src[_pos]);
                 ++_pos;
             }
@@ -232,18 +232,16 @@ class Parser {
     parseTopLevel()
     {
         ParseResult result;
-        Operation *op = parseOp(nullptr);
+        OwningOpRef op(parseOp(nullptr));
         if (!_error.empty()) {
-            delete op;
             result.error = _error;
             return result;
         }
         if (_lex.cur().kind != Tok::Eof) {
-            delete op;
             result.error = "trailing input after top-level op";
             return result;
         }
-        result.op = OwningOpRef(op);
+        result.op = std::move(op);
         return result;
     }
 
@@ -378,13 +376,10 @@ class Parser {
                                               ? region_blocks.size()
                                               : 0);
         if (has_regions) {
-            for (size_t r = 0; r < region_blocks.size(); ++r) {
-                for (auto &blk : region_blocks[r]) {
-                    blk->setParentRegion(&op->region(r));
-                    // Transfer ownership into the region.
-                    transferBlock(op->region(r), std::move(blk));
-                }
-            }
+            for (size_t r = 0; r < region_blocks.size(); ++r)
+                for (auto &blk : region_blocks[r])
+                    op->region(static_cast<unsigned>(r))
+                        .push_back(blk.release());
         }
 
         // Register results.
@@ -401,32 +396,6 @@ class Parser {
         if (block)
             block->push_back(op);
         return op;
-    }
-
-    /** Move a parsed block into @p region (helper for ownership xfer). */
-    static void
-    transferBlock(Region &region, std::unique_ptr<Block> blk)
-    {
-        Block *b = region.addBlock();
-        // Move args.
-        std::vector<Value> old_args;
-        for (unsigned i = 0; i < blk->numArguments(); ++i)
-            old_args.push_back(blk->argument(i));
-        // The parser builds blocks directly in the region (see
-        // parseBlockBody callers), so in practice blk is freshly parsed
-        // and we only need to splice ops and re-home arguments. Block
-        // arguments cannot be moved (address-stable deque), so instead we
-        // re-create them and RAUW.
-        std::vector<Value> new_args;
-        for (Value a : old_args)
-            new_args.push_back(b->addArgument(a.type()));
-        for (size_t i = 0; i < old_args.size(); ++i)
-            old_args[i].replaceAllUsesWith(new_args[i]);
-        std::vector<Operation *> ops(blk->begin(), blk->end());
-        for (Operation *op : ops) {
-            blk->remove(op);
-            b->push_back(op);
-        }
     }
 
     /** Parse block arguments (optional header) and ops until '}'. */

@@ -129,8 +129,8 @@ printOp(std::ostream &os, Operation *op, PrintState &st, int indent)
                 os << ", ";
             os << "{\n";
             Region &region = op->region(r);
-            for (auto &block : region)
-                printBlock(os, *block, st, indent + 2);
+            for (Block &block : region)
+                printBlock(os, block, st, indent + 2);
             os << pad << "}";
         }
         os << ")";

@@ -47,12 +47,6 @@ struct TypeStorage {
     unsigned width = 0;
     std::vector<int64_t> shape;
     unsigned elemBits = 0;
-
-    bool operator==(const TypeStorage &o) const
-    {
-        return kind == o.kind && width == o.width && shape == o.shape &&
-               elemBits == o.elemBits;
-    }
 };
 
 /**

@@ -1,16 +1,26 @@
 /**
  * @file
- * SSA values with explicit use lists.
+ * SSA values with intrusive use lists.
  *
- * A Value is a handle onto a ValueImpl owned either by the defining
- * Operation (op results) or by a Block (block arguments). Use lists record
- * (user op, operand index) pairs so passes can replaceAllUsesWith.
+ * A Value is a handle onto a ValueImpl stored inline in its defining
+ * Operation's allocation (op results) or in its Block's argument storage
+ * (block arguments); either way its address is stable for its lifetime.
+ *
+ * Each operand slot of an operation is an OpOperand, and the OpOperands
+ * reading one value form a doubly linked list threaded through the
+ * slots themselves. Uses iterate in the order they were attached
+ * (setOperand re-attaches at the tail), and attaching or detaching one
+ * is O(1): no per-value vector, no scan. uses() yields (user op,
+ * operand index) pairs so passes can inspect and replaceAllUsesWith.
  */
 
 #ifndef EQ_IR_VALUE_HH
 #define EQ_IR_VALUE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +32,50 @@ namespace ir {
 
 class Operation;
 class Block;
+struct ValueImpl;
+
+/**
+ * A non-owning view of a contiguous sequence. It binds a braced list
+ * or a vector alike, so passing `{t1, t2}` to Operation::create copies
+ * nothing. Only use it as a parameter: a view of a braced list dangles
+ * once the enclosing full-expression ends.
+ */
+template <typename T>
+class ArrayRef {
+  public:
+    ArrayRef() = default;
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winit-list-lifetime"
+#endif
+    ArrayRef(std::initializer_list<T> l) : _data(l.begin()), _size(l.size())
+    {}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+    ArrayRef(const std::vector<T> &v) : _data(v.data()), _size(v.size()) {}
+
+    const T *begin() const { return _data; }
+    const T *end() const { return _data + _size; }
+    size_t size() const { return _size; }
+    bool empty() const { return _size == 0; }
+    const T &operator[](size_t i) const { return _data[i]; }
+
+  private:
+    const T *_data = nullptr;
+    size_t _size = 0;
+};
+
+/** One operand slot of an operation, linked into its value's use list. */
+struct OpOperand {
+    ValueImpl *value = nullptr;
+    Operation *owner = nullptr;
+    OpOperand *prevUse = nullptr;
+    OpOperand *nextUse = nullptr;
+
+    /** Position of this slot among its owner's operands. */
+    unsigned index() const;
+};
 
 /** Storage behind a Value handle. Addresses are stable after creation. */
 struct ValueImpl {
@@ -29,8 +83,6 @@ struct ValueImpl {
     Operation *defOp = nullptr; ///< defining op, or null for block args
     Block *ownerBlock = nullptr; ///< owning block for block args
     unsigned index = 0;          ///< result index or argument index
-    std::vector<std::pair<Operation *, unsigned>> uses;
-    std::string nameHint;        ///< optional printing hint
 
     /** Dense value-numbering scratch used by interpreting consumers
      *  (the simulation engine): @ref interpScope identifies the
@@ -39,6 +91,88 @@ struct ValueImpl {
      *  region entry by the consumer; 0/0 means "not yet numbered". */
     uint32_t interpScope = 0;
     uint32_t interpSlot = 0;
+
+    OpOperand *firstUse = nullptr; ///< use list head (oldest use)
+    OpOperand *lastUse = nullptr;  ///< use list tail (newest use)
+    std::string nameHint;          ///< optional printing hint
+
+    /** Link @p use at the tail of this value's use list. */
+    void
+    attach(OpOperand *use)
+    {
+        use->value = this;
+        use->nextUse = nullptr;
+        use->prevUse = lastUse;
+        (lastUse ? lastUse->nextUse : firstUse) = use;
+        lastUse = use;
+    }
+
+    /** Unlink @p use (which must be on this value's list). */
+    void
+    detach(OpOperand *use)
+    {
+        (use->prevUse ? use->prevUse->nextUse : firstUse) = use->nextUse;
+        (use->nextUse ? use->nextUse->prevUse : lastUse) = use->prevUse;
+        use->value = nullptr;
+        use->prevUse = use->nextUse = nullptr;
+    }
+};
+
+/** A use of a value: the user op and the operand index it reads at. */
+using Use = std::pair<Operation *, unsigned>;
+
+/** A value's use list, oldest use first. Do not modify the list while
+ *  iterating it; take toVector() first. */
+class UseRange {
+  public:
+    class iterator {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Use;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = Use;
+
+        iterator() = default;
+        explicit iterator(const OpOperand *u) : _u(u) {}
+        Use operator*() const { return {_u->owner, _u->index()}; }
+        iterator &
+        operator++()
+        {
+            _u = _u->nextUse;
+            return *this;
+        }
+        iterator
+        operator++(int)
+        {
+            iterator old = *this;
+            _u = _u->nextUse;
+            return old;
+        }
+        bool operator==(const iterator &o) const { return _u == o._u; }
+        bool operator!=(const iterator &o) const { return _u != o._u; }
+
+      private:
+        const OpOperand *_u = nullptr;
+    };
+
+    explicit UseRange(const OpOperand *first) : _first(first) {}
+    iterator begin() const { return iterator(_first); }
+    iterator end() const { return iterator(); }
+    bool empty() const { return _first == nullptr; }
+    size_t
+    size() const
+    {
+        size_t n = 0;
+        for (const OpOperand *u = _first; u; u = u->nextUse)
+            ++n;
+        return n;
+    }
+    /** A copy to iterate while the list itself is being edited. */
+    std::vector<Use> toVector() const { return {begin(), end()}; }
+
+  private:
+    const OpOperand *_first;
 };
 
 /** A lightweight SSA value handle. */
@@ -62,13 +196,10 @@ class Value {
     bool isBlockArg() const { return _impl->ownerBlock != nullptr; }
     unsigned index() const { return _impl->index; }
 
-    const std::vector<std::pair<Operation *, unsigned>> &
-    uses() const
-    {
-        return _impl->uses;
-    }
-    bool hasUses() const { return !_impl->uses.empty(); }
-    size_t numUses() const { return _impl->uses.size(); }
+    /** (user op, operand index) pairs, in the order they were attached. */
+    UseRange uses() const { return UseRange(_impl->firstUse); }
+    bool hasUses() const { return _impl->firstUse != nullptr; }
+    size_t numUses() const { return uses().size(); }
 
     /** Redirect every use of this value to @p other. */
     void replaceAllUsesWith(Value other) const;
@@ -81,6 +212,9 @@ class Value {
   private:
     ValueImpl *_impl = nullptr;
 };
+
+using TypeRange = ArrayRef<Type>;
+using ValueRange = ArrayRef<Value>;
 
 } // namespace ir
 } // namespace eq

@@ -78,8 +78,7 @@ ReassignBufferPass::runOnModule(ir::Operation *module)
 
     // Replace uses; reads/writes with stale index ranks degrade to
     // whole-buffer accesses on the (typically element-sized) new buffer.
-    auto uses = from_buf.uses();
-    for (auto &[user, idx] : uses) {
+    for (auto [user, idx] : from_buf.uses().toVector()) {
         if (ir::isa<equeue::ReadOp>(user) && !same_rank) {
             equeue::ReadOp rd(user);
             OpBuilder b(user->context());

@@ -41,8 +41,7 @@ MemcpyPass::runOnModule(ir::Operation *module)
             launch->result(0), src->result(0), dst->result(0),
             dma->result(0), Value());
         // Anyone already awaiting the launch should await the copy too.
-        auto uses = launch->result(0).uses();
-        for (auto &[user, idx] : uses) {
+        for (auto [user, idx] : launch->result(0).uses().toVector()) {
             if (ir::isa<equeue::AwaitOp>(user) && user != cp.op())
                 user->setOperand(idx, cp->result(0));
         }
@@ -101,7 +100,7 @@ MergeMemcpyLaunchPass::runOnModule(ir::Operation *module)
         // A unique launch user that both depends on the copy and
         // captures its destination buffer.
         ir::Operation *target = nullptr;
-        for (auto &[user, idx] : mc_op->result(0).uses()) {
+        for (auto [user, idx] : mc_op->result(0).uses()) {
             if (!ir::isa<equeue::LaunchOp>(user))
                 continue;
             equeue::LaunchOp l(user);

@@ -77,10 +77,8 @@ class SystolicConvertPass : public ir::Pass {
         // both the structure and the control flow.
         ir::Block &top = module->region(0).front();
         std::vector<ir::Operation *> ops(top.begin(), top.end());
-        for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-            (*it)->remove();
-            delete *it;
-        }
+        for (auto it = ops.rbegin(); it != ops.rend(); ++it)
+            (*it)->erase();
         systolic::EmitOptions opts;
         opts.skipFinalDrain = true;
         systolic::emitSystolicInto(module, _cfg, opts);

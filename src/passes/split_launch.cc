@@ -132,7 +132,7 @@ splitLaunch(ir::Operation *launch_op)
             for (size_t k = 0; k < crossing.size(); ++k) {
                 Value repl =
                     new_launch->result(static_cast<unsigned>(k) + 1);
-                auto uses = crossing[k].uses();
+                auto uses = crossing[k].uses().toVector();
                 for (auto &[user, idx] : uses) {
                     // Only redirect uses that now live outside nl.
                     ir::Operation *anc = user;
@@ -173,8 +173,8 @@ SplitLaunchPass::runOnModule(ir::Operation *module)
         if (!ir::isa<equeue::LaunchOp>(op))
             return;
         bool has_split = false;
-        for (auto &block : op->region(0))
-            for (ir::Operation *inner : *block)
+        for (ir::Block &block : op->region(0))
+            for (ir::Operation *inner : block)
                 if (inner->attr("eq.split"))
                     has_split = true;
         if (has_split)

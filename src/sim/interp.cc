@@ -50,8 +50,8 @@ numberBlock(ir::Block *block, uint32_t scope_id, uint32_t next_slot,
         if (op->opId() == launch_id)
             continue; // launch bodies are separate scopes
         for (unsigned r = 0; r < op->numRegions(); ++r)
-            for (auto &nested : op->region(r))
-                next_slot = numberBlock(nested.get(), scope_id, next_slot,
+            for (ir::Block &nested : op->region(r))
+                next_slot = numberBlock(&nested, scope_id, next_slot,
                                         launch_id);
     }
     return next_slot;

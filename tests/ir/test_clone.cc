@@ -79,7 +79,7 @@ TEST_F(CloneTest, ClonePrintsIdenticallyToOriginal)
     std::string orig = loop->str();
     std::string dup = copy->str();
     EXPECT_EQ(orig, dup);
-    delete copy; // detached clone owned by us
+    copy->erase(); // detached clone owned by us
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include "testutil.hh"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -269,6 +270,30 @@ TEST_F(OperationTest, BlockPositionThroughEdits)
     EXPECT_EQ(blk.back(), holder);
     EXPECT_EQ(blk.terminator(), holder);
     EXPECT_EQ(blk.size(), 2u);
+}
+
+TEST_F(OperationTest, WalkToleratesErasingOrMovingTheCurrentOp)
+{
+    auto *holder = b->create("test.region", {}, {}, {}, 1);
+    ir::Block *inner = holder->region(0).addBlock();
+    b->create("test.drop", {}, {});
+    auto *keep = b->create("test.keep", {}, {});
+    b->create("test.move", {}, {});
+    b->create("test.drop", {}, {});
+    std::vector<std::string> seen;
+    module->walk([&](ir::Operation *op) {
+        seen.push_back(op->name());
+        if (op->name() == "test.drop")
+            op->erase();
+        else if (op->name() == "test.move")
+            op->moveToEnd(inner);
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{"builtin.module",
+                                              "test.region", "test.drop",
+                                              "test.keep", "test.move",
+                                              "test.drop"}));
+    EXPECT_EQ(opsOf(body()), (std::vector<ir::Operation *>{holder, keep}));
+    EXPECT_EQ(inner->size(), 1u);
 }
 
 } // namespace

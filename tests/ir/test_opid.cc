@@ -123,7 +123,7 @@ TEST_F(OpIdModuleTest, ClonePreservesOpId)
     ir::Operation *copy = proc->clone(mapping);
     EXPECT_EQ(copy->opId(), proc->opId());
     EXPECT_EQ(copy->name(), proc->name());
-    delete copy;
+    copy->erase();
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include "testutil.hh"
 
+#include <iterator>
+
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
 #include "dialects/equeue.hh"
@@ -96,6 +98,27 @@ TEST_F(PrinterParserTest, ParserRejectsGarbage)
     // Use of an undefined value.
     EXPECT_FALSE(static_cast<bool>(ir::parseSourceString(
         ctx, "\"test.use\"(%99) : (i32) -> ()")));
+}
+
+TEST_F(PrinterParserTest, FloatConstantsReadBackExactly)
+{
+    // 1/3 needs all 17 digits; 1234567.0 and 1e300 are whole numbers
+    // whose shortest form has no '.' or needs a positive exponent.
+    const double values[] = {1.0 / 3.0, 1234567.0, 1e300, -2.5e-9, 2.0};
+    for (double v : values)
+        b->create<arith::ConstantOp>(v, ctx.floatType(64));
+    std::string text = module->str();
+    EXPECT_NE(text.find("value = 1234567.0}"), std::string::npos) << text;
+    ir::ParseResult parsed = ir::parseSourceString(ctx, text);
+    ASSERT_TRUE(static_cast<bool>(parsed)) << parsed.error << "\n" << text;
+    size_t i = 0;
+    for (ir::Operation *op : parsed.op->region(0).front()) {
+        ASSERT_LT(i, std::size(values));
+        EXPECT_EQ(op->attr("value").asFloat(), values[i]) << text;
+        ++i;
+    }
+    EXPECT_EQ(i, std::size(values));
+    roundTrip(ctx, module.get());
 }
 
 TEST_F(PrinterParserTest, CommentsAreSkipped)
