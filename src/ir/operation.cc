@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <new>
+#include <type_traits>
 
 #include "base/logging.hh"
 
 namespace eq {
 namespace ir {
+
+// Results, block arguments and operand slots are freed with their
+// storage, without running destructors.
+static_assert(std::is_trivially_destructible_v<ValueImpl> &&
+              std::is_trivially_destructible_v<OpOperand>);
 
 namespace {
 
@@ -112,9 +118,6 @@ Operation::create(Context &ctx, std::string_view name,
 
 Operation::~Operation()
 {
-    ValueImpl *results = resultStorage();
-    for (unsigned i = 0; i < _numResults; ++i)
-        results[i].~ValueImpl();
     Region *regions = regionStorage();
     for (unsigned i = 0; i < _numRegions; ++i)
         regions[i].~Region();
@@ -437,8 +440,6 @@ Block::destroyContents()
     _size = 0;
     for (ArgChunk *chunk = _argsHead; chunk;) {
         ArgChunk *next = chunk->next;
-        for (unsigned i = 0; i < chunk->size; ++i)
-            chunk->args()[i].~ValueImpl();
         ::operator delete(chunk);
         chunk = next;
     }

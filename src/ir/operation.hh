@@ -120,10 +120,9 @@ class Operation {
     Block *block() const { return _block; }
     /** The op owning the region containing this op (null at top level). */
     Operation *parentOp() const;
-    /** The next / previous op in the containing block (null at the
-     *  ends or when detached). */
+    /** The next op in the containing block (null at the end or when
+     *  detached). */
     Operation *nextInBlock() const { return _next; }
-    Operation *prevInBlock() const { return _prev; }
     /** Unlink from the containing block without destroying. */
     void remove();
     /** Unlink and destroy this op and everything nested in it; operands'
@@ -142,10 +141,6 @@ class Operation {
      * an op moved ahead of the walk is visited again.
      */
     void walk(const std::function<void(Operation *)> &fn);
-
-    /** Unlink every operand of this op and of every op nested in it
-     *  from its value's use list. */
-    void dropAllReferences();
 
     /**
      * Deep-copy this operation (attributes, regions, block args).
@@ -179,6 +174,9 @@ class Operation {
     Region *regionStorage() const;
     OpOperand *inlineOperandStorage() const;
     /// @}
+    /** Unlink every operand of this op and of every op nested in it
+     *  from its value's use list. */
+    void dropAllReferences();
     /** Free a tree whose references were already dropped. */
     static void destroyTree(Operation *op);
 
@@ -242,13 +240,6 @@ class Block {
         {
             _op = _op->nextInBlock();
             return *this;
-        }
-        iterator
-        operator++(int)
-        {
-            iterator old = *this;
-            _op = _op->nextInBlock();
-            return old;
         }
         bool operator==(const iterator &o) const { return _op == o._op; }
         bool operator!=(const iterator &o) const { return _op != o._op; }

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,7 +93,6 @@ struct ValueImpl {
 
     OpOperand *firstUse = nullptr; ///< use list head (oldest use)
     OpOperand *lastUse = nullptr;  ///< use list tail (newest use)
-    std::string nameHint;          ///< optional printing hint
 
     /** Link @p use at the tail of this value's use list. */
     void
@@ -141,13 +139,6 @@ class UseRange {
         {
             _u = _u->nextUse;
             return *this;
-        }
-        iterator
-        operator++(int)
-        {
-            iterator old = *this;
-            _u = _u->nextUse;
-            return old;
         }
         bool operator==(const iterator &o) const { return _u == o._u; }
         bool operator!=(const iterator &o) const { return _u != o._u; }
@@ -203,9 +194,6 @@ class Value {
 
     /** Redirect every use of this value to @p other. */
     void replaceAllUsesWith(Value other) const;
-
-    void setNameHint(std::string hint) { _impl->nameHint = std::move(hint); }
-    const std::string &nameHint() const { return _impl->nameHint; }
 
     ValueImpl *impl() const { return _impl; }
 
