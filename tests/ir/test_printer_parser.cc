@@ -98,6 +98,14 @@ TEST_F(PrinterParserTest, ParserRejectsGarbage)
     // Use of an undefined value.
     EXPECT_FALSE(static_cast<bool>(ir::parseSourceString(
         ctx, "\"test.use\"(%99) : (i32) -> ()")));
+    // An error inside a region frees the ops parsed before it, uses
+    // and all.
+    EXPECT_FALSE(static_cast<bool>(ir::parseSourceString(
+        ctx, "\"builtin.module\"() ({\n"
+             "  %0 = \"test.def\"() : () -> (i32)\n"
+             "  \"test.use\"(%0, %0) : (i32, i32) -> ()\n"
+             "  \"test.use\"(%99) : (i32) -> ()\n"
+             "}) : () -> ()")));
 }
 
 TEST_F(PrinterParserTest, FloatConstantsReadBackExactly)
