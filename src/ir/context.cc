@@ -18,14 +18,27 @@ Context::~Context() = default;
 OpId
 Context::internOpName(std::string_view name)
 {
+    // Dialect builders pass the same literal on every create, so a
+    // cache keyed by the text's address skips hashing; comparing the
+    // text confirms a hit, so a reused buffer cannot alias another name.
+    NameCacheSlot &slot =
+        _nameCache[(reinterpret_cast<uintptr_t>(name.data()) >> 3) %
+                   _nameCache.size()];
+    if (slot.data && slot.data == name.data() &&
+        *_opNamePool[slot.raw] == name)
+        return OpId(slot.raw);
+    uint32_t raw;
     auto it = _opNameIds.find(name);
-    if (it != _opNameIds.end())
-        return OpId(it->second);
-    uint32_t raw = static_cast<uint32_t>(_opNamePool.size());
-    eq_assert(raw != OpId::kInvalidRaw, "op name pool exhausted");
-    _opNamePool.push_back(std::make_unique<std::string>(name));
-    _opInfos.emplace_back();
-    _opNameIds.emplace(std::string_view(*_opNamePool.back()), raw);
+    if (it != _opNameIds.end()) {
+        raw = it->second;
+    } else {
+        raw = static_cast<uint32_t>(_opNamePool.size());
+        eq_assert(raw != OpId::kInvalidRaw, "op name pool exhausted");
+        _opNamePool.push_back(std::make_unique<std::string>(name));
+        _opInfos.emplace_back();
+        _opNameIds.emplace(std::string_view(*_opNamePool.back()), raw);
+    }
+    slot = {name.data(), raw};
     return OpId(raw);
 }
 

@@ -14,6 +14,7 @@
 #ifndef EQ_IR_CONTEXT_HH
 #define EQ_IR_CONTEXT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -114,6 +115,12 @@ class Context {
     std::vector<std::unique_ptr<std::string>> _opNamePool;
     /** Name -> dense id; keys view into _opNamePool. */
     std::unordered_map<std::string_view, uint32_t> _opNameIds;
+    /** internOpName's cache, direct-mapped by the name's address. */
+    struct NameCacheSlot {
+        const char *data = nullptr;
+        uint32_t raw = 0;
+    };
+    std::array<NameCacheSlot, 64> _nameCache{};
     /** Registry info, dense by OpId; an empty name means the id is
      *  interned but the op kind is unregistered. */
     std::vector<OpInfo> _opInfos;

@@ -70,7 +70,7 @@ Operation::inlineOperandStorage() const
     return reinterpret_cast<OpOperand *>(regionStorage() + _numRegions);
 }
 
-Operation::Operation(Context &ctx, std::string_view name, AttrDict attrs,
+Operation::Operation(Context &ctx, std::string_view name, AttrDict &&attrs,
                      unsigned num_results, unsigned num_regions,
                      unsigned num_operands)
     : _ctx(&ctx), _id(ctx.nextOperationId()),

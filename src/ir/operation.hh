@@ -163,7 +163,7 @@ class Operation {
     friend class OwningOpRef;
     friend struct OpOperand;
 
-    Operation(Context &ctx, std::string_view name, AttrDict attrs,
+    Operation(Context &ctx, std::string_view name, AttrDict &&attrs,
               unsigned num_results, unsigned num_regions,
               unsigned num_operands);
     ~Operation();
