@@ -243,8 +243,9 @@ BM_CompileModule(benchmark::State &state)
     // every region, from scratch each iteration): quantifies what a
     // Session's first run pays and its later runs amortize, so
     // the amortization claim is measured, not asserted. The arg is the
-    // PE array edge: every PE is one launch body, so the program count
-    // (and the microops counter) grows with it.
+    // PE array edge: every PE is one launch body, but bodies of one
+    // shape share a program, so the programs counter stays small while
+    // the number of bodies numbered and fingerprinted grows.
     scalesim::Config cfg;
     cfg.ah = cfg.aw = static_cast<int>(state.range(0));
     cfg.c = 2;
@@ -255,12 +256,13 @@ BM_CompileModule(benchmark::State &state)
     ir::registerAllDialects(ctx);
     auto module = systolic::buildSystolicModule(ctx, cfg);
     sim::Simulator s(engineFor(sim::Backend::Compiled));
-    size_t micro_ops = 0;
+    sim::PrecompileStats stats;
     for (auto _ : state) {
-        micro_ops = s.precompile(module.get());
-        benchmark::DoNotOptimize(micro_ops);
+        stats = s.precompile(module.get());
+        benchmark::DoNotOptimize(stats.microOps);
     }
-    state.counters["microops"] = static_cast<double>(micro_ops);
+    state.counters["microops"] = static_cast<double>(stats.microOps);
+    state.counters["programs"] = static_cast<double>(stats.programs);
 }
 BENCHMARK(BM_CompileModule)->Arg(4)->Arg(8)->Arg(16);
 

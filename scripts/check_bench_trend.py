@@ -16,11 +16,12 @@ BM_SimulateSystolic, BM_EventDispatch, BM_CompiledVsInterp,
 BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the pinned
 warm-run path BM_BatchSessionReuse, the serving layer's
 BM_ServeWarmVsCold cache legs, the sweep durability layer's
-BM_SweepResume warm/cold legs, and the IR storage path's
-BM_ModuleBuildTeardown). CI passes no --track, so this default
-is the one list of gated families. Every engine benchmark carries its
-backend in its name, so a change of the default backend shows up as
-new series rather than as a silent jump in an old one. Untracked
+BM_SweepResume warm/cold legs, the IR storage path's
+BM_ModuleBuildTeardown, and the compile path's BM_CompileModule).
+CI passes no --track, so this default is the one list of gated
+families. Every engine benchmark carries its backend in its name, so a
+change of the default backend shows up as new series rather than as a
+silent jump in an old one. Untracked
 benchmarks are reported informationally. Stdlib only.
 
 Build-type guard: timings from a debug build are meaningless to gate
@@ -80,7 +81,8 @@ def main():
                              "BM_SoCContention", "BM_LaunchIssue",
                              "BM_BatchSessionReuse",
                              "BM_ServeWarmVsCold", "BM_SweepResume",
-                             "BM_ModuleBuildTeardown"],
+                             "BM_ModuleBuildTeardown",
+                             "BM_CompileModule"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",
                     choices=["cpu_time", "real_time"])

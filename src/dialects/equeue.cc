@@ -450,6 +450,28 @@ verifyWrite(ir::Operation *op)
     return "";
 }
 
+/** The engine reads the stream operand and the `elems` count of every
+ *  stream_read unconditionally. */
+std::string
+verifyStreamRead(ir::Operation *op)
+{
+    if (op->numOperands() < 1 ||
+        op->operand(0).type().kind() != ir::TypeKind::Stream)
+        return "first operand must be a !equeue.stream";
+    ir::Attribute elems = op->attr("elems");
+    if (!elems.isInt())
+        return "requires an integer 'elems' attribute";
+    if (elems.asInt() < 0)
+        return "elems must be >= 0";
+    bool has_conn = op->intAttrOr("has_conn", 0) != 0;
+    if (op->numOperands() != (has_conn ? 2u : 1u))
+        return "operand count inconsistent with has_conn";
+    if (has_conn &&
+        op->operand(1).type().kind() != ir::TypeKind::Connection)
+        return "has_conn set but operand 1 is not a connection";
+    return "";
+}
+
 std::string
 verifyLaunch(ir::Operation *op)
 {
@@ -540,7 +562,7 @@ registerDialect(ir::Context &ctx)
     ctx.registerOp({DeallocOp::opName, nullptr, false});
     ctx.registerOp({ReadOp::opName, verifyRead, false});
     ctx.registerOp({WriteOp::opName, verifyWrite, false});
-    ctx.registerOp({StreamReadOp::opName, nullptr, false});
+    ctx.registerOp({StreamReadOp::opName, verifyStreamRead, false});
     ctx.registerOp({StreamWriteOp::opName, nullptr, false});
     ctx.registerOp({ControlStartOp::opName, nullptr, false});
     ctx.registerOp({ControlAndOp::opName, verifyJoin, false});

@@ -9,7 +9,19 @@
 namespace eq {
 namespace ir {
 
-Context::Context() = default;
+namespace {
+
+/** Source of Context::serial(); process-wide so no two contexts, live
+ *  or destroyed, ever share one. */
+std::atomic<uint64_t> g_nextContextSerial{1};
+
+} // namespace
+
+Context::Context()
+    : _serial(g_nextContextSerial.fetch_add(1, std::memory_order_relaxed))
+{
+}
+
 Context::~Context() = default;
 
 // ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ class Context {
     bool allowUnregistered() const { return _allowUnregistered; }
     void setAllowUnregistered(bool v) { _allowUnregistered = v; }
 
+    /** Identity of this context, never reused by another one in the
+     *  process (unlike its address, which a later context may get
+     *  once this one is destroyed). 0 is never a serial. */
+    uint64_t serial() const { return _serial; }
+
     /** Monotonic per-Operation id source used for deterministic
      *  ordering (distinct from OpId, which identifies op *kinds*). */
     uint64_t nextOperationId() { return _nextOperationId++; }
@@ -126,6 +131,7 @@ class Context {
     std::vector<OpInfo> _opInfos;
     /** OpIdCache slot -> resolved id for this context. */
     std::vector<OpId> _cachedOpIds;
+    uint64_t _serial;
     bool _allowUnregistered = false;
     uint64_t _nextOperationId = 0;
 };

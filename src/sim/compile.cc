@@ -21,7 +21,16 @@
  *    builtin.modules inline (followed by a Halt, matching the
  *    interpreter's end-of-module semantics), and launch bodies are
  *    *not* inlined — they are separate scopes, compiled (and fused)
- *    eagerly with their parent and pinned on its Launch records.
+ *    eagerly with their parent and pinned on its Launch records, each
+ *    with the site's capture mapping.
+ *
+ * Shape sharing: before a launch body is lowered, its structural tokens
+ * (op kinds, result and operand types, an attribute digest, and operand
+ * wiring as pre-resolved (hops, slot) refs, nested bodies included) are
+ * looked up among the shapes compiled so far; a hit, confirmed by
+ * comparing the tokens and every attribute in full, reuses that
+ * program. A systolic array's PE bodies differ only in what they
+ * capture, so an 8x8 array's 64 bodies lower and fuse as 5 programs.
  *
  * Counting parity: the interpreter increments opsExecuted once per
  * dispatch; each record that corresponds to a dispatch carries
@@ -29,8 +38,9 @@
  * backends report identical opsExecuted (goldens compare it).
  */
 
-#include "dialects/affine.hh"
+#include "base/hash.hh"
 #include "base/stringutil.hh"
+#include "dialects/affine.hh"
 #include "dialects/equeue.hh"
 #include "sim/engine_impl.hh"
 #include "sim/fuse.hh"
@@ -54,15 +64,68 @@ scopeRootOf(ir::Block *b, ir::OpId launch_id)
     }
 }
 
+/** Fold the word @p v into @p h: FNV-1a a word (not a byte) at a
+ *  time, folding the high half down so it reaches the bucket bits.
+ *  Shape hashes are never persisted, so this need not match
+ *  base/hash.hh. */
+uint64_t
+mix(uint64_t h, uint64_t v)
+{
+    h = (h ^ v) * kFnvPrime;
+    return h ^ (h >> 32);
+}
+
+/** Fold one attribute into @p h. Only the kind and integer and string
+ *  payloads are folded: the digest just spreads shapes over buckets,
+ *  and a hit compares every attribute in full. */
+uint64_t
+hashAttr(uint64_t h, const ir::Attribute &a)
+{
+    h = mix(h, static_cast<uint64_t>(a.kind()));
+    if (a.isInt())
+        return mix(h, static_cast<uint64_t>(a.asInt()));
+    if (a.isString())
+        return fnv1aBytes(h, a.asString());
+    return h;
+}
+
+bool
+sameAttrs(const ir::AttrDict &a, const ir::AttrDict &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (const auto *x = a.begin(), *y = b.begin(); x != a.end(); ++x, ++y)
+        if (x->first != y->first || x->second != y->second)
+            return false;
+    return true;
+}
+
+/** Whether every op in the trees of @p a and @p b, paired in walk
+ *  order, has the same attributes. The trees must have equal shape
+ *  tokens (so they pair up op for op). */
+bool
+sameTreeAttrs(ir::Block *a, ir::Block *b)
+{
+    for (auto x = a->begin(), y = b->begin(); x != a->end(); ++x, ++y) {
+        if (!sameAttrs((*x)->attrs(), (*y)->attrs()))
+            return false;
+        for (unsigned r = 0; r < (*x)->numRegions(); ++r) {
+            auto rb = (*y)->region(r).begin();
+            for (ir::Block &nested : (*x)->region(r)) {
+                if (!sameTreeAttrs(&nested, &*rb))
+                    return false;
+                ++rb;
+            }
+        }
+    }
+    return true;
+}
+
 class ModuleCompiler {
   public:
     ModuleCompiler(Simulator::Impl &eng, ir::Block *root)
-        : _eng(eng), _prog(std::make_unique<CompiledBlock>())
+        : _eng(eng), _root(root), _scope(eng.scopeFor(root))
     {
-        const auto &vs = eng.scopeFor(root);
-        _prog->root = root;
-        _prog->scopeId = vs.scopeId;
-        _prog->numSlots = vs.numSlots;
         // Static environment chain: this scope, then each enclosing
         // launch's scope (the runtime env chain mirrors it: a launch
         // body's parent env is its creator's).
@@ -74,28 +137,26 @@ class ModuleCompiler {
                 break; // top of the simulated tree
             b = scopeRootOf(owner->block(), _eng.idLaunch);
         }
-        _root = root;
+    }
+
+    /** Append the scope's shape tokens to @p out: everything its
+     *  program depends on except the attributes' full values. */
+    void
+    shape(std::vector<uint64_t> &out)
+    {
+        shapeBlock(_root, out);
     }
 
     std::unique_ptr<CompiledBlock>
     compile()
     {
-        // If this scope is a launch body, pre-resolve its captured
-        // values: creator-relative source slot -> body argument slot
-        // (issue then copies slots instead of walking use chains).
-        ir::Operation *owner = _root->parentOp();
-        if (owner && owner->block() && owner->opId() == _eng.idLaunch) {
-            equeue::LaunchOp launch(owner);
-            auto captured = launch.captured();
-            for (size_t i = 0; i < captured.size(); ++i) {
-                SlotRef r = refOf(captured[i]);
-                eq_assert(r.hops >= 1,
-                          "captured value resolved into the body scope");
-                _prog->captures.push_back(CompiledBlock::Capture{
-                    SlotRef{r.slot, r.hops - 1},
-                    slotOf(_root->argument(static_cast<unsigned>(i)))});
-            }
-        }
+        _prog = std::make_unique<CompiledBlock>();
+        _prog->root = _root;
+        _prog->scopeId = _scope.scopeId;
+        _prog->numSlots = _scope.numSlots;
+        // One record per op, plus a loop End or Halt per block.
+        _prog->code.reserve(_scope.numOps + _scope.numBlocks);
+        _prog->args.reserve(_scope.numOperands);
         emitBlock(_root);
         emit(MOp::Halt, nullptr, /*counted=*/false);
         return std::move(_prog);
@@ -164,12 +225,62 @@ class ModuleCompiler {
 
     void emitOp(ir::Operation *op, MOp code);
     void emitBlock(ir::Block *block);
+    void shapeBlock(ir::Block *block, std::vector<uint64_t> &out);
 
     Simulator::Impl &_eng;
-    ir::Block *_root = nullptr;
+    ir::Block *_root;
+    const Simulator::Impl::ValueScope &_scope;
+    /** Scope ids of the static environment chain, innermost first
+     *  (shapeBlock prepends a nested body's while it walks it). */
     std::vector<uint32_t> _chainScopes;
     std::unique_ptr<CompiledBlock> _prog;
 };
+
+void
+ModuleCompiler::shapeBlock(ir::Block *block, std::vector<uint64_t> &out)
+{
+    out.push_back(block->numArguments());
+    for (unsigned i = 0; i < block->numArguments(); ++i)
+        out.push_back(reinterpret_cast<uintptr_t>(
+            block->argument(i).type().impl()));
+    out.push_back(block->size());
+    for (ir::Operation *op : *block) {
+        out.push_back(uint64_t(op->opId().raw()) |
+                      uint64_t(op->numRegions()) << 32);
+        out.push_back(op->numResults());
+        for (unsigned i = 0; i < op->numResults(); ++i)
+            out.push_back(reinterpret_cast<uintptr_t>(
+                op->result(i).type().impl()));
+        // Operand types too: the same (hops, slot) names values of
+        // different types when bodies share a shape at different
+        // nesting depths, and linalg costs read operand shapes.
+        out.push_back(op->numOperands());
+        for (unsigned i = 0; i < op->numOperands(); ++i) {
+            ir::Value v = op->operand(i);
+            SlotRef r = refOf(v);
+            out.push_back(uint64_t(r.hops) << 32 | r.slot);
+            out.push_back(reinterpret_cast<uintptr_t>(v.type().impl()));
+        }
+        uint64_t attrs = mix(kFnvOffset, op->attrs().size());
+        for (const auto &[name, a] : op->attrs())
+            attrs = hashAttr(fnv1aBytes(attrs, name), a);
+        out.push_back(attrs);
+        // A nested launch body is its own scope: walk it against the
+        // chain it will run in.
+        const bool launch = op->opId() == _eng.idLaunch;
+        for (unsigned r = 0; r < op->numRegions(); ++r) {
+            out.push_back(op->region(r).numBlocks());
+            for (ir::Block &nested : op->region(r)) {
+                if (launch)
+                    _chainScopes.insert(_chainScopes.begin(),
+                                        _eng.scopeFor(&nested).scopeId);
+                shapeBlock(&nested, out);
+                if (launch)
+                    _chainScopes.erase(_chainScopes.begin());
+            }
+        }
+    }
+}
 
 void
 ModuleCompiler::emitOp(ir::Operation *op, MOp code)
@@ -279,14 +390,24 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
             m.flags |= kFlagHasConn;
         break;
     case MOp::Launch: {
-        m.imm = static_cast<int64_t>(equeue::LaunchOp(op).numDeps());
+        equeue::LaunchOp launch(op);
+        const unsigned ndeps = launch.numDeps();
+        m.imm = static_cast<int64_t>(ndeps);
         // Compile the body now (its ancestors, including this scope,
         // are already numbered) and pin its program on the record so
-        // issue skips the cache lookup.
-        m.aux = static_cast<uint32_t>(_prog->childProgs.size());
-        const CompiledBlock &child =
-            _eng.programFor(&equeue::LaunchOp(op).body());
-        _prog->childProgs.push_back(&child);
+        // issue skips the cache lookup. The captures are this site's:
+        // body argument i takes captured operand i, resolved here.
+        ir::Block &body = launch.body();
+        m.aux = static_cast<uint32_t>(_prog->launches.size());
+        CompiledBlock::LaunchSite site{
+            &_eng.programFor(&body),
+            static_cast<uint32_t>(_prog->captures.size()),
+            static_cast<uint32_t>(op->numOperands() - ndeps - 1)};
+        for (unsigned i = 0; i < site.numCaptures; ++i)
+            _prog->captures.push_back(CompiledBlock::Capture{
+                refOf(op->operand(ndeps + 1 + i)),
+                body.argument(i).impl()->interpSlot});
+        _prog->launches.push_back(site);
         break;
     }
     case MOp::Memcpy:
@@ -323,36 +444,63 @@ Simulator::Impl::programFor(ir::Block *root)
     auto it = programs.find(root);
     if (it != programs.end())
         return *it->second;
+    ModuleCompiler compiler(*this, root);
+    ir::Operation *owner = root->parentOp();
+    const bool body = owner && owner->block() && owner->opId() == idLaunch;
+    uint64_t hash = 0;
+    if (body) {
+        shapeScratch.clear();
+        compiler.shape(shapeScratch);
+        hash = kFnvOffset;
+        for (uint64_t t : shapeScratch)
+            hash = mix(hash, t);
+        auto [lo, hi] = shapes.equal_range(hash);
+        for (; lo != hi; ++lo) {
+            const Shape &s = lo->second;
+            if (s.tokens == shapeScratch &&
+                sameTreeAttrs(s.prog->root, root)) {
+                programs.emplace(root, s.prog);
+                return *s.prog;
+            }
+        }
+    }
+    // Compiling a scope compiles its launch bodies first, and their
+    // lookups reuse the token buffer: keep this shape's tokens now.
+    std::vector<uint64_t> tokens;
+    if (body)
+        tokens = shapeScratch;
     // Lowering compiles (and so fuses) launch bodies first, so the
     // Launch records pin already-fused children; the lowered stream is
     // then fused in place and never cached unfused.
-    auto prog = optimizeProgram(ModuleCompiler(*this, root).compile(),
-                                opFns);
-    return *programs.emplace(root, std::move(prog)).first->second;
+    programStore.push_back(optimizeProgram(compiler.compile(), opFns));
+    const CompiledBlock *prog = programStore.back().get();
+    programs.emplace(root, prog);
+    if (body)
+        shapes.emplace(hash, Shape{std::move(tokens), prog});
+    return *prog;
 }
 
-size_t
+PrecompileStats
 Simulator::precompile(ir::Operation *module)
 {
     eq_assert(module && module->name() == "builtin.module",
               "precompile expects a builtin.module");
     Impl &impl = *_impl;
     // From-scratch semantics: drop every cached scope and program so
-    // repeated calls measure (and re-do) the full lowering.
-    impl.valueScopes.clear();
-    impl.programs.clear();
-    impl.buildDispatchTable(module->context());
-    // Count lowered micro-ops: a fused record stands for its elements.
-    auto count = [&](const CompiledBlock &prog) {
-        return prog.code.size() + prog.fusedElems.size() -
-               prog.fusedGroups.size();
-    };
-    size_t ops = count(impl.programFor(&module->region(0).front()));
-    module->walk([&](ir::Operation *op) {
-        if (op->opId() == impl.idLaunch)
-            ops += count(impl.programFor(&op->region(0).front()));
-    });
-    return ops;
+    // repeated calls measure (and re-do) the full lowering. The
+    // dispatch tables stay, as they do for a Session's new module.
+    impl.dropNumbering();
+    impl.prepareDispatchTables(module->context());
+    // Launch bodies compile eagerly with the top level; each shared
+    // program counts once, and a fused record stands for its elements.
+    impl.programFor(&module->region(0).front());
+    PrecompileStats stats;
+    for (const auto &prog : impl.programStore) {
+        stats.microOps += prog->code.size() + prog->fusedElems.size() -
+                          prog->fusedGroups.size();
+        ++stats.programs;
+    }
+    return stats;
 }
 
 } // namespace sim

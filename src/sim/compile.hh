@@ -32,6 +32,15 @@
  * nodes. This is the production engine; the interpreter (interp.cc)
  * is the reference it is tested against.
  *
+ * Sharing: launch bodies that agree in structure — op kinds,
+ * attributes, result types, and operand wiring (block argument, local
+ * result, or outer (hops, slot)) — are compiled once and share one
+ * program; the only per-site data, the capture mapping, lives with the
+ * launch site in the creating program. The records of a shared body
+ * name the ops of its first instance; attributes and names are equal
+ * by construction, and the program runs in an environment numbered as
+ * that first instance, so values looked up through its ops resolve.
+ *
  * Lifetime: a CompiledBlock borrows the IR (records keep the
  * originating ir::Operation* for attributes, trace labels, and cold
  * paths) and embeds the scope's value numbering, so it is cached and
@@ -103,7 +112,8 @@ enum class MOp : uint8_t {
     ControlStart,
     ControlAnd,
     ControlOr,
-    Launch,     ///< args = [deps..., proc]
+    Launch,     ///< args = [deps..., proc, captured...]; aux ->
+                ///< launches
     Memcpy,     ///< args = [dep, src, dst, dma, (conn)]
     Await,      ///< args = [events...] (none = all spawned)
     Return,
@@ -248,21 +258,30 @@ struct CompiledBlock {
     };
     std::vector<ParLoopInfo> parLoops;
 
-    /** Launch bodies compiled eagerly with their parent; a Launch
-     *  record's aux indexes this, and the pointer rides on the Event
-     *  so issue skips the program-cache lookup. Owned by the engine's
-     *  program cache (same lifetime as this block). */
-    std::vector<const CompiledBlock *> childProgs;
-
-    /** Pre-resolved captured-value mapping for a launch body: at issue
-     *  time, src (relative to the *creator* environment) is copied
-     *  into the body-local block-argument slot. Replaces the
-     *  interpreter's per-issue captured() walk and scope-chain finds. */
+    /** Pre-resolved captured-value mapping of a launch site: at issue
+     *  time, src (relative to the *creator* environment, i.e. this
+     *  program's) is copied into the body-local block-argument slot.
+     *  Replaces the interpreter's per-issue captured() walk and
+     *  scope-chain finds. */
     struct Capture {
         SlotRef src;      ///< creator-relative (hops from creatorEnv)
         uint32_t argSlot; ///< body-local block-argument slot
     };
+    /** Every launch site's captures, back to back. */
     std::vector<Capture> captures;
+
+    /** One launch site of this scope: its body's program, compiled
+     *  eagerly with this one (and shared by every body of the same
+     *  shape), and the site's captures. A Launch record's aux indexes
+     *  @ref launches; body and captures ride on the Event so issue
+     *  skips the program-cache lookup. Programs are owned by the
+     *  engine's program store (same lifetime as this block). */
+    struct LaunchSite {
+        const CompiledBlock *body;
+        uint32_t capturesBegin;
+        uint32_t numCaptures;
+    };
+    std::vector<LaunchSite> launches;
 
     /** Superinstruction groups (MOp::Fused records; sim/fuse.cc) and
      *  their elements, all groups' back to back. */
@@ -272,8 +291,8 @@ struct CompiledBlock {
      *  (elements with kFlagImmIdx). */
     std::vector<int64_t> immIdx;
 
-    /** Root block this program was compiled from (keys the program
-     *  cache). */
+    /** Root block this program was compiled from (for a shared body,
+     *  its shape's first instance). */
     ir::Block *root = nullptr;
     /** Scope this program was compiled against (must match the
      *  executing environment's scopeId). */

@@ -660,7 +660,10 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             ev->proc = static_cast<Processor *>(
                 argOf(e, ndeps).asComponent());
             ev->creatorEnv = _env;
-            ev->bodyProg = _prog->childProgs[e.aux];
+            const auto &site = _prog->launches[e.aux];
+            ev->bodyProg = site.body;
+            ev->captures = _prog->captures.data() + site.capturesBegin;
+            ev->numCaptures = site.numCaptures;
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             _spawned.push_back(ev->id);
             _eng.enqueueOnProcessor(ev, now);

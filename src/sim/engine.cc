@@ -155,19 +155,9 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
     // alias destroyed ones); batched re-runs of a pinned module keep it.
     reset(/*keep_numbering=*/reuse_compiled);
     traceData.setEnabled(trace_on);
-    // Dispatch resolves against the module's context; contexts can
-    // differ between runs of one Simulator, so rebuild per run (cheap:
-    // one pass over the interned-name pool). Batched re-runs skip the
-    // rebuild while the table still covers every interned name of the
-    // same context. The pointer compare is sound only because
-    // reuse_compiled implies a previous run of this pinned module: its
-    // context has been alive continuously since then, so a live-vs-live
-    // address match identifies the same Context object (a destroyed
-    // context's address can never equal a continuously-live one's).
-    ir::Context &ctx = module->context();
-    if (!reuse_compiled || dispatchCtx != &ctx ||
-        handlers.size() != ctx.numInternedOpNames())
-        buildDispatchTable(ctx);
+    // Dispatch resolves against the module's context; a Session's runs
+    // all share one, so they build the tables once.
+    prepareDispatchTables(module->context());
 
     ir::Block *root = &module->region(0).front();
     EnvPtr env = makeEnv(root, nullptr);

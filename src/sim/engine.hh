@@ -43,9 +43,9 @@ class Session;
  *    dense micro-op stream (pre-resolved slots, pre-folded costs,
  *    pre-computed branch targets; see sim/compile.hh), then fuses
  *    every run of data records into superinstructions (sim/fuse.hh),
- *    and dispatches over that stream. Compilation is cached per
- *    region, so Session re-runs and sweeps pay it once per
- *    structural config.
+ *    and dispatches over that stream. Launch bodies of one shape
+ *    share one program, and compilation is cached per region, so
+ *    Session re-runs and sweeps pay it once per structural config.
  *  - Interp: tree-walks ir::Operation nodes through the OpId handler
  *    table. Kept as the reference oracle the compiled backend is
  *    tested against.
@@ -65,6 +65,16 @@ struct EngineOptions {
     /** Execution backend; Auto resolves EQ_SIM_BACKEND at Simulator
      *  construction (default Compiled). */
     Backend backend = Backend::Auto;
+};
+
+/** What Simulator::precompile lowered. */
+struct PrecompileStats {
+    /** Micro-ops over all programs; a fused group counts its
+     *  elements. */
+    size_t microOps = 0;
+    /** Programs: the top level plus one per distinct launch-body
+     *  shape (bodies of one shape share a program). */
+    size_t programs = 0;
 };
 
 /**
@@ -104,10 +114,8 @@ class Simulator {
      * Session's first run pays and its re-runs amortize, fusion
      * included). Note a subsequent run still recompiles: per-run setup
      * legitimately rebuilds caches unless a Session pins the module.
-     * @return total number of micro-ops lowered (a fused group counts
-     *         its elements)
      */
-    size_t precompile(ir::Operation *module);
+    PrecompileStats precompile(ir::Operation *module);
 
     /** Custom `equeue.op` signatures (§III-E). */
     OpFunctionRegistry &opFunctions();

@@ -247,9 +247,12 @@ struct Event {
     ir::Operation *op = nullptr;
     Processor *proc = nullptr;
     EnvPtr creatorEnv;
-    /** Compiled backend: the launch body's pre-lowered program, set by
-     *  the Launch micro-op so issue needs no cache lookup. */
+    /** Compiled backend: the launch body's pre-lowered program and
+     *  the launch site's capture mapping (in the creator's program),
+     *  set by the Launch micro-op so issue needs no cache lookup. */
     const CompiledBlock *bodyProg = nullptr;
+    const CompiledBlock::Capture *captures = nullptr;
+    uint32_t numCaptures = 0;
     // Memcpy payload (resolved at creation).
     BufferObj *src = nullptr;
     BufferObj *dst = nullptr;
@@ -275,6 +278,8 @@ struct Event {
         proc = nullptr;
         creatorEnv.reset();
         bodyProg = nullptr;
+        captures = nullptr;
+        numCaptures = 0;
         src = dst = nullptr;
         conn = nullptr;
         nextQueued = nullptr;
@@ -458,14 +463,13 @@ struct Simulator::Impl {
     // Every allocation the engine makes per launch, event or op has a
     // home here (or further down: the event slab, the queues, the join
     // records, the compiled-exec pool, the buffers) that survives
-    // reset() (the buffers only while the module stays the same), so
-    // re-runs of a pinned module reach a steady state that never calls
-    // malloc. The env pool is declared first: members are destroyed in
-    // reverse order, so envs released while the events and execs below
-    // tear down always find it alive.
+    // reset(), so re-runs of a pinned module reach a steady state that
+    // never calls malloc. The env pool is declared first: members are
+    // destroyed in reverse order, so envs released while the events and
+    // execs below tear down always find it alive.
     EnvPool envPool;
 
-    // --- per-run dispatch state ---------------------------------------
+    // --- per-context dispatch state -----------------------------------
     /** Handler table indexed by OpId::raw(); null = uninterpretable. */
     std::vector<BlockExec::Handler> handlers;
     /** OpId::raw() -> dense compiled opcode (MOp::Bad when the op has
@@ -475,28 +479,35 @@ struct Simulator::Impl {
     /** (CostClass, OpId) -> processor occupancy cycles;
      *  CostModel::kDynamic defers to linalgCycles at execution time. */
     std::array<std::vector<Cycles>, kNumCostClasses> costTable;
-    /** Ids the interpreter compares against (resolved per run). */
+    /** Ids the interpreter compares against (resolved per context). */
     ir::OpId idAffineFor, idAffineParallel, idAffineStore, idControlAnd,
         idAddComp, idExtractComp, idEqueueAlloc, idExtern, idLaunch,
         idConv, idFill, idMatmul;
 
-    /** Build the dispatch/cost tables for @p ctx (interp.cc). */
-    void buildDispatchTable(ir::Context &ctx);
+    /** Context::serial() of the context the tables above were built
+     *  for (0: none yet). A serial is never reused, so a new context at
+     *  a destroyed one's address still gets fresh tables. */
+    uint64_t dispatchSerial = 0;
+
+    /** Make the dispatch/cost tables cover @p ctx, building them
+     *  unless they already do (interp.cc). */
+    void prepareDispatchTables(ir::Context &ctx);
 
     // --- value numbering ----------------------------------------------
     struct ValueScope {
         uint32_t scopeId;
         uint32_t numSlots;
+        /** Ops, operands and blocks of the scope's inline tree (sizes
+         *  the compiler's record and operand pools). */
+        uint32_t numOps;
+        uint32_t numOperands;
+        uint32_t numBlocks;
     };
     /** Numbered interpretation scopes, keyed by root block. */
     std::unordered_map<ir::Block *, ValueScope> valueScopes;
     /** Scope id source; never reset so stale ValueImpl numbering from
      *  earlier runs can never alias a live scope. 0 = "unnumbered". */
     uint32_t nextScopeId = 1;
-    /** Context the dispatch/cost tables were built against; batched
-     *  runs reuse the tables while this matches the module's context
-     *  and no new op names were interned since. */
-    ir::Context *dispatchCtx = nullptr;
 
     /** Slot-number @p root (cached); assigns ValueImpl::interpScope and
      *  interpSlot across the whole inline-interpreted block tree. */
@@ -505,22 +516,36 @@ struct Simulator::Impl {
     EnvPtr makeEnv(ir::Block *root, EnvPtr parent);
 
     // --- compiled backend ---------------------------------------------
-    /** Compiled (lowered, then fused) micro-op programs, keyed by
-     *  scope root block. Cached and invalidated exactly like
-     *  @ref valueScopes (the program embeds the scope's slot
-     *  assignment): batched re-runs of a pinned module reuse them, a
-     *  full reset clears them. */
-    std::unordered_map<ir::Block *, std::unique_ptr<CompiledBlock>>
-        programs;
-    /** Lower and fuse @p root once (cached); see compile.cc. */
+    /** Every compiled (lowered, then fused) micro-op program: the
+     *  module top level and one per distinct launch-body shape. Cached
+     *  and invalidated exactly like @ref valueScopes (a program embeds
+     *  its first instance's slot assignment): batched re-runs of a
+     *  pinned module reuse them, a full reset clears them. */
+    std::vector<std::unique_ptr<CompiledBlock>> programStore;
+    /** Scope root block -> its program; launch bodies of one shape
+     *  share theirs. */
+    std::unordered_map<ir::Block *, const CompiledBlock *> programs;
+    /** A launch-body shape: the structural tokens of its first
+     *  instance (compile.cc) and the program compiled from it. */
+    struct Shape {
+        std::vector<uint64_t> tokens;
+        const CompiledBlock *prog;
+    };
+    /** Launch-body shapes by token hash; a hit is confirmed by a full
+     *  comparison. */
+    std::unordered_multimap<uint64_t, Shape> shapes;
+    /** Token buffer for the body being looked up (reused). */
+    std::vector<uint64_t> shapeScratch;
+    /** Lower and fuse @p root once (cached); a launch body whose shape
+     *  was compiled before shares that program (compile.cc). */
     const CompiledBlock &programFor(ir::Block *root);
 
     // --- per-run simulation state -------------------------------------
     std::vector<std::unique_ptr<Component>> components;
-    /** Buffers by allocation order. A reset that keeps the numbering
-     *  (a re-run of the same module) keeps the previous run's, and
-     *  elabAlloc reuses the one at its position (zero-filled) when
-     *  shape and width match and nothing outside holds its tensor. */
+    /** Buffers by allocation order. A reset keeps the previous run's
+     *  (of this or any earlier module), and elabAlloc reuses the one
+     *  at its position (zero-filled) when shape and width match and
+     *  nothing outside holds its tensor. */
     std::vector<std::unique_ptr<BufferObj>> buffers;
     /** Buffers allocated so far in this run (a prefix of @ref buffers). */
     size_t numBuffers = 0;
@@ -592,6 +617,9 @@ struct Simulator::Impl {
      *  module); a full reset must clear it because destroyed blocks
      *  from an earlier module could alias new block addresses. */
     void reset(bool keep_numbering = false);
+    /** Forget the value numbering and every program compiled against
+     *  it. */
+    void dropNumbering();
     std::string freshName(const std::string &base);
 
     void
@@ -760,13 +788,12 @@ struct Simulator::Impl {
 
     SimReport buildReport(double wall_seconds) const;
 
-    /** One simulation of @p module (engine.cc). With @p reuse_compiled
-     *  the dispatch/cost tables survive when still valid (same context,
-     *  no new interned names) and the value numbering survives too —
-     *  only safe when the previous run interpreted this same,
-     *  still-alive, unmodified module: a fresh module's blocks (or a
-     *  fresh context) could alias destroyed ones, so first runs must
-     *  pass false and rebuild everything. */
+    /** One simulation of @p module (engine.cc). The dispatch/cost
+     *  tables survive while still valid (same context, no new interned
+     *  names). With @p reuse_compiled the value numbering and programs
+     *  survive too — only safe when the previous run interpreted this
+     *  same, still-alive, unmodified module: a fresh module's blocks
+     *  could alias destroyed ones, so first runs must pass false. */
     SimReport runModule(ir::Operation *module, bool reuse_compiled);
 };
 

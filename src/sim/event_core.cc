@@ -19,11 +19,11 @@ void
 Simulator::Impl::reset(bool keep_numbering)
 {
     components.clear();
-    // A re-run of the same module keeps exactly the last run's buffers
-    // for elabAlloc to reuse by position. A new module's buffers rarely
-    // line up with the old ones, and keeping those would only add them
-    // to the new run's peak memory.
-    buffers.resize(keep_numbering ? numBuffers : 0);
+    // Keep exactly the last run's buffers for elabAlloc to reuse by
+    // position, whatever module comes next: a sweep's consecutive
+    // points allocate mostly the same shapes in the same order, and a
+    // buffer that does not line up is simply replaced.
+    buffers.resize(numBuffers);
     numBuffers = 0;
     events.clear();
     blockExecs.clear();
@@ -48,14 +48,21 @@ Simulator::Impl::reset(bool keep_numbering)
     dispatchCount = 0;
     for (auto &kv : nameCounters)
         kv.second = 0;
-    if (!keep_numbering) {
-        valueScopes.clear();
-        // Compiled programs embed the numbering (slot refs resolved
-        // against it), so they live and die with it.
-        programs.clear();
-    }
+    if (!keep_numbering)
+        dropNumbering();
     traceData.clear();
     rootProc = std::make_unique<Processor>("host", "Root");
+}
+
+void
+Simulator::Impl::dropNumbering()
+{
+    valueScopes.clear();
+    // Compiled programs embed the numbering (slot refs resolved
+    // against it), so they live and die with it.
+    programs.clear();
+    shapes.clear();
+    programStore.clear();
 }
 
 std::string
@@ -285,14 +292,16 @@ void
 Simulator::Impl::issueLaunch(Event *ev, Cycles t)
 {
     if (backend == Backend::Compiled) {
-        // Pre-compiled issue: the body program (pinned on the event by
-        // the Launch micro-op) knows its scope size and its capture
-        // mapping, so no per-issue numbering lookup and no use chain
-        // walks — captures are slot-to-slot copies.
+        // Pre-compiled issue: the body program and the site's capture
+        // mapping (pinned on the event by the Launch micro-op) give the
+        // scope size and the captured slots, so no per-issue numbering
+        // lookup and no use chain walks — captures are slot-to-slot
+        // copies.
         const CompiledBlock &prog = *ev->bodyProg;
         EnvPtr env = envPool.acquire(prog.scopeId, prog.numSlots,
                                      ev->creatorEnv);
-        for (const auto &cap : prog.captures) {
+        for (uint32_t i = 0; i < ev->numCaptures; ++i) {
+            const CompiledBlock::Capture &cap = ev->captures[i];
             Env *e = env->parent.get();
             for (uint32_t h = cap.src.hops; h; --h)
                 e = e->parent.get();

@@ -98,7 +98,8 @@ struct UseSite {
 /** Mark every slot of the scope at @p depth hops that @p prog (a
  *  descendant launch body) or its own descendants reference — such
  *  slots escape the parent program and must keep their materialized
- *  values. */
+ *  values. A Launch record's operands include the values its site
+ *  captures, so the args pool covers captures too. */
 void
 markDescendantUses(const CompiledBlock &prog, uint32_t depth,
                    std::vector<char> &used)
@@ -106,12 +107,8 @@ markDescendantUses(const CompiledBlock &prog, uint32_t depth,
     for (const SlotRef &r : prog.args)
         if (r.hops == depth && r.slot < used.size())
             used[r.slot] = 1;
-    // Captures are creator-relative (one level shallower).
-    for (const auto &cap : prog.captures)
-        if (cap.src.hops == depth - 1 && cap.src.slot < used.size())
-            used[cap.src.slot] = 1;
-    for (const CompiledBlock *c : prog.childProgs)
-        markDescendantUses(*c, depth + 1, used);
+    for (const auto &site : prog.launches)
+        markDescendantUses(*site.body, depth + 1, used);
 }
 
 class Fuser {
@@ -122,6 +119,7 @@ class Fuser {
           _opFns(opFns)
     {
         _prog->code.clear();
+        _prog->code.reserve(_code.size());
         _prog->fusedElems.reserve(_code.size());
         analyze();
     }
@@ -199,21 +197,35 @@ class Fuser {
     void
     analyze()
     {
-        _constOf.assign(_prog->numSlots, -1);
-        _escapes.assign(_prog->numSlots, 0);
-        _uses.assign(_prog->numSlots, {});
-        for (uint32_t pc = 0; pc < _code.size(); ++pc) {
-            const MicroOp &m = _code[pc];
+        const uint32_t n = _prog->numSlots;
+        _constOf.assign(n, -1);
+        _escapes.assign(n, 0);
+        // Use sites grouped by slot in one array (counted, then
+        // placed), rather than a vector per slot.
+        _useBegin.assign(n + 1, 0);
+        auto local = [&](const MicroOp &m, uint32_t a) -> const SlotRef * {
+            const SlotRef &r = _prog->args[m.argsBegin + a];
+            return r.hops == 0 && r.slot < n ? &r : nullptr;
+        };
+        for (const MicroOp &m : _code) {
             if (m.code == MOp::Constant && m.result != kNoSlot)
                 _constOf[m.result] = static_cast<int64_t>(m.aux);
-            for (uint32_t a = 0; a < m.nargs; ++a) {
-                const SlotRef &r = _prog->args[m.argsBegin + a];
-                if (r.hops == 0 && r.slot < _uses.size())
-                    _uses[r.slot].push_back(UseSite{pc, a});
-            }
+            for (uint32_t a = 0; a < m.nargs; ++a)
+                if (const SlotRef *r = local(m, a))
+                    ++_useBegin[r->slot + 1];
         }
-        for (const CompiledBlock *c : _prog->childProgs)
-            markDescendantUses(*c, 1, _escapes);
+        for (uint32_t i = 0; i < n; ++i)
+            _useBegin[i + 1] += _useBegin[i];
+        _useSites.resize(_useBegin[n]);
+        std::vector<uint32_t> next(_useBegin.begin(), _useBegin.end() - 1);
+        for (uint32_t pc = 0; pc < _code.size(); ++pc)
+            for (uint32_t a = 0; a < _code[pc].nargs; ++a)
+                if (const SlotRef *r = local(_code[pc], a))
+                    _useSites[next[r->slot]++] = UseSite{pc, a};
+        // This scope's own captures are operands of its Launch
+        // records, which no scalarized read may feed anyway.
+        for (const auto &site : _prog->launches)
+            markDescendantUses(*site.body, 1, _escapes);
     }
 
     /** Is the operand a same-scope slot holding a known int constant? */
@@ -261,9 +273,10 @@ class Fuser {
     bool
     mayScalarize(uint32_t pc, uint32_t slot, uint32_t end) const
     {
-        if (slot >= _uses.size() || _escapes[slot])
+        if (slot >= _escapes.size() || _escapes[slot])
             return false;
-        for (const UseSite &u : _uses[slot]) {
+        for (uint32_t k = _useBegin[slot]; k < _useBegin[slot + 1]; ++k) {
+            const UseSite &u = _useSites[k];
             if (u.pc <= pc || u.pc >= end)
                 return false;
             const MicroOp &user = _code[u.pc];
@@ -341,7 +354,9 @@ class Fuser {
     const OpFunctionRegistry &_opFns;
     std::vector<int64_t> _constOf;    ///< slot -> consts index (-1)
     std::vector<char> _escapes;       ///< slot referenced by descendants
-    std::vector<std::vector<UseSite>> _uses;
+    /** Uses of slot s: _useSites[_useBegin[s], _useBegin[s + 1]). */
+    std::vector<uint32_t> _useBegin;
+    std::vector<UseSite> _useSites;
 };
 
 } // namespace

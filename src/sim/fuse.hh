@@ -53,7 +53,7 @@ class OpFunctionRegistry;
 /**
  * Rewrite the lowered program @p prog in place with superinstruction
  * fusion (its pools are kept; only the record stream is replaced).
- * Launch bodies pinned in prog->childProgs must already be fused.
+ * Launch bodies pinned in prog->launches must already be fused.
  * @param opFns registry used to cache extern function pointers
  */
 std::unique_ptr<CompiledBlock>

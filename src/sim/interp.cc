@@ -31,30 +31,33 @@ namespace sim {
 
 namespace {
 
-/** Assign slots to every value in @p block's inline-interpreted tree;
- *  returns the next free slot. */
-uint32_t
-numberBlock(ir::Block *block, uint32_t scope_id, uint32_t next_slot,
+/** Assign scope @p vs.scopeId's slots to every value in @p block's
+ *  inline-interpreted tree, counting slots, ops, operands and blocks
+ *  into @p vs. */
+void
+numberBlock(ir::Block *block, Simulator::Impl::ValueScope &vs,
             ir::OpId launch_id)
 {
+    ++vs.numBlocks;
     for (unsigned i = 0; i < block->numArguments(); ++i) {
         ir::ValueImpl *impl = block->argument(i).impl();
-        impl->interpScope = scope_id;
-        impl->interpSlot = next_slot++;
+        impl->interpScope = vs.scopeId;
+        impl->interpSlot = vs.numSlots++;
     }
     for (ir::Operation *op : *block) {
-        for (ir::Value r : op->results()) {
-            r.impl()->interpScope = scope_id;
-            r.impl()->interpSlot = next_slot++;
+        ++vs.numOps;
+        vs.numOperands += static_cast<uint32_t>(op->numOperands());
+        for (unsigned r = 0; r < op->numResults(); ++r) {
+            ir::ValueImpl *impl = op->result(r).impl();
+            impl->interpScope = vs.scopeId;
+            impl->interpSlot = vs.numSlots++;
         }
         if (op->opId() == launch_id)
             continue; // launch bodies are separate scopes
         for (unsigned r = 0; r < op->numRegions(); ++r)
             for (ir::Block &nested : op->region(r))
-                next_slot = numberBlock(&nested, scope_id, next_slot,
-                                        launch_id);
+                numberBlock(&nested, vs, launch_id);
     }
-    return next_slot;
 }
 
 } // namespace
@@ -65,10 +68,9 @@ Simulator::Impl::scopeFor(ir::Block *root)
     auto it = valueScopes.find(root);
     if (it != valueScopes.end())
         return it->second;
-    uint32_t scope_id = nextScopeId++;
-    uint32_t slots = numberBlock(root, scope_id, 0, idLaunch);
-    return valueScopes.emplace(root, ValueScope{scope_id, slots})
-        .first->second;
+    ValueScope vs{nextScopeId++, 0, 0, 0, 0};
+    numberBlock(root, vs, idLaunch);
+    return valueScopes.emplace(root, vs).first->second;
 }
 
 EnvPtr
@@ -118,9 +120,16 @@ EnvPool::recycle(Env *e)
 // Dispatch table
 
 void
-Simulator::Impl::buildDispatchTable(ir::Context &ctx)
+Simulator::Impl::prepareDispatchTables(ir::Context &ctx)
 {
-    dispatchCtx = &ctx;
+    // Built once per context: rebuilt only for another context
+    // (identified by its serial, which unlike its address is never
+    // reused) or for names interned since, which the tables do not
+    // cover yet.
+    if (dispatchSerial == ctx.serial() &&
+        handlers.size() == ctx.numInternedOpNames())
+        return;
+    dispatchSerial = ctx.serial();
     // Ids the interpreter's handlers compare against. Resolved before
     // the table is sized, so any name these intern is covered by it.
     idAffineFor = affine::ForOp::id(ctx);

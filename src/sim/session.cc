@@ -36,10 +36,10 @@ Session::run()
 {
     assert(ready() && "Session::run before rebuild()");
     // The first run is a plain simulate(): verify once and rebuild
-    // numbering and dispatch tables from scratch, since leftovers from
-    // an earlier module (possibly destroyed, its addresses reusable)
+    // numbering and programs from scratch, since leftovers from an
+    // earlier module (possibly destroyed, its addresses reusable)
     // cannot be trusted. From then on the previous run interpreted
-    // exactly this pinned module, so its numbering and tables are
+    // exactly this pinned module, so its numbering and programs are
     // authoritative. A run that throws does not count.
     SimReport report =
         _runs == 0 ? _sim.simulate(_module.get())

@@ -11,10 +11,11 @@
  * once), and — after rebuild() — a pinned module. The first run after
  * a rebuild verifies the module and fully resets the engine's value
  * numbering (the new module's blocks may alias destroyed ones); later
- * runs keep the numbering, the dispatch tables and the compiled/fused
- * programs. Per-run state — components, buffers, events, the heap —
- * always resets, so every run is cycle-identical to a fresh
- * Simulator's. Plain simulator().simulate() calls in between are
+ * runs keep the numbering and the compiled/fused programs. The
+ * dispatch tables (one context) and the pooled buffers outlive
+ * rebuilds too. Per-run state — components, buffer contents, events,
+ * the heap — always resets, so every run is cycle-identical to a
+ * fresh Simulator's. Plain simulator().simulate() calls in between are
  * safe: the next run renumbers and relowers lazily.
  *
  * The Session does not decide *when* to rebuild: callers key on their

@@ -173,6 +173,43 @@ TEST_F(EQueueDialectTest, ReadWriteConnAndIndexLayout)
     EXPECT_EQ(equeue::WriteOp(wr.op()).indices().size(), 1u);
 }
 
+TEST_F(EQueueDialectTest, StreamReadNeedsStreamAndElems)
+{
+    auto stream = b->create<equeue::CreateStreamOp>(32u);
+    auto conn = b->create<equeue::CreateConnectionOp>(
+        std::string("Streaming"), int64_t{32});
+    EXPECT_EQ(b->create<equeue::StreamReadOp>(stream->result(0),
+                                              int64_t{4}, 32u)
+                  ->verify(),
+              "");
+    EXPECT_EQ(b->create<equeue::StreamReadOp>(stream->result(0),
+                                              int64_t{4}, 32u,
+                                              conn->result(0))
+                  ->verify(),
+              "");
+
+    // No `elems`: used to verify clean, then abort the engine when it
+    // read the attribute.
+    ir::Type t = ctx.tensorType({4}, 32);
+    auto *no_elems =
+        b->create("equeue.stream_read", {t}, {stream->result(0)});
+    EXPECT_NE(no_elems->verify(), "");
+    EXPECT_NE(module->verify(), "");
+    no_elems->erase();
+
+    auto *no_stream = b->create("equeue.stream_read", {t}, {});
+    no_stream->setAttr("elems", ir::Attribute::integer(4));
+    EXPECT_NE(no_stream->verify(), "");
+    auto *not_stream =
+        b->create("equeue.stream_read", {t}, {conn->result(0)});
+    not_stream->setAttr("elems", ir::Attribute::integer(4));
+    EXPECT_NE(not_stream->verify(), "");
+    auto *string_elems =
+        b->create("equeue.stream_read", {t}, {stream->result(0)});
+    string_elems->setAttr("elems", ir::Attribute::string("4"));
+    EXPECT_NE(string_elems->verify(), "");
+}
+
 TEST_F(EQueueDialectTest, ExternOpCarriesSignature)
 {
     auto op = b->create<equeue::ExternOp>(

@@ -446,13 +446,177 @@ TEST(BackendEquivTest, PrecompileCountsMicroOps)
     sim::EngineOptions opts;
     opts.backend = sim::Backend::Compiled;
     sim::Simulator s(opts);
-    size_t n1 = s.precompile(module.get());
+    size_t n1 = s.precompile(module.get()).microOps;
     EXPECT_GT(n1, 0u);
     // Deterministic: recompiling from scratch yields the same stream.
-    EXPECT_EQ(n1, s.precompile(module.get()));
+    EXPECT_EQ(n1, s.precompile(module.get()).microOps);
     // And a subsequent simulation is unaffected by the measurement.
     auto rep = s.simulate(module.get());
     EXPECT_GT(rep.cycles, 0u);
+}
+
+/** Launch bodies of one shape share one compiled program. */
+sim::PrecompileStats
+precompiled(ir::Operation *module)
+{
+    sim::EngineOptions opts;
+    opts.backend = sim::Backend::Compiled;
+    return sim::Simulator(opts).precompile(module);
+}
+
+/** Four launch sites whose bodies agree in structure and differ only in
+ *  what they capture: a buffer in a memory of the site's own, so the
+ *  per-memory traffic shows which buffer each body touched. Each body
+ *  uses a top-level constant it does not capture, calls the "mac"
+ *  extern (signature attribute) and launches a nested body on a
+ *  top-level processor it does not capture either. */
+ir::OwningOpRef
+buildSharedBodies(ir::Context &ctx)
+{
+    auto module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    ir::Value inner_proc =
+        b.create<equeue::CreateProcOp>(std::string("ARMr5"))->result(0);
+    ir::Value k =
+        b.create<arith::ConstantOp>(int64_t{5}, ctx.i32Type())->result(0);
+    ir::Value start = b.create<equeue::ControlStartOp>()->result(0);
+    for (int site = 0; site < 4; ++site) {
+        ir::Value proc =
+            b.create<equeue::CreateProcOp>(std::string("ARMr5"))->result(0);
+        auto sram = b.create<equeue::CreateMemOp>(
+            std::string("SRAM"), std::vector<int64_t>{64}, 32u, 2u);
+        ir::Value buf = b.create<equeue::AllocOp>(sram->result(0),
+                                                  std::vector<int64_t>{1},
+                                                  32u)
+                            ->result(0);
+        auto launch = b.create<equeue::LaunchOp>(
+            std::vector<ir::Value>{start}, proc, std::vector<ir::Value>{buf},
+            std::vector<ir::Type>{});
+        ir::OpBuilder::InsertionGuard g(b);
+        equeue::LaunchOp l(launch.op());
+        b.setInsertionPointToEnd(&l.body());
+        ir::Value arg = l.body().argument(0);
+        ir::Value one =
+            b.create<arith::ConstantOp>(int64_t{1}, ctx.i32Type())->result(0);
+        ir::Value sum = b.create<arith::AddIOp>(one, k)->result(0);
+        b.create<equeue::WriteOp>(sum, arg);
+        ir::Value cell = b.create<equeue::ReadOp>(arg)->result(0);
+        ir::Value mac = b.create<equeue::ExternOp>(
+                             std::string("mac"),
+                             std::vector<ir::Value>{cell, cell, sum},
+                             std::vector<ir::Type>{ctx.i32Type()})
+                            ->result(0);
+        b.create<equeue::WriteOp>(mac, arg);
+        ir::Value go = b.create<equeue::ControlStartOp>()->result(0);
+        auto nested = b.create<equeue::LaunchOp>(
+            std::vector<ir::Value>{go}, inner_proc,
+            std::vector<ir::Value>{arg}, std::vector<ir::Type>{});
+        {
+            ir::OpBuilder::InsertionGuard g2(b);
+            equeue::LaunchOp n(nested.op());
+            b.setInsertionPointToEnd(&n.body());
+            ir::Value v = b.create<equeue::ReadOp>(n.body().argument(0))
+                              ->result(0);
+            ir::Value w = b.create<equeue::ExternOp>(
+                               std::string("mac"),
+                               std::vector<ir::Value>{v, v, k},
+                               std::vector<ir::Type>{ctx.i32Type()})
+                              ->result(0);
+            b.create<equeue::WriteOp>(w, n.body().argument(0));
+            b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+        }
+        b.create<equeue::AwaitOp>(
+            std::vector<ir::Value>{nested->result(0)});
+        b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    }
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{});
+    return module;
+}
+
+TEST(BackendEquivTest, SharedLaunchBodiesMatchInterp)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto module = buildSharedBodies(ctx);
+    ASSERT_EQ(module->verify(), "");
+    // The top level, the shared body and its nested body.
+    EXPECT_EQ(precompiled(module.get()).programs, 3u);
+    RunOutcome interp = simulate(kInterp, module.get());
+    RunOutcome compiled = simulate(kCompiled, module.get());
+    expectMatrix(interp, compiled);
+    ASSERT_EQ(compiled.report.memories.size(), 4u);
+    for (const auto &mem : compiled.report.memories)
+        EXPECT_GT(mem.bytesWritten, 0u) << mem.name;
+}
+
+TEST(BackendEquivTest, BodiesDifferingInStructureAreNotShared)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    ir::Value proc =
+        b.create<equeue::CreateProcOp>(std::string("ARMr5"))->result(0);
+    ir::Value k1 =
+        b.create<arith::ConstantOp>(int64_t{5}, ctx.i32Type())->result(0);
+    ir::Value k2 =
+        b.create<arith::ConstantOp>(int64_t{5}, ctx.i32Type())->result(0);
+    ir::Value start = b.create<equeue::ControlStartOp>()->result(0);
+    // Body: c = const value : type; d = const 7; x = addi(c, d) (or
+    // addi(d, c)); addi(x, outer).
+    auto site = [&](int64_t value, ir::Type type, bool swap,
+                    ir::Value outer) {
+        auto launch = b.create<equeue::LaunchOp>(
+            std::vector<ir::Value>{start}, proc, std::vector<ir::Value>{},
+            std::vector<ir::Type>{});
+        ir::OpBuilder::InsertionGuard g(b);
+        equeue::LaunchOp l(launch.op());
+        b.setInsertionPointToEnd(&l.body());
+        ir::Value c = b.create<arith::ConstantOp>(value, type)->result(0);
+        ir::Value d =
+            b.create<arith::ConstantOp>(int64_t{7}, type)->result(0);
+        ir::Value x = swap ? b.create<arith::AddIOp>(d, c)->result(0)
+                           : b.create<arith::AddIOp>(c, d)->result(0);
+        b.create<arith::AddIOp>(x, outer);
+        b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    };
+    site(1, ctx.i32Type(), false, k1); // the base shape
+    site(1, ctx.i32Type(), false, k1); // shares the base shape
+    site(2, ctx.i32Type(), false, k1); // an attribute differs
+    site(1, ctx.i64Type(), false, k1); // a result type differs
+    site(1, ctx.i32Type(), true, k1);  // local operand wiring differs
+    site(1, ctx.i32Type(), false, k2); // outer operand wiring differs
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{});
+    EXPECT_EQ(precompiled(module.get()).programs, 1u + 5u);
+}
+
+TEST(BackendEquivTest, SystolicPeBodiesCompileOncePerShape)
+{
+    // The BM_CompileModule module. At 8x8 its 64 launch bodies fall
+    // into 5 shapes, so 6 programs (with the top level) are compiled;
+    // the shapes do not grow with the array.
+    for (int edge : {4, 8, 16}) {
+        scalesim::Config cfg;
+        cfg.ah = cfg.aw = edge;
+        cfg.c = 2;
+        cfg.h = cfg.w = 8;
+        cfg.n = 2;
+        cfg.fh = cfg.fw = 2;
+        ir::Context ctx;
+        ir::registerAllDialects(ctx);
+        auto module = systolic::buildSystolicModule(ctx, cfg);
+        size_t bodies = 0;
+        module->walk([&](ir::Operation *op) {
+            bodies += op->opId() == equeue::LaunchOp::id(ctx);
+        });
+        if (edge == 8) {
+            EXPECT_EQ(bodies, 64u);
+        }
+        EXPECT_EQ(precompiled(module.get()).programs, 5u + 1u)
+            << edge << "x" << edge;
+    }
 }
 
 } // namespace

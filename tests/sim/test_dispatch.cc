@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
 #include "dialects/equeue.hh"
@@ -157,6 +159,68 @@ TEST_F(DispatchTest, DenseEnvSlotsAreStableAcrossRepeatedRuns)
         return sim::OpFnResult{};
     });
     s.simulate(module.get());
+    s.simulate(module.get());
+    ASSERT_EQ(probed.size(), 2u);
+    EXPECT_EQ(probed[0], 49);
+    EXPECT_EQ(probed[1], 49);
+}
+
+/** A probe of 7 * 7 inside a launch, in a fresh module of @p ctx. */
+ir::OwningOpRef
+buildSquareProbe(ir::Context &ctx)
+{
+    auto module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+    auto start = b.create<equeue::ControlStartOp>();
+    auto launch = b.create<equeue::LaunchOp>(
+        std::vector<ir::Value>{start->result(0)}, proc->result(0),
+        std::vector<ir::Value>{}, std::vector<ir::Type>{});
+    {
+        ir::OpBuilder::InsertionGuard g(b);
+        equeue::LaunchOp l(launch.op());
+        b.setInsertionPointToEnd(&l.body());
+        auto c = b.create<arith::ConstantOp>(int64_t{7}, ctx.i32Type());
+        auto sq = b.create<arith::MulIOp>(c->result(0), c->result(0));
+        b.create<equeue::ExternOp>(std::string("probe"),
+                                   std::vector<ir::Value>{sq->result(0)},
+                                   std::vector<ir::Type>{});
+        b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    }
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{launch->result(0)});
+    return module;
+}
+
+TEST(DispatchTableTest, ContextAtReusedAddressGetsFreshTables)
+{
+    // One Simulator keeps its dispatch tables across modules of one
+    // context. A second context built at the first one's address, with
+    // as many op names interned but in another order, must not inherit
+    // them: every op kind's id differs.
+    sim::Simulator s;
+    std::vector<int64_t> probed;
+    s.opFunctions().registerOp("probe", [&](const sim::OpCall &call) {
+        probed.push_back(call.args[0].asInt());
+        return sim::OpFnResult{};
+    });
+    std::optional<ir::Context> ctx;
+    ctx.emplace();
+    ir::registerAllDialects(*ctx);
+    ctx->internOpName("test.padding");
+    const uint32_t muli = arith::MulIOp::id(*ctx).raw();
+    s.simulate(buildSquareProbe(*ctx).get());
+    const size_t names = ctx->numInternedOpNames();
+    const ir::Context *first = &*ctx;
+
+    ctx.reset();
+    ctx.emplace();
+    ASSERT_EQ(&*ctx, first);
+    ctx->internOpName("test.padding");
+    ir::registerAllDialects(*ctx);
+    EXPECT_NE(arith::MulIOp::id(*ctx).raw(), muli);
+    ir::OwningOpRef module = buildSquareProbe(*ctx);
+    EXPECT_EQ(ctx->numInternedOpNames(), names);
     s.simulate(module.get());
     ASSERT_EQ(probed.size(), 2u);
     EXPECT_EQ(probed[0], 49);
