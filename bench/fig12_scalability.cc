@@ -114,11 +114,14 @@ main(int argc, char **argv)
         });
 
     args.emit(table);
-    auto wall = table.summarize("wall_s");
-    std::printf("# %zu configurations simulated; engine time "
-                "total %.3fs (mean %.4fs/point); execution time scales\n"
+    std::printf("# %zu configurations simulated", table.numRows());
+    if (!args.noWall) {
+        auto wall = table.summarize("wall_s");
+        std::printf("; engine time total %.3fs (mean %.4fs/point)",
+                    wall.sum, wall.mean);
+    }
+    std::printf("; execution time scales\n"
                 "# with cycle count (12a); loop iterations follow "
-                "ceil(D1/Ah)*ceil(D2/Aw) (12c-e).\n",
-                table.numRows(), wall.sum, wall.mean);
+                "ceil(D1/Ah)*ceil(D2/Aw) (12c-e).\n");
     return 0;
 }

@@ -85,12 +85,15 @@ main(int argc, char **argv)
         });
 
     args.emit(table);
-    auto wall = table.summarize("wall_s");
-    std::printf("# %zu SoC points simulated; engine time total %.3fs "
-                "(mean %.4fs/point).\n"
+    std::printf("# %zu SoC points simulated", table.numRows());
+    if (!args.noWall) {
+        auto wall = table.summarize("wall_s");
+        std::printf("; engine time total %.3fs (mean %.4fs/point)",
+                    wall.sum, wall.mean);
+    }
+    std::printf(".\n"
                 "# Read the curve per tile count: cycles fall as bus_bw "
                 "rises until compute bounds, and extra DMA engines only "
-                "help while the bus has headroom.\n",
-                table.numRows(), wall.sum, wall.mean);
+                "help while the bus has headroom.\n");
     return 0;
 }

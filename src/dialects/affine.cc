@@ -45,13 +45,6 @@ LoadOp::build(ir::OpBuilder &b, ir::Value memref,
     return b.create(opName, {elem}, std::move(operands));
 }
 
-std::vector<ir::Value>
-LoadOp::indices() const
-{
-    auto ops = _op->operands();
-    return {ops.begin() + 1, ops.end()};
-}
-
 ir::Operation *
 StoreOp::build(ir::OpBuilder &b, ir::Value value, ir::Value memref,
                std::vector<ir::Value> indices)
@@ -59,13 +52,6 @@ StoreOp::build(ir::OpBuilder &b, ir::Value value, ir::Value memref,
     std::vector<ir::Value> operands{value, memref};
     operands.insert(operands.end(), indices.begin(), indices.end());
     return b.create(opName, {}, std::move(operands));
-}
-
-std::vector<ir::Value>
-StoreOp::indices() const
-{
-    auto ops = _op->operands();
-    return {ops.begin() + 2, ops.end()};
 }
 
 ir::Operation *
@@ -79,55 +65,44 @@ namespace {
 std::string
 verifyFor(ir::Operation *op)
 {
-    if (op->numRegions() != 1 || op->region(0).empty())
-        return "expects a body region";
     if (op->region(0).front().numArguments() != 1)
         return "body must have exactly one induction variable";
-    if (!op->attr("lb") || !op->attr("ub") || !op->attr("step"))
-        return "requires lb/ub/step attributes";
     return "";
 }
 
 std::string
 verifyParallel(ir::Operation *op)
 {
-    if (op->numRegions() != 1 || op->region(0).empty())
-        return "expects a body region";
-    auto lbs = op->attr("lbs");
-    auto ubs = op->attr("ubs");
-    if (!lbs || !ubs)
-        return "requires lbs/ubs attributes";
-    if (lbs.asI64Array().size() != ubs.asI64Array().size())
-        return "lbs/ubs rank mismatch";
-    if (op->region(0).front().numArguments() != lbs.asI64Array().size())
+    size_t rank = op->attr("lbs").asI64Array().size();
+    if (op->attr("ubs").asI64Array().size() != rank ||
+        op->attr("steps").asI64Array().size() != rank)
+        return "lbs/ubs/steps rank mismatch";
+    if (op->region(0).front().numArguments() != rank)
         return "induction variable count mismatch";
+    return "";
+}
+
+/** One index per dimension of the accessed memref. */
+std::string
+checkIndexCount(ir::Value memref, ir::GroupBounds indices)
+{
+    if (indices.size() != memref.type().shape().size())
+        return "index count must match memref rank";
     return "";
 }
 
 std::string
 verifyLoad(ir::Operation *op)
 {
-    if (op->numOperands() < 1)
-        return "expects a memref operand";
-    ir::Type mt = op->operand(0).type();
-    if (!mt.isMemRef() && !mt.isBuffer())
-        return "first operand must be a memref or buffer";
-    if (op->numOperands() - 1 != mt.shape().size())
-        return "index count must match memref rank";
-    return "";
+    return checkIndexCount(LoadOp(op).memref(),
+                           ir::operandGroup(LoadOp::opSignature, *op, 1));
 }
 
 std::string
 verifyStore(ir::Operation *op)
 {
-    if (op->numOperands() < 2)
-        return "expects value and memref operands";
-    ir::Type mt = op->operand(1).type();
-    if (!mt.isMemRef() && !mt.isBuffer())
-        return "second operand must be a memref or buffer";
-    if (op->numOperands() - 2 != mt.shape().size())
-        return "index count must match memref rank";
-    return "";
+    return checkIndexCount(StoreOp(op).memref(),
+                           ir::operandGroup(StoreOp::opSignature, *op, 2));
 }
 
 } // namespace
@@ -135,11 +110,11 @@ verifyStore(ir::Operation *op)
 void
 registerDialect(ir::Context &ctx)
 {
-    ctx.registerOp({ForOp::opName, verifyFor, false});
-    ctx.registerOp({ParallelOp::opName, verifyParallel, false});
-    ctx.registerOp({LoadOp::opName, verifyLoad, false});
-    ctx.registerOp({StoreOp::opName, verifyStore, false});
-    ctx.registerOp({YieldOp::opName, nullptr, true});
+    ctx.registerOp<ForOp>(verifyFor);
+    ctx.registerOp<ParallelOp>(verifyParallel);
+    ctx.registerOp<LoadOp>(verifyLoad);
+    ctx.registerOp<StoreOp>(verifyStore);
+    ctx.registerOp<YieldOp>();
 }
 
 } // namespace affine

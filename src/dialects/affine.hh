@@ -14,6 +14,9 @@
 namespace eq {
 namespace affine {
 
+constexpr ir::KindMask kShapedKind =
+    ir::kinds(ir::TypeKind::MemRef, ir::TypeKind::Buffer);
+
 /**
  * `affine.for {lb, ub, step}` with a single-block region whose one
  * argument is the induction variable (index type).
@@ -22,6 +25,11 @@ class ForOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "affine.for";
+    static constexpr ir::OpSignature opSignature{
+        {},
+        {},
+        {{"lb", ir::kIntAttr}, {"ub", ir::kIntAttr}, {"step", ir::kIntAttr}},
+        /*regions=*/1};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, int64_t lb, int64_t ub,
@@ -42,6 +50,13 @@ class ParallelOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "affine.parallel";
+    static constexpr ir::OpSignature opSignature{
+        {},
+        {},
+        {{"lbs", ir::kI64ArrayAttr},
+         {"ubs", ir::kI64ArrayAttr},
+         {"steps", ir::kI64ArrayAttr}},
+        /*regions=*/1};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, std::vector<int64_t> lbs,
@@ -68,13 +83,19 @@ class LoadOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "affine.load";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kShapedKind), ir::rest(ir::kIndexKind)},
+        {ir::one(ir::kScalarKind)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value memref,
                                 std::vector<ir::Value> indices);
 
     ir::Value memref() const { return _op->operand(0); }
-    std::vector<ir::Value> indices() const;
+    std::vector<ir::Value> indices() const
+    {
+        return operandsOf(opSignature, 1);
+    }
 };
 
 /** `affine.store(%value, %memref, %i...)` */
@@ -82,6 +103,10 @@ class StoreOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "affine.store";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(ir::kScalarKind), ir::one(kShapedKind),
+         ir::rest(ir::kIndexKind)},
+        {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value value,
@@ -90,7 +115,10 @@ class StoreOp : public ir::OpView {
 
     ir::Value value() const { return _op->operand(0); }
     ir::Value memref() const { return _op->operand(1); }
-    std::vector<ir::Value> indices() const;
+    std::vector<ir::Value> indices() const
+    {
+        return operandsOf(opSignature, 2);
+    }
 };
 
 /** `affine.yield(values...)` — loop body terminator. */
@@ -98,6 +126,8 @@ class YieldOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "affine.yield";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(ir::kAnyKind)}, {}, {}, 0, /*terminator=*/true};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,

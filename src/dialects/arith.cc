@@ -19,48 +19,17 @@ ConstantOp::build(ir::OpBuilder &b, double value, ir::Type type)
     return b.create(opName, {type}, {}, std::move(attrs));
 }
 
-ir::Operation *
-buildBinary(ir::OpBuilder &b, const char *name, ir::Value lhs, ir::Value rhs)
-{
-    return b.create(name, {lhs.type()}, {lhs, rhs});
-}
-
-namespace {
-
-std::string
-verifyBinary(ir::Operation *op)
-{
-    if (op->numOperands() != 2)
-        return "expects exactly two operands";
-    if (op->numResults() != 1)
-        return "expects exactly one result";
-    return "";
-}
-
-std::string
-verifyConstant(ir::Operation *op)
-{
-    if (op->numOperands() != 0)
-        return "expects no operands";
-    if (op->numResults() != 1)
-        return "expects one result";
-    if (!op->attr("value"))
-        return "requires a 'value' attribute";
-    return "";
-}
-
-} // namespace
-
 void
 registerDialect(ir::Context &ctx)
 {
-    ctx.registerOp({ConstantOp::opName, verifyConstant, false});
-    for (const char *name :
-         {AddIOp::opName, SubIOp::opName, MulIOp::opName,
-          DivSIOp::opName, RemSIOp::opName, AddFOp::opName,
-          MulFOp::opName}) {
-        ctx.registerOp({name, verifyBinary, false});
-    }
+    ctx.registerOp<ConstantOp>();
+    ctx.registerOp<AddIOp>();
+    ctx.registerOp<SubIOp>();
+    ctx.registerOp<MulIOp>();
+    ctx.registerOp<DivSIOp>();
+    ctx.registerOp<RemSIOp>();
+    ctx.registerOp<AddFOp>();
+    ctx.registerOp<MulFOp>();
 }
 
 } // namespace arith

@@ -20,6 +20,8 @@ class ConstantOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "arith.constant";
+    static constexpr ir::OpSignature opSignature{
+        {}, {ir::one(ir::kScalarKind)}, {{"value", ir::kIntOrFloatAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, int64_t value,
@@ -30,86 +32,37 @@ class ConstantOp : public ir::OpView {
     ir::Attribute value() const { return _op->attr("value"); }
 };
 
-/** Shared shape for binary elementwise ops: `name(lhs, rhs) -> T`. */
-ir::Operation *buildBinary(ir::OpBuilder &b, const char *name, ir::Value lhs,
-                           ir::Value rhs);
-
-struct AddIOp : ir::OpView {
+/** The binary elementwise ops, `name(lhs, rhs) -> T`: one signature
+ *  and one builder for all of them. */
+template <const char *Name>
+struct BinaryOp : ir::OpView {
     using OpView::OpView;
-    static constexpr const char *opName = "arith.addi";
+    static constexpr const char *opName = Name;
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(ir::kScalarKind), ir::one(ir::kScalarKind)},
+        {ir::one(ir::kScalarKind)}};
     EQ_DECLARE_OP_ID()
     static ir::Operation *
     build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
     {
-        return buildBinary(b, opName, lhs, rhs);
+        return b.create(opName, {lhs.type()}, {lhs, rhs});
     }
 };
 
-struct SubIOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.subi";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
-
-struct MulIOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.muli";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
-
-struct DivSIOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.divsi";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
-
-struct RemSIOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.remsi";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
-
-struct AddFOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.addf";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
-
-struct MulFOp : ir::OpView {
-    using OpView::OpView;
-    static constexpr const char *opName = "arith.mulf";
-    EQ_DECLARE_OP_ID()
-    static ir::Operation *
-    build(ir::OpBuilder &b, ir::Value lhs, ir::Value rhs)
-    {
-        return buildBinary(b, opName, lhs, rhs);
-    }
-};
+inline constexpr char kAddI[] = "arith.addi";
+inline constexpr char kSubI[] = "arith.subi";
+inline constexpr char kMulI[] = "arith.muli";
+inline constexpr char kDivSI[] = "arith.divsi";
+inline constexpr char kRemSI[] = "arith.remsi";
+inline constexpr char kAddF[] = "arith.addf";
+inline constexpr char kMulF[] = "arith.mulf";
+using AddIOp = BinaryOp<kAddI>;
+using SubIOp = BinaryOp<kSubI>;
+using MulIOp = BinaryOp<kMulI>;
+using DivSIOp = BinaryOp<kDivSI>;
+using RemSIOp = BinaryOp<kRemSI>;
+using AddFOp = BinaryOp<kAddF>;
+using MulFOp = BinaryOp<kMulF>;
 
 /** Register all arith ops with @p ctx. */
 void registerDialect(ir::Context &ctx);

@@ -11,14 +11,10 @@
  *                  control_or / await / return
  *  - extension:    equeue.op (custom signatures, Section III-E)
  *
- * Operand layout conventions (used by verifier and simulation engine):
- *  - launch: [deps x num_deps, proc, captured...]; region block args
- *    mirror the captured values; results are [done_event, returns...].
- *  - memcpy: [dep, src_buffer, dst_buffer, dma (, connection)]
- *  - read:   [buffer (, connection) (, indices...)] -> tensor | scalar
- *  - write:  [value, buffer (, connection) (, indices...)]
- *  The presence of a connection operand is flagged by the `has_conn`
- *  attribute; the index count is `num_indices`.
+ * Each op's operand layout, results, attributes and regions are
+ * declared once, in its class's `opSignature` (see ir/signature.hh). The
+ * verifier, the operand accessors below and the simulation engine all
+ * read the layout from there.
  */
 
 #ifndef EQ_DIALECTS_EQUEUE_HH
@@ -31,6 +27,24 @@
 namespace eq {
 namespace equeue {
 
+/// @name Type-kind sets the signatures below share
+/// @{
+using Kind = ir::TypeKind;
+using ir::kinds;
+constexpr ir::KindMask kEvent = kinds(Kind::Event);
+constexpr ir::KindMask kBuffer = kinds(Kind::Buffer);
+constexpr ir::KindMask kConn = kinds(Kind::Connection);
+constexpr ir::KindMask kComp = kinds(Kind::Comp);
+/** What create_comp may hold and get_comp may return. */
+constexpr ir::KindMask kSubcomp =
+    kinds(Kind::Proc, Kind::Mem, Kind::Dma, Kind::Comp, Kind::Stream);
+/** Where a launch or memcpy runs. */
+constexpr ir::KindMask kExecutor = kinds(Kind::Proc, Kind::Dma);
+/** Values that reads produce and writes store. */
+constexpr ir::KindMask kData =
+    kinds(Kind::Tensor, Kind::Integer, Kind::Index, Kind::Float);
+/// @}
+
 // ---------------------------------------------------------------------------
 // Structure ops
 
@@ -40,6 +54,8 @@ class CreateProcOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_proc";
+    static constexpr ir::OpSignature opSignature{
+        {}, {ir::one(kinds(Kind::Proc))}, {{"kind", ir::kStringAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &kind);
@@ -51,6 +67,8 @@ class CreateDmaOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_dma";
+    static constexpr ir::OpSignature opSignature{
+        {}, {ir::one(kinds(Kind::Dma))}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b);
@@ -65,6 +83,13 @@ class CreateMemOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_mem";
+    static constexpr ir::OpSignature opSignature{
+        {},
+        {ir::one(kinds(Kind::Mem))},
+        {{"kind", ir::kStringAttr},
+         {"shape", ir::kI64ArrayAttr},
+         {"data_bits", ir::kIntAttr},
+         {"banks", ir::kIntAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &kind,
@@ -91,6 +116,10 @@ class CreateStreamOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_stream";
+    static constexpr ir::OpSignature opSignature{
+        {},
+        {ir::one(kinds(Kind::Stream))},
+        {{"data_bits", ir::kIntAttr, /*required=*/false}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, unsigned data_bits);
@@ -101,6 +130,8 @@ class CreateCompOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_comp";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(kSubcomp)}, {ir::one(kComp)}, {{"names", ir::kStringAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &names,
@@ -112,6 +143,8 @@ class AddCompOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.add_comp";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kComp), ir::rest(kSubcomp)}, {}, {{"names", ir::kStringAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value comp,
@@ -127,6 +160,10 @@ class ExtractCompOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.extract_comp";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kComp)},
+        {ir::one(kSubcomp)},
+        {{"prefix", ir::kStringAttr}, {"indices", ir::kI64ArrayAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value comp,
@@ -142,6 +179,8 @@ class GetCompOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.get_comp";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kComp)}, {ir::one(kSubcomp)}, {{"name", ir::kStringAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value comp,
@@ -156,6 +195,10 @@ class CreateConnectionOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.create_connection";
+    static constexpr ir::OpSignature opSignature{
+        {},
+        {ir::one(kConn)},
+        {{"kind", ir::kStringAttr}, {"bandwidth", ir::kIntAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &kind,
@@ -172,6 +215,8 @@ class AllocOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.alloc";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kinds(Kind::Mem))}, {ir::one(kBuffer)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value mem,
@@ -185,6 +230,7 @@ class DeallocOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.dealloc";
+    static constexpr ir::OpSignature opSignature{{ir::one(kBuffer)}, {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value buffer);
@@ -199,6 +245,10 @@ class ReadOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.read";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kBuffer), ir::optional(kConn, "has_conn"),
+         ir::counted(ir::kIndexKind, "num_indices", 0)},
+        {ir::one(kData)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value buffer,
@@ -206,12 +256,12 @@ class ReadOp : public ir::OpView {
                                 std::vector<ir::Value> indices = {});
 
     ir::Value buffer() const { return _op->operand(0); }
-    bool hasConn() const { return _op->intAttrOr("has_conn", 0) != 0; }
-    ir::Value conn() const
+    bool hasConn() const { return static_cast<bool>(conn()); }
+    ir::Value conn() const { return operandOf(opSignature, 1); }
+    std::vector<ir::Value> indices() const
     {
-        return hasConn() ? _op->operand(1) : ir::Value();
+        return operandsOf(opSignature, 2);
     }
-    std::vector<ir::Value> indices() const;
 };
 
 /** `equeue.write(value, buffer (, conn) (, indices...))`. */
@@ -219,6 +269,10 @@ class WriteOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.write";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kData), ir::one(kBuffer), ir::optional(kConn, "has_conn"),
+         ir::counted(ir::kIndexKind, "num_indices", 0)},
+        {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value value,
@@ -228,12 +282,12 @@ class WriteOp : public ir::OpView {
 
     ir::Value value() const { return _op->operand(0); }
     ir::Value buffer() const { return _op->operand(1); }
-    bool hasConn() const { return _op->intAttrOr("has_conn", 0) != 0; }
-    ir::Value conn() const
+    bool hasConn() const { return static_cast<bool>(conn()); }
+    ir::Value conn() const { return operandOf(opSignature, 2); }
+    std::vector<ir::Value> indices() const
     {
-        return hasConn() ? _op->operand(2) : ir::Value();
+        return operandsOf(opSignature, 3);
     }
-    std::vector<ir::Value> indices() const;
 };
 
 /** `equeue.stream_read(stream (, conn)) {elems}` -> tensor<elems x bits>.
@@ -242,12 +296,18 @@ class StreamReadOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.stream_read";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kinds(Kind::Stream)), ir::optional(kConn, "has_conn")},
+        {ir::one(kinds(Kind::Tensor))},
+        {{"elems", ir::kIntAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value stream,
                                 int64_t elems, unsigned elem_bits,
                                 ir::Value conn = ir::Value());
-    bool hasConn() const { return _op->intAttrOr("has_conn", 0) != 0; }
+    ir::Value stream() const { return _op->operand(0); }
+    bool hasConn() const { return static_cast<bool>(conn()); }
+    ir::Value conn() const { return operandOf(opSignature, 1); }
 };
 
 /** `equeue.stream_write(value, stream (, conn))`. */
@@ -255,12 +315,19 @@ class StreamWriteOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.stream_write";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kData), ir::one(kinds(Kind::Stream)),
+         ir::optional(kConn, "has_conn")},
+        {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value value,
                                 ir::Value stream,
                                 ir::Value conn = ir::Value());
-    bool hasConn() const { return _op->intAttrOr("has_conn", 0) != 0; }
+    ir::Value value() const { return _op->operand(0); }
+    ir::Value stream() const { return _op->operand(1); }
+    bool hasConn() const { return static_cast<bool>(conn()); }
+    ir::Value conn() const { return operandOf(opSignature, 2); }
 };
 
 // ---------------------------------------------------------------------------
@@ -271,6 +338,7 @@ class ControlStartOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.control_start";
+    static constexpr ir::OpSignature opSignature{{}, {ir::one(kEvent)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b);
@@ -282,6 +350,8 @@ class ControlAndOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.control_and";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(kEvent, /*min=*/1)}, {ir::one(kEvent)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
@@ -294,6 +364,8 @@ class ControlOrOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.control_or";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(kEvent, /*min=*/1)}, {ir::one(kEvent)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
@@ -309,6 +381,12 @@ class LaunchOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.launch";
+    static constexpr ir::OpSignature opSignature{
+        {ir::counted(kEvent, "num_deps", 1, /*min=*/1), ir::one(kExecutor),
+         ir::rest(ir::kAnyKind)},
+        {ir::one(kEvent), ir::rest(ir::kAnyKind)},
+        {},
+        /*regions=*/1};
     EQ_DECLARE_OP_ID()
 
     /**
@@ -324,11 +402,14 @@ class LaunchOp : public ir::OpView {
 
     unsigned numDeps() const
     {
-        return static_cast<unsigned>(_op->intAttrOr("num_deps", 1));
+        return ir::operandGroup(opSignature, *_op, 0).size();
     }
-    std::vector<ir::Value> deps() const;
-    ir::Value proc() const { return _op->operand(numDeps()); }
-    std::vector<ir::Value> captured() const;
+    std::vector<ir::Value> deps() const { return operandsOf(opSignature, 0); }
+    ir::Value proc() const { return operandOf(opSignature, 1); }
+    std::vector<ir::Value> captured() const
+    {
+        return operandsOf(opSignature, 2);
+    }
     ir::Block &body() { return _op->region(0).front(); }
     ir::Value done() { return _op->result(0); }
 };
@@ -338,6 +419,10 @@ class MemcpyOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.memcpy";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kEvent), ir::one(kBuffer), ir::one(kBuffer),
+         ir::one(kExecutor), ir::optional(kConn, "has_conn")},
+        {ir::one(kEvent)}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value dep,
@@ -348,11 +433,8 @@ class MemcpyOp : public ir::OpView {
     ir::Value src() const { return _op->operand(1); }
     ir::Value dst() const { return _op->operand(2); }
     ir::Value dma() const { return _op->operand(3); }
-    bool hasConn() const { return _op->intAttrOr("has_conn", 0) != 0; }
-    ir::Value conn() const
-    {
-        return hasConn() ? _op->operand(4) : ir::Value();
-    }
+    bool hasConn() const { return static_cast<bool>(conn()); }
+    ir::Value conn() const { return operandOf(opSignature, 4); }
     ir::Value done() { return _op->result(0); }
 };
 
@@ -362,6 +444,7 @@ class AwaitOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.await";
+    static constexpr ir::OpSignature opSignature{{ir::rest(kEvent)}, {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
@@ -373,6 +456,8 @@ class ReturnOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.return";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(ir::kAnyKind)}, {}, {}, 0, /*terminator=*/true};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
@@ -391,6 +476,10 @@ class ExternOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "equeue.op";
+    static constexpr ir::OpSignature opSignature{
+        {ir::rest(ir::kAnyKind)},
+        {ir::rest(ir::kAnyKind)},
+        {{"signature", ir::kStringAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,

@@ -53,13 +53,6 @@ namespace {
 std::string
 verifyConv(ir::Operation *op)
 {
-    if (op->numOperands() != 3)
-        return "expects ifmap, weight, ofmap operands";
-    for (unsigned i = 0; i < 3; ++i) {
-        ir::Type t = op->operand(i).type();
-        if (!t.isMemRef() && !t.isBuffer())
-            return "operands must be memrefs";
-    }
     ir::Type it = op->operand(0).type();
     ir::Type wt = op->operand(1).type();
     ir::Type ot = op->operand(2).type();
@@ -83,8 +76,6 @@ verifyConv(ir::Operation *op)
 std::string
 verifyMatmul(ir::Operation *op)
 {
-    if (op->numOperands() != 3)
-        return "expects A, B, C operands";
     ir::Type a = op->operand(0).type();
     ir::Type b = op->operand(1).type();
     ir::Type c = op->operand(2).type();
@@ -97,24 +88,14 @@ verifyMatmul(ir::Operation *op)
     return "";
 }
 
-std::string
-verifyFill(ir::Operation *op)
-{
-    if (op->numOperands() != 1)
-        return "expects one memref operand";
-    if (!op->attr("value"))
-        return "requires a 'value' attribute";
-    return "";
-}
-
 } // namespace
 
 void
 registerDialect(ir::Context &ctx)
 {
-    ctx.registerOp({ConvOp::opName, verifyConv, false});
-    ctx.registerOp({MatmulOp::opName, verifyMatmul, false});
-    ctx.registerOp({FillOp::opName, verifyFill, false});
+    ctx.registerOp<ConvOp>(verifyConv);
+    ctx.registerOp<MatmulOp>(verifyMatmul);
+    ctx.registerOp<FillOp>();
 }
 
 } // namespace linalg

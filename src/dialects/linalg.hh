@@ -17,6 +17,12 @@
 namespace eq {
 namespace linalg {
 
+/** Three shaped operands, the form conv and matmul share. */
+constexpr ir::KindMask kShapedKind =
+    ir::kinds(ir::TypeKind::MemRef, ir::TypeKind::Buffer);
+constexpr ir::OpSignature kTernarySignature{
+    {ir::one(kShapedKind), ir::one(kShapedKind), ir::one(kShapedKind)}, {}};
+
 /**
  * 2-D multi-channel convolution with N filters:
  *
@@ -29,6 +35,7 @@ class ConvOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "linalg.conv";
+    static constexpr ir::OpSignature opSignature = kTernarySignature;
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value ifmap,
@@ -44,6 +51,7 @@ class MatmulOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "linalg.matmul";
+    static constexpr ir::OpSignature opSignature = kTernarySignature;
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value a, ir::Value bm,
@@ -55,6 +63,8 @@ class FillOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "linalg.fill";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(kShapedKind)}, {}, {{"value", ir::kIntAttr}}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value memref,

@@ -17,31 +17,11 @@ DeallocOp::build(ir::OpBuilder &b, ir::Value memref)
     return b.create(opName, {}, {memref});
 }
 
-namespace {
-
-std::string
-verifyAlloc(ir::Operation *op)
-{
-    if (op->numResults() != 1 || !op->result(0).type().isMemRef())
-        return "expects a single memref result";
-    return "";
-}
-
-std::string
-verifyDealloc(ir::Operation *op)
-{
-    if (op->numOperands() != 1 || !op->operand(0).type().isMemRef())
-        return "expects a single memref operand";
-    return "";
-}
-
-} // namespace
-
 void
 registerDialect(ir::Context &ctx)
 {
-    ctx.registerOp({AllocOp::opName, verifyAlloc, false});
-    ctx.registerOp({DeallocOp::opName, verifyDealloc, false});
+    ctx.registerOp<AllocOp>();
+    ctx.registerOp<DeallocOp>();
 }
 
 } // namespace memref

@@ -18,6 +18,8 @@ class AllocOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "memref.alloc";
+    static constexpr ir::OpSignature opSignature{
+        {}, {ir::one(ir::kinds(ir::TypeKind::MemRef))}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
@@ -30,6 +32,8 @@ class DeallocOp : public ir::OpView {
   public:
     using OpView::OpView;
     static constexpr const char *opName = "memref.dealloc";
+    static constexpr ir::OpSignature opSignature{
+        {ir::one(ir::kinds(ir::TypeKind::MemRef))}, {}};
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value memref);

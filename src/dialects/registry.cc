@@ -15,20 +15,14 @@ namespace ir {
 
 namespace {
 
-std::string
-verifyModule(Operation *op)
-{
-    if (op->numRegions() != 1)
-        return "module must have exactly one region";
-    return "";
-}
+constexpr OpSignature kModuleSignature{{}, {}, {}, /*regions=*/1};
 
 } // namespace
 
 void
 registerAllDialects(Context &ctx)
 {
-    ctx.registerOp({"builtin.module", verifyModule, false});
+    ctx.registerOp({"builtin.module", &kModuleSignature});
     arith::registerDialect(ctx);
     memref::registerDialect(ctx);
     affine::registerDialect(ctx);

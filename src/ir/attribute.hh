@@ -102,6 +102,14 @@ class AttrDict {
 
     /** Look up an attribute; returns a null handle when absent. */
     Attribute get(std::string_view name) const;
+    /** The attribute named @p name without copying it; null when
+     *  absent. */
+    const Attribute *
+    lookup(std::string_view name) const
+    {
+        const Entry *e = find(name);
+        return e ? &e->second : nullptr;
+    }
     /** Insert or overwrite. */
     void set(std::string_view name, Attribute attr);
     /** Remove if present. */

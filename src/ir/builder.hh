@@ -146,6 +146,26 @@ class OpView {
     Operation *operator->() const { return _op; }
 
   protected:
+    /** The operands of group @p g of @p sig. */
+    std::vector<Value>
+    operandsOf(const OpSignature &sig, unsigned g) const
+    {
+        GroupBounds b = ir::operandGroup(sig, *_op, g);
+        std::vector<Value> out;
+        out.reserve(b.size());
+        for (unsigned i = b.begin; i < b.end; ++i)
+            out.push_back(_op->operand(i));
+        return out;
+    }
+    /** The first operand of group @p g of @p sig; null when the group
+     *  is empty (an absent optional operand). */
+    Value
+    operandOf(const OpSignature &sig, unsigned g) const
+    {
+        GroupBounds b = ir::operandGroup(sig, *_op, g);
+        return b.size() ? _op->operand(b.begin) : Value();
+    }
+
     Operation *_op = nullptr;
 };
 

@@ -210,6 +210,7 @@ Context::anyType()
 void
 Context::registerOp(OpInfo info)
 {
+    eq_assert(info.signature, "op '", info.name, "' has no signature");
     OpId id = internOpName(info.name);
     _opInfos[id.raw()] = std::move(info);
 }

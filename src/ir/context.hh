@@ -6,7 +6,8 @@
  * Every module and every operation belongs to exactly one Context. Op
  * names are interned into dense OpIds (see ir/opid.hh) so that passes
  * and the simulation engine compare integers, never strings. Dialects
- * register their operations (with verifier hooks) against it; the
+ * register their operations (each with its signature, see
+ * ir/signature.hh, and an optional semantic hook) against it; the
  * verifier rejects unregistered operations unless allowUnregistered()
  * is set.
  */
@@ -16,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "ir/opid.hh"
+#include "ir/signature.hh"
 #include "ir/type.hh"
 
 namespace eq {
@@ -31,12 +32,16 @@ namespace ir {
 
 class Operation;
 
+/** Semantic checks beyond an op's signature: an empty string on
+ *  success, else a diagnostic. Runs only on ops that match their
+ *  signature. */
+using VerifyHook = std::string (*)(Operation *);
+
 /** Registry record for one operation kind. */
 struct OpInfo {
     std::string name;
-    /** Returns an empty string on success, else a diagnostic. */
-    std::function<std::string(Operation *)> verify;
-    bool isTerminator = false;
+    const OpSignature *signature = nullptr;
+    VerifyHook verify = nullptr;
 };
 
 /** Owner of interned types, operation metadata, and unique op ids. */
@@ -88,6 +93,13 @@ class Context {
 
     /** Register one operation kind; re-registration replaces. */
     void registerOp(OpInfo info);
+    /** Register the op class @p OpT from its `opName` and `opSignature`. */
+    template <class OpT>
+    void
+    registerOp(VerifyHook verify = nullptr)
+    {
+        registerOp({OpT::opName, &OpT::opSignature, verify});
+    }
     /** Look up registry info; nullptr when unregistered. */
     const OpInfo *lookupOp(std::string_view name) const;
     const OpInfo *lookupOp(OpId id) const;

@@ -257,26 +257,26 @@ Operation::results()
 int64_t
 Operation::intAttr(std::string_view name) const
 {
-    Attribute a = attr(name);
-    eq_assert(a.isInt(), "op '", this->name(), "' missing int attr '", name,
-              "'");
-    return a.asInt();
+    const Attribute *a = _attrs.lookup(name);
+    eq_assert(a && a->isInt(), "op '", this->name(), "' missing int attr '",
+              name, "'");
+    return a->asInt();
 }
 
 int64_t
 Operation::intAttrOr(std::string_view name, int64_t dflt) const
 {
-    Attribute a = attr(name);
-    return a.isInt() ? a.asInt() : dflt;
+    const Attribute *a = _attrs.lookup(name);
+    return a && a->isInt() ? a->asInt() : dflt;
 }
 
 const std::string &
 Operation::strAttr(std::string_view name) const
 {
-    Attribute a = attr(name);
-    eq_assert(a.isString(), "op '", this->name(), "' missing string attr '",
-              name, "'");
-    return a.asString();
+    const Attribute *a = _attrs.lookup(name);
+    eq_assert(a && a->isString(), "op '", this->name(),
+              "' missing string attr '", name, "'");
+    return a->asString();
 }
 
 Region &
@@ -394,8 +394,10 @@ Operation::verify()
     if (!info) {
         if (!_ctx->allowUnregistered())
             return "unregistered operation '" + name() + "'";
-    } else if (info->verify) {
-        std::string err = info->verify(this);
+    } else {
+        std::string err = checkSignature(*info->signature, *this);
+        if (err.empty() && info->verify)
+            err = info->verify(this);
         if (!err.empty())
             return "op '" + name() + "': " + err;
     }

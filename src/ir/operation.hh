@@ -150,8 +150,9 @@ class Operation {
      */
     Operation *clone(std::map<ValueImpl *, Value> &mapping) const;
 
-    /** Run the registered verifier hook plus structural checks.
-     *  Returns an empty string on success. */
+    /** Check this op and every op nested in it against its registered
+     *  signature, then its semantic hook. Returns an empty string on
+     *  success. */
     std::string verify();
 
     /** Print in generic textual form. */

@@ -69,7 +69,7 @@ MemcpyToLaunchPass::runOnModule(ir::Operation *module)
             OpBuilder::InsertionGuard g(b);
             equeue::LaunchOp l(launch.op());
             b.setInsertionPointToEnd(&l.body());
-            Value conn = mc.hasConn() ? mc.conn() : Value();
+            Value conn = mc.conn();
             auto data = b.create<equeue::ReadOp>(
                 l.body().argument(0), conn, std::vector<Value>{});
             b.create<equeue::WriteOp>(data->result(0),

@@ -64,6 +64,21 @@ scopeRootOf(ir::Block *b, ir::OpId launch_id)
     }
 }
 
+/** True when @p op carries a connection, the one optional operand
+ *  group of each data-motion op's signature. */
+bool
+hasConnection(const ir::Operation *op)
+{
+    const ir::OpInfo *info = op->context().lookupOp(op->opId());
+    if (!info)
+        return false;
+    const ir::OpSignature &sig = *info->signature;
+    for (unsigned g = 0; g < sig.numOperandGroups; ++g)
+        if (sig.operandGroups[g].count == ir::GroupCount::Optional)
+            return ir::operandGroup(sig, *op, g).size() != 0;
+    return false;
+}
+
 /** Fold the word @p v into @p h: FNV-1a a word (not a byte) at a
  *  time, folding the high half down so it reaches the bucket bits.
  *  Shape hashes are never persisted, so this need not match
@@ -372,21 +387,14 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
         if (op->opId() == _eng.idEqueueAlloc)
             m.flags |= kFlagEqueueAlloc;
         break;
-    case MOp::Read:
-        if (equeue::ReadOp(op).hasConn())
-            m.flags |= kFlagHasConn;
-        break;
-    case MOp::Write:
-        if (equeue::WriteOp(op).hasConn())
-            m.flags |= kFlagHasConn;
-        break;
     case MOp::StreamRead:
-        if (equeue::StreamReadOp(op).hasConn())
-            m.flags |= kFlagHasConn;
         m.imm = op->intAttr("elems");
-        break;
+        [[fallthrough]];
+    case MOp::Read:
+    case MOp::Write:
     case MOp::StreamWrite:
-        if (equeue::StreamWriteOp(op).hasConn())
+    case MOp::Memcpy:
+        if (hasConnection(op))
             m.flags |= kFlagHasConn;
         break;
     case MOp::Launch: {
@@ -398,22 +406,19 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
         // issue skips the cache lookup. The captures are this site's:
         // body argument i takes captured operand i, resolved here.
         ir::Block &body = launch.body();
+        ir::GroupBounds captured =
+            ir::operandGroup(equeue::LaunchOp::opSignature, *op, 2);
         m.aux = static_cast<uint32_t>(_prog->launches.size());
         CompiledBlock::LaunchSite site{
             &_eng.programFor(&body),
-            static_cast<uint32_t>(_prog->captures.size()),
-            static_cast<uint32_t>(op->numOperands() - ndeps - 1)};
+            static_cast<uint32_t>(_prog->captures.size()), captured.size()};
         for (unsigned i = 0; i < site.numCaptures; ++i)
             _prog->captures.push_back(CompiledBlock::Capture{
-                refOf(op->operand(ndeps + 1 + i)),
+                refOf(op->operand(captured.begin + i)),
                 body.argument(i).impl()->interpSlot});
         _prog->launches.push_back(site);
         break;
     }
-    case MOp::Memcpy:
-        if (equeue::MemcpyOp(op).hasConn())
-            m.flags |= kFlagHasConn;
-        break;
     case MOp::Extern: {
         m.aux = static_cast<uint32_t>(_prog->resultPool.size());
         for (unsigned i = 0; i < op->numResults(); ++i)

@@ -335,7 +335,8 @@ BlockExec::execWrite(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execStreamRead(ir::Operation *op, Cycles &now)
 {
-    StreamFifo *fifo = eval(op->operand(0)).asStream();
+    equeue::StreamReadOp read(op);
+    StreamFifo *fifo = eval(read.stream()).asStream();
     size_t elems = static_cast<size_t>(op->intAttr("elems"));
     Cycles ready = fifo->readyTime(elems);
     if (ready == StreamFifo::kNoReadyTime) {
@@ -355,8 +356,8 @@ BlockExec::execStreamRead(ir::Operation *op, Cycles &now)
     bind(op->result(0), SimValue::ofTensor(tensor));
     // The reader-side connection records bytes for profiling, but the
     // arrival rate was already shaped by the producer (§VII-E).
-    if (equeue::StreamReadOp(op).hasConn()) {
-        Connection *conn = eval(op->operand(1)).asConnection();
+    if (read.hasConn()) {
+        Connection *conn = eval(read.conn()).asConnection();
         int64_t bytes = tensor->sizeBytes();
         conn->recordTransfer(
             true, now,
@@ -368,16 +369,16 @@ BlockExec::execStreamRead(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execStreamWrite(ir::Operation *op, Cycles &now)
 {
-    StreamFifo *fifo = eval(op->operand(1)).asStream();
-    SimValue val = eval(op->operand(0));
+    equeue::StreamWriteOp write(op);
+    StreamFifo *fifo = eval(write.stream()).asStream();
+    SimValue val = eval(write.value());
     std::vector<int64_t> elems;
     if (val.isTensor())
         elems = val.asTensor()->data;
     else
         elems.push_back(val.asInt());
-    Connection *conn = equeue::StreamWriteOp(op).hasConn()
-                           ? eval(op->operand(2)).asConnection()
-                           : nullptr;
+    Connection *conn =
+        write.hasConn() ? eval(write.conn()).asConnection() : nullptr;
     _eng.streamPush(fifo, conn, elems, now);
     return advanceAfter(op, now, now, opCost(op));
 }

@@ -5,6 +5,8 @@
 
 #include "testutil.hh"
 
+#include <functional>
+
 #include "dialects/equeue.hh"
 #include "ir/builder.hh"
 
@@ -219,6 +221,94 @@ TEST_F(EQueueDialectTest, ExternOpCarriesSignature)
     EXPECT_EQ(equeue::ExternOp(op.op()).signature(), "mac4");
     auto *bad = b->create("equeue.op", {}, {});
     EXPECT_NE(bad->verify(), "");
+}
+
+/**
+ * Modules that used to verify clean and then kill the process in the
+ * engine (or, for the string bandwidth, in the verifier itself). Each
+ * must now fail verify() with a diagnostic naming the op.
+ */
+TEST_F(EQueueDialectTest, SignatureRejectsInputsThatUsedToCrash)
+{
+    auto str = [](const char *s) { return ir::Attribute::string(s); };
+    auto num = [](int64_t v) { return ir::Attribute::integer(v); };
+    auto attrs = [](std::initializer_list<ir::AttrDict::Entry> entries) {
+        ir::AttrDict d;
+        for (const auto &[name, value] : entries)
+            d.set(name, value);
+        return d;
+    };
+    struct Case {
+        const char *what;
+        const char *op;
+        std::function<void()> build;
+    };
+    const std::vector<Case> cases = {
+        {"operand-less stream_write", "equeue.stream_write",
+         [&] { b->create("equeue.stream_write", {}, {}); }},
+        {"extract_comp without prefix/indices", "equeue.extract_comp",
+         [&] {
+             auto p = b->create<equeue::CreateProcOp>(std::string("MAC"));
+             auto comp = b->create<equeue::CreateCompOp>(
+                 std::string("PE_0"), std::vector<ir::Value>{p->result(0)});
+             b->create("equeue.extract_comp", {ctx.procType()},
+                       {comp->result(0)});
+         }},
+        {"create_mem without banks", "equeue.create_mem",
+         [&] {
+             b->create("equeue.create_mem", {ctx.memType()}, {},
+                       attrs({{"kind", str("SRAM")},
+                              {"shape", ir::Attribute::i64Array({64})},
+                              {"data_bits", num(32)}}));
+         }},
+        {"create_mem with an int kind", "equeue.create_mem",
+         [&] {
+             b->create("equeue.create_mem", {ctx.memType()}, {},
+                       attrs({{"kind", num(1)},
+                              {"shape", ir::Attribute::i64Array({64})},
+                              {"data_bits", num(32)},
+                              {"banks", num(1)}}));
+         }},
+        {"create_proc with an int kind", "equeue.create_proc",
+         [&] {
+             b->create("equeue.create_proc", {ctx.procType()}, {},
+                       attrs({{"kind", num(7)}}));
+         }},
+        {"get_comp with an int name", "equeue.get_comp",
+         [&] {
+             auto p = b->create<equeue::CreateProcOp>(std::string("MAC"));
+             auto comp = b->create<equeue::CreateCompOp>(
+                 std::string("PE"), std::vector<ir::Value>{p->result(0)});
+             b->create("equeue.get_comp", {ctx.procType()},
+                       {comp->result(0)}, attrs({{"name", num(0)}}));
+         }},
+        {"create_connection with a string bandwidth",
+         "equeue.create_connection",
+         [&] {
+             b->create("equeue.create_connection", {ctx.connectionType()},
+                       {},
+                       attrs({{"kind", str("Streaming")},
+                              {"bandwidth", str("4")}}));
+         }},
+        {"control_start with no result", "equeue.control_start",
+         [&] { b->create("equeue.control_start", {}, {}); }},
+        {"addi on !equeue.mem operands", "arith.addi",
+         [&] {
+             ir::Value m = b->create<equeue::CreateMemOp>(
+                                std::string("SRAM"),
+                                std::vector<int64_t>{64}, 32u, 1u)
+                               ->result(0);
+             b->create("arith.addi", {ctx.i32Type()}, {m, m});
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        resetModule();
+        c.build();
+        std::string err = module->verify();
+        EXPECT_NE(err.find(std::string("'") + c.op + "'"), std::string::npos)
+            << "diagnostic: '" << err << "'";
+    }
 }
 
 } // namespace

@@ -1,14 +1,17 @@
 /**
  * @file
- * Exhaustive printer<->parser round-trip coverage, driven by the op
- * registry: every op name that registerAllDialects() installs must have
- * an exemplar below, and each exemplar module must survive
- * print -> parse -> print as a fixpoint. Registering a new op without
- * adding round-trip coverage fails this test automatically.
+ * Exhaustive coverage driven by the op registry: every op name that
+ * registerAllDialects() installs must have an exemplar below. Each
+ * exemplar module must verify and survive print -> parse -> print as a
+ * fixpoint, and each mutation its op's signature forbids (a missing or
+ * extra operand, an operand of a disallowed type kind, a missing or
+ * mistyped required attribute) must fail verification. Registering a
+ * new op without adding an exemplar fails this test automatically.
  */
 
 #include "testutil.hh"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 
@@ -24,6 +27,25 @@ using namespace eq;
 
 class RegistryRoundTripTest : public test::RegisteredModuleTest {
   protected:
+    using Emit = std::function<void()>;
+
+    /** One exemplar per registered op name; each emits into the
+     *  module. */
+    std::map<std::string, Emit> exemplarTable();
+
+    /** The first op named @p name in the module (the module itself for
+     *  builtin.module). */
+    ir::Operation *
+    firstOp(const std::string &name)
+    {
+        ir::Operation *found = nullptr;
+        module->walk([&](ir::Operation *op) {
+            if (!found && op->name() == name)
+                found = op;
+        });
+        return found;
+    }
+
     // --- exemplar building blocks (each call emits into the module) ---
     ir::Value
     intConst(int64_t v)
@@ -106,9 +128,9 @@ class RegistryRoundTripTest : public test::RegisteredModuleTest {
     }
 };
 
-TEST_F(RegistryRoundTripTest, EveryRegisteredOpHasAnExemplarThatRoundTrips)
+std::map<std::string, RegistryRoundTripTest::Emit>
+RegistryRoundTripTest::exemplarTable()
 {
-    using Emit = std::function<void()>;
     std::map<std::string, Emit> exemplars;
 
     exemplars["builtin.module"] = [] { /* the module op itself */ };
@@ -313,6 +335,12 @@ TEST_F(RegistryRoundTripTest, EveryRegisteredOpHasAnExemplarThatRoundTrips)
             std::string("mac4"), std::vector<ir::Value>{data->result(0)},
             std::vector<ir::Type>{ctx.i32Type()});
     };
+    return exemplars;
+}
+
+TEST_F(RegistryRoundTripTest, EveryRegisteredOpHasAnExemplarThatRoundTrips)
+{
+    std::map<std::string, Emit> exemplars = exemplarTable();
 
     // ---- drive from the registry, not the table ------------------------
     std::vector<std::string> names = ctx.registeredOpNames();
@@ -333,17 +361,108 @@ TEST_F(RegistryRoundTripTest, EveryRegisteredOpHasAnExemplarThatRoundTrips)
         resetModule();
         it->second();
         // The op under test must actually be present in its exemplar.
-        bool present = name == "builtin.module" ? true : false;
-        module->walk([&](ir::Operation *op) {
-            if (op->name() == name)
-                present = true;
-        });
-        ASSERT_TRUE(present)
+        ASSERT_NE(firstOp(name), nullptr)
             << "exemplar for '" << name << "' never created the op";
+        EXPECT_EQ(module->verify(), "") << "exemplar for '" << name << "'";
         {
             SCOPED_TRACE("round-tripping exemplar for " + name);
             test::roundTrip(ctx, module.get());
         }
+    }
+}
+
+TEST_F(RegistryRoundTripTest, EveryRegisteredOpRejectsWhatItsSignatureForbids)
+{
+    std::map<std::string, Emit> exemplars = exemplarTable();
+    for (const std::string &name : ctx.registeredOpNames()) {
+        SCOPED_TRACE(name);
+        const ir::OpSignature &sig = *ctx.lookupOp(name)->signature;
+        // Rebuild the exemplar for every mutation, plus spare values of
+        // three kinds to mutate with.
+        std::vector<ir::Value> spares;
+        auto fresh = [&] {
+            resetModule();
+            exemplars.at(name)();
+            spares = {
+                b->create<arith::ConstantOp>(int64_t{1}, ctx.i32Type())
+                    ->result(0),
+                b->create<equeue::ControlStartOp>()->result(0),
+                b->create<equeue::CreateProcOp>(std::string("MAC"))
+                    ->result(0)};
+            return firstOp(name);
+        };
+        unsigned mutations = 0;
+        auto expectRejected = [&](const std::string &mutation) {
+            ++mutations;
+            std::string err = module->verify();
+            EXPECT_NE(err.find("'" + name + "'"), std::string::npos)
+                << mutation << " verified as '" << err << "'";
+        };
+
+        // The operand counts the signature admits: a rest group takes
+        // any number from its minimum up; every other group's count is
+        // fixed by the op's own attributes.
+        ir::Operation *op = fresh();
+        const unsigned n = static_cast<unsigned>(op->numOperands());
+        unsigned least = n;
+        bool bounded = true;
+        std::vector<ir::KindMask> mask_of(n);
+        for (unsigned g = 0; g < sig.numOperandGroups; ++g) {
+            const ir::ValueGroup &group = sig.operandGroups[g];
+            ir::GroupBounds at = ir::operandGroup(sig, *op, g);
+            for (unsigned i = at.begin; i < at.end; ++i)
+                mask_of[i] = group.kinds;
+            if (group.count == ir::GroupCount::Rest) {
+                bounded = false;
+                least = n - at.size() + static_cast<unsigned>(group.min);
+            }
+        }
+
+        if (n > 0 && n - 1 < least) {
+            op = fresh();
+            op->eraseOperand(n - 1);
+            expectRejected("dropping the last operand");
+        }
+        if (bounded) {
+            op = fresh();
+            op->appendOperand(spares[0]);
+            expectRejected("an extra operand");
+        }
+        for (unsigned i = 0; i < n; ++i) {
+            if (mask_of[i] == ir::kAnyKind)
+                continue;
+            op = fresh();
+            auto bad = std::find_if(spares.begin(), spares.end(),
+                                    [&](ir::Value v) {
+                                        return !(mask_of[i] &
+                                                 ir::kinds(v.type().kind()));
+                                    });
+            ASSERT_NE(bad, spares.end());
+            op->setOperand(i, *bad);
+            expectRejected("operand " + std::to_string(i) + " as " +
+                           bad->type().str());
+        }
+        for (unsigned a = 0; a < sig.numAttrs; ++a) {
+            const ir::AttrSpec &spec = sig.attrSpecs[a];
+            if (!spec.required)
+                continue;
+            op = fresh();
+            op->removeAttr(spec.name);
+            expectRejected(std::string("removing '") + spec.name + "'");
+            op = fresh();
+            op->setAttr(spec.name, spec.kinds & ir::kStringAttr
+                                       ? ir::Attribute::integer(1)
+                                       : ir::Attribute::string("x"));
+            expectRejected(std::string("mistyping '") + spec.name + "'");
+        }
+
+        // Only an op that takes any number of operands of any kind and
+        // requires no attribute escapes every mutation.
+        bool constrained = bounded || sig.numAttrs > 0;
+        for (unsigned i = 0; i < n; ++i)
+            constrained |= mask_of[i] != ir::kAnyKind;
+        EXPECT_TRUE(!constrained || mutations > 0)
+            << "no mutation applied to a constrained op";
     }
 }
 

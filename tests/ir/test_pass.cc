@@ -52,7 +52,8 @@ TEST(PassManagerStrictTest, VerifiesBetweenPasses)
 {
     ir::Context ctx; // strict: unregistered ops fail verification
     auto module = ir::createModule(ctx);
-    ctx.registerOp({"builtin.module", nullptr, false});
+    static constexpr ir::OpSignature kModule{{}, {}, {}, /*regions=*/1};
+    ctx.registerOp({"builtin.module", &kModule});
     ir::PassManager pm(/*verify_each=*/true);
     pm.add<ir::LambdaPass>("corrupt", [&](ir::Operation *m) {
         ir::OpBuilder b(ctx);
