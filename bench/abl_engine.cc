@@ -7,6 +7,10 @@
  *  2. Connection type: Streaming vs Window on concurrent DMA transfers.
  *  3. Event granularity: cost of simulating per-step launches (events/s
  *     throughput of the engine).
+ *
+ * Takes the shared harness options (bench_util.hh): --backend picks the
+ * engine, and --no-wall drops the wall-clock figures of ablation 3 so
+ * the output compares byte-identically across runs and backends.
  */
 
 #include <chrono>
@@ -23,7 +27,8 @@ namespace {
 
 /** Re-emit the systolic model with an explicit SRAM bank count. */
 uint64_t
-cyclesWithBanks(const scalesim::Config &cfg, unsigned banks)
+cyclesWithBanks(const sim::EngineOptions &opts, const scalesim::Config &cfg,
+                unsigned banks)
 {
     // The generator sizes banks for zero contention; rebuild its module
     // and patch the SRAM create op before simulating.
@@ -35,12 +40,12 @@ cyclesWithBanks(const scalesim::Config &cfg, unsigned banks)
             op->strAttr("kind") == "SRAM")
             op->setAttr("banks", ir::Attribute::integer(banks));
     });
-    sim::Simulator s;
+    sim::Simulator s(opts);
     return s.simulate(module.get()).cycles;
 }
 
 void
-windowVsStreaming()
+windowVsStreaming(const sim::EngineOptions &opts)
 {
     // One reader and one writer share a link: a Streaming connection
     // carries both directions concurrently; a Window connection locks
@@ -90,7 +95,7 @@ windowVsStreaming()
             dones.push_back(lp->result(0));
         }
         b.create<equeue::AwaitOp>(dones);
-        sim::Simulator s;
+        sim::Simulator s(opts);
         auto rep = s.simulate(module.get());
         std::printf("  conn=%-10s concurrent 256B read + 256B write "
                     "@8B/cyc: %llu cycles\n",
@@ -101,8 +106,10 @@ windowVsStreaming()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    auto args = bench::HarnessArgs::parse(argc, argv);
+    const sim::EngineOptions opts = args.engineOptions();
     std::printf("# Ablation 1: SRAM banks vs cycles (OS dataflow, 4x4 "
                 "array, H=W=8, F=C=2, N=4)\n");
     scalesim::Config cfg;
@@ -114,7 +121,7 @@ main()
     cfg.dataflow = scalesim::Dataflow::OS;
     uint64_t analytic = scalesim::simulate(cfg).cycles;
     for (unsigned banks : {1u, 2u, 4u, 8u, 16u}) {
-        uint64_t cycles = cyclesWithBanks(cfg, banks);
+        uint64_t cycles = cyclesWithBanks(opts, cfg, banks);
         std::printf("  banks=%-3u cycles=%-8llu analytic=%-8llu "
                     "contention_overhead=%.1f%%\n",
                     banks, static_cast<unsigned long long>(cycles),
@@ -124,23 +131,25 @@ main()
     }
 
     std::printf("# Ablation 2: Window locking vs Streaming channels\n");
-    windowVsStreaming();
+    windowVsStreaming(opts);
 
     std::printf("# Ablation 3: engine event throughput\n");
     {
         auto t0 = std::chrono::steady_clock::now();
-        auto run = serve::SweepWorkers(1).run(
+        auto run = serve::SweepWorkers(1, opts).run(
             0, serve::ModelKey::systolicKey(cfg));
         auto t1 = std::chrono::steady_clock::now();
-        double secs = std::chrono::duration<double>(t1 - t0).count();
-        std::printf("  events=%llu ops=%llu wall=%.4fs -> %.0f events/s, "
-                    "%.0f ops/s\n",
-                    static_cast<unsigned long long>(
-                        run.report.eventsExecuted),
-                    static_cast<unsigned long long>(
-                        run.report.opsExecuted),
-                    secs, run.report.eventsExecuted / secs,
-                    run.report.opsExecuted / secs);
+        const auto events = run.report.eventsExecuted;
+        const auto ops = run.report.opsExecuted;
+        std::printf("  events=%llu ops=%llu",
+                    static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(ops));
+        if (!args.noWall) {
+            double secs = std::chrono::duration<double>(t1 - t0).count();
+            std::printf(" wall=%.4fs -> %.0f events/s, %.0f ops/s", secs,
+                        events / secs, ops / secs);
+        }
+        std::printf("\n");
     }
     return 0;
 }

@@ -16,11 +16,9 @@ PassManager::run(Operation *module)
              std::chrono::duration<double>(end - start).count()});
         if (!err.empty())
             return pass->name() + ": " + err;
-        if (_verifyEach) {
-            std::string verr = module->verify();
-            if (!verr.empty())
-                return pass->name() + ": post-verify failed: " + verr;
-        }
+        std::string verr = module->verify();
+        if (!verr.empty())
+            return pass->name() + ": post-verify failed: " + verr;
     }
     return "";
 }

@@ -3,7 +3,7 @@
  * Pass and PassManager: sequential module-level transformations.
  *
  * Mirrors the MLIR pass driver at the granularity this project needs:
- * passes mutate the module in place; the manager optionally re-verifies
+ * passes mutate the module in place; the manager re-verifies the module
  * after each pass and records per-pass wall time for reporting.
  */
 
@@ -59,13 +59,10 @@ struct PassTiming {
     double seconds = 0.0;
 };
 
-/** Runs a pipeline of passes over a module. */
+/** Runs a pipeline of passes over a module, verifying the module
+ *  after each pass. */
 class PassManager {
   public:
-    explicit PassManager(bool verify_each = true)
-        : _verifyEach(verify_each)
-    {}
-
     void
     addPass(std::unique_ptr<Pass> pass)
     {
@@ -91,7 +88,6 @@ class PassManager {
   private:
     std::vector<std::unique_ptr<Pass>> _passes;
     std::vector<PassTiming> _timings;
-    bool _verifyEach;
 };
 
 } // namespace ir

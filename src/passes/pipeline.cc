@@ -95,7 +95,7 @@ std::string
 lowerConvModule(ir::Operation *module, Stage stage,
                 const scalesim::Config &cfg)
 {
-    ir::PassManager pm(/*verify_each=*/true);
+    ir::PassManager pm;
     if (stage == Stage::Systolic) {
         pm.add<SystolicConvertPass>(cfg);
         return pm.run(module);

@@ -20,9 +20,27 @@
  *    affine.parallel lower to Begin/End records that jump, nested
  *    builtin.modules inline (followed by a Halt, matching the
  *    interpreter's end-of-module semantics), and launch bodies are
- *    *not* inlined — they are separate scopes, compiled (and fused)
- *    eagerly with their parent and pinned on its Launch records, each
- *    with the site's capture mapping.
+ *    *not* inlined — they are separate scopes, compiled eagerly with
+ *    their parent and pinned on its Launch records, each with the
+ *    site's capture mapping;
+ *  - superinstruction groups open and close as records are emitted: a
+ *    MOp::Fused head goes in before the first fusible record that
+ *    follows a non-fusible one, and the next non-fusible record (or a
+ *    Return) closes the group by setting the head's target. A lone
+ *    fusible record or Return is a one-element group, so the executor
+ *    defines each data op exactly once (CompiledExec::execFused). Loop
+ *    targets are taken from the finished positions, so nothing is
+ *    relocated afterwards: a loop's Begin and End are non-fusible, so
+ *    a group never straddles one and every jump lands on a group head
+ *    or a standalone record.
+ *
+ * The finished stream is then annotated in place (annotate()): index
+ * operands that are same-scope constants fold into immediates
+ * (kFlagImmIdx), and a whole-cell read whose result is used only later
+ * in its own group, by consumers that treat a 1-element tensor and
+ * the scalar it holds identically (cell/stream writes by construction,
+ * extern calls only for whitelisted signatures such as the built-in
+ * "mac"), binds the scalar instead (kFlagScalarize).
  *
  * Shape sharing: before a launch body is lowered, its structural tokens
  * (op kinds, result and operand types, an attribute digest, and operand
@@ -30,7 +48,7 @@
  * looked up among the shapes compiled so far; a hit, confirmed by
  * comparing the tokens and every attribute in full, reuses that
  * program. A systolic array's PE bodies differ only in what they
- * capture, so an 8x8 array's 64 bodies lower and fuse as 5 programs.
+ * capture, so an 8x8 array's 64 bodies lower as 5 programs.
  *
  * Counting parity: the interpreter increments opsExecuted once per
  * dispatch; each record that corresponds to a dispatch carries
@@ -38,12 +56,13 @@
  * backends report identical opsExecuted (goldens compare it).
  */
 
+#include <algorithm>
+
 #include "base/hash.hh"
 #include "base/stringutil.hh"
 #include "dialects/affine.hh"
 #include "dialects/equeue.hh"
 #include "sim/engine_impl.hh"
-#include "sim/fuse.hh"
 
 namespace eq {
 namespace sim {
@@ -136,6 +155,79 @@ sameTreeAttrs(ir::Block *a, ir::Block *b)
     return true;
 }
 
+/** Records a superinstruction group may hold: every
+ *  position-independent record — compute, data motion (connection
+ *  carrying or not), and event ops whose semantics never read or
+ *  manipulate the pc. Control flow (loops, nested modules, Halt),
+ *  elaboration (structure ops run once, cold), and linalg keep their
+ *  own records. A Return also joins a group, but only as its last
+ *  element (it terminates the scope). */
+bool
+isFusible(MOp code)
+{
+    switch (code) {
+    case MOp::Constant:
+    case MOp::AddI:
+    case MOp::SubI:
+    case MOp::MulI:
+    case MOp::DivSI:
+    case MOp::RemSI:
+    case MOp::AddF:
+    case MOp::MulF:
+    case MOp::Load:
+    case MOp::Store:
+    case MOp::Read:
+    case MOp::Write:
+    case MOp::StreamRead:
+    case MOp::StreamWrite:
+    case MOp::Extern:
+    case MOp::ControlStart:
+    case MOp::ControlAnd:
+    case MOp::ControlOr:
+    case MOp::Launch:
+    case MOp::Memcpy:
+    case MOp::Await:
+    case MOp::Return:
+        return true;
+    default:
+        return false;
+    }
+}
+
+/** First index-operand position of a foldable record, or 0. */
+unsigned
+indexOperandsBegin(const MicroOp &m)
+{
+    switch (m.code) {
+    case MOp::Load:
+        return 1;
+    case MOp::Store:
+        return 2;
+    case MOp::Read:
+        return m.hasConn() ? 2 : 1; // conn (if any) precedes indices
+    case MOp::Write:
+        return m.hasConn() ? 3 : 2;
+    default:
+        return 0;
+    }
+}
+
+/** Mark every slot of the scope at @p depth hops that @p prog (a
+ *  descendant launch body) or its own descendants reference — such
+ *  slots escape the parent program and must keep their materialized
+ *  values. A Launch record's operands include the values its site
+ *  captures, so the args pool covers captures too. */
+void
+markDescendantUses(const CompiledBlock &prog, uint32_t depth,
+                   std::vector<char> &used)
+{
+    for (const SlotRef &r : prog.args)
+        if (r.hops == depth && r.slot < used.size())
+            used[r.slot] = 1;
+    for (const auto &site : prog.launches)
+        markDescendantUses(*site.body, depth + 1, used);
+}
+
 class ModuleCompiler {
   public:
     ModuleCompiler(Simulator::Impl &eng, ir::Block *root)
@@ -169,11 +261,18 @@ class ModuleCompiler {
         _prog->root = _root;
         _prog->scopeId = _scope.scopeId;
         _prog->numSlots = _scope.numSlots;
-        // One record per op, plus a loop End or Halt per block.
+        // One record per op, plus a loop End or Halt per block (group
+        // heads come on top; the slack is dropped below).
         _prog->code.reserve(_scope.numOps + _scope.numBlocks);
         _prog->args.reserve(_scope.numOperands);
         emitBlock(_root);
         emit(MOp::Halt, nullptr, /*counted=*/false);
+        annotate();
+        // Programs stay cached for a module's lifetime (and a server
+        // holds many): drop the growth slack.
+        _prog->code.shrink_to_fit();
+        _prog->args.shrink_to_fit();
+        _prog->immIdx.shrink_to_fit();
         return std::move(_prog);
     }
 
@@ -202,10 +301,22 @@ class ModuleCompiler {
         return impl->interpSlot;
     }
 
-    /** Append a record; operands/results are filled in by the caller. */
+    /** Append a record, opening or closing a superinstruction group
+     *  around it; operands/results are filled in by the caller. */
     uint32_t
     emit(MOp code, ir::Operation *op, bool counted)
     {
+        std::vector<MicroOp> &stream = _prog->code;
+        if (!isFusible(code)) {
+            closeGroup();
+        } else if (_group == kNoSlot) {
+            // Elements count themselves (opsExecuted parity), so the
+            // head itself is uncounted.
+            _group = static_cast<uint32_t>(stream.size());
+            MicroOp head;
+            head.code = MOp::Fused;
+            stream.push_back(head);
+        }
         MicroOp m;
         m.code = code;
         m.op = op;
@@ -215,9 +326,24 @@ class ModuleCompiler {
             m.costId = op->opId().raw();
             eq_assert(m.costId < _eng.costTable[0].size(),
                       "compile: op interned after cost-table build");
+            m.label = &op->name();
         }
-        _prog->code.push_back(std::move(m));
-        return static_cast<uint32_t>(_prog->code.size() - 1);
+        stream.push_back(m);
+        const uint32_t pc = static_cast<uint32_t>(stream.size() - 1);
+        if (code == MOp::Return)
+            closeGroup(); // nothing may follow it inside a group
+        return pc;
+    }
+
+    /** End the open group (if any) after the last record emitted. */
+    void
+    closeGroup()
+    {
+        if (_group == kNoSlot)
+            return;
+        _prog->code[_group].target =
+            static_cast<uint32_t>(_prog->code.size());
+        _group = kNoSlot;
     }
 
     /** Copy all of @p op's operands into the pooled args. */
@@ -241,6 +367,9 @@ class ModuleCompiler {
     void emitOp(ir::Operation *op, MOp code);
     void emitBlock(ir::Block *block);
     void shapeBlock(ir::Block *block, std::vector<uint64_t> &out);
+    /** Index folding and scalarization over the finished stream, in
+     *  place, plus the program's deepest operand hop count. */
+    void annotate();
 
     Simulator::Impl &_eng;
     ir::Block *_root;
@@ -249,6 +378,8 @@ class ModuleCompiler {
      *  (shapeBlock prepends a nested body's while it walks it). */
     std::vector<uint32_t> _chainScopes;
     std::unique_ptr<CompiledBlock> _prog;
+    /** Head pc of the open superinstruction group, or kNoSlot. */
+    uint32_t _group = kNoSlot;
 };
 
 void
@@ -421,8 +552,11 @@ ModuleCompiler::emitOp(ir::Operation *op, MOp code)
     }
     case MOp::Extern: {
         m.aux = static_cast<uint32_t>(_prog->resultPool.size());
+        m.imm = op->numResults();
         for (unsigned i = 0; i < op->numResults(); ++i)
             _prog->resultPool.push_back(slotOf(op->result(i)));
+        m.label = &op->strAttr("signature");
+        m.fn = _eng.opFns.find(*m.label);
         break;
     }
     default:
@@ -438,6 +572,119 @@ ModuleCompiler::emitBlock(ir::Block *block)
         const uint32_t raw = op->opId().raw();
         MOp code = raw < opcodes.size() ? opcodes[raw] : MOp::Bad;
         emitOp(op, code);
+    }
+}
+
+void
+ModuleCompiler::annotate()
+{
+    CompiledBlock &p = *_prog;
+    const std::vector<MicroOp> &code = p.code;
+    const uint32_t n = p.numSlots;
+    for (const SlotRef &r : p.args)
+        p.maxHops = std::max(p.maxHops, r.hops);
+
+    // Per-slot constants (consts index, or -1) and use sites, the uses
+    // of slot s being useSites[useBegin[s], useBegin[s + 1]) in one
+    // array (counted, then placed) rather than a vector per slot.
+    struct UseSite {
+        uint32_t pc;  ///< record index of the user
+        uint32_t rel; ///< operand position within that record
+    };
+    std::vector<int64_t> constOf(n, -1);
+    std::vector<uint32_t> useBegin(n + 1, 0);
+    auto local = [&](const MicroOp &m, uint32_t a) -> const SlotRef * {
+        const SlotRef &r = p.args[m.argsBegin + a];
+        return r.hops == 0 && r.slot < n ? &r : nullptr;
+    };
+    for (const MicroOp &m : code) {
+        if (m.code == MOp::Constant && m.result != kNoSlot)
+            constOf[m.result] = static_cast<int64_t>(m.aux);
+        for (uint32_t a = 0; a < m.nargs; ++a)
+            if (const SlotRef *r = local(m, a))
+                ++useBegin[r->slot + 1];
+    }
+    for (uint32_t i = 0; i < n; ++i)
+        useBegin[i + 1] += useBegin[i];
+    std::vector<UseSite> useSites(useBegin[n]);
+    std::vector<uint32_t> next(useBegin.begin(), useBegin.end() - 1);
+    for (uint32_t pc = 0; pc < code.size(); ++pc)
+        for (uint32_t a = 0; a < code[pc].nargs; ++a)
+            if (const SlotRef *r = local(code[pc], a))
+                useSites[next[r->slot]++] = UseSite{pc, a};
+    // Slots a descendant body reads escape this program. This scope's
+    // own captures are operands of its Launch records, which no
+    // scalarized read may feed anyway.
+    std::vector<char> escapes(n, 0);
+    for (const auto &site : p.launches)
+        markDescendantUses(*site.body, 1, escapes);
+
+    // Fold all-constant index operands into the immediate pool (a
+    // record with kFlagImmIdx never reads its index slots).
+    auto foldIndices = [&](MicroOp &m) {
+        const unsigned first = indexOperandsBegin(m);
+        if (first == 0 || m.nargs <= first || m.nargs - first > 16)
+            return;
+        const unsigned nidx = m.nargs - first;
+        int64_t vals[16];
+        for (unsigned i = 0; i < nidx; ++i) {
+            const SlotRef &r = p.args[m.argsBegin + first + i];
+            const int64_t c = r.hops == 0 && r.slot < n ? constOf[r.slot]
+                                                          : -1;
+            if (c < 0 || !p.consts[static_cast<size_t>(c)].isInt())
+                return;
+            vals[i] = p.consts[static_cast<size_t>(c)].asInt();
+        }
+        m.immBegin = static_cast<uint32_t>(p.immIdx.size());
+        m.flags |= kFlagImmIdx;
+        p.immIdx.insert(p.immIdx.end(), vals, vals + nidx);
+    };
+    // May the whole-cell read at @p pc (result @p slot) skip tensor
+    // materialization? Every use must come later inside [pc+1, end)
+    // and treat a 1-element tensor and its scalar identically.
+    auto mayScalarize = [&](uint32_t pc, uint32_t slot, uint32_t end) {
+        if (slot >= n || escapes[slot])
+            return false;
+        for (uint32_t k = useBegin[slot]; k < useBegin[slot + 1]; ++k) {
+            const UseSite &u = useSites[k];
+            if (u.pc <= pc || u.pc >= end)
+                return false;
+            const MicroOp &user = code[u.pc];
+            switch (user.code) {
+            case MOp::Write:
+                // Only the value operand of a whole-cell write.
+                if (user.hasConn() || user.nargs != 2 || u.rel != 0)
+                    return false;
+                break;
+            case MOp::StreamWrite:
+                if (u.rel != 0)
+                    return false;
+                break;
+            case MOp::Extern:
+                // Signatures proven to treat the two alike (see
+                // scalarOf in opfunctions.cc); user-registered ones may
+                // distinguish them.
+                if (*user.label != "mac")
+                    return false;
+                break;
+            default:
+                return false;
+            }
+        }
+        return true;
+    };
+
+    uint32_t groupEnd = 0;
+    for (uint32_t pc = 0; pc < code.size(); ++pc) {
+        MicroOp &m = p.code[pc];
+        if (m.code == MOp::Fused) {
+            groupEnd = m.target;
+            continue;
+        }
+        foldIndices(m);
+        if (m.code == MOp::Read && !m.hasConn() && m.nargs == 1 &&
+            m.result != kNoSlot && mayScalarize(pc, m.result, groupEnd))
+            m.flags |= kFlagScalarize;
     }
 }
 
@@ -474,10 +721,9 @@ Simulator::Impl::programFor(ir::Block *root)
     std::vector<uint64_t> tokens;
     if (body)
         tokens = shapeScratch;
-    // Lowering compiles (and so fuses) launch bodies first, so the
-    // Launch records pin already-fused children; the lowered stream is
-    // then fused in place and never cached unfused.
-    programStore.push_back(optimizeProgram(compiler.compile(), opFns));
+    // Lowering compiles launch bodies first, so the Launch records pin
+    // finished children.
+    programStore.push_back(compiler.compile());
     const CompiledBlock *prog = programStore.back().get();
     programs.emplace(root, prog);
     if (body)
@@ -497,12 +743,12 @@ Simulator::precompile(ir::Operation *module)
     impl.dropNumbering();
     impl.prepareDispatchTables(module->context());
     // Launch bodies compile eagerly with the top level; each shared
-    // program counts once, and a fused record stands for its elements.
+    // program counts once, and group heads are not micro-ops.
     impl.programFor(&module->region(0).front());
     PrecompileStats stats;
     for (const auto &prog : impl.programStore) {
-        stats.microOps += prog->code.size() + prog->fusedElems.size() -
-                          prog->fusedGroups.size();
+        for (const MicroOp &m : prog->code)
+            stats.microOps += m.code != MOp::Fused;
         ++stats.programs;
     }
     return stats;

@@ -23,14 +23,22 @@
  *    into the stream (the stream is relocatable: it contains no
  *    pointers into itself).
  *
- * The fusion pass (sim/fuse.hh) then rewrites the stream once, wrapping
- * every data, event, and extern record into MOp::Fused superinstruction
- * groups; only control flow, linalg, and elaboration keep records of
- * their own. CompiledExec (compiled_exec.cc) runs the fused stream
- * with a dense jump-table dispatch over the opcode — a computed jump
- * straight to the micro-op's code — instead of walking ir::Operation
- * nodes. This is the production engine; the interpreter (interp.cc)
- * is the reference it is tested against.
+ * Superinstruction groups form as the stream is emitted: every run of
+ * adjacent data, event, and extern records (and a closing Return) is
+ * preceded by one MOp::Fused head record, and the group's elements are
+ * simply the records that follow the head, so CompiledBlock::code is
+ * the program's only record array. Only control flow, linalg, and
+ * elaboration run outside groups. Every record carries its trace label,
+ * and an extern record its op function, from the moment it is emitted.
+ * Once the stream is complete, two in-place passes specialize it:
+ * constant index operands fold into immediates (kFlagImmIdx), and
+ * whole-cell reads whose every use is later in the same group and
+ * scalar-compatible skip their tensor (kFlagScalarize). CompiledExec
+ * (compiled_exec.cc) runs the stream with a dense jump-table dispatch
+ * over the opcode — a computed jump straight to the micro-op's code —
+ * instead of walking ir::Operation nodes. This is the production
+ * engine; the interpreter (interp.cc) is the reference it is tested
+ * against.
  *
  * Sharing: launch bodies that agree in structure — op kinds,
  * attributes, result types, and operand wiring (block argument, local
@@ -117,9 +125,9 @@ enum class MOp : uint8_t {
     Memcpy,     ///< args = [dep, src, dst, dma, (conn)]
     Await,      ///< args = [events...] (none = all spawned)
     Return,
-    Extern,     ///< aux -> resultPool (extra result slots)
-    // Superinstruction (sim/fuse.cc): one dispatch for a fused run of
-    // simple records. aux -> fusedGroups.
+    Extern,     ///< aux -> resultPool (its result slots); imm = count
+    // Superinstruction head: one dispatch for the group of records
+    // that follows it; target = pc past the group's last element.
     Fused,
     kCount
 };
@@ -134,12 +142,12 @@ struct SlotRef {
 
 constexpr uint32_t kNoSlot = 0xffffffffu;
 
-/** Env-chain levels a fused group resolves once per entry; operands
- *  referenced from deeper (absurdly deep launch nesting) walk the rest
- *  of the chain per use. */
+/** Env-chain levels an exec resolves once, when it is bound to its
+ *  environment; operands referenced from deeper (absurdly deep launch
+ *  nesting) walk the rest of the chain per use. */
 constexpr uint32_t kMaxFusedHops = 8;
 
-/** MicroOp::flags bits (shared by MicroOp and FusedElem). */
+/** MicroOp::flags bits. */
 enum : uint8_t {
     kFlagCounts = 1 << 0,      ///< counts toward opsExecuted (one per
                                ///< interpreter dispatch, for parity)
@@ -147,7 +155,7 @@ enum : uint8_t {
     kFlagIsAddComp = 1 << 2,   ///< CreateComp record is an add_comp
     kFlagEqueueAlloc = 1 << 3, ///< Alloc record is an equeue.alloc
     kFlagImmIdx = 1 << 4,      ///< index operands folded to immediates
-                               ///< (FusedElem::immBegin -> immIdx)
+                               ///< (MicroOp::immBegin -> immIdx)
     kFlagScalarize = 1 << 5,   ///< whole-cell read may bind a scalar
                                ///< instead of materializing a tensor
                                ///< (all uses proven scalar-compatible
@@ -157,7 +165,13 @@ enum : uint8_t {
 /**
  * One instruction record of the micro-op stream. Fixed-size and
  * contiguous; all cross-references are indices (operand pool, aux
- * pools, branch targets), never pointers into the stream.
+ * pools, branch targets), never pointers into the stream. Kept to one
+ * cache line: a server holds the programs of every cached model.
+ * Executing a record inside a superinstruction group is observationally
+ * identical to the interpreter's dispatch of its op — per-op costs,
+ * memory/connection acquisition order, opsExecuted accounting, and
+ * trace lines are all preserved; only the per-record dispatch (and,
+ * with kFlagScalarize, dead tensor materialization) is gone.
  */
 struct MicroOp {
     MOp code = MOp::Bad;
@@ -166,71 +180,32 @@ struct MicroOp {
     uint32_t argsBegin = 0; ///< first operand index in the args pool
     uint32_t result = kNoSlot; ///< local result slot (results are
                                ///< always scope-local: hops == 0)
-    uint32_t target = 0;    ///< branch target pc (loops)
+    uint32_t target = 0;    ///< branch target pc (loops); MOp::Fused:
+                            ///< pc past the group's last element
     uint32_t aux = 0;       ///< index into the per-opcode aux pool
     /** OpId::raw() of @ref op: indexes the engine's (CostClass, OpId)
      *  cost table (CostModel::kDynamic defers to linalgCycles at
      *  execution time, exactly like the interpreter). */
     uint32_t costId = 0;
-    int64_t imm = 0;        ///< pre-folded immediate (stream elems, ...)
+    uint32_t immBegin = 0;  ///< into CompiledBlock::immIdx (kFlagImmIdx)
+    int64_t imm = 0;        ///< pre-folded immediate (stream elems,
+                            ///< launch deps, extern result count)
     ir::Operation *op = nullptr; ///< originating IR op (attributes,
-                                 ///< trace labels, cold paths)
-
-    bool counts() const { return flags & kFlagCounts; }
-    bool hasConn() const { return flags & kFlagHasConn; }
-};
-
-/**
- * One constituent of a fused superinstruction (MOp::Fused). Carries the
- * same pre-resolved fields as the MicroOp it replaces plus the
- * fusion-time specializations: an optional cached op-function pointer
- * (Extern), a pre-resolved trace label, and immediate index offsets
- * (kFlagImmIdx). Kept small (one cache line): a server holds the
- * programs of every cached model. Executing one FusedElem is
- * observationally identical to executing the original record —
- * per-element costs, memory/connection acquisition order, opsExecuted
- * accounting, and trace lines are all preserved; only the per-record
- * dispatch (and, with kFlagScalarize, dead tensor materialization) is
- * gone.
- */
-struct FusedElem {
-    MOp code = MOp::Bad;
-    uint8_t flags = 0;
-    uint16_t nargs = 0;
-    uint32_t argsBegin = 0;     ///< into CompiledBlock::args
-    uint32_t result = kNoSlot;
-    uint32_t aux = 0;           ///< per-opcode aux pool (consts, ...)
-    uint32_t immBegin = 0;      ///< into immIdx when kFlagImmIdx
-    uint32_t resultBegin = 0;   ///< Extern: into resultPool
-    uint32_t nresults = 0;      ///< Extern: result count
-    uint32_t costId = 0;        ///< as MicroOp::costId
-    int64_t imm = 0;            ///< stream elems
-    ir::Operation *op = nullptr;
-    /** Extern: op function resolved at fuse time (registry entries are
-     *  node-stable, so the pointer survives later re-registrations);
-     *  null falls back to the by-signature lookup. */
+                                 ///< cold paths)
+    /** Extern: op function resolved at compile time (registry entries
+     *  are node-stable, so the pointer survives later
+     *  re-registrations); null falls back to the by-signature lookup. */
     const OpFunction *fn = nullptr;
     /** Trace label (op name / extern signature), pointing into the
      *  borrowed IR like @ref op. */
     const std::string *label = nullptr;
 
+    bool counts() const { return flags & kFlagCounts; }
     bool hasConn() const { return flags & kFlagHasConn; }
     bool immIdx() const { return flags & kFlagImmIdx; }
     bool scalarize() const { return flags & kFlagScalarize; }
 };
-static_assert(sizeof(FusedElem) <= 64, "FusedElem outgrew a cache line");
-
-/** A fused run of records, dispatched as one MOp::Fused record: the
- *  elements [elemsBegin, elemsBegin + numElems) of
- *  CompiledBlock::fusedElems. */
-struct FusedGroup {
-    uint32_t elemsBegin = 0;
-    uint32_t numElems = 0;
-    /** Deepest env-chain hop count over all operand refs; the executor
-     *  resolves each chain level once per group entry instead of
-     *  walking parent links per operand ("SlotRef chain coalescing"). */
-    uint32_t maxHops = 0;
-};
+static_assert(sizeof(MicroOp) <= 64, "MicroOp outgrew a cache line");
 
 /** A compiled interpretation scope: the relocatable micro-op stream
  *  plus its pooled operands and pre-folded auxiliary data. */
@@ -283,12 +258,8 @@ struct CompiledBlock {
     };
     std::vector<LaunchSite> launches;
 
-    /** Superinstruction groups (MOp::Fused records; sim/fuse.cc) and
-     *  their elements, all groups' back to back. */
-    std::vector<FusedGroup> fusedGroups;
-    std::vector<FusedElem> fusedElems;
     /** Immediate index operands folded from same-scope constants
-     *  (elements with kFlagImmIdx). */
+     *  (records with kFlagImmIdx). */
     std::vector<int64_t> immIdx;
 
     /** Root block this program was compiled from (for a shared body,
@@ -298,6 +269,10 @@ struct CompiledBlock {
      *  executing environment's scopeId). */
     uint32_t scopeId = 0;
     uint32_t numSlots = 0;
+    /** Deepest env-chain hop count over all operand refs: an exec
+     *  resolves that many chain levels once, when it is bound, instead
+     *  of walking parent links per operand. */
+    uint32_t maxHops = 0;
 };
 
 } // namespace sim

@@ -5,9 +5,10 @@
  * an opcode-indexed table — the function-pointer-table equivalent,
  * but with the loop state kept in registers across micro-ops).
  *
- * The main switch handles only what keeps its own record after fusion
- * — control flow, linalg, and elaboration; every data, event, and
- * extern op runs as an element of a MOp::Fused group in execFused().
+ * The main switch handles only the records outside superinstruction
+ * groups — control flow, linalg, and elaboration; every data, event,
+ * and extern op runs as an element of a MOp::Fused group in
+ * execFused(), which walks the records that follow the group's head.
  * Each case mirrors the corresponding interpreter handler exactly —
  * same event creation order, same memory/connection acquisition
  * sequence, same trace records, same opsExecuted accounting — so the
@@ -37,7 +38,7 @@ CompiledExec::chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                 _eng.recordTrace("stall", _proc, now, start - now,
                                  "stall");
             if (cycles > 0)
-                _eng.recordTrace(m.op->name(), _proc, start, cycles);
+                _eng.recordTrace(*m.label, _proc, start, cycles);
         }
     }
     _eng.noteActivity(end);
@@ -98,14 +99,16 @@ CompiledExec::resume(Cycles t)
     eq_assert(!_finished, "resuming finished block");
     Cycles now = t;
     _eng.now = std::max(_eng.now, t);
+    // Re-entering a group that suspended mid-way: its head was
+    // dispatched (and counted) already.
+    if (_group && execFused(now))
+        return;
     const MicroOp *code = _prog->code.data();
     for (;;) {
         const MicroOp &m = code[_pc];
         if (m.counts()) {
             ++_eng.dispatchCount;
-            if (++_eng.opsExecuted > _eng.opts.maxOps)
-                eq_fatal("interpreted op budget exceeded (",
-                         _eng.opts.maxOps, "); runaway program?");
+            countOp();
         }
         switch (m.code) {
         // --- control flow -------------------------------------------
@@ -265,9 +268,13 @@ CompiledExec::resume(Cycles t)
             ++_pc;
             continue;
 
-        // --- every data op: superinstructions (sim/fuse.cc) ---------
+        // --- every data op: superinstruction groups ----------------
         case MOp::Fused:
-            if (execFused(m, now))
+            // One jump-table dispatch for the whole group.
+            ++_eng.dispatchCount;
+            _group = &m;
+            ++_pc;
+            if (execFused(now))
                 return;
             continue;
 
@@ -279,168 +286,85 @@ CompiledExec::resume(Cycles t)
     }
 }
 
-bool
-CompiledExec::chargeFused(const FusedElem &e, Cycles &now, Cycles start,
-                          Cycles cycles, uint32_t k)
-{
-    Cycles end = start + cycles;
-    if (_proc) {
-        _proc->recordBusy(cycles);
-        _proc->recordOp();
-        if (_eng.traceData.enabled()) {
-            if (start > now)
-                _eng.recordTrace("stall", _proc, now, start - now,
-                                 "stall");
-            if (cycles > 0)
-                _eng.recordTrace(*e.label, _proc, start, cycles);
-        }
-    }
-    _eng.noteActivity(end);
-    if (end > now) {
-        // Same time-advance fast path as chargeAfter; a mid-group
-        // suspension saves the element position so resume re-enters
-        // the group exactly where the interpreter would resume its
-        // next op.
-        if (_eng.nothingPendingBefore(end)) {
-            _eng.now = end;
-            now = end;
-            return false;
-        }
-        _subPc = k + 2; // 1-based: resume at element k + 1
-        _eng.scheduleAt(end, wakeup());
-        return true;
-    }
-    return false;
-}
-
 /*
  * The element cases below are the compiled backend's only definition
- * of each data op (the fuser wraps even a lone record in a one-element
- * group); the interpreter's handlers are the second, reference
- * definition. They are written out per op rather than shared through a
- * templated core: the specializations — coalesced arg resolution,
- * scalarized cell reads, cached extern functions, element-position
- * suspension — are the point of fusion. When changing any op's
- * semantics, update both sites; the interp-vs-compiled equivalence
- * tests (tests/sim/test_backend_equiv.cc, test_fuse.cc) and the golden
- * legs fail on any divergence an op can exhibit in those workloads.
+ * of each data op (the compiler wraps even a lone record in a
+ * one-element group); the interpreter's handlers are the second,
+ * reference definition. They are written out per op rather than shared
+ * through a templated core: the specializations — folded indices,
+ * scalarized cell reads, cached extern functions — are the point of
+ * fusion. When changing any op's semantics, update both sites; the
+ * interp-vs-compiled equivalence tests (tests/sim/test_backend_equiv.cc,
+ * test_fuse.cc) and the golden legs fail on any divergence an op can
+ * exhibit in those workloads.
  */
 bool
-CompiledExec::execFused(const MicroOp &m, Cycles &now)
+CompiledExec::execFused(Cycles &now)
 {
-    const FusedGroup &g = _prog->fusedGroups[m.aux];
-    // One jump-table dispatch for the whole group; re-entries after a
-    // mid-group suspension do not re-count it.
-    if (_subPc == 0)
-        ++_eng.dispatchCount;
-
-    // Coalesced operand chains: resolve each env-chain level once per
-    // entry instead of walking parent links per operand.
-    Env *levels[kMaxFusedHops + 1];
-    {
-        Env *e = _env.get();
-        levels[0] = e;
-        const uint32_t top = std::min(g.maxHops, kMaxFusedHops);
-        for (uint32_t h = 1; h <= top; ++h) {
-            e = e->parent.get();
-            levels[h] = e;
-        }
-    }
-    auto slot = [&](const SlotRef &r) -> SimValue & {
-        if (r.hops <= kMaxFusedHops)
-            return levels[r.hops]->slots[r.slot];
-        // Deeper than the coalesced levels (absurd launch nesting):
-        // walk the rest of the chain for this operand.
-        Env *e = levels[kMaxFusedHops];
-        for (uint32_t h = r.hops - kMaxFusedHops; h; --h)
-            e = e->parent.get();
-        return e->slots[r.slot];
-    };
-    auto argOf = [&](const FusedElem &e, unsigned i) -> const SimValue & {
-        const SimValue &s = slot(_prog->args[e.argsBegin + i]);
-        eq_assert(!s.isNone(),
-                  "use of value with no runtime binding (op '",
-                  e.op ? e.op->name() : "?",
-                  "'): likely a missing event dependency");
-        return s;
-    };
-    auto indices = [&](const FusedElem &e, unsigned first,
-                       int64_t *buf) -> const int64_t * {
-        if (e.immIdx())
-            return _prog->immIdx.data() + e.immBegin;
-        const unsigned n = e.nargs - first;
-        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
-        for (unsigned i = 0; i < n; ++i)
-            buf[i] = argOf(e, first + i).asInt();
-        return buf;
-    };
-
-    uint32_t k = _subPc ? _subPc - 1 : 0;
-    _subPc = 0;
-    const FusedElem *elems = _prog->fusedElems.data() + g.elemsBegin;
-    for (; k < g.numElems; ++k) {
-        const FusedElem &e = elems[k];
+    const MicroOp *code = _prog->code.data();
+    const uint32_t end = _group->target;
+    while (_pc < end) {
+        const MicroOp &e = code[_pc];
         // opsExecuted parity: every element is one interpreter
         // dispatch (elements re-executed after a stream wait re-count,
         // exactly like the interpreter's re-executed op).
-        if (++_eng.opsExecuted > _eng.opts.maxOps)
-            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
-                     "); runaway program?");
+        countOp();
         switch (e.code) {
         case MOp::Constant:
             bindLocal(e.result, _prog->consts[e.aux]);
+            ++_pc;
             continue;
         case MOp::AddI:
             bindLocal(e.result, SimValue::ofInt(arithAddI(
-                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
-            if (chargeFused(e, now, now, costOf(e), k))
+                                    arg(e, 0).asInt(), arg(e, 1).asInt())));
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         case MOp::SubI:
             bindLocal(e.result, SimValue::ofInt(arithSubI(
-                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
-            if (chargeFused(e, now, now, costOf(e), k))
+                                    arg(e, 0).asInt(), arg(e, 1).asInt())));
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         case MOp::MulI:
             bindLocal(e.result, SimValue::ofInt(arithMulI(
-                                    argOf(e, 0).asInt(), argOf(e, 1).asInt())));
-            if (chargeFused(e, now, now, costOf(e), k))
+                                    arg(e, 0).asInt(), arg(e, 1).asInt())));
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         case MOp::DivSI: {
-            int64_t lhs = argOf(e, 0).asInt();
-            int64_t rhs = argOf(e, 1).asInt();
+            int64_t lhs = arg(e, 0).asInt();
+            int64_t rhs = arg(e, 1).asInt();
             bindLocal(e.result, SimValue::ofInt(arithDivSI(lhs, rhs)));
-            if (chargeFused(e, now, now, costOf(e), k))
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         }
         case MOp::RemSI: {
-            int64_t lhs = argOf(e, 0).asInt();
-            int64_t rhs = argOf(e, 1).asInt();
+            int64_t lhs = arg(e, 0).asInt();
+            int64_t rhs = arg(e, 1).asInt();
             bindLocal(e.result, SimValue::ofInt(arithRemSI(lhs, rhs)));
-            if (chargeFused(e, now, now, costOf(e), k))
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         }
         case MOp::AddF:
             bindLocal(e.result,
-                      SimValue::ofFloat(argOf(e, 0).asFloat() +
-                                        argOf(e, 1).asFloat()));
-            if (chargeFused(e, now, now, costOf(e), k))
+                      SimValue::ofFloat(arg(e, 0).asFloat() +
+                                        arg(e, 1).asFloat()));
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         case MOp::MulF:
             bindLocal(e.result,
-                      SimValue::ofFloat(argOf(e, 0).asFloat() *
-                                        argOf(e, 1).asFloat()));
-            if (chargeFused(e, now, now, costOf(e), k))
+                      SimValue::ofFloat(arg(e, 0).asFloat() *
+                                        arg(e, 1).asFloat()));
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
 
         case MOp::Load: {
-            BufferObj *buf = argOf(e, 0).asBuffer();
+            BufferObj *buf = arg(e, 0).asBuffer();
             int64_t idxbuf[kMaxRank];
             const unsigned nidx = e.nargs - 1;
             const int64_t *idx = indices(e, 1, idxbuf);
@@ -449,12 +373,12 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 buf, nullptr, /*is_write=*/false, 1,
                 (buf->data->elemBits + 7) / 8, now);
             bindLocal(e.result, SimValue::ofInt(buf->data->data[off]));
-            if (chargeFused(e, now, start, costOf(e), k))
+            if (chargeAfter(e, now, start, costOf(e)))
                 return true;
             continue;
         }
         case MOp::Store: {
-            BufferObj *buf = argOf(e, 1).asBuffer();
+            BufferObj *buf = arg(e, 1).asBuffer();
             int64_t idxbuf[kMaxRank];
             const unsigned nidx = e.nargs - 2;
             const int64_t *idx = indices(e, 2, idxbuf);
@@ -462,16 +386,16 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             Cycles start = _eng.bufferAccessStart(
                 buf, nullptr, /*is_write=*/true, 1,
                 (buf->data->elemBits + 7) / 8, now);
-            buf->data->data[off] = argOf(e, 0).asInt();
-            if (chargeFused(e, now, start, costOf(e), k))
+            buf->data->data[off] = arg(e, 0).asInt();
+            if (chargeAfter(e, now, start, costOf(e)))
                 return true;
             continue;
         }
 
         case MOp::Read: {
-            BufferObj *buf = argOf(e, 0).asBuffer();
+            BufferObj *buf = arg(e, 0).asBuffer();
             Connection *conn =
-                e.hasConn() ? argOf(e, 1).asConnection() : nullptr;
+                e.hasConn() ? arg(e, 1).asConnection() : nullptr;
             const unsigned idx0 = e.hasConn() ? 2 : 1;
             const unsigned nidx = e.nargs - idx0;
             int64_t bytes;
@@ -505,15 +429,15 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             }
             Cycles start = _eng.bufferAccessStart(
                 buf, conn, /*is_write=*/false, words, bytes, now);
-            if (chargeFused(e, now, start, costOf(e), k))
+            if (chargeAfter(e, now, start, costOf(e)))
                 return true;
             continue;
         }
         case MOp::Write: {
-            const SimValue &val = argOf(e, 0);
-            BufferObj *buf = argOf(e, 1).asBuffer();
+            const SimValue &val = arg(e, 0);
+            BufferObj *buf = arg(e, 1).asBuffer();
             Connection *conn =
-                e.hasConn() ? argOf(e, 2).asConnection() : nullptr;
+                e.hasConn() ? arg(e, 2).asConnection() : nullptr;
             const unsigned idx0 = e.hasConn() ? 3 : 2;
             const unsigned nidx = e.nargs - idx0;
             int64_t bytes;
@@ -540,19 +464,18 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                                 : 1;
             Cycles start = _eng.bufferAccessStart(
                 buf, conn, /*is_write=*/true, words, bytes, now);
-            if (chargeFused(e, now, start, costOf(e), k))
+            if (chargeAfter(e, now, start, costOf(e)))
                 return true;
             continue;
         }
 
         case MOp::StreamRead: {
-            StreamFifo *fifo = argOf(e, 0).asStream();
+            StreamFifo *fifo = arg(e, 0).asStream();
             size_t elems = static_cast<size_t>(e.imm);
             Cycles ready = fifo->readyTime(elems);
             if (ready == StreamFifo::kNoReadyTime) {
                 // Re-execute this element when the producer pushes
                 // (the interpreter re-executes its op the same way).
-                _subPc = k + 1; // 1-based: resume at element k
                 _eng.streamWaiters[fifo].push_back(wakeup());
                 return true;
             }
@@ -560,10 +483,8 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 if (_eng.nothingPendingBefore(ready)) {
                     _eng.now = ready;
                     now = ready;
-                    --k; // re-execute this element at `ready`
-                    continue;
+                    continue; // re-execute this element at `ready`
                 }
-                _subPc = k + 1; // 1-based: resume at element k
                 _eng.scheduleAt(ready, wakeup());
                 return true;
             }
@@ -573,7 +494,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             tensor->data = std::move(vals);
             bindLocal(e.result, SimValue::ofTensor(tensor));
             if (e.hasConn()) {
-                Connection *conn = argOf(e, 1).asConnection();
+                Connection *conn = arg(e, 1).asConnection();
                 int64_t bytes = tensor->sizeBytes();
                 conn->recordTransfer(
                     true, now,
@@ -581,50 +502,50 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                                            1),
                     bytes);
             }
-            if (chargeFused(e, now, now, costOf(e), k))
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         }
         case MOp::StreamWrite: {
-            const SimValue &val = argOf(e, 0);
-            StreamFifo *fifo = argOf(e, 1).asStream();
+            const SimValue &val = arg(e, 0);
+            StreamFifo *fifo = arg(e, 1).asStream();
             Connection *conn =
-                e.hasConn() ? argOf(e, 2).asConnection() : nullptr;
+                e.hasConn() ? arg(e, 2).asConnection() : nullptr;
             std::vector<int64_t> elems;
             if (val.isTensor())
                 elems = val.asTensor()->data;
             else
                 elems.push_back(val.asInt());
             _eng.streamPush(fifo, conn, elems, now);
-            if (chargeFused(e, now, now, costOf(e), k))
+            if (chargeAfter(e, now, now, costOf(e)))
                 return true;
             continue;
         }
 
         case MOp::Extern: {
-            // Scratch call frame + fuse-time-cached function pointer:
+            // Scratch call frame + compile-time-cached function pointer:
             // no per-call signature lookup, no argument-vector churn.
             _scratch.op = e.op;
             _scratch.proc = _proc;
             _scratch.args.clear();
             _scratch.args.reserve(e.nargs);
             for (unsigned i = 0; i < e.nargs; ++i)
-                _scratch.args.push_back(argOf(e, i));
+                _scratch.args.push_back(arg(e, i));
             OpFnResult r = e.fn ? (*e.fn)(_scratch)
                                 : _eng.opFns.invoke(*e.label, _scratch);
-            eq_assert(r.results.size() >= e.nresults,
+            eq_assert(r.results.size() >= static_cast<size_t>(e.imm),
                       "op function returned too few results for '",
                       *e.label, "'");
-            for (unsigned i = 0; i < e.nresults; ++i) {
+            for (unsigned i = 0; i < e.imm; ++i) {
                 eq_assert(!r.results[i].isNone(), "op function for '",
                           *e.label,
                           "' returned an empty SimValue for result ",
                           i);
-                bindLocal(_prog->resultPool[e.resultBegin + i],
+                bindLocal(_prog->resultPool[e.aux + i],
                           r.results[i]);
             }
             Cycles cycles = std::max(costOf(e), r.cycles);
-            if (chargeFused(e, now, now, cycles, k))
+            if (chargeAfter(e, now, now, cycles))
                 return true;
             continue;
         }
@@ -634,6 +555,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             Event *ev = _eng.newEvent(Event::Kind::Start);
             _eng.completeEvent(ev, now);
             bindLocal(e.result, SimValue::ofEvent(ev->id));
+            ++_pc;
             continue;
         }
         case MOp::ControlAnd:
@@ -642,23 +564,24 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             Event *ev = _eng.newEvent(
                 is_and ? Event::Kind::And : Event::Kind::Or);
             for (unsigned i = 0; i < e.nargs; ++i)
-                ev->deps.push_back(argOf(e, i).asEvent());
+                ev->deps.push_back(arg(e, i).asEvent());
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             Wakeup done{Wakeup::Kind::Complete, 0, ev, 0};
             if (is_and)
                 _eng.whenAllDone(ev->deps.data(), ev->deps.size(), done);
             else
                 _eng.whenAnyDone(ev->deps.data(), ev->deps.size(), done);
+            ++_pc;
             continue;
         }
         case MOp::Launch: {
             unsigned ndeps = static_cast<unsigned>(e.imm);
             Event *ev = _eng.newEvent(Event::Kind::Launch);
             for (unsigned i = 0; i < ndeps; ++i)
-                ev->deps.push_back(argOf(e, i).asEvent());
+                ev->deps.push_back(arg(e, i).asEvent());
             ev->op = e.op;
             ev->proc = static_cast<Processor *>(
-                argOf(e, ndeps).asComponent());
+                arg(e, ndeps).asComponent());
             ev->creatorEnv = _env;
             const auto &site = _prog->launches[e.aux];
             ev->bodyProg = site.body;
@@ -667,22 +590,24 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             _spawned.push_back(ev->id);
             _eng.enqueueOnProcessor(ev, now);
+            ++_pc;
             continue;
         }
         case MOp::Memcpy: {
             Event *ev = _eng.newEvent(Event::Kind::Memcpy);
-            ev->deps.push_back(argOf(e, 0).asEvent());
+            ev->deps.push_back(arg(e, 0).asEvent());
             ev->op = e.op;
-            ev->src = argOf(e, 1).asBuffer();
-            ev->dst = argOf(e, 2).asBuffer();
+            ev->src = arg(e, 1).asBuffer();
+            ev->dst = arg(e, 2).asBuffer();
             ev->proc =
-                static_cast<Processor *>(argOf(e, 3).asComponent());
+                static_cast<Processor *>(arg(e, 3).asComponent());
             if (e.hasConn())
-                ev->conn = argOf(e, 4).asConnection();
+                ev->conn = arg(e, 4).asConnection();
             ev->creatorEnv = _env;
             bindLocal(e.result, SimValue::ofEvent(ev->id));
             _spawned.push_back(ev->id);
             _eng.enqueueOnProcessor(ev, now);
+            ++_pc;
             continue;
         }
         case MOp::Await: {
@@ -696,9 +621,9 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                     if (!_eng.event(id)->done)
                         _spawned[w++] = id;
                 _spawned.resize(w);
+                ++_pc;
                 if (w == 0)
                     continue;
-                _subPc = k + 2; // 1-based: resume at element k + 1
                 _eng.whenAllDone(_spawned.data(), w, wakeup(now));
                 return true;
             }
@@ -707,7 +632,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             bool all_done = true;
             Cycles max_t = now;
             for (unsigned i = 0; i < e.nargs; ++i) {
-                EventId id = argOf(e, i).asEvent();
+                EventId id = arg(e, i).asEvent();
                 ids.push_back(id);
                 Event *ev = _eng.event(id);
                 if (!ev->done)
@@ -715,11 +640,11 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
                 else
                     max_t = std::max(max_t, ev->doneTime);
             }
+            ++_pc;
             if (all_done) {
                 now = std::max(now, max_t);
                 continue;
             }
-            _subPc = k + 2; // 1-based: resume at element k + 1
             _eng.whenAllDone(ids.data(), ids.size(), wakeup(now));
             return true;
         }
@@ -727,7 +652,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             // Only ever the last element of a group.
             if (_event) {
                 for (unsigned i = 0; i < e.nargs; ++i)
-                    _event->results.push_back(argOf(e, i));
+                    _event->results.push_back(arg(e, i));
             }
             finish(now);
             return true;
@@ -736,7 +661,7 @@ CompiledExec::execFused(const MicroOp &m, Cycles &now)
             eq_panic("unexpected opcode inside a fused group");
         }
     }
-    ++_pc;
+    _group = nullptr;
     return false;
 }
 

@@ -8,13 +8,15 @@
  * Where BlockExec keeps a frame stack of (block, iterator) pairs and
  * re-derives everything per dispatch (handler-table lookup, scope-id
  * walk per operand, cost-table lookup), CompiledExec's whole state is
- * a program counter: control flow follows pre-computed pc targets,
- * operands are pre-resolved (hops, slot) references, and the
- * executing processor's cost-class row is resolved once per exec, so
- * a cost is one indexed load. Suspension (timed ops, awaits, stream
- * stalls) schedules a resume at the saved pc, exactly mirroring the
- * interpreter's suspend/resume protocol so event ordering — and
- * therefore traces and reports — is byte-identical.
+ * a program counter (plus the superinstruction group it is inside):
+ * control flow follows pre-computed pc targets, operands are
+ * pre-resolved (hops, slot) references into env-chain levels resolved
+ * once per exec, and the executing processor's cost-class row is
+ * resolved once per exec, so a cost is one indexed load. Suspension
+ * (timed ops, awaits, stream stalls) schedules a resume at the saved
+ * pc, exactly mirroring the interpreter's suspend/resume protocol so
+ * event ordering — and therefore traces and reports — is
+ * byte-identical.
  */
 
 #ifndef EQ_SIM_COMPILED_EXEC_HH
@@ -48,12 +50,16 @@ class CompiledExec {
         _proc = proc;
         _prog = &prog;
         _env = std::move(env);
+        _levels[0] = _env.get();
+        for (uint32_t h = 1; h <= std::min(prog.maxHops, kMaxFusedHops);
+             ++h)
+            _levels[h] = _levels[h - 1]->parent.get();
         _costRow =
             _eng.costTable[proc ? static_cast<unsigned>(proc->costClass())
                                 : static_cast<unsigned>(CostClass::Root)]
                 .data();
         _pc = 0;
-        _subPc = 0;
+        _group = nullptr;
         _spawned.clear();
         _finished = false;
         ++_gen;
@@ -96,8 +102,12 @@ class CompiledExec {
     SimValue &
     slotAt(const SlotRef &r) const
     {
-        Env *e = _env.get();
-        for (uint32_t h = r.hops; h; --h)
+        if (r.hops <= kMaxFusedHops)
+            return _levels[r.hops]->slots[r.slot];
+        // Deeper than the resolved levels (absurd launch nesting):
+        // walk the rest of the chain for this operand.
+        Env *e = _levels[kMaxFusedHops];
+        for (uint32_t h = r.hops - kMaxFusedHops; h; --h)
             e = e->parent.get();
         return e->slots[r.slot];
     }
@@ -132,16 +142,39 @@ class CompiledExec {
      *  type system long before execution. */
     static constexpr unsigned kMaxRank = 8;
 
-    /** Cost of record or element @p r on the executing processor
-     *  class. */
-    template <typename Rec>
-    Cycles
-    costOf(const Rec &r) const
+    /** Index operands of @p m from operand @p first on: its folded
+     *  immediates (kFlagImmIdx), or the slots' values copied into
+     *  @p buf. */
+    const int64_t *
+    indices(const MicroOp &m, unsigned first, int64_t *buf) const
     {
-        Cycles c = _costRow[r.costId];
+        if (m.immIdx())
+            return _prog->immIdx.data() + m.immBegin;
+        const unsigned n = m.nargs - first;
+        eq_assert(n <= kMaxRank, "index rank exceeds kMaxRank");
+        for (unsigned i = 0; i < n; ++i)
+            buf[i] = arg(m, first + i).asInt();
+        return buf;
+    }
+
+    /** Cost of record @p m on the executing processor class. */
+    Cycles
+    costOf(const MicroOp &m) const
+    {
+        Cycles c = _costRow[m.costId];
         if (c == CostModel::kDynamic)
-            c = CostModel::linalgCycles(r.op);
+            c = CostModel::linalgCycles(m.op);
         return c;
+    }
+
+    /** Count one executed op (one interpreter dispatch, for
+     *  opsExecuted parity) against the run's op budget. */
+    void
+    countOp()
+    {
+        if (++_eng.opsExecuted > _eng.opts.maxOps)
+            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
+                     "); runaway program?");
     }
 
     /** Account for an op occupying the processor from @p start for
@@ -155,21 +188,16 @@ class CompiledExec {
     bool chargeAfter(const MicroOp &m, Cycles &now, Cycles start,
                      Cycles cycles);
 
-    /** Execute the superinstruction @p m (MOp::Fused) from the saved
-     *  sub-position. Each constituent element is accounted exactly like
-     *  the interpreter accounts its op — per-element cost,
+    /** Run the elements of the superinstruction group @ref _group from
+     *  @ref _pc on. Each element is accounted exactly like the
+     *  interpreter accounts its op — per-element cost,
      *  memory/connection acquisition, trace lines, opsExecuted, and
      *  suspend decisions — so both backends are byte-identical; only
      *  the per-op dispatch (and dead tensor materialization) is saved.
      *  @return true when the group suspended (resume re-enters it at
-     *  @ref _subPc); false when it completed (pc already advanced). */
-    bool execFused(const MicroOp &m, Cycles &now);
-
-    /** Per-element chargeAfter twin: same accounting and time-advance
-     *  fast path, but suspension saves the element position instead of
-     *  advancing the pc. */
-    bool chargeFused(const FusedElem &e, Cycles &now, Cycles start,
-                     Cycles cycles, uint32_t k);
+     *  @ref _pc) or the scope returned; false when the group completed
+     *  (@ref _pc is past it). */
+    bool execFused(Cycles &now);
 
     void finish(Cycles t);
 
@@ -181,14 +209,15 @@ class CompiledExec {
     /** The executing processor class's cost-table row (indexed by
      *  costId); the table is stable for the whole run. */
     const Cycles *_costRow = nullptr;
+    /** Env-chain levels 0..min(maxHops, kMaxFusedHops) of @ref _env,
+     *  resolved once by init(); the chain is fixed for the run. */
+    Env *_levels[kMaxFusedHops + 1] = {};
+    /** Next record to run; inside a group, the next element. */
     uint32_t _pc = 0;
-    /** Resume position inside a suspended MOp::Fused group, 1-based:
-     *  0 = enter the group fresh, k+1 = resume at element k. The
-     *  bias keeps "fresh entry" distinguishable from "suspended at
-     *  element 0" (a group-leading stream read waiting on its
-     *  producer), so re-entries never re-count the group dispatch.
-     *  Only nonzero while suspended at _pc. */
-    uint32_t _subPc = 0;
+    /** Head of the superinstruction group being run, null outside
+     *  one. A resume while it is set re-enters the group at @ref _pc
+     *  without dispatching (and counting) the head again. */
+    const MicroOp *_group = nullptr;
     /** Scratch equeue.op call frame (also create_comp's operand
      *  list): cleared per call, so its argument vector's capacity is
      *  reused across calls and launches. */

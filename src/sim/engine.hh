@@ -41,8 +41,8 @@ class Session;
  * report generation; cycle counts, reports, and traces are identical.
  *  - Compiled (the production engine): lowers each region once into a
  *    dense micro-op stream (pre-resolved slots, pre-folded costs,
- *    pre-computed branch targets; see sim/compile.hh), then fuses
- *    every run of data records into superinstructions (sim/fuse.hh),
+ *    pre-computed branch targets; see sim/compile.hh) whose runs of
+ *    data records form superinstruction groups as it is emitted,
  *    and dispatches over that stream. Launch bodies of one shape
  *    share one program, and compilation is cached per region, so
  *    Session re-runs and sweeps pay it once per structural config.
@@ -69,8 +69,8 @@ struct EngineOptions {
 
 /** What Simulator::precompile lowered. */
 struct PrecompileStats {
-    /** Micro-ops over all programs; a fused group counts its
-     *  elements. */
+    /** Micro-ops over all programs: every record except the
+     *  superinstruction group heads. */
     size_t microOps = 0;
     /** Programs: the top level plus one per distinct launch-body
      *  shape (bodies of one shape share a program). */
@@ -111,7 +111,7 @@ class Simulator {
      * scratch (drops all cached numbering and programs first, so
      * repeated calls measure full compilation cost — this is the
      * BM_CompileModule hook, quantifying exactly the setup a
-     * Session's first run pays and its re-runs amortize, fusion
+     * Session's first run pays and its re-runs amortize, grouping
      * included). Note a subsequent run still recompiles: per-run setup
      * legitimately rebuilds caches unless a Session pins the module.
      */

@@ -516,7 +516,7 @@ struct Simulator::Impl {
     EnvPtr makeEnv(ir::Block *root, EnvPtr parent);
 
     // --- compiled backend ---------------------------------------------
-    /** Every compiled (lowered, then fused) micro-op program: the
+    /** Every compiled micro-op program: the
      *  module top level and one per distinct launch-body shape. Cached
      *  and invalidated exactly like @ref valueScopes (a program embeds
      *  its first instance's slot assignment): batched re-runs of a
@@ -536,7 +536,7 @@ struct Simulator::Impl {
     std::unordered_multimap<uint64_t, Shape> shapes;
     /** Token buffer for the body being looked up (reused). */
     std::vector<uint64_t> shapeScratch;
-    /** Lower and fuse @p root once (cached); a launch body whose shape
+    /** Lower @p root once (cached); a launch body whose shape
      *  was compiled before shares that program (compile.cc). */
     const CompiledBlock &programFor(ir::Block *root);
 

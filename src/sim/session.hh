@@ -11,7 +11,7 @@
  * once), and — after rebuild() — a pinned module. The first run after
  * a rebuild verifies the module and fully resets the engine's value
  * numbering (the new module's blocks may alias destroyed ones); later
- * runs keep the numbering and the compiled/fused programs. The
+ * runs keep the numbering and the compiled programs. The
  * dispatch tables (one context) and the pooled buffers outlive
  * rebuilds too. Per-run state — components, buffer contents, events,
  * the heap — always resets, so every run is cycle-identical to a

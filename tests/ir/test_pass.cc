@@ -54,7 +54,7 @@ TEST(PassManagerStrictTest, VerifiesBetweenPasses)
     auto module = ir::createModule(ctx);
     static constexpr ir::OpSignature kModule{{}, {}, {}, /*regions=*/1};
     ctx.registerOp({"builtin.module", &kModule});
-    ir::PassManager pm(/*verify_each=*/true);
+    ir::PassManager pm;
     pm.add<ir::LambdaPass>("corrupt", [&](ir::Operation *m) {
         ir::OpBuilder b(ctx);
         b.setInsertionPointToEnd(&m->region(0).front());

@@ -596,10 +596,16 @@ TEST(BackendEquivTest, SystolicPeBodiesCompileOncePerShape)
 {
     // The BM_CompileModule module. At 8x8 its 64 launch bodies fall
     // into 5 shapes, so 6 programs (with the top level) are compiled;
-    // the shapes do not grow with the array.
-    for (int edge : {4, 8, 16}) {
+    // the shapes do not grow with the array. The micro-op counts and
+    // the 8x8 run's dispatch and op counts pin the superinstruction
+    // group layout: a group boundary that moves changes them.
+    const struct {
+        int edge;
+        size_t microOps;
+    } cases[] = {{4, 247}, {8, 759}, {16, 2679}};
+    for (const auto &c : cases) {
         scalesim::Config cfg;
-        cfg.ah = cfg.aw = edge;
+        cfg.ah = cfg.aw = c.edge;
         cfg.c = 2;
         cfg.h = cfg.w = 8;
         cfg.n = 2;
@@ -611,11 +617,17 @@ TEST(BackendEquivTest, SystolicPeBodiesCompileOncePerShape)
         module->walk([&](ir::Operation *op) {
             bodies += op->opId() == equeue::LaunchOp::id(ctx);
         });
-        if (edge == 8) {
+        const sim::PrecompileStats stats = precompiled(module.get());
+        EXPECT_EQ(stats.programs, 5u + 1u) << c.edge << "x" << c.edge;
+        EXPECT_EQ(stats.microOps, c.microOps) << c.edge << "x" << c.edge;
+        if (c.edge == 8) {
             EXPECT_EQ(bodies, 64u);
+            sim::EngineOptions opts;
+            opts.backend = sim::Backend::Compiled;
+            sim::SimReport rep = sim::Simulator(opts).simulate(module.get());
+            EXPECT_EQ(rep.dispatchCount, 2797u);
+            EXPECT_EQ(rep.opsExecuted, 14020u);
         }
-        EXPECT_EQ(precompiled(module.get()).programs, 5u + 1u)
-            << edge << "x" << edge;
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Superinstruction fusion (sim/fuse.cc) unit tests: known PE-body
+ * Superinstruction fusion (sim/compile.cc) unit tests: known PE-body
  * sequences must actually fuse (dispatchCount strictly below
  * opsExecuted, which is what an op-by-op dispatch would count), while
  * every observable outcome — cycles, per-processor busy/ops,
