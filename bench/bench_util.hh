@@ -117,11 +117,8 @@ struct HarnessArgs {
                 a.durability.fsyncEachRecord = true;
             else if (arg == "--backend") {
                 std::string v = next();
-                if (v == "interp")
-                    a.backend = sim::Backend::Interp;
-                else if (v == "compiled")
-                    a.backend = sim::Backend::Compiled;
-                else {
+                if (!sim::backendFromName(v, &a.backend) ||
+                    a.backend == sim::Backend::Auto) {
                     std::fprintf(stderr,
                                  "--backend expects 'interp' or "
                                  "'compiled', got '%s'\n",

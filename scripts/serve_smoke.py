@@ -8,7 +8,9 @@ the NDJSON protocol over a raw socket with no client-library help:
      the second warm, and both reports identical apart from wall_s;
   2. malformed and unknown requests — answered with "ok": false on a
      connection that stays usable;
-  3. stats — cache counters must show the cross-request reuse;
+  3. stats — cache counters must show the cross-request reuse, and
+     server.backend must name the backend the entries run: the one
+     EQ_SIM_BACKEND selects, "compiled" when it is unset;
   4. out-of-range configs (zero stages, an ah past int range, no
      accelerators) — each answered bad_request naming the field, and
      a valid simulate on the same connection still succeeds;
@@ -149,6 +151,9 @@ def check_simulate_and_stats(port):
     if cache.get("misses") != 1 or cache.get("hits") != 1 \
             or cache.get("runs") != 2:
         fail(f"stats counters wrong: {stats}")
+    backend = os.environ.get("EQ_SIM_BACKEND") or "compiled"
+    if stats.get("server", {}).get("backend") != backend:
+        fail(f"stats backend is not {backend!r}: {stats}")
     conn.close()
     print(f"  simulate/stats ok (port {port})")
 

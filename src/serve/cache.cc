@@ -137,11 +137,5 @@ ProgramCache::Handle::key() const
     return _entry->key;
 }
 
-uint64_t
-ProgramCache::Handle::keyHash() const
-{
-    return _entry->hash;
-}
-
 } // namespace serve
 } // namespace eq

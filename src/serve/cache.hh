@@ -74,7 +74,6 @@ class ProgramCache {
       public:
         sim::SimReport run();
         const ModelKey &key() const;
-        uint64_t keyHash() const;
         /** True when acquire() found a warm (already present) entry. */
         bool warm() const { return _warm; }
 

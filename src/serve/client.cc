@@ -150,20 +150,47 @@ Client::roundTrip(const Json &request, Json *response, std::string *err)
     return sendRequest(request, err) && readResponse(response, err);
 }
 
-Client::SimulateResult
-Client::simulate(const ModelKey &key, int64_t deadline_ms)
+bool
+Client::call(const Json &request, Json *response, ErrorInfo *failure)
+{
+    if (!roundTrip(request, response, &failure->message))
+        return false;
+    if (response->getBool("ok", false))
+        return true;
+    *failure = parseError(*response);
+    return false;
+}
+
+bool
+Client::withRetries(const Attempt &attempt, ErrorInfo *failure,
+                    bool close_on_failure)
 {
     const int attempts = _policy.maxAttempts > 0 ? _policy.maxAttempts : 1;
-    SimulateResult result;
-    for (int attempt = 1;; ++attempt) {
-        result = SimulateResult();
-        std::string err;
-        int64_t hint = -1;
+    for (int n = 1;; ++n) {
+        *failure = ErrorInfo();
+        if ((connected() || reconnect(&failure->message)) &&
+            attempt(failure))
+            return true;
         // Transport failures (refused connect, dropped or torn
         // response) are always retryable: results are byte
         // deterministic, so re-asking cannot change the answer.
-        bool retryable = true;
-        if (connected() || reconnect(&err)) {
+        const bool transport = failure->code == ErrorCode::None;
+        if (transport || close_on_failure)
+            close(); // the next attempt or request reconnects
+        if (n >= attempts ||
+            !(transport || errorCodeRetryable(failure->code)))
+            return false;
+        backoff(n, failure->retryAfterMs);
+    }
+}
+
+Client::SimulateResult
+Client::simulate(const ModelKey &key, int64_t deadline_ms)
+{
+    SimulateResult result;
+    ErrorInfo failure;
+    result.ok = withRetries(
+        [&](ErrorInfo *f) {
             Json request = Json::object();
             request.set("op", "simulate");
             request.set("id", _nextId++);
@@ -172,104 +199,66 @@ Client::simulate(const ModelKey &key, int64_t deadline_ms)
             if (deadline_ms >= 0)
                 request.set("deadline_ms", deadline_ms);
             Json response;
-            if (roundTrip(request, &response, &err)) {
-                if (response.getBool("ok", false)) {
-                    result.ok = true;
-                    result.cached = response.getBool("cached", false);
-                    if (const Json *report = response.find("report"))
-                        result.report = *report;
-                    return result;
-                }
-                ErrorInfo info = parseError(response);
-                result.code = info.code;
-                result.error = info.message;
-                hint = info.retryAfterMs;
-                retryable = errorCodeRetryable(info.code);
-            } else {
-                result.error = err;
-                close(); // broken transport; reconnect on retry
-            }
-        } else {
-            result.error = err;
-        }
-        if (!retryable || attempt >= attempts)
-            return result;
-        backoff(attempt, hint);
+            if (!call(request, &response, f))
+                return false;
+            result.cached = response.getBool("cached", false);
+            if (const Json *report = response.find("report"))
+                result.report = *report;
+            return true;
+        },
+        &failure);
+    if (!result.ok) {
+        result.code = failure.code;
+        result.error = failure.message;
     }
+    return result;
 }
 
 bool
 Client::sweepTable(const SweepSpec &spec, sweep::Table *out,
                    std::string *err, int64_t deadline_ms)
 {
-    std::string verr;
-    if (!spec.validate(&verr)) {
-        if (err)
-            *err = verr;
-        return false;
-    }
-    const int attempts = _policy.maxAttempts > 0 ? _policy.maxAttempts : 1;
-    for (int attempt = 1;; ++attempt) {
-        std::string aerr;
-        ErrorInfo info;
-        if (sweepTableOnce(spec, out, &aerr, deadline_ms, &info))
-            return true;
-        const bool retryable = info.code == ErrorCode::None
-                                   ? true // transport-class failure
-                                   : errorCodeRetryable(info.code);
-        if (!retryable || attempt >= attempts) {
-            if (err)
-                *err = aerr;
-            return false;
-        }
-        // Always tear the connection down before retrying a sweep:
-        // rows of the aborted stream may still be in flight and would
-        // otherwise interleave with the fresh attempt's stream.
-        close();
-        backoff(attempt, info.retryAfterMs);
-    }
+    ErrorInfo failure;
+    // Always tear the connection down after a failed sweep: rows of the
+    // aborted stream may still be in flight and would otherwise be read
+    // as the answers to the retry or to the next request.
+    const bool ok =
+        spec.validate(&failure.message) &&
+        withRetries(
+            [&](ErrorInfo *f) {
+                return sweepTableOnce(spec, out, deadline_ms, f);
+            },
+            &failure, /*close_on_failure=*/true);
+    if (!ok && err)
+        *err = failure.message;
+    return ok;
 }
 
 bool
 Client::sweepTableOnce(const SweepSpec &spec, sweep::Table *out,
-                       std::string *err, int64_t deadline_ms,
-                       ErrorInfo *info)
+                       int64_t deadline_ms, ErrorInfo *failure)
 {
-    *info = ErrorInfo(); // code None = transport-class failure
-    std::string cerr;
-    if (!connected() && !reconnect(&cerr)) {
-        if (err)
-            *err = cerr;
-        return false;
-    }
+    std::string *err = &failure->message;
     Json request = spec.toJson();
     request.set("id", _nextId++);
     if (deadline_ms >= 0)
         request.set("deadline_ms", deadline_ms);
-    if (!sendRequest(request, err)) {
-        close();
+    if (!sendRequest(request, err))
         return false;
-    }
 
     auto serverError = [&](const Json &msg) {
-        *info = parseError(msg);
-        if (err)
-            *err = info->message;
+        *failure = parseError(msg);
         return false;
     };
 
     Json begin;
-    if (!readResponse(&begin, err)) {
-        close();
+    if (!readResponse(&begin, err))
         return false;
-    }
     if (!begin.getBool("ok", false))
         return serverError(begin);
     if (begin.getStr("type", "") != "sweep_begin") {
-        if (err)
-            *err = "expected sweep_begin, got '" +
-                   begin.getStr("type", "") + "'";
-        close();
+        *err = "expected sweep_begin, got '" + begin.getStr("type", "") +
+               "'";
         return false;
     }
     const std::vector<sweep::Column> schema = spec.schema();
@@ -283,20 +272,16 @@ Client::sweepTableOnce(const SweepSpec &spec, sweep::Table *out,
     size_t received = 0;
     for (;;) {
         Json msg;
-        if (!readResponse(&msg, err)) {
-            close();
+        if (!readResponse(&msg, err))
             return false;
-        }
         if (!msg.getBool("ok", false))
             return serverError(msg);
         const std::string type = msg.getStr("type", "");
         if (type == "sweep_end")
             break;
         if (type != "row") {
-            if (err)
-                *err = "unexpected message type '" + type +
-                       "' inside sweep stream";
-            close();
+            *err = "unexpected message type '" + type +
+                   "' inside sweep stream";
             return false;
         }
         const size_t index =
@@ -304,31 +289,23 @@ Client::sweepTableOnce(const SweepSpec &spec, sweep::Table *out,
         const Json *cells = msg.find("cells");
         if (index >= points || !cells || !cells->isArray() ||
             cells->size() != schema.size()) {
-            if (err)
-                *err = "malformed row line";
-            close();
+            *err = "malformed row line";
             return false;
         }
         if (seen[index]) {
-            if (err)
-                *err = "duplicate row index " + std::to_string(index);
-            close();
+            *err = "duplicate row index " + std::to_string(index);
             return false;
         }
         seen[index] = true;
         std::vector<sweep::Cell> row;
-        if (!cellsFromJson(*cells, schema, &row, err)) {
-            close();
+        if (!cellsFromJson(*cells, schema, &row, err))
             return false;
-        }
         rows[index] = std::move(row);
         ++received;
     }
     if (received != points) {
-        if (err)
-            *err = "sweep_end after " + std::to_string(received) +
-                   " of " + std::to_string(points) + " rows";
-        close();
+        *err = "sweep_end after " + std::to_string(received) + " of " +
+               std::to_string(points) + " rows";
         return false;
     }
 
@@ -342,39 +319,22 @@ Client::sweepTableOnce(const SweepSpec &spec, sweep::Table *out,
 bool
 Client::stats(Json *out, std::string *err)
 {
-    const int attempts = _policy.maxAttempts > 0 ? _policy.maxAttempts : 1;
-    for (int attempt = 1;; ++attempt) {
-        std::string aerr;
-        int64_t hint = -1;
-        bool retryable = true;
-        std::string cerr;
-        if (connected() || reconnect(&cerr)) {
+    ErrorInfo failure;
+    const bool ok = withRetries(
+        [&](ErrorInfo *f) {
             Json request = Json::object();
             request.set("op", "stats");
             request.set("id", _nextId++);
             Json response;
-            if (roundTrip(request, &response, &aerr)) {
-                if (response.getBool("ok", false)) {
-                    *out = std::move(response);
-                    return true;
-                }
-                ErrorInfo info = parseError(response);
-                aerr = info.message;
-                hint = info.retryAfterMs;
-                retryable = errorCodeRetryable(info.code);
-            } else {
-                close();
-            }
-        } else {
-            aerr = cerr;
-        }
-        if (!retryable || attempt >= attempts) {
-            if (err)
-                *err = aerr;
-            return false;
-        }
-        backoff(attempt, hint);
-    }
+            if (!call(request, &response, f))
+                return false;
+            *out = std::move(response);
+            return true;
+        },
+        &failure);
+    if (!ok && err)
+        *err = failure.message;
+    return ok;
 }
 
 bool
@@ -387,14 +347,12 @@ Client::shutdownServer(std::string *err)
     request.set("op", "shutdown");
     request.set("id", _nextId++);
     Json response;
-    if (!roundTrip(request, &response, err))
-        return false;
-    if (!response.getBool("ok", false)) {
-        if (err)
-            *err = parseError(response).message;
-        return false;
-    }
-    return true;
+    ErrorInfo failure;
+    if (call(request, &response, &failure))
+        return true;
+    if (err)
+        *err = failure.message;
+    return false;
 }
 
 } // namespace serve

@@ -19,15 +19,19 @@
  * jittered delay between attempts — and at least the server's
  * retry_after_ms hint when one is present. Retrying verbatim is safe
  * by construction: served results are byte-deterministic, so a
- * repeated simulate/sweep is idempotent. A failed sweep always
- * reconnects before retrying (stale rows of the aborted stream could
- * otherwise interleave with the new one).
+ * repeated simulate/sweep is idempotent. A failed sweep always closes
+ * its connection (stale rows of the aborted stream could otherwise be
+ * read as the answers to the retry or to the next request).
+ * simulate(), sweepTable() and stats() each hand one attempt to the
+ * same retry loop (withRetries); shutdownServer() and roundTrip()
+ * never retry.
  */
 
 #ifndef EQ_SERVE_CLIENT_HH
 #define EQ_SERVE_CLIENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -101,15 +105,29 @@ class Client {
                    std::string *err = nullptr);
 
   private:
+    /** One try of a request on a connected client. True on success;
+     *  otherwise fills @p failure: the server's structured error, or
+     *  code None and a message for a transport-class failure. */
+    using Attempt = std::function<bool(ErrorInfo *failure)>;
+
     bool sendRequest(const Json &request, std::string *err);
     bool readResponse(Json *response, std::string *err);
+    /** roundTrip(), then turn an "ok":false answer into its
+     *  ErrorInfo. */
+    bool call(const Json &request, Json *response, ErrorInfo *failure);
     bool reconnect(std::string *err);
     /** Sleep before attempt @p attempt (1-based retry count), honoring
      *  @p retry_after_ms when the server sent a hint. */
     void backoff(int attempt, int64_t retry_after_ms);
+    /** The retry loop: (re)connect and run @p attempt until it
+     *  succeeds, fails with a non-retryable code, or the policy's
+     *  attempts run out; @p failure holds the last failure. A transport
+     *  failure closes the connection; @p close_on_failure closes it
+     *  after every failed attempt. */
+    bool withRetries(const Attempt &attempt, ErrorInfo *failure,
+                     bool close_on_failure = false);
     bool sweepTableOnce(const SweepSpec &spec, sweep::Table *out,
-                        std::string *err, int64_t deadline_ms,
-                        ErrorInfo *info);
+                        int64_t deadline_ms, ErrorInfo *failure);
 
     int _fd = -1;
     uint64_t _nextId = 1;

@@ -104,13 +104,7 @@ main(int argc, char **argv)
             faultSpec = value();
         } else if (arg == "--backend") {
             const std::string mode = value();
-            if (mode == "auto")
-                opts.engine.backend = sim::Backend::Auto;
-            else if (mode == "interp")
-                opts.engine.backend = sim::Backend::Interp;
-            else if (mode == "compiled")
-                opts.engine.backend = sim::Backend::Compiled;
-            else {
+            if (!sim::backendFromName(mode, &opts.engine.backend)) {
                 std::fprintf(stderr, "eqserved: bad --backend '%s'\n",
                              mode.c_str());
                 return 2;

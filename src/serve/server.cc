@@ -28,6 +28,9 @@ namespace {
 
 using Clock = Scheduler::Clock;
 
+constexpr const char *kDeadlineMsg =
+    "deadline elapsed before the run started";
+
 bool
 deadlinePassed(Clock::time_point deadline)
 {
@@ -38,48 +41,38 @@ deadlinePassed(Clock::time_point deadline)
 
 /** One accepted connection. Writes are serialized by `writeMu` so
  *  concurrently finishing jobs never interleave response bytes. The
- *  `gone` flag doubles as the scheduler cancel token for everything
- *  this client queued: the reader flips it on EOF (and send() flips
- *  it on a dead socket), and workers then skip the client's pending
- *  points instead of simulating for nobody. */
+ *  `gone` flag is both the liveness flag and the scheduler cancel
+ *  token for everything this client queued: the reader flips it on
+ *  EOF (and send() flips it on a dead socket), and workers then skip
+ *  the client's pending points instead of simulating for nobody. */
 struct Server::Conn {
     int fd = -1;
     uint64_t id = 0; ///< scheduler client id
 
     std::mutex writeMu;
-    std::atomic<bool> alive{true};
     std::shared_ptr<std::atomic<bool>> gone =
         std::make_shared<std::atomic<bool>>(false);
 
-    void
-    markDead()
-    {
-        alive.store(false);
-        gone->store(true);
-    }
+    void markDead() { gone->store(true); }
 
     bool
     send(const Json &msg)
     {
         std::lock_guard<std::mutex> g(writeMu);
-        if (!alive.load())
+        if (gone->load())
             return false;
-        switch (FaultInjector::onSend()) {
-        case FaultInjector::SendAction::Torn: {
-            // Write half the frame (no terminator), then kill the
-            // socket: the peer sees a truncated line followed by EOF.
+        const FaultInjector::SendAction fault = FaultInjector::onSend();
+        if (fault == FaultInjector::SendAction::Torn) {
+            // Write half the frame (no terminator) before the drop
+            // below: the peer sees a truncated line followed by EOF.
             std::string frame = msg.dump();
             frame.resize(frame.size() / 2);
             (void)!::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-            ::shutdown(fd, SHUT_RDWR);
-            markDead();
-            return false;
         }
-        case FaultInjector::SendAction::Drop:
+        if (fault != FaultInjector::SendAction::None) {
             ::shutdown(fd, SHUT_RDWR);
             markDead();
             return false;
-        case FaultInjector::SendAction::None: break;
         }
         if (!writeLine(fd, msg.dump())) {
             markDead();
@@ -105,6 +98,9 @@ Server::Server(ServerOptions opts)
 {
     _maxLine = _opts.maxLineBytes ? _opts.maxLineBytes
                                   : LineReader::kDefaultMaxLine;
+    // Resolve Auto once, so every cache entry runs, and stats reports,
+    // the same concrete backend.
+    _opts.engine.backend = sim::resolveBackend(_opts.engine.backend);
     _cache = std::make_unique<ProgramCache>(_opts.cacheEntries,
                                             _opts.engine);
     Scheduler::Options sopts;
@@ -248,37 +244,82 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     if (deadlineMs >= 0)
         deadline = Clock::now() + std::chrono::milliseconds(deadlineMs);
 
+    const Json *idp = request.find("id");
+    const Json id = idp ? *idp : Json();
     const std::string op = request.getStr("op", "");
     if (op == "simulate") {
-        handleSimulate(conn, std::move(request), deadline);
+        handleSimulate(conn, id, request, deadline);
     } else if (op == "sweep") {
-        handleSweep(conn, std::move(request), deadline);
+        handleSweep(conn, id, request, deadline);
     } else if (op == "stats") {
-        handleStats(conn, request);
+        handleStats(conn, id);
     } else if (op == "shutdown") {
-        const Json *id = request.find("id");
-        conn->send(makeResponse(id, "bye"));
+        conn->send(makeResponse(&id, "bye"));
         shutdown();
     } else {
-        const Json *id = request.find("id");
-        conn->send(makeError(id, ErrorCode::BadRequest,
+        conn->send(makeError(&id, ErrorCode::BadRequest,
                              "unknown op '" + op + "'"));
     }
 }
 
-namespace {
+/** What one run produced: the report and whether its program was
+ *  already warm, or the failure's code and message. */
+struct Server::RunResult {
+    ErrorCode code = ErrorCode::None;
+    std::string message;
+    bool warm = false;
+    sim::SimReport report;
+};
 
-constexpr const char *kDeadlineMsg =
-    "deadline elapsed before the run started";
-
-} // namespace
+Scheduler::Task
+Server::runTask(const std::shared_ptr<Conn> &conn, ModelKey key,
+                Clock::time_point deadline, Responder respond)
+{
+    Scheduler::Task task;
+    task.deadline = deadline;
+    task.cancel = conn->gone;
+    task.job = [this, key = std::move(key), deadline,
+                respond = std::move(respond)](Scheduler::Outcome outcome) {
+        if (outcome == Scheduler::Outcome::Cancelled) {
+            respond(nullptr);
+            return;
+        }
+        if (outcome == Scheduler::Outcome::Run) {
+            if (int ms = FaultInjector::stallMs())
+                std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+            if (deadlinePassed(deadline))
+                outcome = Scheduler::Outcome::Expired;
+        }
+        RunResult result;
+        auto fail = [&](ErrorCode code, const char *message) {
+            result.code = code;
+            result.message = message;
+            respond(&result);
+        };
+        if (outcome == Scheduler::Outcome::Expired)
+            return fail(ErrorCode::DeadlineExceeded, kDeadlineMsg);
+        // Framing runs inside the try too: whatever throws answers a
+        // structured error instead of escaping the worker.
+        try {
+            if (FaultInjector::workerFault())
+                throw std::runtime_error("injected worker fault");
+            auto handle = _cache->acquire(key);
+            result.warm = handle.warm();
+            result.report = handle.run();
+            respond(&result);
+        } catch (const BuildError &e) {
+            fail(ErrorCode::BuildFailed, e.what());
+        } catch (const std::exception &e) {
+            fail(ErrorCode::Internal, e.what());
+        }
+    };
+    return task;
+}
 
 void
-Server::handleSimulate(const std::shared_ptr<Conn> &conn, Json request,
-                       Clock::time_point deadline)
+Server::handleSimulate(const std::shared_ptr<Conn> &conn, const Json &id,
+                       const Json &request, Clock::time_point deadline)
 {
-    const Json *idp = request.find("id");
-    Json id = idp ? *idp : Json();
     ModelKind kind;
     if (!modelFromName(request.getStr("model", ""), &kind)) {
         conn->send(makeError(&id, ErrorCode::BadRequest,
@@ -293,44 +334,22 @@ Server::handleSimulate(const std::shared_ptr<Conn> &conn, Json request,
         return;
     }
 
-    Scheduler::Task task;
-    task.deadline = deadline;
-    task.cancel = conn->gone;
-    task.job = [this, conn, id, key,
-                deadline](Scheduler::Outcome outcome) {
-        if (outcome == Scheduler::Outcome::Cancelled)
-            return; // nobody left to answer
-        if (outcome == Scheduler::Outcome::Expired) {
-            conn->send(makeError(&id, ErrorCode::DeadlineExceeded,
-                                 kDeadlineMsg));
+    auto respond = [conn, id, kind](const RunResult *result) {
+        if (!result)
+            return; // cancelled: nobody left to answer
+        if (result->code != ErrorCode::None) {
+            conn->send(makeError(&id, result->code, result->message));
             return;
         }
-        if (int ms = FaultInjector::stallMs())
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        if (deadlinePassed(deadline)) {
-            conn->send(makeError(&id, ErrorCode::DeadlineExceeded,
-                                 kDeadlineMsg));
-            return;
-        }
-        try {
-            if (FaultInjector::workerFault())
-                throw std::runtime_error("injected worker fault");
-            auto handle = _cache->acquire(key);
-            bool warm = handle.warm();
-            sim::SimReport report = handle.run();
-            Json resp = makeResponse(&id, "report");
-            resp.set("model", modelName(key.kind));
-            resp.set("cached", warm);
-            resp.set("report", reportToJson(report));
-            conn->send(resp);
-        } catch (const BuildError &e) {
-            conn->send(
-                makeError(&id, ErrorCode::BuildFailed, e.what()));
-        } catch (const std::exception &e) {
-            conn->send(makeError(&id, ErrorCode::Internal, e.what()));
-        }
+        Json resp = makeResponse(&id, "report");
+        resp.set("model", modelName(kind));
+        resp.set("cached", result->warm);
+        resp.set("report", reportToJson(result->report));
+        conn->send(resp);
     };
-    switch (_scheduler->submit(conn->id, std::move(task))) {
+    switch (_scheduler->submit(
+        conn->id,
+        runTask(conn, std::move(key), deadline, std::move(respond)))) {
     case Scheduler::Submit::Queued: break;
     case Scheduler::Submit::Rejected:
         conn->send(makeError(&id, ErrorCode::Backpressure,
@@ -348,11 +367,9 @@ Server::handleSimulate(const std::shared_ptr<Conn> &conn, Json request,
 }
 
 void
-Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
-                    Clock::time_point deadline)
+Server::handleSweep(const std::shared_ptr<Conn> &conn, const Json &id,
+                    const Json &request, Clock::time_point deadline)
 {
-    const Json *idp = request.find("id");
-    Json id = idp ? *idp : Json();
     std::string err;
 
     // Shared by every point job. The grid is stored by value and the
@@ -363,7 +380,6 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
         sweep::Grid grid;
         std::vector<sweep::Point> points;
         Json id;
-        Clock::time_point deadline{};
         std::atomic<size_t> remaining{0};
     };
     auto state = std::make_shared<SweepState>();
@@ -374,7 +390,6 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
     state->grid = state->spec.grid();
     state->points = state->grid.points();
     state->id = id;
-    state->deadline = deadline;
     if (state->points.empty()) {
         conn->send(makeError(&id, ErrorCode::BadRequest,
                              "sweep grid has no points"));
@@ -393,67 +408,36 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
         return;
 
     for (size_t i = 0; i < state->points.size(); ++i) {
-        Scheduler::Task task;
-        task.deadline = deadline;
-        task.cancel = conn->gone;
-        task.job = [this, conn, state, i](Scheduler::Outcome outcome) {
-            // Every outcome decrements `remaining` exactly once, so
-            // sweep_end (or the attempt to send it to a dead socket)
-            // always happens and nothing leaks.
-            auto finish = [&] {
-                if (state->remaining.fetch_sub(1) == 1) {
-                    Json end = makeResponse(&state->id, "sweep_end");
-                    end.set("rows", state->points.size());
-                    conn->send(end);
-                }
-            };
-            if (outcome == Scheduler::Outcome::Cancelled) {
-                finish();
-                return;
-            }
-            auto sendPointError = [&](ErrorCode code,
-                                      const std::string &message) {
-                Json resp = makeError(&state->id, code, message);
-                resp.set("index", state->points[i].index());
-                conn->send(resp);
-            };
-            if (outcome == Scheduler::Outcome::Run) {
-                if (int ms = FaultInjector::stallMs())
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(ms));
-                if (deadlinePassed(state->deadline))
-                    outcome = Scheduler::Outcome::Expired;
-            }
-            if (outcome == Scheduler::Outcome::Expired) {
-                sendPointError(ErrorCode::DeadlineExceeded,
-                               kDeadlineMsg);
-                finish();
-                return;
-            }
-            try {
-                if (FaultInjector::workerFault())
-                    throw std::runtime_error("injected worker fault");
-                const sweep::Point &point = state->points[i];
-                ModelKey key = state->spec.keyAt(point);
-                auto handle = _cache->acquire(key);
-                sim::SimReport report = handle.run();
-                Json resp = makeResponse(&state->id, "row");
+        auto respond = [conn, state, i](const RunResult *result) {
+            const sweep::Point &point = state->points[i];
+            if (result) {
+                const bool ok = result->code == ErrorCode::None;
+                Json resp =
+                    ok ? makeResponse(&state->id, "row")
+                       : makeError(&state->id, result->code,
+                                   result->message);
                 resp.set("index", point.index());
-                resp.set("cells",
-                         cellsToJson(state->spec.row(point, report)));
+                if (ok)
+                    resp.set("cells", cellsToJson(state->spec.row(
+                                          point, result->report)));
                 conn->send(resp);
-            } catch (const BuildError &e) {
-                sendPointError(ErrorCode::BuildFailed, e.what());
-            } catch (const std::exception &e) {
-                sendPointError(ErrorCode::Internal, e.what());
             }
-            finish();
+            // Every outcome, cancellation included, counts the point
+            // down exactly once, so sweep_end (or the attempt to send
+            // it to a dead socket) always happens and nothing leaks.
+            if (state->remaining.fetch_sub(1) == 1) {
+                Json end = makeResponse(&state->id, "sweep_end");
+                end.set("rows", state->points.size());
+                conn->send(end);
+            }
         };
         // Blocking submit: a grid larger than the queue cap stalls
         // this client's reader (its own backpressure), not the pool.
-        if (_scheduler->submit(conn->id, std::move(task),
-                               /*block=*/true) !=
-            Scheduler::Submit::Queued) {
+        if (_scheduler->submit(
+                conn->id,
+                runTask(conn, state->spec.keyAt(state->points[i]),
+                        deadline, std::move(respond)),
+                /*block=*/true) != Scheduler::Submit::Queued) {
             conn->send(makeError(&id, ErrorCode::ShuttingDown,
                                  "server shutting down"));
             return;
@@ -462,11 +446,8 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, Json request,
 }
 
 void
-Server::handleStats(const std::shared_ptr<Conn> &conn,
-                    const Json &request)
+Server::handleStats(const std::shared_ptr<Conn> &conn, const Json &id)
 {
-    const Json *idp = request.find("id");
-    Json id = idp ? *idp : Json();
     Json resp = makeResponse(&id, "stats");
 
     ProgramCache::Stats cs = _cache->stats();
@@ -497,11 +478,7 @@ Server::handleStats(const std::shared_ptr<Conn> &conn,
         std::lock_guard<std::mutex> g(_state->mu);
         server.set("connections", _state->accepted);
     }
-    server.set("backend",
-               _opts.engine.backend == sim::Backend::Interp ? "interp"
-               : _opts.engine.backend == sim::Backend::Compiled
-                   ? "compiled"
-                   : "auto");
+    server.set("backend", sim::backendName(_opts.engine.backend));
     server.set("max_line_bytes", _maxLine);
     resp.set("server", std::move(server));
 
@@ -528,18 +505,13 @@ Server::shutdown()
         if (_state->stopRequested)
             return;
         _state->stopRequested = true;
+        // Shutting the listen socket down pops the accept loop out of
+        // accept(). Done under the lock: wait() closes and resets the
+        // fd only after it has seen stopRequested.
+        if (_listenFd >= 0)
+            ::shutdown(_listenFd, SHUT_RDWR);
     }
-    // Closing the listen socket pops the accept loop out of accept().
-    if (_listenFd >= 0)
-        ::shutdown(_listenFd, SHUT_RDWR);
     _state->stopCv.notify_all();
-}
-
-uint64_t
-Server::connectionsAccepted() const
-{
-    std::lock_guard<std::mutex> g(_state->mu);
-    return _state->accepted;
 }
 
 void

@@ -36,7 +36,13 @@
  *    of growing the daemon's memory without bound.
  *  - The FaultInjector seams (torn writes, dropped connections,
  *    worker faults, stalls, build failures) live in Conn::send and
- *    the worker jobs; they are no-ops unless a fault plan is active.
+ *    runTask; they are no-ops unless a fault plan is active.
+ *
+ * Simulate requests and sweep points run through one worker job
+ * (runTask): it owns the deadline and cancellation outcomes, the fault
+ * seams, the cache run and the exception-to-ErrorCode mapping, and
+ * hands the result to the request kind's responder, which only frames
+ * it (a "report" line, or a "row"/error line tagged with its index).
  *
  * Responses for one connection are serialized by a per-connection
  * write mutex, so concurrently finishing sweep rows never interleave
@@ -47,6 +53,7 @@
 #define EQ_SERVE_SERVER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -98,22 +105,31 @@ class Server {
     /** The resolved request-line byte cap. */
     size_t maxLineBytes() const { return _maxLine; }
 
-    /** Connections accepted over the server's lifetime. */
-    uint64_t connectionsAccepted() const;
-
   private:
     struct Conn;
+    struct RunResult;
+    /** Frames and sends one run's answer; handed nullptr when the run
+     *  was cancelled (nobody is left to answer). */
+    using Responder = std::function<void(const RunResult *)>;
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);
     void handleLine(const std::shared_ptr<Conn> &conn,
                     const std::string &line);
-    void handleSimulate(const std::shared_ptr<Conn> &conn, Json request,
-                        Clock::time_point deadline);
-    void handleSweep(const std::shared_ptr<Conn> &conn, Json request,
-                     Clock::time_point deadline);
-    void handleStats(const std::shared_ptr<Conn> &conn,
-                     const Json &request);
+    /** Each handler answers with the request's @p id (null when the
+     *  request carries none). */
+    void handleSimulate(const std::shared_ptr<Conn> &conn, const Json &id,
+                        const Json &request, Clock::time_point deadline);
+    void handleSweep(const std::shared_ptr<Conn> &conn, const Json &id,
+                     const Json &request, Clock::time_point deadline);
+    void handleStats(const std::shared_ptr<Conn> &conn, const Json &id);
+
+    /** The one worker job behind simulate and sweep: run @p key for
+     *  @p conn (cancelled when the connection goes) and hand the
+     *  outcome to @p respond exactly once. */
+    Scheduler::Task runTask(const std::shared_ptr<Conn> &conn,
+                            ModelKey key, Clock::time_point deadline,
+                            Responder respond);
 
     /** The retry_after_ms backpressure hint: how long, at the current
      *  queue depth, a shed client should wait before trying again. */

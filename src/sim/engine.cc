@@ -11,32 +11,49 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 
 #include "sim/compiled_exec.hh"
 
 namespace eq {
 namespace sim {
 
-namespace {
+const char *
+backendName(Backend backend)
+{
+    switch (backend) {
+    case Backend::Interp: return "interp";
+    case Backend::Compiled: return "compiled";
+    case Backend::Auto: break;
+    }
+    return "auto";
+}
 
-/** Resolve Backend::Auto against EQ_SIM_BACKEND (once per Simulator,
- *  so a sweep's workers all agree for their whole lifetime). */
+bool
+backendFromName(const std::string &name, Backend *out)
+{
+    for (Backend b : {Backend::Auto, Backend::Interp, Backend::Compiled}) {
+        if (name == backendName(b)) {
+            *out = b;
+            return true;
+        }
+    }
+    return false;
+}
+
 Backend
 resolveBackend(Backend requested)
 {
     if (requested != Backend::Auto)
         return requested;
     const char *env = std::getenv("EQ_SIM_BACKEND");
-    if (!env || !*env || std::strcmp(env, "compiled") == 0)
+    if (!env || !*env)
         return Backend::Compiled;
-    if (std::strcmp(env, "interp") == 0)
-        return Backend::Interp;
-    eq_fatal("EQ_SIM_BACKEND must be 'interp' or 'compiled', got '",
-             env, "'");
+    Backend backend;
+    if (!backendFromName(env, &backend) || backend == Backend::Auto)
+        eq_fatal("EQ_SIM_BACKEND must be 'interp' or 'compiled', got '",
+                 env, "'");
+    return backend;
 }
-
-} // namespace
 
 SimReport
 Simulator::Impl::buildReport(double wall_seconds) const

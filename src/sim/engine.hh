@@ -22,6 +22,7 @@
 #define EQ_SIM_ENGINE_HH
 
 #include <memory>
+#include <string>
 
 #include "ir/operation.hh"
 #include "sim/component.hh"
@@ -53,6 +54,17 @@ class Session;
  *    variable ("compiled" | "interp"), falling back to Compiled.
  */
 enum class Backend : uint8_t { Auto, Interp, Compiled };
+
+/** The backend's name: "auto", "interp" or "compiled". */
+const char *backendName(Backend backend);
+
+/** Parse a backendName() spelling. False (leaving @p out) otherwise. */
+bool backendFromName(const std::string &name, Backend *out);
+
+/** Resolve Auto against EQ_SIM_BACKEND ("compiled" | "interp"; unset
+ *  or empty means Compiled, anything else is fatal). Other values
+ *  pass through. A Simulator resolves once, at construction. */
+Backend resolveBackend(Backend requested);
 
 /** Engine configuration. */
 struct EngineOptions {

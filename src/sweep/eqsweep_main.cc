@@ -384,13 +384,7 @@ main(int argc, char **argv)
             }
         } else if (arg == "--backend") {
             const std::string mode = value();
-            if (mode == "auto")
-                args.engine.backend = sim::Backend::Auto;
-            else if (mode == "interp")
-                args.engine.backend = sim::Backend::Interp;
-            else if (mode == "compiled")
-                args.engine.backend = sim::Backend::Compiled;
-            else {
+            if (!sim::backendFromName(mode, &args.engine.backend)) {
                 std::fprintf(stderr, "eqsweep: bad --backend '%s'\n",
                              mode.c_str());
                 return kExitUsage;

@@ -252,11 +252,9 @@ gridIdentity(const std::vector<Point> &points,
     h.gridHash = hashPoints(points);
     h.numPoints = points.size();
     h.schemaSig = schemaSignature(schema);
-    // A throwaway Simulator resolves Auto exactly like every run will
-    // (EQ_SIM_BACKEND read once at construction).
-    h.backend = sim::Simulator(engine).backend() == sim::Backend::Compiled
-                    ? "compiled"
-                    : "interp";
+    // Resolved exactly like every run's Simulator will (EQ_SIM_BACKEND
+    // read once at construction).
+    h.backend = sim::backendName(sim::resolveBackend(engine.backend));
     h.salt = std::move(salt);
     return h;
 }

@@ -354,12 +354,11 @@ struct Emitter {
                         std::vector<Value>{cp->result(0)});
                 }
                 emitLoop(t, [&] { emitStep(r_eff, c_eff, true); });
-                if (opts.modelSkew && with_drain)
+                if (with_drain)
                     emitLoop(skew,
                              [&] { emitStep(r_eff, c_eff, false); });
             };
-            bool split_last = last_shape && opts.skipFinalDrain &&
-                              opts.modelSkew;
+            bool split_last = last_shape && opts.skipFinalDrain;
             int64_t counted = split_last ? shape.count - 1 : shape.count;
             emitLoop(counted, [&] { emit_fold(true); });
             if (split_last)

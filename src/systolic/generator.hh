@@ -42,8 +42,6 @@ struct SystolicNames {
  *  steady-state model without the final cool-down, explaining the small
  *  generator-vs-pipeline runtime gap the paper reports). */
 struct EmitOptions {
-    /** Model the fill/drain skew steps of every fold. */
-    bool modelSkew = true;
     /** Skip the cool-down (drain) of the final fold. */
     bool skipFinalDrain = false;
 };

@@ -12,12 +12,16 @@
  * later client still gets byte-identical cache-warm results),
  * backpressure with retry_after_ms, oversized-frame rejection,
  * out-of-range configs answered bad_request on a connection that keeps
- * serving, and retry/backoff recovery through injected faults.
+ * serving, and retry/backoff recovery through injected faults. Every
+ * injected failure answers the same code for a simulate and for a
+ * sweep point (which also carries its index), since both run through
+ * one worker job.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -573,6 +577,162 @@ TEST(ServeServer, OversizedFrameAnsweredWithStructuredError)
     // The stream cannot be resynchronized: the server closes it.
     EXPECT_FALSE(reader.next(&line));
     ::close(fd);
+}
+
+TEST(ServeServer, StatsReportTheResolvedBackend)
+{
+    // A default server runs every entry on the backend EQ_SIM_BACKEND
+    // resolves to (compiled when unset), and says so — never "auto".
+    const char *env = std::getenv("EQ_SIM_BACKEND");
+    const std::string resolved = env && *env ? env : "compiled";
+    auto server = startServer(1);
+    Client client;
+    connectTo(*server, &client);
+    Json stats;
+    std::string err;
+    ASSERT_TRUE(client.stats(&stats, &err)) << err;
+    ASSERT_NE(stats.find("server"), nullptr);
+    EXPECT_EQ(stats.find("server")->getStr("backend", ""), resolved);
+
+    // An explicit backend is reported as configured.
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.engine.backend = sim::Backend::Interp;
+    Server interp(opts);
+    ASSERT_TRUE(interp.start(&err)) << err;
+    Client other;
+    connectTo(interp, &other);
+    ASSERT_TRUE(other.stats(&stats, &err)) << err;
+    EXPECT_EQ(stats.find("server")->getStr("backend", ""), "interp");
+}
+
+/** A sweep over one point: every attempt runs exactly one worker job,
+ *  so injected faults are drawn in lockstep with the attempts. */
+serve::SweepSpec
+onePointSpec()
+{
+    serve::SweepSpec spec;
+    spec.base = serve::defaultKey(serve::ModelKind::Systolic);
+    spec.axes.push_back({"ah", {4}});
+    return spec;
+}
+
+TEST(ServeServer, FailuresAnswerAlikeForSimulateAndSweepPoints)
+{
+    struct Case {
+        const char *faults;
+        int64_t deadlineMs;
+        ErrorCode code;
+    };
+    const Case cases[] = {
+        {"build=1", -1, ErrorCode::BuildFailed},
+        {"werr=1", -1, ErrorCode::Internal},
+        // The stall outlasts the deadline, so the check after it
+        // expires the run before it starts.
+        {"stall=1,stall_ms=100", 30, ErrorCode::DeadlineExceeded},
+    };
+    const serve::SweepSpec spec = onePointSpec();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.faults);
+        auto server = startServer(1);
+        FaultInjector::Scoped faults(c.faults);
+
+        Client client;
+        connectTo(*server, &client);
+        auto result = client.simulate(spec.base, c.deadlineMs);
+        EXPECT_FALSE(result.ok);
+        EXPECT_EQ(result.code, c.code) << result.error;
+
+        int fd = rawConnect(server->port());
+        ASSERT_GE(fd, 0);
+        Json request = spec.toJson();
+        request.set("id", 7);
+        if (c.deadlineMs >= 0)
+            request.set("deadline_ms", c.deadlineMs);
+        ASSERT_TRUE(serve::writeLine(fd, request.dump()));
+        serve::LineReader reader(fd);
+        std::string line, err;
+        Json begin, point, end;
+        ASSERT_TRUE(reader.next(&line));
+        ASSERT_TRUE(Json::parse(line, &begin, &err)) << err;
+        EXPECT_EQ(begin.getStr("type", ""), "sweep_begin") << line;
+        ASSERT_TRUE(reader.next(&line));
+        ASSERT_TRUE(Json::parse(line, &point, &err)) << err;
+        EXPECT_FALSE(point.getBool("ok", true)) << line;
+        EXPECT_EQ(serve::parseError(point).code, c.code) << line;
+        EXPECT_EQ(point.getInt("index", -1), 0) << line;
+        EXPECT_EQ(point.getInt("id", -1), 7) << line;
+        ASSERT_TRUE(reader.next(&line));
+        ASSERT_TRUE(Json::parse(line, &end, &err)) << err;
+        EXPECT_EQ(end.getStr("type", ""), "sweep_end") << line;
+        EXPECT_EQ(end.getInt("rows", -1), 1) << line;
+        ::close(fd);
+    }
+}
+
+TEST(ServeServer, FailedSweepLeavesNoStaleLineForTheNextRequest)
+{
+    // The point's deadline_exceeded fails the sweep (the code is not
+    // retryable) while its sweep_end is still on the wire; the next
+    // request on the same client must read its own answer.
+    auto server = startServer(1);
+    Client client;
+    connectTo(*server, &client);
+    const serve::SweepSpec spec = onePointSpec();
+    {
+        FaultInjector::Scoped faults("stall=1,stall_ms=100,max=1");
+        sweep::Table served(spec.schema());
+        std::string err;
+        EXPECT_FALSE(
+            client.sweepTable(spec, &served, &err, /*deadline_ms=*/30));
+    }
+    auto result = client.simulate(spec.base);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.report.getInt("cycles", 0), 0);
+}
+
+TEST(ServeServer, SweepAndStatsRetryThroughInjectedFaults)
+{
+    struct Case {
+        const char *faults;
+        serve::SweepSpec spec;
+        uint64_t sweepRetries;
+        uint64_t statsRetries;
+    };
+    // Worker faults fire only inside worker jobs: stats is answered
+    // inline and never draws one. A torn first frame kills the
+    // connection before any sweep point is queued, so the torn case
+    // stays deterministic over a multi-point grid.
+    const Case cases[] = {
+        {"werr=1,max=2", onePointSpec(), 2, 0},
+        {"torn=1,max=1", twoAxisSpec(), 1, 1},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.faults);
+        auto server = startServer(1);
+        Client client;
+        serve::RetryPolicy policy;
+        policy.maxAttempts = 5;
+        policy.baseDelayMs = 1;
+        client.setRetryPolicy(policy);
+        connectTo(*server, &client);
+        std::string err;
+        {
+            FaultInjector::Scoped faults(c.faults);
+            sweep::Table served(c.spec.schema());
+            ASSERT_TRUE(client.sweepTable(c.spec, &served, &err)) << err;
+            EXPECT_EQ(served.csv(), serve::runLocalSweep(c.spec).csv());
+            EXPECT_EQ(client.retriesPerformed(), c.sweepRetries);
+        }
+        {
+            FaultInjector::Scoped faults(c.faults);
+            Json stats;
+            ASSERT_TRUE(client.stats(&stats, &err)) << err;
+            EXPECT_NE(stats.find("cache"), nullptr);
+            EXPECT_EQ(client.retriesPerformed(),
+                      c.sweepRetries + c.statsRetries);
+        }
+    }
 }
 
 TEST(ServeServer, ShutdownRequestStopsServer)

@@ -416,6 +416,31 @@ TEST(BackendEquivTest, SelectionSeam)
     EXPECT_EQ(sim::Simulator(opts).backend(), sim::Backend::Interp);
 }
 
+/** backendName and backendFromName are inverses, and resolveBackend
+ *  picks what a Simulator constructed in the same environment runs. */
+TEST(BackendEquivTest, BackendNamesRoundTripAndResolve)
+{
+    for (sim::Backend b : {sim::Backend::Auto, sim::Backend::Interp,
+                           sim::Backend::Compiled}) {
+        sim::Backend parsed = sim::Backend::Auto;
+        ASSERT_TRUE(sim::backendFromName(sim::backendName(b), &parsed));
+        EXPECT_EQ(parsed, b);
+    }
+    sim::Backend untouched = sim::Backend::Interp;
+    EXPECT_FALSE(sim::backendFromName("fused", &untouched));
+    EXPECT_EQ(untouched, sim::Backend::Interp);
+
+    EnvGuard guard("EQ_SIM_BACKEND");
+    for (const char *env : {"", "interp", "compiled"}) {
+        setenv("EQ_SIM_BACKEND", env, 1);
+        EXPECT_EQ(sim::resolveBackend(sim::Backend::Auto),
+                  sim::Simulator().backend())
+            << "EQ_SIM_BACKEND='" << env << "'";
+        EXPECT_EQ(sim::resolveBackend(sim::Backend::Interp),
+                  sim::Backend::Interp);
+    }
+}
+
 /** Fusion is no longer a separate switch: it follows the backend. */
 TEST(BackendEquivTest, FusionSelectionSeam)
 {
