@@ -136,11 +136,14 @@ main(int argc, char **argv)
     std::printf("# Ablation 3: engine event throughput\n");
     {
         auto t0 = std::chrono::steady_clock::now();
-        auto run = serve::SweepWorkers(1, opts).run(
-            0, serve::ModelKey::systolicKey(cfg));
+        sim::Session session(opts);
+        session.rebuild([&](ir::Context &ctx) {
+            return systolic::buildSystolicModule(ctx, cfg);
+        });
+        const sim::SimReport report = session.run();
         auto t1 = std::chrono::steady_clock::now();
-        const auto events = run.report.eventsExecuted;
-        const auto ops = run.report.opsExecuted;
+        const auto events = report.eventsExecuted;
+        const auto ops = report.opsExecuted;
         std::printf("  events=%llu ops=%llu",
                     static_cast<unsigned long long>(events),
                     static_cast<unsigned long long>(ops));

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses, built on the sweep
- * subsystem (src/sweep/) and the serve::SweepWorkers session pool:
+ * subsystem (src/sweep/) and the serve::ProgramCache session pool:
  * the common command-line surface (--threads/--csv/--json) every
  * harness exposes and the journaled sweep driver behind it.
  */
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "base/stringutil.hh"
+#include "serve/cache.hh"
 #include "serve/models.hh"
 #include "sim/engine.hh"
 #include "sweep/grid.hh"

@@ -6,10 +6,11 @@
  * (4,050 points in the paper).
  *
  * The sweep runs through the SweepRunner subsystem: points shard across
- * a serve::SweepWorkers session pool (one sim::Session per worker), so
- * the full grid (EQ_FULL_SWEEP=1) is minutes-fast on a multicore host
- * instead of an opt-in marathon. Rows are ordered by point index — byte-identical for
- * any thread count (EQ_SWEEP_THREADS or --threads N).
+ * worker threads sharing a serve::ProgramCache with one sim::Session
+ * per thread, so the full grid (EQ_FULL_SWEEP=1) is minutes-fast on a
+ * multicore host instead of an opt-in marathon. Rows are ordered by
+ * point index — byte-identical for any thread count (EQ_SWEEP_THREADS
+ * or --threads N).
  *
  * Columns: simulated cycles (x-axis of every subplot), simulator
  * execution time (12a), SRAM peak write BW x portion (12b), and loop
@@ -55,8 +56,8 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    serve::SweepWorkers workers(runner.threadsFor(points.size()),
-                                args.engineOptions());
+    serve::ProgramCache cache(runner.threadsFor(points.size()),
+                              args.engineOptions());
 
     std::printf("# Fig 12: scalability sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
@@ -97,9 +98,9 @@ main(int argc, char **argv)
     auto table = bench::runSweep(
         args, runner, points, schema,
         full ? "fig12 full" : "fig12 sampled",
-        [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             const scalesim::Config &cfg = cfgs[p.index()];
-            auto run = workers.run(w, keys[p.index()]);
+            const sim::SimReport report = cache.acquire(keys[p.index()]).run();
             const auto &ss = ss_results[p.index()];
             return {scalesim::dataflowName(cfg.dataflow),
                     cfg.ah,
@@ -107,8 +108,8 @@ main(int argc, char **argv)
                     cfg.h,
                     cfg.fh,
                     cfg.n,
-                    static_cast<int64_t>(run.report.cycles),
-                    run.report.wallSeconds,
+                    static_cast<int64_t>(report.cycles),
+                    report.wallSeconds,
                     ss.peakWriteBwTimesPortion,
                     static_cast<int64_t>(ss.loopIterations)};
         });

@@ -5,8 +5,9 @@
  * simulated cycles and average SRAM ofmap write bandwidth for both
  * simulators, plus wall-clock execution time (the §VI-C cost
  * comparison: SCALE-Sim <= 1.1 s vs EQueue <= 7.2 s in the paper).
- * Engine build and simulate time are reported separately (the
- * session pool times the rebuild; eq_wall_s is pure engine execution).
+ * Engine build and simulate time are reported separately (eq_build_s
+ * is the program cache's rebuild, 0 when a point reused a program;
+ * eq_wall_s is pure engine execution).
  *
  * The analytic columns are batched: every point's SCALE-Sim result is
  * computed up front in one scalesim::simulateBatch pass, so the sweep
@@ -51,8 +52,8 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    serve::SweepWorkers workers(runner.threadsFor(points.size()),
-                                args.engineOptions());
+    serve::ProgramCache cache(runner.threadsFor(points.size()),
+                              args.engineOptions());
 
     // Fused analytic pass: all SCALE-Sim columns, indexed by the dense
     // point index, computed before the sweep starts.
@@ -70,17 +71,18 @@ main(int argc, char **argv)
 
     auto table = runner.run(
         points, schema,
-        [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             int hw = static_cast<int>(p.at("hw"));
-            auto run = workers.run(w, spec.keyAt(p));
+            auto handle = cache.acquire(spec.keyAt(p));
+            const sim::SimReport report = handle.run();
             const auto &ss = ss_results[p.index()];
             return {std::to_string(hw) + "x" + std::to_string(hw),
-                    static_cast<int64_t>(run.report.cycles),
+                    static_cast<int64_t>(report.cycles),
                     static_cast<int64_t>(ss.cycles),
-                    bench::ofmapWriteBw(run.report),
+                    bench::ofmapWriteBw(report),
                     ss.avgOfmapWriteBw,
-                    run.buildSeconds,
-                    run.report.wallSeconds,
+                    handle.buildSeconds(),
+                    report.wallSeconds,
                     ss_wall_each};
         });
 

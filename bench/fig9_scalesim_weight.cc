@@ -3,8 +3,9 @@
  * Fig. 9c/9d: EQueue vs SCALE-Sim on a 4x4 WS systolic array with a
  * fixed 32x32 ifmap, sweeping the filter size (2x2 .. 32x32, C = 3).
  * Reports simulated cycles and average SRAM ofmap write bandwidth.
- * Engine build and simulate time are reported separately (the
- * session pool times the rebuild; eq_wall_s is pure engine execution).
+ * Engine build and simulate time are reported separately (eq_build_s
+ * is the program cache's rebuild, 0 when a point reused a program;
+ * eq_wall_s is pure engine execution).
  *
  * Note on shape: cycles grow with the filter until the ofmap collapses
  * (Fh = H leaves a single output pixel), an artifact of the edge of the
@@ -52,8 +53,8 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    serve::SweepWorkers workers(runner.threadsFor(points.size()),
-                                args.engineOptions());
+    serve::ProgramCache cache(runner.threadsFor(points.size()),
+                              args.engineOptions());
 
     // Fused analytic pass (see fig9_scalesim_ifmap.cc).
     std::vector<scalesim::Config> cfgs;
@@ -70,17 +71,18 @@ main(int argc, char **argv)
 
     auto table = runner.run(
         points, schema,
-        [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             int f = static_cast<int>(p.at("f"));
-            auto run = workers.run(w, spec.keyAt(p));
+            auto handle = cache.acquire(spec.keyAt(p));
+            const sim::SimReport report = handle.run();
             const auto &ss = ss_results[p.index()];
             return {std::to_string(f) + "x" + std::to_string(f),
-                    static_cast<int64_t>(run.report.cycles),
+                    static_cast<int64_t>(report.cycles),
                     static_cast<int64_t>(ss.cycles),
-                    bench::ofmapWriteBw(run.report),
+                    bench::ofmapWriteBw(report),
                     ss.avgOfmapWriteBw,
-                    run.buildSeconds,
-                    run.report.wallSeconds,
+                    handle.buildSeconds(),
+                    report.wallSeconds,
                     ss_wall_each};
         });
 

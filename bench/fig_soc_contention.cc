@@ -6,10 +6,10 @@
  * paper-style "how much does the interconnect cost" curve for systems
  * bigger than one accelerator.
  *
- * Runs on the SweepRunner subsystem: points shard across a
- * serve::SweepWorkers session pool (one sim::Session per worker, reused
- * while the point's ModelKey is unchanged), and each point's config is
- * the dual-shared-bus SoC with the axes applied through
+ * Runs on the SweepRunner subsystem: points shard across worker
+ * threads sharing a serve::ProgramCache (one sim::Session per thread,
+ * rebuilt only when a point's ModelKey is not cached), and each point's
+ * config is the dual-shared-bus SoC with the axes applied through
  * serve::applyAxis — "tiles" is N alternating WS/OS 2x2 tiles on
  * 8 B/cyc private links. Rows are ordered by point index so the table is
  * byte-identical for any --threads value. Simulated columns are
@@ -50,8 +50,8 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    serve::SweepWorkers workers(runner.threadsFor(points.size()),
-                                args.engineOptions());
+    serve::ProgramCache cache(runner.threadsFor(points.size()),
+                              args.engineOptions());
 
     std::printf("# SoC shared-bus contention sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
@@ -71,17 +71,17 @@ main(int argc, char **argv)
     auto table = bench::runSweep(
         args, runner, points, schema,
         full ? "fig_soc_contention full" : "fig_soc_contention sampled",
-        [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
-            auto run = workers.run(w, spec.keyAt(p));
-            const serve::BusTraffic bus = serve::busTraffic(run.report);
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
+            const sim::SimReport report = cache.acquire(spec.keyAt(p)).run();
+            const serve::BusTraffic bus = serve::busTraffic(report);
             return {p.at("tiles"),
                     p.at("dmas"),
                     p.at("bus_bw"),
-                    static_cast<int64_t>(run.report.cycles),
+                    static_cast<int64_t>(report.cycles),
                     bus.readBytes,
                     bus.writeBytes,
                     bus.peakPortion,
-                    run.report.wallSeconds};
+                    report.wallSeconds};
         });
 
     args.emit(table);

@@ -88,11 +88,13 @@ BM_SimulateSystolic(benchmark::State &state, sim::Backend backend)
     cfg.h = cfg.w = static_cast<int>(state.range(0));
     cfg.n = 2;
     cfg.fh = cfg.fw = 2;
-    // A one-worker pool per run: fresh session, build, simulate.
+    // A fresh session per run: construct, build, simulate.
     auto runOnce = [&] {
-        return serve::SweepWorkers(1, engineFor(backend))
-            .run(0, serve::ModelKey::systolicKey(cfg))
-            .report;
+        sim::Session session(engineFor(backend));
+        session.rebuild([&](ir::Context &ctx) {
+            return systolic::buildSystolicModule(ctx, cfg);
+        });
+        return session.run();
     };
     for (auto _ : state) {
         auto rep = runOnce();

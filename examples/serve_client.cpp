@@ -53,33 +53,6 @@ struct Args {
 };
 
 bool
-parseAxis(const std::string &text, serve::SweepAxis *out)
-{
-    auto eq_pos = text.find('=');
-    if (eq_pos == std::string::npos || eq_pos == 0)
-        return false;
-    out->name = text.substr(0, eq_pos);
-    out->values.clear();
-    std::string rest = text.substr(eq_pos + 1);
-    size_t start = 0;
-    while (start <= rest.size()) {
-        size_t comma = rest.find(',', start);
-        std::string tok = rest.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        char *end = nullptr;
-        long v = std::strtol(tok.c_str(), &end, 10);
-        if (tok.empty() || end == tok.c_str() || *end != '\0')
-            return false;
-        out->values.push_back(v);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return !out->values.empty();
-}
-
-bool
 parseHostPort(const std::string &text, std::string *host, uint16_t *port)
 {
     auto colon = text.rfind(':');
@@ -214,7 +187,7 @@ main(int argc, char **argv)
             args.model = value();
         } else if (arg == "--axis") {
             serve::SweepAxis axis;
-            if (!parseAxis(value(), &axis)) {
+            if (!serve::parseAxis(value(), &axis)) {
                 std::fprintf(stderr,
                              "serve_client: bad --axis (want "
                              "name=v1,v2,...)\n");

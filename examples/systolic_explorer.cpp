@@ -58,28 +58,28 @@ main(int argc, char **argv)
 
     sweep::SweepRunner runner(args.runnerOptions());
     auto points = grid.points();
-    serve::SweepWorkers workers(runner.threadsFor(points.size()),
-                                args.engineOptions());
+    serve::ProgramCache cache(runner.threadsFor(points.size()),
+                              args.engineOptions());
 
     auto table = runner.run(
         points, schema,
-        [&](const sweep::Point &p, unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             const serve::ModelKey key = spec.keyAt(p);
             const scalesim::Config &cfg = key.systolic;
-            auto run = workers.run(w, key);
+            const sim::SimReport report = cache.acquire(key).run();
             auto ss = scalesim::simulate(cfg);
-            const serve::SramTraffic sram = serve::sramTraffic(run.report);
+            const serve::SramTraffic sram = serve::sramTraffic(report);
 
             double mac_util = 0.0;
             int macs = 0;
-            for (const auto &pr : run.report.processors) {
+            for (const auto &pr : report.processors) {
                 if (pr.kind == "MAC") {
                     mac_util += pr.utilization;
                     ++macs;
                 }
             }
             return {scalesim::dataflowName(cfg.dataflow),
-                    static_cast<int64_t>(run.report.cycles),
+                    static_cast<int64_t>(report.cycles),
                     static_cast<int64_t>(ss.cycles),
                     static_cast<int64_t>(ss.folds),
                     sram.readBytes,

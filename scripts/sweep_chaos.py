@@ -21,10 +21,12 @@ Four rounds, each against a single-process reference CSV:
                       "# resume:" stats), and the merge must still be
                       byte-identical;
   header mismatch     spec.json is swapped after the manifests were
-                      emitted; the shard must refuse with exit 3 and
-                      a structured {"code":"journal_header_mismatch"}
-                      error line — never silently journal under the
-                      old identity;
+                      emitted, or a manifest names a backend no
+                      engine has ("fused", the removed unfused mode);
+                      the shard must refuse with exit 3 and a
+                      structured {"code":"journal_header_mismatch"}
+                      error line before any point runs — never
+                      silently journal under the old identity;
   damaged cache       a --cache file filled by a whole-grid run gets a
                       torn tail, a bit flip mid-file, or a header
                       naming the other backend; the cache discards
@@ -203,15 +205,62 @@ def corrupt_tail_round(eqsweep, flavor):
         shutil.rmtree(shard_dir, ignore_errors=True)
 
 
+def expect_header_refusal(eqsweep, manifest, what):
+    """Run one shard that must refuse with exit 3 and a structured
+    journal_header_mismatch error line; returns the error object."""
+    proc = subprocess.run(
+        [eqsweep, "--shard", manifest, "--threads", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        timeout=600)
+    if proc.returncode == 0:
+        fail(f"{what}: the shard ran")
+    if proc.returncode != EXIT_HEADER_MISMATCH:
+        fail(f"{what}: expected exit {EXIT_HEADER_MISMATCH}, got "
+             f"{proc.returncode}: {proc.stderr.decode()}")
+    line = next((l for l in proc.stderr.decode().splitlines()
+                 if l.startswith("eqsweep: error: ")), None)
+    if line is None:
+        fail(f"{what}: no structured error line: "
+             f"{proc.stderr.decode()!r}")
+    err = json.loads(line[len("eqsweep: error: "):])
+    if err.get("code") != "journal_header_mismatch":
+        fail(f"{what}: wrong error code: {err}")
+    return err
+
+
 def header_mismatch_round(eqsweep):
-    """Swap spec.json out from under the manifests: the shard must
-    refuse with exit 3 and a structured journal_header_mismatch error,
-    never silently journal the new grid under the old identity."""
+    """Swap spec.json out from under the manifests, or name a backend
+    no engine has in one: the shard must refuse with exit 3 and a
+    structured journal_header_mismatch error before any point runs,
+    never silently journal under the old identity or another
+    backend."""
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr-")
     other_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr2-")
     try:
         manifests = emit_shards(eqsweep, SPEC_ARGS, NUM_SHARDS,
                                 shard_dir)
+        # A manifest naming an unknown backend ("fused", or the removed
+        # unfused compiled mode) is refused by name.
+        with open(manifests[1]) as f:
+            original = json.load(f)
+        for fields, named in (({"backend": "fused"}, "fused"),
+                              ({"backend": "compiled", "fuse": "off"},
+                               "compiled (unfused)")):
+            m = json.loads(json.dumps(original))
+            m["header"].update(fields)
+            with open(manifests[1], "w") as f:
+                json.dump(m, f)
+            err = expect_header_refusal(eqsweep, manifests[1],
+                                        f"backend {named!r}")
+            if f"unknown backend '{named}'" not in err.get("message",
+                                                           ""):
+                fail(f"backend {named!r}: message does not name the "
+                     f"manifest's backend: {err}")
+            if os.path.exists(m["journal"]):
+                fail(f"backend {named!r}: a journal was written")
+            log(f"manifest backend {named!r}: exit 3, "
+                f"code={err['code']!r}")
+
         # A different sweep's spec, dropped where the manifests expect
         # theirs (emitting into other_dir leaves the manifests alone).
         emit_shards(eqsweep,
@@ -220,22 +269,8 @@ def header_mismatch_round(eqsweep):
                     1, other_dir)
         shutil.copyfile(os.path.join(other_dir, "spec.json"),
                         os.path.join(shard_dir, "spec.json"))
-        proc = subprocess.run(
-            [eqsweep, "--shard", manifests[0], "--threads", "1"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            timeout=600)
-        if proc.returncode == 0:
-            fail("stale manifest ran against a swapped spec")
-        if proc.returncode != EXIT_HEADER_MISMATCH:
-            fail(f"expected exit {EXIT_HEADER_MISMATCH}, got "
-                 f"{proc.returncode}: {proc.stderr.decode()}")
-        line = next((l for l in proc.stderr.decode().splitlines()
-                     if l.startswith("eqsweep: error: ")), None)
-        if line is None:
-            fail(f"no structured error line: {proc.stderr.decode()!r}")
-        err = json.loads(line[len("eqsweep: error: "):])
-        if err.get("code") != "journal_header_mismatch":
-            fail(f"wrong error code: {err}")
+        err = expect_header_refusal(eqsweep, manifests[0],
+                                    "stale manifest on a swapped spec")
         log(f"header mismatch: exit 3, code={err['code']!r}")
     finally:
         shutil.rmtree(shard_dir, ignore_errors=True)

@@ -1,7 +1,9 @@
 /**
  * @file
- * ProgramCache: the daemon's cross-request warm cache of compiled
- * programs.
+ * ProgramCache: the one pool of sim::Sessions, and the only code that
+ * decides when a Session is rebuilt for a ModelKey. The daemon keeps
+ * one across requests; every in-process sweep (runLocalSweep*, the
+ * bench harnesses, the examples) keeps one sized to its thread count.
  *
  * Each entry owns a full sim::Session for one structural config — a
  * Context, a Simulator and the pinned module, whose value numbering,
@@ -12,6 +14,15 @@
  * (operator==) before reuse, so a hash collision costs a second entry
  * and a rebuild, never a wrong simulation.
  *
+ * Recycling: a miss at capacity evicts the least recently used entry
+ * no handle holds and rebuilds that entry's Session for the new key.
+ * Its Context, dispatch tables and last run's buffers are kept; its
+ * event, exec and env pools are freed first (Session::releasePools),
+ * so an idle entry never holds more than its own config's runs need.
+ * A sweep of N >= T distinct keys on T threads with capacity T thus
+ * constructs T Sessions. Only when every entry is held does a miss
+ * evict the LRU entry and construct a fresh Session.
+ *
  * Concurrency: the map/LRU bookkeeping sits behind one cache mutex
  * held only for lookups. Building and running happen under a
  * per-entry mutex outside the cache lock — two requests racing on the
@@ -20,7 +31,10 @@
  * requests on different configs never serialize against each other.
  * Handles pin entries via shared_ptr, so an entry evicted while
  * pinned stays fully usable until its last handle drops — eviction
- * only forgets, it never invalidates.
+ * only forgets, it never invalidates. Handles are created only under
+ * the cache mutex and copied only from an existing handle, so an
+ * entry whose use count is 1 under that mutex is held by nobody and
+ * cannot become held: that is the recycling test.
  */
 
 #ifndef EQ_SERVE_CACHE_HH
@@ -45,15 +59,17 @@ class ProgramCache {
         uint64_t hits = 0;       ///< lookup found an equal key
         uint64_t misses = 0;     ///< lookup created a fresh entry
         uint64_t evictions = 0;  ///< LRU entries dropped at capacity
+        uint64_t recycled = 0;   ///< misses that rebuilt an evicted
+                                 ///< entry's Session
         uint64_t collisions = 0; ///< hash matched, full key did not
         uint64_t runs = 0;       ///< simulations served
         size_t entries = 0;      ///< live entries in the map
         size_t capacity = 0;     ///< the bound
     };
 
-    /** @p max_entries is clamped to >= 1; @p engine configures every
-     *  entry's Simulator (backend / env resolution happens
-     *  per entry at first build). */
+    /** @p max_entries of 0 selects defaultEntries(); @p engine
+     *  configures every entry's Simulator (backend / env resolution
+     *  happens per entry at first build). */
     explicit ProgramCache(size_t max_entries = 0,
                           sim::EngineOptions engine = {});
 
@@ -76,6 +92,9 @@ class ProgramCache {
         const ModelKey &key() const;
         /** True when acquire() found a warm (already present) entry. */
         bool warm() const { return _warm; }
+        /** Wall seconds the last run() spent building the program; 0
+         *  when it reused one. */
+        double buildSeconds() const { return _buildSeconds; }
 
       private:
         friend class ProgramCache;
@@ -87,6 +106,7 @@ class ProgramCache {
         ProgramCache *_cache;
         std::shared_ptr<Entry> _entry;
         bool _warm;
+        double _buildSeconds = 0.0;
     };
 
     /** Look up (or create) the entry for @p key. */

@@ -1,9 +1,12 @@
 #include "serve/models.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <iterator>
 
 #include "base/hash.hh"
+#include "base/stringutil.hh"
+#include "serve/cache.hh"
 #include "systolic/generator.hh"
 
 namespace eq {
@@ -347,6 +350,27 @@ applyAxis(ModelKey *key, const std::string &axis, int64_t value,
     return found && ok;
 }
 
+bool
+parseAxis(const std::string &text, SweepAxis *out)
+{
+    const size_t eq = text.find('=');
+    if (eq == std::string::npos || eq == 0)
+        return false;
+    out->name = text.substr(0, eq);
+    out->values.clear();
+    for (size_t pos = eq + 1;;) {
+        const size_t comma = std::min(text.find(',', pos), text.size());
+        int64_t v = 0;
+        if (!parseInt(text.substr(pos, comma - pos), INT64_MIN, INT64_MAX,
+                      &v))
+            return false;
+        out->values.push_back(v);
+        if (comma == text.size())
+            return true;
+        pos = comma + 1;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SweepSpec
 
@@ -594,27 +618,6 @@ SweepSpec::fromJson(const Json &request, SweepSpec *out,
 // ---------------------------------------------------------------------------
 // In-process sweeps
 
-SweepWorkers::SweepWorkers(unsigned n, sim::EngineOptions engine)
-{
-    for (unsigned i = 0; i < n; ++i)
-        _workers.emplace_back(engine);
-}
-
-SweepWorkers::Run
-SweepWorkers::run(unsigned w, const ModelKey &key)
-{
-    Worker &worker = _workers[w];
-    Run out;
-    if (!worker.key || *worker.key != key) {
-        worker.session.rebuild(
-            [&](ir::Context &ctx) { return key.build(ctx); });
-        worker.key = key;
-        out.buildSeconds = worker.session.lastBuildSeconds();
-    }
-    out.report = worker.session.run();
-    return out;
-}
-
 sweep::Table
 runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
@@ -648,14 +651,13 @@ runLocalSweepDurable(const SweepSpec &spec,
     ropts.threads = threads;
     sweep::SweepRunner runner(ropts);
 
-    SweepWorkers workers(runner.threadsFor(points.size()), engine);
+    ProgramCache cache(runner.threadsFor(points.size()), engine);
     return sweep::runJournaledSweep(
         runner, points, spec.schema(),
         [&](const sweep::Point &p) { return spec.pointKey(p); },
-        [&](const sweep::Point &p,
-            unsigned w) -> std::vector<sweep::Cell> {
+        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             std::vector<sweep::Cell> cells =
-                spec.row(p, workers.run(w, spec.keyAt(p)).report);
+                spec.row(p, cache.acquire(spec.keyAt(p)).run());
             if (on_point)
                 on_point(p);
             return cells;

@@ -24,8 +24,6 @@
 #define EQ_SERVE_MODELS_HH
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +32,6 @@
 #include "scalesim/scalesim.hh"
 #include "serve/protocol.hh"
 #include "sim/engine.hh"
-#include "sim/session.hh"
 #include "soc/soc.hh"
 #include "sweep/grid.hh"
 #include "sweep/journal.hh"
@@ -110,6 +107,12 @@ struct SweepAxis {
     std::vector<int64_t> values;
 };
 
+/** Parse the command-line spelling "name=v1,v2,..." of an axis. False
+ *  on a missing name, an empty item or a value that is not a whole
+ *  int64 (overflow included). Names and ranges are checked later, by
+ *  SweepSpec::validate. */
+bool parseAxis(const std::string &text, SweepAxis *out);
+
 /** A serializable sweep: base config + axes (declaration order is the
  *  grid's axis order, so dense point indices match the nested loops). */
 struct SweepSpec {
@@ -175,40 +178,8 @@ struct BusTraffic {
 BusTraffic busTraffic(const sim::SimReport &report);
 
 /**
- * The per-worker session pool every in-process sweep runs on (the
- * bench harnesses, runLocalSweep*, the examples): one sim::Session per
- * sweep worker, rebuilt only when the worker's next ModelKey stops
- * being equal to the one it pinned, so repeated runs of an unchanged
- * config reuse the module, its value numbering, the dispatch tables
- * and the compiled programs. The comparison is full structural
- * equality, never a hash. Worker @p w must only ever run on one
- * thread at a time (SweepRunner's worker ids guarantee it), so there
- * is no locking.
- */
-class SweepWorkers {
-  public:
-    /** One pool run. */
-    struct Run {
-        sim::SimReport report;
-        double buildSeconds = 0.0; ///< session rebuild; 0 when reused
-    };
-
-    SweepWorkers(unsigned n, sim::EngineOptions engine = {});
-
-    Run run(unsigned w, const ModelKey &key);
-
-  private:
-    struct Worker {
-        explicit Worker(sim::EngineOptions opts) : session(opts) {}
-        sim::Session session;
-        std::optional<ModelKey> key;
-    };
-    std::deque<Worker> _workers; // Session is neither copied nor moved
-};
-
-/**
- * Run @p spec in-process through the SweepRunner on a SweepWorkers
- * pool — the reference the served path must reproduce
+ * Run @p spec in-process through the SweepRunner on a ProgramCache
+ * sized to its thread count — the reference the served path must reproduce
  * byte-identically. The same body as runLocalSweepDurable over the
  * full grid with no journal or cache.
  */

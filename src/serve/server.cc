@@ -455,6 +455,7 @@ Server::handleStats(const std::shared_ptr<Conn> &conn, const Json &id)
     cache.set("hits", cs.hits);
     cache.set("misses", cs.misses);
     cache.set("evictions", cs.evictions);
+    cache.set("recycled", cs.recycled);
     cache.set("collisions", cs.collisions);
     cache.set("runs", cs.runs);
     cache.set("entries", cs.entries);

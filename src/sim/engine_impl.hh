@@ -620,6 +620,10 @@ struct Simulator::Impl {
     /** Forget the value numbering and every program compiled against
      *  it. */
     void dropNumbering();
+    /** Full reset, then free the event slab, the exec pool and the env
+     *  pool, which otherwise keep the size of the largest run so far
+     *  (Session::releasePools). */
+    void releasePools();
     std::string freshName(const std::string &base);
 
     void

@@ -65,6 +65,18 @@ Simulator::Impl::dropNumbering()
     programStore.clear();
 }
 
+void
+Simulator::Impl::releasePools()
+{
+    // The reset first makes every event, exec and component let go of
+    // its environments and of its pointers into the slab.
+    reset();
+    events = EventSlab();
+    freeExecs.clear();
+    compiledExecs.clear();
+    envPool = EnvPool();
+}
+
 std::string
 Simulator::Impl::freshName(const std::string &base)
 {

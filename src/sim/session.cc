@@ -31,6 +31,12 @@ Session::rebuild(const BuildFn &build)
         std::chrono::duration<double>(clock::now() - t0).count();
 }
 
+void
+Session::releasePools()
+{
+    _sim._impl->releasePools();
+}
+
 SimReport
 Session::run()
 {

@@ -2,11 +2,11 @@
  * @file
  * sim::Session — the one API for running a pinned module again and
  * again, and the build-cache-run path every re-running consumer of the
- * engine shares (serve::SweepWorkers, the pool behind the bench
- * harnesses and in-process sweeps, and the serving layer's program
- * cache).
+ * engine shares through serve::ProgramCache: the daemon's cache and
+ * the per-sweep pools behind the bench harnesses and in-process
+ * sweeps.
  *
- * A Session owns the full per-worker simulation stack: one ir::Context
+ * A Session owns one worker's full simulation stack: one ir::Context
  * (dialects registered once), one Simulator (backend option resolved
  * once), and — after rebuild() — a pinned module. The first run after
  * a rebuild verifies the module and fully resets the engine's value
@@ -18,12 +18,14 @@
  * fresh Simulator's. Plain simulator().simulate() calls in between are
  * safe: the next run renumbers and relowers lazily.
  *
- * The Session does not decide *when* to rebuild: callers key on their
- * own structural config (serve::ModelKey equality in SweepWorkers,
- * hash + full structural equality in serve::ProgramCache) and call
- * rebuild() exactly when the key changes. This keeps the
+ * The Session does not decide *when* to rebuild: serve::ProgramCache
+ * keys on the structural config (hash + full serve::ModelKey equality)
+ * and calls rebuild() exactly when an entry's key is new, on a fresh
+ * Session or on one recycled from an evicted entry. This keeps the
  * collision-safety decision where the typed config lives while the
- * build/pin/run mechanics stay in one place.
+ * build/pin/run mechanics stay in one place. Code that needs no cache
+ * (a microbenchmark, a one-shot bench run) rebuilds a Session
+ * directly.
  */
 
 #ifndef EQ_SIM_SESSION_HH
@@ -63,6 +65,16 @@ class Session {
     /** Simulate the pinned module once more (ready() must hold).
      *  Cycle-identical to a fresh Simulator run of the same module. */
     SimReport run();
+
+    /** Free the engine's pooled run storage (the event slab, the exec
+     *  and env pools), which keeps the size of the largest run so far,
+     *  and drop the pinned module's numbering and programs; the context,
+     *  the dispatch tables and the last run's buffers stay. For a
+     *  session about to be rebuilt for another config that should not
+     *  carry the earlier configs' peak footprint (the program cache
+     *  recycling an evicted entry). The next run() renumbers and
+     *  recompiles lazily. */
+    void releasePools();
 
     /** Wall seconds the most recent rebuild() spent building; callers
      *  that skipped the rebuild report 0 for "reused". */

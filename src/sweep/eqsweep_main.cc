@@ -81,33 +81,6 @@ refuse(sweep::JournalStatus status, const std::string &message)
     return sweep::exitCodeFor(status);
 }
 
-/** "name=v1,v2,..." -> SweepAxis. */
-bool
-parseAxis(const std::string &text, serve::SweepAxis *out)
-{
-    size_t eq = text.find('=');
-    if (eq == std::string::npos || eq == 0)
-        return false;
-    out->name = text.substr(0, eq);
-    out->values.clear();
-    size_t pos = eq + 1;
-    while (pos <= text.size()) {
-        size_t comma = text.find(',', pos);
-        size_t end = comma == std::string::npos ? text.size() : comma;
-        if (end == pos)
-            return false;
-        const std::string item = text.substr(pos, end - pos);
-        int64_t v = 0;
-        if (!parseInt(item, INT64_MIN, INT64_MAX, &v))
-            return false;
-        out->values.push_back(v);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return !out->values.empty();
-}
-
 int
 emitTable(const sweep::Table &table, const std::string &csv_path)
 {
@@ -165,7 +138,7 @@ buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
         serve::Json axes = serve::Json::array();
         for (const std::string &text : args.axisSpecs) {
             serve::SweepAxis axis;
-            if (!parseAxis(text, &axis)) {
+            if (!serve::parseAxis(text, &axis)) {
                 *err = "bad --axis '" + text +
                        "' (want name=v1,v2,...)";
                 return false;
@@ -249,9 +222,11 @@ shardMode(const Args &args)
     // than its own environment, so every shard of a dispatch — and
     // every relaunch of a shard — simulates identically.
     sim::EngineOptions engine = args.engine;
-    engine.backend = manifest.header.backend == "compiled"
-                         ? sim::Backend::Compiled
-                         : sim::Backend::Interp;
+    if (!sim::backendFromName(manifest.header.backend, &engine.backend) ||
+        engine.backend == sim::Backend::Auto)
+        return refuse(sweep::JournalStatus::HeaderMismatch,
+                      "manifest names unknown backend '" +
+                          manifest.header.backend + "'");
 
     Args specArgs = args;
     specArgs.specPath = manifest.specPath;

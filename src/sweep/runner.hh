@@ -2,15 +2,16 @@
  * @file
  * SweepRunner: sharded, batched execution of a scenario grid.
  *
- * The runner shards a Grid's points across a pool of worker threads.
- * Nothing is shared between workers — each gets a dense worker id with
- * which the caller indexes per-worker state (typically one sim::Session
- * in a serve::SweepWorkers pool, as every in-process sweep does),
- * following the bulk-synchronous
- * independent-unit model that makes simulator sweeps embarrassingly
- * parallel. Points are claimed dynamically (an atomic cursor) for load
- * balance, but results land in a slot per point index, so the emitted
- * table is byte-identical for any thread count.
+ * The runner shards a Grid's points across a pool of worker threads,
+ * following the bulk-synchronous independent-unit model that makes
+ * simulator sweeps embarrassingly parallel. Each worker gets a dense
+ * worker id with which a caller may index per-worker state; every
+ * in-process engine sweep instead shares one serve::ProgramCache with
+ * threadsFor() entries, which constructs at most one sim::Session per
+ * thread and rebuilds it per config. Points are claimed dynamically
+ * (an atomic cursor) for load balance, but results land in a slot per
+ * point index, so the emitted table is byte-identical for any thread
+ * count.
  *
  * Thread-count resolution: Options::threads when nonzero, else the
  * EQ_SWEEP_THREADS environment variable, else hardware concurrency;

@@ -4,8 +4,10 @@
  * LRU eviction order with touch-on-hit, warm runs byte-identical to
  * cold ones, eviction never invalidating a pinned entry, hash-hit
  * full-equality verification under forced collisions (the
- * acquireHashed seam), and a multi-threaded hammer where each distinct
- * config compiles exactly once.
+ * acquireHashed seam), a multi-threaded hammer where each distinct
+ * config compiles exactly once, and session recycling: an evicted idle
+ * entry's Session is rebuilt for the next key, held entries are
+ * skipped, and a failed rebuild stays retryable.
  */
 
 #include <gtest/gtest.h>
@@ -205,6 +207,79 @@ TEST(ServeCache, InjectedBuildFailureLeavesEntryRetryable)
     EXPECT_GT(report.cycles, 0);
     // The failed first run never counted as a cache run.
     EXPECT_EQ(cache.stats().runs, 1u);
+}
+
+/** The report of a freshly constructed Session running @p key. */
+std::string
+freshSessionReport(const ModelKey &key)
+{
+    sim::Session session;
+    session.rebuild([&](ir::Context &ctx) { return key.build(ctx); });
+    return deterministicReport(session.run());
+}
+
+TEST(ServeCache, EvictedIdleSessionIsRecycled)
+{
+    ProgramCache cache(1);
+    ModelKey a = systolicKey(2, 2);
+    ModelKey b = systolicKey(4, 2, 6);
+
+    cache.acquire(a).run();
+    auto handle = cache.acquire(b); // evicts a and takes its session
+    EXPECT_FALSE(handle.warm());
+    ProgramCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.recycled, 1u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_FALSE(cache.contains(a));
+
+    // The rebuilt session runs b exactly as a fresh Session does, on
+    // its first and on a warm run.
+    const std::string expect = freshSessionReport(b);
+    EXPECT_EQ(deterministicReport(handle.run()), expect);
+    EXPECT_GT(handle.buildSeconds(), 0.0);
+    EXPECT_EQ(deterministicReport(handle.run()), expect);
+    EXPECT_EQ(handle.buildSeconds(), 0.0); // reused the program
+}
+
+TEST(ServeCache, HeldLruEntryIsSkipped)
+{
+    ProgramCache cache(2);
+    ModelKey a = systolicKey(2, 2);
+    ModelKey b = systolicKey(2, 4);
+    ModelKey c = systolicKey(4, 2);
+
+    auto pinned = cache.acquire(a);
+    const std::string before = deterministicReport(pinned.run());
+    cache.acquire(b).run();
+    // a is least recently used but held, so b is the one recycled.
+    cache.acquire(c).run();
+    EXPECT_TRUE(cache.contains(a));
+    EXPECT_FALSE(cache.contains(b));
+    EXPECT_TRUE(cache.contains(c));
+    EXPECT_EQ(cache.stats().recycled, 1u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(deterministicReport(pinned.run()), before);
+    EXPECT_TRUE(cache.acquire(a).warm());
+}
+
+TEST(ServeCache, InjectedBuildFailureOnRecycledEntryIsRetryable)
+{
+    ProgramCache cache(1);
+    ModelKey a = systolicKey(2, 2);
+    ModelKey b = systolicKey(2, 4);
+    cache.acquire(a).run();
+    {
+        serve::FaultInjector::Scoped faults("build=1,max=1");
+        auto handle = cache.acquire(b);
+        EXPECT_THROW(handle.run(), serve::BuildError);
+    }
+    EXPECT_EQ(cache.stats().recycled, 1u);
+    // The recycled entry stays cached, un-built: the next handle
+    // rebuilds it and runs like a fresh Session.
+    auto again = cache.acquire(b);
+    EXPECT_TRUE(again.warm());
+    EXPECT_EQ(deterministicReport(again.run()), freshSessionReport(b));
+    EXPECT_EQ(cache.stats().runs, 2u);
 }
 
 TEST(ServeCache, DefaultCapacity)

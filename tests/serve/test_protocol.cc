@@ -594,6 +594,35 @@ TEST(ServeModels, ApplyAxisChangesKeyIdentity)
     EXPECT_NE(err.find("stages"), std::string::npos) << err;
 }
 
+TEST(ServeModels, ParseAxisTable)
+{
+    struct Case {
+        const char *text;
+        bool ok;
+        std::vector<int64_t> values;
+    };
+    const Case cases[] = {
+        {"n=1,2,-3", true, {1, 2, -3}},
+        {"n=9223372036854775807", true, {INT64_MAX}},
+        {"n=99999999999999999999", false, {}}, // overflows int64
+        {"n=1,,2", false, {}},                 // empty item
+        {"n=1,2,", false, {}},                 // trailing comma
+        {"n=", false, {}},                     // no values
+        {"=1", false, {}},                     // missing name
+        {"n", false, {}},                      // no '='
+        {"n=1x", false, {}},                   // trailing junk
+        {"n= 1", false, {}},                   // leading space
+    };
+    for (const Case &c : cases) {
+        serve::SweepAxis axis;
+        EXPECT_EQ(serve::parseAxis(c.text, &axis), c.ok) << c.text;
+        if (c.ok) {
+            EXPECT_EQ(axis.name, "n") << c.text;
+            EXPECT_EQ(axis.values, c.values) << c.text;
+        }
+    }
+}
+
 TEST(ServeModels, SweepValidateChecksEveryResolvedPoint)
 {
     // Each value is in range on its own; only the point h=1, f=2

@@ -166,6 +166,7 @@ TEST(ServeServer, StatsExposeCrossRequestReuse)
     EXPECT_EQ(cache->getInt("misses", -1), 1);
     EXPECT_EQ(cache->getInt("hits", -1), 1);
     EXPECT_EQ(cache->getInt("runs", -1), 2);
+    EXPECT_EQ(cache->getInt("recycled", -1), 0); // nothing evicted
     const Json *srv = stats.find("server");
     ASSERT_NE(srv, nullptr);
     EXPECT_EQ(srv->getInt("connections", -1), 2);

@@ -152,11 +152,12 @@ TEST(AllocSteady, ColdRunOfASecondModule)
 {
     if (!compiledDefault())
         GTEST_SKIP() << "the interpreter oracle is not pooled";
-    // A sweep's next point: a freshly built module's first run in a
-    // Session that already ran one. It numbers, fingerprints and
-    // compiles its scopes (one program per launch-body shape, not per
-    // body), elaborates its components and reuses the previous run's
-    // buffers and dispatch tables. Before bodies shared programs and
+    // A Session rebuilt in place, without releasePools (which a
+    // recycled program-cache entry calls first): a freshly built
+    // module's first run in a Session that already ran one. It
+    // numbers, fingerprints and compiles its scopes (one program per
+    // launch-body shape, not per body), elaborates its components and
+    // reuses the previous run's buffers and dispatch tables. Before bodies shared programs and
     // buffers and tables outlived a module, this run made 4,172
     // allocations after the same config and 4,208 after another; now
     // ~1,260 and ~1,300.

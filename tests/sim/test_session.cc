@@ -205,6 +205,15 @@ expectPoolsInvisible(sim::Backend backend)
     session.rebuild(systolicBuilder(big));
     EXPECT_EQ(runPinned(), bigRef);
     EXPECT_EQ(runPinned(), bigRef);
+
+    // Released pools: the pinned module renumbers and recompiles, and a
+    // rebuild after a release runs like a fresh Simulator too.
+    session.releasePools();
+    EXPECT_EQ(runPinned(), bigRef);
+    session.releasePools();
+    session.rebuild(systolicBuilder(small));
+    EXPECT_EQ(runPinned(), smallRef);
+    EXPECT_EQ(runPinned(), smallRef);
 }
 
 TEST(SimSession, PooledStateIsInvisibleInterp)

@@ -7,9 +7,11 @@
  * exactly once with a worker id inside the pool.
  *
  * The determinism suite runs both a pure-function grid and a real
- * engine sweep through the session pool the harnesses use
- * (serve::SweepWorkers: one sim::Session per worker), covering the
- * exact sweep-runner contract the experiment harnesses rely on.
+ * engine sweep through the session pool the harnesses use (a
+ * serve::ProgramCache sized to the thread count, which constructs one
+ * sim::Session per thread and recycles it for every later key),
+ * covering the exact sweep-runner contract the experiment harnesses
+ * rely on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "serve/cache.hh"
 #include "serve/models.hh"
 #include "sweep/runner.hh"
 
@@ -147,24 +150,33 @@ TEST(SweepRunnerTest, EngineSweepByteIdenticalAcrossThreadCounts)
 
     std::string baseline;
     for (unsigned threads :
-         {1u, 4u, std::max(1u, std::thread::hardware_concurrency())}) {
+         {1u, 2u, 4u, std::max(1u, std::thread::hardware_concurrency())}) {
         sweep::RunnerOptions opts;
         opts.threads = threads;
         sweep::SweepRunner runner(opts);
-        serve::SweepWorkers workers(runner.threadsFor(grid.size()));
+        const unsigned pool = runner.threadsFor(grid.size());
+        serve::ProgramCache cache(pool);
 
         auto table = runner.run(
             grid, schema,
-            [&](const sweep::Point &p, unsigned w) -> std::vector<Cell> {
+            [&](const sweep::Point &p, unsigned) -> std::vector<Cell> {
                 auto key = serve::ModelKey::systolicKey(configFor(p));
                 return {p.at("df"), p.at("hw"), p.at("n"),
                         static_cast<int64_t>(
-                            workers.run(w, key).report.cycles)};
+                            cache.acquire(key).run().cycles)};
             });
         if (baseline.empty())
             baseline = table.csv();
         EXPECT_EQ(table.csv(), baseline)
             << "engine sweep diverged at " << threads << " threads";
+
+        // Every key is distinct, so every point misses; each thread
+        // holds at most one handle, so an idle entry is always there to
+        // recycle once the pool is full: exactly one Session per thread.
+        const serve::ProgramCache::Stats stats = cache.stats();
+        EXPECT_EQ(stats.misses, grid.size());
+        EXPECT_EQ(stats.misses - stats.recycled, pool)
+            << "sessions constructed at " << threads << " threads";
     }
 }
 
