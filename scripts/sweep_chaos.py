@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Chaos test of crash-safe sweeps: SIGKILL shards mid-run, corrupt
-journal tails and result caches, and swap specs out from under
-manifests — then assert the sweep still converges to the
+journal tails and result caches, and resume or merge shard journals
+under another sweep — then assert the sweep still converges to the
 byte-identical fault-free answer.
 
 Four rounds, each against a single-process reference CSV:
 
   kill-resume-merge   shards are dispatched as separate processes and
                       SIGKILLed mid-flight (seeded, several per
-                      round); the dispatcher relaunches them with
-                      --resume, the journal replays what survived the
-                      kill, and the merged CSV must equal the
+                      round); the dispatcher relaunches them, each
+                      relaunch replays what its journal kept from
+                      before the kill, and the merged CSV must equal the
                       reference byte for byte — a killed-and-resumed
                       sweep is indistinguishable from an undisturbed
                       one;
@@ -20,13 +20,14 @@ Four rounds, each against a single-process reference CSV:
                       recompute only the lost points (visible in its
                       "# resume:" stats), and the merge must still be
                       byte-identical;
-  header mismatch     spec.json is swapped after the manifests were
-                      emitted, or a manifest names a backend no
-                      engine has ("fused", the removed unfused mode);
-                      the shard must refuse with exit 3 and a
-                      structured {"code":"journal_header_mismatch"}
-                      error line before any point runs — never
-                      silently journal under the old identity;
+  header mismatch     a shard journal is resumed under a spec with a
+                      different axis or with --backend flipped, or is
+                      merged into another sweep; each must refuse
+                      with exit 3 and a structured
+                      {"code":"journal_header_mismatch"} error line,
+                      and a refused resume leaves the journal
+                      untouched — never silently journal or merge
+                      under another identity;
   damaged cache       a --cache file filled by a whole-grid run gets a
                       torn tail, a bit flip mid-file, or a header
                       naming the other backend; the cache discards
@@ -39,9 +40,9 @@ results do not depend on worker count, process count, kill timing, or
 how many times a point was recomputed — which is exactly what makes
 resume/retry/merge sound.
 
-Inherits EQ_SIM_BACKEND, so CI runs it once per backend (the emitted
-manifests pin the resolved backend; every relaunch obeys the manifest,
-not its own environment).
+Inherits EQ_SIM_BACKEND, so CI runs it once per backend (every shard
+journal's header pins the resolved backend, and a relaunch under
+another one is refused).
 
 Usage: sweep_chaos.py [BUILD_DIR] [ROUNDS]   (default: build, 3)
 """
@@ -55,8 +56,7 @@ import subprocess
 import sys
 import tempfile
 
-from sweep_dispatch import (DispatchError, Dispatcher,
-                            EXIT_HEADER_MISMATCH, emit_shards)
+from sweep_dispatch import Dispatcher, EXIT_HEADER_MISMATCH
 
 SPEC_ARGS = ["--model", "systolic",
              "--axis", "ah=2,4,8", "--axis", "aw=2,4,8"]
@@ -121,13 +121,14 @@ class ChaosKiller:
                 self._kill(dispatcher, shard)
 
 
-def run_dispatch(eqsweep, manifests, chaos_kill=None, max_retries=8):
+def run_dispatch(eqsweep, shard_dir, spec_args=SPEC_ARGS,
+                 chaos_kill=None, max_retries=8):
     # run() always terminates: a wedged shard trips the stall timeout
     # and is killed; a shard that keeps dying exhausts max_retries and
     # raises DispatchError.
-    d = Dispatcher(eqsweep, manifests, threads=1,
-                   max_retries=max_retries, stall_timeout=120.0,
-                   chaos_kill=chaos_kill)
+    d = Dispatcher(eqsweep, spec_args, NUM_SHARDS, shard_dir,
+                   threads=1, max_retries=max_retries,
+                   stall_timeout=120.0, chaos_kill=chaos_kill)
     d.run()
     return d
 
@@ -135,11 +136,9 @@ def run_dispatch(eqsweep, manifests, chaos_kill=None, max_retries=8):
 def kill_resume_merge_round(eqsweep, seed):
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-kill-")
     try:
-        manifests = emit_shards(eqsweep, SPEC_ARGS, NUM_SHARDS,
-                                shard_dir)
         killer = ChaosKiller(seed)
-        d = run_dispatch(eqsweep, manifests, chaos_kill=killer)
-        merged = d.merge(shard_dir)
+        d = run_dispatch(eqsweep, shard_dir, chaos_kill=killer)
+        merged = d.merge()
         if merged != REFERENCE:
             fail(f"seed {seed}: merged CSV differs from the "
              f"single-process reference after {killer.killed} kills")
@@ -165,9 +164,7 @@ def corrupt_tail_round(eqsweep, flavor):
     must still match the reference."""
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-tail-")
     try:
-        manifests = emit_shards(eqsweep, SPEC_ARGS, NUM_SHARDS,
-                                shard_dir)
-        d = run_dispatch(eqsweep, manifests)
+        d = run_dispatch(eqsweep, shard_dir)
 
         journal = d.shards[0].journal_path
         with open(journal, "rb") as f:
@@ -181,8 +178,7 @@ def corrupt_tail_round(eqsweep, flavor):
             f.write(damaged)
 
         proc = subprocess.run(
-            [eqsweep, "--shard", d.shards[0].manifest_path,
-             "--threads", "1"],
+            d.shard_argv(d.shards[0]),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             timeout=600)
         if proc.returncode != 0:
@@ -195,7 +191,7 @@ def corrupt_tail_round(eqsweep, flavor):
                  f"record was served as a result")
         if computed == 0:
             fail(f"{flavor} tail: nothing recomputed")
-        merged = d.merge(shard_dir)
+        merged = d.merge()
         if merged != REFERENCE:
             fail(f"{flavor} tail: merged CSV differs from reference")
         log(f"{flavor} tail: truncated {truncated} bytes, replayed "
@@ -205,15 +201,13 @@ def corrupt_tail_round(eqsweep, flavor):
         shutil.rmtree(shard_dir, ignore_errors=True)
 
 
-def expect_header_refusal(eqsweep, manifest, what):
-    """Run one shard that must refuse with exit 3 and a structured
+def expect_header_refusal(argv, what):
+    """Run eqsweep, which must refuse with exit 3 and a structured
     journal_header_mismatch error line; returns the error object."""
-    proc = subprocess.run(
-        [eqsweep, "--shard", manifest, "--threads", "1"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        timeout=600)
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, timeout=600)
     if proc.returncode == 0:
-        fail(f"{what}: the shard ran")
+        fail(f"{what}: eqsweep ran")
     if proc.returncode != EXIT_HEADER_MISMATCH:
         fail(f"{what}: expected exit {EXIT_HEADER_MISMATCH}, got "
              f"{proc.returncode}: {proc.stderr.decode()}")
@@ -225,53 +219,48 @@ def expect_header_refusal(eqsweep, manifest, what):
     err = json.loads(line[len("eqsweep: error: "):])
     if err.get("code") != "journal_header_mismatch":
         fail(f"{what}: wrong error code: {err}")
+    log(f"{what}: exit 3, code={err['code']!r}")
     return err
 
 
 def header_mismatch_round(eqsweep):
-    """Swap spec.json out from under the manifests, or name a backend
-    no engine has in one: the shard must refuse with exit 3 and a
-    structured journal_header_mismatch error before any point runs,
-    never silently journal under the old identity or another
-    backend."""
+    """A shard journal resumed under a spec with another axis or with
+    --backend flipped, and a journal from another sweep given to
+    --merge: each must refuse with exit 3 and a structured
+    journal_header_mismatch error before any point runs, and a refused
+    resume must leave the journal as it was."""
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr-")
     other_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr2-")
+    other_spec = ["--model", "systolic",
+                  "--axis", "ah=2,4", "--axis", "aw=2,4"]
     try:
-        manifests = emit_shards(eqsweep, SPEC_ARGS, NUM_SHARDS,
-                                shard_dir)
-        # A manifest naming an unknown backend ("fused", or the removed
-        # unfused compiled mode) is refused by name.
-        with open(manifests[1]) as f:
-            original = json.load(f)
-        for fields, named in (({"backend": "fused"}, "fused"),
-                              ({"backend": "compiled", "fuse": "off"},
-                               "compiled (unfused)")):
-            m = json.loads(json.dumps(original))
-            m["header"].update(fields)
-            with open(manifests[1], "w") as f:
-                json.dump(m, f)
-            err = expect_header_refusal(eqsweep, manifests[1],
-                                        f"backend {named!r}")
-            if f"unknown backend '{named}'" not in err.get("message",
-                                                           ""):
-                fail(f"backend {named!r}: message does not name the "
-                     f"manifest's backend: {err}")
-            if os.path.exists(m["journal"]):
-                fail(f"backend {named!r}: a journal was written")
-            log(f"manifest backend {named!r}: exit 3, "
-                f"code={err['code']!r}")
+        d = run_dispatch(eqsweep, shard_dir)
+        shard = d.shards[0]
+        with open(shard.journal_path, "rb") as f:
+            before = f.read()
+        backend = json.loads(before.split(b"\n", 1)[0])["backend"]
+        flipped = "interp" if backend == "compiled" else "compiled"
 
-        # A different sweep's spec, dropped where the manifests expect
-        # theirs (emitting into other_dir leaves the manifests alone).
-        emit_shards(eqsweep,
-                    ["--model", "systolic",
-                     "--axis", "ah=2,4", "--axis", "aw=2,4"],
-                    1, other_dir)
-        shutil.copyfile(os.path.join(other_dir, "spec.json"),
-                        os.path.join(shard_dir, "spec.json"))
-        err = expect_header_refusal(eqsweep, manifests[0],
-                                    "stale manifest on a swapped spec")
-        log(f"header mismatch: exit 3, code={err['code']!r}")
+        resume = ["--shard", f"0/{NUM_SHARDS}",
+                  "--journal", shard.journal_path, "--threads", "1"]
+        for spec_args, what in (
+                (other_spec, "resume under a spec with another axis"),
+                (SPEC_ARGS + ["--backend", flipped],
+                 f"resume of a {backend} journal with --backend "
+                 f"{flipped}")):
+            expect_header_refusal([eqsweep] + spec_args + resume, what)
+            with open(shard.journal_path, "rb") as f:
+                if f.read() != before:
+                    fail(f"{what}: the refused resume changed the "
+                         f"journal")
+
+        other = run_dispatch(eqsweep, other_dir, spec_args=other_spec)
+        journals = [s.journal_path for s in d.shards]
+        journals.append(other.shards[0].journal_path)
+        argv = [eqsweep] + SPEC_ARGS
+        for path in journals:
+            argv += ["--merge", path]
+        expect_header_refusal(argv, "merge of another sweep's journal")
     finally:
         shutil.rmtree(shard_dir, ignore_errors=True)
         shutil.rmtree(other_dir, ignore_errors=True)
@@ -357,7 +346,7 @@ def main():
     header_mismatch_round(eqsweep)
     damaged_cache_round(eqsweep)
     print(f"sweep chaos: {rounds} kill rounds + 2 tail-corruption "
-          "rounds + header refusal + 3 cache-damage rounds passed "
+          "rounds + 3 header refusals + 3 cache-damage rounds passed "
           "(outputs byte-identical)")
 
 

@@ -1,29 +1,33 @@
 #!/usr/bin/env python3
 """Fault-tolerant cross-process sweep dispatch over eqsweep shards.
 
-The unit of dispatch is the shard manifest: eqsweep --emit-shards
-partitions the grid into dense point-index ranges and writes one
-manifest per shard (plus the spec the manifests were derived from).
-This driver launches each manifest as its own `eqsweep --shard`
-process and babysits the fleet:
+A shard is a journal: `eqsweep <spec> --shard K/N --journal J` runs
+stripe K of N of the grid's dense points into J, always resuming what
+J already holds. This driver launches every stripe as its own process
+with the same spec arguments and babysits the fleet:
 
-  liveness    every shard heartbeats after each computed point by
-              atomically rewriting a one-line JSON file; the monitor
-              treats a live process whose beat counter has not moved
+  liveness    a shard appends one journal record per computed point,
+              so the journal's size is its progress; the monitor
+              treats a live process whose journal has not grown
               within --stall-timeout as a straggler and kills it;
-  retry       a dead shard (crashed, killed, stuck) is relaunched up
-              to --max-retries times; relaunch is always safe because
-              shards journal every completed point and resume by
-              replaying their journal — a relaunched shard recomputes
-              only what its journal does not already hold;
-  refusal     exit codes 3 (header mismatch) and 4 (corrupt journal)
-              are structured refusals, not transient faults, and are
-              never retried — they mean the on-disk state does not
-              describe this sweep and a human has to look;
-  merge       once every shard has finished, `eqsweep --merge` folds
-              the shard journals into one table, byte-identical to a
-              single-process run (the determinism guarantee is what
-              makes kill/relaunch invisible in the output).
+  retry       a dead shard (crashed, killed, stuck, or a point that
+              threw: exit 6) is relaunched up to --max-retries times;
+              relaunch is always safe because a shard recomputes only
+              what its journal does not already hold;
+  refusal     exit codes 2 (usage), 3 (header mismatch) and 4 (corrupt
+              journal) are structured refusals, not transient faults,
+              and are never retried — they mean the arguments or the
+              on-disk state do not describe this sweep and a human has
+              to look;
+  merge       once every shard has finished, `eqsweep <spec> --merge J
+              ...` folds the shard journals into one table,
+              byte-identical to a single-process run (the determinism
+              guarantee is what makes kill/relaunch invisible in the
+              output).
+
+The journal headers pin the sweep (grid, spec, resolved backend), so a
+shard resumed or merged under other spec arguments or another backend
+is refused with exit 3.
 
 Importable: sweep_chaos.py drives the same Dispatcher with a
 chaos_kill hook to SIGKILL shards mid-flight and then asserts the
@@ -32,14 +36,15 @@ merged CSV anyway matches the fault-free reference.
 Usage: sweep_dispatch.py [--build DIR] [--shards N] [--out CSV]
                          [--stall-timeout S] [--max-retries N]
                          [eqsweep spec args: --model/--config/--axis
-                          or --spec FILE]
+                          or --spec FILE, and --backend]
 """
 
-import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 # eqsweep's exit-code vocabulary (see src/sweep/eqsweep_main.cc).
@@ -49,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_HEADER_MISMATCH = 3
 EXIT_CORRUPT = 4
 EXIT_INCOMPLETE = 5
+EXIT_POINT_FAILED = 6
 NON_RETRYABLE = {EXIT_USAGE, EXIT_HEADER_MISMATCH, EXIT_CORRUPT}
 
 
@@ -61,56 +67,27 @@ class DispatchError(RuntimeError):
         self.exit_code = exit_code
 
 
-def emit_shards(eqsweep, spec_args, num_shards, shard_dir):
-    """Partition the sweep: returns the manifest paths eqsweep wrote."""
-    os.makedirs(shard_dir, exist_ok=True)
-    proc = subprocess.run(
-        [eqsweep, "--emit-shards", str(num_shards),
-         "--shard-dir", shard_dir] + list(spec_args),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    if proc.returncode != 0:
-        raise DispatchError(
-            f"--emit-shards exited {proc.returncode}: "
-            f"{proc.stderr.decode().strip()}", proc.returncode)
-    paths = [l for l in proc.stdout.decode().splitlines() if l]
-    if not paths:
-        raise DispatchError("--emit-shards produced no manifests")
-    return paths
-
-
-def load_manifest(path):
-    with open(path) as f:
-        m = json.load(f)
-    if m.get("manifest") != "eqsweep-shard":
-        raise DispatchError(f"{path}: not a shard manifest")
-    return m
-
-
-def read_heartbeat(path):
-    """Beat counter from a shard's heartbeat file, or None before the
-    first beat. Torn reads are impossible (writes are atomic renames),
-    but a missing file is normal until the shard starts."""
+def journal_size(path):
+    """Bytes in a shard's journal, or None before the shard creates
+    it. The journal only grows while its shard runs (one O_APPEND
+    record per computed point), so growth is progress."""
     try:
-        with open(path) as f:
-            return json.load(f).get("beat")
-    except (OSError, json.JSONDecodeError):
+        return os.stat(path).st_size
+    except OSError:
         return None
 
 
 class Shard:
-    """One manifest's lifecycle across launches."""
+    """One stripe's lifecycle across launches."""
 
-    def __init__(self, manifest_path):
-        self.manifest_path = manifest_path
-        manifest = load_manifest(manifest_path)
-        self.index = manifest["shard"]
-        self.heartbeat_path = manifest["heartbeat"]
-        self.journal_path = manifest["journal"]
+    def __init__(self, index, journal_path):
+        self.index = index
+        self.journal_path = journal_path
         self.proc = None
         self.launches = 0
         self.done = False
-        self.last_beat = None
-        self.last_progress = None  # wall time the beat last moved
+        self.last_size = None
+        self.last_progress = None  # wall time the journal last grew
 
     def running(self):
         return self.proc is not None and self.proc.poll() is None
@@ -119,11 +96,15 @@ class Shard:
 class Dispatcher:
     """Launch every shard, keep the fleet alive, then merge."""
 
-    def __init__(self, eqsweep, manifest_paths, threads=1,
-                 max_retries=3, stall_timeout=60.0, poll=0.05,
-                 chaos_kill=None, log=None):
+    def __init__(self, eqsweep, spec_args, num_shards, shard_dir,
+                 threads=1, max_retries=3, stall_timeout=60.0,
+                 poll=0.05, chaos_kill=None, log=None):
         self.eqsweep = eqsweep
-        self.shards = [Shard(p) for p in manifest_paths]
+        self.spec_args = list(spec_args)
+        self.shards = [
+            Shard(k, os.path.join(shard_dir,
+                                  f"shard-{k}.journal.ndjson"))
+            for k in range(num_shards)]
         self.threads = threads
         self.max_retries = max_retries
         self.stall_timeout = stall_timeout
@@ -134,11 +115,17 @@ class Dispatcher:
         self.log = log or (lambda msg: None)
         self.relaunches = 0
 
+    def shard_argv(self, shard):
+        """The command line that runs (or resumes) `shard`."""
+        return ([self.eqsweep] + self.spec_args +
+                ["--shard", f"{shard.index}/{len(self.shards)}",
+                 "--journal", shard.journal_path,
+                 "--threads", str(self.threads)])
+
     def launch(self, shard):
         shard.launches += 1
         shard.proc = subprocess.Popen(
-            [self.eqsweep, "--shard", shard.manifest_path,
-             "--threads", str(self.threads)],
+            self.shard_argv(shard),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         shard.last_progress = time.time()
         self.log(f"shard {shard.index}: launch #{shard.launches} "
@@ -172,15 +159,15 @@ class Dispatcher:
         self.launch(shard)
 
     def _check_stall(self, shard, now):
-        """A live process whose heartbeat stopped moving is a
+        """A live process whose journal stopped growing is a
         straggler: kill it and let the reap path relaunch it."""
-        beat = read_heartbeat(shard.heartbeat_path)
-        if beat is not None and beat != shard.last_beat:
-            shard.last_beat = beat
+        size = journal_size(shard.journal_path)
+        if size is not None and size != shard.last_size:
+            shard.last_size = size
             shard.last_progress = now
             return
         if now - shard.last_progress > self.stall_timeout:
-            self.log(f"shard {shard.index}: heartbeat stalled "
+            self.log(f"shard {shard.index}: journal stalled "
                      f"{self.stall_timeout:.0f}s, killing straggler")
             self.kill(shard)
 
@@ -206,9 +193,11 @@ class Dispatcher:
             for shard in self.shards:
                 self.kill(shard)
 
-    def merge(self, shard_dir, csv_path=None):
+    def merge(self, csv_path=None):
         """Fold the shard journals into the final table."""
-        argv = [self.eqsweep, "--merge", shard_dir]
+        argv = [self.eqsweep] + self.spec_args
+        for shard in self.shards:
+            argv += ["--merge", shard.journal_path]
         if csv_path:
             argv += ["--csv", csv_path]
         proc = subprocess.run(argv, stdout=subprocess.PIPE,
@@ -223,14 +212,14 @@ class Dispatcher:
 def dispatch_sweep(eqsweep, spec_args, shard_dir, num_shards,
                    csv_path=None, threads=1, max_retries=3,
                    stall_timeout=60.0, chaos_kill=None, log=None):
-    """emit-shards -> dispatch -> merge; returns the merged CSV bytes
-    (empty when csv_path routed the table to a file)."""
-    manifests = emit_shards(eqsweep, spec_args, num_shards, shard_dir)
-    d = Dispatcher(eqsweep, manifests, threads=threads,
-                   max_retries=max_retries, stall_timeout=stall_timeout,
-                   chaos_kill=chaos_kill, log=log)
+    """dispatch -> merge; returns the merged CSV bytes (empty when
+    csv_path routed the table to a file)."""
+    d = Dispatcher(eqsweep, spec_args, num_shards, shard_dir,
+                   threads=threads, max_retries=max_retries,
+                   stall_timeout=stall_timeout, chaos_kill=chaos_kill,
+                   log=log)
     d.run()
-    return d.merge(shard_dir, csv_path)
+    return d.merge(csv_path)
 
 
 def main():
@@ -257,7 +246,6 @@ def main():
         spec_args = ["--model", "systolic",
                      "--axis", "ah=2,4,8", "--axis", "aw=2,4,8"]
     eqsweep = os.path.join(build_dir, "src", "eqsweep")
-    import tempfile
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-dispatch-")
     try:
         csv = dispatch_sweep(
@@ -270,7 +258,6 @@ def main():
         print(f"sweep_dispatch: {e}", file=sys.stderr)
         sys.exit(e.exit_code or 1)
     finally:
-        import shutil
         shutil.rmtree(shard_dir, ignore_errors=True)
 
 

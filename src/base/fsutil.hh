@@ -1,7 +1,7 @@
 /**
  * @file
  * Small filesystem durability helpers shared by the sweep journal,
- * shard manifests/heartbeats, and the daemon's --port-file: an
+ * eqsweep's --csv output, and the daemon's --port-file: an
  * atomic whole-file write (temp file + fsync + rename, so a racing
  * reader can never observe a partial file), the IEEE CRC32 the
  * journal uses to detect torn or bit-flipped records, and the

@@ -643,9 +643,7 @@ runLocalSweepDurable(const SweepSpec &spec,
                      const sweep::JournalOptions &opts,
                      const sweep::RowLogHeader &identity,
                      sweep::Table *out, sweep::ResumeStats *stats,
-                     std::string *err,
-                     const std::function<void(const sweep::Point &)>
-                         &on_point)
+                     std::string *err)
 {
     sweep::RunnerOptions ropts;
     ropts.threads = threads;
@@ -656,11 +654,7 @@ runLocalSweepDurable(const SweepSpec &spec,
         runner, points, spec.schema(),
         [&](const sweep::Point &p) { return spec.pointKey(p); },
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            std::vector<sweep::Cell> cells =
-                spec.row(p, cache.acquire(spec.keyAt(p)).run());
-            if (on_point)
-                on_point(p);
-            return cells;
+            return spec.row(p, cache.acquire(spec.keyAt(p)).run());
         },
         opts, identity, out, stats, err);
 }

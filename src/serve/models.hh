@@ -195,17 +195,14 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
  * points must come from this spec's grid, and @p identity is the
  * whole grid's (sweep::gridIdentity over spec.grid().points(),
  * spec.schema() and spec.saltString()). Table assembly and refusal
- * semantics are runJournaledSweep's. @p on_point (optional) fires
- * after each freshly *computed* point, on the worker thread that ran
- * it — the shard heartbeat hook; the callee synchronizes.
+ * semantics are runJournaledSweep's.
  */
 sweep::JournalStatus runLocalSweepDurable(
     const SweepSpec &spec, const std::vector<sweep::Point> &points,
     unsigned threads, sim::EngineOptions engine,
     const sweep::JournalOptions &opts,
     const sweep::RowLogHeader &identity, sweep::Table *out,
-    sweep::ResumeStats *stats, std::string *err,
-    const std::function<void(const sweep::Point &)> &on_point = {});
+    sweep::ResumeStats *stats, std::string *err);
 
 } // namespace serve
 } // namespace eq

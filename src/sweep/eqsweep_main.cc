@@ -2,35 +2,38 @@
  * @file
  * eqsweep: the crash-safe sweep driver.
  *
- * Four modes over one serializable SweepSpec:
- *   (default)      run the whole grid, optionally journaled
- *                  (--journal/--resume) and cached (--cache)
- *   --emit-shards  write spec.json + per-shard manifests into a dir
- *   --shard M      run one manifest's dense range [begin, end) as its
- *                  own process: always resumable, heartbeating after
- *                  every computed point
- *   --merge DIR    merge the dir's shard journals into one table,
- *                  byte-identical to a single-process run
+ * Three modes over one serializable SweepSpec:
+ *   (default)    run the whole grid, optionally journaled
+ *                (--journal/--resume) and cached (--cache)
+ *   --shard K/N  run stripe K (0-based) of N of the dense points into
+ *                --journal as its own process, always resumed; rows
+ *                are journaled under the whole grid's identity
+ *   --merge J    (repeatable) merge shard journals into one table,
+ *                byte-identical to a single-process run
+ *
+ * Every mode takes the same spec arguments and --backend: the journal
+ * header pins the sweep they describe, so a shard resumed or merged
+ * under another spec or backend is refused, never silently mixed.
  *
  * Failures speak the sweep layer's structured vocabulary on stderr
  * (sweep::printError) —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
  * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage, 3 header
  * mismatch, 4 corrupt journal (sweep::exitCodeFor), 5 incomplete
- * merge. Dispatch scripts branch on these, never on prose.
+ * merge, 6 a point failed (point_failed, "point <i>: ..."). Dispatch
+ * scripts branch on these, never on prose.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "base/fsutil.hh"
 #include "base/stringutil.hh"
 #include "serve/models.hh"
-#include "sweep/shard.hh"
+#include "sweep/journal.hh"
 
 using namespace eq;
 
@@ -40,6 +43,7 @@ namespace {
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitIncomplete = 5;
+constexpr int kExitPointFailed = 6;
 
 void
 usage(const char *argv0)
@@ -61,12 +65,11 @@ usage(const char *argv0)
         "  --resume             replay an existing journal first\n"
         "  --cache PATH         content-keyed result cache file\n"
         "  --fsync              fsync the journal after every record\n"
-        "sharding:\n"
-        "  --emit-shards N      write N shard manifests (needs a spec\n"
-        "                       and --shard-dir), then exit\n"
-        "  --shard-dir DIR      manifest/journal/heartbeat directory\n"
-        "  --shard MANIFEST     run one shard manifest's point range\n"
-        "  --merge DIR          merge DIR's shard journals to a table\n"
+        "sharding (same spec and --backend for every shard and merge):\n"
+        "  --shard K/N          run stripe K (0-based) of N into\n"
+        "                       --journal, always resumed\n"
+        "  --merge JOURNAL      merge shard journals to one table\n"
+        "                       (repeatable)\n"
         "output:\n"
         "  --csv PATH           write the table as CSV to PATH\n"
         "                       (atomic; default: stdout)\n",
@@ -102,10 +105,9 @@ struct Args {
     unsigned threads = 0;
     sim::EngineOptions engine;
     sweep::JournalOptions durability;
-    int emitShards = 0;
-    std::string shardDir;
-    std::string shardManifest;
-    std::string mergeDir;
+    uint64_t shardK = 0; ///< --shard K/N; N = 0 runs the whole grid
+    uint64_t shardN = 0;
+    std::vector<std::string> mergeJournals;
     std::string csvPath;
 };
 
@@ -156,19 +158,44 @@ buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
     return serve::SweepSpec::fromJson(request, spec, err);
 }
 
+/** "K/N" with K in [0, N). */
+bool
+parseShard(const std::string &text, uint64_t *k, uint64_t *n)
+{
+    const size_t slash = text.find('/');
+    return slash != std::string::npos &&
+           parseInt(text.substr(slash + 1), uint64_t{1}, n) &&
+           parseInt(text.substr(0, slash), uint64_t{0}, k) && *k < *n;
+}
+
 int
-runWhole(const Args &args, const serve::SweepSpec &spec)
+runSweep(const Args &args, const serve::SweepSpec &spec)
 {
     sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
+    const sweep::RowLogHeader identity = sweep::gridIdentity(
+        points, spec.schema(), spec.saltString(), args.engine);
+    sweep::JournalOptions opts = args.durability;
+    if (args.shardN > 0) {
+        const auto [begin, end] =
+            sweep::shardStripe(points.size(), args.shardK, args.shardN);
+        points.erase(points.begin() + ptrdiff_t(end), points.end());
+        points.erase(points.begin(), points.begin() + ptrdiff_t(begin));
+        opts.resume = true; // relaunch after a kill is the normal case
+    }
+
     sweep::Table table{spec.schema()};
     sweep::ResumeStats stats;
     std::string err;
-    sweep::JournalStatus status = serve::runLocalSweepDurable(
-        spec, points, args.threads, args.engine, args.durability,
-        sweep::gridIdentity(points, spec.schema(), spec.saltString(),
-                            args.engine),
-        &table, &stats, &err);
+    sweep::JournalStatus status;
+    try {
+        status = serve::runLocalSweepDurable(spec, points, args.threads,
+                                             args.engine, opts, identity,
+                                             &table, &stats, &err);
+    } catch (const sweep::PointFailed &e) {
+        sweep::printError("eqsweep", "point_failed", e.what());
+        return kExitPointFailed;
+    }
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
     sweep::printResumeStats(stats);
@@ -176,151 +203,23 @@ runWhole(const Args &args, const serve::SweepSpec &spec)
 }
 
 int
-emitShardsMode(const Args &args, const serve::SweepSpec &spec)
+mergeMode(const Args &args, const serve::SweepSpec &spec)
 {
-    if (args.shardDir.empty()) {
-        sweep::printError("eqsweep", "usage",
-                          "--emit-shards needs --shard-dir");
-        return kExitUsage;
-    }
-    sweep::Grid grid = spec.grid();
-    std::vector<sweep::Point> points = grid.points();
-    sweep::RowLogHeader header = sweep::gridIdentity(
-        points, spec.schema(), spec.saltString(), args.engine);
-
-    const std::string specPath = args.shardDir + "/spec.json";
-    std::string err;
-    if (!fs::writeFileAtomic(specPath, spec.toJson().dump() + "\n",
-                             &err))
-        return refuse(sweep::JournalStatus::IoError, err);
-    std::vector<sweep::ShardManifest> manifests =
-        sweep::makeShardManifests(points.size(), args.emitShards,
-                                  header, args.shardDir);
-    for (const auto &m : manifests) {
-        sweep::ShardManifest manifest = m;
-        manifest.specPath = specPath;
-        const std::string path = args.shardDir + "/shard-" +
-                                 std::to_string(manifest.shard) +
-                                 ".manifest.json";
-        if (!manifest.save(path, &err))
-            return refuse(sweep::JournalStatus::IoError, err);
-        std::printf("%s\n", path.c_str());
-    }
-    return kExitOk;
-}
-
-int
-shardMode(const Args &args)
-{
-    sweep::ShardManifest manifest;
-    std::string err;
-    if (!sweep::ShardManifest::load(args.shardManifest, &manifest,
-                                    &err))
-        return refuse(sweep::JournalStatus::IoError, err);
-
-    // The manifest pins the engine mode; this process obeys it rather
-    // than its own environment, so every shard of a dispatch — and
-    // every relaunch of a shard — simulates identically.
-    sim::EngineOptions engine = args.engine;
-    if (!sim::backendFromName(manifest.header.backend, &engine.backend) ||
-        engine.backend == sim::Backend::Auto)
-        return refuse(sweep::JournalStatus::HeaderMismatch,
-                      "manifest names unknown backend '" +
-                          manifest.header.backend + "'");
-
-    Args specArgs = args;
-    specArgs.specPath = manifest.specPath;
-    serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err))
-        return refuse(sweep::JournalStatus::IoError, err);
-    sweep::Grid grid = spec.grid();
-    std::vector<sweep::Point> points = grid.points();
-
-    // A swapped spec.json must not silently journal under the old
-    // manifest's identity.
-    sweep::RowLogHeader expect = sweep::gridIdentity(
-        points, spec.schema(), spec.saltString(), engine);
-    std::string why;
-    if (!manifest.header.matches(expect, &why))
-        return refuse(sweep::JournalStatus::HeaderMismatch,
-                      "manifest does not describe this spec: " + why);
-    // load() refused a range beyond the manifest's grid, and that grid
-    // is this spec's: the slice is in bounds.
-
-    std::vector<sweep::Point> slice(
-        points.begin() + ptrdiff_t(manifest.beginPoint),
-        points.begin() + ptrdiff_t(manifest.endPoint));
-
-    sweep::JournalOptions opts = args.durability;
-    opts.journalPath = manifest.journalPath;
-    opts.resume = true; // relaunch after a kill is the normal case
-
-    sweep::Heartbeat heartbeat(manifest.heartbeatPath, manifest.shard);
-    std::mutex beatMu;
-    size_t completed = 0;
-    heartbeat.beat(0);
-
-    sweep::Table table{spec.schema()};
-    sweep::ResumeStats stats;
-    sweep::JournalStatus status = serve::runLocalSweepDurable(
-        spec, slice, args.threads, engine, opts, expect, &table, &stats,
-        &err, [&](const sweep::Point &) {
-            std::lock_guard<std::mutex> lock(beatMu);
-            heartbeat.beat(++completed);
-        });
-    if (status != sweep::JournalStatus::Ok)
-        return refuse(status, err);
-    heartbeat.beat(slice.size());
-    sweep::printResumeStats(stats);
-    std::fprintf(stderr, "# shard %d: points [%llu, %llu) done\n",
-                 manifest.shard,
-                 static_cast<unsigned long long>(manifest.beginPoint),
-                 static_cast<unsigned long long>(manifest.endPoint));
-    return kExitOk;
-}
-
-int
-mergeMode(const Args &args)
-{
-    // shard-0's manifest names the dispatch width; every manifest
-    // repeats the full-grid header, which the merge verifies per
-    // journal.
-    sweep::ShardManifest first;
-    std::string err;
-    if (!sweep::ShardManifest::load(
-            args.mergeDir + "/shard-0.manifest.json", &first, &err))
-        return refuse(sweep::JournalStatus::IoError, err);
-    std::vector<std::string> journals;
-    for (int k = 0; k < first.numShards; ++k) {
-        sweep::ShardManifest m;
-        const std::string path = args.mergeDir + "/shard-" +
-                                 std::to_string(k) + ".manifest.json";
-        if (!sweep::ShardManifest::load(path, &m, &err))
-            return refuse(sweep::JournalStatus::IoError, err);
-        std::string why;
-        if (!m.header.matches(first.header, &why))
-            return refuse(sweep::JournalStatus::HeaderMismatch,
-                          path + ": " + why);
-        if (fs::fileExists(m.journalPath))
-            journals.push_back(m.journalPath);
-    }
-
-    Args specArgs = args;
-    specArgs.specPath = first.specPath;
-    serve::SweepSpec spec;
-    if (!buildSpec(specArgs, &spec, &err))
-        return refuse(sweep::JournalStatus::IoError, err);
-
+    const sweep::RowLogHeader expect = sweep::gridIdentity(
+        spec.grid().points(), spec.schema(), spec.saltString(),
+        args.engine);
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
+    std::string err;
     sweep::JournalStatus status = sweep::mergeShardJournals(
-        journals, first.header, spec.schema(), &table, &missing, &err);
+        args.mergeJournals, expect, spec.schema(), &table, &missing,
+        &err);
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
     if (!missing.empty()) {
         sweep::printError("eqsweep", "incomplete_merge",
                           std::to_string(missing.size()) + " of " +
-                              std::to_string(first.header.numPoints) +
+                              std::to_string(expect.numPoints) +
                               " points missing (first: " +
                               std::to_string(missing.front()) + ")");
         return kExitIncomplete;
@@ -372,17 +271,14 @@ main(int argc, char **argv)
             args.durability.cachePath = value();
         } else if (arg == "--fsync") {
             args.durability.fsyncEachRecord = true;
-        } else if (arg == "--emit-shards") {
-            if (!parseInt(value(), 1, &args.emitShards)) {
-                std::fprintf(stderr, "eqsweep: bad --emit-shards\n");
+        } else if (arg == "--shard") {
+            if (!parseShard(value(), &args.shardK, &args.shardN)) {
+                std::fprintf(stderr, "eqsweep: bad --shard (want K/N, "
+                                     "0 <= K < N)\n");
                 return kExitUsage;
             }
-        } else if (arg == "--shard-dir") {
-            args.shardDir = value();
-        } else if (arg == "--shard") {
-            args.shardManifest = value();
         } else if (arg == "--merge") {
-            args.mergeDir = value();
+            args.mergeJournals.push_back(value());
         } else if (arg == "--csv") {
             args.csvPath = value();
         } else if (arg == "--help" || arg == "-h") {
@@ -396,11 +292,15 @@ main(int argc, char **argv)
         }
     }
 
-    if (!args.shardManifest.empty())
-        return shardMode(args);
-    if (!args.mergeDir.empty())
-        return mergeMode(args);
-
+    if (args.shardN > 0 && args.durability.journalPath.empty()) {
+        sweep::printError("eqsweep", "usage", "--shard needs --journal");
+        return kExitUsage;
+    }
+    if (args.shardN > 0 && !args.mergeJournals.empty()) {
+        sweep::printError("eqsweep", "usage",
+                          "--shard and --merge are separate runs");
+        return kExitUsage;
+    }
     if (args.specPath.empty() && args.model.empty()) {
         usage(argv[0]);
         return kExitUsage;
@@ -411,7 +311,7 @@ main(int argc, char **argv)
         sweep::printError("eqsweep", "usage", err);
         return kExitUsage;
     }
-    if (args.emitShards > 0)
-        return emitShardsMode(args, spec);
-    return runWhole(args, spec);
+    if (!args.mergeJournals.empty())
+        return mergeMode(args, spec);
+    return runSweep(args, spec);
 }

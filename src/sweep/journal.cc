@@ -2,13 +2,15 @@
  * @file
  * The journaled-sweep orchestration: replay (journal), content-keyed
  * reuse (result cache) and recomputation (SweepRunner) layered into
- * one table.
+ * one table; shard stripes and the shard-journal merge.
  */
 
 #include "sweep/journal.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 
 #include "sweep/resultcache.hh"
@@ -143,23 +145,32 @@ runJournaledSweep(const SweepRunner &runner,
     }
     if (!pending.empty()) {
         std::atomic<bool> failed{false};
-        Table fresh = runner.run(
-            pending, schema,
-            [&](const Point &p, unsigned w) -> std::vector<Cell> {
-                // Once the journal cannot take rows the sweep fails:
-                // simulating the rest would only be thrown away.
-                if (failed.load())
-                    return placeholderRow(schema);
-                std::vector<Cell> cells = fn(p, w);
-                std::string jerr;
-                if (journaling &&
-                    !journal.append(p.index(),
-                                    keys[slotOf.find(p.index())->second],
-                                    cells, &jerr) &&
-                    !failed.exchange(true))
-                    ioErr = jerr; // the first failure names the error
-                return cells;
-            });
+        auto journaled = [&](const Point &p,
+                             unsigned w) -> std::vector<Cell> {
+            // Once the journal cannot take rows the sweep fails:
+            // simulating the rest would only be thrown away.
+            if (failed.load())
+                return placeholderRow(schema);
+            std::vector<Cell> cells = fn(p, w);
+            std::string jerr;
+            if (journaling &&
+                !journal.append(p.index(),
+                                keys[slotOf.find(p.index())->second],
+                                cells, &jerr) &&
+                !failed.exchange(true))
+                ioErr = jerr; // the first failure names the error
+            return cells;
+        };
+        Table fresh(schema);
+        try {
+            fresh = runner.run(pending, schema, journaled);
+        } catch (...) {
+            // A failed point fails the sweep; the rows journaled
+            // before it stay durable for the resume.
+            if (journaling && !opts.fsyncEachRecord)
+                journal.sync(nullptr);
+            throw;
+        }
         if (failed.load())
             return fail(JournalStatus::IoError, ioErr);
         for (size_t i = 0; i < pendingSlot.size(); ++i) {
@@ -183,6 +194,50 @@ runJournaledSweep(const SweepRunner &runner,
     Table table(std::move(schema));
     for (auto &row : rows)
         table.addRow(std::move(row));
+    *out = std::move(table);
+    return JournalStatus::Ok;
+}
+
+std::pair<uint64_t, uint64_t>
+shardStripe(uint64_t num_points, uint64_t k, uint64_t n)
+{
+    const uint64_t base = num_points / n;
+    const uint64_t extra = num_points % n;
+    const uint64_t begin = k * base + std::min(k, extra);
+    return {begin, begin + base + (k < extra ? 1 : 0)};
+}
+
+JournalStatus
+mergeShardJournals(const std::vector<std::string> &paths,
+                   const RowLogHeader &expect,
+                   const std::vector<Column> &schema, Table *out,
+                   std::vector<uint64_t> *missing, std::string *err)
+{
+    // Dense index -> row; later insertions (later paths / later
+    // records) overwrite earlier ones: last-write-wins.
+    std::map<uint64_t, std::vector<Cell>> rows;
+    for (const std::string &path : paths) {
+        RowLog::Recovery rec = RowLog::recover(path, expect, schema,
+                                               RowLog::Policy::Refuse);
+        if (rec.status != JournalStatus::Ok) {
+            if (err)
+                *err = path + ": " + rec.error;
+            return rec.status;
+        }
+        for (auto &record : rec.records)
+            rows[record.index] = std::move(record.cells);
+    }
+
+    if (missing) {
+        missing->clear();
+        for (uint64_t i = 0; i < expect.numPoints; ++i)
+            if (!rows.count(i))
+                missing->push_back(i);
+    }
+
+    Table table{std::vector<Column>(schema)};
+    for (auto &entry : rows)
+        table.addRow(std::move(entry.second));
     *out = std::move(table);
     return JournalStatus::Ok;
 }

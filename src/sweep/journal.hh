@@ -7,13 +7,23 @@
  * the journal and recomputes only what is missing. The result cache
  * makes re-plots cheap — rows keyed by configuration content keep
  * hitting after the grid around them changes.
+ *
+ * A sweep spreads across processes as shards: stripe K of N runs its
+ * contiguous slice of the dense points (shardStripe) into its own
+ * journal, under the *whole* grid's header, so shard journals are
+ * mutually mergeable and a killed shard resumes from its journal.
+ * mergeShardJournals folds them into one table, byte-identical to a
+ * single-process run; each journal's growth is the shard's progress.
  */
 
 #ifndef EQ_SWEEP_JOURNAL_HH
 #define EQ_SWEEP_JOURNAL_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep/rowlog.hh"
 #include "sweep/runner.hh"
@@ -62,7 +72,9 @@ using PointKeyFn = std::function<std::string(const Point &)>;
  * Returns Ok and fills @p out on success. HeaderMismatch / Corrupt /
  * IoError (with @p err) mean the journal was refused or could not be
  * written — no table is produced, and after a failed append no
- * further point is simulated.
+ * further point is simulated. A point that throws propagates as
+ * SweepRunner::run's PointFailed, after the rows journaled before it
+ * are synced as on a normal exit.
  */
 JournalStatus runJournaledSweep(const SweepRunner &runner,
                                 const std::vector<Point> &points,
@@ -72,6 +84,36 @@ JournalStatus runJournaledSweep(const SweepRunner &runner,
                                 const JournalOptions &opts,
                                 const RowLogHeader &identity, Table *out,
                                 ResumeStats *stats, std::string *err);
+
+/**
+ * Stripe @p k of @p n over @p num_points dense indices: the contiguous
+ * range [first, second). Stripes tile [0, num_points) in order; earlier
+ * stripes take the remainder, and a stripe past the point count is
+ * empty. Requires k < n.
+ */
+std::pair<uint64_t, uint64_t> shardStripe(uint64_t num_points,
+                                          uint64_t k, uint64_t n);
+
+/**
+ * Merge shard journals into one table, byte-identical to a
+ * single-process run of the same sweep.
+ *
+ * Every journal's header must match @p expect (HeaderMismatch
+ * otherwise); a journal with mid-file corruption is refused (Corrupt);
+ * a torn final record is skipped (the merge never mutates the files).
+ * Duplicate points — e.g. a point recomputed by a relaunched shard —
+ * resolve last-write-wins in @p paths order, then journal order. Rows
+ * come out in dense point order. Points no journal covered are
+ * reported in @p missing (and the table then holds only the covered
+ * points, in order): an incomplete merge is the dispatcher's signal to
+ * relaunch, not an error here.
+ */
+JournalStatus mergeShardJournals(const std::vector<std::string> &paths,
+                                 const RowLogHeader &expect,
+                                 const std::vector<Column> &schema,
+                                 Table *out,
+                                 std::vector<uint64_t> *missing,
+                                 std::string *err);
 
 } // namespace sweep
 } // namespace eq

@@ -47,7 +47,7 @@
  * Replaying a row is sound for exactly the reason serve::Client
  * retries are: results are byte-deterministic at any worker count, so
  * a replayed row is indistinguishable from a recomputed one. Duplicate
- * records are therefore legal (a resumed run or a reassigned shard may
+ * records are therefore legal (a resumed run or a relaunched shard may
  * recompute a point), and honest duplicates are identical; the journal
  * replays them last-write-wins, the cache keeps the first.
  */

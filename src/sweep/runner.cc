@@ -1,7 +1,8 @@
 /**
  * @file
  * SweepRunner implementation: dynamic point claiming over an atomic
- * cursor, per-point result slots for deterministic assembly, and
+ * cursor, per-point result slots for deterministic assembly, the
+ * first point failure carried back to the caller, and
  * EQ_SWEEP_THREADS resolution.
  */
 
@@ -9,14 +10,32 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/stringutil.hh"
 
 namespace eq {
 namespace sweep {
+
+namespace {
+
+std::string
+messageOf(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+} // namespace
 
 SweepRunner::SweepRunner(RunnerOptions opts) : _opts(opts) {}
 
@@ -25,13 +44,9 @@ SweepRunner::threadsFor(size_t num_points) const
 {
     unsigned n = _opts.threads;
     if (n == 0) {
-        if (const char *env = std::getenv("EQ_SWEEP_THREADS")) {
-            long v = std::strtol(env, nullptr, 10);
-            if (v > 0)
-                n = static_cast<unsigned>(v);
-            else
-                eq_warn("ignoring invalid EQ_SWEEP_THREADS='", env, "'");
-        }
+        const char *env = std::getenv("EQ_SWEEP_THREADS");
+        if (env && !parseInt(env, 1u, &n))
+            eq_warn("ignoring invalid EQ_SWEEP_THREADS='", env, "'");
     }
     if (n == 0)
         n = std::max(1u, std::thread::hardware_concurrency());
@@ -57,9 +72,24 @@ SweepRunner::run(const std::vector<Point> &points,
 
     std::vector<std::vector<Cell>> rows(points.size());
     std::atomic<size_t> cursor{0};
+    // The first throwing point wins the exchange and records itself;
+    // the thread joins below publish it to this thread.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;
+    size_t errorAt = 0;
     auto work = [&](unsigned worker) {
-        for (size_t i; (i = cursor.fetch_add(1)) < points.size();)
-            rows[i] = fn(points[i], worker);
+        for (size_t i;
+             !failed.load() && (i = cursor.fetch_add(1)) < points.size();) {
+            try {
+                rows[i] = fn(points[i], worker);
+            } catch (...) {
+                if (!failed.exchange(true)) {
+                    error = std::current_exception();
+                    errorAt = i;
+                }
+                return;
+            }
+        }
     };
 
     unsigned nthreads = threadsFor(points.size());
@@ -75,6 +105,8 @@ SweepRunner::run(const std::vector<Point> &points,
         for (auto &t : pool)
             t.join();
     }
+    if (error)
+        throw PointFailed(points[errorAt].index(), messageOf(error));
 
     // Assemble in point-index order: the table is independent of how
     // points were interleaved across workers.

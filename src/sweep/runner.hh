@@ -13,6 +13,11 @@
  * point index, so the emitted table is byte-identical for any thread
  * count.
  *
+ * A point whose row function throws fails the sweep, never the
+ * process: its worker stops claiming points, the others finish the
+ * point they hold and stop too, and once every thread is joined run()
+ * rethrows the first failure as PointFailed on the caller's thread.
+ *
  * Thread-count resolution: Options::threads when nonzero, else the
  * EQ_SWEEP_THREADS environment variable, else hardware concurrency;
  * always clamped to [1, number of points].
@@ -22,12 +27,32 @@
 #define EQ_SWEEP_RUNNER_HH
 
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "sweep/grid.hh"
 #include "sweep/table.hh"
 
 namespace eq {
 namespace sweep {
+
+/** What SweepRunner::run throws when a point's row function threw:
+ *  what() is "point <index>: <the exception's message>". */
+class PointFailed : public std::runtime_error {
+  public:
+    PointFailed(size_t point, const std::string &message)
+        : std::runtime_error("point " + std::to_string(point) + ": " +
+                             message),
+          _point(point)
+    {
+    }
+
+    /** Dense index of the point that threw. */
+    size_t point() const { return _point; }
+
+  private:
+    size_t _point;
+};
 
 struct RunnerOptions {
     /** Worker threads; 0 = EQ_SWEEP_THREADS env, else hardware. */
@@ -46,7 +71,8 @@ class SweepRunner {
                                         unsigned worker)>;
 
     /** Run every point of @p grid through @p fn; rows are collected in
-     *  point-index order into a table with @p schema. */
+     *  point-index order into a table with @p schema. Throws
+     *  PointFailed when @p fn threw for some point. */
     Table run(const Grid &grid, std::vector<Column> schema,
               const RowFn &fn) const;
 

@@ -5,8 +5,15 @@
  * valid records after it refuses as Corrupt; a header-less file is
  * recreated; duplicate records resolve last-write-wins), and the
  * header checks that keep a stale journal from silently merging into
- * the wrong sweep; the pinned file bytes; and a failed append that
- * stops the sweep from simulating further points.
+ * the wrong sweep; the pinned file bytes; a failed append that stops
+ * the sweep from simulating further points; and a throwing point that
+ * fails the sweep but leaves the rows before it replayable.
+ *
+ * Shards: stripes tile the grid exactly once, in order, and the merge
+ * contract — shard journals merged by dense point index are
+ * byte-identical to the single-process SweepRunner table, in every
+ * backend mode, with duplicates resolving last-write-wins and missing
+ * points reported rather than papered over.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 
 #include <sys/resource.h>
 
 #include "base/fsutil.hh"
+#include "serve/models.hh"
 #include "sweep/journal.hh"
 
 namespace {
@@ -126,6 +135,15 @@ class JournalTest : public ::testing::Test {
             },
             opts, sweep::gridIdentity(points, abSchema(), salt, engine),
             table, stats, err);
+    }
+
+    /** A fresh path next to `path`, for tests with several files. */
+    std::string
+    sibling(const std::string &leaf) const
+    {
+        std::string p = path + "." + leaf;
+        std::remove(p.c_str());
+        return p;
     }
 
     std::string path;
@@ -475,6 +493,56 @@ TEST_F(JournalTest, FailedAppendStopsSimulating)
         ::testing::ExitedWithCode(0), "status=io_error");
 }
 
+/** A point that throws fails the sweep with its index; the rows
+ *  journaled before it survive, so a resume replays exactly the points
+ *  before it and computes the rest. */
+TEST_F(JournalTest, ThrowingPointLeavesEarlierRowsToResume)
+{
+    const size_t k = 3;
+    const sweep::Grid grid = abGrid();
+    const auto points = grid.points();
+    const sweep::RowLogHeader identity =
+        sweep::gridIdentity(points, abSchema(), "", engine);
+    sweep::JournalOptions opts;
+    opts.journalPath = path;
+    sweep::Table t{abSchema()};
+    std::string err;
+    try {
+        runJournaledSweep(
+            sweep::SweepRunner({1}), points, abSchema(), abKey,
+            [&](const sweep::Point &p, unsigned) {
+                if (p.index() == k)
+                    throw std::runtime_error("boom");
+                return abRow(p);
+            },
+            opts, identity, &t, nullptr, &err);
+        FAIL() << "the throwing point did not fail the sweep";
+    } catch (const sweep::PointFailed &e) {
+        EXPECT_EQ(e.point(), k);
+        EXPECT_STREQ(e.what(), "point 3: boom");
+    }
+
+    sweep::RowLog::Recovery rec = sweep::RowLog::recover(
+        path, identity, abSchema(), sweep::RowLog::Policy::Refuse);
+    ASSERT_EQ(rec.status, sweep::JournalStatus::Ok) << rec.error;
+    std::vector<size_t> journaled;
+    for (const sweep::RowRecord &r : rec.records)
+        journaled.push_back(r.index);
+    EXPECT_EQ(journaled, (std::vector<size_t>{0, 1, 2}));
+
+    sweep::ResumeStats st;
+    size_t calls = 0;
+    ASSERT_EQ(run(true, &t, &st, &err, &calls), sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_EQ(st.fromJournal, k);
+    EXPECT_EQ(calls, points.size() - k);
+    sweep::Table fresh{abSchema()};
+    std::remove(path.c_str());
+    ASSERT_EQ(run(false, &fresh, &st, &err), sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_EQ(t.csv(), fresh.csv());
+}
+
 TEST_F(JournalTest, ExitCodesAreStable)
 {
     EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::Ok), 0);
@@ -497,6 +565,183 @@ TEST_F(JournalTest, StatusNamesAreStable)
     EXPECT_STREQ(
         sweep::journalStatusName(sweep::JournalStatus::Corrupt),
         "journal_corrupt");
+}
+
+TEST(ShardStripeTest, StripesCoverEveryPointOnceInOrder)
+{
+    for (uint64_t points : {1u, 4u, 7u, 16u}) {
+        for (uint64_t n : {1u, 2u, 3u, 4u, 32u}) {
+            SCOPED_TRACE(std::to_string(points) + " points, " +
+                         std::to_string(n) + " stripes");
+            uint64_t next = 0;
+            for (uint64_t k = 0; k < n; ++k) {
+                const auto [begin, end] =
+                    sweep::shardStripe(points, k, n);
+                EXPECT_EQ(begin, next);
+                EXPECT_LE(begin, end);
+                // Balanced: stripes differ by at most one point, and
+                // only stripes past the point count are empty.
+                EXPECT_LE(end - begin, (points + n - 1) / n);
+                EXPECT_EQ(end == begin, k >= points);
+                next = end;
+            }
+            EXPECT_EQ(next, points);
+        }
+    }
+}
+
+class ShardMergeTest : public JournalTest {
+  protected:
+    /** A merge header over @p num_points points of abSchema(). */
+    static sweep::RowLogHeader
+    header(uint64_t num_points)
+    {
+        sweep::RowLogHeader h;
+        h.gridHash = 0xfeedu;
+        h.numPoints = num_points;
+        h.schemaSig = sweep::schemaSignature(abSchema());
+        h.backend = "interp";
+        h.salt = "ab";
+        return h;
+    }
+
+    /** A journal at @p at holding rows (a, 1, a) for the given
+     *  indices. */
+    static void
+    write(const std::string &at, const sweep::RowLogHeader &h,
+          const std::vector<std::pair<size_t, int64_t>> &rows)
+    {
+        sweep::RowLog j(sweep::RowLog::Policy::Refuse);
+        sweep::RowLog::Recovery rec;
+        ASSERT_EQ(j.open(at, h, abSchema(), /*resume=*/false, &rec),
+                  sweep::JournalStatus::Ok)
+            << rec.error;
+        std::string err;
+        for (const auto &[index, a] : rows)
+            ASSERT_TRUE(j.append(index, "a=" + std::to_string(a),
+                                 {a, int64_t{1}, a}, &err))
+                << err;
+    }
+};
+
+TEST_F(ShardMergeTest, MissingPointsAreReportedNotInvented)
+{
+    sweep::RowLogHeader h = header(5);
+    const std::string j0 = sibling("s0");
+    write(j0, h, {{0, 10}, {1, 11}, {3, 13}});
+
+    sweep::Table table{abSchema()};
+    std::vector<uint64_t> missing;
+    std::string err;
+    ASSERT_EQ(sweep::mergeShardJournals({j0}, h, abSchema(), &table,
+                                        &missing, &err),
+              sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_EQ(missing, (std::vector<uint64_t>{2, 4}));
+    EXPECT_EQ(table.numRows(), 3u);
+}
+
+TEST_F(ShardMergeTest, MismatchedJournalHeaderRefuses)
+{
+    sweep::RowLogHeader h = header(4);
+    const std::string j0 = sibling("s0");
+    const std::string j1 = sibling("s1");
+    write(j0, h, {{0, 10}, {1, 11}});
+    sweep::RowLogHeader other = h;
+    other.backend = "compiled";
+    write(j1, other, {{2, 12}, {3, 13}});
+
+    sweep::Table table{abSchema()};
+    std::vector<uint64_t> missing;
+    std::string err;
+    EXPECT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
+                                        &table, &missing, &err),
+              sweep::JournalStatus::HeaderMismatch);
+    EXPECT_NE(err.find("backend"), std::string::npos) << err;
+}
+
+TEST_F(ShardMergeTest, DuplicatePointsResolveLastWriteWins)
+{
+    // A relaunched shard recomputed point 1, which another journal
+    // also holds: the later path wins.
+    sweep::RowLogHeader h = header(3);
+    const std::string j0 = sibling("s0");
+    const std::string j1 = sibling("s1");
+    write(j0, h, {{0, 10}, {1, 11}});
+    write(j1, h, {{1, 99}, {2, 12}});
+
+    sweep::Table table{abSchema()};
+    std::vector<uint64_t> missing;
+    std::string err;
+    ASSERT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
+                                        &table, &missing, &err),
+              sweep::JournalStatus::Ok)
+        << err;
+    EXPECT_TRUE(missing.empty());
+    ASSERT_EQ(table.numRows(), 3u);
+    EXPECT_EQ(table.at(1, 0).asInt(), 99);
+}
+
+/** 1/2/4-stripe journals of a real systolic sweep merge
+ *  byte-identically to the single-process SweepRunner CSV — on both
+ *  backends. */
+TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
+{
+    serve::SweepSpec spec;
+    spec.base = serve::defaultKey(serve::ModelKind::Systolic);
+    spec.axes = {{"ah", {2, 4}}, {"aw", {2, 4}}};
+    std::string err;
+    ASSERT_TRUE(spec.validate(&err)) << err;
+
+    for (sim::Backend backend :
+         {sim::Backend::Interp, sim::Backend::Compiled}) {
+        sim::EngineOptions mode;
+        mode.backend = backend;
+        SCOPED_TRACE(sim::backendName(backend));
+        const std::string single =
+            serve::runLocalSweep(spec, 1, mode).csv();
+
+        sweep::Grid grid = spec.grid();
+        std::vector<sweep::Point> points = grid.points();
+        const sweep::RowLogHeader identity = sweep::gridIdentity(
+            points, spec.schema(), spec.saltString(), mode);
+
+        for (uint64_t n : {1u, 2u, 4u}) {
+            SCOPED_TRACE(n);
+            std::vector<std::string> journals;
+            for (uint64_t k = 0; k < n; ++k) {
+                const auto [begin, end] =
+                    sweep::shardStripe(points.size(), k, n);
+                std::vector<sweep::Point> slice(
+                    points.begin() + ptrdiff_t(begin),
+                    points.begin() + ptrdiff_t(end));
+                sweep::JournalOptions opts;
+                opts.journalPath = sibling(
+                    std::string(sim::backendName(backend)) + "_" +
+                    std::to_string(n) + "_" + std::to_string(k));
+                opts.resume = true;
+                sweep::Table part{spec.schema()};
+                ASSERT_EQ(serve::runLocalSweepDurable(
+                              spec, slice, 1, mode, opts, identity,
+                              &part, nullptr, &err),
+                          sweep::JournalStatus::Ok)
+                    << err;
+                journals.push_back(opts.journalPath);
+            }
+
+            sweep::Table merged{spec.schema()};
+            std::vector<uint64_t> missing;
+            ASSERT_EQ(sweep::mergeShardJournals(journals, identity,
+                                                spec.schema(),
+                                                &merged, &missing,
+                                                &err),
+                      sweep::JournalStatus::Ok)
+                << err;
+            EXPECT_TRUE(missing.empty());
+            EXPECT_EQ(merged.csv(), single)
+                << "merge must be byte-identical to one process";
+        }
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * thread-schedule order — so the emitted table is byte-identical at 1,
  * 4, and hardware-concurrency threads; EQ_SWEEP_THREADS and the
  * Options::threads override resolve as documented; every point runs
- * exactly once with a worker id inside the pool.
+ * exactly once with a worker id inside the pool; a throwing point
+ * fails the run on the caller's thread, never the process.
  *
  * The determinism suite runs both a pure-function grid and a real
  * engine sweep through the session pool the harnesses use (a
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 #include "serve/cache.hh"
@@ -105,14 +107,43 @@ TEST(SweepRunnerTest, ThreadResolutionPrecedence)
     EXPECT_EQ(sweep::SweepRunner(opts).threadsFor(100), 5u);
     // Environment applies when the option is auto.
     EXPECT_EQ(sweep::SweepRunner().threadsFor(100), 2u);
-    // Invalid env falls through to hardware concurrency.
-    setenv("EQ_SWEEP_THREADS", "bogus", 1);
-    EXPECT_GE(sweep::SweepRunner().threadsFor(100), 1u);
+    // Invalid env falls through to hardware concurrency, exactly like
+    // an unset one: a value --threads would refuse is ignored whole.
+    unsetenv("EQ_SWEEP_THREADS");
+    const unsigned hardware = sweep::SweepRunner().threadsFor(100);
+    for (const char *bad : {"bogus", "8x", "0", "99999999999999999999"}) {
+        setenv("EQ_SWEEP_THREADS", bad, 1);
+        EXPECT_EQ(sweep::SweepRunner().threadsFor(100), hardware) << bad;
+    }
     unsetenv("EQ_SWEEP_THREADS");
     // Clamped to the number of points.
     sweep::RunnerOptions many;
     many.threads = 64;
     EXPECT_EQ(sweep::SweepRunner(many).threadsFor(3), 3u);
+}
+
+/** A point that throws on a worker thread reaches the caller as
+ *  PointFailed naming that point, instead of terminating the
+ *  process. */
+TEST(SweepRunnerTest, ThrowingPointFailsTheRunOnTheCallersThread)
+{
+    sweep::Grid grid;
+    grid.axis("a", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    sweep::RunnerOptions opts;
+    opts.threads = 3;
+    try {
+        sweep::SweepRunner(opts).run(
+            grid, {{"a", ValueKind::Int, 0, 0}},
+            [](const sweep::Point &p, unsigned) -> std::vector<Cell> {
+                if (p.index() == 5)
+                    throw std::runtime_error("no such config");
+                return {p.at("a")};
+            });
+        FAIL() << "the throwing point did not fail the run";
+    } catch (const sweep::PointFailed &e) {
+        EXPECT_EQ(e.point(), 5u);
+        EXPECT_STREQ(e.what(), "point 5: no such config");
+    }
 }
 
 TEST(SweepRunnerTest, EmptyGridYieldsEmptyTable)
