@@ -108,8 +108,9 @@ windowVsStreaming(const sim::EngineOptions &opts)
 int
 main(int argc, char **argv)
 {
-    auto args = bench::HarnessArgs::parse(argc, argv);
-    const sim::EngineOptions opts = args.engineOptions();
+    auto args = bench::HarnessArgs::parse(argc, argv,
+                                          {"--backend", "--no-wall"});
+    const sim::EngineOptions opts = args.flags.engine;
     std::printf("# Ablation 1: SRAM banks vs cycles (OS dataflow, 4x4 "
                 "array, H=W=8, F=C=2, N=4)\n");
     scalesim::Config cfg;

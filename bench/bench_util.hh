@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the experiment harnesses, built on the sweep
  * subsystem (src/sweep/) and the serve::ProgramCache session pool:
- * the common command-line surface (--threads/--csv/--json) every
- * harness exposes and the journaled sweep driver behind it.
+ * the harness command line (the sweep layer's shared flags plus
+ * --json/--no-wall) and runSweep, the journaled sweep behind it with
+ * eqsweep's exit contract.
  */
 
 #ifndef EQ_BENCH_BENCH_UTIL_HH
@@ -12,12 +13,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "base/stringutil.hh"
+#include "base/fsutil.hh"
 #include "serve/cache.hh"
 #include "serve/models.hh"
 #include "sim/engine.hh"
@@ -47,172 +49,115 @@ fullSweepRequested()
 }
 
 /**
- * The command-line surface shared by every harness:
- *   --threads N   worker threads (overrides EQ_SWEEP_THREADS)
- *   --csv PATH    write the result table as CSV
+ * The command-line surface of the harnesses: the sweep layer's shared
+ * flags (sweep::SweepFlags, parsed by the same function as eqsweep's)
+ * plus
  *   --json PATH   write the result table as JSON
  *   --no-wall     omit wall-clock columns (so tables from different
  *                 thread counts / machines compare byte-identically)
- *   --backend B   engine backend: "interp" or "compiled" (overrides
- *                 EQ_SIM_BACKEND; results are identical, only wall
- *                 time differs)
- *   --journal P   journal completed points to P (sweep/journal.hh);
- *                 with --resume, replay an existing journal and
- *                 recompute only what is missing
- *   --cache P     content-keyed result cache file: unchanged points
- *                 keep hitting it after the grid around them changes
- *   --fsync       fsync the journal after every record (bounds crash
- *                 loss to the in-flight points)
- * Unrecognized arguments are preserved in @ref positional for
- * harness-specific parsing (e.g. systolic_explorer's shape).
+ * A harness accepts only the flags that take effect in it; the others
+ * exit 2 as unknown options. One that runs its sweep through runSweep
+ * takes them all (kSweepFlags): --threads, --backend (overrides
+ * EQ_SIM_BACKEND; results are identical, only wall time differs),
+ * --journal, --cache, --fsync, --csv, --json and --no-wall. Non-flag
+ * arguments are kept in @ref positional for harness-specific parsing
+ * (e.g. systolic_explorer's shape).
  */
 struct HarnessArgs {
-    unsigned threads = 0;
-    std::string csvPath;
+    static inline const std::set<std::string> kSweepFlags = {
+        "--threads", "--backend", "--journal", "--cache",
+        "--fsync",   "--csv",     "--json",    "--no-wall"};
+
+    sweep::SweepFlags flags;
     std::string jsonPath;
     bool noWall = false;
-    sim::Backend backend = sim::Backend::Auto;
-    sweep::JournalOptions durability;
     std::string program; ///< argv[0]'s basename, for error lines
     std::vector<std::string> positional;
 
     static HarnessArgs
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          const std::set<std::string> &accepted = kSweepFlags)
     {
         HarnessArgs a;
         a.program = argv[0];
         a.program = a.program.substr(a.program.rfind('/') + 1);
+        auto usage = [&](const std::string &why) {
+            sweep::printError(a.program, "usage", why);
+            std::exit(2);
+        };
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 arg.c_str());
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--threads") {
-                std::string v = next();
-                if (!parseInt(v, 1u, &a.threads)) {
-                    std::fprintf(stderr,
-                                 "--threads expects a positive "
-                                 "integer, got '%s'\n",
-                                 v.c_str());
-                    std::exit(2);
-                }
-            }
-            else if (arg == "--csv")
-                a.csvPath = next();
-            else if (arg == "--json")
-                a.jsonPath = next();
-            else if (arg == "--no-wall")
-                a.noWall = true;
-            else if (arg == "--journal")
-                a.durability.journalPath = next();
-            else if (arg == "--resume")
-                a.durability.resume = true;
-            else if (arg == "--cache")
-                a.durability.cachePath = next();
-            else if (arg == "--fsync")
-                a.durability.fsyncEachRecord = true;
-            else if (arg == "--backend") {
-                std::string v = next();
-                if (!sim::backendFromName(v, &a.backend) ||
-                    a.backend == sim::Backend::Auto) {
-                    std::fprintf(stderr,
-                                 "--backend expects 'interp' or "
-                                 "'compiled', got '%s'\n",
-                                 v.c_str());
-                    std::exit(2);
-                }
-            }
-            else if (arg.rfind("--", 0) == 0) {
-                std::fprintf(stderr, "unknown option '%s'\n",
-                             arg.c_str());
-                std::exit(2);
-            } else
+            if (arg.rfind("--", 0) != 0) {
                 a.positional.push_back(std::move(arg));
+                continue;
+            }
+            if (!accepted.count(arg))
+                usage("unknown option '" + arg + "'");
+            switch (a.flags.parse(a.program, argc, argv, &i)) {
+            case sweep::SweepFlags::Parse::Taken: continue;
+            case sweep::SweepFlags::Parse::Bad: std::exit(2);
+            case sweep::SweepFlags::Parse::NotShared: break;
+            }
+            if (arg == "--no-wall")
+                a.noWall = true;
+            else if (i + 1 < argc)
+                a.jsonPath = argv[++i];
+            else
+                usage("--json needs a value");
         }
         return a;
     }
 
-    sweep::RunnerOptions
-    runnerOptions() const
-    {
-        sweep::RunnerOptions o;
-        o.threads = threads;
-        return o;
-    }
-
-    sim::EngineOptions
-    engineOptions() const
-    {
-        sim::EngineOptions o;
-        o.backend = backend;
-        return o;
-    }
-
-    /** Print @p table to stdout and write any requested CSV/JSON.
-     *  With --no-wall, wall-clock columns (by convention named with an
-     *  `_s` seconds suffix) are dropped, leaving only deterministic
-     *  simulated metrics — tables then compare byte-identically across
-     *  thread counts and machines. */
+    /** Print @p table to stdout and write any requested CSV/JSON
+     *  (atomically, fs::writeFileAtomic). With --no-wall, wall-clock
+     *  columns (by convention named with an `_s` seconds suffix) are
+     *  dropped, leaving only deterministic simulated metrics — tables
+     *  then compare byte-identically across thread counts and
+     *  machines. */
     void
     emit(const sweep::Table &table) const
     {
-        if (noWall) {
-            emitAll(table.filterColumns([](const sweep::Column &c) {
+        const sweep::Table out =
+            !noWall ? table : table.filterColumns([](const sweep::Column &c) {
                 const std::string suffix = "_s";
                 return c.name.size() < suffix.size() ||
                        c.name.compare(c.name.size() - suffix.size(),
                                       suffix.size(), suffix) != 0;
-            }));
-        } else {
-            emitAll(table);
-        }
-    }
-
-  private:
-    void
-    emitAll(const sweep::Table &out) const
-    {
+            });
         out.emitText(std::cout);
-        auto writeFile = [&](const std::string &path, bool json) {
-            std::ofstream f(path);
-            if (json)
-                out.emitJson(f);
-            else
-                out.emitCsv(f);
-            f.flush();
-            if (!f) {
-                std::fprintf(stderr, "failed to write %s\n",
-                             path.c_str());
+        std::ostringstream json;
+        if (!jsonPath.empty())
+            out.emitJson(json);
+        for (const auto &[path, text] : {std::pair(flags.csvPath, out.csv()),
+                                         std::pair(jsonPath, json.str())}) {
+            if (path.empty())
+                continue;
+            std::string err;
+            if (!fs::writeFileAtomic(path, text, &err)) {
+                sweep::printError(program, "io_error", err);
                 std::exit(1);
             }
             std::printf("# wrote %s\n", path.c_str());
-        };
-        if (!csvPath.empty())
-            writeFile(csvPath, /*json=*/false);
-        if (!jsonPath.empty())
-            writeFile(jsonPath, /*json=*/true);
+        }
     }
 };
 
 /**
- * Run a harness sweep through runJournaledSweep: with no --journal or
- * --cache that is the plain SweepRunner path, and with them the
- * crash-safety layer — byte-identical tables either way for
- * deterministic columns (wall-clock columns replay recorded values;
- * --no-wall drops them before comparison, as always).
+ * Run a harness sweep through sweep::runSweepCommand, the exit
+ * contract eqsweep answers with: with no --journal or --cache that is
+ * the plain SweepRunner path, and with them the crash-safety layer —
+ * byte-identical tables either way for deterministic columns
+ * (wall-clock columns replay recorded values; --no-wall drops them
+ * before comparison, as always). A journal of this sweep already at
+ * the path is replayed, so rerunning a journaled command recomputes
+ * nothing; to re-measure the wall-clock columns, delete the journal.
  *
  * @p salt names this harness's sweep identity (harness name + fixed
- * config), so a journal from a different figure refuses to resume even
- * when the grids coincide. The content key of a point is @p salt plus
- * its axis values in grid order. A refused journal (header mismatch,
- * mid-file corruption) exits with eqsweep's structured error line and
- * exit code (sweep::printError, sweep::exitCodeFor) rather than
- * silently recomputing.
+ * config), so a journal from a different figure is refused even when
+ * the grids coincide. The content key of a point is @p salt plus its
+ * axis values in grid order. A refused journal, an I/O failure or a
+ * point that throws ends the process with the structured error line
+ * and exit code (1, 3, 4 or 6) instead of a table.
  */
 inline sweep::Table
 runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
@@ -228,22 +173,18 @@ runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
         }
         return key;
     };
-    const sweep::RowLogHeader identity = sweep::gridIdentity(
-        points, schema, salt, args.engineOptions());
+    const sweep::RowLogHeader identity =
+        sweep::gridIdentity(points, schema, salt, args.flags.engine);
     sweep::Table table{schema};
-    sweep::ResumeStats stats;
-    std::string err;
-    sweep::JournalStatus status = sweep::runJournaledSweep(
-        runner, points, std::move(schema), keyFn, fn, args.durability,
-        identity, &table, &stats, &err);
-    if (status != sweep::JournalStatus::Ok) {
-        sweep::printError(args.program, sweep::journalStatusName(status),
-                          err);
-        std::exit(sweep::exitCodeFor(status));
-    }
-    if (!args.durability.journalPath.empty() ||
-        !args.durability.cachePath.empty())
-        sweep::printResumeStats(stats);
+    const sweep::JournalOptions &opts = args.flags.durability;
+    if (int code = sweep::runSweepCommand(
+            args.program, opts,
+            [&](sweep::ResumeStats *stats, std::string *err) {
+                return sweep::runJournaledSweep(runner, points, schema,
+                                                keyFn, fn, opts, identity,
+                                                &table, stats, err);
+            }))
+        std::exit(code);
     return table;
 }
 

@@ -54,10 +54,10 @@ main(int argc, char **argv)
         return p.at("hw") >= p.at("f");
     });
 
-    sweep::SweepRunner runner(args.runnerOptions());
+    sweep::SweepRunner runner({args.flags.threads});
     auto points = grid.points();
     serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.engineOptions());
+                              args.flags.engine);
 
     std::printf("# Fig 12: scalability sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",

@@ -50,10 +50,10 @@ main(int argc, char **argv)
         {"ss_wall_s", sweep::ValueKind::Real, 12, 6},
     };
 
-    sweep::SweepRunner runner(args.runnerOptions());
+    sweep::SweepRunner runner({args.flags.threads});
     auto points = grid.points();
     serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.engineOptions());
+                              args.flags.engine);
 
     // Fused analytic pass: all SCALE-Sim columns, indexed by the dense
     // point index, computed before the sweep starts.
@@ -69,8 +69,8 @@ main(int argc, char **argv)
             .count() /
         std::max<size_t>(1, points.size());
 
-    auto table = runner.run(
-        points, schema,
+    auto table = bench::runSweep(
+        args, runner, points, schema, "fig9_scalesim_ifmap",
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             int hw = static_cast<int>(p.at("hw"));
             auto handle = cache.acquire(spec.keyAt(p));

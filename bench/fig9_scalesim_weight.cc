@@ -51,10 +51,10 @@ main(int argc, char **argv)
         {"ss_wall_s", sweep::ValueKind::Real, 12, 6},
     };
 
-    sweep::SweepRunner runner(args.runnerOptions());
+    sweep::SweepRunner runner({args.flags.threads});
     auto points = grid.points();
     serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.engineOptions());
+                              args.flags.engine);
 
     // Fused analytic pass (see fig9_scalesim_ifmap.cc).
     std::vector<scalesim::Config> cfgs;
@@ -69,8 +69,8 @@ main(int argc, char **argv)
             .count() /
         std::max<size_t>(1, points.size());
 
-    auto table = runner.run(
-        points, schema,
+    auto table = bench::runSweep(
+        args, runner, points, schema, "fig9_scalesim_weight",
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             int f = static_cast<int>(p.at("f"));
             auto handle = cache.acquire(spec.keyAt(p));

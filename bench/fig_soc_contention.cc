@@ -48,10 +48,10 @@ main(int argc, char **argv)
         return p.at("dmas") <= p.at("tiles");
     });
 
-    sweep::SweepRunner runner(args.runnerOptions());
+    sweep::SweepRunner runner({args.flags.threads});
     auto points = grid.points();
     serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.engineOptions());
+                              args.flags.engine);
 
     std::printf("# SoC shared-bus contention sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",

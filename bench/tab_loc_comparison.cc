@@ -63,7 +63,8 @@ countLines(const std::string &path, bool only_dataflow_dependent)
 int
 main(int argc, char **argv)
 {
-    auto args = eq::bench::HarnessArgs::parse(argc, argv);
+    auto args = eq::bench::HarnessArgs::parse(
+        argc, argv, {"--csv", "--json", "--no-wall"});
     const char *gen_cc = "../src/systolic/generator.cc";
     const char *gen_hh = "../src/systolic/generator.hh";
     // Allow running from the repo root as well as from build/.

@@ -11,25 +11,16 @@
  * layer.
  *
  * Against a real daemon:
- *   serve_client --connect 127.0.0.1:7070 --model systolic \
- *       --axis ah=2,4,8 --axis aw=2,4,8 --csv sweep.csv
- *   serve_client --connect 127.0.0.1:7070 --simulate
+ *   serve_client --connect 127.0.0.1:7070 --simulate [--model soc]
  *   serve_client --connect 127.0.0.1:7070 --stats
  *   serve_client --connect 127.0.0.1:7070 --shutdown
- * `--local` runs the same spec in-process instead (the reference the
- * served table must match byte-for-byte). `--retries N` turns on the
- * client's bounded retry/backoff (used by the chaos harness to prove
- * a sweep recovers byte-identically through injected faults), and
- * `--deadline MS` attaches a deadline_ms to each request.
+ * Served sweeps belong to eqsweep: `eqsweep <spec> --connect
+ * HOST:PORT` prints the same CSV as the in-process `eqsweep <spec>`.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "serve/client.hh"
 #include "serve/models.hh"
@@ -40,43 +31,12 @@ using namespace eq;
 namespace {
 
 struct Args {
-    std::string connect; ///< host:port; empty = no daemon
-    bool local = false;
+    std::string connect; ///< host:port; empty = the demo
     bool simulate = false;
     bool stats = false;
     bool shutdown = false;
     std::string model = "systolic";
-    std::vector<serve::SweepAxis> axes;
-    std::string csvPath;      ///< empty = stdout
-    int retries = 1;          ///< RetryPolicy.maxAttempts
-    long deadlineMs = -1;     ///< per-request deadline_ms; -1 = none
 };
-
-bool
-parseHostPort(const std::string &text, std::string *host, uint16_t *port)
-{
-    auto colon = text.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return false;
-    *host = text.substr(0, colon);
-    char *end = nullptr;
-    long p = std::strtol(text.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || p < 1 || p > 65535)
-        return false;
-    *port = static_cast<uint16_t>(p);
-    return true;
-}
-
-void
-emitCsv(const sweep::Table &table, const std::string &path)
-{
-    if (path.empty()) {
-        std::fputs(table.csv().c_str(), stdout);
-        return;
-    }
-    std::ofstream os(path, std::ios::binary);
-    os << table.csv();
-}
 
 serve::SweepSpec
 demoSpec()
@@ -130,9 +90,10 @@ runDemo()
 
     serve::SweepSpec spec = demoSpec();
     sweep::Table served(spec.schema());
-    if (!client.sweepTable(spec, &served, &err)) {
+    serve::ErrorInfo failure;
+    if (!client.sweepTable(spec, &served, &failure)) {
         std::fprintf(stderr, "serve_client: sweep failed: %s\n",
-                     err.c_str());
+                     failure.message.c_str());
         return 1;
     }
     sweep::Table local = serve::runLocalSweep(spec);
@@ -175,8 +136,6 @@ main(int argc, char **argv)
         };
         if (arg == "--connect") {
             args.connect = value();
-        } else if (arg == "--local") {
-            args.local = true;
         } else if (arg == "--simulate") {
             args.simulate = true;
         } else if (arg == "--stats") {
@@ -185,33 +144,6 @@ main(int argc, char **argv)
             args.shutdown = true;
         } else if (arg == "--model") {
             args.model = value();
-        } else if (arg == "--axis") {
-            serve::SweepAxis axis;
-            if (!serve::parseAxis(value(), &axis)) {
-                std::fprintf(stderr,
-                             "serve_client: bad --axis (want "
-                             "name=v1,v2,...)\n");
-                return 2;
-            }
-            args.axes.push_back(std::move(axis));
-        } else if (arg == "--csv") {
-            args.csvPath = value();
-        } else if (arg == "--retries") {
-            char *end = nullptr;
-            long n = std::strtol(value(), &end, 10);
-            if (end == argv[i] || *end != '\0' || n < 1) {
-                std::fprintf(stderr, "serve_client: bad --retries\n");
-                return 2;
-            }
-            args.retries = static_cast<int>(n);
-        } else if (arg == "--deadline") {
-            char *end = nullptr;
-            long n = std::strtol(value(), &end, 10);
-            if (end == argv[i] || *end != '\0' || n < 0) {
-                std::fprintf(stderr, "serve_client: bad --deadline\n");
-                return 2;
-            }
-            args.deadlineMs = n;
         } else {
             std::fprintf(stderr, "serve_client: unknown option '%s'\n",
                          arg.c_str());
@@ -219,7 +151,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (args.connect.empty() && !args.local)
+    if (args.connect.empty())
         return runDemo();
 
     serve::ModelKind kind;
@@ -228,59 +160,28 @@ main(int argc, char **argv)
                      args.model.c_str());
         return 2;
     }
-    serve::SweepSpec spec;
-    spec.base = serve::defaultKey(kind);
-    spec.axes = args.axes;
-    std::string err;
-    if (!spec.axes.empty() && !spec.validate(&err)) {
-        std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-        return 2;
-    }
-
-    if (args.local) {
-        if (spec.axes.empty()) {
-            std::fprintf(stderr,
-                         "serve_client: --local needs --axis\n");
-            return 2;
-        }
-        emitCsv(serve::runLocalSweep(spec), args.csvPath);
-        return 0;
-    }
-
     std::string host;
     uint16_t port = 0;
-    if (!parseHostPort(args.connect, &host, &port)) {
+    if (!serve::parseHostPort(args.connect, &host, &port)) {
         std::fprintf(stderr,
                      "serve_client: bad --connect (want host:port)\n");
         return 2;
     }
     serve::Client client;
-    if (args.retries > 1) {
-        serve::RetryPolicy policy;
-        policy.maxAttempts = args.retries;
-        client.setRetryPolicy(policy);
-    }
+    std::string err;
     if (!client.connect(host, port, &err)) {
         std::fprintf(stderr, "serve_client: %s\n", err.c_str());
         return 1;
     }
 
     if (args.simulate) {
-        auto result = client.simulate(spec.base, args.deadlineMs);
+        auto result = client.simulate(serve::defaultKey(kind));
         if (!result.ok) {
             std::fprintf(stderr, "serve_client: %s\n",
                          result.error.c_str());
             return 1;
         }
         std::printf("%s\n", result.report.dump().c_str());
-    }
-    if (!args.axes.empty()) {
-        sweep::Table table(spec.schema());
-        if (!client.sweepTable(spec, &table, &err, args.deadlineMs)) {
-            std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-            return 1;
-        }
-        emitCsv(table, args.csvPath);
     }
     if (args.stats) {
         serve::Json stats;

@@ -6,13 +6,16 @@
  * sweep subsystem (sharded across workers, results in a typed table),
  * and cross-check against the SCALE-Sim analytic baseline.
  *
- *   $ ./systolic_explorer [Ah Aw H N Fh C] [--threads N]
- *                         [--csv F] [--json F]     (defaults: 4 4 16 4 3 3)
+ *   $ ./systolic_explorer [Ah Aw H N Fh C]   (defaults: 4 4 16 4 3 3)
+ *
+ * Each dimension is an integer >= 1. The harness flags apply
+ * (bench_util.hh): --threads, --backend, --journal, --cache, --fsync,
+ * --csv, --json and --no-wall.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/stringutil.hh"
 #include "bench_util.hh"
 
 using namespace eq;
@@ -21,17 +24,25 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::HarnessArgs::parse(argc, argv);
-    auto &pos = args.positional;
-    auto posInt = [&](size_t i, int dflt) {
-        return i < pos.size() ? std::atoi(pos[i].c_str()) : dflt;
-    };
+    const std::vector<std::string> &pos = args.positional;
+    int dims[] = {4, 4, 16, 4, 3, 3}; // Ah Aw H N Fh C
+    bool ok = pos.size() <= std::size(dims);
+    for (size_t i = 0; ok && i < pos.size(); ++i)
+        ok = parseInt(pos[i], 1, &dims[i]);
+    if (!ok) {
+        std::fprintf(stderr,
+                     "usage: %s [Ah Aw H N Fh C] (integers >= 1) "
+                     "[harness flags]\n",
+                     args.program.c_str());
+        return 2;
+    }
     scalesim::Config base;
-    base.ah = posInt(0, 4);
-    base.aw = posInt(1, 4);
-    base.h = base.w = posInt(2, 16);
-    base.n = posInt(3, 4);
-    base.fh = base.fw = posInt(4, 3);
-    base.c = posInt(5, 3);
+    base.ah = dims[0];
+    base.aw = dims[1];
+    base.h = base.w = dims[2];
+    base.n = dims[3];
+    base.fh = base.fw = dims[4];
+    base.c = dims[5];
     if (base.h < base.fh) {
         std::fprintf(stderr, "filter larger than ifmap\n");
         return 1;
@@ -56,13 +67,14 @@ main(int argc, char **argv)
         {"util_pct", sweep::ValueKind::Real, 10, 1},
     };
 
-    sweep::SweepRunner runner(args.runnerOptions());
+    sweep::SweepRunner runner({args.flags.threads});
     auto points = grid.points();
     serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.engineOptions());
+                              args.flags.engine);
 
-    auto table = runner.run(
-        points, schema,
+    auto table = bench::runSweep(
+        args, runner, points, schema,
+        "systolic_explorer " + spec.saltString(),
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
             const serve::ModelKey key = spec.keyAt(p);
             const scalesim::Config &cfg = key.systolic;

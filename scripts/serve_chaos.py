@@ -25,8 +25,9 @@ injector eventually goes quiescent, so a bounded-retry client always
 converges.  A dedicated round checks deadline_ms end-to-end: with
 every request stalled past its deadline, the answer must be
 deadline_exceeded.  Sweep recovery is driven through the C++ client
-(serve_client --retries), which must deliver the byte-identical merged
-table through the same fault storm.
+(`eqsweep <spec> --connect HOST:PORT --retries N`), which must deliver
+the byte-identical merged table through the same fault storm; the
+reference table is the in-process `eqsweep <spec>`.
 
 Inherits EQ_SIM_BACKEND, so CI runs it once per backend.
 
@@ -219,8 +220,8 @@ def sweep_args():
 
 def reference_phase(build_dir):
     """Fault-free reference: per-config reports and the local CSV."""
-    client = os.path.join(build_dir, "examples", "serve_client")
-    local_csv = subprocess.run([client, "--local"] + sweep_args(),
+    eqsweep = os.path.join(build_dir, "src", "eqsweep")
+    local_csv = subprocess.run([eqsweep] + sweep_args(),
                                check=True,
                                stdout=subprocess.PIPE).stdout
     if not local_csv:
@@ -255,7 +256,7 @@ def deadline_round(build_dir):
 
 def chaos_round(build_dir, seed, reports, local_csv):
     spec = f"torn=0.12,drop=0.08,werr=0.25,build=0.25,max=18:{seed}"
-    client = os.path.join(build_dir, "examples", "serve_client")
+    eqsweep = os.path.join(build_dir, "src", "eqsweep")
     with Daemon(build_dir, workers=2, faults=spec) as daemon:
         successes = 0
         for i in range(12):
@@ -273,7 +274,7 @@ def chaos_round(build_dir, seed, reports, local_csv):
         # merged table must come out byte-identical to the local CSV
         # even though rows, connections, and builds keep failing.
         served = subprocess.run(
-            [client, "--connect", f"127.0.0.1:{daemon.port}",
+            [eqsweep, "--connect", f"127.0.0.1:{daemon.port}",
              "--retries", "20"] + sweep_args(),
             stdout=subprocess.PIPE, timeout=120)
         if served.returncode != 0:

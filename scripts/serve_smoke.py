@@ -14,13 +14,15 @@ the NDJSON protocol over a raw socket with no client-library help:
   4. out-of-range configs (zero stages, an ah past int range, no
      accelerators) — each answered bad_request naming the field, and
      a valid simulate on the same connection still succeeds;
-  5. a sweep request — the streamed rows, re-merged by their dense
-     point index, must byte-match the in-process SweepRunner CSV
-     (serve_client --local), and must do so at every daemon worker
-     count tried (1 and 3);
+  5. a served sweep — `eqsweep <spec> --connect HOST:PORT` re-merges
+     the streamed rows by their dense point index, and its CSV must
+     byte-match the in-process `eqsweep <spec>`, at every daemon
+     worker count tried (1 and 3);
   6. shutdown — acknowledged with "bye", after which the daemon
      process must exit 0 by itself;
-  7. numeric flags are strict — a --workers value past unsigned
+  7. closed connections release their fds — a daemon started with
+     RLIMIT_NOFILE 64 must answer 200 sequential connections;
+  8. numeric flags are strict — a --workers value past unsigned
      range (or with trailing junk) is a usage error (exit 2), never a
      silently wrapped worker count.
 
@@ -32,6 +34,7 @@ Usage: serve_smoke.py [BUILD_DIR]   (default: build)
 
 import json
 import os
+import resource
 import socket
 import subprocess
 import sys
@@ -47,9 +50,10 @@ def fail(msg):
 class Daemon:
     """eqserved on an ephemeral port, shut down on context exit."""
 
-    def __init__(self, build_dir, workers):
+    def __init__(self, build_dir, workers, preexec_fn=None):
         self.binary = os.path.join(build_dir, "src", "eqserved")
         self.workers = workers
+        self.preexec_fn = preexec_fn
         self.proc = None
         self.port = None
 
@@ -60,7 +64,8 @@ class Daemon:
         self.proc = subprocess.Popen(
             [self.binary, "--port-file", self.port_file,
              "--workers", str(self.workers), "--cache-entries", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            preexec_fn=self.preexec_fn)
         deadline = time.time() + 20
         while time.time() < deadline:
             if os.path.exists(self.port_file):
@@ -182,9 +187,9 @@ def sweep_args():
 
 
 def check_sweep_matches_local(build_dir, port, local_csv):
-    client = os.path.join(build_dir, "examples", "serve_client")
+    eqsweep = os.path.join(build_dir, "src", "eqsweep")
     served = subprocess.run(
-        [client, "--connect", f"127.0.0.1:{port}"] + sweep_args(),
+        [eqsweep, "--connect", f"127.0.0.1:{port}"] + sweep_args(),
         check=True, stdout=subprocess.PIPE).stdout
     if served != local_csv:
         sys.stderr.write("--- served ---\n" + served.decode())
@@ -199,6 +204,31 @@ def check_shutdown(port):
     if not bye.get("ok") or bye.get("type") != "bye":
         fail(f"shutdown not acknowledged: {bye}")
     conn.close()
+
+
+def check_fd_limit(build_dir):
+    """A closed connection frees its socket and reader at once, and
+    the accept loop outlives EMFILE: with RLIMIT_NOFILE 64, far fewer
+    fds than connections, every one of 200 sequential connections is
+    answered."""
+    def limit_fds():
+        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+
+    with Daemon(build_dir, 1, preexec_fn=limit_fds) as daemon:
+        for i in range(200):
+            try:
+                conn = Lines(daemon.port)
+                stats = conn.request({"op": "stats", "id": i})
+                conn.close()
+            except OSError as e:
+                fail(f"connection {i} under RLIMIT_NOFILE 64 not "
+                     f"answered: {e}")
+            if not stats.get("ok"):
+                fail(f"connection {i}: stats refused: {stats}")
+        check_shutdown(daemon.port)
+    print("  200 sequential connections answered under "
+          "RLIMIT_NOFILE 64")
 
 
 def check_strict_flags(build_dir):
@@ -219,9 +249,9 @@ def check_strict_flags(build_dir):
 
 def main():
     build_dir = sys.argv[1] if len(sys.argv) > 1 else "build"
-    client = os.path.join(build_dir, "examples", "serve_client")
+    eqsweep = os.path.join(build_dir, "src", "eqsweep")
     local_csv = subprocess.run(
-        [client, "--local"] + sweep_args(),
+        [eqsweep] + sweep_args(),
         check=True, stdout=subprocess.PIPE).stdout
     if not local_csv:
         fail("local reference sweep produced no CSV")
@@ -234,6 +264,7 @@ def main():
             check_sweep_matches_local(build_dir, daemon.port,
                                       local_csv)
             check_shutdown(daemon.port)
+    check_fd_limit(build_dir)
     check_strict_flags(build_dir)
     print("serve smoke: all checks passed")
 

@@ -21,13 +21,15 @@ Four rounds, each against a single-process reference CSV:
                       "# resume:" stats), and the merge must still be
                       byte-identical;
   header mismatch     a shard journal is resumed under a spec with a
-                      different axis or with --backend flipped, or is
-                      merged into another sweep; each must refuse
-                      with exit 3 and a structured
+                      different axis or with --backend flipped, is
+                      named as the --journal of a whole-grid run of
+                      another spec, or is merged into another sweep;
+                      each must refuse with exit 3 and a structured
                       {"code":"journal_header_mismatch"} error line,
-                      and a refused resume leaves the journal
-                      untouched — never silently journal or merge
-                      under another identity;
+                      and a refused run leaves the journal
+                      byte-identical — there is no fresh-journal mode
+                      that could overwrite it, and nothing is ever
+                      journaled or merged under another identity;
   damaged cache       a --cache file filled by a whole-grid run gets a
                       torn tail, a bit flip mid-file, or a header
                       naming the other backend; the cache discards
@@ -225,10 +227,11 @@ def expect_header_refusal(argv, what):
 
 def header_mismatch_round(eqsweep):
     """A shard journal resumed under a spec with another axis or with
-    --backend flipped, and a journal from another sweep given to
-    --merge: each must refuse with exit 3 and a structured
+    --backend flipped, the same journal named by a whole-grid run of
+    another spec, and a journal from another sweep given to --merge:
+    each must refuse with exit 3 and a structured
     journal_header_mismatch error before any point runs, and a refused
-    resume must leave the journal as it was."""
+    run must leave the journal byte-identical."""
     shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr-")
     other_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-hdr2-")
     other_spec = ["--model", "systolic",
@@ -241,17 +244,20 @@ def header_mismatch_round(eqsweep):
         backend = json.loads(before.split(b"\n", 1)[0])["backend"]
         flipped = "interp" if backend == "compiled" else "compiled"
 
-        resume = ["--shard", f"0/{NUM_SHARDS}",
-                  "--journal", shard.journal_path, "--threads", "1"]
-        for spec_args, what in (
-                (other_spec, "resume under a spec with another axis"),
-                (SPEC_ARGS + ["--backend", flipped],
+        journal = ["--journal", shard.journal_path, "--threads", "1"]
+        resume = ["--shard", f"0/{NUM_SHARDS}"] + journal
+        for argv, what in (
+                (other_spec + resume,
+                 "resume under a spec with another axis"),
+                (SPEC_ARGS + ["--backend", flipped] + resume,
                  f"resume of a {backend} journal with --backend "
-                 f"{flipped}")):
-            expect_header_refusal([eqsweep] + spec_args + resume, what)
+                 f"{flipped}"),
+                (other_spec + journal,
+                 "whole-grid run of another spec over the journal")):
+            expect_header_refusal([eqsweep] + argv, what)
             with open(shard.journal_path, "rb") as f:
                 if f.read() != before:
-                    fail(f"{what}: the refused resume changed the "
+                    fail(f"{what}: the refused run changed the "
                          f"journal")
 
         other = run_dispatch(eqsweep, other_dir, spec_args=other_spec)
@@ -346,7 +352,7 @@ def main():
     header_mismatch_round(eqsweep)
     damaged_cache_round(eqsweep)
     print(f"sweep chaos: {rounds} kill rounds + 2 tail-corruption "
-          "rounds + 3 header refusals + 3 cache-damage rounds passed "
+          "rounds + 4 header refusals + 3 cache-damage rounds passed "
           "(outputs byte-identical)")
 
 

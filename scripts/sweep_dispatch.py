@@ -4,7 +4,9 @@
 A shard is a journal: `eqsweep <spec> --shard K/N --journal J` runs
 stripe K of N of the grid's dense points into J, always resuming what
 J already holds. This driver launches every stripe as its own process
-with the same spec arguments and babysits the fleet:
+with the same spec arguments (at most one shard per grid point: a
+--shards count past the point count is clamped to it) and babysits
+the fleet:
 
   liveness    a shard appends one journal record per computed point,
               so the journal's size is its progress; the monitor
@@ -39,6 +41,8 @@ Usage: sweep_dispatch.py [--build DIR] [--shards N] [--out CSV]
                           or --spec FILE, and --backend]
 """
 
+import json
+import math
 import os
 import shutil
 import signal
@@ -93,6 +97,25 @@ class Shard:
         return self.proc is not None and self.proc.poll() is None
 
 
+def grid_points(spec_args):
+    """Points in the grid the eqsweep spec arguments describe, or None
+    when a --spec file cannot be read (eqsweep then reports it). A
+    SweepSpec grid has no filters, so the count is the product of the
+    axes' value counts: the --axis lists, or the "axes" of --spec."""
+    counts = []
+    for flag, value in zip(spec_args, spec_args[1:]):
+        if flag == "--axis":
+            counts.append(len(value.split("=", 1)[-1].split(",")))
+        elif flag == "--spec":
+            try:
+                with open(value) as f:
+                    axes = json.load(f).get("axes", [])
+                counts += [len(a.get("values", [])) for a in axes]
+            except (OSError, ValueError, AttributeError):
+                return None
+    return math.prod(counts)
+
+
 class Dispatcher:
     """Launch every shard, keep the fleet alive, then merge."""
 
@@ -101,6 +124,10 @@ class Dispatcher:
                  poll=0.05, chaos_kill=None, log=None):
         self.eqsweep = eqsweep
         self.spec_args = list(spec_args)
+        # A shard past the point count would only write a header.
+        points = grid_points(self.spec_args)
+        if points is not None:
+            num_shards = max(1, min(num_shards, points))
         self.shards = [
             Shard(k, os.path.join(shard_dir,
                                   f"shard-{k}.journal.ndjson"))

@@ -12,6 +12,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "base/stringutil.hh"
+
 namespace eq {
 namespace serve {
 
@@ -27,6 +29,17 @@ xorshift64(uint64_t &s)
 }
 
 } // namespace
+
+bool
+parseHostPort(const std::string &text, std::string *host, uint16_t *port)
+{
+    const size_t colon = text.rfind(':');
+    if (colon == std::string::npos || colon == 0 ||
+        !parseInt(text.substr(colon + 1), uint16_t{1}, port))
+        return false;
+    *host = text.substr(0, colon);
+    return true;
+}
 
 Client::~Client()
 {
@@ -216,22 +229,20 @@ Client::simulate(const ModelKey &key, int64_t deadline_ms)
 
 bool
 Client::sweepTable(const SweepSpec &spec, sweep::Table *out,
-                   std::string *err, int64_t deadline_ms)
+                   ErrorInfo *failure, int64_t deadline_ms)
 {
-    ErrorInfo failure;
+    ErrorInfo local;
+    ErrorInfo &f = failure ? *failure : local;
+    f = ErrorInfo();
     // Always tear the connection down after a failed sweep: rows of the
     // aborted stream may still be in flight and would otherwise be read
     // as the answers to the retry or to the next request.
-    const bool ok =
-        spec.validate(&failure.message) &&
-        withRetries(
-            [&](ErrorInfo *f) {
-                return sweepTableOnce(spec, out, deadline_ms, f);
-            },
-            &failure, /*close_on_failure=*/true);
-    if (!ok && err)
-        *err = failure.message;
-    return ok;
+    return spec.validate(&f.message) &&
+           withRetries(
+               [&](ErrorInfo *attempt) {
+                   return sweepTableOnce(spec, out, deadline_ms, attempt);
+               },
+               &f, /*close_on_failure=*/true);
 }
 
 bool

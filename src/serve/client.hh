@@ -52,6 +52,10 @@ struct RetryPolicy {
     uint64_t seed = 1;
 };
 
+/** Parse "host:port" (port 1..65535). False on anything else. */
+bool parseHostPort(const std::string &text, std::string *host,
+                   uint16_t *port);
+
 class Client {
   public:
     Client() = default;
@@ -87,9 +91,10 @@ class Client {
 
     /** Run @p spec on the server and re-merge the streamed rows (by
      *  dense point index) into a table with spec.schema(). False on
-     *  protocol or server error. */
+     *  protocol or server error, with @p failure holding the server's
+     *  structured error, or code None for a transport failure. */
     bool sweepTable(const SweepSpec &spec, sweep::Table *out,
-                    std::string *err = nullptr,
+                    ErrorInfo *failure = nullptr,
                     int64_t deadline_ms = -1);
 
     /** Server/cache/scheduler counters. False on error. */

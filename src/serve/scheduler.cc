@@ -150,17 +150,25 @@ Scheduler::workerLoop()
         // work.
         uint64_t client = _rr.front();
         _rr.pop_front();
-        ClientQueue &q = _clients[client];
+        auto it = _clients.find(client);
+        ClientQueue &q = it->second;
+        // Out of the rotation, a released client's queue is dropped.
+        auto leaveRotation = [&] {
+            if (q.released)
+                _clients.erase(it);
+            else
+                q.inRoundRobin = false;
+        };
         if (q.jobs.empty()) {
             // Reaping can empty a queue whose turn marker is still in
             // the rotation.
-            q.inRoundRobin = false;
+            leaveRotation();
             continue;
         }
         Task task = std::move(q.jobs.front());
         q.jobs.pop_front();
         if (q.jobs.empty())
-            q.inRoundRobin = false;
+            leaveRotation();
         else
             _rr.push_back(client);
         --_stats.queued;
@@ -179,6 +187,21 @@ Scheduler::workerLoop()
         case Outcome::Cancelled: ++_stats.cancelled; break;
         }
     }
+}
+
+void
+Scheduler::release(uint64_t client)
+{
+    std::lock_guard<std::mutex> g(_mu);
+    auto it = _clients.find(client);
+    if (it == _clients.end())
+        return;
+    // A queue out of the rotation is empty; one still in it is dropped
+    // by the worker that takes its turn marker once it has drained.
+    if (it->second.inRoundRobin)
+        it->second.released = true;
+    else
+        _clients.erase(it);
 }
 
 void
@@ -202,7 +225,9 @@ Scheduler::Stats
 Scheduler::stats() const
 {
     std::lock_guard<std::mutex> g(_mu);
-    return _stats;
+    Stats s = _stats;
+    s.clients = _clients.size();
+    return s;
 }
 
 } // namespace serve

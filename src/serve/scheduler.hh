@@ -94,6 +94,7 @@ class Scheduler {
         uint64_t expired = 0;   ///< jobs handed Outcome::Expired
         uint64_t cancelled = 0; ///< jobs handed Outcome::Cancelled
         size_t queued = 0; ///< currently waiting across all clients
+        size_t clients = 0; ///< clients holding a queue
     };
 
     explicit Scheduler(Options opts = {});
@@ -118,6 +119,11 @@ class Scheduler {
         return submit(client, std::move(task), block);
     }
 
+    /** @p client will submit nothing more (its connection closed):
+     *  drop its queue once it has drained, so clients that come and go
+     *  leave nothing behind. */
+    void release(uint64_t client);
+
     /** Finish every queued job, then stop the workers. Idempotent. */
     void stop();
 
@@ -131,6 +137,7 @@ class Scheduler {
     struct ClientQueue {
         std::deque<Task> jobs;
         bool inRoundRobin = false;
+        bool released = false; ///< drop once drained (release())
     };
 
     void workerLoop();

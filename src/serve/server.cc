@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -39,15 +40,24 @@ deadlinePassed(Clock::time_point deadline)
 
 } // namespace
 
-/** One accepted connection. Writes are serialized by `writeMu` so
- *  concurrently finishing jobs never interleave response bytes. The
- *  `gone` flag is both the liveness flag and the scheduler cancel
- *  token for everything this client queued: the reader flips it on
- *  EOF (and send() flips it on a dead socket), and workers then skip
- *  the client's pending points instead of simulating for nobody. */
+/** One accepted connection. It owns its socket: the fd closes when
+ *  the last shared_ptr drops — after the reader and every job queued
+ *  for the client are done — so a worker can never write into an fd
+ *  number the kernel has handed to a newer connection. Writes are
+ *  serialized by `writeMu` so concurrently finishing jobs never
+ *  interleave response bytes. The `gone` flag is both the liveness
+ *  flag and the scheduler cancel token for everything this client
+ *  queued: the reader flips it on EOF (and send() flips it on a dead
+ *  socket), and workers then skip the client's pending points instead
+ *  of simulating for nobody. */
 struct Server::Conn {
-    int fd = -1;
-    uint64_t id = 0; ///< scheduler client id
+    Conn(int fd_, uint64_t id_) : fd(fd_), id(id_) {}
+    ~Conn() { ::close(fd); }
+    Conn(const Conn &) = delete;
+    Conn &operator=(const Conn &) = delete;
+
+    const int fd;
+    const uint64_t id; ///< scheduler client id
 
     std::mutex writeMu;
     std::shared_ptr<std::atomic<bool>> gone =
@@ -90,7 +100,12 @@ struct Server::State {
     bool stopRequested = false;
     bool tornDown = false;
     uint64_t accepted = 0;
-    std::vector<std::pair<std::shared_ptr<Conn>, std::thread>> readers;
+    /** Open connections and their reader threads, by client id. A
+     *  reader that returns moves its thread to `finished` and drops its
+     *  entry, so a closed connection holds no fd here. */
+    std::map<uint64_t, std::pair<std::shared_ptr<Conn>, std::thread>>
+        readers;
+    std::vector<std::thread> finished; ///< joined by the accept loop
 };
 
 Server::Server(ServerOptions opts)
@@ -166,23 +181,37 @@ Server::acceptLoop()
     for (;;) {
         int fd = ::accept(_listenFd, nullptr, nullptr);
         if (fd < 0) {
-            if (errno == EINTR)
+            if (errno == EINTR || errno == ECONNABORTED)
                 continue;
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM) {
+                // Out of fds or buffers: the connection stays in the
+                // backlog until a closing client frees one.
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                continue;
+            }
             return; // listen socket closed: shutting down
         }
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::make_shared<Conn>();
-        conn->fd = fd;
-        conn->id = nextClient++;
-        std::lock_guard<std::mutex> g(_state->mu);
-        if (_state->stopRequested) {
-            ::close(fd);
-            return;
+        auto conn = std::make_shared<Conn>(fd, nextClient++);
+        std::vector<std::thread> finished;
+        {
+            std::lock_guard<std::mutex> g(_state->mu);
+            if (_state->stopRequested)
+                return;
+            ++_state->accepted;
+            // Spawned under the lock, so the reader finds its entry
+            // even when its connection ends at once.
+            _state->readers.emplace(
+                conn->id,
+                std::make_pair(conn, std::thread([this, conn] {
+                                   readerLoop(conn);
+                               })));
+            finished.swap(_state->finished);
         }
-        ++_state->accepted;
-        _state->readers.emplace_back(
-            conn, std::thread([this, conn] { readerLoop(conn); }));
+        for (std::thread &t : finished)
+            t.join();
     }
 }
 
@@ -214,6 +243,15 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
     // queued is cancelled so workers stop burning cycles for a dead
     // socket.
     conn->markDead();
+    _scheduler->release(conn->id);
+    // Release the connection: the fd closes once the jobs still
+    // holding it finish. After wait() took the map, wait() joins.
+    std::lock_guard<std::mutex> g(_state->mu);
+    auto it = _state->readers.find(conn->id);
+    if (it != _state->readers.end()) {
+        _state->finished.push_back(std::move(it->second.second));
+        _state->readers.erase(it);
+    }
 }
 
 int64_t
@@ -472,6 +510,7 @@ Server::handleStats(const std::shared_ptr<Conn> &conn, const Json &id)
     sched.set("expired", ss.expired);
     sched.set("cancelled", ss.cancelled);
     sched.set("queued", ss.queued);
+    sched.set("clients", ss.clients);
     resp.set("scheduler", std::move(sched));
 
     Json server = Json::object();
@@ -536,20 +575,21 @@ Server::wait()
     // connections), then stop the pool.
     _scheduler->stop();
     // Wake blocked readers and join them.
-    std::vector<std::pair<std::shared_ptr<Conn>, std::thread>> readers;
+    decltype(_state->readers) readers;
+    std::vector<std::thread> finished;
     {
         std::lock_guard<std::mutex> g(_state->mu);
         readers.swap(_state->readers);
+        finished.swap(_state->finished);
     }
     for (auto &r : readers) {
-        r.first->markDead();
-        ::shutdown(r.first->fd, SHUT_RDWR);
+        r.second.first->markDead();
+        ::shutdown(r.second.first->fd, SHUT_RDWR);
     }
-    for (auto &r : readers) {
-        if (r.second.joinable())
-            r.second.join();
-        ::close(r.first->fd);
-    }
+    for (auto &r : readers)
+        r.second.second.join();
+    for (std::thread &t : finished)
+        t.join();
 }
 
 } // namespace serve

@@ -1,37 +1,44 @@
 /**
  * @file
- * eqsweep: the crash-safe sweep driver.
+ * eqsweep: the sweep command line, in-process or served.
  *
- * Three modes over one serializable SweepSpec:
- *   (default)    run the whole grid, optionally journaled
- *                (--journal/--resume) and cached (--cache)
- *   --shard K/N  run stripe K (0-based) of N of the dense points into
- *                --journal as its own process, always resumed; rows
- *                are journaled under the whole grid's identity
- *   --merge J    (repeatable) merge shard journals into one table,
- *                byte-identical to a single-process run
+ * Four modes over one serializable SweepSpec:
+ *   (default)       run the whole grid in-process, optionally
+ *                   journaled (--journal) and cached (--cache)
+ *   --shard K/N     run stripe K (0-based) of N of the dense points
+ *                   into --journal as its own process; rows are
+ *                   journaled under the whole grid's identity
+ *   --merge J       (repeatable) merge shard journals into one table,
+ *                   byte-identical to a single-process run
+ *   --connect H:P   run the spec on an eqserved daemon through
+ *                   serve::Client::sweepTable (--retries N attempts,
+ *                   --deadline MS per request): the same CSV again
  *
- * Every mode takes the same spec arguments and --backend: the journal
- * header pins the sweep they describe, so a shard resumed or merged
- * under another spec or backend is refused, never silently mixed.
+ * There is one journal mode: a journal already at the path is always
+ * recovered, so rerunning a command (or relaunching a shard) replays
+ * it and recomputes only what is missing. Its header pins the spec
+ * and --backend, so a journal of another sweep is refused, left
+ * byte-identical, never mixed. --connect runs no journal yet: the
+ * in-process flags are usage errors beside it.
  *
  * Failures speak the sweep layer's structured vocabulary on stderr
  * (sweep::printError) —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
- * — and the exit code mirrors it: 0 ok, 1 I/O, 2 usage, 3 header
- * mismatch, 4 corrupt journal (sweep::exitCodeFor), 5 incomplete
- * merge, 6 a point failed (point_failed, "point <i>: ..."). Dispatch
- * scripts branch on these, never on prose.
+ * — and the exit code mirrors it: 0 ok, 1 I/O or a failed served
+ * sweep (code: the daemon's, or io_error for the transport), 2 usage,
+ * 3 header mismatch, 4 corrupt journal (sweep::exitCodeFor), 5
+ * incomplete merge, 6 a point failed (point_failed, "point <i>:
+ * ..."). Dispatch scripts branch on these, never on prose.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "base/fsutil.hh"
 #include "base/stringutil.hh"
+#include "serve/client.hh"
 #include "serve/models.hh"
 #include "sweep/journal.hh"
 
@@ -39,11 +46,8 @@ using namespace eq;
 
 namespace {
 
-// 1, 3 and 4 are sweep::exitCodeFor's refusal codes.
-constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitIncomplete = 5;
-constexpr int kExitPointFailed = 6;
 
 void
 usage(const char *argv0)
@@ -57,44 +61,60 @@ usage(const char *argv0)
         "    --config JSON        base-config overrides (optional)\n"
         "    --axis NAME=V1,V2    sweep axis (repeatable, in order)\n"
         "execution:\n"
-        "  --threads N          worker threads (default "
+        "  --threads N          worker threads, N >= 1 (default "
         "$EQ_SWEEP_THREADS)\n"
         "  --backend MODE       auto|interp|compiled (default auto)\n"
-        "durability:\n"
+        "durability (a journal already at PATH is replayed; one of\n"
+        "another sweep is refused and left as it was):\n"
         "  --journal PATH       journal completed points to PATH\n"
-        "  --resume             replay an existing journal first\n"
         "  --cache PATH         content-keyed result cache file\n"
         "  --fsync              fsync the journal after every record\n"
         "sharding (same spec and --backend for every shard and merge):\n"
         "  --shard K/N          run stripe K (0-based) of N into\n"
-        "                       --journal, always resumed\n"
+        "                       --journal\n"
         "  --merge JOURNAL      merge shard journals to one table\n"
         "                       (repeatable)\n"
+        "served (none of the flags above but the spec):\n"
+        "  --connect HOST:PORT  run the sweep on an eqserved daemon\n"
+        "  --retries N          attempts per request (default 1)\n"
+        "  --deadline MS        deadline_ms of each request\n"
         "output:\n"
         "  --csv PATH           write the table as CSV to PATH\n"
         "                       (atomic; default: stdout)\n",
         argv0);
 }
 
+/** Print the structured error line for @p code; returns @p exit_code. */
 int
-refuse(sweep::JournalStatus status, const std::string &message)
+fail(const std::string &code, const std::string &message, int exit_code)
 {
-    sweep::printError("eqsweep", sweep::journalStatusName(status),
-                      message);
-    return sweep::exitCodeFor(status);
+    sweep::printError("eqsweep", code, message);
+    return exit_code;
 }
 
 int
+refuse(sweep::JournalStatus status, const std::string &message)
+{
+    return fail(sweep::journalStatusName(status), message,
+                sweep::exitCodeFor(status));
+}
+
+int
+usageError(const std::string &message)
+{
+    return fail("usage", message, kExitUsage);
+}
+
+/** The table as CSV on stdout, or atomically in @p csv_path. */
+int
 emitTable(const sweep::Table &table, const std::string &csv_path)
 {
-    if (csv_path.empty()) {
-        std::fputs(table.csv().c_str(), stdout);
-        return kExitOk;
-    }
     std::string err;
-    if (!fs::writeFileAtomic(csv_path, table.csv(), &err))
+    if (csv_path.empty())
+        std::fputs(table.csv().c_str(), stdout);
+    else if (!fs::writeFileAtomic(csv_path, table.csv(), &err))
         return refuse(sweep::JournalStatus::IoError, err);
-    return kExitOk;
+    return 0;
 }
 
 struct Args {
@@ -102,60 +122,51 @@ struct Args {
     std::string model;
     std::string configJson;
     std::vector<std::string> axisSpecs;
-    unsigned threads = 0;
-    sim::EngineOptions engine;
-    sweep::JournalOptions durability;
+    sweep::SweepFlags flags;
     uint64_t shardK = 0; ///< --shard K/N; N = 0 runs the whole grid
     uint64_t shardN = 0;
     std::vector<std::string> mergeJournals;
-    std::string csvPath;
+    std::string connect; ///< HOST:PORT; empty = in-process
+    int retries = 1;
+    int64_t deadlineMs = -1; ///< -1 = no deadline
+    std::set<std::string> given; ///< every flag on the command line
 };
 
 /** Build the spec from --spec or --model/--config/--axis. */
 bool
 buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
 {
-    serve::Json request;
+    std::string text;
+    serve::Json json;
     if (!args.specPath.empty()) {
-        std::string text;
         if (!fs::readFile(args.specPath, &text, err))
             return false;
-        std::string perr;
-        if (!serve::Json::parse(text, &request, &perr)) {
-            *err = args.specPath + ": " + perr;
+        if (!serve::Json::parse(text, &json, err)) {
+            *err = args.specPath + ": " + *err;
             return false;
         }
-    } else {
-        request = serve::Json::object();
-        request.set("model", args.model);
-        if (!args.configJson.empty()) {
-            serve::Json config;
-            std::string perr;
-            if (!serve::Json::parse(args.configJson, &config, &perr)) {
-                *err = "--config: " + perr;
-                return false;
-            }
-            request.set("config", std::move(config));
-        }
-        serve::Json axes = serve::Json::array();
-        for (const std::string &text : args.axisSpecs) {
-            serve::SweepAxis axis;
-            if (!serve::parseAxis(text, &axis)) {
-                *err = "bad --axis '" + text +
-                       "' (want name=v1,v2,...)";
-                return false;
-            }
-            serve::Json ja = serve::Json::object();
-            ja.set("name", axis.name);
-            serve::Json vals = serve::Json::array();
-            for (int64_t v : axis.values)
-                vals.push(v);
-            ja.set("values", std::move(vals));
-            axes.push(std::move(ja));
-        }
-        request.set("axes", std::move(axes));
+        return serve::SweepSpec::fromJson(json, spec, err);
     }
-    return serve::SweepSpec::fromJson(request, spec, err);
+    serve::ModelKind kind;
+    if (!serve::modelFromName(args.model, &kind)) {
+        *err = "unknown model '" + args.model + "'";
+        return false;
+    }
+    if (!args.configJson.empty() &&
+        !serve::Json::parse(args.configJson, &json, err)) {
+        *err = "--config: " + *err;
+        return false;
+    }
+    if (!serve::modelKeyFromJson(kind, json, &spec->base, err))
+        return false;
+    for (const std::string &axis : args.axisSpecs) {
+        spec->axes.emplace_back();
+        if (!serve::parseAxis(axis, &spec->axes.back())) {
+            *err = "bad --axis '" + axis + "' (want name=v1,v2,...)";
+            return false;
+        }
+    }
+    return spec->validate(err);
 }
 
 /** "K/N" with K in [0, N). */
@@ -171,35 +182,27 @@ parseShard(const std::string &text, uint64_t *k, uint64_t *n)
 int
 runSweep(const Args &args, const serve::SweepSpec &spec)
 {
-    sweep::Grid grid = spec.grid();
+    const sweep::Grid grid = spec.grid();
     std::vector<sweep::Point> points = grid.points();
     const sweep::RowLogHeader identity = sweep::gridIdentity(
-        points, spec.schema(), spec.saltString(), args.engine);
-    sweep::JournalOptions opts = args.durability;
+        points, spec.schema(), spec.saltString(), args.flags.engine);
     if (args.shardN > 0) {
         const auto [begin, end] =
             sweep::shardStripe(points.size(), args.shardK, args.shardN);
         points.erase(points.begin() + ptrdiff_t(end), points.end());
         points.erase(points.begin(), points.begin() + ptrdiff_t(begin));
-        opts.resume = true; // relaunch after a kill is the normal case
     }
 
     sweep::Table table{spec.schema()};
-    sweep::ResumeStats stats;
-    std::string err;
-    sweep::JournalStatus status;
-    try {
-        status = serve::runLocalSweepDurable(spec, points, args.threads,
-                                             args.engine, opts, identity,
-                                             &table, &stats, &err);
-    } catch (const sweep::PointFailed &e) {
-        sweep::printError("eqsweep", "point_failed", e.what());
-        return kExitPointFailed;
-    }
-    if (status != sweep::JournalStatus::Ok)
-        return refuse(status, err);
-    sweep::printResumeStats(stats);
-    return emitTable(table, args.csvPath);
+    const sweep::JournalOptions &opts = args.flags.durability;
+    if (int code = sweep::runSweepCommand(
+            "eqsweep", opts, [&](sweep::ResumeStats *st, std::string *err) {
+                return serve::runLocalSweepDurable(
+                    spec, points, args.flags.threads, args.flags.engine,
+                    opts, identity, &table, st, err);
+            }))
+        return code;
+    return emitTable(table, args.flags.csvPath);
 }
 
 int
@@ -207,7 +210,7 @@ mergeMode(const Args &args, const serve::SweepSpec &spec)
 {
     const sweep::RowLogHeader expect = sweep::gridIdentity(
         spec.grid().points(), spec.schema(), spec.saltString(),
-        args.engine);
+        args.flags.engine);
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
     std::string err;
@@ -216,15 +219,40 @@ mergeMode(const Args &args, const serve::SweepSpec &spec)
         &err);
     if (status != sweep::JournalStatus::Ok)
         return refuse(status, err);
-    if (!missing.empty()) {
-        sweep::printError("eqsweep", "incomplete_merge",
-                          std::to_string(missing.size()) + " of " +
-                              std::to_string(expect.numPoints) +
-                              " points missing (first: " +
-                              std::to_string(missing.front()) + ")");
-        return kExitIncomplete;
-    }
-    return emitTable(table, args.csvPath);
+    if (!missing.empty())
+        return fail("incomplete_merge",
+                    std::to_string(missing.size()) + " of " +
+                        std::to_string(expect.numPoints) +
+                        " points missing (first: " +
+                        std::to_string(missing.front()) + ")",
+                    kExitIncomplete);
+    return emitTable(table, args.flags.csvPath);
+}
+
+int
+connectMode(const Args &args, const serve::SweepSpec &spec)
+{
+    std::string host;
+    uint16_t port = 0;
+    if (!serve::parseHostPort(args.connect, &host, &port))
+        return usageError("bad --connect '" + args.connect +
+                          "' (want host:port)");
+    serve::Client client;
+    serve::RetryPolicy policy;
+    policy.maxAttempts = args.retries;
+    client.setRetryPolicy(policy);
+    sweep::Table table{spec.schema()};
+    serve::ErrorInfo failure;
+    // A refused connect is a transport failure like any other: with
+    // retries left, the retry loop reconnects.
+    if ((!client.connect(host, port, &failure.message) &&
+         args.retries == 1) ||
+        !client.sweepTable(spec, &table, &failure, args.deadlineMs))
+        return fail(failure.code == serve::ErrorCode::None
+                        ? "io_error"
+                        : serve::errorCodeName(failure.code),
+                    failure.message, 1);
+    return emitTable(table, args.flags.csvPath);
 }
 
 } // namespace
@@ -235,82 +263,75 @@ main(int argc, char **argv)
     Args args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "eqsweep: %s needs a value\n",
-                             arg.c_str());
-                std::exit(kExitUsage);
-            }
-            return argv[++i];
-        };
+        args.given.insert(arg);
+        switch (args.flags.parse("eqsweep", argc, argv, &i)) {
+        case sweep::SweepFlags::Parse::Taken: continue;
+        case sweep::SweepFlags::Parse::Bad: return kExitUsage;
+        case sweep::SweepFlags::Parse::NotShared: break;
+        }
+        if (arg == "--help" || arg == "-h") {
+            usage(argv[0]);
+            return 0;
+        }
+        static const std::set<std::string> kValued = {
+            "--spec",  "--model",   "--config",  "--axis",    "--shard",
+            "--merge", "--connect", "--retries", "--deadline"};
+        if (!kValued.count(arg)) {
+            usage(argv[0]);
+            return usageError("unknown option '" + arg + "'");
+        }
+        if (i + 1 >= argc)
+            return usageError(arg + " needs a value");
+        const std::string value = argv[++i];
         if (arg == "--spec") {
-            args.specPath = value();
+            args.specPath = value;
         } else if (arg == "--model") {
-            args.model = value();
+            args.model = value;
         } else if (arg == "--config") {
-            args.configJson = value();
+            args.configJson = value;
         } else if (arg == "--axis") {
-            args.axisSpecs.push_back(value());
-        } else if (arg == "--threads") {
-            if (!parseInt(value(), 0u, &args.threads)) {
-                std::fprintf(stderr, "eqsweep: bad --threads\n");
-                return kExitUsage;
-            }
-        } else if (arg == "--backend") {
-            const std::string mode = value();
-            if (!sim::backendFromName(mode, &args.engine.backend)) {
-                std::fprintf(stderr, "eqsweep: bad --backend '%s'\n",
-                             mode.c_str());
-                return kExitUsage;
-            }
-        } else if (arg == "--journal") {
-            args.durability.journalPath = value();
-        } else if (arg == "--resume") {
-            args.durability.resume = true;
-        } else if (arg == "--cache") {
-            args.durability.cachePath = value();
-        } else if (arg == "--fsync") {
-            args.durability.fsyncEachRecord = true;
+            args.axisSpecs.push_back(value);
         } else if (arg == "--shard") {
-            if (!parseShard(value(), &args.shardK, &args.shardN)) {
-                std::fprintf(stderr, "eqsweep: bad --shard (want K/N, "
-                                     "0 <= K < N)\n");
-                return kExitUsage;
-            }
+            if (!parseShard(value, &args.shardK, &args.shardN))
+                return usageError("bad --shard '" + value +
+                                  "' (want K/N, 0 <= K < N)");
         } else if (arg == "--merge") {
-            args.mergeJournals.push_back(value());
-        } else if (arg == "--csv") {
-            args.csvPath = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return kExitOk;
-        } else {
-            std::fprintf(stderr, "eqsweep: unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return kExitUsage;
+            args.mergeJournals.push_back(value);
+        } else if (arg == "--connect") {
+            args.connect = value;
+        } else if (arg == "--retries") {
+            if (!parseInt(value, 1, &args.retries))
+                return usageError("bad --retries '" + value + "'");
+        } else if (!parseInt(value, int64_t{0}, &args.deadlineMs)) {
+            return usageError("bad --deadline '" + value + "'");
         }
     }
 
-    if (args.shardN > 0 && args.durability.journalPath.empty()) {
-        sweep::printError("eqsweep", "usage", "--shard needs --journal");
-        return kExitUsage;
-    }
-    if (args.shardN > 0 && !args.mergeJournals.empty()) {
-        sweep::printError("eqsweep", "usage",
-                          "--shard and --merge are separate runs");
-        return kExitUsage;
-    }
+    auto both = [&](const char *a, const char *b) {
+        return args.given.count(a) && args.given.count(b);
+    };
+    if (args.shardN > 0 && args.flags.durability.journalPath.empty())
+        return usageError("--shard needs --journal");
+    if (both("--shard", "--merge"))
+        return usageError("--shard and --merge are separate runs");
+    for (const char *flag : {"--journal", "--cache", "--fsync", "--shard",
+                             "--merge", "--threads", "--backend"})
+        if (both("--connect", flag))
+            return usageError(std::string(flag) +
+                              " does not apply to --connect");
+    for (const char *flag : {"--retries", "--deadline"})
+        if (args.given.count(flag) && args.connect.empty())
+            return usageError(std::string(flag) + " needs --connect");
     if (args.specPath.empty() && args.model.empty()) {
         usage(argv[0]);
         return kExitUsage;
     }
     serve::SweepSpec spec;
     std::string err;
-    if (!buildSpec(args, &spec, &err)) {
-        sweep::printError("eqsweep", "usage", err);
-        return kExitUsage;
-    }
+    if (!buildSpec(args, &spec, &err))
+        return usageError(err);
+    if (!args.connect.empty())
+        return connectMode(args, spec);
     if (!args.mergeJournals.empty())
         return mergeMode(args, spec);
     return runSweep(args, spec);

@@ -2,7 +2,8 @@
  * @file
  * The journaled-sweep orchestration: replay (journal), content-keyed
  * reuse (result cache) and recomputation (SweepRunner) layered into
- * one table; shard stripes and the shard-journal merge.
+ * one table; the shared sweep flags and exit contract; shard stripes
+ * and the shard-journal merge.
  */
 
 #include "sweep/journal.hh"
@@ -13,6 +14,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "base/stringutil.hh"
 #include "sweep/resultcache.hh"
 
 namespace eq {
@@ -91,7 +93,7 @@ runJournaledSweep(const SweepRunner &runner,
     if (journaling) {
         RowLog::Recovery rec;
         const JournalStatus status = journal.open(
-            opts.journalPath, identity, schema, opts.resume, &rec);
+            opts.journalPath, identity, schema, &rec);
         if (status != JournalStatus::Ok)
             return fail(status, rec.error);
         st.journalTruncatedBytes = rec.truncatedBytes;
@@ -166,7 +168,7 @@ runJournaledSweep(const SweepRunner &runner,
             fresh = runner.run(pending, schema, journaled);
         } catch (...) {
             // A failed point fails the sweep; the rows journaled
-            // before it stay durable for the resume.
+            // before it stay durable for the rerun.
             if (journaling && !opts.fsyncEachRecord)
                 journal.sync(nullptr);
             throw;
@@ -196,6 +198,63 @@ runJournaledSweep(const SweepRunner &runner,
         table.addRow(std::move(row));
     *out = std::move(table);
     return JournalStatus::Ok;
+}
+
+SweepFlags::Parse
+SweepFlags::parse(const std::string &tool, int argc, char **argv, int *i)
+{
+    const std::string arg = argv[*i];
+    const bool valued = arg == "--threads" || arg == "--backend" ||
+                        arg == "--journal" || arg == "--cache" ||
+                        arg == "--csv";
+    if (!valued && arg != "--fsync")
+        return Parse::NotShared;
+    auto bad = [&](const std::string &why) {
+        printError(tool, "usage", why);
+        return Parse::Bad;
+    };
+    if (valued && *i + 1 >= argc)
+        return bad(arg + " needs a value");
+    const std::string value = valued ? argv[++*i] : "";
+    if (arg == "--threads") {
+        if (!parseInt(value, 1u, &threads))
+            return bad("bad --threads '" + value + "' (want N >= 1)");
+    } else if (arg == "--backend") {
+        if (!sim::backendFromName(value, &engine.backend))
+            return bad("bad --backend '" + value +
+                       "' (want interp|compiled|auto)");
+    } else if (arg == "--journal") {
+        durability.journalPath = value;
+    } else if (arg == "--cache") {
+        durability.cachePath = value;
+    } else if (arg == "--csv") {
+        csvPath = value;
+    } else {
+        durability.fsyncEachRecord = true;
+    }
+    return Parse::Taken;
+}
+
+int
+runSweepCommand(const std::string &tool, const JournalOptions &opts,
+                const SweepCommand &sweep)
+{
+    ResumeStats stats;
+    std::string err;
+    JournalStatus status;
+    try {
+        status = sweep(&stats, &err);
+    } catch (const PointFailed &e) {
+        printError(tool, "point_failed", e.what());
+        return kExitPointFailed;
+    }
+    if (status != JournalStatus::Ok) {
+        printError(tool, journalStatusName(status), err);
+        return exitCodeFor(status);
+    }
+    if (!opts.journalPath.empty() || !opts.cachePath.empty())
+        printResumeStats(stats);
+    return 0;
 }
 
 std::pair<uint64_t, uint64_t>

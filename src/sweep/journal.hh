@@ -3,10 +3,12 @@
  * Journaled sweeps: SweepRunner::run layered over two row logs
  * (sweep/rowlog.hh). The journal makes one grid crash-safe — every
  * completed point is appended as it lands, so a crash at point 9,900
- * of 10,000 costs at most the points in flight, and --resume replays
- * the journal and recomputes only what is missing. The result cache
- * makes re-plots cheap — rows keyed by configuration content keep
- * hitting after the grid around them changes.
+ * of 10,000 costs at most the points in flight. There is one journal
+ * mode: a journal already at the path is always recovered, so the
+ * rerun of a command replays it and recomputes only what is missing,
+ * and a journal of another sweep is refused and left byte-identical.
+ * The result cache makes re-plots cheap — rows keyed by configuration
+ * content keep hitting after the grid around them changes.
  *
  * A sweep spreads across processes as shards: stripe K of N runs its
  * contiguous slice of the dense points (shardStripe) into its own
@@ -33,8 +35,7 @@ namespace sweep {
 
 /** Durability knobs for runJournaledSweep (all optional). */
 struct JournalOptions {
-    std::string journalPath; ///< "" = no journal
-    bool resume = false;     ///< replay an existing journal at the path
+    std::string journalPath; ///< "" = no journal; an existing one replays
     std::string cachePath;   ///< "" = no content-keyed result cache
     bool fsyncEachRecord = false; ///< fsync per record, not per run
 };
@@ -44,7 +45,7 @@ struct ResumeStats {
     size_t computed = 0;     ///< simulated this run
     size_t fromJournal = 0;  ///< replayed from the journal
     size_t fromCache = 0;    ///< content-keyed result-cache hits
-    uint64_t journalTruncatedBytes = 0; ///< torn tail dropped on resume
+    uint64_t journalTruncatedBytes = 0; ///< torn tail dropped on replay
 };
 
 /** Print `# resume: computed=… journal=… cache=… truncated_bytes=…`
@@ -58,7 +59,7 @@ using PointKeyFn = std::function<std::string(const Point &)>;
 
 /**
  * SweepRunner::run with a durability layer: rows already present in
- * the resumed journal (by dense index) or the result cache (by content
+ * the journal (by dense index) or the result cache (by content
  * key) are replayed; only the remainder is simulated, each completed
  * point journaled as it lands and new results appended to the cache.
  * The assembled table is byte-identical to a fresh, journal-less run
@@ -84,6 +85,48 @@ JournalStatus runJournaledSweep(const SweepRunner &runner,
                                 const JournalOptions &opts,
                                 const RowLogHeader &identity, Table *out,
                                 ResumeStats *stats, std::string *err);
+
+/**
+ * The flags every sweep front end shares (eqsweep and the bench
+ * harnesses), parsed by one function:
+ *   --threads N     worker threads, N >= 1 (default $EQ_SWEEP_THREADS)
+ *   --backend MODE  interp|compiled|auto (default auto)
+ *   --journal PATH  journal completed points to PATH; a journal of the
+ *                   same sweep already there is replayed first
+ *   --cache PATH    content-keyed result cache file
+ *   --fsync         fsync the journal after every record
+ *   --csv PATH      write the table as CSV to PATH (atomically)
+ */
+struct SweepFlags {
+    unsigned threads = 0; ///< 0 = SweepRunner's default
+    sim::EngineOptions engine;
+    JournalOptions durability;
+    std::string csvPath;
+
+    enum class Parse : uint8_t { Taken, NotShared, Bad };
+    /** If argv[*i] is a shared flag, consume it and its value (advancing
+     *  *i) and return Taken; NotShared leaves *i alone. Bad means a
+     *  missing or malformed value: a structured "usage" line for
+     *  @p tool is printed and the caller exits 2. */
+    Parse parse(const std::string &tool, int argc, char **argv, int *i);
+};
+
+/** One journaled sweep as a front end runs it: runJournaledSweep, or
+ *  a wrapper such as serve::runLocalSweepDurable, with the stats and
+ *  error outputs left to the caller. */
+using SweepCommand =
+    std::function<JournalStatus(ResumeStats *stats, std::string *err)>;
+
+/**
+ * The one exit contract of a sweep front end: run @p sweep for @p tool
+ * and return its exit code. 0 means the sweep's table is filled; a
+ * refusal or I/O failure prints printError's line and returns
+ * exitCodeFor (1, 3 or 4); a point that threw prints a "point_failed"
+ * line and returns kExitPointFailed. The `# resume:` line is printed
+ * whenever @p opts names a journal or a cache.
+ */
+int runSweepCommand(const std::string &tool, const JournalOptions &opts,
+                    const SweepCommand &sweep);
 
 /**
  * Stripe @p k of @p n over @p num_points dense indices: the contiguous

@@ -21,7 +21,7 @@ ResultCache::open(const std::string &path, const std::string &schema_sig,
     header.schemaSig = schema_sig;
     header.backend = backend;
     RowLog::Recovery rec;
-    if (_log.open(path, header, schema, /*resume=*/true, &rec) !=
+    if (_log.open(path, header, schema, &rec) !=
         JournalStatus::Ok) {
         if (err)
             *err = rec.error;

@@ -349,14 +349,13 @@ RowLog::recover(const std::string &path, const RowLogHeader &expect,
 
 JournalStatus
 RowLog::open(const std::string &path, const RowLogHeader &header,
-             const std::vector<Column> &schema, bool resume,
-             Recovery *out)
+             const std::vector<Column> &schema, Recovery *out)
 {
     close();
     _kind = header.kind;
     Recovery &rec = *out;
     rec = Recovery();
-    bool fresh = !resume || !fs::fileExists(path);
+    bool fresh = !fs::fileExists(path);
     if (!fresh) {
         rec = recover(path, header, schema, _policy);
         // A torn header is a create() that crashed before its fsync:

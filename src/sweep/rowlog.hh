@@ -47,9 +47,10 @@
  * Replaying a row is sound for exactly the reason serve::Client
  * retries are: results are byte-deterministic at any worker count, so
  * a replayed row is indistinguishable from a recomputed one. Duplicate
- * records are therefore legal (a resumed run or a relaunched shard may
- * recompute a point), and honest duplicates are identical; the journal
- * replays them last-write-wins, the cache keeps the first.
+ * records are therefore legal (a rerun over a journal or a relaunched
+ * shard may recompute a point), and honest duplicates are identical;
+ * the journal replays them last-write-wins, the cache keeps the
+ * first.
  */
 
 #ifndef EQ_SWEEP_ROWLOG_HH
@@ -81,9 +82,14 @@ enum class JournalStatus : uint8_t {
 const char *journalStatusName(JournalStatus status);
 
 /** The exit code a sweep driver returns for @p status: 0 ok, 1 I/O,
- *  3 header mismatch, 4 corrupt journal. (eqsweep adds 2 for usage
- *  and 5 for an incomplete merge.) */
+ *  3 header mismatch, 4 corrupt journal. The rest of the contract:
+ *  2 usage, 5 an incomplete merge (eqsweep --merge), and 6 a point
+ *  that threw (kExitPointFailed). */
 int exitCodeFor(JournalStatus status);
+
+/** Exit code of a sweep one of whose points threw (PointFailed); its
+ *  error line's code is "point_failed". */
+constexpr int kExitPointFailed = 6;
 
 /** Print the structured error line drivers branch on, never prose:
  *  `<tool>: error: {"code":"...","message":"..."}` on stderr. */
@@ -177,17 +183,17 @@ class RowLog {
                             Policy policy);
 
     /**
-     * Open @p path for appending under @p header. With @p resume and an
-     * existing file, recover it (@p out receives the replayable records
-     * and the damage accounting), truncate its damaged tail in place
-     * and append after it; a torn header, or under Discard any unusable
-     * header, starts the file over. Otherwise create a fresh file,
-     * header written and fsync'd before returning. On a refusal
-     * (HeaderMismatch/Corrupt under Refuse) the file is left untouched.
+     * Open @p path for appending under @p header. An existing file is
+     * always recovered first (@p out receives the replayable records
+     * and the damage accounting): its damaged tail is truncated in
+     * place and appends go after it; a torn header, or under Discard
+     * any unusable header, starts the file over. A missing file is
+     * created, header written and fsync'd before returning. On a
+     * refusal (HeaderMismatch/Corrupt under Refuse) the file is left
+     * byte-identical.
      */
     JournalStatus open(const std::string &path, const RowLogHeader &header,
-                       const std::vector<Column> &schema, bool resume,
-                       Recovery *out);
+                       const std::vector<Column> &schema, Recovery *out);
 
     /** Append one row (a single write(2)); @p index is ignored by a
      *  cache. With fsync-per-record, fsyncs before returning. */

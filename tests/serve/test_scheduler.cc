@@ -150,6 +150,29 @@ TEST(ServeScheduler, StopDrainsThenRefuses)
     EXPECT_EQ(ran.load(), kJobs);
 }
 
+/** A released client keeps its queue only while it holds jobs: the
+ *  worker that drains it drops it, and an idle one goes at once. */
+TEST(ServeScheduler, ReleasedClientsLeaveNoQueueBehind)
+{
+    Scheduler::Options opts;
+    opts.workers = 1;
+    Scheduler sched(opts);
+
+    Gate gate;
+    ASSERT_EQ(sched.submit(1, gate.job()), Scheduler::Submit::Queued);
+    gate.awaitEntered();
+    std::atomic<int> ran{0};
+    ASSERT_EQ(sched.submit(2, [&] { ++ran; }), Scheduler::Submit::Queued);
+    sched.release(2); // still holds a job: dropped once drained
+    sched.release(1); // its only job is running: dropped at once
+    EXPECT_EQ(sched.stats().clients, 1u);
+
+    gate.release();
+    sched.stop();
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(sched.stats().clients, 0u);
+}
+
 TEST(ServeScheduler, WorkerCountResolution)
 {
     Scheduler::Options opts;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -123,9 +124,9 @@ TEST(ServeServer, ServedSweepMatchesLocalAtAnyWorkerCount)
         Client client;
         connectTo(*server, &client);
         sweep::Table served(spec.schema());
-        std::string err;
-        ASSERT_TRUE(client.sweepTable(spec, &served, &err))
-            << "workers=" << workers << ": " << err;
+        serve::ErrorInfo failure;
+        ASSERT_TRUE(client.sweepTable(spec, &served, &failure))
+            << "workers=" << workers << ": " << failure.message;
         EXPECT_EQ(served.csv(), localCsv) << "workers=" << workers;
     }
 }
@@ -141,8 +142,9 @@ TEST(ServeServer, ServedSocSweepMatchesLocal)
     Client client;
     connectTo(*server, &client);
     sweep::Table served(spec.schema());
-    std::string err;
-    ASSERT_TRUE(client.sweepTable(spec, &served, &err)) << err;
+    serve::ErrorInfo failure;
+    ASSERT_TRUE(client.sweepTable(spec, &served, &failure))
+        << failure.message;
     EXPECT_EQ(served.csv(), serve::runLocalSweep(spec).csv());
 }
 
@@ -170,6 +172,42 @@ TEST(ServeServer, StatsExposeCrossRequestReuse)
     const Json *srv = stats.find("server");
     ASSERT_NE(srv, nullptr);
     EXPECT_EQ(srv->getInt("connections", -1), 2);
+}
+
+/** Open file descriptors of this process. */
+size_t
+openFds()
+{
+    size_t n = 0;
+    if (DIR *dir = ::opendir("/proc/self/fd")) {
+        while (::readdir(dir))
+            ++n;
+        ::closedir(dir);
+    }
+    return n;
+}
+
+/** A closed connection releases its socket and its reader right away,
+ *  not at server teardown: after many connect/stats/close cycles the
+ *  process holds no more fds than before them. */
+TEST(ServeServer, ClosedConnectionsReleaseTheirFds)
+{
+    auto server = startServer(1);
+    const size_t baseline = openFds();
+    for (int i = 0; i < 256; ++i) {
+        Client client;
+        connectTo(*server, &client);
+        Json stats;
+        std::string err;
+        ASSERT_TRUE(client.stats(&stats, &err)) << i << ": " << err;
+    }
+    // The last readers may still be on their way out.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (openFds() > baseline &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_LE(openFds(), baseline);
 }
 
 TEST(ServeServer, ProtocolErrorsKeepConnectionAlive)
@@ -445,7 +483,9 @@ TEST(ServeServer, DisconnectMidSweepCancelsPendingPoints)
     Client again;
     connectTo(*server, &again);
     sweep::Table served(spec.schema());
-    ASSERT_TRUE(again.sweepTable(spec, &served, &err)) << err;
+    serve::ErrorInfo failure;
+    ASSERT_TRUE(again.sweepTable(spec, &served, &failure))
+        << failure.message;
     EXPECT_EQ(served.csv(), localCsv);
     Json stats;
     ASSERT_TRUE(again.stats(&stats, &err)) << err;
@@ -683,9 +723,10 @@ TEST(ServeServer, FailedSweepLeavesNoStaleLineForTheNextRequest)
     {
         FaultInjector::Scoped faults("stall=1,stall_ms=100,max=1");
         sweep::Table served(spec.schema());
-        std::string err;
-        EXPECT_FALSE(
-            client.sweepTable(spec, &served, &err, /*deadline_ms=*/30));
+        serve::ErrorInfo failure;
+        EXPECT_FALSE(client.sweepTable(spec, &served, &failure,
+                                       /*deadline_ms=*/30));
+        EXPECT_EQ(failure.code, serve::ErrorCode::DeadlineExceeded);
     }
     auto result = client.simulate(spec.base);
     ASSERT_TRUE(result.ok) << result.error;
@@ -721,7 +762,9 @@ TEST(ServeServer, SweepAndStatsRetryThroughInjectedFaults)
         {
             FaultInjector::Scoped faults(c.faults);
             sweep::Table served(c.spec.schema());
-            ASSERT_TRUE(client.sweepTable(c.spec, &served, &err)) << err;
+            serve::ErrorInfo failure;
+            ASSERT_TRUE(client.sweepTable(c.spec, &served, &failure))
+                << failure.message;
             EXPECT_EQ(served.csv(), serve::runLocalSweep(c.spec).csv());
             EXPECT_EQ(client.retriesPerformed(), c.sweepRetries);
         }

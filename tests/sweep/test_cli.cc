@@ -1,0 +1,174 @@
+/**
+ * @file
+ * The sweep front end that eqsweep and the bench harnesses share: one
+ * flag parser (sweep::SweepFlags) and one exit contract
+ * (sweep::runSweepCommand, which bench::runSweep ends the process
+ * with).
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "bench_util.hh"
+
+namespace {
+
+using namespace eq;
+using Parse = sweep::SweepFlags::Parse;
+
+std::vector<sweep::Column>
+squareSchema()
+{
+    return {{"a", sweep::ValueKind::Int, 4, 0},
+            {"sq", sweep::ValueKind::Int, 6, 0}};
+}
+
+std::vector<sweep::Cell>
+squareRow(const sweep::Point &p, unsigned)
+{
+    const int64_t a = p.at("a");
+    return {a, a * a};
+}
+
+/** Parse @p words (argv[0] included) with SweepFlags; returns each
+ *  flag's outcome in order. */
+std::vector<Parse>
+parseAll(sweep::SweepFlags *flags, std::vector<std::string> words)
+{
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    std::vector<Parse> out;
+    for (int i = 1; i < int(argv.size()); ++i)
+        out.push_back(
+            flags->parse("tool", int(argv.size()), argv.data(), &i));
+    return out;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+TEST(SweepCli, SharedFlagsAreParsedOnce)
+{
+    sweep::SweepFlags flags;
+    EXPECT_EQ(parseAll(&flags, {"tool", "--threads", "3", "--backend",
+                                "interp", "--journal", "j", "--cache",
+                                "c", "--fsync", "--csv", "t.csv",
+                                "--no-wall"}),
+              (std::vector<Parse>{Parse::Taken, Parse::Taken,
+                                  Parse::Taken, Parse::Taken,
+                                  Parse::Taken, Parse::Taken,
+                                  Parse::NotShared}));
+    EXPECT_EQ(flags.threads, 3u);
+    EXPECT_EQ(flags.engine.backend, sim::Backend::Interp);
+    EXPECT_EQ(flags.durability.journalPath, "j");
+    EXPECT_EQ(flags.durability.cachePath, "c");
+    EXPECT_TRUE(flags.durability.fsyncEachRecord);
+    EXPECT_EQ(flags.csvPath, "t.csv");
+}
+
+TEST(SweepCli, BadValuesAreUsageErrors)
+{
+    for (const std::vector<std::string> &words :
+         std::vector<std::vector<std::string>>{
+             {"tool", "--threads", "0"},
+             {"tool", "--threads", "2x"},
+             {"tool", "--backend", "fused"},
+             {"tool", "--journal"}}) {
+        sweep::SweepFlags flags;
+        EXPECT_EQ(parseAll(&flags, words).front(), Parse::Bad)
+            << words[1];
+    }
+}
+
+/** There is no fresh-journal mode: a journal of another sweep is
+ *  refused with exit 3 and keeps its bytes, and rerunning the same
+ *  command replays its own journal without computing a point. */
+TEST(SweepCli, JournalIsAlwaysRecovered)
+{
+    const std::string path = ::testing::TempDir() + "eq_cli_journal.ndjson";
+    std::remove(path.c_str());
+    sweep::Grid small, large;
+    small.axis("a", {1, 2, 3});
+    large.axis("a", {1, 2, 3, 4});
+    sweep::JournalOptions opts;
+    opts.journalPath = path;
+    const sweep::SweepRunner runner({1});
+    size_t calls = 0;
+    auto run = [&](const sweep::Grid &grid, sweep::Table *out) {
+        const auto points = grid.points();
+        return sweep::runSweepCommand(
+            "tool", opts, [&](sweep::ResumeStats *st, std::string *err) {
+                return sweep::runJournaledSweep(
+                    runner, points, squareSchema(),
+                    [](const sweep::Point &p) {
+                        return std::to_string(p.at("a"));
+                    },
+                    [&](const sweep::Point &p, unsigned w) {
+                        ++calls;
+                        return squareRow(p, w);
+                    },
+                    opts,
+                    sweep::gridIdentity(points, squareSchema(), "cli", {}),
+                    out, st, err);
+            });
+    };
+
+    sweep::Table first{squareSchema()};
+    ASSERT_EQ(run(small, &first), 0);
+    EXPECT_EQ(calls, 3u);
+    const std::string before = slurp(path);
+
+    sweep::Table other{squareSchema()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run(large, &other), 3);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "journal_header_mismatch"),
+              std::string::npos);
+    EXPECT_EQ(calls, 3u);
+    EXPECT_EQ(slurp(path), before);
+
+    sweep::Table again{squareSchema()};
+    ::testing::internal::CaptureStderr();
+    ASSERT_EQ(run(small, &again), 0);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "# resume: computed=0 journal=3 "),
+              std::string::npos);
+    EXPECT_EQ(again.csv(), first.csv());
+    std::remove(path.c_str());
+}
+
+/** A harness point that throws ends the process like eqsweep's:
+ *  exit 6 with a point_failed line, never std::terminate. */
+TEST(SweepCli, ThrowingHarnessPointExitsSix)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    sweep::Grid grid;
+    grid.axis("a", {1, 2, 3});
+    const auto points = grid.points();
+    bench::HarnessArgs args;
+    args.program = "harness";
+    EXPECT_EXIT(bench::runSweep(args, sweep::SweepRunner({2}), points,
+                                squareSchema(), "cli",
+                                [](const sweep::Point &p, unsigned w) {
+                                    if (p.at("a") == 2)
+                                        throw std::runtime_error("boom");
+                                    return squareRow(p, w);
+                                }),
+                ::testing::ExitedWithCode(sweep::kExitPointFailed),
+                "harness: error: .*point_failed.*point 1: boom");
+}
+
+} // namespace

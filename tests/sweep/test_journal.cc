@@ -115,7 +115,7 @@ class JournalTest : public ::testing::Test {
     /** Run the a×b sweep journaled at `path`; returns the status and
      *  fills table/stats. @p calls counts RowFn invocations. */
     sweep::JournalStatus
-    run(bool resume, sweep::Table *table, sweep::ResumeStats *stats,
+    run(sweep::Table *table, sweep::ResumeStats *stats,
         std::string *err, size_t *calls = nullptr,
         const sweep::Grid *grid_override = nullptr,
         const std::string &salt = "")
@@ -124,7 +124,6 @@ class JournalTest : public ::testing::Test {
         auto points = grid.points();
         sweep::JournalOptions opts;
         opts.journalPath = path;
-        opts.resume = resume;
         sweep::SweepRunner runner({1});
         return runJournaledSweep(
             runner, points, abSchema(), abKey,
@@ -211,7 +210,7 @@ TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)
     sweep::ResumeStats st;
     std::string err;
     size_t calls = 0;
-    ASSERT_EQ(run(false, &t1, &st, &err, &calls),
+    ASSERT_EQ(run(&t1, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 6u);
@@ -219,7 +218,7 @@ TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)
 
     sweep::Table t2{abSchema()};
     calls = 0;
-    ASSERT_EQ(run(true, &t2, &st, &err, &calls),
+    ASSERT_EQ(run(&t2, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 0u) << "resume must not recompute";
@@ -237,7 +236,7 @@ TEST_F(JournalTest, FileBytesArePinned)
     sweep::Table t{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t, &st, &err, nullptr, &grid, "pin"),
+    ASSERT_EQ(run(&t, &st, &err, nullptr, &grid, "pin"),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(slurp(path),
@@ -258,7 +257,7 @@ TEST_F(JournalTest, TornTailRecordIsTruncatedAndRecomputed)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     // Chop the final record off mid-line: a crash between write(2)
     // and completion.
@@ -267,7 +266,7 @@ TEST_F(JournalTest, TornTailRecordIsTruncatedAndRecomputed)
 
     sweep::Table t2{abSchema()};
     size_t calls = 0;
-    ASSERT_EQ(run(true, &t2, &st, &err, &calls),
+    ASSERT_EQ(run(&t2, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, 5u);
@@ -282,7 +281,7 @@ TEST_F(JournalTest, BitFlippedTailRecordIsTruncatedAndRecomputed)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     std::string text = slurp(path);
     // Flip a digit inside the last record's cells; CRC must catch it.
@@ -293,7 +292,7 @@ TEST_F(JournalTest, BitFlippedTailRecordIsTruncatedAndRecomputed)
     spill(path, text);
 
     sweep::Table t2{abSchema()};
-    ASSERT_EQ(run(true, &t2, &st, &err), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&t2, &st, &err), sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, 5u);
     EXPECT_EQ(st.computed, 1u);
@@ -305,7 +304,7 @@ TEST_F(JournalTest, BitFlipBeforeValidRecordsRefusesAsCorrupt)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     // Damage the *second* line (first record) — valid records follow,
     // so this is not a torn tail and must refuse.
@@ -317,7 +316,7 @@ TEST_F(JournalTest, BitFlipBeforeValidRecordsRefusesAsCorrupt)
     spill(path, text);
 
     sweep::Table t2{abSchema()};
-    EXPECT_EQ(run(true, &t2, &st, &err),
+    EXPECT_EQ(run(&t2, &st, &err),
               sweep::JournalStatus::Corrupt);
     EXPECT_NE(err.find("valid data after"), std::string::npos) << err;
 }
@@ -327,14 +326,35 @@ TEST_F(JournalTest, DifferentGridRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     sweep::Grid other;
     other.axis("a", {1, 2, 3}).axis("b", {5, 6, 7}); // b grew
     sweep::Table t2{abSchema()};
-    EXPECT_EQ(run(true, &t2, &st, &err, nullptr, &other),
+    EXPECT_EQ(run(&t2, &st, &err, nullptr, &other),
               sweep::JournalStatus::HeaderMismatch);
     EXPECT_NE(err.find("grid_hash"), std::string::npos) << err;
+}
+
+/** There is no fresh-journal mode: a journal path that holds another
+ *  grid's journal is refused before any point runs, and the file
+ *  keeps every byte. */
+TEST_F(JournalTest, AnotherGridsJournalIsRefusedAndKeepsItsBytes)
+{
+    sweep::Table t1{abSchema()};
+    sweep::ResumeStats st;
+    std::string err;
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok) << err;
+    const std::string before = slurp(path);
+
+    sweep::Grid other;
+    other.axis("a", {1, 2}).axis("b", {5});
+    sweep::Table t2{abSchema()};
+    size_t calls = 0;
+    EXPECT_EQ(run(&t2, &st, &err, &calls, &other),
+              sweep::JournalStatus::HeaderMismatch);
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(slurp(path), before);
 }
 
 TEST_F(JournalTest, DifferentSaltRefusesAsHeaderMismatch)
@@ -342,10 +362,10 @@ TEST_F(JournalTest, DifferentSaltRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     sweep::Table t2{abSchema()};
-    EXPECT_EQ(run(true, &t2, &st, &err, nullptr, nullptr,
+    EXPECT_EQ(run(&t2, &st, &err, nullptr, nullptr,
                   "another model"),
               sweep::JournalStatus::HeaderMismatch);
     EXPECT_NE(err.find("salt"), std::string::npos) << err;
@@ -361,7 +381,7 @@ TEST_F(JournalTest, LegacyUnfusedHeaderRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
     const std::string original = slurp(path);
     auto withFuse = [&](const std::string &mode) {
         std::string text = original;
@@ -373,14 +393,14 @@ TEST_F(JournalTest, LegacyUnfusedHeaderRefusesAsHeaderMismatch)
     spill(path, withFuse("off"));
     sweep::Table t2{abSchema()};
     size_t calls = 0;
-    EXPECT_EQ(run(true, &t2, &st, &err, &calls),
+    EXPECT_EQ(run(&t2, &st, &err, &calls),
               sweep::JournalStatus::HeaderMismatch);
     EXPECT_NE(err.find("backend"), std::string::npos) << err;
     EXPECT_EQ(calls, 0u);
 
     spill(path, withFuse("on"));
     sweep::Table t3{abSchema()};
-    ASSERT_EQ(run(true, &t3, &st, &err, &calls),
+    ASSERT_EQ(run(&t3, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 0u);
@@ -392,7 +412,7 @@ TEST_F(JournalTest, DuplicateRecordsResolveLastWriteWins)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(false, &t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
 
     // Forge a well-formed duplicate for point 0 carrying different
     // cells; appended later, it must win the replay.
@@ -403,7 +423,7 @@ TEST_F(JournalTest, DuplicateRecordsResolveLastWriteWins)
 
     sweep::Table t2{abSchema()};
     size_t calls = 0;
-    ASSERT_EQ(run(true, &t2, &st, &err, &calls),
+    ASSERT_EQ(run(&t2, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 0u);
@@ -421,7 +441,7 @@ TEST_F(JournalTest, HeaderlessFileIsRecreatedFresh)
     sweep::ResumeStats st;
     std::string err;
     size_t calls = 0;
-    ASSERT_EQ(run(true, &t, &st, &err, &calls),
+    ASSERT_EQ(run(&t, &st, &err, &calls),
               sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(calls, 6u);
@@ -430,7 +450,7 @@ TEST_F(JournalTest, HeaderlessFileIsRecreatedFresh)
     // And the recreated journal resumes normally afterwards.
     sweep::Table t2{abSchema()};
     calls = 0;
-    ASSERT_EQ(run(true, &t2, &st, &err, &calls),
+    ASSERT_EQ(run(&t2, &st, &err, &calls),
               sweep::JournalStatus::Ok);
     EXPECT_EQ(calls, 0u);
     EXPECT_EQ(t.csv(), t2.csv());
@@ -444,7 +464,7 @@ TEST_F(JournalTest, UnreadableHeaderLineRefusesAsCorrupt)
     sweep::Table t{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    EXPECT_EQ(run(true, &t, &st, &err), sweep::JournalStatus::Corrupt);
+    EXPECT_EQ(run(&t, &st, &err), sweep::JournalStatus::Corrupt);
     EXPECT_NE(err.find("header"), std::string::npos) << err;
 }
 
@@ -494,7 +514,7 @@ TEST_F(JournalTest, FailedAppendStopsSimulating)
 }
 
 /** A point that throws fails the sweep with its index; the rows
- *  journaled before it survive, so a resume replays exactly the points
+ *  journaled before it survive, so a rerun replays exactly the points
  *  before it and computes the rest. */
 TEST_F(JournalTest, ThrowingPointLeavesEarlierRowsToResume)
 {
@@ -532,13 +552,13 @@ TEST_F(JournalTest, ThrowingPointLeavesEarlierRowsToResume)
 
     sweep::ResumeStats st;
     size_t calls = 0;
-    ASSERT_EQ(run(true, &t, &st, &err, &calls), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&t, &st, &err, &calls), sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, k);
     EXPECT_EQ(calls, points.size() - k);
     sweep::Table fresh{abSchema()};
     std::remove(path.c_str());
-    ASSERT_EQ(run(false, &fresh, &st, &err), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&fresh, &st, &err), sweep::JournalStatus::Ok)
         << err;
     EXPECT_EQ(t.csv(), fresh.csv());
 }
@@ -613,7 +633,7 @@ class ShardMergeTest : public JournalTest {
     {
         sweep::RowLog j(sweep::RowLog::Policy::Refuse);
         sweep::RowLog::Recovery rec;
-        ASSERT_EQ(j.open(at, h, abSchema(), /*resume=*/false, &rec),
+        ASSERT_EQ(j.open(at, h, abSchema(), &rec),
                   sweep::JournalStatus::Ok)
             << rec.error;
         std::string err;
@@ -719,7 +739,6 @@ TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
                 opts.journalPath = sibling(
                     std::string(sim::backendName(backend)) + "_" +
                     std::to_string(n) + "_" + std::to_string(k));
-                opts.resume = true;
                 sweep::Table part{spec.schema()};
                 ASSERT_EQ(serve::runLocalSweepDurable(
                               spec, slice, 1, mode, opts, identity,
