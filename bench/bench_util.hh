@@ -1,16 +1,19 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses, built on the sweep
- * subsystem (src/sweep/) and the serve::ProgramCache session pool:
- * the harness command line (the sweep layer's shared flags plus
- * --json/--no-wall) and runSweep, the journaled sweep behind it with
- * eqsweep's exit contract.
+ * Shared helpers for the experiment harnesses: the harness command
+ * line (the sweep layer's shared flags plus --json/--no-wall) and
+ * runSweep, which hands a harness's spec, schema and row function to
+ * serve::runLocalSweepDurable, eqsweep's in-process driver, and exits
+ * with eqsweep's exit codes. The driver builds the runner and the
+ * session pool and derives the journal salt and content keys from
+ * the configs a harness runs; a harness writes none of them.
  */
 
 #ifndef EQ_BENCH_BENCH_UTIL_HH
 #define EQ_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "base/fsutil.hh"
-#include "serve/cache.hh"
 #include "serve/models.hh"
 #include "sim/engine.hh"
 #include "sweep/grid.hh"
@@ -31,13 +33,44 @@
 namespace eq {
 namespace bench {
 
-/** Average SRAM (ofmap) write bandwidth of a systolic run, in bytes
- *  per simulated cycle. */
-inline double
-ofmapWriteBw(const sim::SimReport &report)
+/** The Fig. 9 schema: the swept dimension (@p label, e.g. "4x4"),
+ *  EQueue vs SCALE-Sim cycles and average SRAM ofmap write bandwidth
+ *  (bytes per simulated cycle), then wall seconds of the engine build
+ *  (the program cache's rebuild, 0 when a point reused a program), of
+ *  the engine run and of the scalesim::simulate call. */
+inline std::vector<sweep::Column>
+fig9Schema(const std::string &label)
 {
-    return serve::sramTraffic(report).writeBytes /
-           std::max<double>(1.0, double(report.cycles));
+    return {{label, sweep::ValueKind::Str, 8, 0},
+            {"eq_cycles", sweep::ValueKind::Int, 12, 0},
+            {"ss_cycles", sweep::ValueKind::Int, 12, 0},
+            {"eq_ofmap_wr_bw", sweep::ValueKind::Real, 16, 4},
+            {"ss_ofmap_wr_bw", sweep::ValueKind::Real, 16, 4},
+            {"eq_build_s", sweep::ValueKind::Real, 12, 4},
+            {"eq_wall_s", sweep::ValueKind::Real, 12, 4},
+            {"ss_wall_s", sweep::ValueKind::Real, 12, 6}};
+}
+
+/** The fig9Schema row of the systolic config @p handle pins, with
+ *  @p size (a square dimension) as its label. */
+inline std::vector<sweep::Cell>
+fig9Row(int64_t size, serve::ProgramCache::Handle &handle)
+{
+    const sim::SimReport report = handle.run();
+    const auto t0 = std::chrono::steady_clock::now();
+    const scalesim::Result ss = scalesim::simulate(handle.key().systolic);
+    const double ss_wall = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    return {std::to_string(size) + "x" + std::to_string(size),
+            static_cast<int64_t>(report.cycles),
+            static_cast<int64_t>(ss.cycles),
+            serve::sramTraffic(report).writeBytes /
+                std::max<double>(1.0, double(report.cycles)),
+            ss.avgOfmapWriteBw,
+            handle.buildSeconds(),
+            report.wallSeconds,
+            ss_wall};
 }
 
 /** True when the full (slow) sweep was requested via EQ_FULL_SWEEP=1. */
@@ -108,6 +141,13 @@ struct HarnessArgs {
         return a;
     }
 
+    /** The worker threads a harness sweep of @p num_points runs on. */
+    unsigned
+    threadsFor(size_t num_points) const
+    {
+        return sweep::SweepRunner({flags.threads}).threadsFor(num_points);
+    }
+
     /** Print @p table to stdout and write any requested CSV/JSON
      *  (atomically, fs::writeFileAtomic). With --no-wall, wall-clock
      *  columns (by convention named with an `_s` seconds suffix) are
@@ -143,46 +183,40 @@ struct HarnessArgs {
 };
 
 /**
- * Run a harness sweep through sweep::runSweepCommand, the exit
- * contract eqsweep answers with: with no --journal or --cache that is
- * the plain SweepRunner path, and with them the crash-safety layer —
+ * Run a harness sweep of @p spec over @p grid (spec.grid(), possibly
+ * filtered) through serve::runLocalSweepDurable, the driver behind
+ * eqsweep, and answer with eqsweep's exit contract
+ * (sweep::runSweepCommand). With no --journal or --cache that is the
+ * plain SweepRunner path; with them, the crash-safety layer —
  * byte-identical tables either way for deterministic columns
  * (wall-clock columns replay recorded values; --no-wall drops them
  * before comparison, as always). A journal of this sweep already at
  * the path is replayed, so rerunning a journaled command recomputes
  * nothing; to re-measure the wall-clock columns, delete the journal.
  *
- * @p salt names this harness's sweep identity (harness name + fixed
- * config), so a journal from a different figure is refused even when
- * the grids coincide. The content key of a point is @p salt plus its
- * axis values in grid order. A refused journal, an I/O failure or a
- * point that throws ends the process with the structured error line
- * and exit code (1, 3, 4 or 6) instead of a table.
+ * The harness's program name tags the sweep (serve::SweepRows::tag):
+ * the journal is salted with it and the spec's base config, and each
+ * point's content key is it plus the ModelKey the point simulates
+ * (@p key, default spec.keyAt). A journal of another harness or of
+ * another fixed config is refused, and cache rows of another config
+ * miss. A refused journal, an I/O failure or a point that throws ends
+ * the process with the structured error line and exit code (1, 3, 4
+ * or 6) instead of a table.
  */
 inline sweep::Table
-runSweep(const HarnessArgs &args, const sweep::SweepRunner &runner,
-         const std::vector<sweep::Point> &points,
-         std::vector<sweep::Column> schema, const std::string &salt,
-         const sweep::SweepRunner::RowFn &fn)
+runSweep(const HarnessArgs &args, const serve::SweepSpec &spec,
+         const sweep::Grid &grid,
+         std::vector<sweep::Column> schema, serve::SweepRows::RowFn row,
+         serve::SweepRows::KeyFn key = {})
 {
-    auto keyFn = [&salt](const sweep::Point &p) {
-        std::string key = salt;
-        for (int64_t v : p.values()) {
-            key += ' ';
-            key += std::to_string(v);
-        }
-        return key;
-    };
-    const sweep::RowLogHeader identity =
-        sweep::gridIdentity(points, schema, salt, args.flags.engine);
-    sweep::Table table{schema};
-    const sweep::JournalOptions &opts = args.flags.durability;
+    const serve::SweepRows rows{args.program + " ", std::move(schema),
+                                std::move(row), std::move(key)};
+    sweep::Table table{rows.schema};
     if (int code = sweep::runSweepCommand(
-            args.program, opts,
+            args.program, args.flags.durability,
             [&](sweep::ResumeStats *stats, std::string *err) {
-                return sweep::runJournaledSweep(runner, points, schema,
-                                                keyFn, fn, opts, identity,
-                                                &table, stats, err);
+                return serve::runLocalSweepDurable(spec, grid, args.flags,
+                                                   rows, &table, stats, err);
             }))
         std::exit(code);
     return table;

@@ -5,22 +5,19 @@
  * {2..32}, Fh = Fw = C in {1,2,4}, N in {1..32}, all three dataflows
  * (4,050 points in the paper).
  *
- * The sweep runs through the SweepRunner subsystem: points shard across
- * worker threads sharing a serve::ProgramCache with one sim::Session
- * per thread, so the full grid (EQ_FULL_SWEEP=1) is minutes-fast on a
- * multicore host instead of an opt-in marathon. Rows are ordered by
- * point index — byte-identical for any thread count (EQ_SWEEP_THREADS
- * or --threads N).
+ * The sweep runs through serve::runLocalSweepDurable (bench::runSweep):
+ * points shard across worker threads sharing a serve::ProgramCache
+ * with one sim::Session per thread, so the full grid (EQ_FULL_SWEEP=1)
+ * is minutes-fast on a multicore host instead of an opt-in marathon.
+ * Rows are ordered by point index — byte-identical for any thread
+ * count (EQ_SWEEP_THREADS or --threads N). The key function holds the
+ * figure's rule Aw = 64/Ah, C = Fh, so journal and cache rows are
+ * keyed on the configs actually simulated.
  *
  * Columns: simulated cycles (x-axis of every subplot), simulator
  * execution time (12a), SRAM peak write BW x portion (12b), and loop
  * iterations = ceil(D1/Ah)*ceil(D2/Aw) (12c-e). --csv/--json emit the
  * table for plotting.
- *
- * The analytic columns are batched: one scalesim::simulateBatch pass
- * over the whole grid before the sweep starts (ROADMAP "Sweep-aware
- * scalesim fusion"), so sweep workers spend their time on the engine
- * only.
  */
 
 #include <cstdio>
@@ -54,33 +51,9 @@ main(int argc, char **argv)
         return p.at("hw") >= p.at("f");
     });
 
-    sweep::SweepRunner runner({args.flags.threads});
-    auto points = grid.points();
-    serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.flags.engine);
-
     std::printf("# Fig 12: scalability sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
-                runner.threadsFor(points.size()));
-
-    // The axes set df, Ah, H = W, Fh = Fw and N; the array keeps 64
-    // PEs (Aw = 64/Ah) and the channel count follows the filter.
-    std::vector<serve::ModelKey> keys;
-    keys.reserve(points.size());
-    for (const auto &p : points) {
-        keys.push_back(spec.keyAt(p));
-        scalesim::Config &cfg = keys.back().systolic;
-        cfg.aw = 64 / cfg.ah;
-        cfg.c = cfg.fh;
-    }
-
-    // Fused analytic pass over the full grid, indexed by dense point
-    // index; the sweep below never calls the analytic model.
-    std::vector<scalesim::Config> cfgs;
-    cfgs.reserve(points.size());
-    for (const auto &key : keys)
-        cfgs.push_back(key.systolic);
-    auto ss_results = scalesim::simulateBatch(cfgs);
+                args.threadsFor(grid.size()));
 
     std::vector<sweep::Column> schema{
         {"df", sweep::ValueKind::Str, 4, 0},
@@ -96,12 +69,12 @@ main(int argc, char **argv)
     };
 
     auto table = bench::runSweep(
-        args, runner, points, schema,
-        full ? "fig12 full" : "fig12 sampled",
-        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            const scalesim::Config &cfg = cfgs[p.index()];
-            const sim::SimReport report = cache.acquire(keys[p.index()]).run();
-            const auto &ss = ss_results[p.index()];
+        args, spec, grid, schema,
+        [](const sweep::Point &, serve::ProgramCache::Handle &handle)
+            -> std::vector<sweep::Cell> {
+            const scalesim::Config &cfg = handle.key().systolic;
+            const sim::SimReport report = handle.run();
+            const scalesim::Result ss = scalesim::simulate(cfg);
             return {scalesim::dataflowName(cfg.dataflow),
                     cfg.ah,
                     cfg.aw,
@@ -112,6 +85,14 @@ main(int argc, char **argv)
                     report.wallSeconds,
                     ss.peakWriteBwTimesPortion,
                     static_cast<int64_t>(ss.loopIterations)};
+        },
+        // The axes set df, Ah, H = W, Fh = Fw and N; the array keeps 64
+        // PEs (Aw = 64/Ah) and the channel count follows the filter.
+        [&spec](const sweep::Point &p) {
+            serve::ModelKey key = spec.keyAt(p);
+            key.systolic.aw = 64 / key.systolic.ah;
+            key.systolic.c = key.systolic.fh;
+            return key;
         });
 
     args.emit(table);

@@ -4,18 +4,11 @@
  * the ifmap size (2x2 .. 32x32) with fixed 2x2x3 weights. Reports
  * simulated cycles and average SRAM ofmap write bandwidth for both
  * simulators, plus wall-clock execution time (the §VI-C cost
- * comparison: SCALE-Sim <= 1.1 s vs EQueue <= 7.2 s in the paper).
- * Engine build and simulate time are reported separately (eq_build_s
- * is the program cache's rebuild, 0 when a point reused a program;
- * eq_wall_s is pure engine execution).
- *
- * The analytic columns are batched: every point's SCALE-Sim result is
- * computed up front in one scalesim::simulateBatch pass, so the sweep
- * workers only run the engine; ss_wall_s is the batch's amortized
- * per-point cost.
+ * comparison: SCALE-Sim <= 1.1 s vs EQueue <= 7.2 s in the paper):
+ * the engine build and run and the SCALE-Sim call, reported
+ * separately (bench::fig9Schema).
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -37,53 +30,11 @@ main(int argc, char **argv)
     base.fh = base.fw = 2;
     base.dataflow = scalesim::Dataflow::WS;
     spec.axes = {{"hw", {2, 4, 8, 16, 32}}};
-    const sweep::Grid grid = spec.grid();
-
-    std::vector<sweep::Column> schema{
-        {"ifmap", sweep::ValueKind::Str, 8, 0},
-        {"eq_cycles", sweep::ValueKind::Int, 12, 0},
-        {"ss_cycles", sweep::ValueKind::Int, 12, 0},
-        {"eq_ofmap_wr_bw", sweep::ValueKind::Real, 16, 4},
-        {"ss_ofmap_wr_bw", sweep::ValueKind::Real, 16, 4},
-        {"eq_build_s", sweep::ValueKind::Real, 12, 4},
-        {"eq_wall_s", sweep::ValueKind::Real, 12, 4},
-        {"ss_wall_s", sweep::ValueKind::Real, 12, 6},
-    };
-
-    sweep::SweepRunner runner({args.flags.threads});
-    auto points = grid.points();
-    serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.flags.engine);
-
-    // Fused analytic pass: all SCALE-Sim columns, indexed by the dense
-    // point index, computed before the sweep starts.
-    std::vector<scalesim::Config> cfgs;
-    cfgs.reserve(points.size());
-    for (const auto &p : points)
-        cfgs.push_back(spec.keyAt(p).systolic);
-    auto t0 = std::chrono::steady_clock::now();
-    auto ss_results = scalesim::simulateBatch(cfgs);
-    double ss_wall_each =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count() /
-        std::max<size_t>(1, points.size());
 
     auto table = bench::runSweep(
-        args, runner, points, schema, "fig9_scalesim_ifmap",
-        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            int hw = static_cast<int>(p.at("hw"));
-            auto handle = cache.acquire(spec.keyAt(p));
-            const sim::SimReport report = handle.run();
-            const auto &ss = ss_results[p.index()];
-            return {std::to_string(hw) + "x" + std::to_string(hw),
-                    static_cast<int64_t>(report.cycles),
-                    static_cast<int64_t>(ss.cycles),
-                    bench::ofmapWriteBw(report),
-                    ss.avgOfmapWriteBw,
-                    handle.buildSeconds(),
-                    report.wallSeconds,
-                    ss_wall_each};
+        args, spec, spec.grid(), bench::fig9Schema("ifmap"),
+        [](const sweep::Point &p, serve::ProgramCache::Handle &handle) {
+            return bench::fig9Row(p.at("hw"), handle);
         });
 
     args.emit(table);

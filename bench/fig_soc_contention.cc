@@ -6,13 +6,14 @@
  * paper-style "how much does the interconnect cost" curve for systems
  * bigger than one accelerator.
  *
- * Runs on the SweepRunner subsystem: points shard across worker
- * threads sharing a serve::ProgramCache (one sim::Session per thread,
- * rebuilt only when a point's ModelKey is not cached), and each point's
- * config is the dual-shared-bus SoC with the axes applied through
- * serve::applyAxis — "tiles" is N alternating WS/OS 2x2 tiles on
- * 8 B/cyc private links. Rows are ordered by point index so the table is
- * byte-identical for any --threads value. Simulated columns are
+ * Runs on serve::runLocalSweepDurable (bench::runSweep): points shard
+ * across worker threads sharing a serve::ProgramCache (one
+ * sim::Session per thread, rebuilt only when a point's ModelKey is not
+ * cached), and each point's config is the dual-shared-bus SoC with
+ * the axes applied through serve::applyAxis — "tiles" is N
+ * alternating WS/OS 2x2 tiles on 8 B/cyc private links. Rows are
+ * ordered by point index so the table is byte-identical for any
+ * --threads value. Simulated columns are
  * backend-independent; pass --no-wall to drop the wall-clock column
  * when diffing across machines.
  *
@@ -48,14 +49,9 @@ main(int argc, char **argv)
         return p.at("dmas") <= p.at("tiles");
     });
 
-    sweep::SweepRunner runner({args.flags.threads});
-    auto points = grid.points();
-    serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.flags.engine);
-
     std::printf("# SoC shared-bus contention sweep (%s; %u threads)\n",
                 full ? "full grid" : "sampled; EQ_FULL_SWEEP=1 for all",
-                runner.threadsFor(points.size()));
+                args.threadsFor(grid.size()));
 
     std::vector<sweep::Column> schema{
         {"tiles", sweep::ValueKind::Int, 5, 0},
@@ -69,10 +65,10 @@ main(int argc, char **argv)
     };
 
     auto table = bench::runSweep(
-        args, runner, points, schema,
-        full ? "fig_soc_contention full" : "fig_soc_contention sampled",
-        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            const sim::SimReport report = cache.acquire(spec.keyAt(p)).run();
+        args, spec, grid, schema,
+        [](const sweep::Point &p, serve::ProgramCache::Handle &handle)
+            -> std::vector<sweep::Cell> {
+            const sim::SimReport report = handle.run();
             const serve::BusTraffic bus = serve::busTraffic(report);
             return {p.at("tiles"),
                     p.at("dmas"),

@@ -489,37 +489,30 @@ BM_SweepResume(benchmark::State &state, bool warm)
     spec.base = serve::defaultKey(serve::ModelKind::Systolic);
     spec.axes = {{"ah", {2, 4, 8}}, {"aw", {2, 4, 8}}};
 
-    const sim::EngineOptions engine = engineFor(sim::Backend::Compiled);
-    sweep::Grid grid = spec.grid();
-    std::vector<sweep::Point> points = grid.points();
-    const sweep::RowLogHeader identity = sweep::gridIdentity(
-        points, spec.schema(), spec.saltString(), engine);
+    sweep::SweepFlags flags;
+    flags.threads = 1;
+    flags.engine = engineFor(sim::Backend::Compiled);
+    const sweep::Grid grid = spec.grid();
 
     char dirTemplate[] = "/tmp/eqsim_bm_sweep_XXXXXX";
     const char *dir = mkdtemp(dirTemplate);
-    sweep::JournalOptions opts;
     if (warm && dir) {
-        opts.cachePath = std::string(dir) + "/cache.ndjson";
+        flags.durability.cachePath = std::string(dir) + "/cache.ndjson";
         sweep::Table primer{spec.schema()};
-        sweep::ResumeStats st;
-        std::string err;
-        serve::runLocalSweepDurable(spec, points, 1, engine, opts,
-                                    identity, &primer, &st, &err);
+        serve::runLocalSweepDurable(spec, grid, flags, {}, &primer,
+                                    nullptr, nullptr);
     }
     for (auto _ : state) {
         sweep::Table table{spec.schema()};
-        sweep::ResumeStats st;
-        std::string err;
         if (warm) {
-            serve::runLocalSweepDurable(spec, points, 1, engine, opts,
-                                        identity, &table, &st, &err);
+            serve::runLocalSweepDurable(spec, grid, flags, {}, &table,
+                                        nullptr, nullptr);
         } else {
-            table = serve::runLocalSweep(spec, 1, engine);
+            table = serve::runLocalSweep(spec, 1, flags.engine);
         }
         benchmark::DoNotOptimize(table.numRows());
     }
-    state.SetItemsProcessed(state.iterations() *
-                            int64_t(points.size()));
+    state.SetItemsProcessed(state.iterations() * int64_t(grid.size()));
     if (dir) {
         std::remove((std::string(dir) + "/cache.ndjson").c_str());
         ::rmdir(dir);

@@ -65,22 +65,12 @@ main(int argc, char **argv)
 {
     auto args = eq::bench::HarnessArgs::parse(
         argc, argv, {"--csv", "--json", "--no-wall"});
-    const char *gen_cc = "../src/systolic/generator.cc";
-    const char *gen_hh = "../src/systolic/generator.hh";
-    // Allow running from the repo root as well as from build/.
-    auto count_both = [&](bool df_only) {
-        int a = countLines(gen_cc, df_only);
-        int b = countLines(gen_hh, df_only);
-        if (a < 0 || b < 0) {
-            a = countLines("src/systolic/generator.cc", df_only);
-            b = countLines("src/systolic/generator.hh", df_only);
-        }
-        if (a < 0 || b < 0) {
-            a = countLines("/root/repo/src/systolic/generator.cc",
-                           df_only);
-            b = countLines("/root/repo/src/systolic/generator.hh",
-                           df_only);
-        }
+    // The generator's sources, from this build's source tree.
+    auto count_both = [](bool df_only) {
+        const int a =
+            countLines(EQSIM_SYSTOLIC_SRC_DIR "/generator.cc", df_only);
+        const int b =
+            countLines(EQSIM_SYSTOLIC_SRC_DIR "/generator.hh", df_only);
         return (a < 0 || b < 0) ? -1 : a + b;
     };
     int total = count_both(false);

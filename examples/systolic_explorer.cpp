@@ -8,9 +8,10 @@
  *
  *   $ ./systolic_explorer [Ah Aw H N Fh C]   (defaults: 4 4 16 4 3 3)
  *
- * Each dimension is an integer >= 1. The harness flags apply
- * (bench_util.hh): --threads, --backend, --journal, --cache, --fsync,
- * --csv, --json and --no-wall.
+ * Each dimension is an integer >= 1 and the filter fits the ifmap
+ * (SweepSpec::validate); any other shape is a structured usage error
+ * (exit 2). The harness flags apply (bench_util.hh): --threads,
+ * --backend, --journal, --cache, --fsync, --csv, --json and --no-wall.
  */
 
 #include <cstdio>
@@ -29,33 +30,24 @@ main(int argc, char **argv)
     bool ok = pos.size() <= std::size(dims);
     for (size_t i = 0; ok && i < pos.size(); ++i)
         ok = parseInt(pos[i], 1, &dims[i]);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "usage: %s [Ah Aw H N Fh C] (integers >= 1) "
-                     "[harness flags]\n",
-                     args.program.c_str());
-        return 2;
-    }
-    scalesim::Config base;
+    serve::SweepSpec spec;
+    scalesim::Config &base = spec.base.systolic;
     base.ah = dims[0];
     base.aw = dims[1];
     base.h = base.w = dims[2];
     base.n = dims[3];
     base.fh = base.fw = dims[4];
     base.c = dims[5];
-    if (base.h < base.fh) {
-        std::fprintf(stderr, "filter larger than ifmap\n");
-        return 1;
+    spec.axes = {{"df", {0, 1, 2}}};
+    std::string err = "shape is [Ah Aw H N Fh C], integers >= 1";
+    if (!ok || !spec.validate(&err)) {
+        sweep::printError(args.program, "usage", err);
+        return 2;
     }
 
     std::printf("array %dx%d, ifmap %dx%dx%d, %d filters of %dx%dx%d\n",
                 base.ah, base.aw, base.c, base.h, base.w, base.n,
                 base.fh, base.fw, base.c);
-
-    serve::SweepSpec spec;
-    spec.base = serve::ModelKey::systolicKey(base);
-    spec.axes = {{"df", {0, 1, 2}}};
-    const sweep::Grid grid = spec.grid();
 
     std::vector<sweep::Column> schema{
         {"df", sweep::ValueKind::Str, 4, 0},
@@ -67,18 +59,12 @@ main(int argc, char **argv)
         {"util_pct", sweep::ValueKind::Real, 10, 1},
     };
 
-    sweep::SweepRunner runner({args.flags.threads});
-    auto points = grid.points();
-    serve::ProgramCache cache(runner.threadsFor(points.size()),
-                              args.flags.engine);
-
     auto table = bench::runSweep(
-        args, runner, points, schema,
-        "systolic_explorer " + spec.saltString(),
-        [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            const serve::ModelKey key = spec.keyAt(p);
-            const scalesim::Config &cfg = key.systolic;
-            const sim::SimReport report = cache.acquire(key).run();
+        args, spec, spec.grid(), schema,
+        [](const sweep::Point &, serve::ProgramCache::Handle &handle)
+            -> std::vector<sweep::Cell> {
+            const scalesim::Config &cfg = handle.key().systolic;
+            const sim::SimReport report = handle.run();
             auto ss = scalesim::simulate(cfg);
             const serve::SramTraffic sram = serve::sramTraffic(report);
 

@@ -138,19 +138,5 @@ simulate(const Config &cfg)
     return r;
 }
 
-std::vector<Result>
-simulateBatch(const std::vector<Config> &cfgs)
-{
-    // One fused pass: the per-config closed form is branch-light and
-    // touches only the Config POD, so evaluating the whole grid shard
-    // back-to-back keeps everything in cache and pays the call/setup
-    // overhead once instead of once per sweep point.
-    std::vector<Result> out;
-    out.reserve(cfgs.size());
-    for (const Config &cfg : cfgs)
-        out.push_back(simulate(cfg));
-    return out;
-}
-
 } // namespace scalesim
 } // namespace eq

@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "base/fields.hh"
 
@@ -108,17 +107,6 @@ struct Result {
 
 /** Run the analytic model. */
 Result simulate(const Config &cfg);
-
-/**
- * Evaluate the analytic model for a whole batch of configurations in
- * one fused pass (ROADMAP "Sweep-aware scalesim fusion"): sweep
- * harnesses precompute every grid point's analytic columns up front —
- * one tight loop over plain-old-data configs, no per-point call from
- * the sweep workers — so the SCALE-Sim columns are near-free next to
- * the engine simulations sharing the row.
- * @return results[i] == simulate(cfgs[i]) for every i
- */
-std::vector<Result> simulateBatch(const std::vector<Config> &cfgs);
 
 } // namespace scalesim
 } // namespace eq

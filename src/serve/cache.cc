@@ -4,6 +4,7 @@
 #include <string>
 
 #include "serve/faults.hh"
+#include "serve/models.hh"
 
 namespace eq {
 namespace serve {
@@ -32,6 +33,12 @@ ProgramCache::ProgramCache(size_t max_entries, sim::EngineOptions engine)
       _engine(engine)
 {
     _stats.capacity = _capacity;
+}
+
+ProgramCache::Handle
+ProgramCache::acquire(const ModelKey &key)
+{
+    return acquireHashed(key.hash(), key);
 }
 
 ProgramCache::Handle

@@ -2,8 +2,8 @@
  * @file
  * ProgramCache: the one pool of sim::Sessions, and the only code that
  * decides when a Session is rebuilt for a ModelKey. The daemon keeps
- * one across requests; every in-process sweep (runLocalSweep*, the
- * bench harnesses, the examples) keeps one sized to its thread count.
+ * one across requests; runLocalSweepDurable, the driver of every
+ * in-process sweep, keeps one sized to its thread count.
  *
  * Each entry owns a full sim::Session for one structural config — a
  * Context, a Simulator and the pinned module, whose value numbering,
@@ -47,11 +47,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serve/models.hh"
 #include "sim/session.hh"
 
 namespace eq {
 namespace serve {
+
+struct ModelKey; // serve/models.hh, which includes this header
 
 class ProgramCache {
   public:
@@ -110,10 +111,7 @@ class ProgramCache {
     };
 
     /** Look up (or create) the entry for @p key. */
-    Handle acquire(const ModelKey &key)
-    {
-        return acquireHashed(key.hash(), key);
-    }
+    Handle acquire(const ModelKey &key);
 
     /** Same, with the hash supplied by the caller — the test seam
      *  that lets unit tests force two different keys onto one hash

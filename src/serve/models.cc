@@ -533,13 +533,6 @@ SweepSpec::validate(std::string *err) const
 }
 
 std::string
-SweepSpec::pointKey(const sweep::Point &point) const
-{
-    return std::string(modelName(base.kind)) + " " +
-           modelKeyToJson(keyAt(point)).dump();
-}
-
-std::string
 SweepSpec::saltString() const
 {
     return std::string(modelName(base.kind)) + " " +
@@ -618,18 +611,31 @@ SweepSpec::fromJson(const Json &request, SweepSpec *out,
 // ---------------------------------------------------------------------------
 // In-process sweeps
 
+std::string
+contentKey(const std::string &tag, const ModelKey &key)
+{
+    return tag + modelName(key.kind) + " " + modelKeyToJson(key).dump();
+}
+
+sweep::RowLogHeader
+sweepIdentity(const SweepSpec &spec, const sweep::Grid &grid,
+              const SweepRows &rows, const sim::EngineOptions &engine)
+{
+    return sweep::gridIdentity(
+        grid.points(), rows.schema.empty() ? spec.schema() : rows.schema,
+        rows.tag + spec.saltString(), engine);
+}
+
 sweep::Table
 runLocalSweep(const SweepSpec &spec, unsigned threads,
               sim::EngineOptions engine)
 {
-    const sweep::Grid g = spec.grid();
-    const std::vector<sweep::Point> points = g.points();
+    sweep::SweepFlags flags;
+    flags.threads = threads;
+    flags.engine = engine;
     sweep::Table table{spec.schema()};
     sweep::JournalStatus status = runLocalSweepDurable(
-        spec, points, threads, engine, {},
-        sweep::gridIdentity(points, spec.schema(), spec.saltString(),
-                            engine),
-        &table, nullptr, nullptr);
+        spec, spec.grid(), flags, {}, &table, nullptr, nullptr);
     // Without a journal or a cache there is nothing to refuse.
     assert(status == sweep::JournalStatus::Ok);
     (void)status;
@@ -637,26 +643,31 @@ runLocalSweep(const SweepSpec &spec, unsigned threads,
 }
 
 sweep::JournalStatus
-runLocalSweepDurable(const SweepSpec &spec,
-                     const std::vector<sweep::Point> &points,
-                     unsigned threads, sim::EngineOptions engine,
-                     const sweep::JournalOptions &opts,
-                     const sweep::RowLogHeader &identity,
+runLocalSweepDurable(const SweepSpec &spec, const sweep::Grid &grid,
+                     const sweep::SweepFlags &flags, const SweepRows &rows,
                      sweep::Table *out, sweep::ResumeStats *stats,
-                     std::string *err)
+                     std::string *err, std::pair<uint64_t, uint64_t> shard)
 {
-    sweep::RunnerOptions ropts;
-    ropts.threads = threads;
-    sweep::SweepRunner runner(ropts);
+    const std::vector<sweep::Point> points = grid.points();
+    const auto [begin, end] =
+        sweep::shardStripe(points.size(), shard.first, shard.second);
+    const std::vector<sweep::Point> slice(points.begin() + ptrdiff_t(begin),
+                                          points.begin() + ptrdiff_t(end));
+    auto keyAt = [&](const sweep::Point &p) {
+        return rows.key ? rows.key(p) : spec.keyAt(p);
+    };
 
-    ProgramCache cache(runner.threadsFor(points.size()), engine);
+    const sweep::SweepRunner runner({flags.threads});
+    ProgramCache cache(runner.threadsFor(slice.size()), flags.engine);
     return sweep::runJournaledSweep(
-        runner, points, spec.schema(),
-        [&](const sweep::Point &p) { return spec.pointKey(p); },
+        runner, slice, rows.schema.empty() ? spec.schema() : rows.schema,
+        [&](const sweep::Point &p) { return contentKey(rows.tag, keyAt(p)); },
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            return spec.row(p, cache.acquire(spec.keyAt(p)).run());
+            ProgramCache::Handle handle = cache.acquire(keyAt(p));
+            return rows.row ? rows.row(p, handle) : spec.row(p, handle.run());
         },
-        opts, identity, out, stats, err);
+        flags.durability, sweepIdentity(spec, grid, rows, flags.engine),
+        out, stats, err);
 }
 
 } // namespace serve

@@ -18,18 +18,29 @@
  * produce rows through the same schema()/row() functions, which is
  * what makes a served sweep byte-identical to the in-process table
  * after the client re-merges rows by point index.
+ *
+ * runLocalSweepDurable is the one in-process sweep driver, behind
+ * eqsweep and every bench harness. It alone builds the runner and its
+ * session pool, keys each point's journal and cache rows on the
+ * ModelKey the point simulates (contentKey) and salts the journal
+ * with the spec (sweepIdentity). A harness whose fixed config changed
+ * is therefore refused by its old journal and misses its old cache
+ * rows instead of replaying them.
  */
 
 #ifndef EQ_SERVE_MODELS_HH
 #define EQ_SERVE_MODELS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/context.hh"
 #include "ir/operation.hh"
 #include "scalesim/scalesim.hh"
+#include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "sim/engine.hh"
 #include "soc/soc.hh"
@@ -142,14 +153,8 @@ struct SweepSpec {
      *  ranges and the constraints across fields. */
     bool validate(std::string *err) const;
 
-    /** Content key of @p point for the result cache: the model name
-     *  plus the *full resolved config* simulated there (base + axis
-     *  overrides), not the point's grid coordinates — so a config
-     *  keeps hitting the cache after the grid around it changes. */
-    std::string pointKey(const sweep::Point &point) const;
-
-    /** The sweep identity beyond the grid (model name + base config) —
-     *  the salt of the journal header (sweep::gridIdentity), so a
+    /** The sweep identity beyond the grid (model name + base config):
+     *  the journal salt after SweepRows::tag (sweepIdentity), so a
      *  journal from a different model/base refuses to resume even when
      *  the grids coincide. */
     std::string saltString() const;
@@ -177,6 +182,42 @@ struct BusTraffic {
 };
 BusTraffic busTraffic(const sim::SimReport &report);
 
+/** Content key of a point that simulates @p key, for the journal and
+ *  the result cache: @p tag, the model name and the *full resolved
+ *  config*, not the point's grid coordinates, so a config keeps
+ *  hitting the cache after the grid around it changes. */
+std::string contentKey(const std::string &tag, const ModelKey &key);
+
+/**
+ * What an in-process sweep of a spec simulates at each point and
+ * which row it makes of that. Every default is eqsweep's; a harness
+ * overrides the row (and may override the key) and tags its sweep.
+ */
+struct SweepRows {
+    /** The ModelKey a point simulates. */
+    using KeyFn = std::function<ModelKey(const sweep::Point &)>;
+    /** The row of a point; @p handle pins the cached session of the
+     *  point's key, and handle.run() simulates it. */
+    using RowFn = std::function<std::vector<sweep::Cell>(
+        const sweep::Point &, ProgramCache::Handle &handle)>;
+
+    /** Prefix of the journal salt and of every content key; "" for
+     *  eqsweep, so its journals and caches keep their bytes. */
+    std::string tag;
+    std::vector<sweep::Column> schema; ///< empty: spec.schema()
+    RowFn row; ///< empty: spec.row over handle.run()
+    KeyFn key; ///< empty: spec.keyAt
+};
+
+/** The journal header of a sweep of @p spec over the whole @p grid:
+ *  sweep::gridIdentity over its points and the rows' schema, salted
+ *  with rows.tag + spec.saltString(). The one identity of eqsweep's
+ *  run, shard and merge paths and of every harness sweep. */
+sweep::RowLogHeader sweepIdentity(const SweepSpec &spec,
+                                  const sweep::Grid &grid,
+                                  const SweepRows &rows,
+                                  const sim::EngineOptions &engine);
+
 /**
  * Run @p spec in-process through the SweepRunner on a ProgramCache
  * sized to its thread count — the reference the served path must reproduce
@@ -187,22 +228,24 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
                            sim::EngineOptions engine = {});
 
 /**
- * runLocalSweep with the crash-safety layer (sweep/journal.hh): rows
- * found in the journal (by dense index) or result cache (by
- * pointKey()) are replayed, the rest simulated and journaled as they
- * complete. @p points selects the slice to run — a shard's sub-range,
- * or the grid's full point set (pass spec.grid().points()); the
- * points must come from this spec's grid, and @p identity is the
- * whole grid's (sweep::gridIdentity over spec.grid().points(),
- * spec.schema() and spec.saltString()). Table assembly and refusal
- * semantics are runJournaledSweep's.
+ * The one in-process sweep driver, behind eqsweep and the bench
+ * harnesses: a SweepRunner with @p flags.threads threads over a
+ * ProgramCache with one entry per thread, under the crash-safety
+ * layer (sweep/journal.hh). Rows found in the journal (by dense
+ * index) or the result cache (by contentKey of rows.key) are
+ * replayed, the rest simulated through rows.row and journaled as
+ * they complete; the journal header is sweepIdentity.
+ *
+ * @p grid is spec.grid(), possibly filtered; @p shard = {K, N} runs
+ * its stripe K of N (sweep::shardStripe) under the whole grid's
+ * identity. @p flags' csvPath is the caller's. Table assembly and
+ * refusal semantics are runJournaledSweep's.
  */
 sweep::JournalStatus runLocalSweepDurable(
-    const SweepSpec &spec, const std::vector<sweep::Point> &points,
-    unsigned threads, sim::EngineOptions engine,
-    const sweep::JournalOptions &opts,
-    const sweep::RowLogHeader &identity, sweep::Table *out,
-    sweep::ResumeStats *stats, std::string *err);
+    const SweepSpec &spec, const sweep::Grid &grid,
+    const sweep::SweepFlags &flags, const SweepRows &rows,
+    sweep::Table *out, sweep::ResumeStats *stats, std::string *err,
+    std::pair<uint64_t, uint64_t> shard = {0, 1});
 
 } // namespace serve
 } // namespace eq

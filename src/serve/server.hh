@@ -58,6 +58,7 @@
 #include <string>
 
 #include "serve/cache.hh"
+#include "serve/models.hh"
 #include "serve/scheduler.hh"
 #include "sim/engine.hh"
 

@@ -123,8 +123,8 @@ struct Args {
     std::string configJson;
     std::vector<std::string> axisSpecs;
     sweep::SweepFlags flags;
-    uint64_t shardK = 0; ///< --shard K/N; N = 0 runs the whole grid
-    uint64_t shardN = 0;
+    uint64_t shardK = 0; ///< --shard K/N; 0/1 runs the whole grid
+    uint64_t shardN = 1;
     std::vector<std::string> mergeJournals;
     std::string connect; ///< HOST:PORT; empty = in-process
     int retries = 1;
@@ -182,24 +182,13 @@ parseShard(const std::string &text, uint64_t *k, uint64_t *n)
 int
 runSweep(const Args &args, const serve::SweepSpec &spec)
 {
-    const sweep::Grid grid = spec.grid();
-    std::vector<sweep::Point> points = grid.points();
-    const sweep::RowLogHeader identity = sweep::gridIdentity(
-        points, spec.schema(), spec.saltString(), args.flags.engine);
-    if (args.shardN > 0) {
-        const auto [begin, end] =
-            sweep::shardStripe(points.size(), args.shardK, args.shardN);
-        points.erase(points.begin() + ptrdiff_t(end), points.end());
-        points.erase(points.begin(), points.begin() + ptrdiff_t(begin));
-    }
-
     sweep::Table table{spec.schema()};
     const sweep::JournalOptions &opts = args.flags.durability;
     if (int code = sweep::runSweepCommand(
             "eqsweep", opts, [&](sweep::ResumeStats *st, std::string *err) {
                 return serve::runLocalSweepDurable(
-                    spec, points, args.flags.threads, args.flags.engine,
-                    opts, identity, &table, st, err);
+                    spec, spec.grid(), args.flags, {}, &table, st,
+                    err, {args.shardK, args.shardN});
             }))
         return code;
     return emitTable(table, args.flags.csvPath);
@@ -208,9 +197,8 @@ runSweep(const Args &args, const serve::SweepSpec &spec)
 int
 mergeMode(const Args &args, const serve::SweepSpec &spec)
 {
-    const sweep::RowLogHeader expect = sweep::gridIdentity(
-        spec.grid().points(), spec.schema(), spec.saltString(),
-        args.flags.engine);
+    const sweep::RowLogHeader expect =
+        serve::sweepIdentity(spec, spec.grid(), {}, args.flags.engine);
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
     std::string err;
@@ -310,7 +298,8 @@ main(int argc, char **argv)
     auto both = [&](const char *a, const char *b) {
         return args.given.count(a) && args.given.count(b);
     };
-    if (args.shardN > 0 && args.flags.durability.journalPath.empty())
+    if (args.given.count("--shard") &&
+        args.flags.durability.journalPath.empty())
         return usageError("--shard needs --journal");
     if (both("--shard", "--merge"))
         return usageError("--shard and --merge are separate runs");

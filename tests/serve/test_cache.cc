@@ -18,6 +18,7 @@
 
 #include "serve/cache.hh"
 #include "serve/faults.hh"
+#include "serve/models.hh"
 #include "serve/protocol.hh"
 
 namespace {

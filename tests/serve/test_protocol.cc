@@ -483,8 +483,19 @@ TEST(ServeModels, ModelKeyJsonRoundTrip)
         std::string err;
         ASSERT_TRUE(spec.validate(&err)) << err;
         EXPECT_EQ(spec.saltString(), model + " " + c.json);
+        // eqsweep's journal salt and content keys: an empty tag, so
+        // exactly these bytes; a harness's tag only prefixes them.
         const sweep::Grid grid = spec.grid();
-        EXPECT_EQ(spec.pointKey(grid.points().at(1)), model + " " + c.point);
+        EXPECT_EQ(serve::sweepIdentity(spec, grid, {}, {}).salt,
+                  model + " " + c.json);
+        serve::SweepRows tagged;
+        tagged.tag = "fig ";
+        EXPECT_EQ(serve::sweepIdentity(spec, grid, tagged, {}).salt,
+                  "fig " + model + " " + c.json);
+        const serve::ModelKey at1 = spec.keyAt(grid.points().at(1));
+        EXPECT_EQ(serve::contentKey("", at1), model + " " + c.point);
+        EXPECT_EQ(serve::contentKey("fig ", at1),
+                  "fig " + model + " " + c.point);
 
         serve::ModelKey back;
         ASSERT_TRUE(serve::modelKeyFromJson(c.key.kind, reparse(cfg), &back,

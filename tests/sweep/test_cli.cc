@@ -1,9 +1,10 @@
 /**
  * @file
  * The sweep front end that eqsweep and the bench harnesses share: one
- * flag parser (sweep::SweepFlags) and one exit contract
+ * flag parser (sweep::SweepFlags), one exit contract
  * (sweep::runSweepCommand, which bench::runSweep ends the process
- * with).
+ * with) and one driver (serve::runLocalSweepDurable), which keys a
+ * harness's journal and cache rows on the configs it runs.
  */
 
 #include <gtest/gtest.h>
@@ -155,20 +156,84 @@ TEST(SweepCli, JournalIsAlwaysRecovered)
 TEST(SweepCli, ThrowingHarnessPointExitsSix)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    sweep::Grid grid;
-    grid.axis("a", {1, 2, 3});
-    const auto points = grid.points();
+    serve::SweepSpec spec;
+    spec.axes = {{"ah", {1, 2, 3}}};
     bench::HarnessArgs args;
     args.program = "harness";
-    EXPECT_EXIT(bench::runSweep(args, sweep::SweepRunner({2}), points,
-                                squareSchema(), "cli",
-                                [](const sweep::Point &p, unsigned w) {
-                                    if (p.at("a") == 2)
+    args.flags.threads = 2;
+    EXPECT_EXIT(bench::runSweep(args, spec, spec.grid(),
+                                squareSchema(),
+                                [](const sweep::Point &p,
+                                   serve::ProgramCache::Handle &)
+                                    -> std::vector<sweep::Cell> {
+                                    const int64_t a = p.at("ah");
+                                    if (a == 2)
                                         throw std::runtime_error("boom");
-                                    return squareRow(p, w);
+                                    return {a, a * a};
                                 }),
                 ::testing::ExitedWithCode(sweep::kExitPointFailed),
                 "harness: error: .*point_failed.*point 1: boom");
+}
+
+/** Two harness sweeps that differ only in their fixed base config
+ *  (fig9 ifmap's C = 3, then C = 4) under one tag, axes and schema:
+ *  the second never replays the first's rows. Over one cache file it
+ *  computes every point into a fresh run's table; over one journal it
+ *  is refused with exit 3 and the journal keeps its bytes. */
+TEST(SweepCli, HarnessRowsAreKeyedOnTheConfigTheyRun)
+{
+    auto run = [](const bench::HarnessArgs &args, int channels) {
+        serve::SweepSpec spec;
+        scalesim::Config &base = spec.base.systolic;
+        base.ah = base.aw = 4;
+        base.c = channels;
+        base.n = 1;
+        base.fh = base.fw = 2;
+        spec.axes = {{"hw", {2, 4}}};
+        return bench::runSweep(
+            args, spec, spec.grid(),
+            {{"hw", sweep::ValueKind::Int, 4, 0},
+             {"cycles", sweep::ValueKind::Int, 8, 0}},
+            [](const sweep::Point &p, serve::ProgramCache::Handle &handle)
+                -> std::vector<sweep::Cell> {
+                return {p.at("hw"), int64_t(handle.run().cycles)};
+            });
+    };
+    bench::HarnessArgs fresh;
+    fresh.program = "harness";
+    const std::string c3 = run(fresh, 3).csv();
+    const std::string c4 = run(fresh, 4).csv();
+    ASSERT_NE(c3, c4);
+
+    bench::HarnessArgs cached = fresh;
+    cached.flags.durability.cachePath =
+        ::testing::TempDir() + "eq_cli_harness_cache.ndjson";
+    std::remove(cached.flags.durability.cachePath.c_str());
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run(cached, 3).csv(), c3);
+    ::testing::internal::GetCapturedStderr();
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run(cached, 4).csv(), c4);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "# resume: computed=2 journal=0 cache=0 "),
+              std::string::npos);
+    std::remove(cached.flags.durability.cachePath.c_str());
+
+    bench::HarnessArgs journaled = fresh;
+    const std::string path =
+        ::testing::TempDir() + "eq_cli_harness_journal.ndjson";
+    journaled.flags.durability.journalPath = path;
+    std::remove(path.c_str());
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run(journaled, 3).csv(), c3);
+    ::testing::internal::GetCapturedStderr();
+    const std::string before = slurp(path);
+    // Forked at the statement: the child runs only the C = 4 sweep.
+    ::testing::GTEST_FLAG(death_test_style) = "fast";
+    EXPECT_EXIT(run(journaled, 4), ::testing::ExitedWithCode(3),
+                "harness: error: .*journal_header_mismatch");
+    EXPECT_EQ(slurp(path), before);
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -721,31 +721,27 @@ TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
         const std::string single =
             serve::runLocalSweep(spec, 1, mode).csv();
 
-        sweep::Grid grid = spec.grid();
-        std::vector<sweep::Point> points = grid.points();
-        const sweep::RowLogHeader identity = sweep::gridIdentity(
-            points, spec.schema(), spec.saltString(), mode);
+        const sweep::Grid grid = spec.grid();
+        const sweep::RowLogHeader identity =
+            serve::sweepIdentity(spec, grid, {}, mode);
 
         for (uint64_t n : {1u, 2u, 4u}) {
             SCOPED_TRACE(n);
             std::vector<std::string> journals;
             for (uint64_t k = 0; k < n; ++k) {
-                const auto [begin, end] =
-                    sweep::shardStripe(points.size(), k, n);
-                std::vector<sweep::Point> slice(
-                    points.begin() + ptrdiff_t(begin),
-                    points.begin() + ptrdiff_t(end));
-                sweep::JournalOptions opts;
-                opts.journalPath = sibling(
+                sweep::SweepFlags flags;
+                flags.threads = 1;
+                flags.engine = mode;
+                flags.durability.journalPath = sibling(
                     std::string(sim::backendName(backend)) + "_" +
                     std::to_string(n) + "_" + std::to_string(k));
                 sweep::Table part{spec.schema()};
                 ASSERT_EQ(serve::runLocalSweepDurable(
-                              spec, slice, 1, mode, opts, identity,
-                              &part, nullptr, &err),
+                              spec, grid, flags, {}, &part, nullptr,
+                              &err, {k, n}),
                           sweep::JournalStatus::Ok)
                     << err;
-                journals.push_back(opts.journalPath);
+                journals.push_back(flags.durability.journalPath);
             }
 
             sweep::Table merged{spec.schema()};
