@@ -195,11 +195,11 @@ struct HarnessArgs {
  * nothing; to re-measure the wall-clock columns, delete the journal.
  *
  * The harness's program name tags the sweep (serve::SweepRows::tag):
- * the journal is salted with it and the spec's base config, and each
- * point's content key is it plus the ModelKey the point simulates
- * (@p key, default spec.keyAt). A journal of another harness or of
- * another fixed config is refused, and cache rows of another config
- * miss. A refused journal, an I/O failure or a point that throws ends
+ * each point's content key is it plus the ModelKey the point
+ * simulates (@p key, default spec.keyAt), and the journal is salted
+ * with the content keys of every point. A journal of another harness,
+ * of another fixed config or of another key rule is refused, and
+ * cache rows of another config miss. A refused journal, an I/O failure or a point that throws ends
  * the process with the structured error line and exit code (1, 3, 4
  * or 6) instead of a table.
  */

@@ -65,16 +65,22 @@ main(int argc, char **argv)
 {
     auto args = eq::bench::HarnessArgs::parse(
         argc, argv, {"--csv", "--json", "--no-wall"});
-    // The generator's sources, from this build's source tree.
-    auto count_both = [](bool df_only) {
-        const int a =
-            countLines(EQSIM_SYSTOLIC_SRC_DIR "/generator.cc", df_only);
-        const int b =
-            countLines(EQSIM_SYSTOLIC_SRC_DIR "/generator.hh", df_only);
-        return (a < 0 || b < 0) ? -1 : a + b;
+    // The generator's sources, from this build's source tree: the
+    // generator itself and the PE-array blocks it emits with.
+    auto count_all = [](bool df_only) {
+        int sum = 0;
+        for (const char *file : {"/generator.cc", "/generator.hh", "/pe.hh"}) {
+            const int n =
+                countLines(std::string(EQSIM_SYSTOLIC_SRC_DIR) + file,
+                           df_only);
+            if (n < 0)
+                return -1;
+            sum += n;
+        }
+        return sum;
     };
-    int total = count_both(false);
-    int switch_cost = count_both(true);
+    int total = count_all(false);
+    int switch_cost = count_all(true);
 
     std::printf("# Section VI-C: implementation size and WS->IS switch "
                 "cost\n");

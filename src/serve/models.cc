@@ -532,13 +532,6 @@ SweepSpec::validate(std::string *err) const
     return true;
 }
 
-std::string
-SweepSpec::saltString() const
-{
-    return std::string(modelName(base.kind)) + " " +
-           modelKeyToJson(base).dump();
-}
-
 Json
 SweepSpec::toJson() const
 {
@@ -617,13 +610,30 @@ contentKey(const std::string &tag, const ModelKey &key)
     return tag + modelName(key.kind) + " " + modelKeyToJson(key).dump();
 }
 
+namespace {
+
+/** The ModelKey @p rows simulate at @p p. */
+ModelKey
+rowKey(const SweepSpec &spec, const SweepRows &rows, const sweep::Point &p)
+{
+    return rows.key ? rows.key(p) : spec.keyAt(p);
+}
+
+} // namespace
+
 sweep::RowLogHeader
 sweepIdentity(const SweepSpec &spec, const sweep::Grid &grid,
               const SweepRows &rows, const sim::EngineOptions &engine)
 {
+    const std::vector<sweep::Point> points = grid.points();
+    uint64_t h = kFnvOffset;
+    for (const sweep::Point &p : points) {
+        const std::string key = contentKey(rows.tag, rowKey(spec, rows, p));
+        h = fnv1a(fnv1aBytes(h, key), key.size());
+    }
     return sweep::gridIdentity(
-        grid.points(), rows.schema.empty() ? spec.schema() : rows.schema,
-        rows.tag + spec.saltString(), engine);
+        points, rows.schema.empty() ? spec.schema() : rows.schema,
+        hexU64(h), engine);
 }
 
 sweep::Table
@@ -653,17 +663,16 @@ runLocalSweepDurable(const SweepSpec &spec, const sweep::Grid &grid,
         sweep::shardStripe(points.size(), shard.first, shard.second);
     const std::vector<sweep::Point> slice(points.begin() + ptrdiff_t(begin),
                                           points.begin() + ptrdiff_t(end));
-    auto keyAt = [&](const sweep::Point &p) {
-        return rows.key ? rows.key(p) : spec.keyAt(p);
-    };
-
     const sweep::SweepRunner runner({flags.threads});
     ProgramCache cache(runner.threadsFor(slice.size()), flags.engine);
     return sweep::runJournaledSweep(
         runner, slice, rows.schema.empty() ? spec.schema() : rows.schema,
-        [&](const sweep::Point &p) { return contentKey(rows.tag, keyAt(p)); },
+        [&](const sweep::Point &p) {
+            return contentKey(rows.tag, rowKey(spec, rows, p));
+        },
         [&](const sweep::Point &p, unsigned) -> std::vector<sweep::Cell> {
-            ProgramCache::Handle handle = cache.acquire(keyAt(p));
+            ProgramCache::Handle handle =
+                cache.acquire(rowKey(spec, rows, p));
             return rows.row ? rows.row(p, handle) : spec.row(p, handle.run());
         },
         flags.durability, sweepIdentity(spec, grid, rows, flags.engine),

@@ -23,9 +23,10 @@
  * eqsweep and every bench harness. It alone builds the runner and its
  * session pool, keys each point's journal and cache rows on the
  * ModelKey the point simulates (contentKey) and salts the journal
- * with the spec (sweepIdentity). A harness whose fixed config changed
- * is therefore refused by its old journal and misses its old cache
- * rows instead of replaying them.
+ * with the content keys of the whole grid (sweepIdentity). A harness
+ * whose fixed config or key rule changed is therefore refused by its
+ * old journal and misses its old cache rows instead of replaying
+ * them.
  */
 
 #ifndef EQ_SERVE_MODELS_HH
@@ -153,12 +154,6 @@ struct SweepSpec {
      *  ranges and the constraints across fields. */
     bool validate(std::string *err) const;
 
-    /** The sweep identity beyond the grid (model name + base config):
-     *  the journal salt after SweepRows::tag (sweepIdentity), so a
-     *  journal from a different model/base refuses to resume even when
-     *  the grids coincide. */
-    std::string saltString() const;
-
     Json toJson() const;
     static bool fromJson(const Json &request, SweepSpec *out,
                          std::string *err);
@@ -201,8 +196,8 @@ struct SweepRows {
     using RowFn = std::function<std::vector<sweep::Cell>(
         const sweep::Point &, ProgramCache::Handle &handle)>;
 
-    /** Prefix of the journal salt and of every content key; "" for
-     *  eqsweep, so its journals and caches keep their bytes. */
+    /** Prefix of every content key; "" for eqsweep, so its cache
+     *  rows keep their bytes. */
     std::string tag;
     std::vector<sweep::Column> schema; ///< empty: spec.schema()
     RowFn row; ///< empty: spec.row over handle.run()
@@ -211,8 +206,10 @@ struct SweepRows {
 
 /** The journal header of a sweep of @p spec over the whole @p grid:
  *  sweep::gridIdentity over its points and the rows' schema, salted
- *  with rows.tag + spec.saltString(). The one identity of eqsweep's
- *  run, shard and merge paths and of every harness sweep. */
+ *  with the hex FNV-1a of every point's contentKey in dense order
+ *  (through rows.key, as the rows are run), so a journal is refused
+ *  when any point would simulate another config. The one identity of
+ *  eqsweep's run, shard and merge paths and of every harness sweep. */
 sweep::RowLogHeader sweepIdentity(const SweepSpec &spec,
                                   const sweep::Grid &grid,
                                   const SweepRows &rows,

@@ -1,12 +1,14 @@
 #include "soc/soc.hh"
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/logging.hh"
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
 #include "dialects/equeue.hh"
+#include "systolic/pe.hh"
 
 namespace eq {
 namespace soc {
@@ -15,17 +17,13 @@ namespace {
 
 using ir::OpBuilder;
 using ir::Value;
-
-/** Per-PE register cells inside one tile. */
-struct PeRegs {
-    Value inA;    ///< operand arriving from the left
-    Value inB;    ///< second operand from above (OS)
-    Value acc;    ///< partial sum (WS: moving, OS: resident)
-    Value outA;   ///< latched operand to pass right
-    Value outB;   ///< latched second operand to pass down (OS)
-    Value outAcc; ///< latched partial sum to pass down (WS)
-    Value stat;   ///< stationary value (WS)
-};
+using systolic::addPe;
+using systolic::allocOn;
+using systolic::emitLoop;
+using systolic::emitMacStage;
+using systolic::emitMoves;
+using systolic::PeRegs;
+using systolic::writeCell;
 
 /** One accelerator tile's structure handles. */
 struct Tile {
@@ -41,7 +39,6 @@ struct Tile {
 
 /** Emitter for the shared-bus multi-accelerator family. */
 struct SocEmitter {
-    ir::Context &ctx;
     OpBuilder b;
     const SocConfig &cfg;
 
@@ -50,29 +47,7 @@ struct SocEmitter {
     std::vector<Value> dmas;
     std::vector<Tile> tiles;
 
-    SocEmitter(ir::Context &c, const SocConfig &cf) : ctx(c), b(c), cfg(cf)
-    {}
-
-    Value
-    allocOn(Value mem, int64_t elems)
-    {
-        return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
-                                         32u)
-            ->result(0);
-    }
-
-    Value
-    readCell(Value buf, Value conn = Value())
-    {
-        return b.create<equeue::ReadOp>(buf, conn, std::vector<Value>{})
-            ->result(0);
-    }
-
-    void
-    writeCell(Value data, Value buf, Value conn = Value())
-    {
-        b.create<equeue::WriteOp>(data, buf, conn, std::vector<Value>{});
-    }
+    SocEmitter(ir::Context &c, const SocConfig &cf) : b(c), cfg(cf) {}
 
     static bool
     isOs(const TileSpec &t)
@@ -117,40 +92,18 @@ struct SocEmitter {
                                         std::vector<Value>{l1});
 
             int64_t pes = int64_t(ts.ah) * ts.aw;
-            t.stageSrc = allocOn(sram, pes);
-            t.stageDst = allocOn(l1, pes);
-            t.inHead = allocOn(sram, 1);
-            t.in2Head = allocOn(sram, 1);
-            t.outCell = allocOn(sram, 1);
+            t.stageSrc = allocOn(b, sram, pes);
+            t.stageDst = allocOn(b, l1, pes);
+            t.inHead = allocOn(b, sram, 1);
+            t.in2Head = allocOn(b, sram, 1);
+            t.outCell = allocOn(b, sram, 1);
 
             t.pe.assign(ts.ah, std::vector<Value>(ts.aw));
             t.regs.assign(ts.ah, std::vector<PeRegs>(ts.aw));
-            for (int h = 0; h < ts.ah; ++h) {
-                for (int w = 0; w < ts.aw; ++w) {
-                    t.pe[h][w] =
-                        b.create<equeue::CreateProcOp>(std::string("MAC"))
-                            ->result(0);
-                    Value rmem = b.create<equeue::CreateMemOp>(
-                                      std::string("Register"),
-                                      std::vector<int64_t>{16}, 32u, 8u)
-                                     ->result(0);
-                    std::string suffix = std::to_string(h) + "_" +
-                                         std::to_string(w);
-                    b.create<equeue::AddCompOp>(
-                        comp->result(0),
-                        pfx + "PE_" + suffix + " " + pfx + "REG_" +
-                            suffix,
-                        std::vector<Value>{t.pe[h][w], rmem});
-                    PeRegs &r = t.regs[h][w];
-                    r.inA = allocOn(rmem, 1);
-                    r.inB = allocOn(rmem, 1);
-                    r.acc = allocOn(rmem, 1);
-                    r.outA = allocOn(rmem, 1);
-                    r.outB = allocOn(rmem, 1);
-                    r.outAcc = allocOn(rmem, 1);
-                    r.stat = allocOn(rmem, 1);
-                }
-            }
+            for (int h = 0; h < ts.ah; ++h)
+                for (int w = 0; w < ts.aw; ++w)
+                    std::tie(t.pe[h][w], t.regs[h][w]) =
+                        addPe(b, comp->result(0), pfx, h, w);
         }
     }
 
@@ -174,12 +127,12 @@ struct SocEmitter {
             Value link = l.body().argument(1);
             Value stat = l.body().argument(2);
             Value idx = b.create<arith::ConstantOp>(
-                             int64_t(h) * ts.aw + w, ctx.indexType())
+                             int64_t(h) * ts.aw + w, b.context().indexType())
                             ->result(0);
             Value v = b.create<equeue::ReadOp>(staged, link,
                                                std::vector<Value>{idx})
                           ->result(0);
-            writeCell(v, stat);
+            writeCell(b, v, stat);
             b.create<equeue::ReturnOp>(std::vector<Value>{});
         }
         return launch->result(0);
@@ -190,69 +143,16 @@ struct SocEmitter {
     Value
     emitStageR(Value dep, size_t a, int h, int w)
     {
-        const TileSpec &ts = cfg.accels[a];
         Tile &t = tiles[a];
         const PeRegs &r = t.regs[h][w];
-        bool left_edge = w == 0;
-        bool top_edge = h == 0;
-        bool os = isOs(ts);
-        Value src_a = left_edge ? t.inHead : r.inA;
-        Value conn_a = left_edge ? bus : Value();
-        Value src_b = r.inB;
-        Value conn_b;
-        if (os && top_edge) {
-            src_b = t.in2Head;
-            conn_b = bus;
-        }
-
-        std::vector<Value> captured{src_a, src_b, r.acc, r.stat, r.outA,
-                                    r.outB, r.outAcc};
-        if (conn_a)
-            captured.push_back(conn_a);
-        if (conn_b)
-            captured.push_back(conn_b);
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, t.pe[h][w], captured,
-            std::vector<ir::Type>{});
-        {
-            OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            Value a_in = l.body().argument(0);
-            Value b_in = l.body().argument(1);
-            Value acc_in = l.body().argument(2);
-            Value stat_in = l.body().argument(3);
-            Value out_a = l.body().argument(4);
-            Value out_b = l.body().argument(5);
-            Value out_acc = l.body().argument(6);
-            unsigned arg = 7;
-            Value ca = conn_a ? l.body().argument(arg++) : Value();
-            Value cb = conn_b ? l.body().argument(arg++) : Value();
-
-            Value av = readCell(a_in, ca);
-            Value acc, mul_operand;
-            if (os) {
-                Value bv = readCell(b_in, cb);
-                acc = readCell(acc_in);
-                mul_operand = bv;
-                writeCell(bv, out_b);
-            } else {
-                Value st = readCell(stat_in);
-                acc = readCell(acc_in);
-                mul_operand = st;
-            }
-            auto res = b.create<equeue::ExternOp>(
-                std::string("mac"),
-                std::vector<Value>{av, mul_operand, acc},
-                std::vector<ir::Type>{ctx.i32Type()});
-            if (os)
-                writeCell(res->result(0), acc_in); // resident accumulate
-            else
-                writeCell(res->result(0), out_acc);
-            writeCell(av, out_a);
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
-        }
-        return launch->result(0);
+        const bool left_edge = w == 0;
+        const bool top_os = h == 0 && isOs(cfg.accels[a]);
+        return emitMacStage(b, dep, t.pe[h][w], r,
+                            left_edge ? t.inHead : r.inA,
+                            left_edge ? bus : Value(),
+                            top_os ? t.in2Head : r.inB,
+                            top_os ? bus : Value(),
+                            cfg.accels[a].dataflow);
     }
 
     /** Stage W: pass latched values to neighbors; WS bottom-row PEs
@@ -265,13 +165,11 @@ struct SocEmitter {
         const PeRegs &r = t.regs[h][w];
         bool right_edge = w == ts.aw - 1;
         bool bottom_edge = h == ts.ah - 1;
-        bool os = isOs(ts);
 
-        std::vector<Value> captured{r.outA, r.outB, r.outAcc};
         Value dst_a, dst_b, dst_acc, conn_acc;
         if (!right_edge)
             dst_a = t.regs[h][w + 1].inA;
-        if (os) {
+        if (isOs(ts)) {
             if (!bottom_edge)
                 dst_b = t.regs[h + 1][w].inB;
         } else {
@@ -282,38 +180,8 @@ struct SocEmitter {
                 conn_acc = bus;
             }
         }
-        for (Value v : {dst_a, dst_b, dst_acc, conn_acc})
-            if (v)
-                captured.push_back(v);
-
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, t.pe[h][w], captured,
-            std::vector<ir::Type>{});
-        {
-            OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            Value out_a = l.body().argument(0);
-            Value out_b = l.body().argument(1);
-            Value out_acc = l.body().argument(2);
-            unsigned arg = 3;
-            if (dst_a) {
-                Value v = readCell(out_a);
-                writeCell(v, l.body().argument(arg++));
-            }
-            if (dst_b) {
-                Value v = readCell(out_b);
-                writeCell(v, l.body().argument(arg++));
-            }
-            if (dst_acc) {
-                Value v = readCell(out_acc);
-                Value dst = l.body().argument(arg++);
-                Value cacc = conn_acc ? l.body().argument(arg++) : Value();
-                writeCell(v, dst, cacc);
-            }
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
-        }
-        return launch->result(0);
+        return emitMoves(b, dep, t.pe[h][w], {r.outA, r.outB, r.outAcc},
+                         {{0, dst_a}, {1, dst_b}, {2, dst_acc, conn_acc}});
     }
 
     /** Drain one OS PE's resident accumulator to shared SRAM over the
@@ -322,33 +190,8 @@ struct SocEmitter {
     emitDrain(Value dep, size_t a, int h, int w)
     {
         Tile &t = tiles[a];
-        const PeRegs &r = t.regs[h][w];
-        std::vector<Value> captured{r.acc, t.outCell, t.link};
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, t.pe[h][w], captured,
-            std::vector<ir::Type>{});
-        {
-            OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            Value v = readCell(l.body().argument(0));
-            writeCell(v, l.body().argument(1), l.body().argument(2));
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
-        }
-        return launch->result(0);
-    }
-
-    /** Emit a counted loop whose body is filled by @p body_fn. */
-    void
-    emitLoop(int64_t trip, const std::function<void()> &body_fn)
-    {
-        if (trip <= 0)
-            return;
-        auto loop = b.create<affine::ForOp>(int64_t{0}, trip, int64_t{1});
-        OpBuilder::InsertionGuard g(b);
-        b.setInsertionPointToEnd(&affine::ForOp(loop.op()).body());
-        body_fn();
-        b.create<affine::YieldOp>(std::vector<Value>{});
+        return emitMoves(b, dep, t.pe[h][w], {t.regs[h][w].acc},
+                         {{0, t.outCell, t.link}});
     }
 
     /** One systolic step across every tile: stage R everywhere, one
@@ -401,7 +244,7 @@ struct SocEmitter {
         if (!preloads.empty())
             b.create<equeue::AwaitOp>(preloads);
 
-        emitLoop(cfg.steps, [&] { emitStep(); });
+        emitLoop(b, cfg.steps, [&] { emitStep(); });
 
         auto drain_start = b.create<equeue::ControlStartOp>();
         std::vector<Value> drains;
@@ -418,7 +261,7 @@ struct SocEmitter {
     void
     buildControl()
     {
-        emitLoop(cfg.rounds, [&] { emitRound(); });
+        emitLoop(b, cfg.rounds, [&] { emitRound(); });
     }
 };
 
@@ -443,14 +286,6 @@ struct PipelineEmitter {
         : ctx(c), b(c), cfg(cf)
     {}
 
-    Value
-    allocOn(Value mem, int64_t elems)
-    {
-        return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
-                                         32u)
-            ->result(0);
-    }
-
     void
     buildStructure(ir::Block *top)
     {
@@ -471,8 +306,8 @@ struct PipelineEmitter {
             std::string("SysSRAM DMA_IN DMA_OUT"),
             std::vector<Value>{sram, dmaIn, dmaOut});
 
-        src = allocOn(sram, cfg.tileElems);
-        dst = allocOn(sram, cfg.tileElems);
+        src = allocOn(b, sram, cfg.tileElems);
+        dst = allocOn(b, sram, cfg.tileElems);
 
         for (int s = 0; s < cfg.stages; ++s) {
             std::string pfx = "S" + std::to_string(s);
@@ -486,7 +321,7 @@ struct PipelineEmitter {
             b.create<equeue::AddCompOp>(
                 comp->result(0), pfx + " " + pfx + "_BUF",
                 std::vector<Value>{procs.back(), l1});
-            bufs.push_back(allocOn(l1, cfg.tileElems));
+            bufs.push_back(allocOn(b, l1, cfg.tileElems));
             hops.push_back(b.create<equeue::CreateConnectionOp>(
                                 std::string("Streaming"),
                                 cfg.hopBytesPerCycle)
@@ -498,7 +333,7 @@ struct PipelineEmitter {
                            ->result(0);
         b.create<equeue::AddCompOp>(comp->result(0), "OUT_BUF",
                                     std::vector<Value>{outMem});
-        bufs.push_back(allocOn(outMem, cfg.tileElems));
+        bufs.push_back(allocOn(b, outMem, cfg.tileElems));
     }
 
     /** Stage body: for each element, read the stage input buffer

@@ -15,6 +15,9 @@
  *                        and result writes travel over the shared bus
  *                        connection, staging memcpys ride the DMA pool,
  *                        per-tile links carry preload/drain traffic.
+ *                        The tiles' PEs are the systolic generator's
+ *                        (systolic/pe.hh); only their sources,
+ *                        destinations and connections differ.
  *   buildPipelineModule  a chain of compute stages double-ended by
  *                        in/out DMAs, items flowing through per-stage
  *                        on-chip buffers with structural hazards

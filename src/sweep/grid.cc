@@ -53,7 +53,7 @@ Grid::axisIndex(const std::string &name) const
 }
 
 std::vector<Point>
-Grid::points() const
+Grid::points() const &
 {
     std::vector<Point> out;
     if (_axes.empty())

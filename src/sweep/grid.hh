@@ -61,8 +61,9 @@ class Grid {
 
     /** Enumerate all surviving points with dense indices. The returned
      *  points borrow this Grid (for axis-name lookup); it must outlive
-     *  them. */
-    std::vector<Point> points() const;
+     *  them, so a temporary Grid cannot enumerate. */
+    std::vector<Point> points() const &;
+    std::vector<Point> points() const && = delete;
 
     /** Number of surviving points (filters applied). */
     size_t size() const { return points().size(); }

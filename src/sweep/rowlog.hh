@@ -10,7 +10,7 @@
  *    ("journal":"eqsweep" or "cache":"eqsweep-results"), the version,
  *    the schema signature and the resolved backend. A journal's header
  *    also pins the grid: grid hash, point count and a caller salt
- *    (model + base config). A cache outlives any one grid, so its
+ *    (the configs the points run). A cache outlives any one grid, so its
  *    header carries none.
  *  - A record is {id, "key", "cells", "crc"}. The id is the dense
  *    point index "i" in a journal and the FNV-1a hash of the key "h"
@@ -108,7 +108,7 @@ struct RowLogHeader {
     // The grid identity: journals only.
     uint64_t gridHash = 0;  ///< hashPoints() over the dense grid
     uint64_t numPoints = 0; ///< dense points in the full grid
-    std::string salt;       ///< caller identity (model + base config)
+    std::string salt;       ///< caller identity (the configs run)
 
     serve::Json toJson() const;
     /** Parse a header of @p kind; a header of the other kind fails. */

@@ -2,11 +2,12 @@
 
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/logging.hh"
-#include "dialects/affine.hh"
 #include "dialects/equeue.hh"
+#include "systolic/pe.hh"
 
 namespace eq {
 namespace systolic {
@@ -16,20 +17,8 @@ namespace {
 using ir::OpBuilder;
 using ir::Value;
 
-/** Per-PE register buffers. */
-struct PeRegs {
-    Value inA;  ///< moving operand arriving from the left
-    Value inB;  ///< second moving operand (OS: weight from above)
-    Value acc;  ///< partial sum arriving from above / resident (OS)
-    Value outA; ///< latched moving operand to pass right
-    Value outB; ///< latched second operand to pass down (OS)
-    Value outAcc; ///< latched partial sum to pass down
-    Value stat; ///< stationary value (WS: weight, IS: ifmap)
-};
-
 /** Builder state shared by the emission helpers. */
 struct Emitter {
-    ir::Context &ctx;
     OpBuilder b;
     const Config &cfg;
     EmitOptions opts;
@@ -47,16 +36,8 @@ struct Emitter {
     std::map<int64_t, std::pair<Value, Value>> stagePairs;
 
     Emitter(ir::Context &c, const Config &cf, const EmitOptions &o)
-        : ctx(c), b(c), cfg(cf), opts(o)
+        : b(c), cfg(cf), opts(o)
     {}
-
-    Value
-    allocOn(Value mem, int64_t elems)
-    {
-        return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems},
-                                         32u)
-            ->result(0);
-    }
 
     void
     buildStructure(ir::Block *top)
@@ -86,36 +67,16 @@ struct Emitter {
             std::string("SRAM DMA StageRegs"),
             std::vector<Value>{sram, stageMem, dma});
 
-        streamIn = allocOn(sram, 1);
-        streamIn2 = allocOn(sram, 1);
-        ofOut = allocOn(sram, 1);
+        streamIn = allocOn(b, sram, 1);
+        streamIn2 = allocOn(b, sram, 1);
+        ofOut = allocOn(b, sram, 1);
 
         pe.assign(cfg.ah, std::vector<Value>(cfg.aw));
         regs.assign(cfg.ah, std::vector<PeRegs>(cfg.aw));
-        for (int h = 0; h < cfg.ah; ++h) {
-            for (int w = 0; w < cfg.aw; ++w) {
-                pe[h][w] =
-                    b.create<equeue::CreateProcOp>(std::string("MAC"))
-                        ->result(0);
-                Value rmem = b.create<equeue::CreateMemOp>(
-                                  std::string("Register"),
-                                  std::vector<int64_t>{16}, 32u, 8u)
-                                 ->result(0);
-                std::string suffix =
-                    std::to_string(h) + "_" + std::to_string(w);
-                b.create<equeue::AddCompOp>(
-                    comp->result(0), "PE_" + suffix + " REG_" + suffix,
-                    std::vector<Value>{pe[h][w], rmem});
-                PeRegs &r = regs[h][w];
-                r.inA = allocOn(rmem, 1);
-                r.inB = allocOn(rmem, 1);
-                r.acc = allocOn(rmem, 1);
-                r.outA = allocOn(rmem, 1);
-                r.outB = allocOn(rmem, 1);
-                r.outAcc = allocOn(rmem, 1);
-                r.stat = allocOn(rmem, 1);
-            }
-        }
+        for (int h = 0; h < cfg.ah; ++h)
+            for (int w = 0; w < cfg.aw; ++w)
+                std::tie(pe[h][w], regs[h][w]) =
+                    addPe(b, comp->result(0), "", h, w);
     }
 
     /** Staging source/dest buffers for a fold loading @p words values. */
@@ -125,26 +86,10 @@ struct Emitter {
         auto it = stagePairs.find(words);
         if (it != stagePairs.end())
             return it->second;
-        Value src = allocOn(sram, words);
-        Value dst = allocOn(stageMem, words);
+        Value src = allocOn(b, sram, words);
+        Value dst = allocOn(b, stageMem, words);
         stagePairs[words] = {src, dst};
         return {src, dst};
-    }
-
-    /** Read the whole 1-element buffer (registers: free; SRAM: traffic). */
-    Value
-    readCell(Value buf)
-    {
-        return b
-            .create<equeue::ReadOp>(buf, Value(), std::vector<Value>{})
-            ->result(0);
-    }
-
-    void
-    writeCell(Value data, Value buf)
-    {
-        b.create<equeue::WriteOp>(data, buf, Value(),
-                                  std::vector<Value>{});
     }
 
     /**
@@ -164,48 +109,8 @@ struct Emitter {
         Value src_b = r.inB;
         if (cfg.dataflow == Dataflow::OS && top_edge && boundary_sram)
             src_b = streamIn2;
-
-        std::vector<Value> captured{src_a, src_b, r.acc, r.stat, r.outA,
-                                    r.outB, r.outAcc};
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, pe[h][w], captured,
-            std::vector<ir::Type>{});
-        {
-            OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            Value a_in = l.body().argument(0);
-            Value b_in = l.body().argument(1);
-            Value acc_in = l.body().argument(2);
-            Value stat_in = l.body().argument(3);
-            Value out_a = l.body().argument(4);
-            Value out_b = l.body().argument(5);
-            Value out_acc = l.body().argument(6);
-
-            Value a = readCell(a_in);
-            Value acc, mul_operand;
-            if (cfg.dataflow == Dataflow::OS) {
-                Value bv = readCell(b_in);
-                acc = readCell(acc_in);
-                mul_operand = bv;
-                writeCell(bv, out_b);
-            } else {
-                Value st = readCell(stat_in);
-                acc = readCell(acc_in);
-                mul_operand = st;
-            }
-            auto res = b.create<equeue::ExternOp>(
-                std::string("mac"),
-                std::vector<Value>{a, mul_operand, acc},
-                std::vector<ir::Type>{ctx.i32Type()});
-            if (cfg.dataflow == Dataflow::OS)
-                writeCell(res->result(0), acc_in); // resident accumulate
-            else
-                writeCell(res->result(0), out_acc);
-            writeCell(a, out_a);
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
-        }
-        return launch->result(0);
+        return emitMacStage(b, dep, pe[h][w], r, src_a, {}, src_b, {},
+                            cfg.dataflow);
     }
 
     /**
@@ -220,7 +125,6 @@ struct Emitter {
         bool right_edge = w == c_eff - 1;
         bool bottom_edge = h == r_eff - 1;
 
-        std::vector<Value> captured{r.outA, r.outB, r.outAcc, r.acc};
         Value dst_a, dst_b, dst_acc;
         if (!right_edge)
             dst_a = regs[h][w + 1].inA;
@@ -235,38 +139,11 @@ struct Emitter {
             else if (emit_sram)
                 dst_acc = ofOut; // outputs exit the bottom row
         }
-        for (Value v : {dst_a, dst_b, dst_acc})
-            if (v)
-                captured.push_back(v);
-
-        auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, pe[h][w], captured,
-            std::vector<ir::Type>{});
-        {
-            OpBuilder::InsertionGuard g(b);
-            equeue::LaunchOp l(launch.op());
-            b.setInsertionPointToEnd(&l.body());
-            unsigned arg = 4;
-            Value out_a = l.body().argument(0);
-            Value out_b = l.body().argument(1);
-            Value out_acc = l.body().argument(2);
-            Value acc_res = l.body().argument(3);
-            if (dst_a) {
-                Value v = readCell(out_a);
-                writeCell(v, l.body().argument(arg++));
-            }
-            if (dst_b) {
-                Value v = readCell(out_b);
-                writeCell(v, l.body().argument(arg++));
-            }
-            if (dst_acc) {
-                Value v = readCell(
-                    cfg.dataflow == Dataflow::OS ? acc_res : out_acc);
-                writeCell(v, l.body().argument(arg++));
-            }
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
-        }
-        return launch->result(0);
+        // OS drains the resident accumulator, the others the latched
+        // partial sum.
+        unsigned acc_src = cfg.dataflow == Dataflow::OS ? 3 : 2;
+        return emitMoves(b, dep, pe[h][w], {r.outA, r.outB, r.outAcc, r.acc},
+                         {{0, dst_a}, {1, dst_b}, {acc_src, dst_acc}});
     }
 
     /** One systolic step: stage R on all active PEs, await, stage W,
@@ -288,19 +165,6 @@ struct Emitter {
                 writes.push_back(emitStageW(pass_start->result(0), h, w,
                                             r_eff, c_eff, streaming));
         b.create<equeue::AwaitOp>(writes);
-    }
-
-    /** Emit a counted loop whose body is filled by @p body_fn. */
-    void
-    emitLoop(int64_t trip, const std::function<void()> &body_fn)
-    {
-        if (trip <= 0)
-            return;
-        auto loop = b.create<affine::ForOp>(int64_t{0}, trip, int64_t{1});
-        OpBuilder::InsertionGuard g(b);
-        b.setInsertionPointToEnd(&affine::ForOp(loop.op()).body());
-        body_fn();
-        b.create<affine::YieldOp>(std::vector<Value>{});
     }
 
     void
@@ -353,14 +217,14 @@ struct Emitter {
                     b.create<equeue::AwaitOp>(
                         std::vector<Value>{cp->result(0)});
                 }
-                emitLoop(t, [&] { emitStep(r_eff, c_eff, true); });
+                emitLoop(b, t, [&] { emitStep(r_eff, c_eff, true); });
                 if (with_drain)
-                    emitLoop(skew,
+                    emitLoop(b, skew,
                              [&] { emitStep(r_eff, c_eff, false); });
             };
             bool split_last = last_shape && opts.skipFinalDrain;
             int64_t counted = split_last ? shape.count - 1 : shape.count;
-            emitLoop(counted, [&] { emit_fold(true); });
+            emitLoop(b, counted, [&] { emit_fold(true); });
             if (split_last)
                 emit_fold(false); // final fold: no cool-down modeled
         }

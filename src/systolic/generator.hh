@@ -16,7 +16,11 @@
  * the event-queue machinery.
  *
  * The generator shares its configuration struct with the SCALE-Sim
- * baseline so experiments sweep both models from one description.
+ * baseline so experiments sweep both models from one description. Its
+ * PEs, their MAC stage and their register moves are the blocks of
+ * systolic/pe.hh, which the SoC family's tiles are built from too;
+ * this file adds the fold shapes, the boundary streams and the
+ * stationary preload.
  */
 
 #ifndef EQ_SYSTOLIC_GENERATOR_HH

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "base/hash.hh"
 #include "serve/models.hh"
 #include "serve/protocol.hh"
 
@@ -419,21 +420,24 @@ checkEveryField(const serve::ModelKey &base, M member, size_t expected)
 
 TEST(ServeModels, ModelKeyJsonRoundTrip)
 {
-    // The wire bytes of releases before the field tables: journal salts
-    // and result-cache keys are built from exactly these strings, so
-    // journals and caches written then must stay resumable.
+    // The wire bytes of releases before the field tables: result-cache
+    // keys are built from exactly these strings, so caches written then
+    // must stay valid. Journal salts hash them.
     const struct {
         serve::ModelKey key;
         serve::SweepAxis axis;
         const char *json;
         const char *point; ///< the resolved config at axis value 1
+        const char *salt;  ///< eqsweep's journal salt (empty tag)
+        const char *taggedSalt; ///< the journal salt under tag "fig "
     } cases[] = {
         {serve::defaultKey(serve::ModelKind::Systolic),
          {"ah", {2, 8}},
          R"({"ah":4,"aw":4,"df":"WS","c":1,"h":8,"w":8,"n":1,"fh":2,)"
          R"("fw":2,"elem_bytes":4})",
          R"({"ah":8,"aw":4,"df":"WS","c":1,"h":8,"w":8,"n":1,"fh":2,)"
-         R"("fw":2,"elem_bytes":4})"},
+         R"("fw":2,"elem_bytes":4})",
+         "88d36b704ec3c3c3", "be574007cf845d33"},
         {serve::defaultKey(serve::ModelKind::Soc),
          {"tiles", {1, 3}},
          R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
@@ -444,13 +448,15 @@ TEST(ServeModels, ModelKeyJsonRoundTrip)
          R"({"ah":2,"aw":2,"df":"OS","link_bw":8},)"
          R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":8,)"
          R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
-         R"("steps":4,"elem_bytes":4})"},
+         R"("steps":4,"elem_bytes":4})",
+         "264253bda3b18d05", "07e3448b1ba54591"},
         {serve::defaultKey(serve::ModelKind::Pipeline),
          {"stages", {2, 5}},
          R"({"stages":4,"batches":6,"tile_elems":16,"compute":2,)"
          R"("dma_bw":8,"hop_bw":4,"elem_bytes":4})",
          R"({"stages":5,"batches":6,"tile_elems":16,"compute":2,)"
-         R"("dma_bw":8,"hop_bw":4,"elem_bytes":4})"},
+         R"("dma_bw":8,"hop_bw":4,"elem_bytes":4})",
+         "f5f9ac61f4ff8a48", "0e229e405bf6eccc"},
         {serve::ModelKey::socKey(soc::SocConfig::dualSharedBus()),
          {"bus_bw", {16, 32}},
          R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
@@ -460,7 +466,8 @@ TEST(ServeModels, ModelKeyJsonRoundTrip)
          R"({"accels":[{"ah":2,"aw":2,"df":"WS","link_bw":8},)"
          R"({"ah":2,"aw":2,"df":"WS","link_bw":8}],"bus_bw":32,)"
          R"("bus_kind":"Streaming","sram_banks":4,"dmas":1,"rounds":2,)"
-         R"("steps":4,"elem_bytes":4})"},
+         R"("steps":4,"elem_bytes":4})",
+         "21bef5be6ad2a031", "d4d514501a754f6d"},
         {serve::ModelKey::socKey(soc::SocConfig::heteroStarved()),
          {"sram_banks", {1, 8}},
          R"({"accels":[{"ah":2,"aw":3,"df":"WS","link_bw":8},)"
@@ -470,7 +477,8 @@ TEST(ServeModels, ModelKeyJsonRoundTrip)
          R"({"accels":[{"ah":2,"aw":3,"df":"WS","link_bw":8},)"
          R"({"ah":3,"aw":2,"df":"OS","link_bw":2}],"bus_bw":4,)"
          R"("bus_kind":"Window","sram_banks":8,"dmas":1,"rounds":2,)"
-         R"("steps":3,"elem_bytes":4})"},
+         R"("steps":3,"elem_bytes":4})",
+         "d15970182938d69e", "ab4b7e2fd13ff72a"},
     };
     for (const auto &c : cases) {
         const std::string model = serve::modelName(c.key.kind);
@@ -482,20 +490,31 @@ TEST(ServeModels, ModelKeyJsonRoundTrip)
         spec.axes.push_back(c.axis);
         std::string err;
         ASSERT_TRUE(spec.validate(&err)) << err;
-        EXPECT_EQ(spec.saltString(), model + " " + c.json);
-        // eqsweep's journal salt and content keys: an empty tag, so
-        // exactly these bytes; a harness's tag only prefixes them.
+        // eqsweep's content keys: an empty tag, so exactly these bytes;
+        // a harness's tag only prefixes them.
         const sweep::Grid grid = spec.grid();
-        EXPECT_EQ(serve::sweepIdentity(spec, grid, {}, {}).salt,
-                  model + " " + c.json);
-        serve::SweepRows tagged;
-        tagged.tag = "fig ";
-        EXPECT_EQ(serve::sweepIdentity(spec, grid, tagged, {}).salt,
-                  "fig " + model + " " + c.json);
-        const serve::ModelKey at1 = spec.keyAt(grid.points().at(1));
+        const std::vector<sweep::Point> points = grid.points();
+        const serve::ModelKey at1 = spec.keyAt(points.at(1));
         EXPECT_EQ(serve::contentKey("", at1), model + " " + c.point);
         EXPECT_EQ(serve::contentKey("fig ", at1),
                   "fig " + model + " " + c.point);
+        // The journal salt is the FNV-1a of every point's content key
+        // (then its length) in dense order.
+        auto saltOf = [&](const std::string &tag) {
+            uint64_t h = kFnvOffset;
+            for (const sweep::Point &p : points) {
+                const std::string key = serve::contentKey(tag, spec.keyAt(p));
+                h = fnv1a(fnv1aBytes(h, key), key.size());
+            }
+            return hexU64(h);
+        };
+        serve::SweepRows tagged;
+        tagged.tag = "fig ";
+        EXPECT_EQ(serve::sweepIdentity(spec, grid, {}, {}).salt, c.salt);
+        EXPECT_EQ(serve::sweepIdentity(spec, grid, tagged, {}).salt,
+                  c.taggedSalt);
+        EXPECT_EQ(saltOf(""), c.salt);
+        EXPECT_EQ(saltOf("fig "), c.taggedSalt);
 
         serve::ModelKey back;
         ASSERT_TRUE(serve::modelKeyFromJson(c.key.kind, reparse(cfg), &back,

@@ -4,11 +4,16 @@
  * and hashing for worker caches), module well-formedness across the
  * shipped factories, exact byte accounting against the closed-form
  * traffic formulas, and contention monotonicity (narrower shared
- * resources never make the system faster).
+ * resources never make the system faster). The emitted text of a few
+ * configs is pinned, so a refactor of the emitters that changes a byte
+ * of any module fails here.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "base/hash.hh"
 #include "sim/engine.hh"
 #include "soc/soc.hh"
 
@@ -231,6 +236,56 @@ TEST(SocContention, PipelineOverlapsBatches)
     cfg.batches = 4;
     uint64_t c4 = simulatePipeline(cfg).cycles;
     EXPECT_LT(c4, 2 * c2);
+}
+
+/** FNV-1a of the printed text of @p module. */
+std::string
+printedHash(const ir::OwningOpRef &module)
+{
+    std::ostringstream os;
+    module->print(os);
+    return hexU64(fnv1aBytes(kFnvOffset, os.str()));
+}
+
+/** The emitted modules of the shipped factories, a three-tile
+ *  WS/IS/OS SoC behind a Window bus with two DMAs, a zero-round SoC
+ *  and two pipelines hash to fixed values: every report, trace and
+ *  golden follows from them. */
+TEST(SocModule, EmittedModulesArePinned)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+
+    soc::SocConfig mixed;
+    mixed.accels = {soc::TileSpec{2, 3, scalesim::Dataflow::WS, 8},
+                    soc::TileSpec{3, 2, scalesim::Dataflow::IS, 4},
+                    soc::TileSpec{2, 2, scalesim::Dataflow::OS, 2}};
+    mixed.busKind = "Window";
+    mixed.dmaEngines = 2;
+    mixed.rounds = 2;
+    mixed.steps = 3;
+    soc::SocConfig idle = soc::SocConfig::heteroStarved();
+    idle.rounds = 0;
+    const std::pair<soc::SocConfig, const char *> socs[] = {
+        {soc::SocConfig::dualSharedBus(), "2f11086d0bdb6130"},
+        {soc::SocConfig::heteroStarved(), "3fc78643f30942e7"},
+        {mixed, "c78d96a83775639b"},
+        {idle, "79173f3fb997fc2f"},
+    };
+    for (const auto &[cfg, hash] : socs)
+        EXPECT_EQ(printedHash(soc::buildSocModule(ctx, cfg)), hash)
+            << "tiles=" << cfg.accels.size() << " rounds=" << cfg.rounds;
+
+    soc::PipelineConfig one = soc::PipelineConfig::small();
+    one.stages = 1;
+    one.batches = 3;
+    const std::pair<soc::PipelineConfig, const char *> pipes[] = {
+        {soc::PipelineConfig::small(), "11fa0709d83c5fff"},
+        {one, "240c41e53217133e"},
+    };
+    for (const auto &[cfg, hash] : pipes)
+        EXPECT_EQ(printedHash(soc::buildPipelineModule(ctx, cfg)), hash)
+            << "stages=" << cfg.stages;
 }
 
 } // namespace

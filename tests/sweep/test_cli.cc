@@ -236,4 +236,46 @@ TEST(SweepCli, HarnessRowsAreKeyedOnTheConfigTheyRun)
     std::remove(path.c_str());
 }
 
+/** Two harness sweeps that differ only in their key function (fig12's
+ *  rule Aw = 64/Ah, then Aw = 32/Ah) under one tag, spec and schema:
+ *  the journal salt covers the configs the key function resolves, so
+ *  the second run is refused with exit 3 and the journal keeps its
+ *  bytes instead of replaying rows of other arrays. */
+TEST(SweepCli, JournalSaltCoversTheKeyFunction)
+{
+    auto run = [](const bench::HarnessArgs &args, int pes) {
+        serve::SweepSpec spec;
+        spec.axes = {{"ah", {2, 4}}};
+        return bench::runSweep(
+            args, spec, spec.grid(),
+            {{"ah", sweep::ValueKind::Int, 4, 0},
+             {"cycles", sweep::ValueKind::Int, 8, 0}},
+            [](const sweep::Point &p, serve::ProgramCache::Handle &handle)
+                -> std::vector<sweep::Cell> {
+                return {p.at("ah"), int64_t(handle.run().cycles)};
+            },
+            [spec, pes](const sweep::Point &p) {
+                serve::ModelKey key = spec.keyAt(p);
+                key.systolic.aw = pes / key.systolic.ah;
+                return key;
+            });
+    };
+    bench::HarnessArgs journaled;
+    journaled.program = "harness";
+    const std::string path =
+        ::testing::TempDir() + "eq_cli_key_rule_journal.ndjson";
+    journaled.flags.durability.journalPath = path;
+    std::remove(path.c_str());
+    ::testing::internal::CaptureStderr();
+    run(journaled, 64);
+    ::testing::internal::GetCapturedStderr();
+    const std::string before = slurp(path);
+    ASSERT_FALSE(before.empty());
+    ::testing::GTEST_FLAG(death_test_style) = "fast";
+    EXPECT_EXIT(run(journaled, 32), ::testing::ExitedWithCode(3),
+                "harness: error: .*journal_header_mismatch");
+    EXPECT_EQ(slurp(path), before);
+    std::remove(path.c_str());
+}
+
 } // namespace

@@ -2,17 +2,35 @@
  * @file
  * Grid enumeration semantics: declaration-order lexicographic
  * enumeration (last axis fastest, exactly like the nested for-loops it
- * replaces), filter pruning with dense surviving indices, and
- * name-based axis lookup.
+ * replaces), filter pruning with dense surviving indices, name-based
+ * axis lookup, and that only a Grid that outlives its points can
+ * enumerate them.
  */
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <utility>
 
 #include "sweep/grid.hh"
 
 namespace {
 
 using namespace eq;
+
+/** Whether G can enumerate its points (the detection idiom). */
+template <typename G, typename = void>
+struct CanEnumerate : std::false_type {};
+template <typename G>
+struct CanEnumerate<G, std::void_t<decltype(std::declval<G>().points())>>
+    : std::true_type {};
+
+// Points borrow their Grid, so a temporary Grid must not hand any out.
+static_assert(CanEnumerate<const sweep::Grid &>::value,
+              "an lvalue Grid enumerates its points");
+static_assert(!CanEnumerate<sweep::Grid>::value,
+              "a temporary Grid must not enumerate: its points would "
+              "outlive it");
 
 TEST(GridTest, EnumeratesLikeNestedLoops)
 {

@@ -186,8 +186,8 @@ TEST_F(JournalTest, SchemaSignatureNamesEveryColumnAndKind)
 
 TEST_F(JournalTest, HashPointsSeesValuesAndOrder)
 {
-    auto p1 = abGrid().points();
-    uint64_t h1 = sweep::hashPoints(p1);
+    const sweep::Grid g1 = abGrid();
+    uint64_t h1 = sweep::hashPoints(g1.points());
 
     sweep::Grid g2;
     g2.axis("a", {1, 2, 3}).axis("b", {5, 7}); // one value changed

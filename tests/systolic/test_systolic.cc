@@ -2,11 +2,16 @@
  * @file
  * Systolic generator tests: emitted modules verify, and the event-queue
  * simulation agrees with the SCALE-Sim analytic baseline on cycles and
- * SRAM traffic (the Fig. 9 claim), across a parameter sweep.
+ * SRAM traffic (the Fig. 9 claim), across a parameter sweep. The
+ * emitted text of a few configs is pinned, so a refactor of the
+ * emitter that changes a byte of any module fails here.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "base/hash.hh"
 #include "scalesim/scalesim.hh"
 #include "sim/engine.hh"
 #include "systolic/generator.hh"
@@ -140,5 +145,53 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 3),
                        ::testing::Values(Dataflow::WS, Dataflow::IS,
                                          Dataflow::OS)));
+
+/** FNV-1a of the printed text of the module emitted for @p cfg. */
+std::string
+printedHash(const Config &cfg, const systolic::EmitOptions &opts)
+{
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    ir::OwningOpRef module = ir::createModule(ctx);
+    systolic::emitSystolicInto(module.get(), cfg, opts);
+    std::ostringstream os;
+    module->print(os);
+    return hexU64(fnv1aBytes(kFnvOffset, os.str()));
+}
+
+/** The emitted modules of each dataflow with partial folds in both
+ *  array dimensions, with and without the final cool-down, hash to
+ *  fixed values: every report, trace and golden follows from them. */
+TEST(SystolicTest, EmittedModulesArePinned)
+{
+    struct Case {
+        Dataflow df;
+        bool skipFinalDrain;
+        const char *hash;
+    };
+    const Case cases[] = {
+        {Dataflow::WS, false, "1084279d4b12ee12"},
+        {Dataflow::IS, false, "bf85896786a49cf9"},
+        {Dataflow::OS, false, "42439bc46a1f870a"},
+        {Dataflow::WS, true, "220071f99aa1221c"},
+        {Dataflow::IS, true, "232b6aa3c96c3bb3"},
+        {Dataflow::OS, true, "3270def0232cd5b4"},
+    };
+    for (const Case &c : cases) {
+        Config cfg;
+        cfg.ah = 3;
+        cfg.aw = 2;
+        cfg.c = 2;
+        cfg.h = cfg.w = 4;
+        cfg.n = 3;
+        cfg.fh = cfg.fw = 2;
+        cfg.dataflow = c.df;
+        systolic::EmitOptions opts;
+        opts.skipFinalDrain = c.skipFinalDrain;
+        EXPECT_EQ(printedHash(cfg, opts), c.hash)
+            << scalesim::dataflowName(c.df)
+            << " skipFinalDrain=" << c.skipFinalDrain;
+    }
+}
 
 } // namespace
