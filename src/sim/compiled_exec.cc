@@ -552,16 +552,14 @@ CompiledExec::execFused(Cycles &now)
 
         // --- events (position-independent, so they fuse too) --------
         case MOp::ControlStart: {
-            Event *ev = _eng.newEvent(Event::Kind::Start);
-            _eng.completeEvent(ev, now);
-            bindLocal(e.result, SimValue::ofEvent(ev->id));
+            bindLocal(e.result, SimValue::ofEvent(_eng.startEvent(now)));
             ++_pc;
             continue;
         }
         case MOp::ControlAnd:
         case MOp::ControlOr: {
             bool is_and = e.code == MOp::ControlAnd;
-            Event *ev = _eng.newEvent(
+            Event *ev = _eng.events.create(
                 is_and ? Event::Kind::And : Event::Kind::Or);
             for (unsigned i = 0; i < e.nargs; ++i)
                 ev->deps.push_back(arg(e, i).asEvent());
@@ -576,7 +574,7 @@ CompiledExec::execFused(Cycles &now)
         }
         case MOp::Launch: {
             unsigned ndeps = static_cast<unsigned>(e.imm);
-            Event *ev = _eng.newEvent(Event::Kind::Launch);
+            Event *ev = _eng.events.create(Event::Kind::Launch);
             for (unsigned i = 0; i < ndeps; ++i)
                 ev->deps.push_back(arg(e, i).asEvent());
             ev->op = e.op;
@@ -588,13 +586,13 @@ CompiledExec::execFused(Cycles &now)
             ev->captures = _prog->captures.data() + site.capturesBegin;
             ev->numCaptures = site.numCaptures;
             bindLocal(e.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
+            _spawned.push(ev->id, _eng.events);
             _eng.enqueueOnProcessor(ev, now);
             ++_pc;
             continue;
         }
         case MOp::Memcpy: {
-            Event *ev = _eng.newEvent(Event::Kind::Memcpy);
+            Event *ev = _eng.events.create(Event::Kind::Memcpy);
             ev->deps.push_back(arg(e, 0).asEvent());
             ev->op = e.op;
             ev->src = arg(e, 1).asBuffer();
@@ -605,7 +603,7 @@ CompiledExec::execFused(Cycles &now)
                 ev->conn = arg(e, 4).asConnection();
             ev->creatorEnv = _env;
             bindLocal(e.result, SimValue::ofEvent(ev->id));
-            _spawned.push_back(ev->id);
+            _spawned.push(ev->id, _eng.events);
             _eng.enqueueOnProcessor(ev, now);
             ++_pc;
             continue;
@@ -616,11 +614,7 @@ CompiledExec::execFused(Cycles &now)
                 // done events are timing-irrelevant (doneTime <= now),
                 // so compact the spawned list to the pending tail and
                 // subscribe to exactly those in one pass.
-                size_t w = 0;
-                for (EventId id : _spawned)
-                    if (!_eng.event(id)->done)
-                        _spawned[w++] = id;
-                _spawned.resize(w);
+                size_t w = _spawned.compact(_eng.events);
                 ++_pc;
                 if (w == 0)
                     continue;
@@ -634,11 +628,11 @@ CompiledExec::execFused(Cycles &now)
             for (unsigned i = 0; i < e.nargs; ++i) {
                 EventId id = arg(e, i).asEvent();
                 ids.push_back(id);
-                Event *ev = _eng.event(id);
-                if (!ev->done)
+                uint64_t word = _eng.events.word(id);
+                if (!EventStore::isDone(word))
                     all_done = false;
                 else
-                    max_t = std::max(max_t, ev->doneTime);
+                    max_t = std::max(max_t, word);
             }
             ++_pc;
             if (all_done) {

@@ -222,7 +222,7 @@ class CompiledExec {
      *  list): cleared per call, so its argument vector's capacity is
      *  reused across calls and launches. */
     OpCall _scratch;
-    std::vector<EventId> _spawned;
+    SpawnList _spawned;
     /** Bumped by init(); see wake(). */
     uint32_t _gen = 0;
     bool _finished = true;

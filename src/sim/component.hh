@@ -14,6 +14,7 @@
 #ifndef EQ_SIM_COMPONENT_HH
 #define EQ_SIM_COMPONENT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -305,27 +306,68 @@ class Connection : public Component {
     void
     recordTransfer(bool is_read, Cycles start, Cycles end, int64_t bytes)
     {
-        _intervals.push_back({is_read, start, end, bytes});
         (is_read ? _readBytes : _writeBytes) += bytes;
+        double rate = bytes / std::max<double>(1.0, double(end - start));
+        if (rate > _maxRate) {
+            _maxRate = rate;
+            // Rates below the new band can never be at peak again.
+            _atPeak.erase(std::remove_if(_atPeak.begin(), _atPeak.end(),
+                                         [&](const PeakGroup &g) {
+                                             return !atPeak(g.rate);
+                                         }),
+                          _atPeak.end());
+        }
+        if (!atPeak(rate))
+            return;
+        auto g = std::find_if(_atPeak.begin(), _atPeak.end(),
+                              [&](const PeakGroup &g) {
+                                  return g.rate == rate;
+                              });
+        if (g == _atPeak.end())
+            g = _atPeak.insert(g, {rate, 0, 0});
+        (is_read ? g->readCycles : g->writeCycles) += end - start;
     }
 
-    struct Interval {
-        bool isRead;
-        Cycles start, end;
-        int64_t bytes;
-    };
-    const std::vector<Interval> &intervals() const { return _intervals; }
+    /** The highest transfer rate so far, in bytes per cycle (a
+     *  transfer takes at least one cycle); 0 before any traffic. */
+    double maxRate() const { return _maxRate; }
+
+    /** Cycles the @p is_read direction spent in transfers within 0.1%
+     *  of maxRate(). */
+    Cycles
+    cyclesAtMaxRate(bool is_read) const
+    {
+        Cycles sum = 0;
+        for (const PeakGroup &g : _atPeak)
+            if (atPeak(g.rate))
+                sum += is_read ? g.readCycles : g.writeCycles;
+        return sum;
+    }
+
     int64_t readBytes() const { return _readBytes; }
     int64_t writeBytes() const { return _writeBytes; }
 
   private:
+    /** Transfers of one rate that is (so far) within 0.1% of the max. */
+    struct PeakGroup {
+        double rate;
+        Cycles readCycles, writeCycles;
+    };
+
+    bool
+    atPeak(double rate) const
+    {
+        return _maxRate > 0 && rate >= _maxRate * 0.999;
+    }
+
     std::string _kind;
     int64_t _bw;
     Cycles _readFree = 0;
     Cycles _writeFree = 0;
     int64_t _readBytes = 0;
     int64_t _writeBytes = 0;
-    std::vector<Interval> _intervals;
+    double _maxRate = 0.0;
+    std::vector<PeakGroup> _atPeak;
 };
 
 /**

@@ -85,28 +85,9 @@ Simulator::Impl::buildReport(double wall_seconds) const
             c.writeBytes = conn->writeBytes();
             c.avgReadBw = c.readBytes / cyc;
             c.avgWriteBw = c.writeBytes / cyc;
-            // Peak bandwidth and the portion of time at peak, from the
-            // recorded transfer intervals.
-            double max_bw = 0.0;
-            for (const auto &iv : conn->intervals()) {
-                double rate =
-                    iv.bytes /
-                    std::max<double>(1.0, double(iv.end - iv.start));
-                max_bw = std::max(max_bw, rate);
-            }
-            c.maxBw = max_bw;
-            Cycles read_at_peak = 0, write_at_peak = 0;
-            for (const auto &iv : conn->intervals()) {
-                double rate =
-                    iv.bytes /
-                    std::max<double>(1.0, double(iv.end - iv.start));
-                if (max_bw > 0 && rate >= max_bw * 0.999) {
-                    (iv.isRead ? read_at_peak : write_at_peak) +=
-                        iv.end - iv.start;
-                }
-            }
-            c.maxBwPortionRead = read_at_peak / cyc;
-            c.maxBwPortionWrite = write_at_peak / cyc;
+            c.maxBw = conn->maxRate();
+            c.maxBwPortionRead = conn->cyclesAtMaxRate(true) / cyc;
+            c.maxBwPortionWrite = conn->cyclesAtMaxRate(false) / cyc;
             rep.connections.push_back(std::move(c));
         } else if (auto *proc = dynamic_cast<Processor *>(comp.get())) {
             ProcReport p;
@@ -149,6 +130,18 @@ Trace &
 Simulator::trace()
 {
     return _impl->traceData;
+}
+
+size_t
+Simulator::pendingEvents() const
+{
+    return _impl->events.livePayloads();
+}
+
+size_t
+Simulator::peakLiveEvents() const
+{
+    return _impl->events.peakPayloads();
 }
 
 OpFunctionRegistry &

@@ -129,6 +129,20 @@ class Simulator {
      */
     PrecompileStats precompile(ir::Operation *module);
 
+    /**
+     * Events of the most recent run that never completed: 0 when the
+     * run drained, at least 1 when it stopped with work blocked
+     * forever (say, a launch waiting on a stream nobody writes). Each
+     * such event still holds its payload (see peakLiveEvents).
+     */
+    size_t pendingEvents() const;
+
+    /** Most events live (created, not yet completed) at once in the
+     *  most recent run: the size of the engine's event payload pool.
+     *  Completed events keep only an 8-byte completion word each, so
+     *  this, not the run's event count, bounds the payload memory. */
+    size_t peakLiveEvents() const;
+
     /** Custom `equeue.op` signatures (§III-E). */
     OpFunctionRegistry &opFunctions();
 

@@ -235,12 +235,23 @@ arithRemSI(int64_t a, int64_t b)
 }
 /// @}
 
-/** A scheduled/executing event (§III-D): launch, memcpy, or control. */
+/**
+ * The heavy part of a live event (§III-D): launch, memcpy or
+ * control_and/or. An event needs all of this only until it completes;
+ * from then on every reader wants just its completion time, which the
+ * event's word in EventStore keeps. A payload therefore returns to the
+ * pool at the end of Simulator::Impl::completeEvent, and the pool holds
+ * as many payloads as events were ever live at once, however long the
+ * run. control_start completes at creation and never takes one.
+ */
 struct Event {
-    enum class Kind { Start, And, Or, Launch, Memcpy };
+    enum class Kind { And, Or, Launch, Memcpy };
 
     EventId id = 0;
-    Kind kind = Kind::Start;
+    /** This payload's position in the pool (fixed for its lifetime). */
+    uint32_t slot = 0;
+    Kind kind = Kind::Launch;
+    bool issueSubscribed = false;
     std::vector<EventId> deps;
 
     // Launch / memcpy payload.
@@ -258,12 +269,10 @@ struct Event {
     BufferObj *dst = nullptr;
     Connection *conn = nullptr;
 
-    /** Next event in @ref proc's issue queue (Processor::pushQueue). */
+    /** Next event in @ref proc's issue queue (Processor::pushQueue);
+     *  while the payload is free, the next free payload. */
     Event *nextQueued = nullptr;
 
-    bool done = false;
-    bool issueSubscribed = false;
-    Cycles doneTime = 0;
     std::vector<SimValue> results;
     /** Run at completion, in subscription order. */
     std::vector<Wakeup> onDone;
@@ -283,56 +292,191 @@ struct Event {
         src = dst = nullptr;
         conn = nullptr;
         nextQueued = nullptr;
-        done = issueSubscribed = false;
-        doneTime = 0;
+        issueSubscribed = false;
         results.clear();
         onDone.clear();
     }
 };
 
 /**
- * Event storage: a slab of fixed-size chunks. Addresses are stable
- * (chunks never move), an id maps to its slot with a shift and a mask,
- * and clear() keeps every chunk and every event's vector capacity, so
- * re-runs of a pinned module create events without allocating. Chunks
- * are small (64 events), so a fresh Simulator pays little up front and
- * at most one chunk is ever spare.
+ * Event storage, split by lifetime. Every EventId owns one 8-byte
+ * completion word for the whole run: while the event is live it holds
+ * kLive | the slot of its payload, once the event is done its
+ * completion time. Payloads (Event) come from a free-listed pool of
+ * fixed-size chunks, so their addresses are stable and a released
+ * payload keeps its vectors' capacity for the next event. Words live in
+ * chunks too, so the store never copies itself as a run grows.
+ *
+ * A run thus costs 8 bytes per executed event plus one payload per
+ * event live at once. clear() is O(payloads ever live at once): it
+ * truncates the words and resets the payloads, keeping every chunk, so
+ * re-runs of a pinned module create events without allocating.
  */
-class EventSlab {
+class EventStore {
   public:
-    size_t size() const { return _size; }
+    /** A live event's word: kLive | payload slot. */
+    static constexpr uint64_t kLive = uint64_t(1) << 63;
 
-    Event &
-    operator[](EventId id)
+    uint64_t
+    word(EventId id) const
     {
-        return _chunks[id >> kChunkShift][id & (kChunk - 1)];
+        eq_assert(id < _size, "bad event id");
+        return _words[id >> kWordShift][id & (kWordChunk - 1)];
     }
+    static bool isDone(uint64_t word) { return !(word & kLive); }
 
-    /** A cleared event with id size(). */
-    Event &
-    append()
+    /** A new event with a cleared payload of @p kind. */
+    Event *
+    create(Event::Kind kind)
     {
-        if ((_size >> kChunkShift) == _chunks.size())
-            _chunks.push_back(std::make_unique<Event[]>(kChunk));
-        Event &ev = (*this)[_size];
-        ev.id = _size++;
+        Event *ev = _free;
+        if (ev) {
+            _free = ev->nextQueued;
+            ev->nextQueued = nullptr;
+        } else {
+            if ((_peak >> kPayloadShift) == _payloads.size())
+                _payloads.push_back(std::make_unique<Event[]>(kPayloadChunk));
+            ev = &payload(_peak);
+            ev->slot = static_cast<uint32_t>(_peak++);
+        }
+        ++_live;
+        ev->kind = kind;
+        ev->id = append(kLive | ev->slot);
         return ev;
     }
+
+    /** A new event that is done at @p t (control_start). */
+    EventId createDone(Cycles t) { return append(t); }
+
+    /** The payload of live event @p id. */
+    Event *
+    live(EventId id)
+    {
+        uint64_t w = word(id);
+        eq_assert(!isDone(w), "event ", id, " has completed");
+        return &payload(w & ~kLive);
+    }
+
+    /** Record that live event @p ev completed at @p t. */
+    void
+    markDone(Event *ev, Cycles t)
+    {
+        uint64_t &w = wordRef(ev->id);
+        eq_assert(!isDone(w), "event completed twice");
+        eq_assert(t < kLive, "completion time out of range");
+        w = t;
+    }
+
+    /** Return the payload of a completed event to the pool. */
+    void
+    release(Event *ev)
+    {
+        ev->clear();
+        ev->nextQueued = _free;
+        _free = ev;
+        --_live;
+    }
+
+    /** Payloads in use: after a run, the events that never completed. */
+    size_t livePayloads() const { return _live; }
+    /** Most payloads in use at once since the last clear(). */
+    size_t peakPayloads() const { return _peak; }
 
     /** Drop every event, keeping the storage. */
     void
     clear()
     {
-        for (EventId id = 0; id < _size; ++id)
-            (*this)[id].clear();
-        _size = 0;
+        for (size_t s = 0; s < _peak; ++s)
+            payload(s).clear();
+        _free = nullptr;
+        _peak = _live = _size = 0;
     }
 
   private:
-    static constexpr unsigned kChunkShift = 6;
-    static constexpr size_t kChunk = size_t(1) << kChunkShift;
-    std::vector<std::unique_ptr<Event[]>> _chunks;
+    static constexpr unsigned kWordShift = 12;
+    static constexpr size_t kWordChunk = size_t(1) << kWordShift;
+    static constexpr unsigned kPayloadShift = 6;
+    static constexpr size_t kPayloadChunk = size_t(1) << kPayloadShift;
+
+    uint64_t &
+    wordRef(EventId id)
+    {
+        return _words[id >> kWordShift][id & (kWordChunk - 1)];
+    }
+
+    Event &
+    payload(size_t slot)
+    {
+        return _payloads[slot >> kPayloadShift][slot & (kPayloadChunk - 1)];
+    }
+
+    EventId
+    append(uint64_t w)
+    {
+        if ((_size >> kWordShift) == _words.size())
+            _words.push_back(std::make_unique<uint64_t[]>(kWordChunk));
+        EventId id = _size++;
+        wordRef(id) = w;
+        return id;
+    }
+
+    std::vector<std::unique_ptr<uint64_t[]>> _words;
+    std::vector<std::unique_ptr<Event[]>> _payloads;
+    /** Free payloads, linked through Event::nextQueued. */
+    Event *_free = nullptr;
+    /** Events created this run: ids are 0.._size-1. */
     size_t _size = 0;
+    /** Payloads handed out at least once since clear(): slots
+     *  0.._peak-1. A payload is drawn fresh only when none is free, so
+     *  this is the most ever live at once. */
+    size_t _peak = 0;
+    /** Payloads handed out and not yet released. */
+    size_t _live = 0;
+};
+
+/**
+ * The events an exec launched, for its await-all. Done ids are dead
+ * weight there (a done event finished no later than `now`), so the list
+ * drops them whenever it doubles since its last compaction: it stays
+ * proportional to the exec's pending launches, not to every launch of
+ * the run.
+ */
+class SpawnList {
+  public:
+    void
+    push(EventId id, const EventStore &events)
+    {
+        if (_ids.size() >= _limit)
+            compact(events);
+        _ids.push_back(id);
+    }
+
+    /** Keep only the pending ids (in order); returns how many. */
+    size_t
+    compact(const EventStore &events)
+    {
+        size_t w = 0;
+        for (EventId id : _ids)
+            if (!EventStore::isDone(events.word(id)))
+                _ids[w++] = id;
+        _ids.resize(w);
+        _limit = std::max(kMinLimit, 2 * w);
+        return w;
+    }
+
+    const EventId *data() const { return _ids.data(); }
+
+    void
+    clear()
+    {
+        _ids.clear();
+        _limit = kMinLimit;
+    }
+
+  private:
+    static constexpr size_t kMinLimit = 64;
+    std::vector<EventId> _ids;
+    size_t _limit = kMinLimit;
 };
 
 /**
@@ -447,7 +591,7 @@ class BlockExec {
     Processor *_proc; ///< executing processor (root proc at top level)
     EnvPtr _env;
     std::vector<Frame> _frames;
-    std::vector<EventId> _spawned;
+    SpawnList _spawned;
     bool _finished = false;
 };
 
@@ -461,7 +605,7 @@ struct Simulator::Impl {
 
     // --- reused engine state -----------------------------------------
     // Every allocation the engine makes per launch, event or op has a
-    // home here (or further down: the event slab, the queues, the join
+    // home here (or further down: the event store, the queues, the join
     // records, the compiled-exec pool, the buffers) that survives
     // reset(), so re-runs of a pinned module reach a steady state that
     // never calls malloc. The env pool is declared first: members are
@@ -549,7 +693,7 @@ struct Simulator::Impl {
     std::vector<std::unique_ptr<BufferObj>> buffers;
     /** Buffers allocated so far in this run (a prefix of @ref buffers). */
     size_t numBuffers = 0;
-    EventSlab events;
+    EventStore events;
     /** Interpreter execs of this run (the oracle backend is not
      *  pooled). */
     std::vector<std::unique_ptr<BlockExec>> blockExecs;
@@ -620,7 +764,7 @@ struct Simulator::Impl {
     /** Forget the value numbering and every program compiled against
      *  it. */
     void dropNumbering();
-    /** Full reset, then free the event slab, the exec pool and the env
+    /** Full reset, then free the event store, the exec pool and the env
      *  pool, which otherwise keep the size of the largest run so far
      *  (Session::releasePools). */
     void releasePools();
@@ -653,13 +797,14 @@ struct Simulator::Impl {
         endTime = std::max(endTime, t);
     }
 
-    Event *newEvent(Event::Kind kind);
-
-    Event *
-    event(EventId id)
+    /** A control_start: an event done at @p t, so it needs no
+     *  payload. */
+    EventId
+    startEvent(Cycles t)
     {
-        eq_assert(id < events.size(), "bad event id");
-        return &events[id];
+        noteActivity(t);
+        ++eventsExecuted;
+        return events.createDone(t);
     }
 
     /** Run @p w at time @p t: the one dispatch point of every wakeup

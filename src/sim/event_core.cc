@@ -69,9 +69,9 @@ void
 Simulator::Impl::releasePools()
 {
     // The reset first makes every event, exec and component let go of
-    // its environments and of its pointers into the slab.
+    // its environments and of its pointers into the event store.
     reset();
-    events = EventSlab();
+    events = EventStore();
     freeExecs.clear();
     compiledExecs.clear();
     envPool = EnvPool();
@@ -84,34 +84,21 @@ Simulator::Impl::freshName(const std::string &base)
     return base + std::to_string(n);
 }
 
-Event *
-Simulator::Impl::newEvent(Event::Kind kind)
-{
-    Event &ev = events.append();
-    ev.kind = kind;
-    return &ev;
-}
-
 void
 Simulator::Impl::completeEvent(Event *ev, Cycles t)
 {
-    eq_assert(!ev->done, "event completed twice");
-    ev->done = true;
-    ev->doneTime = t;
     noteActivity(t);
     ++eventsExecuted;
-    // Fire the wakeups in place: every subscription path checks done
-    // first, so none can be added from here on, and the slab keeps
-    // this event (and the list's capacity) where it is.
+    // Write the completion word first: every subscription path checks
+    // it, so no wakeup can be added from here on and the list can be
+    // fired in place (the payload stays put until released below).
+    events.markDone(ev, t);
     for (const Wakeup &w : ev->onDone)
         fire(w, t);
-    ev->onDone.clear();
-    // The creator environment is only needed up to completion (issue
-    // reads captures from it, finishLaunch publishes results into it,
-    // both before this point); dropping the reference now lets pooled
-    // envs recycle as soon as their launches retire instead of
-    // lingering until the end of the run.
-    ev->creatorEnv.reset();
+    // Every later reader needs only the word, so the payload (with
+    // its creator environment, which issue and finishLaunch used
+    // before this point) goes back to the pool.
+    events.release(ev);
 }
 
 void
@@ -132,10 +119,12 @@ Simulator::Impl::fire(const Wakeup &w, Cycles t)
         scheduleAt(t, {Wakeup::Kind::TryIssue, 0, w.target, 0});
         return;
     case Wakeup::Kind::FinishMemcpy: {
+        // Completion releases the payload: read the DMA first.
         Event *ev = static_cast<Event *>(w.target);
+        Processor *dma = ev->proc;
         completeEvent(ev, t);
-        ev->proc->setBusy(false);
-        tryIssue(ev->proc, t);
+        dma->setBusy(false);
+        tryIssue(dma, t);
         return;
     }
     case Wakeup::Kind::Complete:
@@ -166,11 +155,11 @@ Simulator::Impl::joinUndone(const EventId *ids, size_t n, bool any,
     join.t = t0;
     join.then = then;
     for (size_t i = 0; i < n; ++i) {
-        Event *ev = event(ids[i]);
-        if (ev->done)
+        if (EventStore::isDone(events.word(ids[i])))
             continue;
         ++join.pending;
-        ev->onDone.push_back({Wakeup::Kind::Join, j, nullptr, 0});
+        events.live(ids[i])->onDone.push_back(
+            {Wakeup::Kind::Join, j, nullptr, 0});
     }
 }
 
@@ -202,15 +191,15 @@ void
 Simulator::Impl::whenAllDone(const EventId *ids, size_t n, Wakeup w)
 {
     size_t undone = 0;
-    Event *pending = nullptr;
+    EventId pending = 0;
     Cycles t0 = 0;
     for (size_t i = 0; i < n; ++i) {
-        Event *ev = event(ids[i]);
-        if (ev->done) {
-            t0 = std::max(t0, ev->doneTime);
+        uint64_t word = events.word(ids[i]);
+        if (EventStore::isDone(word)) {
+            t0 = std::max(t0, word);
         } else {
             ++undone;
-            pending = ev;
+            pending = ids[i];
         }
     }
     if (undone == 0) {
@@ -220,7 +209,7 @@ Simulator::Impl::whenAllDone(const EventId *ids, size_t n, Wakeup w)
         // join record. The wakeup lands where the join's would, and
         // fires at the same time: done events finished no later than
         // the pending one will.
-        pending->onDone.push_back(w);
+        events.live(pending)->onDone.push_back(w);
     } else {
         joinUndone(ids, n, /*any=*/false, t0, w);
     }
@@ -230,8 +219,9 @@ void
 Simulator::Impl::whenAnyDone(const EventId *ids, size_t n, Wakeup w)
 {
     for (size_t i = 0; i < n; ++i) {
-        if (event(ids[i])->done) {
-            fire(w, event(ids[i])->doneTime);
+        uint64_t word = events.word(ids[i]);
+        if (EventStore::isDone(word)) {
+            fire(w, word);
             return;
         }
     }
@@ -274,9 +264,9 @@ Simulator::Impl::tryIssue(Processor *proc, Cycles t)
     bool ready = true;
     Cycles dep_time = t;
     for (EventId id : head->deps) {
-        Event *dep = event(id);
-        if (dep->done)
-            dep_time = std::max(dep_time, dep->doneTime);
+        uint64_t word = events.word(id);
+        if (EventStore::isDone(word))
+            dep_time = std::max(dep_time, word);
         else
             ready = false;
     }

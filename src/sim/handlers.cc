@@ -389,9 +389,7 @@ BlockExec::execStreamWrite(ir::Operation *op, Cycles &now)
 BlockExec::Step
 BlockExec::execControlStart(ir::Operation *op, Cycles &now)
 {
-    Event *ev = _eng.newEvent(Event::Kind::Start);
-    _eng.completeEvent(ev, now);
-    bind(op->result(0), SimValue::ofEvent(ev->id));
+    bind(op->result(0), SimValue::ofEvent(_eng.startEvent(now)));
     return advanceFree();
 }
 
@@ -400,7 +398,8 @@ BlockExec::execControlAndOr(ir::Operation *op, Cycles &now)
 {
     (void)now;
     bool is_and = op->opId() == _eng.idControlAnd;
-    Event *ev = _eng.newEvent(is_and ? Event::Kind::And : Event::Kind::Or);
+    Event *ev = _eng.events.create(is_and ? Event::Kind::And
+                                         : Event::Kind::Or);
     for (ir::Value v : op->operands())
         ev->deps.push_back(eval(v).asEvent());
     bind(op->result(0), SimValue::ofEvent(ev->id));
@@ -416,7 +415,7 @@ BlockExec::Step
 BlockExec::execLaunch(ir::Operation *op, Cycles &now)
 {
     equeue::LaunchOp launch(op);
-    Event *ev = _eng.newEvent(Event::Kind::Launch);
+    Event *ev = _eng.events.create(Event::Kind::Launch);
     for (ir::Value d : launch.deps())
         ev->deps.push_back(eval(d).asEvent());
     ev->op = op;
@@ -424,7 +423,7 @@ BlockExec::execLaunch(ir::Operation *op, Cycles &now)
         static_cast<Processor *>(eval(launch.proc()).asComponent());
     ev->creatorEnv = _env;
     bind(op->result(0), SimValue::ofEvent(ev->id));
-    _spawned.push_back(ev->id);
+    _spawned.push(ev->id, _eng.events);
     _eng.enqueueOnProcessor(ev, now);
     return advanceFree();
 }
@@ -433,7 +432,7 @@ BlockExec::Step
 BlockExec::execMemcpy(ir::Operation *op, Cycles &now)
 {
     equeue::MemcpyOp mc(op);
-    Event *ev = _eng.newEvent(Event::Kind::Memcpy);
+    Event *ev = _eng.events.create(Event::Kind::Memcpy);
     ev->deps.push_back(eval(mc.dep()).asEvent());
     ev->op = op;
     ev->proc = static_cast<Processor *>(eval(mc.dma()).asComponent());
@@ -443,7 +442,7 @@ BlockExec::execMemcpy(ir::Operation *op, Cycles &now)
         ev->conn = eval(mc.conn()).asConnection();
     ev->creatorEnv = _env;
     bind(op->result(0), SimValue::ofEvent(ev->id));
-    _spawned.push_back(ev->id);
+    _spawned.push(ev->id, _eng.events);
     _eng.enqueueOnProcessor(ev, now);
     return advanceFree();
 }
@@ -460,11 +459,7 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
         // still-pending events (steady-state loops that await every
         // round stop rescanning and recopying the whole spawn history)
         // and subscribe to exactly those in one pass.
-        size_t w = 0;
-        for (EventId id : _spawned)
-            if (!_eng.event(id)->done)
-                _spawned[w++] = id;
-        _spawned.resize(w);
+        size_t w = _spawned.compact(_eng.events);
         ++_frames.back().it;
         if (w == 0)
             return Step::Continue;
@@ -478,11 +473,11 @@ BlockExec::execAwait(ir::Operation *op, Cycles &now)
     for (ir::Value v : op->operands()) {
         EventId id = eval(v).asEvent();
         ids.push_back(id);
-        Event *ev = _eng.event(id);
-        if (!ev->done)
+        uint64_t word = _eng.events.word(id);
+        if (!EventStore::isDone(word))
             all_done = false;
         else
-            max_t = std::max(max_t, ev->doneTime);
+            max_t = std::max(max_t, word);
     }
     ++_frames.back().it;
     if (all_done) {

@@ -66,7 +66,7 @@ class Session {
      *  Cycle-identical to a fresh Simulator run of the same module. */
     SimReport run();
 
-    /** Free the engine's pooled run storage (the event slab, the exec
+    /** Free the engine's pooled run storage (the event store, the exec
      *  and env pools), which keeps the size of the largest run so far,
      *  and drop the pinned module's numbering and programs; the context,
      *  the dispatch tables and the last run's buffers stay. For a

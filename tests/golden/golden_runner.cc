@@ -33,6 +33,9 @@
  *   golden_runner --update-goldens [NAME]  rewrite golden file(s)
  *   golden_runner --list                   print scenario names
  *
+ * A check also fails when the run leaves an event pending
+ * (Simulator::pendingEvents): every scenario must drain.
+ *
  * Golden files are plain text so drift shows up readably in git diffs.
  * Wall-clock time is deliberately excluded; everything recorded is a
  * deterministic function of the module and the engine.
@@ -422,6 +425,13 @@ runScenario(const Scenario &sc, bool update)
     if (!err.empty()) {
         std::fprintf(stderr, "[%s] FAILED to produce a report: %s\n",
                      sc.name.c_str(), err.c_str());
+        return 1;
+    }
+    // Every scenario drains: an event left pending means part of the
+    // modeled work blocked forever.
+    if (s.pendingEvents() != 0) {
+        std::fprintf(stderr, "[%s] %zu events never completed\n",
+                     sc.name.c_str(), s.pendingEvents());
         return 1;
     }
     std::string actual = renderGolden(sc.name, rep, s.trace());

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "sim/component.hh"
 
 namespace {
@@ -92,7 +96,71 @@ TEST(ConnectionTest, TransferAccounting)
     c.recordTransfer(false, 2, 4, 16);
     EXPECT_EQ(c.readBytes(), 16);
     EXPECT_EQ(c.writeBytes(), 16);
-    EXPECT_EQ(c.intervals().size(), 2u);
+    EXPECT_EQ(c.maxRate(), 8.0);
+    EXPECT_EQ(c.cyclesAtMaxRate(true), 2u);
+    EXPECT_EQ(c.cyclesAtMaxRate(false), 2u);
+}
+
+/** One recorded transfer, as the per-transfer log used to keep it. */
+struct Transfer {
+    bool isRead;
+    Cycles start, end;
+    int64_t bytes;
+};
+
+/** The list-based peak statistics the running ones replace: the max
+ *  rate over every transfer, then the cycles each direction spent
+ *  within 0.1% of it. */
+void
+peakFromLog(const std::vector<Transfer> &log, double *max_bw,
+            Cycles *read_at_peak, Cycles *write_at_peak)
+{
+    *max_bw = 0.0;
+    for (const Transfer &iv : log) {
+        double rate =
+            iv.bytes / std::max<double>(1.0, double(iv.end - iv.start));
+        *max_bw = std::max(*max_bw, rate);
+    }
+    *read_at_peak = *write_at_peak = 0;
+    for (const Transfer &iv : log) {
+        double rate =
+            iv.bytes / std::max<double>(1.0, double(iv.end - iv.start));
+        if (*max_bw > 0 && rate >= *max_bw * 0.999)
+            (iv.isRead ? *read_at_peak : *write_at_peak) +=
+                iv.end - iv.start;
+    }
+}
+
+TEST(ConnectionTest, RunningPeakStatsMatchTheTransferLog)
+{
+    std::mt19937_64 rng(20221001);
+    for (int round = 0; round < 400; ++round) {
+        Connection c("c", "Streaming", 8);
+        std::vector<Transfer> log;
+        // Few distinct sizes and durations, so equal rates, rates
+        // within 0.1% of each other (1000 vs 999 bytes) and a rising
+        // max all happen; some rounds have no traffic at all.
+        const int64_t sizes[] = {0, 7, 8, 16, 999, 1000, 2000, 4096};
+        int n = static_cast<int>(rng() % 40);
+        Cycles now = 0;
+        for (int i = 0; i < n; ++i) {
+            Transfer t;
+            t.isRead = rng() % 2;
+            t.start = now + rng() % 3;
+            t.end = t.start + rng() % 9;
+            t.bytes = sizes[rng() % 8];
+            now = t.start;
+            c.recordTransfer(t.isRead, t.start, t.end, t.bytes);
+            log.push_back(t);
+        }
+        double max_bw;
+        Cycles read_at_peak, write_at_peak;
+        peakFromLog(log, &max_bw, &read_at_peak, &write_at_peak);
+        ASSERT_EQ(c.maxRate(), max_bw) << "round " << round;
+        ASSERT_EQ(c.cyclesAtMaxRate(true), read_at_peak) << "round " << round;
+        ASSERT_EQ(c.cyclesAtMaxRate(false), write_at_peak)
+            << "round " << round;
+    }
 }
 
 TEST(StreamFifoTest, AvailabilityRespectsReadyTimes)
