@@ -407,20 +407,31 @@ BM_LaunchIssue(benchmark::State &state, sim::Backend backend)
     // enqueue, env acquisition (the pool's hottest path), the
     // same-time FIFO, and completion wakeups — with no IR-construction
     // noise (BM_EventDispatch rebuilds the module per iteration and
-    // measures cold per-event cost instead).
+    // measures cold per-event cost instead). The second argument is
+    // how many buffers each launch captures (a systolic MAC stage
+    // captures 8), so the 0 and 8 series differ by the per-capture
+    // cost of issue.
     const int n = static_cast<int>(state.range(0));
+    const int captures = static_cast<int>(state.range(1));
     sim::Session session(engineFor(backend));
-    session.rebuild([n](ir::Context &ctx) {
+    session.rebuild([n, captures](ir::Context &ctx) {
         auto module = ir::createModule(ctx);
         ir::OpBuilder b(ctx);
         b.setInsertionPointToEnd(&module->region(0).front());
         auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+        auto mem = b.create<equeue::CreateMemOp>(
+            std::string("SRAM"), std::vector<int64_t>{64}, 32u, 1u);
+        std::vector<ir::Value> bufs;
+        for (int i = 0; i < captures; ++i)
+            bufs.push_back(b.create<equeue::AllocOp>(
+                                mem->result(0), std::vector<int64_t>{1}, 32u)
+                               ->result(0));
         auto start = b.create<equeue::ControlStartOp>();
         ir::Value dep = start->result(0);
         for (int i = 0; i < n; ++i) {
             auto launch = b.create<equeue::LaunchOp>(
-                std::vector<ir::Value>{dep}, proc->result(0),
-                std::vector<ir::Value>{}, std::vector<ir::Type>{});
+                std::vector<ir::Value>{dep}, proc->result(0), bufs,
+                std::vector<ir::Type>{});
             {
                 ir::OpBuilder::InsertionGuard g(b);
                 equeue::LaunchOp l(launch.op());
@@ -442,8 +453,8 @@ BM_LaunchIssue(benchmark::State &state, sim::Backend backend)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK_CAPTURE(BM_LaunchIssue, compiled, sim::Backend::Compiled)
-    ->Arg(256)
-    ->Arg(1024);
+    ->ArgNames({"launches", "captures"})
+    ->ArgsProduct({{256, 1024}, {0, 8}});
 
 void
 BM_ServeWarmVsCold(benchmark::State &state, bool warm)

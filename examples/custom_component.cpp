@@ -115,7 +115,7 @@ main()
     //    4 lanes per cycle).
     s.opFunctions().registerOp("relu4", [](const sim::OpCall &call) {
         auto t = call.args[0].asTensor();
-        auto out = std::make_shared<sim::Tensor>(*t);
+        auto out = sim::TensorPtr::make(*t);
         for (auto &v : out->data)
             v = v < 0 ? 0 : v;
         sim::OpFnResult r;

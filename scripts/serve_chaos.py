@@ -46,7 +46,8 @@ SOCKET_TIMEOUT = 30  # seconds; hitting it means the daemon hung
 RETRYABLE = {"backpressure", "build_failed", "internal"}
 TAXONOMY = {"malformed_request", "frame_too_large", "bad_request",
             "backpressure", "deadline_exceeded", "cancelled",
-            "build_failed", "internal", "shutting_down"}
+            "build_failed", "internal", "shutting_down",
+            "resource_exhausted"}
 
 CONFIGS = [{"ah": 2, "aw": 2}, {"ah": 4, "aw": 4}, {"ah": 2, "aw": 8}]
 

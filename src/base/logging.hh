@@ -58,14 +58,21 @@ void informImpl(const std::string &msg);
 #define eq_inform(...)                                                      \
     ::eq::detail::informImpl(::eq::detail::formatMessage(__VA_ARGS__))
 
-/** Assert that is active in all build types (simulator invariants). */
+/**
+ * Assert that is active in all build types (simulator invariants). The
+ * message is built in a cold, out-of-line lambda, so a passing check
+ * costs its test and a branch, and small hot accessors that assert
+ * still inline.
+ */
 #define eq_assert(cond, ...)                                                \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::eq::detail::panicImpl(                                        \
-                __FILE__, __LINE__,                                         \
-                ::eq::detail::formatMessage("assertion failed: " #cond " ", \
-                                            ##__VA_ARGS__));                \
+        if (__builtin_expect(!(cond), 0)) {                                 \
+            [&]() __attribute__((cold, noinline, noreturn)) {               \
+                ::eq::detail::panicImpl(                                    \
+                    __FILE__, __LINE__,                                     \
+                    ::eq::detail::formatMessage(                            \
+                        "assertion failed: " #cond " ", ##__VA_ARGS__));    \
+            }();                                                            \
         }                                                                   \
     } while (0)
 

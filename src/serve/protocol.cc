@@ -1,6 +1,7 @@
 #include "serve/protocol.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,19 +102,19 @@ Json::dumpTo(std::string &out) const
         out += _b ? "true" : "false";
         break;
     case Kind::Int:
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(_i));
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, _i).ptr);
         break;
     case Kind::Real:
-        // %.17g round-trips every finite double exactly; non-finite
-        // values have no JSON spelling, write null.
+        // General format at precision 17 spells what %.17g does and
+        // round-trips every finite double exactly; non-finite values
+        // have no JSON spelling, write null.
         if (_r != _r || _r > 1.7976931348623157e308 ||
             _r < -1.7976931348623157e308) {
             out += "null";
         } else {
-            std::snprintf(buf, sizeof buf, "%.17g", _r);
-            out += buf;
+            out.append(buf, std::to_chars(buf, buf + sizeof buf, _r,
+                                          std::chars_format::general, 17)
+                                .ptr);
         }
         break;
     case Kind::Str:
@@ -438,6 +439,7 @@ errorCodeName(ErrorCode code)
     case ErrorCode::BuildFailed: return "build_failed";
     case ErrorCode::Internal: return "internal";
     case ErrorCode::ShuttingDown: return "shutting_down";
+    case ErrorCode::ResourceExhausted: return "resource_exhausted";
     case ErrorCode::Unknown: return "unknown";
     }
     return "unknown";
@@ -451,7 +453,7 @@ errorCodeFromName(const std::string &name, ErrorCode *out)
           ErrorCode::BadRequest, ErrorCode::Backpressure,
           ErrorCode::DeadlineExceeded, ErrorCode::Cancelled,
           ErrorCode::BuildFailed, ErrorCode::Internal,
-          ErrorCode::ShuttingDown}) {
+          ErrorCode::ShuttingDown, ErrorCode::ResourceExhausted}) {
         if (name == errorCodeName(code)) {
             *out = code;
             return true;

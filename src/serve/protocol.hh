@@ -148,6 +148,7 @@ enum class ErrorCode : uint8_t {
     BuildFailed,      ///< program build failed (retryable)
     Internal,         ///< worker-side exception (retryable)
     ShuttingDown,     ///< server is stopping
+    ResourceExhausted, ///< the run passed the engine's op budget
     Unknown,          ///< unrecognized wire code (client-side only)
 };
 

@@ -347,6 +347,10 @@ Server::runTask(const std::shared_ptr<Conn> &conn, ModelKey key,
             respond(&result);
         } catch (const BuildError &e) {
             fail(ErrorCode::BuildFailed, e.what());
+        } catch (const sim::SimError &e) {
+            // The run hit the op budget; the session stays usable and
+            // a retry would hit it again.
+            fail(ErrorCode::ResourceExhausted, e.what());
         } catch (const std::exception &e) {
             fail(ErrorCode::Internal, e.what());
         }

@@ -108,7 +108,7 @@ CompiledExec::resume(Cycles t)
         const MicroOp &m = code[_pc];
         if (m.counts()) {
             ++_eng.dispatchCount;
-            countOp();
+            _eng.countOp();
         }
         switch (m.code) {
         // --- control flow -------------------------------------------
@@ -308,7 +308,7 @@ CompiledExec::execFused(Cycles &now)
         // opsExecuted parity: every element is one interpreter
         // dispatch (elements re-executed after a stream wait re-count,
         // exactly like the interpreter's re-executed op).
-        countOp();
+        _eng.countOp();
         switch (e.code) {
         case MOp::Constant:
             bindLocal(e.result, _prog->consts[e.aux]);
@@ -411,10 +411,10 @@ CompiledExec::execFused(Cycles &now)
                     bindLocal(e.result,
                               SimValue::ofInt(buf->data->data[0]));
                 } else {
-                    auto copy = std::make_shared<Tensor>(*buf->data);
+                    TensorPtr copy = TensorPtr::make(*buf->data);
                     bytes = copy->sizeBytes();
                     words = buf->data->numElements();
-                    bindLocal(e.result, SimValue::ofTensor(copy));
+                    bindLocal(e.result, SimValue::ofTensor(std::move(copy)));
                 }
             } else {
                 int64_t idxbuf[kMaxRank];

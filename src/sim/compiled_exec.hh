@@ -167,16 +167,6 @@ class CompiledExec {
         return c;
     }
 
-    /** Count one executed op (one interpreter dispatch, for
-     *  opsExecuted parity) against the run's op budget. */
-    void
-    countOp()
-    {
-        if (++_eng.opsExecuted > _eng.opts.maxOps)
-            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
-                     "); runaway program?");
-    }
-
     /** Account for an op occupying the processor from @p start for
      *  @p cycles; advances the pc. @return true when the stream must
      *  suspend (the op ends later than @p now *and* another event is

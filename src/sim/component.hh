@@ -183,7 +183,7 @@ class Memory : public Device {
 /** An allocation placed on a Memory by equeue.alloc. */
 struct BufferObj {
     Memory *mem = nullptr;
-    std::shared_ptr<Tensor> data;
+    TensorPtr data;
     std::string label; ///< printing/tracing aid
 
     int64_t sizeBytes() const { return data ? data->sizeBytes() : 0; }

@@ -123,9 +123,8 @@ Simulator::Impl::elabAlloc(ir::Operation *op, Memory *mem)
     // Reuse the previous run's buffer at this position when it has the
     // same shape and width and no one else holds its tensor; it starts
     // zeroed like a fresh one.
-    std::shared_ptr<Tensor> &t = buf->data;
-    if (t && t.use_count() == 1 && t->shape == shape &&
-        t->elemBits == bt.elemBits())
+    TensorPtr &t = buf->data;
+    if (t.unique() && t->shape == shape && t->elemBits == bt.elemBits())
         std::fill(t->data.begin(), t->data.end(), 0);
     else
         t = Tensor::zeros(shape, bt.elemBits());

@@ -22,6 +22,7 @@
 #define EQ_SIM_ENGINE_HH
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "ir/operation.hh"
@@ -66,13 +67,23 @@ bool backendFromName(const std::string &name, Backend *out);
  *  pass through. A Simulator resolves once, at construction. */
 Backend resolveBackend(Backend requested);
 
+/**
+ * A run that could not finish. The Simulator (and a Session around it)
+ * stays usable: its next run starts from a reset. Today only an
+ * exhausted op budget (EngineOptions::maxOps) throws it.
+ */
+struct SimError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
 /** Engine configuration. */
 struct EngineOptions {
     /** Record operation-level trace slices (costs memory). */
     bool enableTrace = false;
     /** Run the IR verifier before simulating. */
     bool verifyModule = true;
-    /** Runaway-program guard: abort after this many interpreted ops. */
+    /** Runaway-program guard: a run that executes more ops than this
+     *  throws SimError. */
     uint64_t maxOps = 500'000'000;
     /** Execution backend; Auto resolves EQ_SIM_BACKEND at Simulator
      *  construction (default Compiled). */

@@ -123,6 +123,8 @@ struct Env {
     EnvPool *pool = nullptr;
     std::vector<SimValue> slots;
     EnvPtr parent;
+    /** While pooled: the next free env of the same slot count. */
+    Env *nextFree = nullptr;
 
     /** Resolve @p v along the scope chain; null when unbound. */
     const SimValue *
@@ -157,17 +159,30 @@ struct Env {
  * here; envs come back as soon as their last reference drops
  * (typically when the launch completes). The pool survives reset(), so
  * re-runs of a pinned module allocate no environments at all.
+ *
+ * The free lists are one flat array indexed by slot count, each entry
+ * the head of a list linked through Env::nextFree: acquiring and
+ * recycling are an index and a pointer swap. The pool owns the envs on
+ * its lists; an env in use is owned by its references.
  */
 class EnvPool {
   public:
+    EnvPool() = default;
+    EnvPool(const EnvPool &) = delete;
+    EnvPool &operator=(const EnvPool &) = delete;
+    ~EnvPool() { clear(); }
+
     /** An env of @p num_slots unbound slots for scope @p scope_id,
      *  chained onto @p parent (interp.cc). */
     EnvPtr acquire(uint32_t scope_id, uint32_t num_slots, EnvPtr parent);
     /** Return @p e, whose last reference just dropped (interp.cc). */
     void recycle(Env *e);
+    /** Free every pooled env (interp.cc). */
+    void clear();
 
   private:
-    std::unordered_map<uint32_t, std::vector<std::unique_ptr<Env>>> _free;
+    /** Slot count -> first free env of that many slots (or null). */
+    std::vector<Env *> _free;
 };
 
 inline EnvPtr::EnvPtr(Env *e) : _p(e)
@@ -754,6 +769,17 @@ struct Simulator::Impl {
      *  fusion win, surfaced in SimReport::dispatchCount). */
     uint64_t dispatchCount = 0;
     std::unordered_map<std::string, int> nameCounters;
+
+    /** Count one executed op against the run's op budget
+     *  (EngineOptions::maxOps). */
+    void
+    countOp()
+    {
+        if (++opsExecuted > opts.maxOps)
+            opBudgetExceeded();
+    }
+    /** Throw the SimError for an exhausted op budget (event_core.cc). */
+    [[noreturn, gnu::cold]] void opBudgetExceeded() const;
 
     // --- event core (event_core.cc) -----------------------------------
     /** Clear per-run simulation state. Value numbering survives when

@@ -55,6 +55,14 @@ Simulator::Impl::reset(bool keep_numbering)
 }
 
 void
+Simulator::Impl::opBudgetExceeded() const
+{
+    throw SimError(detail::formatMessage("interpreted op budget exceeded (",
+                                         opts.maxOps,
+                                         "); runaway program?"));
+}
+
+void
 Simulator::Impl::dropNumbering()
 {
     valueScopes.clear();
@@ -74,7 +82,7 @@ Simulator::Impl::releasePools()
     events = EventStore();
     freeExecs.clear();
     compiledExecs.clear();
-    envPool = EnvPool();
+    envPool.clear();
 }
 
 std::string

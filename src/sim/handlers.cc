@@ -280,9 +280,9 @@ BlockExec::execRead(ir::Operation *op, Cycles &now)
     auto idx_vals = read.indices();
     int64_t bytes;
     if (idx_vals.empty()) {
-        auto copy = std::make_shared<Tensor>(*buf->data);
+        TensorPtr copy = TensorPtr::make(*buf->data);
         bytes = copy->sizeBytes();
-        bind(op->result(0), SimValue::ofTensor(copy));
+        bind(op->result(0), SimValue::ofTensor(std::move(copy)));
     } else {
         std::vector<int64_t> idx;
         for (ir::Value v : idx_vals)

@@ -83,11 +83,10 @@ Simulator::Impl::makeEnv(ir::Block *root, EnvPtr parent)
 EnvPtr
 EnvPool::acquire(uint32_t scope_id, uint32_t num_slots, EnvPtr parent)
 {
-    Env *raw;
-    auto it = _free.find(num_slots);
-    if (it != _free.end() && !it->second.empty()) {
-        raw = it->second.back().release();
-        it->second.pop_back();
+    Env *raw = num_slots < _free.size() ? _free[num_slots] : nullptr;
+    if (raw) {
+        _free[num_slots] = raw->nextFree;
+        raw->nextFree = nullptr;
     } else {
         raw = new Env();
         raw->pool = this;
@@ -109,11 +108,27 @@ EnvPool::recycle(Env *e)
     // at that point. Pooled envs therefore never hold parent refs, so
     // draining the free list itself can never cascade back into it.
     e->parent.reset();
-    const auto key = static_cast<uint32_t>(e->slots.size());
+    const size_t key = e->slots.size();
     // Keep the slot vector's capacity but release held payloads
     // (tensors, buffers) now rather than at the next acquire.
     e->slots.clear();
-    _free[key].emplace_back(e);
+    if (key >= _free.size())
+        _free.resize(key + 1, nullptr);
+    e->nextFree = _free[key];
+    _free[key] = e;
+}
+
+void
+EnvPool::clear()
+{
+    for (Env *head : _free) {
+        while (Env *e = head) {
+            head = e->nextFree;
+            delete e;
+        }
+    }
+    _free.clear();
+    _free.shrink_to_fit();
 }
 
 // ---------------------------------------------------------------------------
@@ -283,9 +298,7 @@ BlockExec::resume(Cycles t)
         }
         ir::Operation *op = *f.it;
         ++_eng.dispatchCount;
-        if (++_eng.opsExecuted > _eng.opts.maxOps)
-            eq_fatal("interpreted op budget exceeded (", _eng.opts.maxOps,
-                     "); runaway program?");
+        _eng.countOp();
         Step s = dispatch(op, now);
         if (s == Step::Suspend)
             return;

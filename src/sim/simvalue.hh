@@ -11,9 +11,7 @@
 #define EQ_SIM_SIMVALUE_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -25,6 +23,8 @@ class Component;
 class Connection;
 class StreamFifo;
 struct BufferObj;
+
+class TensorPtr;
 
 /** Dense integer tensor (element width tracked for byte accounting). */
 struct Tensor {
@@ -46,15 +46,7 @@ struct Tensor {
         return numElements() * ((elemBits + 7) / 8);
     }
 
-    static std::shared_ptr<Tensor>
-    zeros(std::vector<int64_t> shape, unsigned elem_bits)
-    {
-        auto t = std::make_shared<Tensor>();
-        t->shape = std::move(shape);
-        t->elemBits = elem_bits;
-        t->data.assign(t->numElements(), 0);
-        return t;
-    }
+    static TensorPtr zeros(std::vector<int64_t> shape, unsigned elem_bits);
 
     /** Row-major flattened offset of a multi-dim index. */
     int64_t
@@ -74,150 +66,244 @@ struct Tensor {
     {
         return offset(idx.data(), idx.size());
     }
+
+  private:
+    friend class TensorPtr;
+    /** Live TensorPtr and SimValue holders. Not atomic: a Simulator's
+     *  values never cross threads. */
+    uint32_t _refs = 0;
 };
+
+/**
+ * Intrusive, non-atomic reference to a heap Tensor; the tensor is freed
+ * when its last holder (a TensorPtr or a SimValue) drops it.
+ */
+class TensorPtr {
+  public:
+    TensorPtr() = default;
+    /** A new heap tensor with @p t's contents. */
+    static TensorPtr
+    make(Tensor t)
+    {
+        Tensor *p = new Tensor(std::move(t));
+        p->_refs = 0;
+        return TensorPtr(p);
+    }
+    TensorPtr(const TensorPtr &o) noexcept : TensorPtr(o._p) {}
+    TensorPtr(TensorPtr &&o) noexcept : _p(o._p) { o._p = nullptr; }
+    TensorPtr &
+    operator=(TensorPtr o) noexcept
+    {
+        std::swap(_p, o._p);
+        return *this;
+    }
+    ~TensorPtr() { unref(_p); }
+
+    Tensor *get() const { return _p; }
+    Tensor *operator->() const { return _p; }
+    Tensor &operator*() const { return *_p; }
+    explicit operator bool() const { return _p != nullptr; }
+    /** True when this is the tensor's only holder. */
+    bool unique() const { return _p && _p->_refs == 1; }
+
+  private:
+    friend class SimValue;
+    /** Adopt @p t (taking one reference). */
+    explicit TensorPtr(Tensor *t) noexcept : _p(t)
+    {
+        if (_p)
+            ref(_p);
+    }
+    static void ref(Tensor *t) { ++t->_refs; }
+    static void
+    unref(Tensor *t)
+    {
+        if (t && --t->_refs == 0)
+            delete t;
+    }
+
+    Tensor *_p = nullptr;
+};
+
+inline TensorPtr
+Tensor::zeros(std::vector<int64_t> shape, unsigned elem_bits)
+{
+    Tensor t;
+    t.shape = std::move(shape);
+    t.elemBits = elem_bits;
+    t.data.assign(t.numElements(), 0);
+    return TensorPtr::make(std::move(t));
+}
 
 /** Id of an Event managed by the engine. */
 using EventId = uint64_t;
 constexpr EventId kNoEvent = ~0ull;
 
-/** A runtime value: scalar, tensor, or simulation-object handle. */
+/**
+ * A runtime value: scalar, tensor, or simulation-object handle. Two
+ * words: one 8-byte payload and a 1-byte kind, so copying a value that
+ * is not a tensor is a plain copy, and a tensor copy bumps its
+ * intrusive count. A moved-from value is None.
+ */
 class SimValue {
   public:
     SimValue() = default;
+    SimValue(const SimValue &o) noexcept : _u(o._u), _kind(o._kind)
+    {
+        if (_kind == Kind::Tensor)
+            TensorPtr::ref(_u.t);
+    }
+    SimValue(SimValue &&o) noexcept : _u(o._u), _kind(o._kind)
+    {
+        o._kind = Kind::None;
+    }
+    SimValue &
+    operator=(const SimValue &o) noexcept
+    {
+        // Count first, so self-assignment never frees the tensor.
+        if (o._kind == Kind::Tensor)
+            TensorPtr::ref(o._u.t);
+        drop();
+        _u = o._u;
+        _kind = o._kind;
+        return *this;
+    }
+    SimValue &
+    operator=(SimValue &&o) noexcept
+    {
+        if (this != &o) {
+            drop();
+            _u = o._u;
+            _kind = o._kind;
+            o._kind = Kind::None;
+        }
+        return *this;
+    }
+    ~SimValue() { drop(); }
 
     static SimValue
     ofInt(int64_t v)
     {
-        SimValue s;
-        s._v = v;
+        SimValue s(Kind::Int);
+        s._u.i = v;
         return s;
     }
     static SimValue
     ofFloat(double v)
     {
-        SimValue s;
-        s._v = v;
+        SimValue s(Kind::Float);
+        s._u.f = v;
         return s;
     }
     static SimValue
-    ofTensor(std::shared_ptr<Tensor> t)
+    ofTensor(TensorPtr t)
     {
         SimValue s;
-        s._v = std::move(t);
+        if (t) {
+            s._kind = Kind::Tensor;
+            s._u.t = t._p;
+            t._p = nullptr;
+        }
         return s;
     }
     static SimValue
     ofEvent(EventId e)
     {
-        SimValue s;
-        s._v = Ev{e};
+        SimValue s(Kind::Event);
+        s._u.e = e;
         return s;
     }
     static SimValue
     ofComponent(Component *c)
     {
-        SimValue s;
-        s._v = c;
+        SimValue s(Kind::Component);
+        s._u.c = c;
         return s;
     }
     static SimValue
     ofBuffer(BufferObj *b)
     {
-        SimValue s;
-        s._v = b;
+        SimValue s(Kind::Buffer);
+        s._u.b = b;
         return s;
     }
     static SimValue
     ofConnection(Connection *c)
     {
-        SimValue s;
-        s._v = Conn{c};
+        SimValue s(Kind::Connection);
+        s._u.conn = c;
         return s;
     }
     static SimValue
     ofStream(StreamFifo *f)
     {
-        SimValue s;
-        s._v = f;
+        SimValue s(Kind::Stream);
+        s._u.s = f;
         return s;
     }
 
-    bool isNone() const
-    {
-        return std::holds_alternative<std::monostate>(_v);
-    }
-    bool isInt() const { return std::holds_alternative<int64_t>(_v); }
-    bool isFloat() const { return std::holds_alternative<double>(_v); }
-    bool
-    isTensor() const
-    {
-        return std::holds_alternative<std::shared_ptr<Tensor>>(_v);
-    }
-    bool isEvent() const { return std::holds_alternative<Ev>(_v); }
-    bool
-    isComponent() const
-    {
-        return std::holds_alternative<Component *>(_v);
-    }
-    bool isBuffer() const { return std::holds_alternative<BufferObj *>(_v); }
-    bool isConnection() const { return std::holds_alternative<Conn>(_v); }
-    bool
-    isStream() const
-    {
-        return std::holds_alternative<StreamFifo *>(_v);
-    }
+    bool isNone() const { return _kind == Kind::None; }
+    bool isInt() const { return _kind == Kind::Int; }
+    bool isFloat() const { return _kind == Kind::Float; }
+    bool isTensor() const { return _kind == Kind::Tensor; }
+    bool isEvent() const { return _kind == Kind::Event; }
+    bool isComponent() const { return _kind == Kind::Component; }
+    bool isBuffer() const { return _kind == Kind::Buffer; }
+    bool isConnection() const { return _kind == Kind::Connection; }
+    bool isStream() const { return _kind == Kind::Stream; }
 
     int64_t
     asInt() const
     {
         if (isFloat())
-            return static_cast<int64_t>(std::get<double>(_v));
+            return static_cast<int64_t>(_u.f);
         eq_assert(isInt(), "SimValue is not an int");
-        return std::get<int64_t>(_v);
+        return _u.i;
     }
     double
     asFloat() const
     {
         if (isInt())
-            return static_cast<double>(std::get<int64_t>(_v));
+            return static_cast<double>(_u.i);
         eq_assert(isFloat(), "SimValue is not a float");
-        return std::get<double>(_v);
+        return _u.f;
     }
-    const std::shared_ptr<Tensor> &
+    /** The held tensor (owned by this value). */
+    Tensor *
     asTensor() const
     {
         eq_assert(isTensor(), "SimValue is not a tensor");
-        return std::get<std::shared_ptr<Tensor>>(_v);
+        return _u.t;
     }
     EventId
     asEvent() const
     {
         eq_assert(isEvent(), "SimValue is not an event");
-        return std::get<Ev>(_v).id;
+        return _u.e;
     }
     Component *
     asComponent() const
     {
         eq_assert(isComponent(), "SimValue is not a component");
-        return std::get<Component *>(_v);
+        return _u.c;
     }
     BufferObj *
     asBuffer() const
     {
         eq_assert(isBuffer(), "SimValue is not a buffer");
-        return std::get<BufferObj *>(_v);
+        return _u.b;
     }
     Connection *
     asConnection() const
     {
         eq_assert(isConnection(), "SimValue is not a connection");
-        return std::get<Conn>(_v).conn;
+        return _u.conn;
     }
     StreamFifo *
     asStream() const
     {
         eq_assert(isStream(), "SimValue is not a stream");
-        return std::get<StreamFifo *>(_v);
+        return _u.s;
     }
 
     /** Byte size of the payload (tensors and scalars). */
@@ -225,23 +311,47 @@ class SimValue {
     sizeBytes() const
     {
         if (isTensor())
-            return asTensor()->sizeBytes();
+            return _u.t->sizeBytes();
         if (isInt() || isFloat())
             return 4;
         return 0;
     }
 
   private:
-    struct Ev {
-        EventId id;
+    enum class Kind : uint8_t {
+        None,
+        Int,
+        Float,
+        Tensor,
+        Event,
+        Component,
+        Buffer,
+        Connection,
+        Stream,
     };
-    struct Conn {
+    explicit SimValue(Kind k) : _kind(k) {}
+
+    void
+    drop()
+    {
+        if (_kind == Kind::Tensor)
+            TensorPtr::unref(_u.t);
+    }
+
+    /** The member @ref _kind names is the live one (none for None). */
+    union Payload {
+        int64_t i = 0;
+        double f;
+        Tensor *t;
+        EventId e;
+        Component *c;
+        BufferObj *b;
         Connection *conn;
-    };
-    std::variant<std::monostate, int64_t, double, std::shared_ptr<Tensor>,
-                 Ev, Component *, BufferObj *, Conn, StreamFifo *>
-        _v;
+        StreamFifo *s;
+    } _u;
+    Kind _kind = Kind::None;
 };
+static_assert(sizeof(SimValue) == 16, "a SimValue is two words");
 
 } // namespace sim
 } // namespace eq

@@ -13,6 +13,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -67,6 +69,47 @@ TEST(ServeJson, DoubleRoundTripsBitExactly)
     EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(),
               "null");
     EXPECT_EQ(Json(std::nan("")).dump(), "null");
+}
+
+TEST(ServeJson, NumbersSpellLikePrintf)
+{
+    // dumpTo spells numbers with std::to_chars; the wire bytes must
+    // stay those of snprintf's %lld and %.17g.
+    auto printfReal = [](double v) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    const std::pair<double, const char *> pinned[] = {
+        {0.1, "0.10000000000000001"},
+        {-0.0, "-0"},
+        {5e-324, "4.9406564584124654e-324"},
+        {1e21, "1e+21"},
+        {std::numeric_limits<double>::max(), "1.7976931348623157e+308"},
+    };
+    for (const auto &[v, spelled] : pinned) {
+        EXPECT_EQ(Json(v).dump(), spelled);
+        EXPECT_EQ(Json(v).dump(), printfReal(v));
+    }
+    const int64_t min = std::numeric_limits<int64_t>::min();
+    EXPECT_EQ(Json(min).dump(), "-9223372036854775808");
+    EXPECT_EQ(Json(min).dump(), std::to_string(static_cast<long long>(min)));
+
+    // Finite doubles from seeded random bit patterns, plus the integers
+    // and short decimals reports are made of.
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 20000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        double v;
+        std::memcpy(&v, &x, sizeof v);
+        if (std::isfinite(v)) {
+            ASSERT_EQ(Json(v).dump(), printfReal(v)) << x;
+        }
+        double d = static_cast<double>(i) / 8.0 + i * 1e-3;
+        ASSERT_EQ(Json(d).dump(), printfReal(d)) << i;
+    }
 }
 
 TEST(ServeJson, StringEscapes)
@@ -154,7 +197,7 @@ TEST(ServeProtocol, ErrorCodeNamesRoundTrip)
           ErrorCode::BadRequest, ErrorCode::Backpressure,
           ErrorCode::DeadlineExceeded, ErrorCode::Cancelled,
           ErrorCode::BuildFailed, ErrorCode::Internal,
-          ErrorCode::ShuttingDown}) {
+          ErrorCode::ShuttingDown, ErrorCode::ResourceExhausted}) {
         ErrorCode back = ErrorCode::None;
         ASSERT_TRUE(
             serve::errorCodeFromName(serve::errorCodeName(code), &back))
@@ -174,6 +217,7 @@ TEST(ServeProtocol, ErrorCodeNamesRoundTrip)
     EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::BadRequest));
     EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::DeadlineExceeded));
     EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::FrameTooLarge));
+    EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::ResourceExhausted));
 
     // Legacy free-text errors parse as Unknown, never crash.
     Json legacy = Json::object();

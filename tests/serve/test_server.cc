@@ -711,6 +711,40 @@ TEST(ServeServer, FailuresAnswerAlikeForSimulateAndSweepPoints)
     }
 }
 
+TEST(ServeServer, OpBudgetFailsTheRequestNotTheDaemon)
+{
+    // The budget is the default point's own op count: the default
+    // point fits exactly, an 8x8 array does not.
+    serve::ModelKey fits = serve::defaultKey(serve::ModelKind::Systolic);
+    sim::Session local;
+    local.rebuild([&](ir::Context &ctx) { return fits.build(ctx); });
+    const sim::SimReport ref = local.run();
+    serve::ModelKey over = fits;
+    over.systolic.ah = over.systolic.aw = 8;
+
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.engine.maxOps = ref.opsExecuted;
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    Client client;
+    connectTo(server, &client);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        auto failed = client.simulate(over);
+        EXPECT_FALSE(failed.ok);
+        EXPECT_EQ(failed.code, ErrorCode::ResourceExhausted)
+            << failed.error;
+        auto good = client.simulate(fits);
+        ASSERT_TRUE(good.ok) << good.error;
+        EXPECT_EQ(good.report.getInt("cycles", -1),
+                  static_cast<int64_t>(ref.cycles));
+        EXPECT_EQ(good.report.getInt("ops", -1),
+                  static_cast<int64_t>(ref.opsExecuted));
+    }
+}
+
 TEST(ServeServer, FailedSweepLeavesNoStaleLineForTheNextRequest)
 {
     // The point's deadline_exceeded fails the sweep (the code is not

@@ -226,6 +226,65 @@ TEST(SimSession, PooledStateIsInvisibleCompiled)
     expectPoolsInvisible(sim::Backend::Compiled);
 }
 
+/**
+ * A run past the op budget throws SimError and fails only itself: the
+ * session then runs its next module, and its pinned one, exactly like a
+ * fresh Simulator. The budget is the small run's own op count, so the
+ * small run ends exactly at it.
+ */
+void
+expectOpBudgetFailsOnlyTheRun(sim::Backend backend)
+{
+    scalesim::Config small;
+    small.ah = small.aw = 2;
+    scalesim::Config big;
+    big.ah = big.aw = 4;
+    const std::string smallRef = freshRun(small, backend);
+
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto smallModule = systolic::buildSystolicModule(ctx, small);
+    sim::EngineOptions opts = tracedOn(backend);
+    opts.maxOps = sim::Simulator(opts).simulate(smallModule.get()).opsExecuted;
+
+    sim::Session session(opts);
+    auto runPinned = [&] {
+        sim::SimReport r = session.run();
+        return render(r, session.simulator().trace());
+    };
+    session.rebuild(systolicBuilder(big));
+    try {
+        session.run();
+        ADD_FAILURE() << "the 4x4 run fit a 2x2 run's op budget";
+    } catch (const sim::SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("op budget exceeded"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(session.runsCompleted(), 0u);
+
+    session.rebuild(systolicBuilder(small));
+    EXPECT_EQ(runPinned(), smallRef);
+    EXPECT_EQ(runPinned(), smallRef);
+
+    // A warm session whose simulator threw in between pinned runs.
+    auto bigModule = systolic::buildSystolicModule(session.context(), big);
+    EXPECT_THROW(session.simulator().simulate(bigModule.get()),
+                 sim::SimError);
+    EXPECT_EQ(runPinned(), smallRef);
+    EXPECT_EQ(session.runsCompleted(), 3u);
+}
+
+TEST(SimSession, OpBudgetFailsOnlyTheRunInterp)
+{
+    expectOpBudgetFailsOnlyTheRun(sim::Backend::Interp);
+}
+
+TEST(SimSession, OpBudgetFailsOnlyTheRunCompiled)
+{
+    expectOpBudgetFailsOnlyTheRun(sim::Backend::Compiled);
+}
+
 /** A launch that reads an allocated cell before writing 7 into it. */
 ir::OwningOpRef
 readBeforeWriteModule(ir::Context &ctx)
