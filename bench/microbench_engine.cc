@@ -14,11 +14,14 @@
 
 #include <unistd.h>
 
+#include <chrono>
+
 #include "bench_util.hh"
 #include "dialects/affine.hh"
 #include "dialects/arith.hh"
 #include "dialects/equeue.hh"
 #include "ir/builder.hh"
+#include "passes/pipeline.hh"
 #include "serve/cache.hh"
 #include "serve/models.hh"
 #include "sim/session.hh"
@@ -267,6 +270,68 @@ BM_CompileModule(benchmark::State &state)
     state.counters["programs"] = static_cast<double>(stats.programs);
 }
 BENCHMARK(BM_CompileModule)->Arg(4)->Arg(8)->Arg(16);
+
+void
+BM_FreshSimulate(benchmark::State &state, bool linalg)
+{
+    // What a one-shot simulation pays beyond its module: a new
+    // Simulator resolving a new Context's op names (dispatch and cost
+    // tables) and running once. Only the Simulator's construction, run
+    // and teardown are timed; the Context and module are built fresh
+    // for each iteration outside the clock.
+    scalesim::Config cfg;
+    cfg.ah = cfg.aw = 4;
+    cfg.c = 2;
+    cfg.h = cfg.w = 8;
+    cfg.n = 2;
+    cfg.fh = cfg.fw = 2;
+    for (auto _ : state) {
+        ir::Context ctx;
+        ir::registerAllDialects(ctx);
+        ir::OwningOpRef module =
+            linalg ? passes::buildConvAtStage(ctx, passes::Stage::Linalg, cfg)
+                   : ir::createModule(ctx);
+        auto t0 = std::chrono::steady_clock::now();
+        {
+            sim::Simulator s(engineFor(sim::Backend::Compiled));
+            benchmark::DoNotOptimize(s.simulate(module.get()).cycles);
+        }
+        auto t1 = std::chrono::steady_clock::now();
+        state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    }
+}
+BENCHMARK_CAPTURE(BM_FreshSimulate, empty, false)->UseManualTime();
+BENCHMARK_CAPTURE(BM_FreshSimulate, linalg, true)->UseManualTime();
+
+void
+BM_VerifyModule(benchmark::State &state)
+{
+    // The whole-module verifier on an NxN systolic module: signature
+    // and semantic checks of every op. Toggling a registry flag each
+    // iteration is an IR change, so the verify memo never answers.
+    // per_op is the time per checked op.
+    scalesim::Config cfg;
+    cfg.ah = cfg.aw = static_cast<int>(state.range(0));
+    cfg.c = 2;
+    cfg.h = cfg.w = 8;
+    cfg.n = 4;
+    cfg.fh = cfg.fw = 2;
+    ir::Context ctx;
+    ir::registerAllDialects(ctx);
+    auto module = systolic::buildSystolicModule(ctx, cfg);
+    size_t ops = 0;
+    module->walk([&](ir::Operation *) { ++ops; });
+    for (auto _ : state) {
+        ctx.setAllowUnregistered(false);
+        benchmark::DoNotOptimize(module->verify());
+    }
+    state.counters["ops"] = static_cast<double>(ops);
+    state.counters["per_op"] = benchmark::Counter(
+        static_cast<double>(ops),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_VerifyModule)->Arg(4)->Arg(8);
 
 void
 BM_ScaleSimAnalytic(benchmark::State &state)

@@ -54,7 +54,7 @@ join(const std::vector<std::string> &parts, const std::string &sep)
 }
 
 bool
-startsWith(const std::string &s, const std::string &prefix)
+startsWith(std::string_view s, std::string_view prefix)
 {
     return s.size() >= prefix.size() &&
            s.compare(0, prefix.size(), prefix) == 0;

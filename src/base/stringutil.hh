@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace eq {
@@ -22,7 +23,7 @@ std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
 
 /** True iff @p s starts with @p prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
+bool startsWith(std::string_view s, std::string_view prefix);
 
 /**
  * Strictly parse all of @p text as a base-10 integer in [@p min,

@@ -213,6 +213,7 @@ Context::registerOp(OpInfo info)
     eq_assert(info.signature, "op '", info.name, "' has no signature");
     OpId id = internOpName(info.name);
     _opInfos[id.raw()] = std::move(info);
+    noteIrChange();
 }
 
 const OpInfo *
@@ -245,11 +246,11 @@ Context::registeredOpNames() const
 // ---------------------------------------------------------------------------
 // Type member functions that need no Context access.
 
-TypeKind
-Type::kind() const
+void
+Type::nullKind() const
 {
     eq_assert(_impl, "null type dereference");
-    return _impl->kind;
+    std::abort();
 }
 
 bool

@@ -10,6 +10,13 @@
  * ir/signature.hh, and an optional semantic hook) against it; the
  * verifier rejects unregistered operations unless allowUnregistered()
  * is set.
+ *
+ * The Context also counts IR versions: every mutation of an op tree in
+ * it (operands, attributes, op insertion, removal, moves and
+ * destruction, block arguments, region blocks, value types) and every
+ * registry change bumps irGeneration(). Operation::verify() remembers
+ * the last op it passed and the generation it passed at, and answers a
+ * repeat call at that same generation without re-checking.
  */
 
 #ifndef EQ_IR_CONTEXT_HH
@@ -110,7 +117,16 @@ class Context {
 
     /** When true the verifier tolerates unregistered op names. */
     bool allowUnregistered() const { return _allowUnregistered; }
-    void setAllowUnregistered(bool v) { _allowUnregistered = v; }
+    void
+    setAllowUnregistered(bool v)
+    {
+        _allowUnregistered = v;
+        noteIrChange();
+    }
+
+    /** The IR version: bumped by every mutation of IR in this context
+     *  and by every registry change (see the file comment). */
+    uint64_t irGeneration() const { return _irGeneration; }
 
     /** Identity of this context, never reused by another one in the
      *  process (unlike its address, which a later context may get
@@ -122,6 +138,14 @@ class Context {
     uint64_t nextOperationId() { return _nextOperationId++; }
 
   private:
+    friend class Operation;
+    friend class Block;
+    friend class Region;
+    friend class Value;
+
+    /** Record a change to the IR (or the registry) of this context. */
+    void noteIrChange() { ++_irGeneration; }
+
     Type intern(TypeKind kind, unsigned width = 0,
                 const std::vector<int64_t> &shape = {},
                 unsigned elem_bits = 0);
@@ -146,6 +170,11 @@ class Context {
     uint64_t _serial;
     bool _allowUnregistered = false;
     uint64_t _nextOperationId = 0;
+    uint64_t _irGeneration = 0;
+    /** The verify memo: the last op whose verify() passed, and the
+     *  generation it passed at. */
+    const Operation *_verifiedOp = nullptr;
+    uint64_t _verifiedGeneration = 0;
 };
 
 /** Register every dialect this project defines onto @p ctx. */

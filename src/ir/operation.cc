@@ -42,6 +42,8 @@ Value::replaceAllUsesWith(Value other) const
     eq_assert(other, "RAUW with null value");
     if (other == *this)
         return;
+    if (_impl->firstUse)
+        _impl->firstUse->owner->context().noteIrChange();
     // Oldest use first, so the uses keep their order on @p other.
     while (OpOperand *use = _impl->firstUse) {
         _impl->detach(use);
@@ -49,14 +51,18 @@ Value::replaceAllUsesWith(Value other) const
     }
 }
 
+void
+Value::setType(Type t) const
+{
+    _impl->type = t;
+    if (_impl->defOp)
+        _impl->defOp->context().noteIrChange();
+    else
+        _impl->ownerBlock->noteIrChange();
+}
+
 // ---------------------------------------------------------------------------
 // Operation
-
-ValueImpl *
-Operation::resultStorage() const
-{
-    return reinterpret_cast<ValueImpl *>(const_cast<Operation *>(this + 1));
-}
 
 Region *
 Operation::regionStorage() const
@@ -113,6 +119,8 @@ Operation::create(Context &ctx, std::string_view name,
         v.impl()->attach(slot);
     }
     op->_numOperands = num_operands;
+    // New uses of existing values are a change to the IR they belong to.
+    ctx.noteIrChange();
     return op;
 }
 
@@ -128,6 +136,9 @@ Operation::~Operation()
 void
 Operation::destroyTree(Operation *op)
 {
+    // A later op may get this one's address: the bump keeps the verify
+    // memo from taking it for the op it remembers.
+    op->_ctx->noteIrChange();
     // Passes are responsible for RAUW-ing before erasing: a use left
     // behind would dangle.
     ValueImpl *results = op->resultStorage();
@@ -171,12 +182,20 @@ Operation::shortName() const
     return dot == std::string::npos ? name() : name().substr(dot + 1);
 }
 
-Value
-Operation::operand(unsigned i) const
+void
+Operation::operandOutOfRange(unsigned i) const
 {
     eq_assert(i < _numOperands, "operand index ", i, " out of range in ",
               name());
-    return Value(_operands[i].value);
+    std::abort();
+}
+
+void
+Operation::resultOutOfRange(unsigned i) const
+{
+    eq_assert(i < _numResults, "result index ", i, " out of range in ",
+              name());
+    std::abort();
 }
 
 void
@@ -188,6 +207,7 @@ Operation::setOperand(unsigned i, Value v)
     if (slot.value)
         slot.value->detach(&slot);
     v.impl()->attach(&slot);
+    _ctx->noteIrChange();
 }
 
 std::vector<Value>
@@ -220,6 +240,7 @@ Operation::appendOperand(Value v)
     OpOperand *slot = new (&_operands[_numOperands++]) OpOperand();
     slot->owner = this;
     v.impl()->attach(slot);
+    _ctx->noteIrChange();
 }
 
 void
@@ -234,14 +255,7 @@ Operation::eraseOperand(unsigned i)
     for (unsigned j = i + 1; j < _numOperands; ++j)
         moveOperand(&_operands[j], &_operands[j - 1]);
     --_numOperands;
-}
-
-Value
-Operation::result(unsigned i)
-{
-    eq_assert(i < _numResults, "result index ", i, " out of range in ",
-              name());
-    return Value(&resultStorage()[i]);
+    _ctx->noteIrChange();
 }
 
 std::vector<Value>
@@ -385,33 +399,52 @@ Operation::walk(const std::function<void(Operation *)> &fn)
 std::string
 Operation::verify()
 {
+    if (_ctx->_verifiedOp == this &&
+        _ctx->_verifiedGeneration == _ctx->_irGeneration)
+        return "";
+    const uint64_t generation = _ctx->_irGeneration;
+    std::string err;
+    if (verifyTree(err)) {
+        _ctx->_verifiedOp = this;
+        _ctx->_verifiedGeneration = generation;
+    }
+    return err;
+}
+
+bool
+Operation::verifyTree(std::string &err)
+{
     // Structural checks first.
     for (unsigned i = 0; i < _numOperands; ++i) {
-        if (!_operands[i].value)
-            return "op '" + name() + "' has null operand";
+        if (!_operands[i].value) {
+            err = "op '" + name() + "' has null operand";
+            return false;
+        }
     }
     const OpInfo *info = _ctx->lookupOp(_opId);
     if (!info) {
-        if (!_ctx->allowUnregistered())
-            return "unregistered operation '" + name() + "'";
+        if (!_ctx->allowUnregistered()) {
+            err = "unregistered operation '" + name() + "'";
+            return false;
+        }
     } else {
-        std::string err = checkSignature(*info->signature, *this);
-        if (err.empty() && info->verify)
+        // The diagnostic is built only on failure.
+        if (!signatureMatches(*info->signature, *this))
+            err = checkSignature(*info->signature, *this);
+        else if (info->verify)
             err = info->verify(this);
-        if (!err.empty())
-            return "op '" + name() + "': " + err;
-    }
-    // Verify nested ops.
-    for (unsigned r = 0; r < _numRegions; ++r) {
-        for (Block &block : regionStorage()[r]) {
-            for (Operation *op : block) {
-                std::string err = op->verify();
-                if (!err.empty())
-                    return err;
-            }
+        if (!err.empty()) {
+            err = "op '" + name() + "': " + err;
+            return false;
         }
     }
-    return "";
+    // Verify nested ops.
+    for (unsigned r = 0; r < _numRegions; ++r)
+        for (Block &block : regionStorage()[r])
+            for (Operation *op : block)
+                if (!op->verifyTree(err))
+                    return false;
+    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -464,6 +497,7 @@ Block::addArgument(Type t)
     impl->type = t;
     impl->ownerBlock = this;
     impl->index = _numArgs++;
+    noteIrChange();
     return Value(impl);
 }
 
@@ -508,6 +542,7 @@ Block::insert(iterator where, Operation *op)
     (next ? next->_prev : _last) = op;
     op->_block = this;
     ++_size;
+    op->_ctx->noteIrChange();
     return iterator(op);
 }
 
@@ -520,6 +555,7 @@ Block::remove(Operation *op)
     op->_prev = op->_next = nullptr;
     op->_block = nullptr;
     --_size;
+    op->_ctx->noteIrChange();
 }
 
 Block::iterator
@@ -532,6 +568,15 @@ Operation *
 Block::parentOp() const
 {
     return _parent ? _parent->parentOp() : nullptr;
+}
+
+void
+Block::noteIrChange()
+{
+    // A block outside any op is reachable from no verified op; putting
+    // it into a region is itself a change.
+    if (Operation *op = parentOp())
+        op->_ctx->noteIrChange();
 }
 
 // ---------------------------------------------------------------------------
@@ -569,6 +614,7 @@ Region::push_back(Block *block)
     block->_parent = this;
     (_last ? _last->_nextBlock : _first) = block;
     _last = block;
+    _parent->context().noteIrChange();
 }
 
 Block &

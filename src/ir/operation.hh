@@ -77,7 +77,13 @@ class Operation {
     /// @name Operands
     /// @{
     size_t numOperands() const { return _numOperands; }
-    Value operand(unsigned i) const;
+    Value
+    operand(unsigned i) const
+    {
+        if (i >= _numOperands)
+            operandOutOfRange(i);
+        return Value(_operands[i].value);
+    }
     void setOperand(unsigned i, Value v);
     std::vector<Value> operands() const;
     /** Append an operand (updates use lists). */
@@ -89,18 +95,31 @@ class Operation {
     /// @name Results
     /// @{
     size_t numResults() const { return _numResults; }
-    Value result(unsigned i = 0);
+    Value
+    result(unsigned i = 0)
+    {
+        if (i >= _numResults)
+            resultOutOfRange(i);
+        return Value(resultStorage() + i);
+    }
     std::vector<Value> results();
     /// @}
 
     /// @name Attributes
     /// @{
     Attribute attr(std::string_view name) const { return _attrs.get(name); }
-    void setAttr(std::string_view name, Attribute a)
+    void
+    setAttr(std::string_view name, Attribute a)
     {
         _attrs.set(name, std::move(a));
+        _ctx->noteIrChange();
     }
-    void removeAttr(std::string_view name) { _attrs.erase(name); }
+    void
+    removeAttr(std::string_view name)
+    {
+        _attrs.erase(name);
+        _ctx->noteIrChange();
+    }
     const AttrDict &attrs() const { return _attrs; }
     /** Convenience accessors that fail loudly when missing. */
     int64_t intAttr(std::string_view name) const;
@@ -152,7 +171,9 @@ class Operation {
 
     /** Check this op and every op nested in it against its registered
      *  signature, then its semantic hook. Returns an empty string on
-     *  success. */
+     *  success. A repeat call on the op that last passed, with no IR
+     *  change in its Context since (Context::irGeneration), returns ""
+     *  without checking again. */
     std::string verify();
 
     /** Print in generic textual form. */
@@ -169,12 +190,23 @@ class Operation {
               unsigned num_operands);
     ~Operation();
 
+    [[noreturn, gnu::cold]] void operandOutOfRange(unsigned i) const;
+    [[noreturn, gnu::cold]] void resultOutOfRange(unsigned i) const;
+
     /// @name Trailing storage of the op's single allocation
     /// @{
-    ValueImpl *resultStorage() const;
+    ValueImpl *
+    resultStorage() const
+    {
+        return reinterpret_cast<ValueImpl *>(
+            const_cast<Operation *>(this + 1));
+    }
     Region *regionStorage() const;
     OpOperand *inlineOperandStorage() const;
     /// @}
+    /** verify() without the memo, for this op and every nested one:
+     *  false, with the diagnostic in @p err, on the first failure. */
+    bool verifyTree(std::string &err);
     /** Unlink every operand of this op and of every op nested in it
      *  from its value's use list. */
     void dropAllReferences();
@@ -277,6 +309,7 @@ class Block {
   private:
     friend class Region;
     friend class Operation;
+    friend class Value;
 
     /** A fixed-capacity run of block arguments; chunks never move. */
     struct ArgChunk {
@@ -289,6 +322,8 @@ class Block {
     void dropAllReferences();
     /** Free the ops and arguments (references already dropped). */
     void destroyContents();
+    /** Record an IR change, when this block is inside an op. */
+    void noteIrChange();
 
     Operation *_first = nullptr; ///< intrusive op list
     Operation *_last = nullptr;

@@ -57,26 +57,27 @@ splitGroups(const ValueGroup *groups, unsigned n, const Operation &op,
     return true;
 }
 
-/** Split @p total values into groups and check each value's type kind;
- *  @p type_at gives the type of value i. */
-template <class TypeAt>
+/**
+ * Split @p total values into groups and check each value's type kind;
+ * @p type_at gives the type of value i. On a mismatch, returns false
+ * and, when @p Diagnose, writes a diagnostic naming @p what to @p err.
+ */
+template <bool Diagnose, class TypeAt>
 bool
-checkGroups(const ValueGroup *groups, unsigned n, const Operation &op,
-            unsigned total, const char *what, TypeAt type_at,
-            std::string &err)
+checkGroups(const ValueGroup *groups, unsigned n, bool single,
+            const Operation &op, unsigned total, const char *what,
+            TypeAt type_at, std::string *err)
 {
     auto allowed = [&](unsigned i, KindMask mask) {
         Type t = type_at(i);
         if (mask == kAnyKind || (mask & kinds(t.kind())))
             return true;
-        err = std::string(what) + " " + std::to_string(i) + " may not be " +
-              t.str();
+        if constexpr (Diagnose)
+            *err = std::string(what) + " " + std::to_string(i) +
+                   " may not be " + t.str();
         return false;
     };
-    bool singles = total == n;
-    for (unsigned g = 0; singles && g < n; ++g)
-        singles = groups[g].count == GroupCount::One;
-    if (singles) {
+    if (single && total == n) {
         // Value i is group i: most lists need no split.
         for (unsigned i = 0; i < n; ++i)
             if (!allowed(i, groups[i].kinds))
@@ -84,12 +85,60 @@ checkGroups(const ValueGroup *groups, unsigned n, const Operation &op,
         return true;
     }
     GroupSizes sizes;
-    if (!splitGroups(groups, n, op, total, what, sizes, &err))
+    if (!splitGroups(groups, n, op, total, what, sizes,
+                     Diagnose ? err : nullptr))
         return false;
     for (unsigned g = 0, i = 0; g < n; ++g)
         for (unsigned end = i + static_cast<unsigned>(sizes[g]); i < end; ++i)
             if (!allowed(i, groups[g].kinds))
                 return false;
+    return true;
+}
+
+/** checkSignature's checks. Only the @p Diagnose instance builds a
+ *  diagnostic (into @p err), so the other builds no string at all. */
+template <bool Diagnose>
+bool
+check(const OpSignature &sig, Operation &op, std::string *err)
+{
+    if (!checkGroups<Diagnose>(
+            sig.operandGroups.data(), sig.numOperandGroups,
+            sig.singleOperands, op, static_cast<unsigned>(op.numOperands()),
+            "operand", [&](unsigned i) { return op.operand(i).type(); },
+            err) ||
+        !checkGroups<Diagnose>(
+            sig.resultGroups.data(), sig.numResultGroups, sig.singleResults,
+            op, static_cast<unsigned>(op.numResults()), "result",
+            [&](unsigned i) { return op.result(i).type(); }, err))
+        return false;
+    for (unsigned i = 0; i < sig.numAttrs; ++i) {
+        const AttrSpec &spec = sig.attrSpecs[i];
+        const Attribute *a = op.attrs().lookup(spec.name);
+        if (a ? !(spec.kinds & kinds(a->kind())) : spec.required) {
+            if constexpr (Diagnose)
+                *err = std::string("attribute '") + spec.name + "' " +
+                       (a ? "may not be " + a->str() : "is required");
+            return false;
+        }
+    }
+    if (op.numRegions() != sig.numRegions) {
+        if constexpr (Diagnose)
+            *err = "expects " + std::to_string(sig.numRegions) +
+                   " region(s), has " + std::to_string(op.numRegions());
+        return false;
+    }
+    for (unsigned r = 0; r < sig.numRegions; ++r) {
+        if (op.region(r).empty()) {
+            if constexpr (Diagnose)
+                *err = "region " + std::to_string(r) + " has no block";
+            return false;
+        }
+    }
+    if (sig.terminator && op.nextInBlock()) {
+        if constexpr (Diagnose)
+            *err = "terminator must be the last op of its block";
+        return false;
+    }
     return true;
 }
 
@@ -139,33 +188,17 @@ layOutOperands(const OpSignature &sig,
     return operands;
 }
 
+bool
+signatureMatches(const OpSignature &sig, Operation &op)
+{
+    return check<false>(sig, op, nullptr);
+}
+
 std::string
 checkSignature(const OpSignature &sig, Operation &op)
 {
     std::string err;
-    if (!checkGroups(
-            sig.operandGroups.data(), sig.numOperandGroups, op,
-            static_cast<unsigned>(op.numOperands()), "operand",
-            [&](unsigned i) { return op.operand(i).type(); }, err) ||
-        !checkGroups(sig.resultGroups.data(), sig.numResultGroups, op,
-                     static_cast<unsigned>(op.numResults()), "result",
-                     [&](unsigned i) { return op.result(i).type(); }, err))
-        return err;
-    for (unsigned i = 0; i < sig.numAttrs; ++i) {
-        const AttrSpec &spec = sig.attrSpecs[i];
-        const Attribute *a = op.attrs().lookup(spec.name);
-        if (a ? !(spec.kinds & kinds(a->kind())) : spec.required)
-            return std::string("attribute '") + spec.name + "' " +
-                   (a ? "may not be " + a->str() : "is required");
-    }
-    if (op.numRegions() != sig.numRegions)
-        return "expects " + std::to_string(sig.numRegions) +
-               " region(s), has " + std::to_string(op.numRegions());
-    for (unsigned r = 0; r < sig.numRegions; ++r)
-        if (op.region(r).empty())
-            return "region " + std::to_string(r) + " has no block";
-    if (sig.terminator && op.nextInBlock())
-        return "terminator must be the last op of its block";
+    check<true>(sig, op, &err);
     return err;
 }
 

@@ -114,10 +114,14 @@ struct OpSignature {
         : numRegions(static_cast<uint8_t>(regions)),
           terminator(is_terminator)
     {
-        for (const ValueGroup &g : operands)
+        for (const ValueGroup &g : operands) {
             operandGroups[numOperandGroups++] = g;
-        for (const ValueGroup &g : results)
+            singleOperands = singleOperands && g.count == GroupCount::One;
+        }
+        for (const ValueGroup &g : results) {
             resultGroups[numResultGroups++] = g;
+            singleResults = singleResults && g.count == GroupCount::One;
+        }
         for (const AttrSpec &a : attrs)
             attrSpecs[numAttrs++] = a;
     }
@@ -130,6 +134,10 @@ struct OpSignature {
     uint8_t numRegions;
     /** Must be the last op of its block. */
     bool terminator;
+    /** Every operand (result) group is one value: operand i is group i,
+     *  so checking the list needs no split. */
+    bool singleOperands = true;
+    bool singleResults = true;
     std::array<ValueGroup, kMaxGroups> operandGroups{};
     std::array<ValueGroup, 2> resultGroups{};
     std::array<AttrSpec, 4> attrSpecs{};
@@ -157,6 +165,10 @@ std::vector<Value> layOutOperands(const OpSignature &sig,
 /** Check @p op's operands, results, attributes and regions against
  *  @p sig. Returns an empty string on success, else a diagnostic. */
 std::string checkSignature(const OpSignature &sig, Operation &op);
+
+/** checkSignature's verdict alone (true: it would return ""), without
+ *  building any string. */
+bool signatureMatches(const OpSignature &sig, Operation &op);
 
 } // namespace ir
 } // namespace eq

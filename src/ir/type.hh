@@ -62,7 +62,13 @@ class Type {
     bool operator==(const Type &o) const { return _impl == o._impl; }
     bool operator!=(const Type &o) const { return _impl != o._impl; }
 
-    TypeKind kind() const;
+    TypeKind
+    kind() const
+    {
+        if (!_impl)
+            nullKind();
+        return _impl->kind;
+    }
 
     bool isNone() const { return kind() == TypeKind::None; }
     bool isIndex() const { return kind() == TypeKind::Index; }
@@ -95,6 +101,8 @@ class Type {
     const TypeStorage *impl() const { return _impl; }
 
   private:
+    [[noreturn, gnu::cold]] void nullKind() const;
+
     const TypeStorage *_impl = nullptr;
 };
 

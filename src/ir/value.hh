@@ -178,7 +178,8 @@ class Value {
     bool operator<(const Value &o) const { return _impl < o._impl; }
 
     Type type() const { return _impl->type; }
-    void setType(Type t) { _impl->type = t; }
+    /** Retype this value (an IR mutation, see Context::irGeneration). */
+    void setType(Type t) const;
 
     /** Defining operation, or nullptr for a block argument. */
     Operation *definingOp() const { return _impl->defOp; }

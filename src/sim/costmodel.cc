@@ -12,7 +12,7 @@ namespace {
 /** Event/bookkeeping operations never occupy the processor datapath:
  *  they are dispatched to event queues / the engine (§III-D). */
 bool
-isBookkeeping(const std::string &name)
+isBookkeeping(std::string_view name)
 {
     return name == "equeue.launch" || name == "equeue.memcpy" ||
            name == "equeue.control_start" || name == "equeue.control_and" ||
@@ -51,7 +51,7 @@ CostModel::classify(const std::string &proc_kind)
 }
 
 Cycles
-CostModel::staticOpCycles(CostClass cls, const std::string &name)
+CostModel::staticOpCycles(CostClass cls, std::string_view name)
 {
     if (isBookkeeping(name))
         return 0;

@@ -16,15 +16,17 @@
  *  - "DMA": only executes memcpy; its timing is bandwidth-derived.
  *
  * Kind strings are resolved once into a CostClass; the engine then
- * precomputes a dense (CostClass, OpId) -> cycles table per run, so the
- * per-event hot path never compares strings (only dynamically shaped
- * Linalg costs fall back to linalgCycles).
+ * fills a dense (CostClass, OpId) -> cycles table per context from a
+ * per-process table keyed by op name, so the per-event hot path never
+ * compares strings (only dynamically shaped Linalg costs fall back to
+ * linalgCycles).
  */
 
 #ifndef EQ_SIM_COSTMODEL_HH
 #define EQ_SIM_COSTMODEL_HH
 
 #include <string>
+#include <string_view>
 
 #include "ir/operation.hh"
 #include "sim/component.hh"
@@ -55,8 +57,9 @@ class CostModel {
     static CostClass classify(const std::string &proc_kind);
 
     /** Cycles for @p op_name on @p cls, or kDynamic when the cost is
-     *  shape-dependent. String-based: call at table-build time only. */
-    static Cycles staticOpCycles(CostClass cls, const std::string &op_name);
+     *  shape-dependent. String-based: the engine's process-wide op
+     *  table (engine_impl.hh, OpEntry) holds it for every known name. */
+    static Cycles staticOpCycles(CostClass cls, std::string_view op_name);
 
     /** Processor occupancy in cycles for interpreting @p op.
      *  Convenience wrapper over classify + staticOpCycles +

@@ -26,7 +26,7 @@ SimValue
 Simulator::Impl::elabCreateProc(ir::Operation *op)
 {
     auto proc = std::make_unique<Processor>(
-        freshName("proc"), equeue::CreateProcOp(op).kind());
+        freshName(LabelKind::Proc), equeue::CreateProcOp(op).kind());
     SimValue v = SimValue::ofComponent(proc.get());
     components.push_back(std::move(proc));
     return v;
@@ -35,7 +35,7 @@ Simulator::Impl::elabCreateProc(ir::Operation *op)
 SimValue
 Simulator::Impl::elabCreateDma()
 {
-    auto dma = std::make_unique<Dma>(freshName("dma"));
+    auto dma = std::make_unique<Dma>(freshName(LabelKind::Dma));
     SimValue v = SimValue::ofComponent(dma.get());
     components.push_back(std::move(dma));
     return v;
@@ -46,7 +46,7 @@ Simulator::Impl::elabCreateMem(ir::Operation *op)
 {
     equeue::CreateMemOp mem_op(op);
     auto mem =
-        factory.makeMemory(mem_op.kind(), freshName("mem"),
+        factory.makeMemory(mem_op.kind(), freshName(LabelKind::Mem),
                            mem_op.shape(), mem_op.dataBits(),
                            mem_op.banks());
     SimValue v = SimValue::ofComponent(mem.get());
@@ -58,7 +58,7 @@ SimValue
 Simulator::Impl::elabCreateStream(ir::Operation *op)
 {
     auto fifo = std::make_unique<StreamFifo>(
-        freshName("stream"),
+        freshName(LabelKind::Stream),
         static_cast<unsigned>(op->intAttrOr("data_bits", 32)));
     SimValue v = SimValue::ofStream(fifo.get());
     components.push_back(std::move(fifo));
@@ -70,7 +70,7 @@ Simulator::Impl::elabCreateConnection(ir::Operation *op)
 {
     equeue::CreateConnectionOp conn_op(op);
     auto conn = std::make_unique<Connection>(
-        freshName("conn"), conn_op.kind(), conn_op.bandwidth());
+        freshName(LabelKind::Conn), conn_op.kind(), conn_op.bandwidth());
     SimValue v = SimValue::ofConnection(conn.get());
     components.push_back(std::move(conn));
     return v;
@@ -87,7 +87,7 @@ Simulator::Impl::elabCreateOrAddComp(const SimValue *args, size_t nargs,
         comp = args[0].asComponent();
         first_sub = 1;
     } else {
-        auto owned = std::make_unique<Component>(freshName("comp"));
+        auto owned = std::make_unique<Component>(freshName(LabelKind::Comp));
         comp = owned.get();
         components.push_back(std::move(owned));
     }
@@ -129,7 +129,7 @@ Simulator::Impl::elabAlloc(ir::Operation *op, Memory *mem)
     else
         t = Tensor::zeros(shape, bt.elemBits());
     buf->mem = mem;
-    buf->label = freshName("buf");
+    buf->label = freshName(LabelKind::Buf);
     return SimValue::ofBuffer(buf);
 }
 

@@ -176,9 +176,8 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
                     std::move(env))
             ->resume(0);
     } else {
-        blockExecs.push_back(std::make_unique<BlockExec>(
-            *this, nullptr, rootProc.get(), root, std::move(env)));
-        blockExecs.back()->resume(0);
+        acquireBlockExec(nullptr, rootProc.get(), root, std::move(env))
+            ->resume(0);
     }
     runHeap();
 

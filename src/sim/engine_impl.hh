@@ -21,10 +21,12 @@
  *  - engine.cc:     the Simulator facade and report generation.
  *
  * Dispatch is table-driven: the interpreter finds every op kind's
- * handler by indexing a per-run table with the op's interned OpId (see
- * ir/opid.hh); the compiled backend goes further and pre-lowers the
- * OpId to a dense opcode at compile time. Neither hot path performs
- * string comparisons.
+ * handler by indexing a per-context table with the op's interned OpId
+ * (see ir/opid.hh); the compiled backend goes further and pre-lowers
+ * the OpId to a dense opcode at compile time. Neither hot path performs
+ * string comparisons. The per-context tables are filled with one
+ * lookup per interned name in a table built once per process
+ * (lookupOpEntry).
  */
 
 #ifndef EQ_SIM_ENGINE_IMPL_HH
@@ -33,6 +35,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -500,23 +503,56 @@ class SpawnList {
  * suspend via the engine heap; blocking ops (await, stream reads, queue
  * stalls) subscribe to wakeups. Per-op behavior lives in handler member
  * functions dispatched through the engine's OpId-indexed table.
+ *
+ * Execs are pooled like CompiledExecs (Simulator::Impl::acquireBlockExec):
+ * init() binds an idle exec to a new launch, finish() returns it to the
+ * free list, and every wakeup carries the generation it was scheduled
+ * under.
  */
 class BlockExec {
   public:
-    BlockExec(Simulator::Impl &eng, Event *ev, Processor *proc,
-              ir::Block *block, EnvPtr env)
-        : _eng(eng), _event(ev), _proc(proc), _env(std::move(env))
+    explicit BlockExec(Simulator::Impl &eng) : _eng(eng) {}
+
+    /** Bind this (idle) exec to interpret @p block for launch @p ev
+     *  (null: the module top level) on @p proc in @p env. */
+    void
+    init(Event *ev, Processor *proc, ir::Block *block, EnvPtr env)
     {
+        _event = ev;
+        _proc = proc;
+        _env = std::move(env);
+        _frames.clear();
         _frames.push_back(Frame{block, block->begin(), nullptr, 0, {}});
+        _spawned.clear();
+        _finished = false;
+        ++_gen;
+    }
+
+    /** Go idle: drop the environment (which would otherwise keep
+     *  tensors alive), keeping the vectors' capacity. */
+    void
+    release()
+    {
+        _env.reset();
+        _frames.clear();
+        _finished = true;
     }
 
     /** (Re-)enter interpretation at simulation time @p t. */
     void resume(Cycles t);
+    /** Scheduled re-entry: @p gen is the generation the wakeup was
+     *  scheduled under. */
+    void
+    wake(uint32_t gen, Cycles t)
+    {
+        eq_assert(gen == _gen, "resuming a recycled block exec");
+        resume(t);
+    }
     /** Resumes this block at max(@p floor, fire time). */
     Wakeup
     wakeup(Cycles floor = 0)
     {
-        return {Wakeup::Kind::ResumeBlock, 0, this, floor};
+        return {Wakeup::Kind::ResumeBlock, _gen, this, floor};
     }
 
     enum class Step { Continue, Suspend, Finished };
@@ -602,13 +638,35 @@ class BlockExec {
     }
 
     Simulator::Impl &_eng;
-    Event *_event;    ///< null for the module top level
-    Processor *_proc; ///< executing processor (root proc at top level)
+    Event *_event = nullptr; ///< null for the module top level
+    /** Executing processor (the root processor at the top level). */
+    Processor *_proc = nullptr;
     EnvPtr _env;
     std::vector<Frame> _frames;
     SpawnList _spawned;
-    bool _finished = false;
+    bool _finished = true;
+    /** Bumped by every init(); stale wakeups fail an assertion. */
+    uint32_t _gen = 0;
 };
+
+/** What the engine executes for one op kind: its interpreter handler
+ *  (null: uninterpretable), its compiled opcode and its static cost on
+ *  each processor class (CostModel::kDynamic: shape-dependent). */
+struct OpEntry {
+    BlockExec::Handler handler = nullptr;
+    MOp mop = MOp::Bad;
+    std::array<Cycles, kNumCostClasses> cost{};
+};
+
+/** The entry for op name @p name worked out from the name: the
+ *  engine's handler list, the dialect-prefix fallbacks and
+ *  CostModel::staticOpCycles (interp.cc). */
+OpEntry computeOpEntry(std::string_view name);
+
+/** The entry for @p name from a table built once per process (thread
+ *  safe) over every registered op name; any other name, such as an
+ *  unregistered op, is worked out by computeOpEntry. */
+OpEntry lookupOpEntry(std::string_view name);
 
 struct Simulator::Impl {
     EngineOptions opts;
@@ -648,8 +706,8 @@ struct Simulator::Impl {
      *  a destroyed one's address still gets fresh tables. */
     uint64_t dispatchSerial = 0;
 
-    /** Make the dispatch/cost tables cover @p ctx, building them
-     *  unless they already do (interp.cc). */
+    /** Make the dispatch/cost tables cover @p ctx, filling them from
+     *  lookupOpEntry unless they already do (interp.cc). */
     void prepareDispatchTables(ir::Context &ctx);
 
     // --- value numbering ----------------------------------------------
@@ -709,9 +767,16 @@ struct Simulator::Impl {
     /** Buffers allocated so far in this run (a prefix of @ref buffers). */
     size_t numBuffers = 0;
     EventStore events;
-    /** Interpreter execs of this run (the oracle backend is not
-     *  pooled). */
+    /** Every BlockExec this engine has made, pooled like
+     *  @ref compiledExecs: one returns to @ref freeBlockExecs when its
+     *  block finishes, so the pool's size is the number of execs live
+     *  at once, not the number of launches. */
     std::vector<std::unique_ptr<BlockExec>> blockExecs;
+    std::vector<BlockExec *> freeBlockExecs;
+    /** A pooled exec interpreting @p block for launch @p ev (null: the
+     *  module top level) on @p proc in @p env (event_core.cc). */
+    BlockExec *acquireBlockExec(Event *ev, Processor *proc,
+                                ir::Block *block, EnvPtr env);
     /** Every CompiledExec this engine has made. An exec returns to
      *  @ref freeExecs when its program finishes, so the pool's size is
      *  the number of execs live at once; reset() returns the rest. */
@@ -768,7 +833,11 @@ struct Simulator::Impl {
      *  superinstruction group, so it drops below opsExecuted (the
      *  fusion win, surfaced in SimReport::dispatchCount). */
     uint64_t dispatchCount = 0;
-    std::unordered_map<std::string, int> nameCounters;
+    /** The kinds of run objects that carry a label; each kind numbers
+     *  its labels from 0 in every run ("proc0", "proc1", "buf0", ...). */
+    enum class LabelKind : uint8_t { Proc, Dma, Mem, Stream, Conn, Comp, Buf };
+    static constexpr unsigned kNumLabelKinds = 7;
+    std::array<uint32_t, kNumLabelKinds> labelCounters{};
 
     /** Count one executed op against the run's op budget
      *  (EngineOptions::maxOps). */
@@ -794,7 +863,8 @@ struct Simulator::Impl {
      *  pool, which otherwise keep the size of the largest run so far
      *  (Session::releasePools). */
     void releasePools();
-    std::string freshName(const std::string &base);
+    /** The next label of @p kind in this run (event_core.cc). */
+    std::string freshName(LabelKind kind);
 
     void
     scheduleAt(Cycles t, Wakeup w)

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 
 #include "dialects/equeue.hh"
 #include "sim/compiled_exec.hh"
@@ -26,9 +27,13 @@ Simulator::Impl::reset(bool keep_numbering)
     buffers.resize(numBuffers);
     numBuffers = 0;
     events.clear();
-    blockExecs.clear();
     // Execs still suspended (a run that deadlocked or threw) rejoin
-    // the pool too.
+    // the pools too.
+    freeBlockExecs.clear();
+    for (auto &x : blockExecs) {
+        x->release();
+        freeBlockExecs.push_back(x.get());
+    }
     freeExecs.clear();
     for (auto &x : compiledExecs) {
         x->release();
@@ -46,8 +51,7 @@ Simulator::Impl::reset(bool keep_numbering)
     eventsExecuted = 0;
     opsExecuted = 0;
     dispatchCount = 0;
-    for (auto &kv : nameCounters)
-        kv.second = 0;
+    labelCounters.fill(0);
     if (!keep_numbering)
         dropNumbering();
     traceData.clear();
@@ -80,16 +84,25 @@ Simulator::Impl::releasePools()
     // its environments and of its pointers into the event store.
     reset();
     events = EventStore();
+    freeBlockExecs.clear();
+    blockExecs.clear();
     freeExecs.clear();
     compiledExecs.clear();
     envPool.clear();
 }
 
 std::string
-Simulator::Impl::freshName(const std::string &base)
+Simulator::Impl::freshName(LabelKind kind)
 {
-    int n = nameCounters[base]++;
-    return base + std::to_string(n);
+    static constexpr const char *kPrefixes[kNumLabelKinds] = {
+        "proc", "dma", "mem", "stream", "conn", "comp", "buf"};
+    const auto k = static_cast<unsigned>(kind);
+    std::string label(kPrefixes[k]);
+    char digits[16];
+    auto end = std::to_chars(digits, digits + sizeof digits,
+                             labelCounters[k]++).ptr;
+    label.append(digits, end);
+    return label;
 }
 
 void
@@ -118,7 +131,8 @@ Simulator::Impl::fire(const Wakeup &w, Cycles t)
                                                     std::max(w.floor, t));
         return;
     case Wakeup::Kind::ResumeBlock:
-        static_cast<BlockExec *>(w.target)->resume(std::max(w.floor, t));
+        static_cast<BlockExec *>(w.target)->wake(w.index,
+                                                 std::max(w.floor, t));
         return;
     case Wakeup::Kind::TryIssue:
         tryIssue(static_cast<Processor *>(w.target), t);
@@ -337,9 +351,23 @@ Simulator::Impl::issueLaunch(Event *ev, Cycles t)
                   "add an event dependency");
         env->bind(body.argument(static_cast<unsigned>(i)).impl(), *sv);
     }
-    blockExecs.push_back(std::make_unique<BlockExec>(
-        *this, ev, ev->proc, &body, std::move(env)));
-    blockExecs.back()->resume(t);
+    acquireBlockExec(ev, ev->proc, &body, std::move(env))->resume(t);
+}
+
+BlockExec *
+Simulator::Impl::acquireBlockExec(Event *ev, Processor *proc,
+                                  ir::Block *block, EnvPtr env)
+{
+    BlockExec *x;
+    if (freeBlockExecs.empty()) {
+        blockExecs.push_back(std::make_unique<BlockExec>(*this));
+        x = blockExecs.back().get();
+    } else {
+        x = freeBlockExecs.back();
+        freeBlockExecs.pop_back();
+    }
+    x->init(ev, proc, block, std::move(env));
+    return x;
 }
 
 void

@@ -2,7 +2,8 @@
  * @file
  * Block interpretation: dense value-numbered SSA environments, the
  * resume/suspend execution loop, loop control flow, and construction of
- * the OpId-indexed dispatch and cost tables.
+ * the OpId-indexed dispatch and cost tables (from a table keyed by op
+ * name, built once per process).
  *
  * Value numbering: each interpreted block tree (the module top level or
  * a launch body) is one *scope*. At first entry the tree is walked once
@@ -134,6 +135,140 @@ EnvPool::clear()
 // ---------------------------------------------------------------------------
 // Dispatch table
 
+namespace {
+
+/** An op kind the engine executes by its exact name. */
+struct NamedHandler {
+    const char *name;
+    BlockExec::Handler handler;
+    MOp mop;
+};
+
+const NamedHandler kNamedHandlers[] = {
+    // Structure (elaborate.cc).
+    {equeue::CreateProcOp::opName, &BlockExec::execCreateProc,
+     MOp::CreateProc},
+    {equeue::CreateDmaOp::opName, &BlockExec::execCreateDma,
+     MOp::CreateDma},
+    {equeue::CreateMemOp::opName, &BlockExec::execCreateMem,
+     MOp::CreateMem},
+    {equeue::CreateStreamOp::opName, &BlockExec::execCreateStream,
+     MOp::CreateStream},
+    {equeue::CreateConnectionOp::opName, &BlockExec::execCreateConnection,
+     MOp::CreateConnection},
+    {equeue::CreateCompOp::opName, &BlockExec::execCreateOrAddComp,
+     MOp::CreateComp},
+    {equeue::AddCompOp::opName, &BlockExec::execCreateOrAddComp,
+     MOp::CreateComp},
+    {equeue::GetCompOp::opName, &BlockExec::execGetComp, MOp::GetComp},
+    {equeue::ExtractCompOp::opName, &BlockExec::execGetComp, MOp::GetComp},
+    {equeue::AllocOp::opName, &BlockExec::execAlloc, MOp::Alloc},
+    {memref::AllocOp::opName, &BlockExec::execAlloc, MOp::Alloc},
+    {equeue::DeallocOp::opName, &BlockExec::execDealloc, MOp::Dealloc},
+    {memref::DeallocOp::opName, &BlockExec::execDealloc, MOp::Dealloc},
+
+    // Control flow (this file).
+    {affine::ForOp::opName, &BlockExec::execAffineFor, MOp::ForBegin},
+    {affine::ParallelOp::opName, &BlockExec::execAffineParallel,
+     MOp::ParBegin},
+    {affine::YieldOp::opName, &BlockExec::execAffineYield, MOp::Yield},
+    {"builtin.module", &BlockExec::execNestedModule, MOp::NestedModule},
+
+    // Compute, data motion, events (handlers.cc).
+    {arith::ConstantOp::opName, &BlockExec::execArithConstant,
+     MOp::Constant},
+    {arith::AddIOp::opName, &BlockExec::execAddI, MOp::AddI},
+    {arith::SubIOp::opName, &BlockExec::execSubI, MOp::SubI},
+    {arith::MulIOp::opName, &BlockExec::execMulI, MOp::MulI},
+    {arith::DivSIOp::opName, &BlockExec::execDivSI, MOp::DivSI},
+    {arith::RemSIOp::opName, &BlockExec::execRemSI, MOp::RemSI},
+    {arith::AddFOp::opName, &BlockExec::execAddF, MOp::AddF},
+    {arith::MulFOp::opName, &BlockExec::execMulF, MOp::MulF},
+    {affine::LoadOp::opName, &BlockExec::execAffineLoadStore, MOp::Load},
+    {affine::StoreOp::opName, &BlockExec::execAffineLoadStore, MOp::Store},
+    {linalg::ConvOp::opName, &BlockExec::execLinalg, MOp::LinalgConv},
+    {linalg::FillOp::opName, &BlockExec::execLinalg, MOp::LinalgFill},
+    {linalg::MatmulOp::opName, &BlockExec::execLinalg, MOp::LinalgMatmul},
+    {equeue::ReadOp::opName, &BlockExec::execRead, MOp::Read},
+    {equeue::WriteOp::opName, &BlockExec::execWrite, MOp::Write},
+    {equeue::StreamReadOp::opName, &BlockExec::execStreamRead,
+     MOp::StreamRead},
+    {equeue::StreamWriteOp::opName, &BlockExec::execStreamWrite,
+     MOp::StreamWrite},
+    {equeue::ControlStartOp::opName, &BlockExec::execControlStart,
+     MOp::ControlStart},
+    {equeue::ControlAndOp::opName, &BlockExec::execControlAndOr,
+     MOp::ControlAnd},
+    {equeue::ControlOrOp::opName, &BlockExec::execControlAndOr,
+     MOp::ControlOr},
+    {equeue::LaunchOp::opName, &BlockExec::execLaunch, MOp::Launch},
+    {equeue::MemcpyOp::opName, &BlockExec::execMemcpy, MOp::Memcpy},
+    {equeue::AwaitOp::opName, &BlockExec::execAwait, MOp::Await},
+    {equeue::ReturnOp::opName, &BlockExec::execReturn, MOp::Return},
+    {equeue::ExternOp::opName, &BlockExec::execExtern, MOp::Extern},
+};
+
+} // namespace
+
+OpEntry
+computeOpEntry(std::string_view name)
+{
+    OpEntry e;
+    for (const NamedHandler &h : kNamedHandlers) {
+        if (name == h.name) {
+            e.handler = h.handler;
+            e.mop = h.mop;
+            break;
+        }
+    }
+    // Dialect-prefix fallbacks for names with no specific handler: any
+    // other arith op reports a precise diagnostic (the compiled
+    // backend's MOp::Bad names the op too); any other linalg op
+    // executes with its analytic cost only.
+    if (!e.handler) {
+        if (startsWith(name, "arith.")) {
+            e.handler = &BlockExec::execArithUnsupported;
+        } else if (startsWith(name, "linalg.")) {
+            e.handler = &BlockExec::execLinalg;
+            e.mop = MOp::LinalgOther;
+        }
+    }
+    for (unsigned cls = 0; cls < kNumCostClasses; ++cls)
+        e.cost[cls] =
+            CostModel::staticOpCycles(static_cast<CostClass>(cls), name);
+    return e;
+}
+
+OpEntry
+lookupOpEntry(std::string_view name)
+{
+    // Immutable once built; the function-local static makes the one
+    // build safe when concurrent workers get here first together.
+    struct Table {
+        /** Stable storage for the keys' text. */
+        std::vector<std::unique_ptr<std::string>> names;
+        std::unordered_map<std::string_view, OpEntry> entries;
+    };
+    static const Table table = [] {
+        Table t;
+        ir::Context ctx;
+        ir::registerAllDialects(ctx);
+        std::vector<std::string> names = ctx.registeredOpNames();
+        for (const NamedHandler &h : kNamedHandlers)
+            names.push_back(h.name);
+        for (std::string &name : names) {
+            if (t.entries.count(name))
+                continue;
+            t.names.push_back(std::make_unique<std::string>(std::move(name)));
+            const std::string &key = *t.names.back();
+            t.entries.emplace(key, computeOpEntry(key));
+        }
+        return t;
+    }();
+    auto it = table.entries.find(name);
+    return it != table.entries.end() ? it->second : computeOpEntry(name);
+}
+
 void
 Simulator::Impl::prepareDispatchTables(ir::Context &ctx)
 {
@@ -160,116 +295,21 @@ Simulator::Impl::prepareDispatchTables(ir::Context &ctx)
     idFill = linalg::FillOp::id(ctx);
     idMatmul = linalg::MatmulOp::id(ctx);
 
-    handlers.assign(ctx.numInternedOpNames(), nullptr);
-    // Built alongside the handlers: the compiled backend's dense
-    // opcode per interned op kind (the ModuleCompiler pre-lowers each
-    // op's OpId through this table exactly once, at compile time).
-    opcodes.assign(ctx.numInternedOpNames(), MOp::Bad);
-    auto set = [&](const char *name, BlockExec::Handler h, MOp mop) {
-        ir::OpId id = ctx.lookupOpId(name);
-        if (id.valid()) {
-            handlers[id.raw()] = h;
-            opcodes[id.raw()] = mop;
-        }
-    };
-
-    // Structure (elaborate.cc).
-    set(equeue::CreateProcOp::opName, &BlockExec::execCreateProc,
-        MOp::CreateProc);
-    set(equeue::CreateDmaOp::opName, &BlockExec::execCreateDma,
-        MOp::CreateDma);
-    set(equeue::CreateMemOp::opName, &BlockExec::execCreateMem,
-        MOp::CreateMem);
-    set(equeue::CreateStreamOp::opName, &BlockExec::execCreateStream,
-        MOp::CreateStream);
-    set(equeue::CreateConnectionOp::opName,
-        &BlockExec::execCreateConnection, MOp::CreateConnection);
-    set(equeue::CreateCompOp::opName, &BlockExec::execCreateOrAddComp,
-        MOp::CreateComp);
-    set(equeue::AddCompOp::opName, &BlockExec::execCreateOrAddComp,
-        MOp::CreateComp);
-    set(equeue::GetCompOp::opName, &BlockExec::execGetComp,
-        MOp::GetComp);
-    set(equeue::ExtractCompOp::opName, &BlockExec::execGetComp,
-        MOp::GetComp);
-    set(equeue::AllocOp::opName, &BlockExec::execAlloc, MOp::Alloc);
-    set(memref::AllocOp::opName, &BlockExec::execAlloc, MOp::Alloc);
-    set(equeue::DeallocOp::opName, &BlockExec::execDealloc,
-        MOp::Dealloc);
-    set(memref::DeallocOp::opName, &BlockExec::execDealloc,
-        MOp::Dealloc);
-
-    // Control flow (this file).
-    set(affine::ForOp::opName, &BlockExec::execAffineFor,
-        MOp::ForBegin);
-    set(affine::ParallelOp::opName, &BlockExec::execAffineParallel,
-        MOp::ParBegin);
-    set(affine::YieldOp::opName, &BlockExec::execAffineYield,
-        MOp::Yield);
-    set("builtin.module", &BlockExec::execNestedModule,
-        MOp::NestedModule);
-
-    // Compute, data motion, events (handlers.cc).
-    set(arith::ConstantOp::opName, &BlockExec::execArithConstant,
-        MOp::Constant);
-    set(arith::AddIOp::opName, &BlockExec::execAddI, MOp::AddI);
-    set(arith::SubIOp::opName, &BlockExec::execSubI, MOp::SubI);
-    set(arith::MulIOp::opName, &BlockExec::execMulI, MOp::MulI);
-    set(arith::DivSIOp::opName, &BlockExec::execDivSI, MOp::DivSI);
-    set(arith::RemSIOp::opName, &BlockExec::execRemSI, MOp::RemSI);
-    set(arith::AddFOp::opName, &BlockExec::execAddF, MOp::AddF);
-    set(arith::MulFOp::opName, &BlockExec::execMulF, MOp::MulF);
-    set(affine::LoadOp::opName, &BlockExec::execAffineLoadStore,
-        MOp::Load);
-    set(affine::StoreOp::opName, &BlockExec::execAffineLoadStore,
-        MOp::Store);
-    set(linalg::ConvOp::opName, &BlockExec::execLinalg,
-        MOp::LinalgConv);
-    set(linalg::FillOp::opName, &BlockExec::execLinalg,
-        MOp::LinalgFill);
-    set(linalg::MatmulOp::opName, &BlockExec::execLinalg,
-        MOp::LinalgMatmul);
-    set(equeue::ReadOp::opName, &BlockExec::execRead, MOp::Read);
-    set(equeue::WriteOp::opName, &BlockExec::execWrite, MOp::Write);
-    set(equeue::StreamReadOp::opName, &BlockExec::execStreamRead,
-        MOp::StreamRead);
-    set(equeue::StreamWriteOp::opName, &BlockExec::execStreamWrite,
-        MOp::StreamWrite);
-    set(equeue::ControlStartOp::opName, &BlockExec::execControlStart,
-        MOp::ControlStart);
-    set(equeue::ControlAndOp::opName, &BlockExec::execControlAndOr,
-        MOp::ControlAnd);
-    set(equeue::ControlOrOp::opName, &BlockExec::execControlAndOr,
-        MOp::ControlOr);
-    set(equeue::LaunchOp::opName, &BlockExec::execLaunch, MOp::Launch);
-    set(equeue::MemcpyOp::opName, &BlockExec::execMemcpy, MOp::Memcpy);
-    set(equeue::AwaitOp::opName, &BlockExec::execAwait, MOp::Await);
-    set(equeue::ReturnOp::opName, &BlockExec::execReturn, MOp::Return);
-    set(equeue::ExternOp::opName, &BlockExec::execExtern, MOp::Extern);
-
-    // Dialect-prefix fallbacks for interned names with no specific
-    // handler: any other arith op reports a precise diagnostic (the
-    // compiled backend's MOp::Bad names the op too); any other linalg
-    // op executes with its analytic cost only.
-    for (uint32_t raw = 0; raw < handlers.size(); ++raw) {
-        if (handlers[raw])
-            continue;
-        const std::string &name = ctx.opName(ir::OpId(raw));
-        if (startsWith(name, "arith.")) {
-            handlers[raw] = &BlockExec::execArithUnsupported;
-        } else if (startsWith(name, "linalg.")) {
-            handlers[raw] = &BlockExec::execLinalg;
-            opcodes[raw] = MOp::LinalgOther;
-        }
-    }
-
-    // Per-(class, op) cost table; strings are consulted only here.
-    for (unsigned cls = 0; cls < kNumCostClasses; ++cls) {
-        auto &row = costTable[cls];
-        row.assign(handlers.size(), 0);
-        for (uint32_t raw = 0; raw < handlers.size(); ++raw)
-            row[raw] = CostModel::staticOpCycles(
-                static_cast<CostClass>(cls), ctx.opName(ir::OpId(raw)));
+    // The compiled backend's dense opcode per interned op kind is
+    // built alongside the handlers (the ModuleCompiler pre-lowers each
+    // op's OpId through it exactly once, at compile time), and the
+    // (class, op) cost table with them.
+    const size_t n = ctx.numInternedOpNames();
+    handlers.resize(n);
+    opcodes.resize(n);
+    for (auto &row : costTable)
+        row.resize(n);
+    for (uint32_t raw = 0; raw < n; ++raw) {
+        const OpEntry e = lookupOpEntry(ctx.opName(ir::OpId(raw)));
+        handlers[raw] = e.handler;
+        opcodes[raw] = e.mop;
+        for (unsigned cls = 0; cls < kNumCostClasses; ++cls)
+            costTable[cls][raw] = e.cost[cls];
     }
 }
 
@@ -377,10 +417,11 @@ BlockExec::finish(Cycles t)
     _eng.noteActivity(t);
     if (_event)
         _eng.finishLaunch(_event, _proc, t);
-    // The exec object lives in Impl::blockExecs until the next reset,
-    // but its environment is dead here — release it so the pool can
-    // hand it to the next launch.
-    _env.reset();
+    // Nothing can wake this exec any more (a running exec has no
+    // pending wakeup), so it goes straight back to the pool. The
+    // caller returns without touching it again.
+    release();
+    _eng.freeBlockExecs.push_back(this);
 }
 
 // ---------------------------------------------------------------------------
