@@ -115,8 +115,7 @@ struct HarnessArgs {
         a.program = argv[0];
         a.program = a.program.substr(a.program.rfind('/') + 1);
         auto usage = [&](const std::string &why) {
-            sweep::printError(a.program, "usage", why);
-            std::exit(2);
+            std::exit(sweep::printError(a.program, ErrorCode::Usage, why));
         };
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
@@ -128,7 +127,8 @@ struct HarnessArgs {
                 usage("unknown option '" + arg + "'");
             switch (a.flags.parse(a.program, argc, argv, &i)) {
             case sweep::SweepFlags::Parse::Taken: continue;
-            case sweep::SweepFlags::Parse::Bad: std::exit(2);
+            case sweep::SweepFlags::Parse::Bad:
+                std::exit(exitCodeFor(ErrorCode::Usage));
             case sweep::SweepFlags::Parse::NotShared: break;
             }
             if (arg == "--no-wall")
@@ -173,10 +173,8 @@ struct HarnessArgs {
             if (path.empty())
                 continue;
             std::string err;
-            if (!fs::writeFileAtomic(path, text, &err)) {
-                sweep::printError(program, "io_error", err);
-                std::exit(1);
-            }
+            if (!fs::writeFileAtomic(path, text, &err))
+                std::exit(sweep::printError(program, ErrorCode::IoError, err));
             std::printf("# wrote %s\n", path.c_str());
         }
     }

@@ -40,10 +40,8 @@ main(int argc, char **argv)
     base.c = dims[5];
     spec.axes = {{"df", {0, 1, 2}}};
     std::string err = "shape is [Ah Aw H N Fh C], integers >= 1";
-    if (!ok || !spec.validate(&err)) {
-        sweep::printError(args.program, "usage", err);
-        return 2;
-    }
+    if (!ok || !spec.validate(&err))
+        return sweep::printError(args.program, ErrorCode::Usage, err);
 
     std::printf("array %dx%d, ifmap %dx%dx%d, %d filters of %dx%dx%d\n",
                 base.ah, base.aw, base.c, base.h, base.w, base.n,

@@ -4,7 +4,8 @@ journal tails and result caches, and resume or merge shard journals
 under another sweep — then assert the sweep still converges to the
 byte-identical fault-free answer.
 
-Four rounds, each against a single-process reference CSV:
+Four rounds, each against a single-process reference CSV, then the
+failure exits:
 
   kill-resume-merge   shards are dispatched as separate processes and
                       SIGKILLed mid-flight (seeded, several per
@@ -35,7 +36,12 @@ Four rounds, each against a single-process reference CSV:
                       naming the other backend; the cache discards
                       rather than refuses, so every re-run must exit 0,
                       emit the reference CSV, and replay exactly the
-                      rows that survived (its "cache=" count).
+                      rows that survived (its "cache=" count);
+  failure exits       a merge missing a shard exits 5
+                      (incomplete_merge), --connect to a closed port
+                      exits 1 (io_error), and a shard that exits 6
+                      (point_failed) stops the dispatch without a
+                      relaunch: the point would throw again.
 
 The byte-identity assertions all lean on the determinism guarantee:
 results do not depend on worker count, process count, kill timing, or
@@ -54,11 +60,13 @@ import os
 import random
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
 
-from sweep_dispatch import Dispatcher, EXIT_HEADER_MISMATCH
+from sweep_dispatch import (Dispatcher, DispatchError, EXIT_HEADER_MISMATCH,
+                            EXIT_INCOMPLETE, EXIT_IO, EXIT_POINT_FAILED)
 
 SPEC_ARGS = ["--model", "systolic",
              "--axis", "ah=2,4,8", "--axis", "aw=2,4,8"]
@@ -203,15 +211,15 @@ def corrupt_tail_round(eqsweep, flavor):
         shutil.rmtree(shard_dir, ignore_errors=True)
 
 
-def expect_header_refusal(argv, what):
-    """Run eqsweep, which must refuse with exit 3 and a structured
-    journal_header_mismatch error line; returns the error object."""
+def expect_refusal(argv, what, exit_code, code):
+    """Run eqsweep, which must fail with @exit_code and a structured
+    error line of @code; returns the error object."""
     proc = subprocess.run(argv, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, timeout=600)
     if proc.returncode == 0:
         fail(f"{what}: eqsweep ran")
-    if proc.returncode != EXIT_HEADER_MISMATCH:
-        fail(f"{what}: expected exit {EXIT_HEADER_MISMATCH}, got "
+    if proc.returncode != exit_code:
+        fail(f"{what}: expected exit {exit_code}, got "
              f"{proc.returncode}: {proc.stderr.decode()}")
     line = next((l for l in proc.stderr.decode().splitlines()
                  if l.startswith("eqsweep: error: ")), None)
@@ -219,10 +227,16 @@ def expect_header_refusal(argv, what):
         fail(f"{what}: no structured error line: "
              f"{proc.stderr.decode()!r}")
     err = json.loads(line[len("eqsweep: error: "):])
-    if err.get("code") != "journal_header_mismatch":
+    if err.get("code") != code:
         fail(f"{what}: wrong error code: {err}")
-    log(f"{what}: exit 3, code={err['code']!r}")
+    log(f"{what}: exit {exit_code}, code={err['code']!r}")
     return err
+
+
+def expect_header_refusal(argv, what):
+    """A journal of another sweep: exit 3, journal_header_mismatch."""
+    return expect_refusal(argv, what, EXIT_HEADER_MISMATCH,
+                          "journal_header_mismatch")
 
 
 def header_mismatch_round(eqsweep):
@@ -270,6 +284,63 @@ def header_mismatch_round(eqsweep):
     finally:
         shutil.rmtree(shard_dir, ignore_errors=True)
         shutil.rmtree(other_dir, ignore_errors=True)
+
+
+def closed_port():
+    """A loopback port nothing listens on: bound, then released."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def exit_contract_round(eqsweep):
+    """The two failure exits no other round reaches: a merge of a shard
+    set that misses points exits 5 with incomplete_merge, and --connect
+    to a port nothing listens on exits 1 with io_error."""
+    shard_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-exit-")
+    try:
+        d = run_dispatch(eqsweep, shard_dir)
+        argv = [eqsweep] + SPEC_ARGS
+        for shard in d.shards[:-1]:
+            argv += ["--merge", shard.journal_path]
+        expect_refusal(argv, "merge without the last shard",
+                       EXIT_INCOMPLETE, "incomplete_merge")
+    finally:
+        shutil.rmtree(shard_dir, ignore_errors=True)
+    expect_refusal(
+        [eqsweep] + SPEC_ARGS + ["--connect", f"127.0.0.1:{closed_port()}"],
+        "--connect to a closed port", EXIT_IO, "io_error")
+
+
+def point_failed_round():
+    """A shard whose point throws fails the same way on every launch,
+    so the dispatcher stops at its first exit 6 instead of relaunching
+    it. A stub stands in for eqsweep: it prints the point_failed line
+    and exits 6 without running anything."""
+    stub_dir = tempfile.mkdtemp(prefix="eqsweep-chaos-stub-")
+    stub = os.path.join(stub_dir, "eqsweep")
+    with open(stub, "w") as f:
+        f.write("#!/bin/sh\n"
+                "echo 'eqsweep: error: {\"code\":\"point_failed\","
+                "\"message\":\"point 0: boom\"}' >&2\n"
+                f"exit {EXIT_POINT_FAILED}\n")
+    os.chmod(stub, 0o755)
+    try:
+        d = Dispatcher(stub, SPEC_ARGS, NUM_SHARDS, stub_dir,
+                       threads=1, max_retries=3, stall_timeout=120.0)
+        try:
+            d.run()
+            fail("point_failed: the dispatch succeeded")
+        except DispatchError as e:
+            if e.exit_code != EXIT_POINT_FAILED:
+                fail(f"point_failed: dispatch stopped with exit "
+                     f"{e.exit_code}: {e}")
+        if d.relaunches != 0:
+            fail(f"point_failed: {d.relaunches} relaunches of a shard "
+                 f"that fails deterministically")
+        log("point_failed shard: exit 6, no relaunch")
+    finally:
+        shutil.rmtree(stub_dir, ignore_errors=True)
 
 
 def damage_cache(data, flavor):
@@ -351,8 +422,11 @@ def main():
     corrupt_tail_round(eqsweep, "bitflip")
     header_mismatch_round(eqsweep)
     damaged_cache_round(eqsweep)
+    exit_contract_round(eqsweep)
+    point_failed_round()
     print(f"sweep chaos: {rounds} kill rounds + 2 tail-corruption "
-          "rounds + 4 header refusals + 3 cache-damage rounds passed "
+          "rounds + 4 header refusals + 3 cache-damage rounds + "
+          "2 exit-contract checks + 1 point_failed dispatch passed "
           "(outputs byte-identical)")
 
 

@@ -12,15 +12,16 @@ the fleet:
               so the journal's size is its progress; the monitor
               treats a live process whose journal has not grown
               within --stall-timeout as a straggler and kills it;
-  retry       a dead shard (crashed, killed, stuck, or a point that
-              threw: exit 6) is relaunched up to --max-retries times;
+  retry       a dead shard (crashed, killed, stuck, or an I/O
+              failure: exit 1) is relaunched up to --max-retries times;
               relaunch is always safe because a shard recomputes only
               what its journal does not already hold;
-  refusal     exit codes 2 (usage), 3 (header mismatch) and 4 (corrupt
-              journal) are structured refusals, not transient faults,
-              and are never retried — they mean the arguments or the
-              on-disk state do not describe this sweep and a human has
-              to look;
+  refusal     exit codes 2 (usage), 3 (header mismatch), 4 (corrupt
+              journal) and 6 (a point threw) are structured refusals,
+              not transient faults, and are never retried — they mean
+              the arguments or the on-disk state do not describe this
+              sweep, or a point fails deterministically and would throw
+              again, and a human has to look;
   merge       once every shard has finished, `eqsweep <spec> --merge J
               ...` folds the shard journals into one table,
               byte-identical to a single-process run (the determinism
@@ -51,7 +52,7 @@ import sys
 import tempfile
 import time
 
-# eqsweep's exit-code vocabulary (see src/sweep/eqsweep_main.cc).
+# eqsweep's exit-code vocabulary (the failure table, src/base/failure.hh).
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
@@ -59,7 +60,8 @@ EXIT_HEADER_MISMATCH = 3
 EXIT_CORRUPT = 4
 EXIT_INCOMPLETE = 5
 EXIT_POINT_FAILED = 6
-NON_RETRYABLE = {EXIT_USAGE, EXIT_HEADER_MISMATCH, EXIT_CORRUPT}
+NON_RETRYABLE = {EXIT_USAGE, EXIT_HEADER_MISMATCH, EXIT_CORRUPT,
+                 EXIT_POINT_FAILED}
 
 
 class DispatchError(RuntimeError):

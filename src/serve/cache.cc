@@ -137,7 +137,8 @@ ProgramCache::Handle::run()
             // handle retries the compile from scratch.
             _entry->session->rebuild([&](ir::Context &ctx) {
                 if (FaultInjector::buildFault())
-                    throw BuildError("injected program build failure");
+                    throw Error(ErrorCode::BuildFailed,
+                                "injected program build failure");
                 return key.build(ctx);
             });
             _entry->built = true;

@@ -185,13 +185,11 @@ Client::withRetries(const Attempt &attempt, ErrorInfo *failure,
             attempt(failure))
             return true;
         // Transport failures (refused connect, dropped or torn
-        // response) are always retryable: results are byte
+        // response: io_error) are always retryable: results are byte
         // deterministic, so re-asking cannot change the answer.
-        const bool transport = failure->code == ErrorCode::None;
-        if (transport || close_on_failure)
+        if (failure->code == ErrorCode::IoError || close_on_failure)
             close(); // the next attempt or request reconnects
-        if (n >= attempts ||
-            !(transport || errorCodeRetryable(failure->code)))
+        if (n >= attempts || !errorCodeRetryable(failure->code))
             return false;
         backoff(n, failure->retryAfterMs);
     }

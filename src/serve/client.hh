@@ -78,7 +78,7 @@ class Client {
 
     struct SimulateResult {
         bool ok = false;
-        ErrorCode code = ErrorCode::None; ///< taxonomy code when !ok
+        ErrorCode code = ErrorCode::Ok; ///< failure code when !ok
         std::string error;                ///< message when !ok
         bool cached = false; ///< program was warm in the server cache
         Json report;         ///< reportToJson shape
@@ -92,7 +92,7 @@ class Client {
     /** Run @p spec on the server and re-merge the streamed rows (by
      *  dense point index) into a table with spec.schema(). False on
      *  protocol or server error, with @p failure holding the server's
-     *  structured error, or code None for a transport failure. */
+     *  structured error, or io_error for a transport failure. */
     bool sweepTable(const SweepSpec &spec, sweep::Table *out,
                     ErrorInfo *failure = nullptr,
                     int64_t deadline_ms = -1);
@@ -112,7 +112,7 @@ class Client {
   private:
     /** One try of a request on a connected client. True on success;
      *  otherwise fills @p failure: the server's structured error, or
-     *  code None and a message for a transport-class failure. */
+     *  io_error and a message for a transport-class failure. */
     using Attempt = std::function<bool(ErrorInfo *failure)>;
 
     bool sendRequest(const Json &request, std::string *err);

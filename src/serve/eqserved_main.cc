@@ -4,6 +4,10 @@
  * "listening" line (and optionally writes the bound port to a file for
  * scripts using an ephemeral port), then serves until a client sends
  * {"op":"shutdown"} or the process receives SIGINT/SIGTERM.
+ *
+ * Exit status (the failure table, base/failure.hh): 0 after a clean
+ * shutdown, the usage code (2) for a bad command line, the io_error
+ * code (1) when it cannot bind or write the port file.
  */
 
 #include <csignal>
@@ -12,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "base/failure.hh"
 #include "base/fsutil.hh"
 #include "base/stringutil.hh"
 #include "serve/faults.hh"
@@ -53,7 +58,8 @@ usage(const char *argv0)
         argv0);
 }
 
-/** Parse @p text into @p out (>= @p min), or exit 2 naming @p flag. */
+/** Parse @p text into @p out (>= @p min), or exit as a usage error
+ *  naming @p flag. */
 template <class T>
 void
 parseFlag(const std::string &flag, const char *text, T min, T *out)
@@ -61,7 +67,7 @@ parseFlag(const std::string &flag, const char *text, T min, T *out)
     if (!parseInt(text, min, out)) {
         std::fprintf(stderr, "eqserved: bad %s '%s'\n", flag.c_str(),
                      text);
-        std::exit(2);
+        std::exit(exitCodeFor(ErrorCode::Usage));
     }
 }
 
@@ -80,7 +86,7 @@ main(int argc, char **argv)
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "eqserved: %s needs a value\n",
                              arg.c_str());
-                std::exit(2);
+                std::exit(exitCodeFor(ErrorCode::Usage));
             }
             return argv[++i];
         };
@@ -107,7 +113,7 @@ main(int argc, char **argv)
             if (!sim::backendFromName(mode, &opts.engine.backend)) {
                 std::fprintf(stderr, "eqserved: bad --backend '%s'\n",
                              mode.c_str());
-                return 2;
+                return exitCodeFor(ErrorCode::Usage);
             }
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -116,7 +122,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "eqserved: unknown option '%s'\n",
                          arg.c_str());
             usage(argv[0]);
-            return 2;
+            return exitCodeFor(ErrorCode::Usage);
         }
     }
 
@@ -125,7 +131,7 @@ main(int argc, char **argv)
         if (!serve::FaultInjector::configureFromText(faultSpec, &ferr)) {
             std::fprintf(stderr, "eqserved: bad --faults: %s\n",
                          ferr.c_str());
-            return 2;
+            return exitCodeFor(ErrorCode::Usage);
         }
     }
 
@@ -133,7 +139,7 @@ main(int argc, char **argv)
     std::string err;
     if (!server.start(&err)) {
         std::fprintf(stderr, "eqserved: %s\n", err.c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::IoError);
     }
 
     if (!portFile.empty()) {
@@ -147,7 +153,7 @@ main(int argc, char **argv)
                          portFile.c_str(), werr.c_str());
             server.shutdown();
             server.wait();
-            return 1;
+            return exitCodeFor(ErrorCode::IoError);
         }
     }
 

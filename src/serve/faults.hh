@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 namespace eq {
@@ -103,13 +102,6 @@ class FaultInjector {
         Scoped(const Scoped &) = delete;
         Scoped &operator=(const Scoped &) = delete;
     };
-};
-
-/** Thrown by the ProgramCache build path under an injected build
- *  fault (and usable by real build failures); mapped to the
- *  "build_failed" error code by the server. */
-struct BuildError : std::runtime_error {
-    using std::runtime_error::runtime_error;
 };
 
 } // namespace serve

@@ -644,15 +644,15 @@ runLocalSweep(const SweepSpec &spec, unsigned threads,
     flags.threads = threads;
     flags.engine = engine;
     sweep::Table table{spec.schema()};
-    sweep::JournalStatus status = runLocalSweepDurable(
+    ErrorCode status = runLocalSweepDurable(
         spec, spec.grid(), flags, {}, &table, nullptr, nullptr);
     // Without a journal or a cache there is nothing to refuse.
-    assert(status == sweep::JournalStatus::Ok);
+    assert(status == ErrorCode::Ok);
     (void)status;
     return table;
 }
 
-sweep::JournalStatus
+ErrorCode
 runLocalSweepDurable(const SweepSpec &spec, const sweep::Grid &grid,
                      const sweep::SweepFlags &flags, const SweepRows &rows,
                      sweep::Table *out, sweep::ResumeStats *stats,

@@ -238,7 +238,7 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
  * identity. @p flags' csvPath is the caller's. Table assembly and
  * refusal semantics are runJournaledSweep's.
  */
-sweep::JournalStatus runLocalSweepDurable(
+ErrorCode runLocalSweepDurable(
     const SweepSpec &spec, const sweep::Grid &grid,
     const sweep::SweepFlags &flags, const SweepRows &rows,
     sweep::Table *out, sweep::ResumeStats *stats, std::string *err,

@@ -423,57 +423,7 @@ Json::parse(const std::string &text, Json *out, std::string *err)
 }
 
 // ---------------------------------------------------------------------------
-// Error taxonomy
-
-const char *
-errorCodeName(ErrorCode code)
-{
-    switch (code) {
-    case ErrorCode::None: return "none";
-    case ErrorCode::MalformedRequest: return "malformed_request";
-    case ErrorCode::FrameTooLarge: return "frame_too_large";
-    case ErrorCode::BadRequest: return "bad_request";
-    case ErrorCode::Backpressure: return "backpressure";
-    case ErrorCode::DeadlineExceeded: return "deadline_exceeded";
-    case ErrorCode::Cancelled: return "cancelled";
-    case ErrorCode::BuildFailed: return "build_failed";
-    case ErrorCode::Internal: return "internal";
-    case ErrorCode::ShuttingDown: return "shutting_down";
-    case ErrorCode::ResourceExhausted: return "resource_exhausted";
-    case ErrorCode::Unknown: return "unknown";
-    }
-    return "unknown";
-}
-
-bool
-errorCodeFromName(const std::string &name, ErrorCode *out)
-{
-    for (ErrorCode code :
-         {ErrorCode::MalformedRequest, ErrorCode::FrameTooLarge,
-          ErrorCode::BadRequest, ErrorCode::Backpressure,
-          ErrorCode::DeadlineExceeded, ErrorCode::Cancelled,
-          ErrorCode::BuildFailed, ErrorCode::Internal,
-          ErrorCode::ShuttingDown, ErrorCode::ResourceExhausted}) {
-        if (name == errorCodeName(code)) {
-            *out = code;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-errorCodeRetryable(ErrorCode code)
-{
-    switch (code) {
-    case ErrorCode::Backpressure:
-    case ErrorCode::BuildFailed:
-    case ErrorCode::Internal:
-        return true;
-    default:
-        return false;
-    }
-}
+// Error responses
 
 ErrorInfo
 parseError(const Json &response)

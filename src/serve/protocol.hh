@@ -20,6 +20,11 @@
  * point index, which reproduces the in-process SweepRunner table
  * byte-identically at any worker count.
  *
+ * A failed request answers {"ok":false,"error":{"code":<name>,
+ * "message":...,["retry_after_ms":N]}}, never free text: the code is
+ * a row of the failure table (base/failure.hh), so clients branch on
+ * it (retry, surface, give up) without parsing prose.
+ *
  * This header also holds the minimal JSON value type the protocol is
  * built on (parser + deterministic writer; object member order is
  * preserved) and the blocking line-framing helpers both ends share.
@@ -33,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/failure.hh"
 #include "sim/report.hh"
 #include "sweep/table.hh"
 
@@ -130,39 +136,10 @@ class Json {
     std::vector<std::pair<std::string, Json>> _obj;
 };
 
-/**
- * The serving layer's error taxonomy. Every failed request answers
- * with a structured error object — {"code":<name>,"message":...,
- * ["retry_after_ms":N]} — never a free-text string, so clients can
- * branch on the code (retry, surface, give up) without parsing prose.
- * None/Unknown are client-side values and never appear on the wire.
- */
-enum class ErrorCode : uint8_t {
-    None,             ///< no error (client-side only)
-    MalformedRequest, ///< line was not a JSON object
-    FrameTooLarge,    ///< line exceeded the reader's byte cap
-    BadRequest,       ///< unknown op/model/config/axis
-    Backpressure,     ///< queue full; retry after retry_after_ms
-    DeadlineExceeded, ///< deadline_ms elapsed before the run started
-    Cancelled,        ///< client connection went away mid-request
-    BuildFailed,      ///< program build failed (retryable)
-    Internal,         ///< worker-side exception (retryable)
-    ShuttingDown,     ///< server is stopping
-    ResourceExhausted, ///< the run passed the engine's op budget
-    Unknown,          ///< unrecognized wire code (client-side only)
-};
-
-const char *errorCodeName(ErrorCode code);
-/** False (leaving @p out untouched) for names not in the taxonomy. */
-bool errorCodeFromName(const std::string &name, ErrorCode *out);
-/** True for codes a client may retry verbatim: served results are
- *  byte-deterministic, so re-sending an idempotent request after
- *  backpressure or a transient worker/build fault is always safe. */
-bool errorCodeRetryable(ErrorCode code);
-
 /** A parsed error response (see parseError). */
 struct ErrorInfo {
-    ErrorCode code = ErrorCode::None;
+    /** A transport failure until a server's error says otherwise. */
+    ErrorCode code = ErrorCode::IoError;
     std::string message;
     int64_t retryAfterMs = -1; ///< server hint; -1 = none
 };

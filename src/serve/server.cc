@@ -303,7 +303,7 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
 /** What one run produced: the report and whether its program was
  *  already warm, or the failure's code and message. */
 struct Server::RunResult {
-    ErrorCode code = ErrorCode::None;
+    ErrorCode code = ErrorCode::Ok;
     std::string message;
     bool warm = false;
     sim::SimReport report;
@@ -345,12 +345,10 @@ Server::runTask(const std::shared_ptr<Conn> &conn, ModelKey key,
             result.warm = handle.warm();
             result.report = handle.run();
             respond(&result);
-        } catch (const BuildError &e) {
-            fail(ErrorCode::BuildFailed, e.what());
-        } catch (const sim::SimError &e) {
-            // The run hit the op budget; the session stays usable and
-            // a retry would hit it again.
-            fail(ErrorCode::ResourceExhausted, e.what());
+        } catch (const Error &e) {
+            // A failure that names its code (a failed build, a run past
+            // the op budget, a deadlock); the session stays usable.
+            fail(e.code(), e.what());
         } catch (const std::exception &e) {
             fail(ErrorCode::Internal, e.what());
         }
@@ -379,7 +377,7 @@ Server::handleSimulate(const std::shared_ptr<Conn> &conn, const Json &id,
     auto respond = [conn, id, kind](const RunResult *result) {
         if (!result)
             return; // cancelled: nobody left to answer
-        if (result->code != ErrorCode::None) {
+        if (result->code != ErrorCode::Ok) {
             conn->send(makeError(&id, result->code, result->message));
             return;
         }
@@ -453,7 +451,7 @@ Server::handleSweep(const std::shared_ptr<Conn> &conn, const Json &id,
         auto respond = [conn, state, i](const RunResult *result) {
             const sweep::Point &point = state->points[i];
             if (result) {
-                const bool ok = result->code == ErrorCode::None;
+                const bool ok = result->code == ErrorCode::Ok;
                 Json resp =
                     ok ? makeResponse(&state->id, "row")
                        : makeError(&state->id, result->code,

@@ -180,6 +180,10 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
             ->resume(0);
     }
     runHeap();
+    // Nothing left to run, so a live event waits for what can no
+    // longer happen.
+    if (events.livePayloads() != 0)
+        deadlocked();
 
     auto t1 = std::chrono::steady_clock::now();
     double wall = std::chrono::duration<double>(t1 - t0).count();

@@ -22,9 +22,9 @@
 #define EQ_SIM_ENGINE_HH
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 
+#include "base/failure.hh"
 #include "ir/operation.hh"
 #include "sim/component.hh"
 #include "sim/opfunctions.hh"
@@ -68,13 +68,13 @@ bool backendFromName(const std::string &name, Backend *out);
 Backend resolveBackend(Backend requested);
 
 /**
- * A run that could not finish. The Simulator (and a Session around it)
- * stays usable: its next run starts from a reset. Today only an
- * exhausted op budget (EngineOptions::maxOps) throws it.
+ * A run that could not finish: an Error whose code() says why —
+ * resource_exhausted for an exhausted op budget (EngineOptions::maxOps),
+ * deadlock for a run that ended with events that never completed. The
+ * Simulator (and a Session around it) stays usable: its next run
+ * starts from a reset.
  */
-struct SimError : std::runtime_error {
-    using std::runtime_error::runtime_error;
-};
+using SimError = Error;
 
 /** Engine configuration. */
 struct EngineOptions {

@@ -397,6 +397,20 @@ class EventStore {
 
     /** Payloads in use: after a run, the events that never completed. */
     size_t livePayloads() const { return _live; }
+    /** The payloads in use, in event order. */
+    std::vector<const Event *>
+    liveEvents()
+    {
+        std::vector<const Event *> out;
+        for (size_t s = 0; s < _peak; ++s) {
+            const Event &ev = payload(s);
+            if (ev.id < _size && word(ev.id) == (kLive | s))
+                out.push_back(&ev);
+        }
+        std::sort(out.begin(), out.end(),
+                  [](const Event *a, const Event *b) { return a->id < b->id; });
+        return out;
+    }
     /** Most payloads in use at once since the last clear(). */
     size_t peakPayloads() const { return _peak; }
 
@@ -849,6 +863,10 @@ struct Simulator::Impl {
     }
     /** Throw the SimError for an exhausted op budget (event_core.cc). */
     [[noreturn, gnu::cold]] void opBudgetExceeded() const;
+    /** Throw the deadlock SimError for a run that ran out of work with
+     *  events still live, naming them and the streams read-blocked
+     *  (event_core.cc). */
+    [[noreturn, gnu::cold]] void deadlocked();
 
     // --- event core (event_core.cc) -----------------------------------
     /** Clear per-run simulation state. Value numbering survives when

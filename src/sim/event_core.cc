@@ -61,9 +61,41 @@ Simulator::Impl::reset(bool keep_numbering)
 void
 Simulator::Impl::opBudgetExceeded() const
 {
-    throw SimError(detail::formatMessage("interpreted op budget exceeded (",
-                                         opts.maxOps,
-                                         "); runaway program?"));
+    throw SimError(ErrorCode::ResourceExhausted,
+                   detail::formatMessage("interpreted op budget exceeded (",
+                                         opts.maxOps, "); runaway program?"));
+}
+
+void
+Simulator::Impl::deadlocked()
+{
+    // Name at most this many stuck events and blocked streams.
+    constexpr size_t kNamed = 8;
+    const std::vector<const Event *> stuck = events.liveEvents();
+    std::string msg = "deadlock: " + std::to_string(stuck.size()) +
+                      " event(s) never completed:";
+    for (size_t i = 0; i < stuck.size() && i < kNamed; ++i) {
+        const Event &ev = *stuck[i];
+        msg += i ? ", " : " ";
+        msg += ev.op                        ? ev.op->name()
+               : ev.kind == Event::Kind::And ? "equeue.control_and"
+                                             : "equeue.control_or";
+        if (ev.proc)
+            msg += " on " + ev.proc->name();
+    }
+    if (stuck.size() > kNamed)
+        msg += ", ...";
+    std::vector<std::string> streams;
+    for (const auto &[fifo, waiters] : streamWaiters)
+        if (!waiters.empty())
+            streams.push_back(fifo->name() + " (" +
+                              std::to_string(waiters.size()) + ")");
+    std::sort(streams.begin(), streams.end());
+    for (size_t i = 0; i < streams.size() && i < kNamed; ++i)
+        msg += (i ? ", " : "; streams with waiting readers: ") + streams[i];
+    if (streams.size() > kNamed)
+        msg += ", ...";
+    throw SimError(ErrorCode::Deadlock, msg);
 }
 
 void

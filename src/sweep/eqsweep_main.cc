@@ -21,14 +21,14 @@
  * byte-identical, never mixed. --connect runs no journal yet: the
  * in-process flags are usage errors beside it.
  *
- * Failures speak the sweep layer's structured vocabulary on stderr
- * (sweep::printError) —
+ * Failures print one structured line on stderr (sweep::printError) —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
- * — and the exit code mirrors it: 0 ok, 1 I/O or a failed served
- * sweep (code: the daemon's, or io_error for the transport), 2 usage,
- * 3 header mismatch, 4 corrupt journal (sweep::exitCodeFor), 5
- * incomplete merge, 6 a point failed (point_failed, "point <i>:
- * ..."). Dispatch scripts branch on these, never on prose.
+ * — and exit with the code's exit status. Both come from the failure
+ * table (base/failure.hh): usage 2, journal_header_mismatch 3,
+ * journal_corrupt 4, incomplete_merge 5, point_failed 6 ("point <i>:
+ * ..."), and 1 for io_error and for a failed served sweep (whose code
+ * is the daemon's, or io_error for the transport). Dispatch scripts
+ * branch on these, never on prose.
  */
 
 #include <cstdio>
@@ -45,9 +45,6 @@
 using namespace eq;
 
 namespace {
-
-constexpr int kExitUsage = 2;
-constexpr int kExitIncomplete = 5;
 
 void
 usage(const char *argv0)
@@ -84,25 +81,18 @@ usage(const char *argv0)
         argv0);
 }
 
-/** Print the structured error line for @p code; returns @p exit_code. */
+/** Print the structured error line for @p code; returns its exit
+ *  code. */
 int
-fail(const std::string &code, const std::string &message, int exit_code)
+fail(ErrorCode code, const std::string &message)
 {
-    sweep::printError("eqsweep", code, message);
-    return exit_code;
-}
-
-int
-refuse(sweep::JournalStatus status, const std::string &message)
-{
-    return fail(sweep::journalStatusName(status), message,
-                sweep::exitCodeFor(status));
+    return sweep::printError("eqsweep", code, message);
 }
 
 int
 usageError(const std::string &message)
 {
-    return fail("usage", message, kExitUsage);
+    return fail(ErrorCode::Usage, message);
 }
 
 /** The table as CSV on stdout, or atomically in @p csv_path. */
@@ -113,7 +103,7 @@ emitTable(const sweep::Table &table, const std::string &csv_path)
     if (csv_path.empty())
         std::fputs(table.csv().c_str(), stdout);
     else if (!fs::writeFileAtomic(csv_path, table.csv(), &err))
-        return refuse(sweep::JournalStatus::IoError, err);
+        return fail(ErrorCode::IoError, err);
     return 0;
 }
 
@@ -202,18 +192,17 @@ mergeMode(const Args &args, const serve::SweepSpec &spec)
     sweep::Table table{spec.schema()};
     std::vector<uint64_t> missing;
     std::string err;
-    sweep::JournalStatus status = sweep::mergeShardJournals(
+    ErrorCode status = sweep::mergeShardJournals(
         args.mergeJournals, expect, spec.schema(), &table, &missing,
         &err);
-    if (status != sweep::JournalStatus::Ok)
-        return refuse(status, err);
+    if (status != ErrorCode::Ok)
+        return fail(status, err);
     if (!missing.empty())
-        return fail("incomplete_merge",
+        return fail(ErrorCode::IncompleteMerge,
                     std::to_string(missing.size()) + " of " +
                         std::to_string(expect.numPoints) +
                         " points missing (first: " +
-                        std::to_string(missing.front()) + ")",
-                    kExitIncomplete);
+                        std::to_string(missing.front()) + ")");
     return emitTable(table, args.flags.csvPath);
 }
 
@@ -231,15 +220,12 @@ connectMode(const Args &args, const serve::SweepSpec &spec)
     client.setRetryPolicy(policy);
     sweep::Table table{spec.schema()};
     serve::ErrorInfo failure;
-    // A refused connect is a transport failure like any other: with
-    // retries left, the retry loop reconnects.
+    // A refused connect is a transport failure (io_error) like any
+    // other: with retries left, the retry loop reconnects.
     if ((!client.connect(host, port, &failure.message) &&
          args.retries == 1) ||
         !client.sweepTable(spec, &table, &failure, args.deadlineMs))
-        return fail(failure.code == serve::ErrorCode::None
-                        ? "io_error"
-                        : serve::errorCodeName(failure.code),
-                    failure.message, 1);
+        return fail(failure.code, failure.message);
     return emitTable(table, args.flags.csvPath);
 }
 
@@ -254,7 +240,8 @@ main(int argc, char **argv)
         args.given.insert(arg);
         switch (args.flags.parse("eqsweep", argc, argv, &i)) {
         case sweep::SweepFlags::Parse::Taken: continue;
-        case sweep::SweepFlags::Parse::Bad: return kExitUsage;
+        case sweep::SweepFlags::Parse::Bad:
+            return exitCodeFor(ErrorCode::Usage);
         case sweep::SweepFlags::Parse::NotShared: break;
         }
         if (arg == "--help" || arg == "-h") {
@@ -313,7 +300,7 @@ main(int argc, char **argv)
             return usageError(std::string(flag) + " needs --connect");
     if (args.specPath.empty() && args.model.empty()) {
         usage(argv[0]);
-        return kExitUsage;
+        return exitCodeFor(ErrorCode::Usage);
     }
     serve::SweepSpec spec;
     std::string err;

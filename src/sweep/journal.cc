@@ -52,7 +52,7 @@ printResumeStats(const ResumeStats &st)
                      st.journalTruncatedBytes));
 }
 
-JournalStatus
+ErrorCode
 runJournaledSweep(const SweepRunner &runner,
                   const std::vector<Point> &points,
                   std::vector<Column> schema, const PointKeyFn &keyFn,
@@ -64,7 +64,7 @@ runJournaledSweep(const SweepRunner &runner,
     ResumeStats local;
     ResumeStats &st = stats ? *stats : local;
     st = ResumeStats();
-    auto fail = [&](JournalStatus status, const std::string &why) {
+    auto fail = [&](ErrorCode status, const std::string &why) {
         if (err)
             *err = why;
         return status;
@@ -92,9 +92,9 @@ runJournaledSweep(const SweepRunner &runner,
     RowLog journal(RowLog::Policy::Refuse);
     if (journaling) {
         RowLog::Recovery rec;
-        const JournalStatus status = journal.open(
+        const ErrorCode status = journal.open(
             opts.journalPath, identity, schema, &rec);
-        if (status != JournalStatus::Ok)
+        if (status != ErrorCode::Ok)
             return fail(status, rec.error);
         st.journalTruncatedBytes = rec.truncatedBytes;
         for (RowRecord &record : rec.records) {
@@ -117,7 +117,7 @@ runJournaledSweep(const SweepRunner &runner,
     if (caching) {
         if (!cache.open(opts.cachePath, identity.schemaSig,
                         identity.backend, schema, &ioErr))
-            return fail(JournalStatus::IoError, ioErr);
+            return fail(ErrorCode::IoError, ioErr);
         for (size_t s = 0; s < points.size(); ++s) {
             if (done[s])
                 continue;
@@ -131,7 +131,7 @@ runJournaledSweep(const SweepRunner &runner,
                 if (journaling && !journal.append(points[s].index(),
                                                   keys[s], rows[s],
                                                   &ioErr))
-                    return fail(JournalStatus::IoError, ioErr);
+                    return fail(ErrorCode::IoError, ioErr);
             }
         }
     }
@@ -174,7 +174,7 @@ runJournaledSweep(const SweepRunner &runner,
             throw;
         }
         if (failed.load())
-            return fail(JournalStatus::IoError, ioErr);
+            return fail(ErrorCode::IoError, ioErr);
         for (size_t i = 0; i < pendingSlot.size(); ++i) {
             rows[pendingSlot[i]] = fresh.row(i);
             done[pendingSlot[i]] = true;
@@ -184,20 +184,20 @@ runJournaledSweep(const SweepRunner &runner,
 
     // Close-time durability when not fsync'ing per record.
     if (journaling && !opts.fsyncEachRecord && !journal.sync(&ioErr))
-        return fail(JournalStatus::IoError, ioErr);
+        return fail(ErrorCode::IoError, ioErr);
 
     // 4) Every row this sweep now holds is a valid cache entry
     //    (journal-replayed rows included — they re-seed a deleted
     //    cache from the journal).
     for (size_t s = 0; caching && s < points.size(); ++s)
         if (!cache.append(keys[s], rows[s], &ioErr))
-            return fail(JournalStatus::IoError, ioErr);
+            return fail(ErrorCode::IoError, ioErr);
 
     Table table(std::move(schema));
     for (auto &row : rows)
         table.addRow(std::move(row));
     *out = std::move(table);
-    return JournalStatus::Ok;
+    return ErrorCode::Ok;
 }
 
 SweepFlags::Parse
@@ -210,7 +210,7 @@ SweepFlags::parse(const std::string &tool, int argc, char **argv, int *i)
     if (!valued && arg != "--fsync")
         return Parse::NotShared;
     auto bad = [&](const std::string &why) {
-        printError(tool, "usage", why);
+        printError(tool, ErrorCode::Usage, why);
         return Parse::Bad;
     };
     if (valued && *i + 1 >= argc)
@@ -241,17 +241,14 @@ runSweepCommand(const std::string &tool, const JournalOptions &opts,
 {
     ResumeStats stats;
     std::string err;
-    JournalStatus status;
+    ErrorCode status;
     try {
         status = sweep(&stats, &err);
-    } catch (const PointFailed &e) {
-        printError(tool, "point_failed", e.what());
-        return kExitPointFailed;
+    } catch (const Error &e) {
+        return printError(tool, e.code(), e.what());
     }
-    if (status != JournalStatus::Ok) {
-        printError(tool, journalStatusName(status), err);
-        return exitCodeFor(status);
-    }
+    if (status != ErrorCode::Ok)
+        return printError(tool, status, err);
     if (!opts.journalPath.empty() || !opts.cachePath.empty())
         printResumeStats(stats);
     return 0;
@@ -266,7 +263,7 @@ shardStripe(uint64_t num_points, uint64_t k, uint64_t n)
     return {begin, begin + base + (k < extra ? 1 : 0)};
 }
 
-JournalStatus
+ErrorCode
 mergeShardJournals(const std::vector<std::string> &paths,
                    const RowLogHeader &expect,
                    const std::vector<Column> &schema, Table *out,
@@ -278,7 +275,7 @@ mergeShardJournals(const std::vector<std::string> &paths,
     for (const std::string &path : paths) {
         RowLog::Recovery rec = RowLog::recover(path, expect, schema,
                                                RowLog::Policy::Refuse);
-        if (rec.status != JournalStatus::Ok) {
+        if (rec.status != ErrorCode::Ok) {
             if (err)
                 *err = path + ": " + rec.error;
             return rec.status;
@@ -298,7 +295,7 @@ mergeShardJournals(const std::vector<std::string> &paths,
     for (auto &entry : rows)
         table.addRow(std::move(entry.second));
     *out = std::move(table);
-    return JournalStatus::Ok;
+    return ErrorCode::Ok;
 }
 
 } // namespace sweep

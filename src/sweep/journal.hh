@@ -70,21 +70,21 @@ using PointKeyFn = std::function<std::string(const Point &)>;
  * shard passes its slice in @p points but journals under the whole
  * grid's identity. The cache reuses its schema and backend.
  *
- * Returns Ok and fills @p out on success. HeaderMismatch / Corrupt /
- * IoError (with @p err) mean the journal was refused or could not be
- * written — no table is produced, and after a failed append no
- * further point is simulated. A point that throws propagates as
+ * Returns Ok and fills @p out on success. JournalHeaderMismatch /
+ * JournalCorrupt / IoError (with @p err) mean the journal was refused
+ * or could not be written — no table is produced, and after a failed
+ * append no further point is simulated. A point that throws propagates as
  * SweepRunner::run's PointFailed, after the rows journaled before it
  * are synced as on a normal exit.
  */
-JournalStatus runJournaledSweep(const SweepRunner &runner,
-                                const std::vector<Point> &points,
-                                std::vector<Column> schema,
-                                const PointKeyFn &keyFn,
-                                const SweepRunner::RowFn &fn,
-                                const JournalOptions &opts,
-                                const RowLogHeader &identity, Table *out,
-                                ResumeStats *stats, std::string *err);
+ErrorCode runJournaledSweep(const SweepRunner &runner,
+                            const std::vector<Point> &points,
+                            std::vector<Column> schema,
+                            const PointKeyFn &keyFn,
+                            const SweepRunner::RowFn &fn,
+                            const JournalOptions &opts,
+                            const RowLogHeader &identity, Table *out,
+                            ResumeStats *stats, std::string *err);
 
 /**
  * The flags every sweep front end shares (eqsweep and the bench
@@ -107,7 +107,7 @@ struct SweepFlags {
     /** If argv[*i] is a shared flag, consume it and its value (advancing
      *  *i) and return Taken; NotShared leaves *i alone. Bad means a
      *  missing or malformed value: a structured "usage" line for
-     *  @p tool is printed and the caller exits 2. */
+     *  @p tool is printed and the caller exits with its code. */
     Parse parse(const std::string &tool, int argc, char **argv, int *i);
 };
 
@@ -115,15 +115,15 @@ struct SweepFlags {
  *  a wrapper such as serve::runLocalSweepDurable, with the stats and
  *  error outputs left to the caller. */
 using SweepCommand =
-    std::function<JournalStatus(ResumeStats *stats, std::string *err)>;
+    std::function<ErrorCode(ResumeStats *stats, std::string *err)>;
 
 /**
  * The one exit contract of a sweep front end: run @p sweep for @p tool
  * and return its exit code. 0 means the sweep's table is filled; a
- * refusal or I/O failure prints printError's line and returns
- * exitCodeFor (1, 3 or 4); a point that threw prints a "point_failed"
- * line and returns kExitPointFailed. The `# resume:` line is printed
- * whenever @p opts names a journal or a cache.
+ * refusal, an I/O failure or a thrown Error (a point that threw is
+ * point_failed) prints printError's line and returns its code's exit
+ * code. The `# resume:` line is printed whenever @p opts names a
+ * journal or a cache.
  */
 int runSweepCommand(const std::string &tool, const JournalOptions &opts,
                     const SweepCommand &sweep);
@@ -141,8 +141,9 @@ std::pair<uint64_t, uint64_t> shardStripe(uint64_t num_points,
  * Merge shard journals into one table, byte-identical to a
  * single-process run of the same sweep.
  *
- * Every journal's header must match @p expect (HeaderMismatch
- * otherwise); a journal with mid-file corruption is refused (Corrupt);
+ * Every journal's header must match @p expect (JournalHeaderMismatch
+ * otherwise); a journal with mid-file corruption is refused
+ * (JournalCorrupt);
  * a torn final record is skipped (the merge never mutates the files).
  * Duplicate points — e.g. a point recomputed by a relaunched shard —
  * resolve last-write-wins in @p paths order, then journal order. Rows
@@ -151,12 +152,11 @@ std::pair<uint64_t, uint64_t> shardStripe(uint64_t num_points,
  * points, in order): an incomplete merge is the dispatcher's signal to
  * relaunch, not an error here.
  */
-JournalStatus mergeShardJournals(const std::vector<std::string> &paths,
-                                 const RowLogHeader &expect,
-                                 const std::vector<Column> &schema,
-                                 Table *out,
-                                 std::vector<uint64_t> *missing,
-                                 std::string *err);
+ErrorCode mergeShardJournals(const std::vector<std::string> &paths,
+                             const RowLogHeader &expect,
+                             const std::vector<Column> &schema,
+                             Table *out, std::vector<uint64_t> *missing,
+                             std::string *err);
 
 } // namespace sweep
 } // namespace eq

@@ -22,7 +22,7 @@ ResultCache::open(const std::string &path, const std::string &schema_sig,
     header.backend = backend;
     RowLog::Recovery rec;
     if (_log.open(path, header, schema, &rec) !=
-        JournalStatus::Ok) {
+        ErrorCode::Ok) {
         if (err)
             *err = rec.error;
         return false;

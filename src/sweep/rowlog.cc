@@ -94,39 +94,16 @@ linesFrom(const std::string &text, size_t pos)
 
 } // namespace
 
-const char *
-journalStatusName(JournalStatus status)
-{
-    switch (status) {
-    case JournalStatus::Ok: return "ok";
-    case JournalStatus::IoError: return "io_error";
-    case JournalStatus::HeaderMismatch: return "journal_header_mismatch";
-    case JournalStatus::Corrupt: return "journal_corrupt";
-    }
-    return "?";
-}
-
 int
-exitCodeFor(JournalStatus status)
-{
-    switch (status) {
-    case JournalStatus::Ok: return 0;
-    case JournalStatus::IoError: return 1;
-    case JournalStatus::HeaderMismatch: return 3;
-    case JournalStatus::Corrupt: return 4;
-    }
-    return 1;
-}
-
-void
-printError(const std::string &tool, const std::string &code,
+printError(const std::string &tool, ErrorCode code,
            const std::string &message)
 {
     serve::Json e = serve::Json::object();
-    e.set("code", code);
+    e.set("code", errorCodeName(code));
     e.set("message", message);
     std::fprintf(stderr, "%s: error: %s\n", tool.c_str(),
                  e.dump().c_str());
+    return exitCodeFor(code);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +263,7 @@ RowLog::recover(const std::string &path, const RowLogHeader &expect,
     Recovery rec;
     std::string text;
     if (!fs::readFile(path, &text, &rec.error)) {
-        rec.status = JournalStatus::IoError;
+        rec.status = ErrorCode::IoError;
         return rec;
     }
 
@@ -297,19 +274,19 @@ RowLog::recover(const std::string &path, const RowLogHeader &expect,
     serve::Json hj;
     RowLogHeader header;
     if (headerEnd == std::string::npos) {
-        rec.status = JournalStatus::Corrupt;
+        rec.status = ErrorCode::JournalCorrupt;
         rec.tornHeader = true;
         rec.error = "header was torn (no complete header line)";
     } else if (!serve::Json::parse(text.substr(0, headerEnd), &hj,
                                    &herr) ||
                !RowLogHeader::fromJson(hj, expect.kind, &header,
                                        &herr)) {
-        rec.status = JournalStatus::Corrupt;
+        rec.status = ErrorCode::JournalCorrupt;
         rec.error = "unreadable header: " + herr;
     } else if (!header.matches(expect, &rec.error)) {
-        rec.status = JournalStatus::HeaderMismatch;
+        rec.status = ErrorCode::JournalHeaderMismatch;
     }
-    if (rec.status != JournalStatus::Ok) {
+    if (rec.status != ErrorCode::Ok) {
         rec.droppedRows = headerEnd == std::string::npos
                               ? 0
                               : linesFrom(text, headerEnd + 1);
@@ -334,7 +311,7 @@ RowLog::recover(const std::string &path, const RowLogHeader &expect,
             continue;
         }
         if (policy == Policy::Refuse && complete && nl + 1 < text.size()) {
-            rec.status = JournalStatus::Corrupt;
+            rec.status = ErrorCode::JournalCorrupt;
             rec.error = "corrupt record at byte " + std::to_string(pos) +
                         " with valid data after it";
             rec.records.clear();
@@ -347,7 +324,7 @@ RowLog::recover(const std::string &path, const RowLogHeader &expect,
     return rec;
 }
 
-JournalStatus
+ErrorCode
 RowLog::open(const std::string &path, const RowLogHeader &header,
              const std::vector<Column> &schema, Recovery *out)
 {
@@ -361,18 +338,18 @@ RowLog::open(const std::string &path, const RowLogHeader &header,
         // A torn header is a create() that crashed before its fsync:
         // no record can exist. A discardable log starts over from any
         // header it cannot use.
-        fresh = rec.status != JournalStatus::Ok &&
-                rec.status != JournalStatus::IoError &&
+        fresh = rec.status != ErrorCode::Ok &&
+                rec.status != ErrorCode::IoError &&
                 (rec.tornHeader || _policy == Policy::Discard);
         if (fresh) {
-            rec.status = JournalStatus::Ok;
+            rec.status = ErrorCode::Ok;
             rec.error.clear();
-        } else if (rec.status != JournalStatus::Ok) {
+        } else if (rec.status != ErrorCode::Ok) {
             return rec.status;
         }
     }
     auto ioError = [&](const char *what) {
-        rec.status = JournalStatus::IoError;
+        rec.status = ErrorCode::IoError;
         rec.error = std::string(what) + " " + path + ": " +
                     std::strerror(errno);
         return rec.status;
@@ -390,7 +367,7 @@ RowLog::open(const std::string &path, const RowLogHeader &header,
     if (fresh && !fs::writeSynced(_fd, header.toJson().dump() + "\n",
                                   "header " + path, &rec.error)) {
         close();
-        rec.status = JournalStatus::IoError;
+        rec.status = ErrorCode::IoError;
     }
     return rec.status;
 }

@@ -36,9 +36,9 @@
  *  - Refuse (the journal, authoritative for its grid): a bad *final*
  *    record (a torn append, a bit flip in the tail) is truncated and
  *    its point recomputed; a bad record with valid records after it is
- *    real corruption (JournalStatus::Corrupt); an unreadable header is
- *    Corrupt and a header for another sweep is HeaderMismatch. A
- *    refused file is left untouched — never silently merged.
+ *    real corruption (journal_corrupt), and so is an unreadable
+ *    header; a header for another sweep is journal_header_mismatch.
+ *    A refused file is left untouched — never silently merged.
  *  - Discard (the cache, always recomputable): everything from the
  *    first bad record on is dropped, and an unreadable or mismatched
  *    header makes open() start a fresh file. Damage is never an error,
@@ -69,32 +69,11 @@
 namespace eq {
 namespace sweep {
 
-/** Outcome of opening, recovering or merging row logs. */
-enum class JournalStatus : uint8_t {
-    Ok,             ///< usable (possibly after tail truncation)
-    IoError,        ///< open/read/write failed
-    HeaderMismatch, ///< the log belongs to a different sweep
-    Corrupt,        ///< bad record with valid records after it
-};
-
-/** Stable wire name ("ok", "io_error", "journal_header_mismatch",
- *  "journal_corrupt") — the "code" of a structured error line. */
-const char *journalStatusName(JournalStatus status);
-
-/** The exit code a sweep driver returns for @p status: 0 ok, 1 I/O,
- *  3 header mismatch, 4 corrupt journal. The rest of the contract:
- *  2 usage, 5 an incomplete merge (eqsweep --merge), and 6 a point
- *  that threw (kExitPointFailed). */
-int exitCodeFor(JournalStatus status);
-
-/** Exit code of a sweep one of whose points threw (PointFailed); its
- *  error line's code is "point_failed". */
-constexpr int kExitPointFailed = 6;
-
 /** Print the structured error line drivers branch on, never prose:
- *  `<tool>: error: {"code":"...","message":"..."}` on stderr. */
-void printError(const std::string &tool, const std::string &code,
-                const std::string &message);
+ *  `<tool>: error: {"code":"...","message":"..."}` on stderr. Returns
+ *  @p code's exit code (base/failure.hh). */
+int printError(const std::string &tool, ErrorCode code,
+               const std::string &message);
 
 /** The identity a row log is bound to. Two sweeps may share a log iff
  *  every field matches. */
@@ -159,7 +138,7 @@ class RowLog {
 
     /** Result of reading a log back. */
     struct Recovery {
-        JournalStatus status = JournalStatus::Ok;
+        ErrorCode status = ErrorCode::Ok;
         std::string error;               ///< set when status != Ok
         bool tornHeader = false;         ///< no complete header line
         std::vector<RowRecord> records;  ///< file order (dups kept)
@@ -189,10 +168,10 @@ class RowLog {
      * place and appends go after it; a torn header, or under Discard
      * any unusable header, starts the file over. A missing file is
      * created, header written and fsync'd before returning. On a
-     * refusal (HeaderMismatch/Corrupt under Refuse) the file is left
+     * refusal (a mismatched or corrupt journal under Refuse) the file is left
      * byte-identical.
      */
-    JournalStatus open(const std::string &path, const RowLogHeader &header,
+    ErrorCode open(const std::string &path, const RowLogHeader &header,
                        const std::vector<Column> &schema, Recovery *out);
 
     /** Append one row (a single write(2)); @p index is ignored by a

@@ -27,9 +27,9 @@
 #define EQ_SWEEP_RUNNER_HH
 
 #include <functional>
-#include <stdexcept>
 #include <string>
 
+#include "base/failure.hh"
 #include "sweep/grid.hh"
 #include "sweep/table.hh"
 
@@ -37,12 +37,13 @@ namespace eq {
 namespace sweep {
 
 /** What SweepRunner::run throws when a point's row function threw:
- *  what() is "point <index>: <the exception's message>". */
-class PointFailed : public std::runtime_error {
+ *  code point_failed, what() "point <index>: <the exception's
+ *  message>". */
+class PointFailed : public Error {
   public:
     PointFailed(size_t point, const std::string &message)
-        : std::runtime_error("point " + std::to_string(point) + ": " +
-                             message),
+        : Error(ErrorCode::PointFailed,
+                "point " + std::to_string(point) + ": " + message),
           _point(point)
     {
     }

@@ -198,7 +198,7 @@ TEST(ServeCache, InjectedBuildFailureLeavesEntryRetryable)
         EXPECT_FALSE(handle.warm());
         // The injected failure propagates through Session::rebuild
         // like a real one.
-        EXPECT_THROW(handle.run(), serve::BuildError);
+        EXPECT_THROW(handle.run(), Error);
         EXPECT_EQ(serve::FaultInjector::stats().buildFaults, 1u);
     }
     // The entry was left coherently un-built, not poisoned: the next
@@ -272,7 +272,7 @@ TEST(ServeCache, InjectedBuildFailureOnRecycledEntryIsRetryable)
     {
         serve::FaultInjector::Scoped faults("build=1,max=1");
         auto handle = cache.acquire(b);
-        EXPECT_THROW(handle.run(), serve::BuildError);
+        EXPECT_THROW(handle.run(), Error);
     }
     EXPECT_EQ(cache.stats().recycled, 1u);
     // The recycled entry stays cached, un-built: the next handle

@@ -174,56 +174,81 @@ TEST(ServeJson, ResponseSkeletons)
     EXPECT_EQ(ok.getStr("type", ""), "report");
 
     Json err =
-        serve::makeError(nullptr, serve::ErrorCode::BadRequest, "boom");
+        serve::makeError(nullptr, ErrorCode::BadRequest, "boom");
     EXPECT_FALSE(err.getBool("ok", true));
     serve::ErrorInfo info = serve::parseError(err);
-    EXPECT_EQ(info.code, serve::ErrorCode::BadRequest);
+    EXPECT_EQ(info.code, ErrorCode::BadRequest);
     EXPECT_EQ(info.message, "boom");
     EXPECT_EQ(info.retryAfterMs, -1);
 
-    Json busy = serve::makeError(&id, serve::ErrorCode::Backpressure,
+    Json busy = serve::makeError(&id, ErrorCode::Backpressure,
                                  "queue full", /*retry_after_ms=*/25);
     EXPECT_EQ(busy.getInt("id", -1), 7);
     info = serve::parseError(busy);
-    EXPECT_EQ(info.code, serve::ErrorCode::Backpressure);
+    EXPECT_EQ(info.code, ErrorCode::Backpressure);
     EXPECT_EQ(info.retryAfterMs, 25);
 }
 
 TEST(ServeProtocol, ErrorCodeNamesRoundTrip)
 {
-    using serve::ErrorCode;
     for (ErrorCode code :
          {ErrorCode::MalformedRequest, ErrorCode::FrameTooLarge,
           ErrorCode::BadRequest, ErrorCode::Backpressure,
           ErrorCode::DeadlineExceeded, ErrorCode::Cancelled,
           ErrorCode::BuildFailed, ErrorCode::Internal,
           ErrorCode::ShuttingDown, ErrorCode::ResourceExhausted}) {
-        ErrorCode back = ErrorCode::None;
+        ErrorCode back = ErrorCode::Ok;
         ASSERT_TRUE(
-            serve::errorCodeFromName(serve::errorCodeName(code), &back))
-            << serve::errorCodeName(code);
+            errorCodeFromName(errorCodeName(code), &back))
+            << errorCodeName(code);
         EXPECT_EQ(back, code);
     }
     // Client-side-only values never parse off the wire.
-    ErrorCode out = ErrorCode::None;
-    EXPECT_FALSE(serve::errorCodeFromName("none", &out));
-    EXPECT_FALSE(serve::errorCodeFromName("unknown", &out));
-    EXPECT_FALSE(serve::errorCodeFromName("bogus", &out));
+    ErrorCode out = ErrorCode::Ok;
+    EXPECT_FALSE(errorCodeFromName("none", &out));
+    EXPECT_FALSE(errorCodeFromName("ok", &out));
+    EXPECT_FALSE(errorCodeFromName("unknown", &out));
+    EXPECT_FALSE(errorCodeFromName("bogus", &out));
 
     // Retryability: only transient server-side conditions.
-    EXPECT_TRUE(serve::errorCodeRetryable(ErrorCode::Backpressure));
-    EXPECT_TRUE(serve::errorCodeRetryable(ErrorCode::BuildFailed));
-    EXPECT_TRUE(serve::errorCodeRetryable(ErrorCode::Internal));
-    EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::BadRequest));
-    EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::DeadlineExceeded));
-    EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::FrameTooLarge));
-    EXPECT_FALSE(serve::errorCodeRetryable(ErrorCode::ResourceExhausted));
+    EXPECT_TRUE(errorCodeRetryable(ErrorCode::Backpressure));
+    EXPECT_TRUE(errorCodeRetryable(ErrorCode::BuildFailed));
+    EXPECT_TRUE(errorCodeRetryable(ErrorCode::Internal));
+    EXPECT_FALSE(errorCodeRetryable(ErrorCode::BadRequest));
+    EXPECT_FALSE(errorCodeRetryable(ErrorCode::DeadlineExceeded));
+    EXPECT_FALSE(errorCodeRetryable(ErrorCode::FrameTooLarge));
+    EXPECT_FALSE(errorCodeRetryable(ErrorCode::ResourceExhausted));
+
+    // Every code's wire name and retryability, pinned: clients and
+    // dispatch scripts branch on these spellings.
+    const struct {
+        ErrorCode code;
+        const char *name;
+        bool retryable;
+    } kPinned[] = {
+        {ErrorCode::MalformedRequest, "malformed_request", false},
+        {ErrorCode::FrameTooLarge, "frame_too_large", false},
+        {ErrorCode::BadRequest, "bad_request", false},
+        {ErrorCode::Backpressure, "backpressure", true},
+        {ErrorCode::DeadlineExceeded, "deadline_exceeded", false},
+        {ErrorCode::Cancelled, "cancelled", false},
+        {ErrorCode::BuildFailed, "build_failed", true},
+        {ErrorCode::Internal, "internal", true},
+        {ErrorCode::ShuttingDown, "shutting_down", false},
+        {ErrorCode::ResourceExhausted, "resource_exhausted", false},
+        {ErrorCode::Unknown, "unknown", false},
+    };
+    for (const auto &row : kPinned) {
+        EXPECT_STREQ(errorCodeName(row.code), row.name);
+        EXPECT_EQ(errorCodeRetryable(row.code), row.retryable)
+            << row.name;
+    }
 
     // Legacy free-text errors parse as Unknown, never crash.
     Json legacy = Json::object();
     legacy.set("ok", false);
     legacy.set("error", "something went wrong");
-    EXPECT_EQ(serve::parseError(legacy).code, serve::ErrorCode::Unknown);
+    EXPECT_EQ(serve::parseError(legacy).code, ErrorCode::Unknown);
 }
 
 TEST(ServeLineReader, CapsOversizedLines)

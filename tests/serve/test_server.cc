@@ -41,7 +41,6 @@ namespace {
 
 using namespace eq;
 using serve::Client;
-using serve::ErrorCode;
 using serve::FaultInjector;
 using serve::Json;
 using serve::Server;
@@ -588,7 +587,7 @@ TEST(ServeServer, BuildFaultIsStructuredAndRetryable)
         auto result = client.simulate(key);
         EXPECT_FALSE(result.ok);
         EXPECT_EQ(result.code, ErrorCode::BuildFailed);
-        EXPECT_TRUE(serve::errorCodeRetryable(result.code));
+        EXPECT_TRUE(errorCodeRetryable(result.code));
     }
     // The failed build left the cache entry un-built, not poisoned:
     // the same connection retries and gets a working program.
@@ -760,7 +759,7 @@ TEST(ServeServer, FailedSweepLeavesNoStaleLineForTheNextRequest)
         serve::ErrorInfo failure;
         EXPECT_FALSE(client.sweepTable(spec, &served, &failure,
                                        /*deadline_ms=*/30));
-        EXPECT_EQ(failure.code, serve::ErrorCode::DeadlineExceeded);
+        EXPECT_EQ(failure.code, ErrorCode::DeadlineExceeded);
     }
     auto result = client.simulate(spec.base);
     ASSERT_TRUE(result.ok) << result.error;

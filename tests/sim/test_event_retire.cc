@@ -169,8 +169,20 @@ TEST_F(EventRetireTest, BlockedLaunchStaysPending)
 
     for (sim::Backend backend : kBackends) {
         sim::Simulator s = makeSim(backend);
-        s.simulate(module.get());
-        // The reader and the and over it.
+        // The reader and the and over it never complete: the run fails
+        // as a deadlock naming them and the stream they wait on.
+        try {
+            s.simulate(module.get());
+            ADD_FAILURE() << "a blocked run finished on "
+                          << sim::backendName(backend);
+        } catch (const sim::SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Deadlock);
+            EXPECT_STREQ(e.what(),
+                         "deadlock: 2 event(s) never completed: "
+                         "equeue.launch on proc0, equeue.control_and; "
+                         "streams with waiting readers: stream0 (1)")
+                << sim::backendName(backend);
+        }
         EXPECT_EQ(s.pendingEvents(), 2u) << sim::backendName(backend);
 
         // A drained run on the same engine starts from an empty pool.

@@ -285,6 +285,69 @@ TEST(SimSession, OpBudgetFailsOnlyTheRunCompiled)
     expectOpBudgetFailsOnlyTheRun(sim::Backend::Compiled);
 }
 
+/** A launch that reads a stream nobody writes, awaited by the host. */
+ir::OwningOpRef
+blockedReadModule(ir::Context &ctx)
+{
+    ir::OwningOpRef module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    auto stream = b.create<equeue::CreateStreamOp>(32u);
+    auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+    auto start = b.create<equeue::ControlStartOp>();
+    auto launch = b.create<equeue::LaunchOp>(
+        std::vector<ir::Value>{start->result(0)}, proc->result(0),
+        std::vector<ir::Value>{stream->result(0)}, std::vector<ir::Type>{});
+    {
+        ir::OpBuilder::InsertionGuard g(b);
+        equeue::LaunchOp l(launch.op());
+        b.setInsertionPointToEnd(&l.body());
+        b.create<equeue::StreamReadOp>(l.body().argument(0), int64_t{1},
+                                       32u, ir::Value());
+        b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    }
+    b.create<equeue::AwaitOp>(std::vector<ir::Value>{launch->result(0)});
+    return module;
+}
+
+/**
+ * A run that deadlocks fails only itself, like one past the op budget:
+ * it throws the deadlock SimError, does not count, and the session
+ * then runs its next module exactly like a fresh Simulator.
+ */
+void
+expectDeadlockFailsOnlyTheRun(sim::Backend backend)
+{
+    scalesim::Config small;
+    small.ah = small.aw = 2;
+    const std::string smallRef = freshRun(small, backend);
+
+    sim::Session session(tracedOn(backend));
+    session.rebuild(blockedReadModule);
+    try {
+        session.run();
+        ADD_FAILURE() << "a blocked read finished";
+    } catch (const sim::SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Deadlock) << e.what();
+    }
+    EXPECT_EQ(session.runsCompleted(), 0u);
+
+    session.rebuild(systolicBuilder(small));
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(render(session.run(), session.simulator().trace()),
+                  smallRef);
+}
+
+TEST(SimSession, DeadlockFailsOnlyTheRunInterp)
+{
+    expectDeadlockFailsOnlyTheRun(sim::Backend::Interp);
+}
+
+TEST(SimSession, DeadlockFailsOnlyTheRunCompiled)
+{
+    expectDeadlockFailsOnlyTheRun(sim::Backend::Compiled);
+}
+
 /** A launch that reads an allocated cell before writing 7 into it. */
 ir::OwningOpRef
 readBeforeWriteModule(ir::Context &ctx)

@@ -171,7 +171,7 @@ TEST(SweepCli, ThrowingHarnessPointExitsSix)
                                         throw std::runtime_error("boom");
                                     return {a, a * a};
                                 }),
-                ::testing::ExitedWithCode(sweep::kExitPointFailed),
+                ::testing::ExitedWithCode(exitCodeFor(ErrorCode::PointFailed)),
                 "harness: error: .*point_failed.*point 1: boom");
 }
 

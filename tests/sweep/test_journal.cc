@@ -114,7 +114,7 @@ class JournalTest : public ::testing::Test {
 
     /** Run the a×b sweep journaled at `path`; returns the status and
      *  fills table/stats. @p calls counts RowFn invocations. */
-    sweep::JournalStatus
+    ErrorCode
     run(sweep::Table *table, sweep::ResumeStats *stats,
         std::string *err, size_t *calls = nullptr,
         const sweep::Grid *grid_override = nullptr,
@@ -211,7 +211,7 @@ TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)
     std::string err;
     size_t calls = 0;
     ASSERT_EQ(run(&t1, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 6u);
     EXPECT_EQ(st.computed, 6u);
@@ -219,7 +219,7 @@ TEST_F(JournalTest, ResumeReplaysEverythingAndMatchesByteForByte)
     sweep::Table t2{abSchema()};
     calls = 0;
     ASSERT_EQ(run(&t2, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 0u) << "resume must not recompute";
     EXPECT_EQ(st.fromJournal, 6u);
@@ -237,7 +237,7 @@ TEST_F(JournalTest, FileBytesArePinned)
     sweep::ResumeStats st;
     std::string err;
     ASSERT_EQ(run(&t, &st, &err, nullptr, &grid, "pin"),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(slurp(path),
               "{\"journal\":\"eqsweep\",\"version\":1,"
@@ -257,7 +257,7 @@ TEST_F(JournalTest, TornTailRecordIsTruncatedAndRecomputed)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     // Chop the final record off mid-line: a crash between write(2)
     // and completion.
@@ -267,7 +267,7 @@ TEST_F(JournalTest, TornTailRecordIsTruncatedAndRecomputed)
     sweep::Table t2{abSchema()};
     size_t calls = 0;
     ASSERT_EQ(run(&t2, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, 5u);
     EXPECT_EQ(st.computed, 1u);
@@ -281,7 +281,7 @@ TEST_F(JournalTest, BitFlippedTailRecordIsTruncatedAndRecomputed)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     std::string text = slurp(path);
     // Flip a digit inside the last record's cells; CRC must catch it.
@@ -292,7 +292,7 @@ TEST_F(JournalTest, BitFlippedTailRecordIsTruncatedAndRecomputed)
     spill(path, text);
 
     sweep::Table t2{abSchema()};
-    ASSERT_EQ(run(&t2, &st, &err), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&t2, &st, &err), ErrorCode::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, 5u);
     EXPECT_EQ(st.computed, 1u);
@@ -304,7 +304,7 @@ TEST_F(JournalTest, BitFlipBeforeValidRecordsRefusesAsCorrupt)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     // Damage the *second* line (first record) — valid records follow,
     // so this is not a torn tail and must refuse.
@@ -317,7 +317,7 @@ TEST_F(JournalTest, BitFlipBeforeValidRecordsRefusesAsCorrupt)
 
     sweep::Table t2{abSchema()};
     EXPECT_EQ(run(&t2, &st, &err),
-              sweep::JournalStatus::Corrupt);
+              ErrorCode::JournalCorrupt);
     EXPECT_NE(err.find("valid data after"), std::string::npos) << err;
 }
 
@@ -326,13 +326,13 @@ TEST_F(JournalTest, DifferentGridRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     sweep::Grid other;
     other.axis("a", {1, 2, 3}).axis("b", {5, 6, 7}); // b grew
     sweep::Table t2{abSchema()};
     EXPECT_EQ(run(&t2, &st, &err, nullptr, &other),
-              sweep::JournalStatus::HeaderMismatch);
+              ErrorCode::JournalHeaderMismatch);
     EXPECT_NE(err.find("grid_hash"), std::string::npos) << err;
 }
 
@@ -344,7 +344,7 @@ TEST_F(JournalTest, AnotherGridsJournalIsRefusedAndKeepsItsBytes)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok) << err;
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok) << err;
     const std::string before = slurp(path);
 
     sweep::Grid other;
@@ -352,7 +352,7 @@ TEST_F(JournalTest, AnotherGridsJournalIsRefusedAndKeepsItsBytes)
     sweep::Table t2{abSchema()};
     size_t calls = 0;
     EXPECT_EQ(run(&t2, &st, &err, &calls, &other),
-              sweep::JournalStatus::HeaderMismatch);
+              ErrorCode::JournalHeaderMismatch);
     EXPECT_EQ(calls, 0u);
     EXPECT_EQ(slurp(path), before);
 }
@@ -362,12 +362,12 @@ TEST_F(JournalTest, DifferentSaltRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     sweep::Table t2{abSchema()};
     EXPECT_EQ(run(&t2, &st, &err, nullptr, nullptr,
                   "another model"),
-              sweep::JournalStatus::HeaderMismatch);
+              ErrorCode::JournalHeaderMismatch);
     EXPECT_NE(err.find("salt"), std::string::npos) << err;
 }
 
@@ -381,7 +381,7 @@ TEST_F(JournalTest, LegacyUnfusedHeaderRefusesAsHeaderMismatch)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
     const std::string original = slurp(path);
     auto withFuse = [&](const std::string &mode) {
         std::string text = original;
@@ -394,14 +394,14 @@ TEST_F(JournalTest, LegacyUnfusedHeaderRefusesAsHeaderMismatch)
     sweep::Table t2{abSchema()};
     size_t calls = 0;
     EXPECT_EQ(run(&t2, &st, &err, &calls),
-              sweep::JournalStatus::HeaderMismatch);
+              ErrorCode::JournalHeaderMismatch);
     EXPECT_NE(err.find("backend"), std::string::npos) << err;
     EXPECT_EQ(calls, 0u);
 
     spill(path, withFuse("on"));
     sweep::Table t3{abSchema()};
     ASSERT_EQ(run(&t3, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 0u);
     EXPECT_EQ(t1.csv(), t3.csv());
@@ -412,7 +412,7 @@ TEST_F(JournalTest, DuplicateRecordsResolveLastWriteWins)
     sweep::Table t1{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(run(&t1, &st, &err), sweep::JournalStatus::Ok);
+    ASSERT_EQ(run(&t1, &st, &err), ErrorCode::Ok);
 
     // Forge a well-formed duplicate for point 0 carrying different
     // cells; appended later, it must win the replay.
@@ -424,7 +424,7 @@ TEST_F(JournalTest, DuplicateRecordsResolveLastWriteWins)
     sweep::Table t2{abSchema()};
     size_t calls = 0;
     ASSERT_EQ(run(&t2, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 0u);
     EXPECT_EQ(st.fromJournal, 6u);
@@ -442,7 +442,7 @@ TEST_F(JournalTest, HeaderlessFileIsRecreatedFresh)
     std::string err;
     size_t calls = 0;
     ASSERT_EQ(run(&t, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 6u);
     EXPECT_EQ(st.fromJournal, 0u);
@@ -451,7 +451,7 @@ TEST_F(JournalTest, HeaderlessFileIsRecreatedFresh)
     sweep::Table t2{abSchema()};
     calls = 0;
     ASSERT_EQ(run(&t2, &st, &err, &calls),
-              sweep::JournalStatus::Ok);
+              ErrorCode::Ok);
     EXPECT_EQ(calls, 0u);
     EXPECT_EQ(t.csv(), t2.csv());
 }
@@ -464,7 +464,7 @@ TEST_F(JournalTest, UnreadableHeaderLineRefusesAsCorrupt)
     sweep::Table t{abSchema()};
     sweep::ResumeStats st;
     std::string err;
-    EXPECT_EQ(run(&t, &st, &err), sweep::JournalStatus::Corrupt);
+    EXPECT_EQ(run(&t, &st, &err), ErrorCode::JournalCorrupt);
     EXPECT_NE(err.find("header"), std::string::npos) << err;
 }
 
@@ -496,7 +496,7 @@ TEST_F(JournalTest, FailedAppendStopsSimulating)
             sweep::SweepRunner runner({threads});
             sweep::Table t{abSchema()};
             std::string err;
-            const sweep::JournalStatus status = runJournaledSweep(
+            const ErrorCode status = runJournaledSweep(
                 runner, points, abSchema(), abKey,
                 [&](const sweep::Point &p, unsigned) {
                     ++calls;
@@ -504,8 +504,8 @@ TEST_F(JournalTest, FailedAppendStopsSimulating)
                 },
                 opts, identity, &t, nullptr, &err);
             std::fprintf(stderr, "status=%s calls=%zu\n",
-                         sweep::journalStatusName(status), calls.load());
-            std::exit(status == sweep::JournalStatus::IoError &&
+                         errorCodeName(status), calls.load());
+            std::exit(status == ErrorCode::IoError &&
                               calls.load() <= threads
                           ? 0
                           : 1);
@@ -544,7 +544,7 @@ TEST_F(JournalTest, ThrowingPointLeavesEarlierRowsToResume)
 
     sweep::RowLog::Recovery rec = sweep::RowLog::recover(
         path, identity, abSchema(), sweep::RowLog::Policy::Refuse);
-    ASSERT_EQ(rec.status, sweep::JournalStatus::Ok) << rec.error;
+    ASSERT_EQ(rec.status, ErrorCode::Ok) << rec.error;
     std::vector<size_t> journaled;
     for (const sweep::RowRecord &r : rec.records)
         journaled.push_back(r.index);
@@ -552,38 +552,38 @@ TEST_F(JournalTest, ThrowingPointLeavesEarlierRowsToResume)
 
     sweep::ResumeStats st;
     size_t calls = 0;
-    ASSERT_EQ(run(&t, &st, &err, &calls), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&t, &st, &err, &calls), ErrorCode::Ok)
         << err;
     EXPECT_EQ(st.fromJournal, k);
     EXPECT_EQ(calls, points.size() - k);
     sweep::Table fresh{abSchema()};
     std::remove(path.c_str());
-    ASSERT_EQ(run(&fresh, &st, &err), sweep::JournalStatus::Ok)
+    ASSERT_EQ(run(&fresh, &st, &err), ErrorCode::Ok)
         << err;
     EXPECT_EQ(t.csv(), fresh.csv());
 }
 
 TEST_F(JournalTest, ExitCodesAreStable)
 {
-    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::Ok), 0);
-    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::IoError), 1);
-    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::HeaderMismatch),
+    EXPECT_EQ(exitCodeFor(ErrorCode::Ok), 0);
+    EXPECT_EQ(exitCodeFor(ErrorCode::IoError), 1);
+    EXPECT_EQ(exitCodeFor(ErrorCode::JournalHeaderMismatch),
               3);
-    EXPECT_EQ(sweep::exitCodeFor(sweep::JournalStatus::Corrupt), 4);
+    EXPECT_EQ(exitCodeFor(ErrorCode::JournalCorrupt), 4);
 }
 
 TEST_F(JournalTest, StatusNamesAreStable)
 {
-    EXPECT_STREQ(sweep::journalStatusName(sweep::JournalStatus::Ok),
+    EXPECT_STREQ(errorCodeName(ErrorCode::Ok),
                  "ok");
     EXPECT_STREQ(
-        sweep::journalStatusName(sweep::JournalStatus::IoError),
+        errorCodeName(ErrorCode::IoError),
         "io_error");
     EXPECT_STREQ(
-        sweep::journalStatusName(sweep::JournalStatus::HeaderMismatch),
+        errorCodeName(ErrorCode::JournalHeaderMismatch),
         "journal_header_mismatch");
     EXPECT_STREQ(
-        sweep::journalStatusName(sweep::JournalStatus::Corrupt),
+        errorCodeName(ErrorCode::JournalCorrupt),
         "journal_corrupt");
 }
 
@@ -634,7 +634,7 @@ class ShardMergeTest : public JournalTest {
         sweep::RowLog j(sweep::RowLog::Policy::Refuse);
         sweep::RowLog::Recovery rec;
         ASSERT_EQ(j.open(at, h, abSchema(), &rec),
-                  sweep::JournalStatus::Ok)
+                  ErrorCode::Ok)
             << rec.error;
         std::string err;
         for (const auto &[index, a] : rows)
@@ -655,7 +655,7 @@ TEST_F(ShardMergeTest, MissingPointsAreReportedNotInvented)
     std::string err;
     ASSERT_EQ(sweep::mergeShardJournals({j0}, h, abSchema(), &table,
                                         &missing, &err),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(missing, (std::vector<uint64_t>{2, 4}));
     EXPECT_EQ(table.numRows(), 3u);
@@ -676,7 +676,7 @@ TEST_F(ShardMergeTest, MismatchedJournalHeaderRefuses)
     std::string err;
     EXPECT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
                                         &table, &missing, &err),
-              sweep::JournalStatus::HeaderMismatch);
+              ErrorCode::JournalHeaderMismatch);
     EXPECT_NE(err.find("backend"), std::string::npos) << err;
 }
 
@@ -695,7 +695,7 @@ TEST_F(ShardMergeTest, DuplicatePointsResolveLastWriteWins)
     std::string err;
     ASSERT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
                                         &table, &missing, &err),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_TRUE(missing.empty());
     ASSERT_EQ(table.numRows(), 3u);
@@ -739,7 +739,7 @@ TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
                 ASSERT_EQ(serve::runLocalSweepDurable(
                               spec, grid, flags, {}, &part, nullptr,
                               &err, {k, n}),
-                          sweep::JournalStatus::Ok)
+                          ErrorCode::Ok)
                     << err;
                 journals.push_back(flags.durability.journalPath);
             }
@@ -750,7 +750,7 @@ TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
                                                 spec.schema(),
                                                 &merged, &missing,
                                                 &err),
-                      sweep::JournalStatus::Ok)
+                      ErrorCode::Ok)
                 << err;
             EXPECT_TRUE(missing.empty());
             EXPECT_EQ(merged.csv(), single)

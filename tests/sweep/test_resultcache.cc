@@ -58,7 +58,7 @@ class ResultCacheTest : public ::testing::Test {
 
     /** Sweep @p grid's "a" axis through runJournaledSweep with the
      *  cache at `path`; @p calls counts simulated points. */
-    sweep::JournalStatus
+    ErrorCode
     cachedSweep(const sweep::Grid &grid, sweep::Table *table,
                 sweep::ResumeStats *stats, std::string *err,
                 size_t *calls = nullptr)
@@ -95,7 +95,7 @@ TEST_F(ResultCacheTest, FileBytesArePinned)
     sweep::Table t{schema()};
     sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(cachedSweep(grid, &t, &st, &err), sweep::JournalStatus::Ok)
+    ASSERT_EQ(cachedSweep(grid, &t, &st, &err), ErrorCode::Ok)
         << err;
     std::string text;
     ASSERT_TRUE(fs::readFile(path, &text, &err)) << err;
@@ -242,7 +242,7 @@ TEST_F(ResultCacheTest, OneAxisChangeRecomputesOnlyNewPoints)
     sweep::ResumeStats st;
     std::string err;
     ASSERT_EQ(cachedSweep(g1, &t1, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 3u);
 
@@ -251,7 +251,7 @@ TEST_F(ResultCacheTest, OneAxisChangeRecomputesOnlyNewPoints)
     sweep::Table t2{schema()};
     calls = 0;
     ASSERT_EQ(cachedSweep(g2, &t2, &st, &err, &calls),
-              sweep::JournalStatus::Ok)
+              ErrorCode::Ok)
         << err;
     EXPECT_EQ(calls, 1u) << "only the new point may simulate";
     EXPECT_EQ(st.fromCache, 3u);
