@@ -170,6 +170,36 @@ BENCHMARK_CAPTURE(BM_CompiledVsInterp, compiled, sim::Backend::Compiled)
     ->Arg(16);
 
 void
+BM_SystolicRun(benchmark::State &state, sim::Backend backend)
+{
+    // Warm runs of the default 4x4 WS array over n filters (n/4 folds
+    // of 49 stream and 6 drain steps): the interpreter simulates every
+    // step, the compiled backend fast-forwards each loop once its
+    // timing repeats, so its time stops growing with n. ff_iters is
+    // the iterations a run skips.
+    scalesim::Config cfg;
+    cfg.n = static_cast<int>(state.range(0));
+    sim::Session session(engineFor(backend));
+    session.rebuild([&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    });
+    for (auto _ : state) {
+        auto rep = session.run();
+        benchmark::DoNotOptimize(rep.cycles);
+    }
+    state.counters["ff_iters"] = static_cast<double>(
+        session.simulator().fastForwardedIterations());
+}
+BENCHMARK_CAPTURE(BM_SystolicRun, interp, sim::Backend::Interp)
+    ->ArgName("n")
+    ->Arg(50)
+    ->Arg(2000);
+BENCHMARK_CAPTURE(BM_SystolicRun, compiled, sim::Backend::Compiled)
+    ->ArgName("n")
+    ->Arg(50)
+    ->Arg(2000);
+
+void
 BM_FusedVsCompiled(benchmark::State &state)
 {
     // Pure fused-stream execution: batched re-runs of one pinned 8x8

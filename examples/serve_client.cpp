@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "base/failure.hh"
 #include "serve/client.hh"
 #include "serve/models.hh"
 #include "serve/server.hh"
@@ -59,14 +60,14 @@ runDemo()
     std::string err;
     if (!server.start(&err)) {
         std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::IoError);
     }
     std::printf("demo server on 127.0.0.1:%u\n", unsigned(server.port()));
 
     serve::Client client;
     if (!client.connect("127.0.0.1", server.port(), &err)) {
         std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::IoError);
     }
 
     serve::ModelKey key =
@@ -76,7 +77,7 @@ runDemo()
     if (!cold.ok || !warm.ok) {
         std::fprintf(stderr, "serve_client: simulate failed: %s\n",
                      (cold.ok ? warm.error : cold.error).c_str());
-        return 1;
+        return exitCodeFor(cold.ok ? warm.code : cold.code);
     }
     std::printf("simulate: cycles=%lld cached cold=%d warm=%d\n",
                 static_cast<long long>(
@@ -85,7 +86,7 @@ runDemo()
     if (cold.cached || !warm.cached) {
         std::fprintf(stderr,
                      "serve_client: cache warmth bits wrong\n");
-        return 1;
+        return exitCodeFor(ErrorCode::Internal);
     }
 
     serve::SweepSpec spec = demoSpec();
@@ -94,7 +95,7 @@ runDemo()
     if (!client.sweepTable(spec, &served, &failure)) {
         std::fprintf(stderr, "serve_client: sweep failed: %s\n",
                      failure.message.c_str());
-        return 1;
+        return exitCodeFor(failure.code);
     }
     sweep::Table local = serve::runLocalSweep(spec);
     if (served.csv() != local.csv()) {
@@ -103,7 +104,7 @@ runDemo()
                      "in-process sweep!\n--- served ---\n%s--- local "
                      "---\n%s",
                      served.csv().c_str(), local.csv().c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::Internal);
     }
     std::printf("sweep: %zu rows, served == local (byte-identical)\n",
                 served.numRows());
@@ -111,7 +112,7 @@ runDemo()
     if (!client.shutdownServer(&err)) {
         std::fprintf(stderr, "serve_client: shutdown failed: %s\n",
                      err.c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::IoError);
     }
     server.wait();
     std::printf("demo ok\n");
@@ -130,7 +131,7 @@ main(int argc, char **argv)
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "serve_client: %s needs a value\n",
                              arg.c_str());
-                std::exit(2);
+                std::exit(exitCodeFor(ErrorCode::Usage));
             }
             return argv[++i];
         };
@@ -147,7 +148,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr, "serve_client: unknown option '%s'\n",
                          arg.c_str());
-            return 2;
+            return exitCodeFor(ErrorCode::Usage);
         }
     }
 
@@ -158,20 +159,20 @@ main(int argc, char **argv)
     if (!serve::modelFromName(args.model, &kind)) {
         std::fprintf(stderr, "serve_client: unknown model '%s'\n",
                      args.model.c_str());
-        return 2;
+        return exitCodeFor(ErrorCode::Usage);
     }
     std::string host;
     uint16_t port = 0;
     if (!serve::parseHostPort(args.connect, &host, &port)) {
         std::fprintf(stderr,
                      "serve_client: bad --connect (want host:port)\n");
-        return 2;
+        return exitCodeFor(ErrorCode::Usage);
     }
     serve::Client client;
     std::string err;
     if (!client.connect(host, port, &err)) {
         std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-        return 1;
+        return exitCodeFor(ErrorCode::IoError);
     }
 
     if (args.simulate) {
@@ -179,7 +180,7 @@ main(int argc, char **argv)
         if (!result.ok) {
             std::fprintf(stderr, "serve_client: %s\n",
                          result.error.c_str());
-            return 1;
+            return exitCodeFor(result.code);
         }
         std::printf("%s\n", result.report.dump().c_str());
     }
@@ -187,14 +188,14 @@ main(int argc, char **argv)
         serve::Json stats;
         if (!client.stats(&stats, &err)) {
             std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-            return 1;
+            return exitCodeFor(ErrorCode::IoError);
         }
         std::printf("%s\n", stats.dump().c_str());
     }
     if (args.shutdown) {
         if (!client.shutdownServer(&err)) {
             std::fprintf(stderr, "serve_client: %s\n", err.c_str());
-            return 1;
+            return exitCodeFor(ErrorCode::IoError);
         }
     }
     return 0;

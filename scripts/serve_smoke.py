@@ -24,7 +24,9 @@ the NDJSON protocol over a raw socket with no client-library help:
      RLIMIT_NOFILE 64 must answer 200 sequential connections;
   8. numeric flags are strict — a --workers value past unsigned
      range (or with trailing junk) is a usage error (exit 2), never a
-     silently wrapped worker count.
+     silently wrapped worker count;
+  9. failures are structured — a bad --port prints one
+     `eqserved: error: {"code":"usage",...}` line naming the flag.
 
 Inherits EQ_SIM_BACKEND, so CI runs it once per backend and the
 byte-identical guarantee is checked on both.
@@ -247,6 +249,22 @@ def check_strict_flags(build_dir):
                  f"want 2 (usage): {proc.stdout.decode()}")
 
 
+def check_structured_failure(build_dir):
+    binary = os.path.join(build_dir, "src", "eqserved")
+    proc = subprocess.run([binary, "--port", "99999999"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=10)
+    line = proc.stderr.decode().strip()
+    prefix = "eqserved: error: "
+    if proc.returncode != 2 or not line.startswith(prefix):
+        fail(f"bad --port: exit {proc.returncode}, stderr {line!r}; want "
+             f"exit 2 and one structured error line")
+    err = json.loads(line[len(prefix):])
+    if err.get("code") != "usage" or "--port" not in err.get("message", ""):
+        fail(f"bad --port error names the wrong code or flag: {err}")
+    print("  bad --port answered with a structured usage error")
+
+
 def main():
     build_dir = sys.argv[1] if len(sys.argv) > 1 else "build"
     eqsweep = os.path.join(build_dir, "src", "eqsweep")
@@ -266,6 +284,7 @@ def main():
             check_shutdown(daemon.port)
     check_fd_limit(build_dir)
     check_strict_flags(build_dir)
+    check_structured_failure(build_dir)
     print("serve smoke: all checks passed")
 
 

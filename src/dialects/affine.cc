@@ -63,7 +63,7 @@ YieldOp::build(ir::OpBuilder &b, std::vector<ir::Value> values)
 namespace {
 
 std::string
-verifyFor(ir::Operation *op)
+verifyFor(ir::Operation *op, const ir::OperandGroups &)
 {
     if (op->region(0).front().numArguments() != 1)
         return "body must have exactly one induction variable";
@@ -71,7 +71,7 @@ verifyFor(ir::Operation *op)
 }
 
 std::string
-verifyParallel(ir::Operation *op)
+verifyParallel(ir::Operation *op, const ir::OperandGroups &)
 {
     size_t rank = op->attr("lbs").asI64Array().size();
     if (op->attr("ubs").asI64Array().size() != rank ||
@@ -92,17 +92,15 @@ checkIndexCount(ir::Value memref, ir::GroupBounds indices)
 }
 
 std::string
-verifyLoad(ir::Operation *op)
+verifyLoad(ir::Operation *op, const ir::OperandGroups &groups)
 {
-    return checkIndexCount(LoadOp(op).memref(),
-                           ir::operandGroup(LoadOp::opSignature, *op, 1));
+    return checkIndexCount(LoadOp(op).memref(), groups[1]);
 }
 
 std::string
-verifyStore(ir::Operation *op)
+verifyStore(ir::Operation *op, const ir::OperandGroups &groups)
 {
-    return checkIndexCount(StoreOp(op).memref(),
-                           ir::operandGroup(StoreOp::opSignature, *op, 2));
+    return checkIndexCount(StoreOp(op).memref(), groups[2]);
 }
 
 } // namespace

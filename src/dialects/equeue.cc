@@ -265,7 +265,7 @@ countNames(ir::Operation *op)
 }
 
 std::string
-verifyCreateComp(ir::Operation *op)
+verifyCreateComp(ir::Operation *op, const ir::OperandGroups &)
 {
     if (countNames(op) != op->numOperands())
         return "'names' count must match subcomponent count";
@@ -273,7 +273,7 @@ verifyCreateComp(ir::Operation *op)
 }
 
 std::string
-verifyAddComp(ir::Operation *op)
+verifyAddComp(ir::Operation *op, const ir::OperandGroups &)
 {
     if (countNames(op) != op->numOperands() - 1)
         return "'names' count must match subcomponent count";
@@ -281,7 +281,7 @@ verifyAddComp(ir::Operation *op)
 }
 
 std::string
-verifyCreateMem(ir::Operation *op)
+verifyCreateMem(ir::Operation *op, const ir::OperandGroups &)
 {
     if (op->intAttr("banks") < 1)
         return "banks must be >= 1";
@@ -289,7 +289,7 @@ verifyCreateMem(ir::Operation *op)
 }
 
 std::string
-verifyCreateConnection(ir::Operation *op)
+verifyCreateConnection(ir::Operation *op, const ir::OperandGroups &)
 {
     const std::string &kind = op->strAttr("kind");
     if (kind != "Streaming" && kind != "Window")
@@ -311,21 +311,19 @@ checkIndexCount(ir::Value buffer, ir::GroupBounds indices)
 }
 
 std::string
-verifyRead(ir::Operation *op)
+verifyRead(ir::Operation *op, const ir::OperandGroups &groups)
 {
-    return checkIndexCount(ReadOp(op).buffer(),
-                           ir::operandGroup(ReadOp::opSignature, *op, 2));
+    return checkIndexCount(ReadOp(op).buffer(), groups[2]);
 }
 
 std::string
-verifyWrite(ir::Operation *op)
+verifyWrite(ir::Operation *op, const ir::OperandGroups &groups)
 {
-    return checkIndexCount(WriteOp(op).buffer(),
-                           ir::operandGroup(WriteOp::opSignature, *op, 3));
+    return checkIndexCount(WriteOp(op).buffer(), groups[3]);
 }
 
 std::string
-verifyStreamRead(ir::Operation *op)
+verifyStreamRead(ir::Operation *op, const ir::OperandGroups &)
 {
     if (op->intAttr("elems") < 0)
         return "elems must be >= 0";
@@ -333,11 +331,9 @@ verifyStreamRead(ir::Operation *op)
 }
 
 std::string
-verifyLaunch(ir::Operation *op)
+verifyLaunch(ir::Operation *op, const ir::OperandGroups &groups)
 {
-    ir::GroupBounds captured =
-        ir::operandGroup(LaunchOp::opSignature, *op, 2);
-    if (LaunchOp(op).body().numArguments() != captured.size())
+    if (LaunchOp(op).body().numArguments() != groups[2].size())
         return "body block arg count must equal captured value count";
     return "";
 }

@@ -51,7 +51,7 @@ convDims(ir::Operation *conv)
 namespace {
 
 std::string
-verifyConv(ir::Operation *op)
+verifyConv(ir::Operation *op, const ir::OperandGroups &)
 {
     ir::Type it = op->operand(0).type();
     ir::Type wt = op->operand(1).type();
@@ -74,7 +74,7 @@ verifyConv(ir::Operation *op)
 }
 
 std::string
-verifyMatmul(ir::Operation *op)
+verifyMatmul(ir::Operation *op, const ir::OperandGroups &)
 {
     ir::Type a = op->operand(0).type();
     ir::Type b = op->operand(1).type();

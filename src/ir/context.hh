@@ -41,8 +41,8 @@ class Operation;
 
 /** Semantic checks beyond an op's signature: an empty string on
  *  success, else a diagnostic. Runs only on ops that match their
- *  signature. */
-using VerifyHook = std::string (*)(Operation *);
+ *  signature, with the operand groups the signature check split. */
+using VerifyHook = std::string (*)(Operation *, const OperandGroups &);
 
 /** Registry record for one operation kind. */
 struct OpInfo {

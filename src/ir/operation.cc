@@ -429,10 +429,11 @@ Operation::verifyTree(std::string &err)
         }
     } else {
         // The diagnostic is built only on failure.
-        if (!signatureMatches(*info->signature, *this))
+        OperandGroups groups;
+        if (!signatureMatches(*info->signature, *this, &groups))
             err = checkSignature(*info->signature, *this);
         else if (info->verify)
-            err = info->verify(this);
+            err = info->verify(this, groups);
         if (!err.empty()) {
             err = "op '" + name() + "': " + err;
             return false;

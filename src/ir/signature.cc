@@ -66,7 +66,7 @@ template <bool Diagnose, class TypeAt>
 bool
 checkGroups(const ValueGroup *groups, unsigned n, bool single,
             const Operation &op, unsigned total, const char *what,
-            TypeAt type_at, std::string *err)
+            TypeAt type_at, std::string *err, OperandGroups *bounds)
 {
     auto allowed = [&](unsigned i, KindMask mask) {
         Type t = type_at(i);
@@ -82,16 +82,24 @@ checkGroups(const ValueGroup *groups, unsigned n, bool single,
         for (unsigned i = 0; i < n; ++i)
             if (!allowed(i, groups[i].kinds))
                 return false;
+        if (bounds)
+            for (unsigned g = 0; g <= n; ++g)
+                bounds->start[g] = g;
         return true;
     }
     GroupSizes sizes;
     if (!splitGroups(groups, n, op, total, what, sizes,
                      Diagnose ? err : nullptr))
         return false;
-    for (unsigned g = 0, i = 0; g < n; ++g)
+    for (unsigned g = 0, i = 0; g < n; ++g) {
+        if (bounds)
+            bounds->start[g] = i;
         for (unsigned end = i + static_cast<unsigned>(sizes[g]); i < end; ++i)
             if (!allowed(i, groups[g].kinds))
                 return false;
+    }
+    if (bounds)
+        bounds->start[n] = total;
     return true;
 }
 
@@ -99,17 +107,18 @@ checkGroups(const ValueGroup *groups, unsigned n, bool single,
  *  diagnostic (into @p err), so the other builds no string at all. */
 template <bool Diagnose>
 bool
-check(const OpSignature &sig, Operation &op, std::string *err)
+check(const OpSignature &sig, Operation &op, std::string *err,
+      OperandGroups *groups)
 {
     if (!checkGroups<Diagnose>(
             sig.operandGroups.data(), sig.numOperandGroups,
             sig.singleOperands, op, static_cast<unsigned>(op.numOperands()),
             "operand", [&](unsigned i) { return op.operand(i).type(); },
-            err) ||
+            err, groups) ||
         !checkGroups<Diagnose>(
             sig.resultGroups.data(), sig.numResultGroups, sig.singleResults,
             op, static_cast<unsigned>(op.numResults()), "result",
-            [&](unsigned i) { return op.result(i).type(); }, err))
+            [&](unsigned i) { return op.result(i).type(); }, err, nullptr))
         return false;
     for (unsigned i = 0; i < sig.numAttrs; ++i) {
         const AttrSpec &spec = sig.attrSpecs[i];
@@ -189,16 +198,17 @@ layOutOperands(const OpSignature &sig,
 }
 
 bool
-signatureMatches(const OpSignature &sig, Operation &op)
+signatureMatches(const OpSignature &sig, Operation &op,
+                 OperandGroups *groups)
 {
-    return check<false>(sig, op, nullptr);
+    return check<false>(sig, op, nullptr, groups);
 }
 
 std::string
 checkSignature(const OpSignature &sig, Operation &op)
 {
     std::string err;
-    check<true>(sig, op, &err);
+    check<true>(sig, op, &err, nullptr);
     return err;
 }
 

@@ -155,6 +155,17 @@ struct GroupBounds {
 GroupBounds operandGroup(const OpSignature &sig, const Operation &op,
                          unsigned g);
 
+/** Where every operand group of an op lies, as the signature check
+ *  split them: group g is operands [start[g], start[g + 1]). */
+struct OperandGroups {
+    std::array<unsigned, OpSignature::kMaxGroups + 1> start{};
+    GroupBounds
+    operator[](unsigned g) const
+    {
+        return {start[g], start[g + 1]};
+    }
+};
+
 /** The operands of an op with signature @p sig, given as one list per
  *  group (a null value leaves an optional group empty). Sets each
  *  counted or present optional group's attribute in @p attrs. */
@@ -167,8 +178,10 @@ std::vector<Value> layOutOperands(const OpSignature &sig,
 std::string checkSignature(const OpSignature &sig, Operation &op);
 
 /** checkSignature's verdict alone (true: it would return ""), without
- *  building any string. */
-bool signatureMatches(const OpSignature &sig, Operation &op);
+ *  building any string. On a match, @p groups (when given) receives
+ *  the operand groups' bounds. */
+bool signatureMatches(const OpSignature &sig, Operation &op,
+                      OperandGroups *groups = nullptr);
 
 } // namespace ir
 } // namespace eq

@@ -5,9 +5,11 @@
  * scripts using an ephemeral port), then serves until a client sends
  * {"op":"shutdown"} or the process receives SIGINT/SIGTERM.
  *
- * Exit status (the failure table, base/failure.hh): 0 after a clean
- * shutdown, the usage code (2) for a bad command line, the io_error
- * code (1) when it cannot bind or write the port file.
+ * Failures print one structured line on stderr, as eqsweep's do:
+ * `eqserved: error: {"code":"...","message":"..."}`, and exit with the
+ * code's status from the failure table (base/failure.hh): usage (2)
+ * for a bad command line, io_error (1) when it cannot bind or write
+ * the port file. A clean shutdown exits 0.
  */
 
 #include <csignal>
@@ -21,6 +23,7 @@
 #include "base/stringutil.hh"
 #include "serve/faults.hh"
 #include "serve/server.hh"
+#include "sweep/rowlog.hh"
 
 using namespace eq;
 
@@ -33,6 +36,13 @@ onSignal(int)
 {
     if (g_server)
         g_server->shutdown();
+}
+
+/** Print @p code's structured error line; returns its exit status. */
+int
+fail(ErrorCode code, const std::string &message)
+{
+    return sweep::printError("eqserved", code, message);
 }
 
 void
@@ -64,11 +74,9 @@ template <class T>
 void
 parseFlag(const std::string &flag, const char *text, T min, T *out)
 {
-    if (!parseInt(text, min, out)) {
-        std::fprintf(stderr, "eqserved: bad %s '%s'\n", flag.c_str(),
-                     text);
-        std::exit(exitCodeFor(ErrorCode::Usage));
-    }
+    if (!parseInt(text, min, out))
+        std::exit(fail(ErrorCode::Usage,
+                       "bad " + flag + " '" + std::string(text) + "'"));
 }
 
 } // namespace
@@ -83,11 +91,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "eqserved: %s needs a value\n",
-                             arg.c_str());
-                std::exit(exitCodeFor(ErrorCode::Usage));
-            }
+            if (i + 1 >= argc)
+                std::exit(fail(ErrorCode::Usage, arg + " needs a value"));
             return argv[++i];
         };
         if (arg == "--host") {
@@ -110,37 +115,28 @@ main(int argc, char **argv)
             faultSpec = value();
         } else if (arg == "--backend") {
             const std::string mode = value();
-            if (!sim::backendFromName(mode, &opts.engine.backend)) {
-                std::fprintf(stderr, "eqserved: bad --backend '%s'\n",
-                             mode.c_str());
-                return exitCodeFor(ErrorCode::Usage);
-            }
+            if (!sim::backendFromName(mode, &opts.engine.backend))
+                return fail(ErrorCode::Usage,
+                            "bad --backend '" + mode + "'");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else {
-            std::fprintf(stderr, "eqserved: unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return exitCodeFor(ErrorCode::Usage);
+            return fail(ErrorCode::Usage, "unknown option '" + arg +
+                                              "' (see --help)");
         }
     }
 
     if (!faultSpec.empty()) {
         std::string ferr;
-        if (!serve::FaultInjector::configureFromText(faultSpec, &ferr)) {
-            std::fprintf(stderr, "eqserved: bad --faults: %s\n",
-                         ferr.c_str());
-            return exitCodeFor(ErrorCode::Usage);
-        }
+        if (!serve::FaultInjector::configureFromText(faultSpec, &ferr))
+            return fail(ErrorCode::Usage, "bad --faults: " + ferr);
     }
 
     serve::Server server(opts);
     std::string err;
-    if (!server.start(&err)) {
-        std::fprintf(stderr, "eqserved: %s\n", err.c_str());
-        return exitCodeFor(ErrorCode::IoError);
-    }
+    if (!server.start(&err))
+        return fail(ErrorCode::IoError, err);
 
     if (!portFile.empty()) {
         // Atomic (temp + rename): a script polling for the file can
@@ -149,11 +145,10 @@ main(int argc, char **argv)
         if (!fs::writeFileAtomic(
                 portFile, std::to_string(unsigned(server.port())) + "\n",
                 &werr)) {
-            std::fprintf(stderr, "eqserved: cannot write %s: %s\n",
-                         portFile.c_str(), werr.c_str());
             server.shutdown();
             server.wait();
-            return exitCodeFor(ErrorCode::IoError);
+            return fail(ErrorCode::IoError,
+                        "cannot write " + portFile + ": " + werr);
         }
     }
 

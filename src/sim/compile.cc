@@ -42,6 +42,11 @@
  * extern calls only for whitelisted signatures such as the built-in
  * "mac"), binds the scalar instead (kFlagScalarize).
  *
+ * A last pass (markFastForward()) marks the loops whose iterations the
+ * executor may skip once their timing repeats (kFlagFastForward; see
+ * CompiledExec::boundary) and records whether the program and
+ * the bodies it launches keep data out of timing (ffClean).
+ *
  * Shape sharing: before a launch body is lowered, its structural tokens
  * (op kinds, result and operand types, an attribute digest, and operand
  * wiring as pre-resolved (hops, slot) refs, nested bodies included) are
@@ -268,6 +273,7 @@ class ModuleCompiler {
         emitBlock(_root);
         emit(MOp::Halt, nullptr, /*counted=*/false);
         annotate();
+        markFastForward();
         // Programs stay cached for a module's lifetime (and a server
         // holds many): drop the growth slack.
         _prog->code.shrink_to_fit();
@@ -370,6 +376,9 @@ class ModuleCompiler {
     /** Index folding and scalarization over the finished stream, in
      *  place, plus the program's deepest operand hop count. */
     void annotate();
+    /** The program's fast-forward facts (ffClean, hasElab) and the
+     *  kFlagFastForward marks of its eligible loops, in one pass. */
+    void markFastForward();
 
     Simulator::Impl &_eng;
     ir::Block *_root;
@@ -685,6 +694,100 @@ ModuleCompiler::annotate()
         if (m.code == MOp::Read && !m.hasConn() && m.nargs == 1 &&
             m.result != kNoSlot && mayScalarize(pc, m.result, groupEnd))
             m.flags |= kFlagScalarize;
+    }
+}
+
+void
+ModuleCompiler::markFastForward()
+{
+    CompiledBlock &p = *_prog;
+    const uint32_t n = p.numSlots;
+    // Slots whose value cannot depend on data: constants, loop
+    // induction variables and integer arithmetic over them. Anything
+    // else (reads, loads, streams, externs, launch results, captured
+    // or outer values) may carry data.
+    std::vector<char> known(n, 0);
+    auto isKnown = [&](const MicroOp &m, uint32_t a) {
+        const SlotRef &r = p.args[m.argsBegin + a];
+        return r.hops == 0 && r.slot < n && known[r.slot];
+    };
+    auto setKnown = [&](uint32_t slot, bool v) {
+        if (slot < n)
+            known[slot] = v;
+    };
+    bool clean = true;
+    // Records a skipped iteration could not repeat exactly (structure
+    // ops, nested modules, uninterpretable ops, launches of bodies
+    // holding them), counted up to each pc. An alloc is not one: a
+    // buffer has no timing state and no report field, and the one an
+    // iteration binds goes out of scope with it.
+    std::vector<uint32_t> barriers(p.code.size() + 1, 0);
+    for (uint32_t pc = 0; pc < p.code.size(); ++pc) {
+        const MicroOp &m = p.code[pc];
+        bool barrier = false;
+        switch (m.code) {
+        case MOp::Constant:
+            setKnown(m.result, true);
+            break;
+        case MOp::ForBegin:
+            setKnown(p.forLoops[m.aux].ivSlot, true);
+            break;
+        case MOp::ParBegin:
+            for (uint32_t slot : p.parLoops[m.aux].ivSlots)
+                setKnown(slot, true);
+            break;
+        case MOp::AddI:
+        case MOp::SubI:
+        case MOp::MulI:
+        case MOp::DivSI:
+        case MOp::RemSI:
+            setKnown(m.result, isKnown(m, 0) && isKnown(m, 1));
+            break;
+        case MOp::Load:
+        case MOp::Store:
+        case MOp::Read:
+        case MOp::Write:
+            if (!m.immIdx())
+                for (uint32_t a = indexOperandsBegin(m); a < m.nargs; ++a)
+                    clean = clean && isKnown(m, a);
+            break;
+        case MOp::Extern:
+            clean = clean && OpFunctionRegistry::isBuiltin(*m.label);
+            break;
+        case MOp::Launch: {
+            const CompiledBlock &body = *p.launches[m.aux].body;
+            clean = clean && body.ffClean;
+            barrier = body.hasElab;
+            break;
+        }
+        case MOp::CreateProc:
+        case MOp::CreateDma:
+        case MOp::CreateMem:
+        case MOp::CreateStream:
+        case MOp::CreateConnection:
+        case MOp::CreateComp:
+        case MOp::GetComp:
+        case MOp::NestedModule:
+        case MOp::Bad:
+            barrier = true;
+            break;
+        default:
+            break;
+        }
+        barriers[pc + 1] = barriers[pc] + barrier;
+    }
+    p.ffClean = clean;
+    p.hasElab = barriers.back() != 0;
+    for (uint32_t pc = 0; pc < p.code.size(); ++pc) {
+        MicroOp &m = p.code[pc];
+        if (m.code != MOp::ForBegin)
+            continue;
+        const uint32_t end = m.target - 1; // the loop's ForEnd
+        if (barriers[end] == barriers[pc + 1] &&
+            !affine::ForOp(m.op).inductionVar().hasUses()) {
+            m.flags |= kFlagFastForward;
+            p.code[end].flags |= kFlagFastForward;
+        }
     }
 }
 

@@ -160,6 +160,9 @@ enum : uint8_t {
                                ///< instead of materializing a tensor
                                ///< (all uses proven scalar-compatible
                                ///< and inside the fused group)
+    kFlagFastForward = 1 << 6, ///< ForBegin/ForEnd of a loop that may
+                               ///< fast-forward (unused induction
+                               ///< variable, no structure op in its body)
 };
 
 /**
@@ -269,6 +272,16 @@ struct CompiledBlock {
      *  executing environment's scopeId). */
     uint32_t scopeId = 0;
     uint32_t numSlots = 0;
+    /** This program and every body it launches keep data out of timing:
+     *  each index operand is a constant, a loop induction variable or
+     *  integer arithmetic over those, and each extern is a built-in
+     *  ("mac", "mul4", "mac4"). The top level's flag is the module's
+     *  half of the fast-forward rules. */
+    bool ffClean = false;
+    /** This program or a body it launches builds hardware (create_*,
+     *  add_comp/get_comp) or holds another record no loop may skip (a
+     *  nested module, an uninterpretable op). */
+    bool hasElab = false;
     /** Deepest env-chain hop count over all operand refs: an exec
      *  resolves that many chain levels once, when it is bound, instead
      *  of walking parent links per operand. */

@@ -93,10 +93,71 @@ CompiledExec::finish(Cycles t)
     _eng.freeExecs.push_back(this);
 }
 
+/** Full captures of one loop entry that may fail to repeat before the
+ *  entry is left to run in full. */
+constexpr uint32_t kFastForwardTries = 4;
+
+int64_t
+CompiledExec::boundary(const CompiledBlock::ForLoopInfo &fl, int64_t next,
+                       Cycles now)
+{
+    using Saved = LoopWatch::Saved;
+    LoopWatch &w = _watches[_numWatches - 1];
+    eq_assert(w.aux == static_cast<uint32_t>(&fl - _prog->forLoops.data()),
+              "fast-forward watch out of step with its loop");
+    if (!_eng.ffEnabled || w.tries == kFastForwardTries || fl.step <= 0)
+        return next;
+    std::vector<uint64_t> &state = _eng.ffState;
+    std::vector<uint64_t> &counters = _eng.ffCounters;
+    if (!_eng.capturePending(this, now, state)) {
+        w.saved = Saved::None;
+        return next;
+    }
+    // The pending work settles first (issue attempts that pile up at a
+    // boundary take about one iteration per processor to reach their
+    // steady order), and comparing it is cheap: the components are
+    // captured only once it repeats.
+    const size_t pending = state.size();
+    if (w.saved == Saved::None || w.pending != pending ||
+        !std::equal(state.begin(), state.end(), w.state.begin())) {
+        _eng.ffLend(w.state);
+        std::swap(w.state, state);
+        w.pending = pending;
+        w.saved = Saved::Pending;
+        return next;
+    }
+    ++w.tries;
+    if (!_eng.captureComponents(state, counters)) {
+        w.saved = Saved::None;
+        return next;
+    }
+    if (w.saved == Saved::Full && state == w.state) {
+        w.tries = kFastForwardTries;
+        // Iterations left, the one at `next` included: all but the
+        // last are skipped.
+        const uint64_t step = static_cast<uint64_t>(fl.step);
+        const uint64_t left =
+            (static_cast<uint64_t>(fl.ub) - static_cast<uint64_t>(next) -
+             1) / step + 1;
+        if (left > 1 &&
+            _eng.fastForward(left - 1, now - w.at, w.counters, counters))
+            return static_cast<int64_t>(static_cast<uint64_t>(next) +
+                                        (left - 1) * step);
+        return next;
+    }
+    _eng.ffLend(w.counters);
+    std::swap(w.state, state);
+    std::swap(w.counters, counters);
+    w.at = now;
+    w.saved = Saved::Full;
+    return next;
+}
+
 void
 CompiledExec::resume(Cycles t)
 {
     eq_assert(!_finished, "resuming finished block");
+    _awaiting = false;
     Cycles now = t;
     _eng.now = std::max(_eng.now, t);
     // Re-entering a group that suspended mid-way: its head was
@@ -119,6 +180,14 @@ CompiledExec::resume(Cycles t)
                 continue;
             }
             local(fl.ivSlot) = SimValue::ofInt(fl.lb);
+            if (m.flags & kFlagFastForward) {
+                if (_numWatches == _watches.size())
+                    _watches.emplace_back();
+                LoopWatch &w = _watches[_numWatches++];
+                w.aux = m.aux;
+                w.tries = 0;
+                w.saved = LoopWatch::Saved::None;
+            }
             ++_pc;
             continue;
         }
@@ -126,9 +195,16 @@ CompiledExec::resume(Cycles t)
             const auto &fl = _prog->forLoops[m.aux];
             int64_t iv = local(fl.ivSlot).asInt() + fl.step;
             if (iv < fl.ub) {
+                if (m.flags & kFlagFastForward)
+                    iv = boundary(fl, iv, now);
                 local(fl.ivSlot) = SimValue::ofInt(iv);
                 _pc = m.target;
             } else {
+                if (m.flags & kFlagFastForward) {
+                    LoopWatch &w = _watches[--_numWatches];
+                    _eng.ffGive(w.state);
+                    _eng.ffGive(w.counters);
+                }
                 ++_pc;
             }
             continue;
@@ -619,6 +695,7 @@ CompiledExec::execFused(Cycles &now)
                 if (w == 0)
                     continue;
                 _eng.whenAllDone(_spawned.data(), w, wakeup(now));
+                _awaiting = true;
                 return true;
             }
             std::vector<EventId> &ids = _eng.idScratch;
@@ -640,6 +717,7 @@ CompiledExec::execFused(Cycles &now)
                 continue;
             }
             _eng.whenAllDone(ids.data(), ids.size(), wakeup(now));
+            _awaiting = true;
             return true;
         }
         case MOp::Return:

@@ -61,6 +61,8 @@ class CompiledExec {
         _pc = 0;
         _group = nullptr;
         _spawned.clear();
+        _numWatches = 0;
+        _awaiting = false;
         _finished = false;
         ++_gen;
     }
@@ -90,7 +92,36 @@ class CompiledExec {
         resume(t);
     }
 
+    /** Bound to a launch (or the top level) that has not finished. */
+    bool running() const { return !_finished; }
+    /** Suspended in an await: only an event completing wakes it. */
+    bool awaiting() const { return _awaiting; }
+
   private:
+    /** One entry of a loop marked kFlagFastForward, as far as its
+     *  iteration boundaries have shown it. */
+    struct LoopWatch {
+        uint32_t aux = 0;   ///< the loop's ForLoopInfo
+        uint32_t tries = 0; ///< full captures in this entry
+        /** What @ref state holds of the last boundary: nothing, its
+         *  pending work (the first @ref pending words), or its whole
+         *  timing state (with @ref counters and @ref at). */
+        enum class Saved : uint8_t { None, Pending, Full } saved =
+            Saved::None;
+        size_t pending = 0;
+        Cycles at = 0; ///< the clock at that boundary
+        std::vector<uint64_t> state, counters;
+    };
+
+    /** The ForEnd of the innermost marked loop @p fl, about to run the
+     *  iteration at @p next at @p now. @return the induction value to
+     *  run next: @p next, or the last iteration's when this boundary's
+     *  timing state equals the previous one's, which makes every later
+     *  iteration repeat the last one exactly; the engine then accounts
+     *  the skipped ones (Simulator::Impl::fastForward). */
+    int64_t boundary(const CompiledBlock::ForLoopInfo &fl, int64_t next,
+                     Cycles now);
+
     /** Resumes this run at max(@p floor, fire time). */
     Wakeup
     wakeup(Cycles floor = 0)
@@ -216,6 +247,12 @@ class CompiledExec {
     /** Bumped by init(); see wake(). */
     uint32_t _gen = 0;
     bool _finished = true;
+    bool _awaiting = false;
+    /** Entered marked loops, innermost last. An entry borrows its
+     *  saved-boundary buffers from the engine (Simulator::Impl::ffLend)
+     *  and gives them back when its loop ends. */
+    std::vector<LoopWatch> _watches;
+    uint32_t _numWatches = 0;
 };
 
 } // namespace sim

@@ -50,19 +50,22 @@ class DramMem : public Memory {
 
 ComponentFactory::ComponentFactory()
 {
-    registerMemoryKind(
+    auto builtin = [this](const std::string &kind, MemoryMaker maker) {
+        _memoryKinds[kind] = {std::move(maker), true};
+    };
+    builtin(
         "SRAM", [](const std::string &name, std::vector<int64_t> shape,
                    unsigned bits, unsigned banks) {
             return std::make_unique<Sram>(name, std::move(shape), bits,
                                           banks);
         });
-    registerMemoryKind(
+    builtin(
         "Register", [](const std::string &name, std::vector<int64_t> shape,
                        unsigned bits, unsigned banks) {
             return std::make_unique<RegisterFile>(name, std::move(shape),
                                                   bits, banks);
         });
-    registerMemoryKind(
+    builtin(
         "DRAM", [](const std::string &name, std::vector<int64_t> shape,
                    unsigned bits, unsigned banks) {
             return std::make_unique<DramMem>(name, std::move(shape), bits,
@@ -74,7 +77,14 @@ void
 ComponentFactory::registerMemoryKind(const std::string &kind,
                                      MemoryMaker maker)
 {
-    _memoryKinds[kind] = std::move(maker);
+    _memoryKinds[kind] = {std::move(maker), false};
+}
+
+bool
+ComponentFactory::isBuiltinKind(const std::string &kind) const
+{
+    auto it = _memoryKinds.find(kind);
+    return it != _memoryKinds.end() && it->second.builtin;
 }
 
 bool
@@ -93,7 +103,7 @@ ComponentFactory::makeMemory(const std::string &kind,
     if (it == _memoryKinds.end())
         eq_fatal("unknown memory kind '", kind,
                  "'; register it with ComponentFactory::registerMemoryKind");
-    return it->second(name, std::move(shape), data_bits, banks);
+    return it->second.make(name, std::move(shape), data_bits, banks);
 }
 
 } // namespace sim

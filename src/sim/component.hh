@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -72,6 +73,53 @@ class Component {
     /** Dotted path from the root, for trace/report labels. */
     std::string path() const;
 
+    /// @name Exact loop fast-forward (Simulator::Impl::captureComponents)
+    /// A component's timing state is what decides when its future
+    /// accesses start, each time taken relative to `now`. Times at or
+    /// below `now` all read 0: simulation time never goes back, so
+    /// they are interchangeable (Device::acquire relies on it). Its
+    /// counters are what it adds to a report.
+    /// @{
+    /** Append the timing state to @p state and the counters to
+     *  @p counters. False when the component holds work a skipped
+     *  iteration could not repeat (a processor with queued events). */
+    virtual bool
+    captureTiming(Cycles, std::vector<uint64_t> &,
+                  std::vector<uint64_t> &) const
+    {
+        return true;
+    }
+    /** Add @p times x the counter deltas at @p delta, laid out as
+     *  captureTiming writes the counters. @return the first delta past
+     *  this component's. */
+    virtual const uint64_t *
+    addCounters(const uint64_t *delta, uint64_t)
+    {
+        return delta;
+    }
+    /** Move every time after @p now later by @p by. */
+    virtual void shiftTimes(Cycles, Cycles) {}
+    /// @}
+
+  protected:
+    static uint64_t
+    sinceNow(Cycles t, Cycles now)
+    {
+        return t > now ? t - now : 0;
+    }
+    static Cycles
+    shifted(Cycles t, Cycles now, Cycles by)
+    {
+        return t > now ? t + by : t;
+    }
+    /** @p x += @p times * @p delta, wrapping like the unsigned
+     *  differences the deltas are. */
+    static void
+    addTimes(int64_t &x, uint64_t delta, uint64_t times)
+    {
+        x = static_cast<int64_t>(static_cast<uint64_t>(x) + delta * times);
+    }
+
   private:
     std::string _name;
     Component *_parent = nullptr;
@@ -122,6 +170,30 @@ class Device : public Component {
         return static_cast<unsigned>(_nextFree.size());
     }
 
+    /** The queues still busy after @p now, as a count and a sorted
+     *  multiset: which queue an access takes never shows, only when the
+     *  earliest free one frees up, and every other queue is free. */
+    bool
+    captureTiming(Cycles now, std::vector<uint64_t> &state,
+                  std::vector<uint64_t> &) const override
+    {
+        const size_t first = state.size();
+        state.push_back(0);
+        for (Cycles t : _nextFree)
+            if (t > now)
+                state.push_back(t - now);
+        std::sort(state.begin() + first + 1, state.end());
+        state[first] = state.size() - first - 1;
+        return true;
+    }
+    void
+    shiftTimes(Cycles now, Cycles by) override
+    {
+        for (Cycles &t : _nextFree)
+            t = shifted(t, now, by);
+        _maxNextFree = shifted(_maxNextFree, now, by);
+    }
+
   private:
     std::vector<Cycles> _nextFree;
     /** Upper bound over _nextFree (monotone; enables the zero-cost
@@ -170,6 +242,23 @@ class Memory : public Device {
     int64_t bytesRead() const { return _bytesRead; }
     int64_t bytesWritten() const { return _bytesWritten; }
     /// @}
+
+    bool
+    captureTiming(Cycles now, std::vector<uint64_t> &state,
+                  std::vector<uint64_t> &counters) const override
+    {
+        Device::captureTiming(now, state, counters);
+        counters.push_back(static_cast<uint64_t>(_bytesRead));
+        counters.push_back(static_cast<uint64_t>(_bytesWritten));
+        return true;
+    }
+    const uint64_t *
+    addCounters(const uint64_t *delta, uint64_t times) override
+    {
+        addTimes(_bytesRead, delta[0], times);
+        addTimes(_bytesWritten, delta[1], times);
+        return delta + 2;
+    }
 
   private:
     std::string _kind;
@@ -229,6 +318,26 @@ class Processor : public Device {
     void recordOp() { ++_opsExecuted; }
     uint64_t opsExecuted() const { return _opsExecuted; }
     /// @}
+
+    bool
+    captureTiming(Cycles now, std::vector<uint64_t> &state,
+                  std::vector<uint64_t> &counters) const override
+    {
+        if (!queueEmpty())
+            return false;
+        Device::captureTiming(now, state, counters);
+        state.push_back(_busy);
+        counters.push_back(_busyCycles);
+        counters.push_back(_opsExecuted);
+        return true;
+    }
+    const uint64_t *
+    addCounters(const uint64_t *delta, uint64_t times) override
+    {
+        _busyCycles += delta[0] * times;
+        _opsExecuted += delta[1] * times;
+        return delta + 2;
+    }
 
   private:
     std::string _kind;
@@ -347,7 +456,50 @@ class Connection : public Component {
     int64_t readBytes() const { return _readBytes; }
     int64_t writeBytes() const { return _writeBytes; }
 
+    bool
+    captureTiming(Cycles now, std::vector<uint64_t> &state,
+                  std::vector<uint64_t> &counters) const override
+    {
+        state.push_back(sinceNow(_readFree, now));
+        state.push_back(sinceNow(_writeFree, now));
+        state.push_back(bitsOf(_maxRate));
+        state.push_back(_atPeak.size());
+        counters.push_back(static_cast<uint64_t>(_readBytes));
+        counters.push_back(static_cast<uint64_t>(_writeBytes));
+        for (const PeakGroup &g : _atPeak) {
+            state.push_back(bitsOf(g.rate));
+            counters.push_back(g.readCycles);
+            counters.push_back(g.writeCycles);
+        }
+        return true;
+    }
+    const uint64_t *
+    addCounters(const uint64_t *delta, uint64_t times) override
+    {
+        addTimes(_readBytes, *delta++, times);
+        addTimes(_writeBytes, *delta++, times);
+        for (PeakGroup &g : _atPeak) {
+            g.readCycles += *delta++ * times;
+            g.writeCycles += *delta++ * times;
+        }
+        return delta;
+    }
+    void
+    shiftTimes(Cycles now, Cycles by) override
+    {
+        _readFree = shifted(_readFree, now, by);
+        _writeFree = shifted(_writeFree, now, by);
+    }
+
   private:
+    static uint64_t
+    bitsOf(double v)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return bits;
+    }
+
     /** Transfers of one rate that is (so far) within 0.1% of the max. */
     struct PeakGroup {
         double rate;
@@ -433,6 +585,33 @@ class StreamFifo : public Component {
     uint64_t totalPushed() const { return _totalPushed; }
     uint64_t totalPopped() const { return _totalPopped; }
 
+    /** The element values are data, not timing: only their arrival
+     *  times are captured. */
+    bool
+    captureTiming(Cycles now, std::vector<uint64_t> &state,
+                  std::vector<uint64_t> &counters) const override
+    {
+        state.push_back(_fifo.size());
+        for (const Elem &e : _fifo)
+            state.push_back(sinceNow(e.ready, now));
+        counters.push_back(_totalPushed);
+        counters.push_back(_totalPopped);
+        return true;
+    }
+    const uint64_t *
+    addCounters(const uint64_t *delta, uint64_t times) override
+    {
+        _totalPushed += delta[0] * times;
+        _totalPopped += delta[1] * times;
+        return delta + 2;
+    }
+    void
+    shiftTimes(Cycles now, Cycles by) override
+    {
+        for (Elem &e : _fifo)
+            e.ready = shifted(e.ready, now, by);
+    }
+
   private:
     struct Elem {
         Cycles ready;
@@ -460,6 +639,9 @@ class ComponentFactory {
     /** Register (or replace) a memory kind. */
     void registerMemoryKind(const std::string &kind, MemoryMaker maker);
     bool hasMemoryKind(const std::string &kind) const;
+    /** Whether @p kind is one of the library's own kinds ("SRAM",
+     *  "Register", "DRAM") and has not been re-registered. */
+    bool isBuiltinKind(const std::string &kind) const;
 
     std::unique_ptr<Memory> makeMemory(const std::string &kind,
                                        const std::string &name,
@@ -468,7 +650,11 @@ class ComponentFactory {
                                        unsigned banks) const;
 
   private:
-    std::unordered_map<std::string, MemoryMaker> _memoryKinds;
+    struct Kind {
+        MemoryMaker make;
+        bool builtin;
+    };
+    std::unordered_map<std::string, Kind> _memoryKinds;
 };
 
 } // namespace sim

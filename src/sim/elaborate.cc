@@ -45,6 +45,9 @@ SimValue
 Simulator::Impl::elabCreateMem(ir::Operation *op)
 {
     equeue::CreateMemOp mem_op(op);
+    // A user's memory may keep state its timing capture does not see.
+    if (!factory.isBuiltinKind(mem_op.kind()))
+        ffEnabled = false;
     auto mem =
         factory.makeMemory(mem_op.kind(), freshName(LabelKind::Mem),
                            mem_op.shape(), mem_op.dataBits(),

@@ -144,6 +144,12 @@ Simulator::peakLiveEvents() const
     return _impl->events.peakPayloads();
 }
 
+uint64_t
+Simulator::fastForwardedIterations() const
+{
+    return _impl->ffIterations;
+}
+
 OpFunctionRegistry &
 Simulator::opFunctions()
 {
@@ -172,8 +178,9 @@ Simulator::Impl::runModule(ir::Operation *module, bool reuse_compiled)
     ir::Block *root = &module->region(0).front();
     EnvPtr env = makeEnv(root, nullptr);
     if (backend == Backend::Compiled) {
-        acquireExec(nullptr, rootProc.get(), programFor(root),
-                    std::move(env))
+        const CompiledBlock &prog = programFor(root);
+        ffEnabled = prog.ffClean && !trace_on && opFns.builtinsIntact();
+        acquireExec(nullptr, rootProc.get(), prog, std::move(env))
             ->resume(0);
     } else {
         acquireBlockExec(nullptr, rootProc.get(), root, std::move(env))

@@ -154,6 +154,16 @@ class Simulator {
      *  this, not the run's event count, bounds the payload memory. */
     size_t peakLiveEvents() const;
 
+    /**
+     * Loop iterations the most recent run skipped by exact
+     * fast-forward: on the compiled backend with tracing off, a loop
+     * whose timing state repeats between two iteration boundaries has
+     * its remaining iterations accounted at once and runs only the
+     * last (README "Exact fast-forward"). Reports are unchanged by it;
+     * 0 on the interpreter and with tracing on.
+     */
+    uint64_t fastForwardedIterations() const;
+
     /** Custom `equeue.op` signatures (§III-E). */
     OpFunctionRegistry &opFunctions();
 

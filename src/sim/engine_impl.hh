@@ -390,6 +390,7 @@ class EventStore {
     release(Event *ev)
     {
         ev->clear();
+        ev->id = kReleased;
         ev->nextQueued = _free;
         _free = ev;
         --_live;
@@ -397,22 +398,37 @@ class EventStore {
 
     /** Payloads in use: after a run, the events that never completed. */
     size_t livePayloads() const { return _live; }
-    /** The payloads in use, in event order. */
+    /** Most payloads in use at once since the last clear(). */
+    size_t peakPayloads() const { return _peak; }
+
+    /** Call @p f(event, word) for every payload in use: the live
+     *  events, and the completed ones whose completion is still firing
+     *  (a done word, the payload not yet released). */
+    template <typename F>
+    void
+    forEachInUse(F &&f) const
+    {
+        for (size_t s = 0; s < _peak; ++s) {
+            const Event &ev =
+                _payloads[s >> kPayloadShift][s & (kPayloadChunk - 1)];
+            if (ev.id != kReleased)
+                f(ev, word(ev.id));
+        }
+    }
+
+    /** The live events (payloads in use, not done), in event order. */
     std::vector<const Event *>
-    liveEvents()
+    liveEvents() const
     {
         std::vector<const Event *> out;
-        for (size_t s = 0; s < _peak; ++s) {
-            const Event &ev = payload(s);
-            if (ev.id < _size && word(ev.id) == (kLive | s))
+        forEachInUse([&](const Event &ev, uint64_t w) {
+            if (!isDone(w))
                 out.push_back(&ev);
-        }
+        });
         std::sort(out.begin(), out.end(),
                   [](const Event *a, const Event *b) { return a->id < b->id; });
         return out;
     }
-    /** Most payloads in use at once since the last clear(). */
-    size_t peakPayloads() const { return _peak; }
 
     /** Drop every event, keeping the storage. */
     void
@@ -425,6 +441,8 @@ class EventStore {
     }
 
   private:
+    /** The id of a payload on the free list. */
+    static constexpr EventId kReleased = ~EventId(0);
     static constexpr unsigned kWordShift = 12;
     static constexpr size_t kWordChunk = size_t(1) << kWordShift;
     static constexpr unsigned kPayloadShift = 6;
@@ -838,6 +856,74 @@ struct Simulator::Impl {
     uint64_t seqCounter = 0;
     Cycles now = 0;
     Cycles endTime = 0;
+
+    // --- exact loop fast-forward --------------------------------------
+    // A loop marked kFlagFastForward (compile.cc) whose timing state at
+    // two consecutive iteration boundaries is equal repeats that
+    // iteration's effect until it ends: CompiledExec::boundary adds the
+    // remaining iterations' counter deltas at once and runs only the
+    // last one, and runHeap moves the clock and every pending time by
+    // the skipped iterations' span.
+    /** Fast-forward may engage in this run: compiled backend, no trace,
+     *  a module whose data never reaches timing (CompiledBlock::ffClean),
+     *  the built-in externs and memory kinds. */
+    bool ffEnabled = false;
+    /** Time jump owed by a fast-forward, applied by runHeap. */
+    Cycles ffShift = 0;
+    /** Loop iterations skipped in this run. */
+    uint64_t ffIterations = 0;
+    /** Capture scratch, swapped with the loops' saved boundaries. */
+    std::vector<uint64_t> ffState, ffCounters;
+    std::vector<HeapItem> ffItems;
+    /** Capture buffers no running loop holds. A loop entry borrows two
+     *  for its saved boundary and gives them back when the loop ends,
+     *  so what the engine keeps follows the marked loops running at
+     *  once, not the execs ever pooled. */
+    std::vector<std::vector<uint64_t>> ffSpare;
+    /** Give @p buf a spare buffer's capacity, if it has none. */
+    void
+    ffLend(std::vector<uint64_t> &buf)
+    {
+        if (buf.capacity() == 0 && !ffSpare.empty()) {
+            buf.swap(ffSpare.back());
+            ffSpare.pop_back();
+        }
+    }
+    /** Take back @p buf's capacity, leaving it empty. */
+    void
+    ffGive(std::vector<uint64_t> &buf)
+    {
+        if (buf.capacity() != 0) {
+            ffSpare.emplace_back();
+            ffSpare.back().swap(buf);
+        }
+    }
+    /** The canonical pending-work part of the run's timing state at a
+     *  loop boundary of @p self (clock @p at), appended to @p state:
+     *  the issue attempts waiting to fire, the execs blocked in awaits,
+     *  the completion still firing below the boundary, all relative to
+     *  now. False when anything but @p self could still act before it:
+     *  other pending work, a stream waiter, an exec not blocked in an
+     *  await, a completion owing more than one wakeup or processor
+     *  release (event_core.cc). */
+    bool capturePending(const CompiledExec *self, Cycles at,
+                        std::vector<uint64_t> &state);
+    /** The rest of the timing state (every component's, relative to
+     *  now) appended to @p state, and the counter totals to
+     *  @p counters. False when a processor holds queued events. */
+    bool captureComponents(std::vector<uint64_t> &state,
+                           std::vector<uint64_t> &counters);
+    /** Account @p skip more iterations of @p period cycles each whose
+     *  counters went from @p before to @p after per iteration, and owe
+     *  runHeap the time jump. Throws the op budget's SimError when the
+     *  skipped iterations would exceed it; false (nothing changed) when
+     *  the jump would overflow the clock. @p after is scratch. */
+    bool fastForward(uint64_t skip, Cycles period,
+                     const std::vector<uint64_t> &before,
+                     std::vector<uint64_t> &after);
+    /** Move the clock, the end time and every pending time after it
+     *  by ffShift (event_core.cc). */
+    void applyShift();
     uint64_t eventsExecuted = 0;
     uint64_t opsExecuted = 0;
     /** Counted dispatches: how many times the execution loop entered a

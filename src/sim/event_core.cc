@@ -48,6 +48,9 @@ Simulator::Impl::reset(bool keep_numbering)
     seqCounter = 0;
     now = 0;
     endTime = 0;
+    ffEnabled = false;
+    ffShift = 0;
+    ffIterations = 0;
     eventsExecuted = 0;
     opsExecuted = 0;
     dispatchCount = 0;
@@ -121,6 +124,7 @@ Simulator::Impl::releasePools()
     freeExecs.clear();
     compiledExecs.clear();
     envPool.clear();
+    ffSpare.clear();
 }
 
 std::string
@@ -463,6 +467,157 @@ Simulator::Impl::notifyStream(StreamFifo *fifo)
     it->second.clear();
 }
 
+bool
+Simulator::Impl::capturePending(const CompiledExec *self, Cycles at,
+                                std::vector<uint64_t> &state)
+{
+    state.clear();
+    // The exec runs on the engine's clock, no earlier jump is still
+    // owed, and nothing at or below now can raise the end time (so
+    // done words there stay interchangeable; see applyShift).
+    if (at != now || ffShift != 0 || endTime < now)
+        return false;
+    // Pending work: issue attempts only, in firing order. The same-time
+    // queue is in that order already.
+    for (const HeapItem &it : heap)
+        if (it.w.kind != Wakeup::Kind::TryIssue)
+            return false;
+    ffItems.assign(heap.begin(), heap.end());
+    std::sort(ffItems.begin(), ffItems.end(),
+              [](const HeapItem &a, const HeapItem &b) {
+                  return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
+              });
+    auto merged = ffItems.begin();
+    auto push = [&](const HeapItem &it) {
+        state.push_back(it.t - now);
+        state.push_back(reinterpret_cast<uintptr_t>(it.w.target));
+    };
+    state.push_back(heap.size() + nowQ.size() - nowHead);
+    for (size_t i = nowHead; i < nowQ.size(); ++i) {
+        const HeapItem &it = nowQ[i];
+        if (it.w.kind != Wakeup::Kind::TryIssue)
+            return false;
+        for (; merged != ffItems.end() &&
+               std::tie(merged->t, merged->seq) < std::tie(it.t, it.seq);
+             ++merged)
+            push(*merged);
+        push(it);
+    }
+    for (; merged != ffItems.end(); ++merged)
+        push(*merged);
+    for (const auto &entry : streamWaiters)
+        if (!entry.second.empty())
+            return false;
+    // Every other exec waits in an await. With the rest of this check
+    // passed, what it waits for can complete only after @p self moves
+    // on, so it is frozen until then.
+    uint64_t running = 0;
+    for (const auto &x : compiledExecs) {
+        if (!x->running())
+            continue;
+        if (x.get() != self && !x->awaiting())
+            return false;
+        ++running;
+    }
+    state.push_back(running);
+    // Completions still firing below this boundary on the stack. Each
+    // must be firing its only subscriber (the chain that led here);
+    // one launch or memcpy among them may still owe its processor the
+    // release and issue attempt at its completion time.
+    bool ok = true, owed = false;
+    events.forEachInUse([&](const Event &ev, uint64_t word) {
+        if (!EventStore::isDone(word))
+            return;
+        if (ev.onDone.size() > 1)
+            ok = false;
+        if (ev.kind == Event::Kind::Launch ||
+            ev.kind == Event::Kind::Memcpy) {
+            ok = ok && !owed;
+            owed = true;
+            state.push_back(static_cast<uint64_t>(ev.kind));
+            state.push_back(reinterpret_cast<uintptr_t>(ev.proc));
+            state.push_back(word - now);
+        }
+    });
+    state.push_back(events.livePayloads());
+    state.push_back(joins.size() - freeJoins.size());
+    state.push_back(endTime - now);
+    return ok;
+}
+
+bool
+Simulator::Impl::captureComponents(std::vector<uint64_t> &state,
+                                   std::vector<uint64_t> &counters)
+{
+    counters.clear();
+    counters.push_back(eventsExecuted);
+    counters.push_back(opsExecuted);
+    counters.push_back(dispatchCount);
+    if (!rootProc->captureTiming(now, state, counters))
+        return false;
+    for (const auto &c : components)
+        if (!c->captureTiming(now, state, counters))
+            return false;
+    return true;
+}
+
+bool
+Simulator::Impl::fastForward(uint64_t skip, Cycles period,
+                             const std::vector<uint64_t> &before,
+                             std::vector<uint64_t> &after)
+{
+    for (size_t i = 0; i < after.size(); ++i)
+        after[i] -= before[i];
+    Cycles jump;
+    if (__builtin_mul_overflow(skip, period, &jump) ||
+        jump > ~Cycles(0) - endTime)
+        return false;
+    // The full run would pass the budget inside the skipped
+    // iterations: fail the same way.
+    uint64_t ops;
+    if (__builtin_mul_overflow(skip, after[1], &ops) ||
+        ops > opts.maxOps - opsExecuted)
+        opBudgetExceeded();
+    eventsExecuted += skip * after[0];
+    opsExecuted += ops;
+    dispatchCount += skip * after[2];
+    const uint64_t *delta = rootProc->addCounters(after.data() + 3, skip);
+    for (const auto &c : components)
+        delta = c->addCounters(delta, skip);
+    ffShift = jump;
+    ffIterations += skip;
+    return true;
+}
+
+void
+Simulator::Impl::applyShift()
+{
+    // Everything after now moves; times at or below it stay, as they
+    // are interchangeable with any other such time: done words (every
+    // reader takes max(now, word)), queue times, and the floors of
+    // awaits and join times in completion lists, which never exceed
+    // the clock they were taken at.
+    const Cycles by = ffShift;
+    ffShift = 0;
+    auto move = [&](HeapItem &it) {
+        it.t += by;
+        if (it.w.floor > now)
+            it.w.floor += by;
+    };
+    for (HeapItem &it : heap)
+        move(it);
+    for (size_t i = nowHead; i < nowQ.size(); ++i)
+        move(nowQ[i]);
+    for (Join &j : joins)
+        if (j.t > now)
+            j.t += by;
+    rootProc->shiftTimes(now, by);
+    for (const auto &c : components)
+        c->shiftTimes(now, by);
+    endTime += by;
+    now += by;
+}
+
 void
 Simulator::Impl::runHeap()
 {
@@ -471,7 +626,14 @@ Simulator::Impl::runHeap()
     // current time with globally increasing sequence numbers), so
     // merging against the heap by the same (t, seq) key pops every
     // item in exactly the order the single-heap schedule would.
-    while (!heap.empty() || nowHead < nowQ.size()) {
+    for (;;) {
+        // A fast-forward's time jump lands here, on a clean stack: the
+        // completion chain that reached the loop boundary has finished
+        // scheduling at the times it held.
+        if (ffShift)
+            applyShift();
+        if (heap.empty() && nowHead == nowQ.size())
+            break;
         bool from_nowq;
         if (heap.empty()) {
             from_nowq = true;

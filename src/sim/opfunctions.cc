@@ -74,15 +74,23 @@ mulMac4Fn(const OpCall &call, bool accumulate)
 
 OpFunctionRegistry::OpFunctionRegistry()
 {
-    registerOp("mac", macFn);
-    registerOp("mul4", [](const OpCall &c) { return mulMac4Fn(c, false); });
-    registerOp("mac4", [](const OpCall &c) { return mulMac4Fn(c, true); });
+    _fns["mac"] = macFn;
+    _fns["mul4"] = [](const OpCall &c) { return mulMac4Fn(c, false); };
+    _fns["mac4"] = [](const OpCall &c) { return mulMac4Fn(c, true); };
 }
 
 void
 OpFunctionRegistry::registerOp(const std::string &signature, OpFunction fn)
 {
+    if (isBuiltin(signature))
+        _builtinsIntact = false;
     _fns[signature] = std::move(fn);
+}
+
+bool
+OpFunctionRegistry::isBuiltin(std::string_view signature)
+{
+    return signature == "mac" || signature == "mul4" || signature == "mac4";
 }
 
 bool

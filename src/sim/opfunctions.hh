@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,6 +87,12 @@ class OpFunctionRegistry {
     void registerOp(const std::string &signature, OpFunction fn);
     bool has(const std::string &signature) const;
 
+    /** Whether @p signature names a built-in ("mac", "mul4", "mac4"):
+     *  fixed cost, results a function of the arguments only. */
+    static bool isBuiltin(std::string_view signature);
+    /** False once registerOp has replaced a built-in. */
+    bool builtinsIntact() const { return _builtinsIntact; }
+
     /** Resolve a signature to its registered function, or null. The
      *  returned pointer stays valid (and observes re-registrations of
      *  the same signature) for the registry's lifetime — the map is
@@ -99,6 +106,7 @@ class OpFunctionRegistry {
 
   private:
     std::map<std::string, OpFunction> _fns;
+    bool _builtinsIntact = true;
 };
 
 } // namespace sim

@@ -26,7 +26,7 @@ int g_probeChecks = 0;
 /** `test.probe`: one region of exactly one block, and, when in a block,
  *  at least one sibling there. */
 std::string
-verifyProbe(ir::Operation *op)
+verifyProbe(ir::Operation *op, const ir::OperandGroups &)
 {
     ++g_probeChecks;
     if (op->region(0).numBlocks() != 1)
@@ -40,7 +40,7 @@ constexpr ir::OpSignature kProbeSignature{
     {ir::rest(ir::kAnyKind)}, {}, {}, /*regions=*/1};
 
 std::string
-rejectAll(ir::Operation *)
+rejectAll(ir::Operation *, const ir::OperandGroups &)
 {
     return "rejected";
 }

@@ -20,6 +20,7 @@
 #include <new>
 
 #include "scalesim/scalesim.hh"
+#include "sim/opfunctions.hh"
 #include "sim/session.hh"
 #include "systolic/generator.hh"
 
@@ -79,16 +80,24 @@ using namespace eq;
 struct WarmRun {
     uint64_t allocs;
     uint64_t events;
+    uint64_t skipped; ///< fast-forwarded loop iterations
 };
 
-/** Allocations made by one warm run of the default 8x8 @p df point. */
+/** Allocations made by one warm run of the default 8x8 @p df point.
+ *  With @p in_full, the built-in "mac" is registered again, unchanged:
+ *  a user-registered built-in bars fast-forward, so every loop
+ *  iteration is simulated. */
 WarmRun
-warmRun(scalesim::Dataflow df)
+warmRun(scalesim::Dataflow df, bool in_full)
 {
     scalesim::Config cfg;
     cfg.ah = cfg.aw = 8;
     cfg.dataflow = df;
     sim::Session session;
+    if (in_full) {
+        sim::OpFunctionRegistry &fns = session.simulator().opFunctions();
+        fns.registerOp("mac", *fns.find("mac"));
+    }
     session.rebuild([&](ir::Context &ctx) {
         return systolic::buildSystolicModule(ctx, cfg);
     });
@@ -99,7 +108,8 @@ warmRun(scalesim::Dataflow df)
     gCounting = true;
     sim::SimReport report = session.run();
     gCounting = false;
-    return {gAllocs.load(), report.eventsExecuted};
+    return {gAllocs.load(), report.eventsExecuted,
+            session.simulator().fastForwardedIterations()};
 }
 
 bool
@@ -112,8 +122,11 @@ TEST(AllocSteady, WarmRunsAllocateBelowOnePerLaunch)
 {
     if (!compiledDefault())
         GTEST_SKIP() << "the interpreter oracle is not pooled";
-    WarmRun ws = warmRun(scalesim::Dataflow::WS);
-    WarmRun is = warmRun(scalesim::Dataflow::IS);
+    // Every launch simulated.
+    WarmRun ws = warmRun(scalesim::Dataflow::WS, true);
+    WarmRun is = warmRun(scalesim::Dataflow::IS, true);
+    EXPECT_EQ(ws.skipped, 0u);
+    EXPECT_EQ(is.skipped, 0u);
     EXPECT_LE(ws.allocs, 1000u);
     EXPECT_LE(is.allocs, 1000u);
     // IS runs ten times the events of WS on the same hardware: no
@@ -121,6 +134,22 @@ TEST(AllocSteady, WarmRunsAllocateBelowOnePerLaunch)
     EXPECT_GT(is.events, 5 * ws.events);
     EXPECT_LE(is.allocs, ws.allocs + ws.allocs / 10);
     EXPECT_GE(is.allocs + ws.allocs / 10, ws.allocs);
+}
+
+TEST(AllocSteady, FastForwardReusesItsBoundaryBuffers)
+{
+    if (!compiledDefault())
+        GTEST_SKIP() << "the interpreter does not fast-forward";
+    // Loops that fast-forward capture their timing state at every
+    // boundary until they repeat: into buffers kept from the last run.
+    for (scalesim::Dataflow df :
+         {scalesim::Dataflow::WS, scalesim::Dataflow::IS}) {
+        const WarmRun full = warmRun(df, true);
+        const WarmRun fast = warmRun(df, false);
+        EXPECT_GT(fast.skipped, 0u);
+        EXPECT_EQ(fast.events, full.events);
+        EXPECT_LE(fast.allocs, full.allocs);
+    }
 }
 
 } // namespace

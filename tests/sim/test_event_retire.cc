@@ -6,8 +6,9 @@
  * control_and/or and issue gating that name an event after its payload
  * was reused read that word; the memcpy completion path frees and pokes
  * the right DMA; the pool's high-water mark follows the live events,
- * not the run length; and events that never complete stay counted as
- * pending (the quiescence signal).
+ * not the run length, whether a run simulates every loop iteration or
+ * fast-forwards most of them; and events that never complete stay
+ * counted as pending (the quiescence signal).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "ir/builder.hh"
 #include "scalesim/scalesim.hh"
 #include "sim/engine.hh"
+#include "sim/opfunctions.hh"
 #include "sim/session.hh"
 #include "systolic/generator.hh"
 
@@ -198,35 +200,70 @@ TEST_F(EventRetireTest, BlockedLaunchStaysPending)
     }
 }
 
-/** The payload pool's high-water mark for a 4x4 WS array over @p n
- *  filters, on @p backend; also checks that the run drained. */
-size_t
-peakLiveFor(sim::Backend backend, int n, uint64_t *events)
+/** What a 4x4 WS array over some filters left in the payload pool. */
+struct PoolUse {
+    size_t peak = 0;          ///< payloads live at once, at most
+    uint64_t events = 0;      ///< events the report counts
+    uint64_t skipped = 0;     ///< fast-forwarded loop iterations
+};
+
+/**
+ * Run a 4x4 WS array over @p n filters on @p backend; also checks that
+ * the run drained. With @p in_full, the built-in "mac" is registered
+ * again, unchanged: a user-registered built-in bars fast-forward, so
+ * the compiled backend simulates every fold as the interpreter does.
+ */
+PoolUse
+poolUseFor(sim::Backend backend, int n, bool in_full)
 {
     scalesim::Config cfg;
     cfg.n = n;
     sim::EngineOptions opts;
     opts.backend = backend;
     sim::Session session(opts);
+    if (in_full) {
+        sim::OpFunctionRegistry &fns = session.simulator().opFunctions();
+        fns.registerOp("mac", *fns.find("mac"));
+    }
     session.rebuild([&](ir::Context &ctx) {
         return systolic::buildSystolicModule(ctx, cfg);
     });
-    *events = session.run().eventsExecuted;
+    PoolUse use;
+    use.events = session.run().eventsExecuted;
     EXPECT_EQ(session.simulator().pendingEvents(), 0u);
-    return session.simulator().peakLiveEvents();
+    use.peak = session.simulator().peakLiveEvents();
+    use.skipped = session.simulator().fastForwardedIterations();
+    return use;
 }
 
 TEST(EventRetire, PeakLiveEventsDoNotGrowWithRunLength)
 {
+    // Every fold simulated on both backends: the long run executes ten
+    // times the events through the same payloads.
     for (sim::Backend backend : kBackends) {
-        uint64_t short_events = 0, long_events = 0;
-        size_t short_peak = peakLiveFor(backend, 50, &short_events);
-        size_t long_peak = peakLiveFor(backend, 500, &long_events);
-        EXPECT_GT(long_events, 9 * short_events);
-        EXPECT_EQ(short_peak, long_peak) << sim::backendName(backend);
-        EXPECT_GT(short_peak, 0u);
-        EXPECT_LT(short_peak, short_events / 10);
+        const PoolUse short_run = poolUseFor(backend, 50, true);
+        const PoolUse long_run = poolUseFor(backend, 500, true);
+        EXPECT_EQ(short_run.skipped, 0u) << sim::backendName(backend);
+        EXPECT_EQ(long_run.skipped, 0u) << sim::backendName(backend);
+        EXPECT_GT(long_run.events, 9 * short_run.events);
+        EXPECT_EQ(short_run.peak, long_run.peak)
+            << sim::backendName(backend);
+        EXPECT_GT(short_run.peak, 0u);
+        EXPECT_LT(short_run.peak, short_run.events / 10);
     }
+}
+
+TEST(EventRetire, FastForwardKeepsPeakLiveEventsFlat)
+{
+    // The compiled default skips most folds of the long run; what it
+    // simulates peaks as a full simulation does.
+    const PoolUse full = poolUseFor(sim::Backend::Compiled, 500, true);
+    const PoolUse short_run = poolUseFor(sim::Backend::Compiled, 50, false);
+    const PoolUse long_run = poolUseFor(sim::Backend::Compiled, 500, false);
+    EXPECT_GT(long_run.skipped, 100u);
+    EXPECT_EQ(long_run.events, full.events);
+    EXPECT_EQ(short_run.peak, long_run.peak);
+    EXPECT_EQ(long_run.peak, full.peak);
 }
 
 } // namespace
