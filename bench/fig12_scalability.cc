@@ -6,7 +6,7 @@
  * (4,050 points in the paper).
  *
  * The sweep runs through serve::runLocalSweepDurable (bench::runSweep):
- * points shard across worker threads sharing a serve::ProgramCache
+ * points spread across worker threads sharing a serve::ProgramCache
  * with one sim::Session per thread, so the full grid (EQ_FULL_SWEEP=1)
  * is minutes-fast on a multicore host instead of an opt-in marathon.
  * Rows are ordered by point index — byte-identical for any thread

@@ -6,7 +6,7 @@
  * paper-style "how much does the interconnect cost" curve for systems
  * bigger than one accelerator.
  *
- * Runs on serve::runLocalSweepDurable (bench::runSweep): points shard
+ * Runs on serve::runLocalSweepDurable (bench::runSweep): points spread
  * across worker threads sharing a serve::ProgramCache (one
  * sim::Session per thread, rebuilt only when a point's ModelKey is not
  * cached), and each point's config is the dual-shared-bus SoC with

@@ -3,7 +3,7 @@
  * Design-space exploration of systolic convolution accelerators
  * (Section VI): pick an array shape and convolution on the command
  * line, simulate all three dataflows with the EQueue engine through the
- * sweep subsystem (sharded across workers, results in a typed table),
+ * sweep subsystem (spread across workers, results in a typed table),
  * and cross-check against the SCALE-Sim analytic baseline.
  *
  *   $ ./systolic_explorer [Ah Aw H N Fh C]   (defaults: 4 4 16 4 3 3)

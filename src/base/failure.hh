@@ -9,7 +9,7 @@
  *    retryable rows (served results are byte-deterministic, so
  *    re-sending after a transient condition is always safe).
  *  - The sweep tools print `<tool>: error: {"code":<name>,...}` and
- *    exit with the row's exit code; dispatch scripts branch on it.
+ *    exit with the row's exit code; scripts branch on it.
  *  - Code that fails with a code throws eq::Error, which carries it.
  *
  * Nothing else spells a code's name or an exit status. A row lands
@@ -40,11 +40,11 @@ enum class ErrorCode : uint8_t {
     ShuttingDown,          ///< server is stopping
     ResourceExhausted,     ///< the run passed the engine's op budget
     Deadlock,              ///< the run ended with events never completed
+    SimulationFailed,      ///< the module asks for what the engine lacks
     IoError,               ///< open/read/write or transport failed
     Usage,                 ///< bad command line
     JournalHeaderMismatch, ///< the journal belongs to a different sweep
     JournalCorrupt,        ///< bad record with valid records after it
-    IncompleteMerge,       ///< merged shard journals miss points
     PointFailed,           ///< a sweep point threw
     Unknown,               ///< unrecognized wire code (client side)
 };
@@ -71,11 +71,11 @@ inline constexpr FailureRow kFailures[] = {
     {ErrorCode::ShuttingDown, "shutting_down", false, 1},
     {ErrorCode::ResourceExhausted, "resource_exhausted", false, 1},
     {ErrorCode::Deadlock, "deadlock", false, 1},
+    {ErrorCode::SimulationFailed, "simulation_failed", false, 1},
     {ErrorCode::IoError, "io_error", true, 1},
     {ErrorCode::Usage, "usage", false, 2},
     {ErrorCode::JournalHeaderMismatch, "journal_header_mismatch", false, 3},
     {ErrorCode::JournalCorrupt, "journal_corrupt", false, 4},
-    {ErrorCode::IncompleteMerge, "incomplete_merge", false, 5},
     {ErrorCode::PointFailed, "point_failed", false, 6},
     {ErrorCode::Unknown, "unknown", false, 1},
 };

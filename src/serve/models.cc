@@ -656,17 +656,13 @@ ErrorCode
 runLocalSweepDurable(const SweepSpec &spec, const sweep::Grid &grid,
                      const sweep::SweepFlags &flags, const SweepRows &rows,
                      sweep::Table *out, sweep::ResumeStats *stats,
-                     std::string *err, std::pair<uint64_t, uint64_t> shard)
+                     std::string *err)
 {
     const std::vector<sweep::Point> points = grid.points();
-    const auto [begin, end] =
-        sweep::shardStripe(points.size(), shard.first, shard.second);
-    const std::vector<sweep::Point> slice(points.begin() + ptrdiff_t(begin),
-                                          points.begin() + ptrdiff_t(end));
     const sweep::SweepRunner runner({flags.threads});
-    ProgramCache cache(runner.threadsFor(slice.size()), flags.engine);
+    ProgramCache cache(runner.threadsFor(points.size()), flags.engine);
     return sweep::runJournaledSweep(
-        runner, slice, rows.schema.empty() ? spec.schema() : rows.schema,
+        runner, points, rows.schema.empty() ? spec.schema() : rows.schema,
         [&](const sweep::Point &p) {
             return contentKey(rows.tag, rowKey(spec, rows, p));
         },

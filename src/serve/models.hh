@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ir/context.hh"
@@ -209,7 +208,7 @@ struct SweepRows {
  *  with the hex FNV-1a of every point's contentKey in dense order
  *  (through rows.key, as the rows are run), so a journal is refused
  *  when any point would simulate another config. The one identity of
- *  eqsweep's run, shard and merge paths and of every harness sweep. */
+ *  eqsweep's journal and cache and of every harness sweep. */
 sweep::RowLogHeader sweepIdentity(const SweepSpec &spec,
                                   const sweep::Grid &grid,
                                   const SweepRows &rows,
@@ -233,16 +232,14 @@ sweep::Table runLocalSweep(const SweepSpec &spec, unsigned threads = 0,
  * replayed, the rest simulated through rows.row and journaled as
  * they complete; the journal header is sweepIdentity.
  *
- * @p grid is spec.grid(), possibly filtered; @p shard = {K, N} runs
- * its stripe K of N (sweep::shardStripe) under the whole grid's
- * identity. @p flags' csvPath is the caller's. Table assembly and
- * refusal semantics are runJournaledSweep's.
+ * @p grid is spec.grid(), possibly filtered. @p flags' csvPath is the
+ * caller's. Table assembly and refusal semantics are
+ * runJournaledSweep's.
  */
 ErrorCode runLocalSweepDurable(
     const SweepSpec &spec, const sweep::Grid &grid,
     const sweep::SweepFlags &flags, const SweepRows &rows,
-    sweep::Table *out, sweep::ResumeStats *stats, std::string *err,
-    std::pair<uint64_t, uint64_t> shard = {0, 1});
+    sweep::Table *out, sweep::ResumeStats *stats, std::string *err);
 
 } // namespace serve
 } // namespace eq

@@ -356,8 +356,9 @@ CompiledExec::resume(Cycles t)
 
         case MOp::Bad:
         default:
-            eq_fatal("simulation engine cannot interpret op '",
-                     m.op ? m.op->name() : "?", "'");
+            simulationFailed(detail::formatMessage(
+                "simulation engine cannot interpret op '",
+                m.op ? m.op->name() : "?", "'"));
         }
     }
 }

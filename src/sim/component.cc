@@ -1,6 +1,7 @@
 #include "sim/component.hh"
 
 #include "base/logging.hh"
+#include "sim/engine.hh"
 
 namespace eq {
 namespace sim {
@@ -101,8 +102,9 @@ ComponentFactory::makeMemory(const std::string &kind,
 {
     auto it = _memoryKinds.find(kind);
     if (it == _memoryKinds.end())
-        eq_fatal("unknown memory kind '", kind,
-                 "'; register it with ComponentFactory::registerMemoryKind");
+        simulationFailed(detail::formatMessage(
+            "unknown memory kind '", kind,
+            "'; register it with ComponentFactory::registerMemoryKind"));
     return it->second.make(name, std::move(shape), data_bits, banks);
 }
 

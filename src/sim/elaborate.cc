@@ -110,8 +110,9 @@ Simulator::Impl::elabGetComp(Component *comp,
 {
     Component *child = comp->child(child_name);
     if (!child)
-        eq_fatal("get_comp: no subcomponent named '", child_name,
-                 "' in ", comp->path());
+        simulationFailed(detail::formatMessage(
+            "get_comp: no subcomponent named '", child_name, "' in ",
+            comp->path()));
     return SimValue::ofComponent(child);
 }
 

@@ -40,6 +40,12 @@ backendFromName(const std::string &name, Backend *out)
     return false;
 }
 
+void
+simulationFailed(const std::string &message)
+{
+    throw SimError(ErrorCode::SimulationFailed, message);
+}
+
 Backend
 resolveBackend(Backend requested)
 {
@@ -205,7 +211,7 @@ Simulator::simulate(ir::Operation *module)
     if (_impl->opts.verifyModule) {
         std::string err = module->verify();
         if (!err.empty())
-            eq_fatal("module verification failed: ", err);
+            simulationFailed("module verification failed: " + err);
     }
     return _impl->runModule(module, /*reuse_compiled=*/false);
 }

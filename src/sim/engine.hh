@@ -70,11 +70,18 @@ Backend resolveBackend(Backend requested);
 /**
  * A run that could not finish: an Error whose code() says why —
  * resource_exhausted for an exhausted op budget (EngineOptions::maxOps),
- * deadlock for a run that ended with events that never completed. The
- * Simulator (and a Session around it) stays usable: its next run
- * starts from a reset.
+ * deadlock for a run that ended with events that never completed,
+ * simulation_failed for a module the engine cannot run. The Simulator
+ * (and a Session around it) stays usable: its next run starts from a
+ * reset.
  */
 using SimError = Error;
+
+/** Throw the simulation_failed SimError: the module fails verification
+ *  or asks for what the engine lacks (an op it cannot run, a missing
+ *  subcomponent, memory kind or op function). Cold and out of line,
+ *  so the loops that reach it do not grow. */
+[[noreturn, gnu::cold]] void simulationFailed(const std::string &message);
 
 /** Engine configuration. */
 struct EngineOptions {

@@ -215,7 +215,8 @@ BlockExec::Step
 BlockExec::execArithUnsupported(ir::Operation *op, Cycles &now)
 {
     (void)now;
-    eq_fatal("unsupported arith op '", op->name(), "'");
+    simulationFailed(
+        detail::formatMessage("unsupported arith op '", op->name(), "'"));
 }
 
 // ---------------------------------------------------------------------------

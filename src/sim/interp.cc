@@ -358,7 +358,8 @@ BlockExec::dispatch(ir::Operation *op, Cycles &now)
         if (Handler h = table[raw])
             return (this->*h)(op, now);
     }
-    eq_fatal("simulation engine cannot interpret op '", op->name(), "'");
+    simulationFailed(detail::formatMessage(
+        "simulation engine cannot interpret op '", op->name(), "'"));
 }
 
 /** Loop bookkeeping when the instruction pointer hits the block end. */

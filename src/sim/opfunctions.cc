@@ -1,6 +1,7 @@
 #include "sim/opfunctions.hh"
 
 #include "base/logging.hh"
+#include "sim/engine.hh"
 
 namespace eq {
 namespace sim {
@@ -112,8 +113,9 @@ OpFunctionRegistry::invoke(const std::string &signature,
 {
     auto it = _fns.find(signature);
     if (it == _fns.end())
-        eq_fatal("no operation function registered for signature '",
-                 signature, "' (register one via opFunctions())");
+        simulationFailed(detail::formatMessage(
+            "no operation function registered for signature '", signature,
+            "' (register one via opFunctions())"));
     return it->second(call);
 }
 

@@ -2,33 +2,29 @@
  * @file
  * eqsweep: the sweep command line, in-process or served.
  *
- * Four modes over one serializable SweepSpec:
- *   (default)       run the whole grid in-process, optionally
- *                   journaled (--journal) and cached (--cache)
- *   --shard K/N     run stripe K (0-based) of N of the dense points
- *                   into --journal as its own process; rows are
- *                   journaled under the whole grid's identity
- *   --merge J       (repeatable) merge shard journals into one table,
- *                   byte-identical to a single-process run
+ * Two modes over one serializable SweepSpec:
+ *   (default)       run the whole grid in-process on --threads worker
+ *                   threads, optionally journaled (--journal) and
+ *                   cached (--cache)
  *   --connect H:P   run the spec on an eqserved daemon through
  *                   serve::Client::sweepTable (--retries N attempts,
  *                   --deadline MS per request): the same CSV again
  *
  * There is one journal mode: a journal already at the path is always
- * recovered, so rerunning a command (or relaunching a shard) replays
- * it and recomputes only what is missing. Its header pins the spec
- * and --backend, so a journal of another sweep is refused, left
- * byte-identical, never mixed. --connect runs no journal yet: the
- * in-process flags are usage errors beside it.
+ * recovered, so rerunning a killed command replays it and recomputes
+ * only what is missing. Its header pins the spec and --backend, so a
+ * journal of another sweep is refused, left byte-identical, never
+ * mixed. --connect runs no journal yet: the in-process flags are
+ * usage errors beside it.
  *
  * Failures print one structured line on stderr (sweep::printError) —
  *   eqsweep: error: {"code":"journal_header_mismatch","message":...}
  * — and exit with the code's exit status. Both come from the failure
  * table (base/failure.hh): usage 2, journal_header_mismatch 3,
- * journal_corrupt 4, incomplete_merge 5, point_failed 6 ("point <i>:
- * ..."), and 1 for io_error and for a failed served sweep (whose code
- * is the daemon's, or io_error for the transport). Dispatch scripts
- * branch on these, never on prose.
+ * journal_corrupt 4, point_failed 6 ("point <i>: ..."), and 1 for
+ * io_error and for a failed served sweep (whose code is the daemon's,
+ * or io_error for the transport). Scripts branch on these, never on
+ * prose.
  */
 
 #include <cstdio>
@@ -66,11 +62,6 @@ usage(const char *argv0)
         "  --journal PATH       journal completed points to PATH\n"
         "  --cache PATH         content-keyed result cache file\n"
         "  --fsync              fsync the journal after every record\n"
-        "sharding (same spec and --backend for every shard and merge):\n"
-        "  --shard K/N          run stripe K (0-based) of N into\n"
-        "                       --journal\n"
-        "  --merge JOURNAL      merge shard journals to one table\n"
-        "                       (repeatable)\n"
         "served (none of the flags above but the spec):\n"
         "  --connect HOST:PORT  run the sweep on an eqserved daemon\n"
         "  --retries N          attempts per request (default 1)\n"
@@ -113,9 +104,6 @@ struct Args {
     std::string configJson;
     std::vector<std::string> axisSpecs;
     sweep::SweepFlags flags;
-    uint64_t shardK = 0; ///< --shard K/N; 0/1 runs the whole grid
-    uint64_t shardN = 1;
-    std::vector<std::string> mergeJournals;
     std::string connect; ///< HOST:PORT; empty = in-process
     int retries = 1;
     int64_t deadlineMs = -1; ///< -1 = no deadline
@@ -159,16 +147,6 @@ buildSpec(const Args &args, serve::SweepSpec *spec, std::string *err)
     return spec->validate(err);
 }
 
-/** "K/N" with K in [0, N). */
-bool
-parseShard(const std::string &text, uint64_t *k, uint64_t *n)
-{
-    const size_t slash = text.find('/');
-    return slash != std::string::npos &&
-           parseInt(text.substr(slash + 1), uint64_t{1}, n) &&
-           parseInt(text.substr(0, slash), uint64_t{0}, k) && *k < *n;
-}
-
 int
 runSweep(const Args &args, const serve::SweepSpec &spec)
 {
@@ -177,32 +155,9 @@ runSweep(const Args &args, const serve::SweepSpec &spec)
     if (int code = sweep::runSweepCommand(
             "eqsweep", opts, [&](sweep::ResumeStats *st, std::string *err) {
                 return serve::runLocalSweepDurable(
-                    spec, spec.grid(), args.flags, {}, &table, st,
-                    err, {args.shardK, args.shardN});
+                    spec, spec.grid(), args.flags, {}, &table, st, err);
             }))
         return code;
-    return emitTable(table, args.flags.csvPath);
-}
-
-int
-mergeMode(const Args &args, const serve::SweepSpec &spec)
-{
-    const sweep::RowLogHeader expect =
-        serve::sweepIdentity(spec, spec.grid(), {}, args.flags.engine);
-    sweep::Table table{spec.schema()};
-    std::vector<uint64_t> missing;
-    std::string err;
-    ErrorCode status = sweep::mergeShardJournals(
-        args.mergeJournals, expect, spec.schema(), &table, &missing,
-        &err);
-    if (status != ErrorCode::Ok)
-        return fail(status, err);
-    if (!missing.empty())
-        return fail(ErrorCode::IncompleteMerge,
-                    std::to_string(missing.size()) + " of " +
-                        std::to_string(expect.numPoints) +
-                        " points missing (first: " +
-                        std::to_string(missing.front()) + ")");
     return emitTable(table, args.flags.csvPath);
 }
 
@@ -249,8 +204,8 @@ main(int argc, char **argv)
             return 0;
         }
         static const std::set<std::string> kValued = {
-            "--spec",  "--model",   "--config",  "--axis",    "--shard",
-            "--merge", "--connect", "--retries", "--deadline"};
+            "--spec",    "--model",   "--config",  "--axis",
+            "--connect", "--retries", "--deadline"};
         if (!kValued.count(arg)) {
             usage(argv[0]);
             return usageError("unknown option '" + arg + "'");
@@ -266,12 +221,6 @@ main(int argc, char **argv)
             args.configJson = value;
         } else if (arg == "--axis") {
             args.axisSpecs.push_back(value);
-        } else if (arg == "--shard") {
-            if (!parseShard(value, &args.shardK, &args.shardN))
-                return usageError("bad --shard '" + value +
-                                  "' (want K/N, 0 <= K < N)");
-        } else if (arg == "--merge") {
-            args.mergeJournals.push_back(value);
         } else if (arg == "--connect") {
             args.connect = value;
         } else if (arg == "--retries") {
@@ -282,17 +231,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto both = [&](const char *a, const char *b) {
-        return args.given.count(a) && args.given.count(b);
-    };
-    if (args.given.count("--shard") &&
-        args.flags.durability.journalPath.empty())
-        return usageError("--shard needs --journal");
-    if (both("--shard", "--merge"))
-        return usageError("--shard and --merge are separate runs");
-    for (const char *flag : {"--journal", "--cache", "--fsync", "--shard",
-                             "--merge", "--threads", "--backend"})
-        if (both("--connect", flag))
+    for (const char *flag :
+         {"--journal", "--cache", "--fsync", "--threads", "--backend"})
+        if (args.given.count("--connect") && args.given.count(flag))
             return usageError(std::string(flag) +
                               " does not apply to --connect");
     for (const char *flag : {"--retries", "--deadline"})
@@ -308,7 +249,5 @@ main(int argc, char **argv)
         return usageError(err);
     if (!args.connect.empty())
         return connectMode(args, spec);
-    if (!args.mergeJournals.empty())
-        return mergeMode(args, spec);
     return runSweep(args, spec);
 }

@@ -8,7 +8,7 @@
  * over the axes in declaration order, last axis fastest, exactly like
  * the nested for-loops it replaces — and assigns each surviving point a
  * dense index. That index, not thread scheduling, orders sweep results,
- * which is what makes sharded execution reproducible.
+ * which is what makes multi-threaded execution reproducible.
  */
 
 #ifndef EQ_SWEEP_GRID_HH

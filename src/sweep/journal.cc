@@ -2,18 +2,15 @@
  * @file
  * The journaled-sweep orchestration: replay (journal), content-keyed
  * reuse (result cache) and recomputation (SweepRunner) layered into
- * one table; the shared sweep flags and exit contract; shard stripes
- * and the shard-journal merge.
+ * one table; the shared sweep flags and exit contract.
  */
 
 #include "sweep/journal.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <map>
-#include <unordered_map>
 
+#include "base/logging.hh"
 #include "base/stringutil.hh"
 #include "sweep/resultcache.hh"
 
@@ -70,13 +67,10 @@ runJournaledSweep(const SweepRunner &runner,
         return status;
     };
 
-    // Row slots by *position in @p points* (dense global indices may
-    // be a shard's sub-range); journal records address global
-    // indices, so map them back.
-    std::unordered_map<size_t, size_t> slotOf;
-    slotOf.reserve(points.size());
-    for (size_t s = 0; s < points.size(); ++s)
-        slotOf.emplace(points[s].index(), s);
+    // Rows are addressed by dense point index, like journal records,
+    // whose indices recovery bounds by the header's point count.
+    eq_assert(identity.numPoints == points.size(),
+              "journal identity is not this grid's");
     std::vector<std::vector<Cell>> rows(points.size());
     std::vector<bool> done(points.size(), false);
 
@@ -98,15 +92,12 @@ runJournaledSweep(const SweepRunner &runner,
             return fail(status, rec.error);
         st.journalTruncatedBytes = rec.truncatedBytes;
         for (RowRecord &record : rec.records) {
-            auto it = slotOf.find(record.index);
-            if (it == slotOf.end())
-                continue; // another shard's point
             // Duplicates resolve last-write-wins (pinned): byte-
             // determinism makes honest duplicates identical anyway.
-            if (!done[it->second])
+            if (!done[record.index])
                 ++st.fromJournal;
-            rows[it->second] = std::move(record.cells);
-            done[it->second] = true;
+            rows[record.index] = std::move(record.cells);
+            done[record.index] = true;
         }
         journal.setFsyncEachRecord(opts.fsyncEachRecord);
     }
@@ -126,11 +117,9 @@ runJournaledSweep(const SweepRunner &runner,
                 done[s] = true;
                 ++st.fromCache;
                 // Journal the replayed row too, so the journal alone
-                // is a complete record of this grid (shard merges read
-                // journals, not caches).
-                if (journaling && !journal.append(points[s].index(),
-                                                  keys[s], rows[s],
-                                                  &ioErr))
+                // is a complete record of this grid.
+                if (journaling &&
+                    !journal.append(s, keys[s], rows[s], &ioErr))
                     return fail(ErrorCode::IoError, ioErr);
             }
         }
@@ -138,13 +127,9 @@ runJournaledSweep(const SweepRunner &runner,
 
     // 3) Compute the remainder, journaling each point as it lands.
     std::vector<Point> pending;
-    std::vector<size_t> pendingSlot;
-    for (size_t s = 0; s < points.size(); ++s) {
-        if (!done[s]) {
+    for (size_t s = 0; s < points.size(); ++s)
+        if (!done[s])
             pending.push_back(points[s]);
-            pendingSlot.push_back(s);
-        }
-    }
     if (!pending.empty()) {
         std::atomic<bool> failed{false};
         auto journaled = [&](const Point &p,
@@ -156,9 +141,8 @@ runJournaledSweep(const SweepRunner &runner,
             std::vector<Cell> cells = fn(p, w);
             std::string jerr;
             if (journaling &&
-                !journal.append(p.index(),
-                                keys[slotOf.find(p.index())->second],
-                                cells, &jerr) &&
+                !journal.append(p.index(), keys[p.index()], cells,
+                                &jerr) &&
                 !failed.exchange(true))
                 ioErr = jerr; // the first failure names the error
             return cells;
@@ -175,10 +159,8 @@ runJournaledSweep(const SweepRunner &runner,
         }
         if (failed.load())
             return fail(ErrorCode::IoError, ioErr);
-        for (size_t i = 0; i < pendingSlot.size(); ++i) {
-            rows[pendingSlot[i]] = fresh.row(i);
-            done[pendingSlot[i]] = true;
-        }
+        for (size_t i = 0; i < pending.size(); ++i)
+            rows[pending[i].index()] = fresh.row(i);
         st.computed = pending.size();
     }
 
@@ -252,50 +234,6 @@ runSweepCommand(const std::string &tool, const JournalOptions &opts,
     if (!opts.journalPath.empty() || !opts.cachePath.empty())
         printResumeStats(stats);
     return 0;
-}
-
-std::pair<uint64_t, uint64_t>
-shardStripe(uint64_t num_points, uint64_t k, uint64_t n)
-{
-    const uint64_t base = num_points / n;
-    const uint64_t extra = num_points % n;
-    const uint64_t begin = k * base + std::min(k, extra);
-    return {begin, begin + base + (k < extra ? 1 : 0)};
-}
-
-ErrorCode
-mergeShardJournals(const std::vector<std::string> &paths,
-                   const RowLogHeader &expect,
-                   const std::vector<Column> &schema, Table *out,
-                   std::vector<uint64_t> *missing, std::string *err)
-{
-    // Dense index -> row; later insertions (later paths / later
-    // records) overwrite earlier ones: last-write-wins.
-    std::map<uint64_t, std::vector<Cell>> rows;
-    for (const std::string &path : paths) {
-        RowLog::Recovery rec = RowLog::recover(path, expect, schema,
-                                               RowLog::Policy::Refuse);
-        if (rec.status != ErrorCode::Ok) {
-            if (err)
-                *err = path + ": " + rec.error;
-            return rec.status;
-        }
-        for (auto &record : rec.records)
-            rows[record.index] = std::move(record.cells);
-    }
-
-    if (missing) {
-        missing->clear();
-        for (uint64_t i = 0; i < expect.numPoints; ++i)
-            if (!rows.count(i))
-                missing->push_back(i);
-    }
-
-    Table table{std::vector<Column>(schema)};
-    for (auto &entry : rows)
-        table.addRow(std::move(entry.second));
-    *out = std::move(table);
-    return ErrorCode::Ok;
 }
 
 } // namespace sweep

@@ -9,13 +9,6 @@
  * and a journal of another sweep is refused and left byte-identical.
  * The result cache makes re-plots cheap — rows keyed by configuration
  * content keep hitting after the grid around them changes.
- *
- * A sweep spreads across processes as shards: stripe K of N runs its
- * contiguous slice of the dense points (shardStripe) into its own
- * journal, under the *whole* grid's header, so shard journals are
- * mutually mergeable and a killed shard resumes from its journal.
- * mergeShardJournals folds them into one table, byte-identical to a
- * single-process run; each journal's growth is the shard's progress.
  */
 
 #ifndef EQ_SWEEP_JOURNAL_HH
@@ -24,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sweep/rowlog.hh"
@@ -49,7 +41,7 @@ struct ResumeStats {
 };
 
 /** Print `# resume: computed=… journal=… cache=… truncated_bytes=…`
- *  on stderr — the line dispatch scripts parse. */
+ *  on stderr — the line scripts parse. */
 void printResumeStats(const ResumeStats &stats);
 
 /** Content key for one point: the full configuration identity (not
@@ -66,9 +58,9 @@ using PointKeyFn = std::function<std::string(const Point &)>;
  * for deterministic schemas (wall-clock columns replay their recorded
  * values — drop them before byte-comparing, as --no-wall does).
  *
- * @p identity is the whole grid's journal header (gridIdentity()); a
- * shard passes its slice in @p points but journals under the whole
- * grid's identity. The cache reuses its schema and backend.
+ * @p points are a grid's dense points (points[i].index() == i), and
+ * @p identity is their journal header (gridIdentity()). The cache
+ * reuses its schema and backend.
  *
  * Returns Ok and fills @p out on success. JournalHeaderMismatch /
  * JournalCorrupt / IoError (with @p err) mean the journal was refused
@@ -127,36 +119,6 @@ using SweepCommand =
  */
 int runSweepCommand(const std::string &tool, const JournalOptions &opts,
                     const SweepCommand &sweep);
-
-/**
- * Stripe @p k of @p n over @p num_points dense indices: the contiguous
- * range [first, second). Stripes tile [0, num_points) in order; earlier
- * stripes take the remainder, and a stripe past the point count is
- * empty. Requires k < n.
- */
-std::pair<uint64_t, uint64_t> shardStripe(uint64_t num_points,
-                                          uint64_t k, uint64_t n);
-
-/**
- * Merge shard journals into one table, byte-identical to a
- * single-process run of the same sweep.
- *
- * Every journal's header must match @p expect (JournalHeaderMismatch
- * otherwise); a journal with mid-file corruption is refused
- * (JournalCorrupt);
- * a torn final record is skipped (the merge never mutates the files).
- * Duplicate points — e.g. a point recomputed by a relaunched shard —
- * resolve last-write-wins in @p paths order, then journal order. Rows
- * come out in dense point order. Points no journal covered are
- * reported in @p missing (and the table then holds only the covered
- * points, in order): an incomplete merge is the dispatcher's signal to
- * relaunch, not an error here.
- */
-ErrorCode mergeShardJournals(const std::vector<std::string> &paths,
-                             const RowLogHeader &expect,
-                             const std::vector<Column> &schema,
-                             Table *out, std::vector<uint64_t> *missing,
-                             std::string *err);
 
 } // namespace sweep
 } // namespace eq

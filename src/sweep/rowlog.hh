@@ -47,8 +47,8 @@
  * Replaying a row is sound for exactly the reason serve::Client
  * retries are: results are byte-deterministic at any worker count, so
  * a replayed row is indistinguishable from a recomputed one. Duplicate
- * records are therefore legal (a rerun over a journal or a relaunched
- * shard may recompute a point), and honest duplicates are identical;
+ * records are therefore legal (a rerun over a journal may recompute a
+ * point), and honest duplicates are identical;
  * the journal replays them last-write-wins, the cache keeps the
  * first.
  */
@@ -108,8 +108,7 @@ std::string schemaSignature(const std::vector<Column> &schema);
  *  filter changed) yields a different hash. */
 uint64_t hashPoints(const std::vector<Point> &points);
 
-/** The journal header of a sweep over the whole grid @p points (a
- *  shard journals its slice under the whole grid's identity). The
+/** The journal header of a sweep over the whole grid @p points. The
  *  backend is resolved exactly like a Simulator would resolve
  *  @p engine (Auto reads EQ_SIM_BACKEND). */
 RowLogHeader gridIdentity(const std::vector<Point> &points,

@@ -1,8 +1,8 @@
 /**
  * @file
- * SweepRunner: sharded, batched execution of a scenario grid.
+ * SweepRunner: parallel, batched execution of a scenario grid.
  *
- * The runner shards a Grid's points across a pool of worker threads,
+ * The runner spreads a Grid's points across a pool of worker threads,
  * following the bulk-synchronous independent-unit model that makes
  * simulator sweeps embarrassingly parallel. Each worker gets a dense
  * worker id with which a caller may index per-worker state; every

@@ -1,7 +1,7 @@
 /**
  * @file
  * The failure table: every code's wire name, retryability and exit
- * code are a contract with clients and dispatch scripts, so each row
+ * code are a contract with clients and scripts, so each row
  * is pinned to its literals here. Names round-trip through
  * errorCodeFromName except the two that never cross the wire, and
  * Error carries the code it was thrown with.
@@ -38,11 +38,11 @@ const Pinned kPinned[] = {
     {ErrorCode::ShuttingDown, "shutting_down", false, 1},
     {ErrorCode::ResourceExhausted, "resource_exhausted", false, 1},
     {ErrorCode::Deadlock, "deadlock", false, 1},
+    {ErrorCode::SimulationFailed, "simulation_failed", false, 1},
     {ErrorCode::IoError, "io_error", true, 1},
     {ErrorCode::Usage, "usage", false, 2},
     {ErrorCode::JournalHeaderMismatch, "journal_header_mismatch", false, 3},
     {ErrorCode::JournalCorrupt, "journal_corrupt", false, 4},
-    {ErrorCode::IncompleteMerge, "incomplete_merge", false, 5},
     {ErrorCode::PointFailed, "point_failed", false, 6},
     {ErrorCode::Unknown, "unknown", false, 1},
 };

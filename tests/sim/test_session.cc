@@ -348,6 +348,122 @@ TEST(SimSession, DeadlockFailsOnlyTheRunCompiled)
     expectDeadlockFailsOnlyTheRun(sim::Backend::Compiled);
 }
 
+/** A module whose host runs one bare op @p name, built in a context
+ *  that tolerates unregistered ops only when @p allow_unregistered. */
+sim::Session::BuildFn
+oneOpModule(std::string name, bool allow_unregistered)
+{
+    return [=](ir::Context &ctx) {
+        ctx.setAllowUnregistered(allow_unregistered);
+        ir::OwningOpRef module = ir::createModule(ctx);
+        ir::OpBuilder b(ctx);
+        b.setInsertionPointToEnd(&module->region(0).front());
+        b.create(name, {}, {});
+        return module;
+    };
+}
+
+/** A host that asks a one-processor component for a child it lacks. */
+ir::OwningOpRef
+missingChildModule(ir::Context &ctx)
+{
+    ir::OwningOpRef module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    auto proc = b.create<equeue::CreateProcOp>(std::string("ARMr5"));
+    auto comp = b.create<equeue::CreateCompOp>(
+        std::string("pe"), std::vector<ir::Value>{proc->result(0)});
+    b.create<equeue::GetCompOp>(comp->result(0), std::string("nosuch"),
+                                proc->result(0).type());
+    return module;
+}
+
+/** A host that creates a memory of a kind no factory registered. */
+ir::OwningOpRef
+unknownMemoryModule(ir::Context &ctx)
+{
+    ir::OwningOpRef module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    b.create<equeue::CreateMemOp>(std::string("Bogus"),
+                                  std::vector<int64_t>{64}, 32u, 1u);
+    return module;
+}
+
+/** A host that calls an op function nobody registered. */
+ir::OwningOpRef
+missingOpFunctionModule(ir::Context &ctx)
+{
+    ir::OwningOpRef module = ir::createModule(ctx);
+    ir::OpBuilder b(ctx);
+    b.setInsertionPointToEnd(&module->region(0).front());
+    b.create<equeue::ExternOp>(std::string("nosuch_fn"),
+                               std::vector<ir::Value>{},
+                               std::vector<ir::Type>{});
+    return module;
+}
+
+/**
+ * A module the engine cannot run fails only its run, like one past the
+ * op budget: each condition throws the simulation_failed SimError
+ * naming the op or component, does not count, and the session then
+ * runs its next module exactly like a fresh Simulator.
+ */
+void
+expectSimulationFailsOnlyTheRun(sim::Backend backend)
+{
+    scalesim::Config small;
+    small.ah = small.aw = 2;
+    const std::string smallRef = freshRun(small, backend);
+    struct BadModule {
+        const char *condition;
+        sim::Session::BuildFn build;
+        const char *named; ///< what the message must name
+    };
+    const BadModule cases[] = {
+        {"verification failed", oneOpModule("test.bogus", false),
+         "test.bogus"},
+        {"op without a handler", oneOpModule("test.bogus", true),
+         "test.bogus"},
+        {"unsupported arith op", oneOpModule("arith.bogus", true),
+         "arith.bogus"},
+        {"missing subcomponent", missingChildModule, "nosuch"},
+        {"unknown memory kind", unknownMemoryModule, "Bogus"},
+        {"missing op function", missingOpFunctionModule, "nosuch_fn"},
+    };
+
+    sim::Session session(tracedOn(backend));
+    for (const BadModule &bad : cases) {
+        SCOPED_TRACE(bad.condition);
+        session.rebuild(bad.build);
+        try {
+            session.run();
+            ADD_FAILURE() << "the run finished";
+        } catch (const sim::SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::SimulationFailed) << e.what();
+            EXPECT_NE(std::string(e.what()).find(bad.named),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(session.runsCompleted(), 0u);
+
+        session.rebuild(systolicBuilder(small));
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(render(session.run(), session.simulator().trace()),
+                      smallRef);
+    }
+}
+
+TEST(SimSession, SimulationFailedFailsOnlyTheRunInterp)
+{
+    expectSimulationFailsOnlyTheRun(sim::Backend::Interp);
+}
+
+TEST(SimSession, SimulationFailedFailsOnlyTheRunCompiled)
+{
+    expectSimulationFailsOnlyTheRun(sim::Backend::Compiled);
+}
+
 /** A launch that reads an allocated cell before writing 7 into it. */
 ir::OwningOpRef
 readBeforeWriteModule(ir::Context &ctx)

@@ -9,11 +9,11 @@
  * the sweep from simulating further points; and a throwing point that
  * fails the sweep but leaves the rows before it replayable.
  *
- * Shards: stripes tile the grid exactly once, in order, and the merge
- * contract — shard journals merged by dense point index are
- * byte-identical to the single-process SweepRunner table, in every
- * backend mode, with duplicates resolving last-write-wins and missing
- * points reported rather than papered over.
+ * Resume parity: a journal cut after any number of records resumes to
+ * the uninterrupted run's table in every backend mode, and a journal
+ * holding one contiguous stripe of the grid (what a `--shard` run of
+ * earlier releases left) resumes to the whole table, computing only
+ * the points it lacks.
  */
 
 #include <gtest/gtest.h>
@@ -587,174 +587,90 @@ TEST_F(JournalTest, StatusNamesAreStable)
         "journal_corrupt");
 }
 
-TEST(ShardStripeTest, StripesCoverEveryPointOnceInOrder)
+/** A journal holding only a middle stripe of the grid, under the
+ *  whole grid's header (the file a `--shard 1/3` run of earlier
+ *  releases wrote), resumes to the whole table and computes only the
+ *  points outside the stripe. */
+TEST_F(JournalTest, OneStripeJournalResumesToTheWholeGrid)
 {
-    for (uint64_t points : {1u, 4u, 7u, 16u}) {
-        for (uint64_t n : {1u, 2u, 3u, 4u, 32u}) {
-            SCOPED_TRACE(std::to_string(points) + " points, " +
-                         std::to_string(n) + " stripes");
-            uint64_t next = 0;
-            for (uint64_t k = 0; k < n; ++k) {
-                const auto [begin, end] =
-                    sweep::shardStripe(points, k, n);
-                EXPECT_EQ(begin, next);
-                EXPECT_LE(begin, end);
-                // Balanced: stripes differ by at most one point, and
-                // only stripes past the point count are empty.
-                EXPECT_LE(end - begin, (points + n - 1) / n);
-                EXPECT_EQ(end == begin, k >= points);
-                next = end;
-            }
-            EXPECT_EQ(next, points);
-        }
-    }
-}
-
-class ShardMergeTest : public JournalTest {
-  protected:
-    /** A merge header over @p num_points points of abSchema(). */
-    static sweep::RowLogHeader
-    header(uint64_t num_points)
+    const sweep::Grid grid = abGrid();
+    const auto points = grid.points();
     {
-        sweep::RowLogHeader h;
-        h.gridHash = 0xfeedu;
-        h.numPoints = num_points;
-        h.schemaSig = sweep::schemaSignature(abSchema());
-        h.backend = "interp";
-        h.salt = "ab";
-        return h;
-    }
-
-    /** A journal at @p at holding rows (a, 1, a) for the given
-     *  indices. */
-    static void
-    write(const std::string &at, const sweep::RowLogHeader &h,
-          const std::vector<std::pair<size_t, int64_t>> &rows)
-    {
-        sweep::RowLog j(sweep::RowLog::Policy::Refuse);
+        sweep::RowLog stripe(sweep::RowLog::Policy::Refuse);
         sweep::RowLog::Recovery rec;
-        ASSERT_EQ(j.open(at, h, abSchema(), &rec),
+        ASSERT_EQ(stripe.open(path,
+                              sweep::gridIdentity(points, abSchema(), "",
+                                                  engine),
+                              abSchema(), &rec),
                   ErrorCode::Ok)
             << rec.error;
         std::string err;
-        for (const auto &[index, a] : rows)
-            ASSERT_TRUE(j.append(index, "a=" + std::to_string(a),
-                                 {a, int64_t{1}, a}, &err))
+        for (size_t i : {2, 3})
+            ASSERT_TRUE(stripe.append(i, abKey(points[i]),
+                                      abRow(points[i]), &err))
                 << err;
     }
-};
 
-TEST_F(ShardMergeTest, MissingPointsAreReportedNotInvented)
-{
-    sweep::RowLogHeader h = header(5);
-    const std::string j0 = sibling("s0");
-    write(j0, h, {{0, 10}, {1, 11}, {3, 13}});
-
-    sweep::Table table{abSchema()};
-    std::vector<uint64_t> missing;
+    sweep::Table resumed{abSchema()};
+    sweep::ResumeStats st;
     std::string err;
-    ASSERT_EQ(sweep::mergeShardJournals({j0}, h, abSchema(), &table,
-                                        &missing, &err),
-              ErrorCode::Ok)
-        << err;
-    EXPECT_EQ(missing, (std::vector<uint64_t>{2, 4}));
-    EXPECT_EQ(table.numRows(), 3u);
+    size_t calls = 0;
+    ASSERT_EQ(run(&resumed, &st, &err, &calls), ErrorCode::Ok) << err;
+    EXPECT_EQ(st.fromJournal, 2u);
+    EXPECT_EQ(st.computed, 4u);
+    EXPECT_EQ(calls, 4u);
+
+    sweep::Table fresh{abSchema()};
+    std::remove(path.c_str());
+    ASSERT_EQ(run(&fresh, &st, &err), ErrorCode::Ok) << err;
+    EXPECT_EQ(resumed.csv(), fresh.csv());
 }
 
-TEST_F(ShardMergeTest, MismatchedJournalHeaderRefuses)
-{
-    sweep::RowLogHeader h = header(4);
-    const std::string j0 = sibling("s0");
-    const std::string j1 = sibling("s1");
-    write(j0, h, {{0, 10}, {1, 11}});
-    sweep::RowLogHeader other = h;
-    other.backend = "compiled";
-    write(j1, other, {{2, 12}, {3, 13}});
-
-    sweep::Table table{abSchema()};
-    std::vector<uint64_t> missing;
-    std::string err;
-    EXPECT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
-                                        &table, &missing, &err),
-              ErrorCode::JournalHeaderMismatch);
-    EXPECT_NE(err.find("backend"), std::string::npos) << err;
-}
-
-TEST_F(ShardMergeTest, DuplicatePointsResolveLastWriteWins)
-{
-    // A relaunched shard recomputed point 1, which another journal
-    // also holds: the later path wins.
-    sweep::RowLogHeader h = header(3);
-    const std::string j0 = sibling("s0");
-    const std::string j1 = sibling("s1");
-    write(j0, h, {{0, 10}, {1, 11}});
-    write(j1, h, {{1, 99}, {2, 12}});
-
-    sweep::Table table{abSchema()};
-    std::vector<uint64_t> missing;
-    std::string err;
-    ASSERT_EQ(sweep::mergeShardJournals({j0, j1}, h, abSchema(),
-                                        &table, &missing, &err),
-              ErrorCode::Ok)
-        << err;
-    EXPECT_TRUE(missing.empty());
-    ASSERT_EQ(table.numRows(), 3u);
-    EXPECT_EQ(table.at(1, 0).asInt(), 99);
-}
-
-/** 1/2/4-stripe journals of a real systolic sweep merge
- *  byte-identically to the single-process SweepRunner CSV — on both
- *  backends. */
-TEST_F(ShardMergeTest, MergeMatchesSingleProcessInEveryBackendMode)
+/** A real systolic sweep's journal, cut after k records for every k,
+ *  resumes to the uninterrupted single-process table byte for byte,
+ *  replaying k points and computing the rest — on both backends. */
+TEST_F(JournalTest, ResumeFromAnyCutMatchesInEveryBackendMode)
 {
     serve::SweepSpec spec;
     spec.base = serve::defaultKey(serve::ModelKind::Systolic);
     spec.axes = {{"ah", {2, 4}}, {"aw", {2, 4}}};
     std::string err;
     ASSERT_TRUE(spec.validate(&err)) << err;
+    const size_t n = spec.grid().size();
 
     for (sim::Backend backend :
          {sim::Backend::Interp, sim::Backend::Compiled}) {
-        sim::EngineOptions mode;
-        mode.backend = backend;
         SCOPED_TRACE(sim::backendName(backend));
+        sweep::SweepFlags flags;
+        flags.threads = 1;
+        flags.engine.backend = backend;
         const std::string single =
-            serve::runLocalSweep(spec, 1, mode).csv();
+            serve::runLocalSweep(spec, 1, flags.engine).csv();
+        auto journaled = [&](sweep::Table *out, sweep::ResumeStats *st) {
+            return serve::runLocalSweepDurable(spec, spec.grid(), flags,
+                                               {}, out, st, &err);
+        };
 
-        const sweep::Grid grid = spec.grid();
-        const sweep::RowLogHeader identity =
-            serve::sweepIdentity(spec, grid, {}, mode);
+        flags.durability.journalPath = sibling("full");
+        sweep::Table whole{spec.schema()};
+        ASSERT_EQ(journaled(&whole, nullptr), ErrorCode::Ok) << err;
+        EXPECT_EQ(whole.csv(), single);
+        // One thread journals in dense order, one line per record.
+        const std::string full = slurp(flags.durability.journalPath);
 
-        for (uint64_t n : {1u, 2u, 4u}) {
-            SCOPED_TRACE(n);
-            std::vector<std::string> journals;
-            for (uint64_t k = 0; k < n; ++k) {
-                sweep::SweepFlags flags;
-                flags.threads = 1;
-                flags.engine = mode;
-                flags.durability.journalPath = sibling(
-                    std::string(sim::backendName(backend)) + "_" +
-                    std::to_string(n) + "_" + std::to_string(k));
-                sweep::Table part{spec.schema()};
-                ASSERT_EQ(serve::runLocalSweepDurable(
-                              spec, grid, flags, {}, &part, nullptr,
-                              &err, {k, n}),
-                          ErrorCode::Ok)
-                    << err;
-                journals.push_back(flags.durability.journalPath);
-            }
-
-            sweep::Table merged{spec.schema()};
-            std::vector<uint64_t> missing;
-            ASSERT_EQ(sweep::mergeShardJournals(journals, identity,
-                                                spec.schema(),
-                                                &merged, &missing,
-                                                &err),
-                      ErrorCode::Ok)
-                << err;
-            EXPECT_TRUE(missing.empty());
-            EXPECT_EQ(merged.csv(), single)
-                << "merge must be byte-identical to one process";
+        flags.durability.journalPath = sibling("cut");
+        for (size_t k = 0; k <= n; ++k) {
+            SCOPED_TRACE(k);
+            size_t end = 0;
+            for (size_t line = 0; line <= k; ++line)
+                end = full.find('\n', end) + 1;
+            spill(flags.durability.journalPath, full.substr(0, end));
+            sweep::Table resumed{spec.schema()};
+            sweep::ResumeStats st;
+            ASSERT_EQ(journaled(&resumed, &st), ErrorCode::Ok) << err;
+            EXPECT_EQ(st.fromJournal, k);
+            EXPECT_EQ(st.computed, n - k);
+            EXPECT_EQ(resumed.csv(), single);
         }
     }
 }

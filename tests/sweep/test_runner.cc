@@ -1,6 +1,6 @@
 /**
  * @file
- * SweepRunner sharding semantics: result order is point order — never
+ * SweepRunner threading semantics: result order is point order — never
  * thread-schedule order — so the emitted table is byte-identical at 1,
  * 4, and hardware-concurrency threads; EQ_SWEEP_THREADS and the
  * Options::threads override resolve as documented; every point runs
