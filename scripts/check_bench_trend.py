@@ -17,7 +17,8 @@ BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the pinned
 warm-run path BM_BatchSessionReuse, the serving layer's
 BM_ServeWarmVsCold cache legs, the sweep durability layer's
 BM_SweepResume warm/cold legs, the IR storage path's
-BM_ModuleBuildTeardown, and the compile path's BM_CompileModule).
+BM_ModuleBuildTeardown, the compile path's BM_CompileModule, and the
+loop fast-forward's BM_SystolicRun).
 CI passes no --track, so this default is the one list of gated
 families. Every engine benchmark carries its backend in its name, so a
 change of the default backend shows up as new series rather than as a
@@ -82,7 +83,7 @@ def main():
                              "BM_BatchSessionReuse",
                              "BM_ServeWarmVsCold", "BM_SweepResume",
                              "BM_ModuleBuildTeardown",
-                             "BM_CompileModule"],
+                             "BM_CompileModule", "BM_SystolicRun"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",
                     choices=["cpu_time", "real_time"])

@@ -24,7 +24,10 @@ Failed requests must carry a structured error code from the taxonomy
 injector eventually goes quiescent, so a bounded-retry client always
 converges.  A dedicated round checks deadline_ms end-to-end: with
 every request stalled past its deadline, the answer must be
-deadline_exceeded.  Sweep recovery is driven through the C++ client
+deadline_exceeded.  Another runs the daemon under a 1 GiB address-space
+limit: a request too large for it must answer resource_exhausted, and
+the same connection must then get a valid report (skipped for
+sanitized builds, whose shadow memory alone passes the limit).  Sweep recovery is driven through the C++ client
 (`eqsweep <spec> --connect HOST:PORT --retries N`), which must deliver
 the byte-identical merged table through the same fault storm; the
 reference table is the in-process `eqsweep <spec>`.
@@ -36,6 +39,7 @@ Usage: serve_chaos.py [BUILD_DIR] [ROUNDS]   (default: build, 5)
 
 import json
 import os
+import resource
 import socket
 import subprocess
 import sys
@@ -64,12 +68,13 @@ class Transport(Exception):
 class Daemon:
     """eqserved on an ephemeral port; __exit__ asserts exit code 0."""
 
-    def __init__(self, build_dir, workers, faults=None):
+    def __init__(self, build_dir, workers, faults=None, limit_as=None):
         self.binary = os.path.join(build_dir, "src", "eqserved")
         self.argv = [self.binary, "--workers", str(workers),
                      "--cache-entries", "8"]
         if faults:
             self.argv += ["--faults", faults]
+        self.limit_as = limit_as
         self.proc = None
         self.port = None
 
@@ -77,9 +82,14 @@ class Daemon:
         fd, self.port_file = tempfile.mkstemp(prefix="eqserved-port-")
         os.close(fd)
         os.unlink(self.port_file)
+        def limit():
+            if self.limit_as:
+                resource.setrlimit(resource.RLIMIT_AS,
+                                   (self.limit_as, self.limit_as))
         self.proc = subprocess.Popen(
             self.argv + ["--port-file", self.port_file],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            preexec_fn=limit)
         deadline = time.time() + 20
         while time.time() < deadline:
             if os.path.exists(self.port_file):
@@ -255,6 +265,39 @@ def deadline_round(build_dir):
     print("  deadline round ok (deadline_exceeded end-to-end)")
 
 
+def sanitized(build_dir):
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            return "-fsanitize" in f.read()
+    except OSError:
+        return False
+
+
+def memory_round(build_dir, reports):
+    """Under a 1 GiB address-space limit a 200,000-batch pipeline runs
+    out of memory: it must answer resource_exhausted, and the next
+    request on the same connection must get the reference report."""
+    if sanitized(build_dir):
+        print("  memory round skipped (sanitized build)")
+        return
+    with Daemon(build_dir, workers=1, limit_as=1 << 30) as daemon:
+        conn = Lines(daemon.port)
+        resp = conn.request({"op": "simulate", "id": 1,
+                             "model": "pipeline",
+                             "config": {"batches": 200000}})
+        code = (resp.get("error") or {}).get("code")
+        if code != "resource_exhausted":
+            fail(f"expected resource_exhausted, got {resp}")
+        resp = conn.request({"op": "simulate", "id": 2,
+                             "model": "systolic", "config": CONFIGS[0]})
+        if not resp.get("ok") or without_wall(resp["report"]) != \
+                reports[json.dumps(CONFIGS[0])]:
+            fail(f"request after running out of memory: {resp}")
+        conn.close()
+        request_shutdown(daemon.port)
+    print("  memory round ok (resource_exhausted, then a valid report)")
+
+
 def chaos_round(build_dir, seed, reports, local_csv):
     spec = f"torn=0.12,drop=0.08,werr=0.25,build=0.25,max=18:{seed}"
     eqsweep = os.path.join(build_dir, "src", "eqsweep")
@@ -302,6 +345,7 @@ def main():
     rounds = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     reports, local_csv = reference_phase(build_dir)
     deadline_round(build_dir)
+    memory_round(build_dir, reports)
     for seed in range(1, rounds + 1):
         chaos_round(build_dir, seed, reports, local_csv)
     print(f"serve chaos: {rounds} seeded rounds passed "

@@ -38,7 +38,7 @@ enum class ErrorCode : uint8_t {
     BuildFailed,           ///< program build failed
     Internal,              ///< worker-side exception
     ShuttingDown,          ///< server is stopping
-    ResourceExhausted,     ///< the run passed the engine's op budget
+    ResourceExhausted,     ///< the run passed the op budget or memory
     Deadlock,              ///< the run ended with events never completed
     SimulationFailed,      ///< the module asks for what the engine lacks
     IoError,               ///< open/read/write or transport failed

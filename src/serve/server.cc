@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -349,6 +350,11 @@ Server::runTask(const std::shared_ptr<Conn> &conn, ModelKey key,
             // A failure that names its code (a failed build, a run past
             // the op budget, a deadlock); the session stays usable.
             fail(e.code(), e.what());
+        } catch (const std::bad_alloc &) {
+            // The build or the run ran out of memory: fail this
+            // request only. A failed build is discarded, and the
+            // session's next run resets what a failed run left.
+            fail(ErrorCode::ResourceExhausted, "out of memory");
         } catch (const std::exception &e) {
             fail(ErrorCode::Internal, e.what());
         }

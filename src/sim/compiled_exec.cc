@@ -113,9 +113,8 @@ CompiledExec::boundary(const CompiledBlock::ForLoopInfo &fl, int64_t next,
         w.saved = Saved::None;
         return next;
     }
-    // The pending work settles first (issue attempts that pile up at a
-    // boundary take about one iteration per processor to reach their
-    // steady order), and comparing it is cheap: the components are
+    // The pending part (the awaiting execs and the completion firing
+    // below the boundary) is cheap to compare: the components are
     // captured only once it repeats.
     const size_t pending = state.size();
     if (w.saved == Saved::None || w.pending != pending ||

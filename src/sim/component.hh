@@ -309,6 +309,9 @@ class Processor : public Device {
     void popQueue();
     bool busy() const { return _busy; }
     void setBusy(bool b) { _busy = b; }
+    /** An issue attempt is scheduled and has not fired yet. */
+    bool issuePending() const { return _issuePending; }
+    void setIssuePending(bool b) { _issuePending = b; }
     /// @}
 
     /// @name Utilization stats
@@ -344,6 +347,7 @@ class Processor : public Device {
     Event *_queueHead = nullptr;
     Event *_queueTail = nullptr;
     bool _busy = false;
+    bool _issuePending = false;
     Cycles _busyCycles = 0;
     uint64_t _opsExecuted = 0;
     mutable int8_t _costClassCache = -1; ///< lazily resolved CostClass

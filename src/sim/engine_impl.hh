@@ -63,7 +63,7 @@ struct Wakeup {
         ResumeExec,    ///< resume a CompiledExec at max(floor, t)
         ResumeBlock,   ///< resume a BlockExec at max(floor, t)
         TryIssue,      ///< issue the Processor's queue head if it can
-        ScheduleIssue, ///< schedule a TryIssue of the Processor at t
+        ScheduleIssue, ///< request a TryIssue of the Processor at t
         FinishMemcpy,  ///< complete the memcpy Event, free and poke its DMA
         Complete,      ///< complete the control_and/or Event
         Join,          ///< one event of join `index` completed
@@ -874,7 +874,6 @@ struct Simulator::Impl {
     uint64_t ffIterations = 0;
     /** Capture scratch, swapped with the loops' saved boundaries. */
     std::vector<uint64_t> ffState, ffCounters;
-    std::vector<HeapItem> ffItems;
     /** Capture buffers no running loop holds. A loop entry borrows two
      *  for its saved boundary and gives them back when the loop ends,
      *  so what the engine keeps follows the marked loops running at
@@ -900,12 +899,11 @@ struct Simulator::Impl {
     }
     /** The canonical pending-work part of the run's timing state at a
      *  loop boundary of @p self (clock @p at), appended to @p state:
-     *  the issue attempts waiting to fire, the execs blocked in awaits,
-     *  the completion still firing below the boundary, all relative to
-     *  now. False when anything but @p self could still act before it:
-     *  other pending work, a stream waiter, an exec not blocked in an
-     *  await, a completion owing more than one wakeup or processor
-     *  release (event_core.cc). */
+     *  the execs blocked in awaits and the completion still firing
+     *  below the boundary, relative to now. False when anything but
+     *  @p self could still act before it: any scheduled work, a stream
+     *  waiter, an exec not blocked in an await, a completion owing more
+     *  than one wakeup or processor release (event_core.cc). */
     bool capturePending(const CompiledExec *self, Cycles at,
                         std::vector<uint64_t> &state);
     /** The rest of the timing state (every component's, relative to
@@ -1046,6 +1044,9 @@ struct Simulator::Impl {
     std::vector<EventId> idScratch;
 
     void enqueueOnProcessor(Event *ev, Cycles t);
+    /** Schedule an issue attempt of @p proc at @p t, unless one is
+     *  pending already (the TryIssue wakeup clears the flag). */
+    void requestIssue(Processor *proc, Cycles t);
     void tryIssue(Processor *proc, Cycles t);
     void issueLaunch(Event *ev, Cycles t);
     void issueMemcpy(Event *ev, Cycles t);
@@ -1054,7 +1055,8 @@ struct Simulator::Impl {
 
     /** Launch-body completion shared by both backends: publish the
      *  body's return values into the creator environment, complete the
-     *  launch event, free the processor, and poke its issue queue. */
+     *  launch event, free the processor, and request an issue attempt
+     *  if its queue holds events. */
     void finishLaunch(Event *ev, Processor *proc, Cycles t);
 
     // --- elaboration cores (elaborate.cc) -----------------------------

@@ -170,11 +170,14 @@ Simulator::Impl::fire(const Wakeup &w, Cycles t)
         static_cast<BlockExec *>(w.target)->wake(w.index,
                                                  std::max(w.floor, t));
         return;
-    case Wakeup::Kind::TryIssue:
-        tryIssue(static_cast<Processor *>(w.target), t);
+    case Wakeup::Kind::TryIssue: {
+        auto *proc = static_cast<Processor *>(w.target);
+        proc->setIssuePending(false);
+        tryIssue(proc, t);
         return;
+    }
     case Wakeup::Kind::ScheduleIssue:
-        scheduleAt(t, {Wakeup::Kind::TryIssue, 0, w.target, 0});
+        requestIssue(static_cast<Processor *>(w.target), t);
         return;
     case Wakeup::Kind::FinishMemcpy: {
         // Completion releases the payload: read the DMA first.
@@ -308,7 +311,16 @@ void
 Simulator::Impl::enqueueOnProcessor(Event *ev, Cycles t)
 {
     ev->proc->pushQueue(ev);
-    scheduleAt(t, {Wakeup::Kind::TryIssue, 0, ev->proc, 0});
+    requestIssue(ev->proc, t);
+}
+
+void
+Simulator::Impl::requestIssue(Processor *proc, Cycles t)
+{
+    if (proc->issuePending())
+        return;
+    proc->setIssuePending(true);
+    scheduleAt(t, {Wakeup::Kind::TryIssue, 0, proc, 0});
 }
 
 void
@@ -419,7 +431,8 @@ Simulator::Impl::finishLaunch(Event *ev, Processor *proc, Cycles t)
     }
     completeEvent(ev, t);
     proc->setBusy(false);
-    scheduleAt(t, {Wakeup::Kind::TryIssue, 0, proc, 0});
+    if (!proc->queueEmpty())
+        requestIssue(proc, t);
 }
 
 void
@@ -473,38 +486,12 @@ Simulator::Impl::capturePending(const CompiledExec *self, Cycles at,
 {
     state.clear();
     // The exec runs on the engine's clock, no earlier jump is still
-    // owed, and nothing at or below now can raise the end time (so
-    // done words there stay interchangeable; see applyShift).
-    if (at != now || ffShift != 0 || endTime < now)
+    // owed, nothing at or below now can raise the end time (so done
+    // words there stay interchangeable; see applyShift), and nothing
+    // else is scheduled.
+    if (at != now || ffShift != 0 || endTime < now || !heap.empty() ||
+        nowHead != nowQ.size())
         return false;
-    // Pending work: issue attempts only, in firing order. The same-time
-    // queue is in that order already.
-    for (const HeapItem &it : heap)
-        if (it.w.kind != Wakeup::Kind::TryIssue)
-            return false;
-    ffItems.assign(heap.begin(), heap.end());
-    std::sort(ffItems.begin(), ffItems.end(),
-              [](const HeapItem &a, const HeapItem &b) {
-                  return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
-              });
-    auto merged = ffItems.begin();
-    auto push = [&](const HeapItem &it) {
-        state.push_back(it.t - now);
-        state.push_back(reinterpret_cast<uintptr_t>(it.w.target));
-    };
-    state.push_back(heap.size() + nowQ.size() - nowHead);
-    for (size_t i = nowHead; i < nowQ.size(); ++i) {
-        const HeapItem &it = nowQ[i];
-        if (it.w.kind != Wakeup::Kind::TryIssue)
-            return false;
-        for (; merged != ffItems.end() &&
-               std::tie(merged->t, merged->seq) < std::tie(it.t, it.seq);
-             ++merged)
-            push(*merged);
-        push(it);
-    }
-    for (; merged != ffItems.end(); ++merged)
-        push(*merged);
     for (const auto &entry : streamWaiters)
         if (!entry.second.empty())
             return false;
@@ -523,7 +510,8 @@ Simulator::Impl::capturePending(const CompiledExec *self, Cycles at,
     // Completions still firing below this boundary on the stack. Each
     // must be firing its only subscriber (the chain that led here);
     // one launch or memcpy among them may still owe its processor the
-    // release and issue attempt at its completion time.
+    // release (and, if work is queued by then, an issue attempt) at its
+    // completion time.
     bool ok = true, owed = false;
     events.forEachInUse([&](const Event &ev, uint64_t word) {
         if (!EventStore::isDone(word))

@@ -16,7 +16,8 @@
  *  - seeded loops whose launches contend for memory banks report as
  *    on the interpreter;
  *  - an op budget the skipped iterations would cross fails the run
- *    exactly as the full run fails it.
+ *    exactly as the full run fails it;
+ *  - a warm short systolic run skips a pinned number of iterations.
  */
 
 #include <gtest/gtest.h>
@@ -172,6 +173,24 @@ TEST(FastForward, WarmSessionRunRepeatsItsReport)
     EXPECT_GT(skipped, 0u);
     EXPECT_EQ(session.simulator().fastForwardedIterations(), skipped);
     EXPECT_EQ(cold, warm);
+}
+
+TEST(FastForward, ShortRunSkipsAllButItsWarmUp)
+{
+    // 4x4 WS over 50 filters (BM_SystolicRun's short leg): no issue
+    // attempt is left pending at a loop boundary, so each loop repeats
+    // after its first few iterations.
+    scalesim::Config cfg;
+    cfg.n = 50;
+    sim::EngineOptions opts;
+    opts.backend = kCompiled;
+    sim::Session session(opts);
+    session.rebuild([&](ir::Context &ctx) {
+        return systolic::buildSystolicModule(ctx, cfg);
+    });
+    session.run();
+    session.run();
+    EXPECT_EQ(session.simulator().fastForwardedIterations(), 243u);
 }
 
 /** What the loop body of loopModule runs. */
@@ -492,8 +511,7 @@ TEST(FastForward, ContendedLoopsMatchTheInterpreter)
 {
     // Seeded lanes of 1-3 accesses on 3-9 processors over one or two
     // memories of one or two banks: who waits at a bank depends on the
-    // order in which lanes issue, which the issue attempts pending at a
-    // boundary decide.
+    // order in which lanes issue and resume.
     std::mt19937_64 rng(3);
     auto pick = [&](int n) { return static_cast<int>(rng() % uint64_t(n)); };
     int fast = 0;
