@@ -17,7 +17,9 @@ BM_FusedVsCompiled, BM_SoCContention, BM_LaunchIssue, the pinned
 warm-run path BM_BatchSessionReuse, the serving layer's
 BM_ServeWarmVsCold cache legs, the sweep durability layer's
 BM_SweepResume warm/cold legs, the IR storage path's
-BM_ModuleBuildTeardown, the compile path's BM_CompileModule, and the
+BM_ModuleBuildTeardown (a rebuild in a reused Context) and
+BM_BuildSystolicModule (a build in a fresh Context each time, as
+lower-stages builds), the compile path's BM_CompileModule, and the
 loop fast-forward's BM_SystolicRun).
 CI passes no --track, so this default is the one list of gated
 families. Every engine benchmark carries its backend in its name, so a
@@ -83,6 +85,7 @@ def main():
                              "BM_BatchSessionReuse",
                              "BM_ServeWarmVsCold", "BM_SweepResume",
                              "BM_ModuleBuildTeardown",
+                             "BM_BuildSystolicModule",
                              "BM_CompileModule", "BM_SystolicRun"],
                     help="benchmark-name prefixes that gate the build")
     ap.add_argument("--metric", default="cpu_time",

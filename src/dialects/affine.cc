@@ -11,7 +11,7 @@ ForOp::build(ir::OpBuilder &b, int64_t lb, int64_t ub, int64_t step)
     attrs.set("ub", ir::Attribute::integer(ub));
     attrs.set("step", ir::Attribute::integer(step));
     ir::Operation *op =
-        b.create(opName, {}, {}, std::move(attrs), /*num_regions=*/1);
+        b.create(opName, {}, {}, attrs, /*num_regions=*/1);
     ir::Block &body = op->region(0).ensureBlock();
     body.addArgument(b.context().indexType());
     return op;
@@ -28,7 +28,7 @@ ParallelOp::build(ir::OpBuilder &b, std::vector<int64_t> lbs,
     attrs.set("ubs", ir::Attribute::i64Array(ubs));
     attrs.set("steps", ir::Attribute::i64Array(steps));
     ir::Operation *op =
-        b.create(opName, {}, {}, std::move(attrs), /*num_regions=*/1);
+        b.create(opName, {}, {}, attrs, /*num_regions=*/1);
     ir::Block &body = op->region(0).ensureBlock();
     for (size_t i = 0; i < lbs.size(); ++i)
         body.addArgument(b.context().indexType());
@@ -36,28 +36,30 @@ ParallelOp::build(ir::OpBuilder &b, std::vector<int64_t> lbs,
 }
 
 ir::Operation *
-LoadOp::build(ir::OpBuilder &b, ir::Value memref,
-              std::vector<ir::Value> indices)
+LoadOp::build(ir::OpBuilder &b, ir::Value memref, ir::ValueRange indices)
 {
     ir::Type elem = b.context().intType(memref.type().elemBits());
-    std::vector<ir::Value> operands{memref};
-    operands.insert(operands.end(), indices.begin(), indices.end());
-    return b.create(opName, {elem}, std::move(operands));
+    ir::SmallVector<ir::Value, 8> operands;
+    operands.push_back(memref);
+    operands.append(indices);
+    return b.create(opName, {elem}, operands);
 }
 
 ir::Operation *
 StoreOp::build(ir::OpBuilder &b, ir::Value value, ir::Value memref,
-               std::vector<ir::Value> indices)
+               ir::ValueRange indices)
 {
-    std::vector<ir::Value> operands{value, memref};
-    operands.insert(operands.end(), indices.begin(), indices.end());
-    return b.create(opName, {}, std::move(operands));
+    ir::SmallVector<ir::Value, 8> operands;
+    operands.push_back(value);
+    operands.push_back(memref);
+    operands.append(indices);
+    return b.create(opName, {}, operands);
 }
 
 ir::Operation *
-YieldOp::build(ir::OpBuilder &b, std::vector<ir::Value> values)
+YieldOp::build(ir::OpBuilder &b, ir::ValueRange values)
 {
-    return b.create(opName, {}, std::move(values));
+    return b.create(opName, {}, values);
 }
 
 namespace {

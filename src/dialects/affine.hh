@@ -89,7 +89,7 @@ class LoadOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value memref,
-                                std::vector<ir::Value> indices);
+                                ir::ValueRange indices);
 
     ir::Value memref() const { return _op->operand(0); }
     std::vector<ir::Value> indices() const
@@ -111,7 +111,7 @@ class StoreOp : public ir::OpView {
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value value,
                                 ir::Value memref,
-                                std::vector<ir::Value> indices);
+                                ir::ValueRange indices);
 
     ir::Value value() const { return _op->operand(0); }
     ir::Value memref() const { return _op->operand(1); }
@@ -131,7 +131,7 @@ class YieldOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> values = {});
+                                ir::ValueRange values = {});
 };
 
 void registerDialect(ir::Context &ctx);

@@ -8,7 +8,7 @@ ConstantOp::build(ir::OpBuilder &b, int64_t value, ir::Type type)
 {
     ir::AttrDict attrs;
     attrs.set("value", ir::Attribute::integer(value));
-    return b.create(opName, {type}, {}, std::move(attrs));
+    return b.create(opName, {type}, {}, attrs);
 }
 
 ir::Operation *
@@ -16,7 +16,7 @@ ConstantOp::build(ir::OpBuilder &b, double value, ir::Type type)
 {
     ir::AttrDict attrs;
     attrs.set("value", ir::Attribute::floating(value));
-    return b.create(opName, {type}, {}, std::move(attrs));
+    return b.create(opName, {type}, {}, attrs);
 }
 
 void

@@ -13,7 +13,7 @@ CreateProcOp::build(ir::OpBuilder &b, const std::string &kind)
 {
     ir::AttrDict attrs;
     attrs.set("kind", ir::Attribute::string(kind));
-    return b.create(opName, {b.context().procType()}, {}, std::move(attrs));
+    return b.create(opName, {b.context().procType()}, {}, attrs);
 }
 
 ir::Operation *
@@ -24,15 +24,16 @@ CreateDmaOp::build(ir::OpBuilder &b)
 
 ir::Operation *
 CreateMemOp::build(ir::OpBuilder &b, const std::string &kind,
-                   std::vector<int64_t> shape, unsigned data_bits,
+                   ir::ArrayRef<int64_t> shape, unsigned data_bits,
                    unsigned banks)
 {
     ir::AttrDict attrs;
     attrs.set("kind", ir::Attribute::string(kind));
-    attrs.set("shape", ir::Attribute::i64Array(std::move(shape)));
+    attrs.set("shape",
+              ir::Attribute::i64Array({shape.begin(), shape.end()}));
     attrs.set("data_bits", ir::Attribute::integer(data_bits));
     attrs.set("banks", ir::Attribute::integer(banks));
-    return b.create(opName, {b.context().memType()}, {}, std::move(attrs));
+    return b.create(opName, {b.context().memType()}, {}, attrs);
 }
 
 ir::Operation *
@@ -40,40 +41,40 @@ CreateStreamOp::build(ir::OpBuilder &b, unsigned data_bits)
 {
     ir::AttrDict attrs;
     attrs.set("data_bits", ir::Attribute::integer(data_bits));
-    return b.create(opName, {b.context().streamType()}, {},
-                    std::move(attrs));
+    return b.create(opName, {b.context().streamType()}, {}, attrs);
 }
 
 ir::Operation *
 CreateCompOp::build(ir::OpBuilder &b, const std::string &names,
-                    std::vector<ir::Value> subcomps)
+                    ir::ValueRange subcomps)
 {
     ir::AttrDict attrs;
     attrs.set("names", ir::Attribute::string(names));
-    return b.create(opName, {b.context().compType()}, std::move(subcomps),
-                    std::move(attrs));
+    return b.create(opName, {b.context().compType()}, subcomps, attrs);
 }
 
 ir::Operation *
 AddCompOp::build(ir::OpBuilder &b, ir::Value comp, const std::string &names,
-                 std::vector<ir::Value> subcomps)
+                 ir::ValueRange subcomps)
 {
     ir::AttrDict attrs;
     attrs.set("names", ir::Attribute::string(names));
-    std::vector<ir::Value> operands{comp};
-    operands.insert(operands.end(), subcomps.begin(), subcomps.end());
-    return b.create(opName, {}, std::move(operands), std::move(attrs));
+    ir::SmallVector<ir::Value, 8> operands;
+    operands.push_back(comp);
+    operands.append(subcomps);
+    return b.create(opName, {}, operands, attrs);
 }
 
 ir::Operation *
 ExtractCompOp::build(ir::OpBuilder &b, ir::Value comp,
                      const std::string &prefix,
-                     std::vector<int64_t> indices, ir::Type result_type)
+                     ir::ArrayRef<int64_t> indices, ir::Type result_type)
 {
     ir::AttrDict attrs;
     attrs.set("prefix", ir::Attribute::string(prefix));
-    attrs.set("indices", ir::Attribute::i64Array(std::move(indices)));
-    return b.create(opName, {result_type}, {comp}, std::move(attrs));
+    attrs.set("indices",
+              ir::Attribute::i64Array({indices.begin(), indices.end()}));
+    return b.create(opName, {result_type}, {comp}, attrs);
 }
 
 std::string
@@ -95,7 +96,7 @@ GetCompOp::build(ir::OpBuilder &b, ir::Value comp, const std::string &name,
 {
     ir::AttrDict attrs;
     attrs.set("name", ir::Attribute::string(name));
-    return b.create(opName, {result_type}, {comp}, std::move(attrs));
+    return b.create(opName, {result_type}, {comp}, attrs);
 }
 
 ir::Operation *
@@ -106,18 +107,17 @@ CreateConnectionOp::build(ir::OpBuilder &b, const std::string &kind,
     attrs.set("kind", ir::Attribute::string(kind));
     attrs.set("bandwidth",
               ir::Attribute::integer(bandwidth_bytes_per_cycle));
-    return b.create(opName, {b.context().connectionType()}, {},
-                    std::move(attrs));
+    return b.create(opName, {b.context().connectionType()}, {}, attrs);
 }
 
 // ---------------------------------------------------------------------------
 // Data movement ops
 
 ir::Operation *
-AllocOp::build(ir::OpBuilder &b, ir::Value mem, std::vector<int64_t> shape,
+AllocOp::build(ir::OpBuilder &b, ir::Value mem, ir::ArrayRef<int64_t> shape,
                unsigned elem_bits)
 {
-    ir::Type bt = b.context().bufferType(std::move(shape), elem_bits);
+    ir::Type bt = b.context().bufferType(shape, elem_bits);
     return b.create(opName, {bt}, {mem});
 }
 
@@ -129,7 +129,7 @@ DeallocOp::build(ir::OpBuilder &b, ir::Value buffer)
 
 ir::Operation *
 ReadOp::build(ir::OpBuilder &b, ir::Value buffer, ir::Value conn,
-              std::vector<ir::Value> indices)
+              ir::ValueRange indices)
 {
     ir::Type bt = buffer.type();
     ir::Type result = indices.empty()
@@ -139,17 +139,17 @@ ReadOp::build(ir::OpBuilder &b, ir::Value buffer, ir::Value conn,
     ir::AttrDict attrs;
     auto operands =
         ir::layOutOperands(opSignature, {{buffer}, {conn}, indices}, attrs);
-    return b.create(opName, {result}, operands, std::move(attrs));
+    return b.create(opName, {result}, operands, attrs);
 }
 
 ir::Operation *
 WriteOp::build(ir::OpBuilder &b, ir::Value value, ir::Value buffer,
-               ir::Value conn, std::vector<ir::Value> indices)
+               ir::Value conn, ir::ValueRange indices)
 {
     ir::AttrDict attrs;
     auto operands = ir::layOutOperands(
         opSignature, {{value}, {buffer}, {conn}, indices}, attrs);
-    return b.create(opName, {}, operands, std::move(attrs));
+    return b.create(opName, {}, operands, attrs);
 }
 
 ir::Operation *
@@ -160,7 +160,7 @@ StreamReadOp::build(ir::OpBuilder &b, ir::Value stream, int64_t elems,
     ir::AttrDict attrs;
     attrs.set("elems", ir::Attribute::integer(elems));
     auto operands = ir::layOutOperands(opSignature, {{stream}, {conn}}, attrs);
-    return b.create(opName, {result}, operands, std::move(attrs));
+    return b.create(opName, {result}, operands, attrs);
 }
 
 ir::Operation *
@@ -170,7 +170,7 @@ StreamWriteOp::build(ir::OpBuilder &b, ir::Value value, ir::Value stream,
     ir::AttrDict attrs;
     auto operands =
         ir::layOutOperands(opSignature, {{value}, {stream}, {conn}}, attrs);
-    return b.create(opName, {}, operands, std::move(attrs));
+    return b.create(opName, {}, operands, attrs);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,30 +183,31 @@ ControlStartOp::build(ir::OpBuilder &b)
 }
 
 ir::Operation *
-ControlAndOp::build(ir::OpBuilder &b, std::vector<ir::Value> events)
+ControlAndOp::build(ir::OpBuilder &b, ir::ValueRange events)
 {
-    return b.create(opName, {b.context().eventType()}, std::move(events));
+    return b.create(opName, {b.context().eventType()}, events);
 }
 
 ir::Operation *
-ControlOrOp::build(ir::OpBuilder &b, std::vector<ir::Value> events)
+ControlOrOp::build(ir::OpBuilder &b, ir::ValueRange events)
 {
-    return b.create(opName, {b.context().eventType()}, std::move(events));
+    return b.create(opName, {b.context().eventType()}, events);
 }
 
 ir::Operation *
-LaunchOp::build(ir::OpBuilder &b, std::vector<ir::Value> deps,
-                ir::Value proc, std::vector<ir::Value> captured,
-                std::vector<ir::Type> return_types)
+LaunchOp::build(ir::OpBuilder &b, ir::ValueRange deps,
+                ir::Value proc, ir::ValueRange captured,
+                ir::TypeRange return_types)
 {
     eq_assert(!deps.empty(), "launch requires at least one dependency");
-    std::vector<ir::Type> results{b.context().eventType()};
-    results.insert(results.end(), return_types.begin(), return_types.end());
+    ir::SmallVector<ir::Type, 4> results;
+    results.push_back(b.context().eventType());
+    results.append(return_types);
     ir::AttrDict attrs;
     auto operands =
         ir::layOutOperands(opSignature, {deps, {proc}, captured}, attrs);
     ir::Operation *op = b.create(opName, results, operands,
-                                 std::move(attrs), /*num_regions=*/1);
+                                 attrs, /*num_regions=*/1);
     ir::Block &body = op->region(0).ensureBlock();
     for (ir::Value v : captured)
         body.addArgument(v.type());
@@ -220,31 +221,29 @@ MemcpyOp::build(ir::OpBuilder &b, ir::Value dep, ir::Value src,
     ir::AttrDict attrs;
     auto operands = ir::layOutOperands(
         opSignature, {{dep}, {src}, {dst}, {dma}, {conn}}, attrs);
-    return b.create(opName, {b.context().eventType()}, operands,
-                    std::move(attrs));
+    return b.create(opName, {b.context().eventType()}, operands, attrs);
 }
 
 ir::Operation *
-AwaitOp::build(ir::OpBuilder &b, std::vector<ir::Value> events)
+AwaitOp::build(ir::OpBuilder &b, ir::ValueRange events)
 {
-    return b.create(opName, {}, std::move(events));
+    return b.create(opName, {}, events);
 }
 
 ir::Operation *
-ReturnOp::build(ir::OpBuilder &b, std::vector<ir::Value> values)
+ReturnOp::build(ir::OpBuilder &b, ir::ValueRange values)
 {
-    return b.create(opName, {}, std::move(values));
+    return b.create(opName, {}, values);
 }
 
 ir::Operation *
 ExternOp::build(ir::OpBuilder &b, const std::string &signature,
-                std::vector<ir::Value> args,
-                std::vector<ir::Type> result_types)
+                ir::ValueRange args,
+                ir::TypeRange result_types)
 {
     ir::AttrDict attrs;
     attrs.set("signature", ir::Attribute::string(signature));
-    return b.create(opName, std::move(result_types), std::move(args),
-                    std::move(attrs));
+    return b.create(opName, result_types, args, attrs);
 }
 
 // ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ class CreateMemOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &kind,
-                                std::vector<int64_t> shape,
+                                ir::ArrayRef<int64_t> shape,
                                 unsigned data_bits, unsigned banks = 1);
     const std::string &kind() const { return _op->strAttr("kind"); }
     std::vector<int64_t> shape() const
@@ -135,7 +135,7 @@ class CreateCompOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, const std::string &names,
-                                std::vector<ir::Value> subcomps);
+                                ir::ValueRange subcomps);
 };
 
 /** `equeue.add_comp {names}(comp, subcomponents...)` */
@@ -149,7 +149,7 @@ class AddCompOp : public ir::OpView {
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value comp,
                                 const std::string &names,
-                                std::vector<ir::Value> subcomps);
+                                ir::ValueRange subcomps);
 };
 
 /** `equeue.extract_comp {prefix, indices}(comp) -> component` —
@@ -168,7 +168,7 @@ class ExtractCompOp : public ir::OpView {
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value comp,
                                 const std::string &prefix,
-                                std::vector<int64_t> indices,
+                                ir::ArrayRef<int64_t> indices,
                                 ir::Type result_type);
     /** The component name the reference resolves to. */
     std::string resolvedName() const;
@@ -220,7 +220,7 @@ class AllocOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value mem,
-                                std::vector<int64_t> shape,
+                                ir::ArrayRef<int64_t> shape,
                                 unsigned elem_bits);
     ir::Value mem() const { return _op->operand(0); }
 };
@@ -253,7 +253,7 @@ class ReadOp : public ir::OpView {
 
     static ir::Operation *build(ir::OpBuilder &b, ir::Value buffer,
                                 ir::Value conn = ir::Value(),
-                                std::vector<ir::Value> indices = {});
+                                ir::ValueRange indices = {});
 
     ir::Value buffer() const { return _op->operand(0); }
     bool hasConn() const { return static_cast<bool>(conn()); }
@@ -278,7 +278,7 @@ class WriteOp : public ir::OpView {
     static ir::Operation *build(ir::OpBuilder &b, ir::Value value,
                                 ir::Value buffer,
                                 ir::Value conn = ir::Value(),
-                                std::vector<ir::Value> indices = {});
+                                ir::ValueRange indices = {});
 
     ir::Value value() const { return _op->operand(0); }
     ir::Value buffer() const { return _op->operand(1); }
@@ -355,7 +355,7 @@ class ControlAndOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> events);
+                                ir::ValueRange events);
 };
 
 /** `equeue.control_or(events...) -> event` — ready when any finishes
@@ -369,7 +369,7 @@ class ControlOrOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> events);
+                                ir::ValueRange events);
 };
 
 /**
@@ -396,9 +396,9 @@ class LaunchOp : public ir::OpView {
      * @param return_types types of values the body returns
      */
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> deps, ir::Value proc,
-                                std::vector<ir::Value> captured,
-                                std::vector<ir::Type> return_types = {});
+                                ir::ValueRange deps, ir::Value proc,
+                                ir::ValueRange captured,
+                                ir::TypeRange return_types = {});
 
     unsigned numDeps() const
     {
@@ -448,7 +448,7 @@ class AwaitOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> events = {});
+                                ir::ValueRange events = {});
 };
 
 /** `equeue.return(values...)` — launch body terminator. */
@@ -461,7 +461,7 @@ class ReturnOp : public ir::OpView {
     EQ_DECLARE_OP_ID()
 
     static ir::Operation *build(ir::OpBuilder &b,
-                                std::vector<ir::Value> values = {});
+                                ir::ValueRange values = {});
 };
 
 // ---------------------------------------------------------------------------
@@ -484,8 +484,8 @@ class ExternOp : public ir::OpView {
 
     static ir::Operation *build(ir::OpBuilder &b,
                                 const std::string &signature,
-                                std::vector<ir::Value> args,
-                                std::vector<ir::Type> result_types = {});
+                                ir::ValueRange args,
+                                ir::TypeRange result_types = {});
     const std::string &signature() const
     {
         return _op->strAttr("signature");

@@ -23,7 +23,7 @@ FillOp::build(ir::OpBuilder &b, ir::Value memref, int64_t value)
 {
     ir::AttrDict attrs;
     attrs.set("value", ir::Attribute::integer(value));
-    return b.create(opName, {}, {memref}, std::move(attrs));
+    return b.create(opName, {}, {memref}, attrs);
 }
 
 ConvDims

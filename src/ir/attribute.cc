@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -44,8 +45,7 @@ Attribute
 Attribute::string(std::string v)
 {
     Attribute a(AttrKind::String);
-    a._heap = std::make_shared<const AttrStorage>(
-        AttrStorage{std::move(v), {}, {}});
+    a._str = std::move(v);
     return a;
 }
 
@@ -62,7 +62,7 @@ Attribute::array(std::vector<Attribute> elems)
 {
     Attribute a(AttrKind::Array);
     a._heap = std::make_shared<const AttrStorage>(
-        AttrStorage{{}, std::move(elems), {}});
+        AttrStorage{std::move(elems), {}});
     return a;
 }
 
@@ -71,7 +71,7 @@ Attribute::i64Array(std::vector<int64_t> elems)
 {
     Attribute a(AttrKind::I64Array);
     a._heap = std::make_shared<const AttrStorage>(
-        AttrStorage{{}, {}, std::move(elems)});
+        AttrStorage{{}, std::move(elems)});
     return a;
 }
 
@@ -96,7 +96,7 @@ Attribute::operator==(const Attribute &o) const
       case AttrKind::TypeRef:
         return _scalar.t == o._scalar.t;
       case AttrKind::String:
-        return _heap == o._heap || _heap->s == o._heap->s;
+        return _str == o._str;
       case AttrKind::Array:
         return _heap == o._heap || _heap->arr == o._heap->arr;
       case AttrKind::I64Array:
@@ -137,7 +137,7 @@ const std::string &
 Attribute::asString() const
 {
     eq_assert(_set && _kind == AttrKind::String, "not a string attr");
-    return _heap->s;
+    return _str;
 }
 
 Type
@@ -190,7 +190,7 @@ Attribute::str() const
         break;
       }
       case AttrKind::String:
-        os << '"' << jsonEscape(_heap->s) << '"';
+        os << '"' << jsonEscape(_str) << '"';
         break;
       case AttrKind::TypeRef:
         os << asType().str();
@@ -219,58 +219,67 @@ Attribute::str() const
     return os.str();
 }
 
-const AttrDict::Entry *
-AttrDict::find(std::string_view name) const
+const Attribute *
+AttrView::lookup(std::string_view name) const
 {
-    for (const Entry &e : *this)
+    for (const NamedAttr &e : *this)
         if (e.first == name)
-            return &e;
+            return &e.second;
     return nullptr;
 }
 
-Attribute
-AttrDict::get(std::string_view name) const
+AttrDict::AttrDict(AttrView attrs)
 {
-    const Entry *e = find(name);
-    return e ? e->second : Attribute();
+    if (attrs.size() > kInline) {
+        _more.assign(attrs.begin(), attrs.end());
+        return;
+    }
+    std::copy(attrs.begin(), attrs.end(), _inline.begin());
+    _n = attrs.size();
 }
 
 void
 AttrDict::set(std::string_view name, Attribute attr)
 {
-    if (const Entry *e = find(name)) {
-        const_cast<Entry *>(e)->second = std::move(attr);
+    if (const Attribute *a = lookup(name)) {
+        *const_cast<Attribute *>(a) = std::move(attr);
         return;
     }
-    if (!_inline && _many.empty()) {
-        _one = Entry(name, std::move(attr));
-        _inline = true;
+    if (_more.empty() && _n < kInline) {
+        Entry &e = _inline[_n++];
+        e.first = name;
+        e.second = std::move(attr);
         return;
     }
-    if (_inline) {
-        _many.reserve(4);
-        _many.push_back(std::move(_one));
-        _one = Entry();
-        _inline = false;
+    if (_more.empty()) {
+        _more.reserve(2 * kInline);
+        std::move(_inline.begin(), _inline.begin() + _n,
+                  std::back_inserter(_more));
+        _inline = {};
+        _n = 0;
     }
-    _many.emplace_back(name, std::move(attr));
+    _more.emplace_back(name, std::move(attr));
 }
 
 void
 AttrDict::erase(std::string_view name)
 {
-    if (_inline) {
-        if (_one.first == name) {
-            _one = Entry();
-            _inline = false;
-        }
+    if (!_more.empty()) {
+        _more.erase(std::remove_if(_more.begin(), _more.end(),
+                                   [&](const Entry &e) {
+                                       return e.first == name;
+                                   }),
+                    _more.end());
         return;
     }
-    _many.erase(std::remove_if(_many.begin(), _many.end(),
-                               [&](const Entry &e) {
-                                   return e.first == name;
-                               }),
-                _many.end());
+    for (unsigned i = 0; i < _n; ++i) {
+        if (_inline[i].first != name)
+            continue;
+        std::move(_inline.begin() + i + 1, _inline.begin() + _n,
+                  _inline.begin() + i);
+        _inline[--_n] = Entry();
+        return;
+    }
 }
 
 } // namespace ir

@@ -3,20 +3,22 @@
  * Immutable attributes attached to operations.
  *
  * An Attribute is a small value type compared structurally. Unit, bool,
- * int, float and type attributes live inline in the handle, so making,
- * copying and dropping one never touches the heap. Only string, array
- * and i64-array attributes keep their payload in shared immutable
- * storage. Attributes are not uniqued in the Context, which keeps the
- * factories context-free.
+ * int, float and type attributes live inline in the handle, and so does
+ * a string (in a std::string, so a name like "PE_3_4" never touches the
+ * heap). Only array and i64-array attributes keep their payload in
+ * shared immutable storage. Attributes are not uniqued in the Context,
+ * which keeps the factories context-free.
  */
 
 #ifndef EQ_IR_ATTRIBUTE_HH
 #define EQ_IR_ATTRIBUTE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ir/type.hh"
@@ -37,9 +39,8 @@ enum class AttrKind : uint8_t {
 
 class Attribute;
 
-/** Shared payload of the string, array and i64-array kinds. */
+/** Shared payload of the array and i64-array kinds. */
 struct AttrStorage {
-    std::string s;
     std::vector<Attribute> arr;
     std::vector<int64_t> ints;
 };
@@ -88,27 +89,71 @@ class Attribute {
         double f;
         const TypeStorage *t;
     } _scalar{};
-    std::shared_ptr<const AttrStorage> _heap; ///< String/Array/I64Array
+    std::string _str;                         ///< String
+    std::shared_ptr<const AttrStorage> _heap; ///< Array/I64Array
+};
+
+/** One named attribute. */
+using NamedAttr = std::pair<std::string, Attribute>;
+
+/** A read-only view of named attributes in order: an op's attributes
+ *  (Operation::attrs) or an AttrDict's. */
+class AttrView {
+  public:
+    AttrView() = default;
+    AttrView(const NamedAttr *first, size_t n) : _first(first), _n(n) {}
+
+    /** The attribute named @p name without copying it; null when
+     *  absent. */
+    const Attribute *lookup(std::string_view name) const;
+    /** Look up an attribute; returns a null handle when absent. */
+    Attribute
+    get(std::string_view name) const
+    {
+        const Attribute *a = lookup(name);
+        return a ? *a : Attribute();
+    }
+    bool contains(std::string_view name) const { return lookup(name); }
+
+    bool empty() const { return _n == 0; }
+    size_t size() const { return _n; }
+    const NamedAttr *begin() const { return _first; }
+    const NamedAttr *end() const { return _first + _n; }
+
+  private:
+    const NamedAttr *_first = nullptr;
+    size_t _n = 0;
 };
 
 /**
- * An ordered (deterministically printed) name->attribute dictionary.
- * Most operations carry at most one attribute, so a lone entry lives
- * inline; a second one moves the entries to a vector.
+ * An ordered (deterministically printed) name->attribute dictionary,
+ * used to collect attributes for Operation::create, which copies them
+ * into the op. Up to kInline entries live inline, so building an op's
+ * attributes never touches the heap; a fifth moves them all to a
+ * vector.
  */
 class AttrDict {
   public:
-    using Entry = std::pair<std::string, Attribute>;
+    using Entry = NamedAttr;
+    static constexpr unsigned kInline = 4;
 
-    /** Look up an attribute; returns a null handle when absent. */
-    Attribute get(std::string_view name) const;
-    /** The attribute named @p name without copying it; null when
-     *  absent. */
+    AttrDict() = default;
+    /** A copy of @p attrs. */
+    explicit AttrDict(AttrView attrs);
+
+    AttrView
+    view() const
+    {
+        return _more.empty() ? AttrView(_inline.data(), _n)
+                             : AttrView(_more.data(), _more.size());
+    }
+    operator AttrView() const { return view(); }
+
+    Attribute get(std::string_view name) const { return view().get(name); }
     const Attribute *
     lookup(std::string_view name) const
     {
-        const Entry *e = find(name);
-        return e ? &e->second : nullptr;
+        return view().lookup(name);
     }
     /** Insert or overwrite. */
     void set(std::string_view name, Attribute attr);
@@ -116,22 +161,20 @@ class AttrDict {
     void erase(std::string_view name);
     bool contains(std::string_view name) const
     {
-        return find(name) != nullptr;
+        return view().contains(name);
     }
 
     bool empty() const { return size() == 0; }
-    size_t size() const { return _inline ? 1 : _many.size(); }
-    const Entry *begin() const { return _inline ? &_one : _many.data(); }
-    const Entry *end() const { return begin() + size(); }
+    size_t size() const { return view().size(); }
+    const Entry *begin() const { return view().begin(); }
+    const Entry *end() const { return view().end(); }
 
   private:
-    const Entry *find(std::string_view name) const;
-
-    /** The lone entry lives in _one while _inline holds; otherwise
-     *  every entry is in _many. */
-    bool _inline = false;
-    Entry _one;
-    std::vector<Entry> _many;
+    /** Entries [0, _n) of _inline while _more is empty; otherwise every
+     *  entry is in _more. */
+    std::array<Entry, kInline> _inline;
+    unsigned _n = 0;
+    std::vector<Entry> _more;
 };
 
 } // namespace ir

@@ -64,12 +64,11 @@ class OpBuilder {
     /** Create and insert an op at the current insertion point. */
     Operation *
     create(std::string_view name, TypeRange result_types,
-           ValueRange operands, AttrDict attrs = {},
+           ValueRange operands, AttrView attrs = {},
            unsigned num_regions = 0)
     {
         Operation *op = Operation::create(*_ctx, name, result_types,
-                                          operands, std::move(attrs),
-                                          num_regions);
+                                          operands, attrs, num_regions);
         insert(op);
         return op;
     }
@@ -77,11 +76,11 @@ class OpBuilder {
     /** Create a detached op (no insertion). */
     Operation *
     createDetached(std::string_view name, TypeRange result_types,
-                   ValueRange operands, AttrDict attrs = {},
+                   ValueRange operands, AttrView attrs = {},
                    unsigned num_regions = 0)
     {
         return Operation::create(*_ctx, name, result_types, operands,
-                                 std::move(attrs), num_regions);
+                                 attrs, num_regions);
     }
 
     /** Typed creation: OpT must expose

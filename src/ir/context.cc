@@ -99,19 +99,21 @@ OpIdCache::get(Context &ctx) const
 }
 
 Type
-Context::intern(TypeKind kind, unsigned width,
-                const std::vector<int64_t> &shape, unsigned elem_bits)
+Context::intern(TypeKind kind, unsigned width, ArrayRef<int64_t> shape,
+                unsigned elem_bits)
 {
     // Compare in place: a hit (the common case) copies no shape.
     for (const auto &existing : _typeStorage) {
         if (existing->kind == kind && existing->width == width &&
-            existing->elemBits == elem_bits && existing->shape == shape)
+            existing->elemBits == elem_bits &&
+            std::equal(existing->shape.begin(), existing->shape.end(),
+                       shape.begin(), shape.end()))
             return Type(existing.get());
     }
     auto st = std::make_unique<TypeStorage>();
     st->kind = kind;
     st->width = width;
-    st->shape = shape;
+    st->shape.assign(shape.begin(), shape.end());
     st->elemBits = elem_bits;
     _typeStorage.push_back(std::move(st));
     return Type(_typeStorage.back().get());
@@ -142,13 +144,13 @@ Context::floatType(unsigned width)
 }
 
 Type
-Context::tensorType(const std::vector<int64_t> &shape, unsigned elem_bits)
+Context::tensorType(ArrayRef<int64_t> shape, unsigned elem_bits)
 {
     return intern(TypeKind::Tensor, 0, shape, elem_bits);
 }
 
 Type
-Context::memrefType(const std::vector<int64_t> &shape, unsigned elem_bits)
+Context::memrefType(ArrayRef<int64_t> shape, unsigned elem_bits)
 {
     return intern(TypeKind::MemRef, 0, shape, elem_bits);
 }
@@ -196,7 +198,7 @@ Context::streamType()
 }
 
 Type
-Context::bufferType(const std::vector<int64_t> &shape, unsigned elem_bits)
+Context::bufferType(ArrayRef<int64_t> shape, unsigned elem_bits)
 {
     return intern(TypeKind::Buffer, 0, shape, elem_bits);
 }

@@ -11,6 +11,10 @@
  * verifier rejects unregistered operations unless allowUnregistered()
  * is set.
  *
+ * The Context owns the memory of its IR too (IrStore, see ir/store.hh):
+ * every op, block and argument chunk built in it is carved from the
+ * store's chunks, and a rebuild after the last tree died reuses them.
+ *
  * The Context also counts IR versions: every mutation of an op tree in
  * it (operands, attributes, op insertion, removal, moves and
  * destruction, block arguments, region blocks, value types) and every
@@ -32,7 +36,9 @@
 
 #include "ir/opid.hh"
 #include "ir/signature.hh"
+#include "ir/store.hh"
 #include "ir/type.hh"
+#include "ir/value.hh"
 
 namespace eq {
 namespace ir {
@@ -69,8 +75,8 @@ class Context {
     Type i32Type() { return intType(32); }
     Type i64Type() { return intType(64); }
     Type floatType(unsigned width = 32);
-    Type tensorType(const std::vector<int64_t> &shape, unsigned elem_bits);
-    Type memrefType(const std::vector<int64_t> &shape, unsigned elem_bits);
+    Type tensorType(ArrayRef<int64_t> shape, unsigned elem_bits);
+    Type memrefType(ArrayRef<int64_t> shape, unsigned elem_bits);
     Type eventType();
     Type procType();
     Type memType();
@@ -78,7 +84,7 @@ class Context {
     Type compType();
     Type connectionType();
     Type streamType();
-    Type bufferType(const std::vector<int64_t> &shape, unsigned elem_bits);
+    Type bufferType(ArrayRef<int64_t> shape, unsigned elem_bits);
     Type anyType();
     /// @}
 
@@ -137,6 +143,9 @@ class Context {
      *  ordering (distinct from OpId, which identifies op *kinds*). */
     uint64_t nextOperationId() { return _nextOperationId++; }
 
+    /** Where this context's IR lives (see ir/store.hh). */
+    IrStore &irStore() { return _irStore; }
+
   private:
     friend class Operation;
     friend class Block;
@@ -147,9 +156,9 @@ class Context {
     void noteIrChange() { ++_irGeneration; }
 
     Type intern(TypeKind kind, unsigned width = 0,
-                const std::vector<int64_t> &shape = {},
-                unsigned elem_bits = 0);
+                ArrayRef<int64_t> shape = {}, unsigned elem_bits = 0);
 
+    IrStore _irStore;
     std::vector<std::unique_ptr<TypeStorage>> _typeStorage;
     /** Interned op names; index == OpId::raw(). unique_ptr keeps the
      *  string addresses stable across pool growth. */

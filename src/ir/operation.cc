@@ -76,31 +76,75 @@ Operation::inlineOperandStorage() const
     return reinterpret_cast<OpOperand *>(regionStorage() + _numRegions);
 }
 
-Operation::Operation(Context &ctx, std::string_view name, AttrDict &&attrs,
+NamedAttr *
+Operation::inlineAttrStorage() const
+{
+    return reinterpret_cast<NamedAttr *>(inlineOperandStorage() +
+                                         _inlineOperands);
+}
+
+namespace {
+
+size_t
+opBytes(unsigned results, unsigned regions, unsigned operands,
+        unsigned attrs)
+{
+    return sizeof(Operation) + results * sizeof(ValueImpl) +
+           regions * sizeof(Region) + operands * sizeof(OpOperand) +
+           attrs * sizeof(NamedAttr);
+}
+
+} // namespace
+
+size_t
+Operation::storageBytes() const
+{
+    return opBytes(_numResults, _numRegions, _inlineOperands, _inlineAttrs);
+}
+
+Operation::Operation(Context &ctx, std::string_view name,
                      unsigned num_results, unsigned num_regions,
-                     unsigned num_operands)
+                     unsigned num_operands, unsigned num_attrs)
     : _ctx(&ctx), _id(ctx.nextOperationId()),
       _opId(ctx.internOpName(name)), _numResults(num_results),
       _numRegions(num_regions), _operandCapacity(num_operands),
-      _attrs(std::move(attrs))
+      _inlineOperands(num_operands), _attrCapacity(num_attrs),
+      _inlineAttrs(num_attrs)
 {
     _name = &ctx.opName(_opId);
     _operands = inlineOperandStorage();
+    _attrs = inlineAttrStorage();
 }
 
 Operation *
 Operation::create(Context &ctx, std::string_view name,
                   TypeRange result_types, ValueRange operands,
-                  AttrDict attrs, unsigned num_regions)
+                  AttrView attrs, unsigned num_regions)
 {
     auto num_results = static_cast<unsigned>(result_types.size());
     auto num_operands = static_cast<unsigned>(operands.size());
-    size_t bytes = sizeof(Operation) + num_results * sizeof(ValueImpl) +
-                   num_regions * sizeof(Region) +
-                   num_operands * sizeof(OpOperand);
-    void *mem = ::operator new(bytes);
-    auto *op = new (mem) Operation(ctx, name, std::move(attrs), num_results,
-                                   num_regions, num_operands);
+    auto num_attrs = static_cast<unsigned>(attrs.size());
+    const size_t bytes =
+        opBytes(num_results, num_regions, num_operands, num_attrs);
+    IrStore &store = ctx.irStore();
+    void *mem = store.allocate(bytes);
+    Operation *op = nullptr;
+    try {
+        // The steps that can throw (a new op name, a long string
+        // attribute) come before the op has a use or a region, so a
+        // failure gives its block back and the store can still rewind.
+        op = new (mem) Operation(ctx, name, num_results, num_regions,
+                                 num_operands, num_attrs);
+        for (const NamedAttr &a : attrs) {
+            new (&op->_attrs[op->_numAttrs]) NamedAttr(a);
+            ++op->_numAttrs;
+        }
+    } catch (...) {
+        for (unsigned i = 0; op && i < op->_numAttrs; ++i)
+            op->_attrs[i].~NamedAttr();
+        store.deallocate(mem, bytes);
+        throw;
+    }
     ValueImpl *results = op->resultStorage();
     for (unsigned i = 0; i < num_results; ++i) {
         auto *res = new (&results[i]) ValueImpl();
@@ -129,8 +173,13 @@ Operation::~Operation()
     Region *regions = regionStorage();
     for (unsigned i = 0; i < _numRegions; ++i)
         regions[i].~Region();
+    for (unsigned i = 0; i < _numAttrs; ++i)
+        _attrs[i].~NamedAttr();
+    IrStore &store = _ctx->irStore();
     if (_operands != inlineOperandStorage())
-        ::operator delete(_operands);
+        store.deallocate(_operands, _operandCapacity * sizeof(OpOperand));
+    if (_attrs != inlineAttrStorage())
+        store.deallocate(_attrs, _attrCapacity * sizeof(NamedAttr));
 }
 
 void
@@ -150,8 +199,10 @@ Operation::destroyTree(Operation *op)
     for (unsigned r = 0; r < op->_numRegions; ++r)
         for (Block &block : regions[r])
             block.destroyContents();
+    IrStore &store = op->_ctx->irStore();
+    const size_t bytes = op->storageBytes();
     op->~Operation();
-    ::operator delete(op);
+    store.deallocate(op, bytes);
 }
 
 void
@@ -226,14 +277,16 @@ Operation::appendOperand(Value v)
     eq_assert(v, "appending null operand to ", name());
     if (_numOperands == _operandCapacity) {
         unsigned cap = std::max(4u, 2 * _operandCapacity);
-        auto *grown =
-            static_cast<OpOperand *>(::operator new(cap * sizeof(OpOperand)));
+        IrStore &store = _ctx->irStore();
+        auto *grown = static_cast<OpOperand *>(
+            store.allocate(cap * sizeof(OpOperand)));
         for (unsigned i = 0; i < cap; ++i)
             new (&grown[i]) OpOperand();
         for (unsigned i = 0; i < _numOperands; ++i)
             moveOperand(&_operands[i], &grown[i]);
         if (_operands != inlineOperandStorage())
-            ::operator delete(_operands);
+            store.deallocate(_operands,
+                             _operandCapacity * sizeof(OpOperand));
         _operands = grown;
         _operandCapacity = cap;
     }
@@ -268,10 +321,53 @@ Operation::results()
     return out;
 }
 
+void
+Operation::setAttr(std::string_view name, Attribute a)
+{
+    _ctx->noteIrChange();
+    if (const Attribute *old = attrs().lookup(name)) {
+        *const_cast<Attribute *>(old) = std::move(a);
+        return;
+    }
+    if (_numAttrs == _attrCapacity)
+        growAttrs();
+    new (&_attrs[_numAttrs++]) NamedAttr(name, std::move(a));
+}
+
+void
+Operation::growAttrs()
+{
+    unsigned cap = std::max(4u, 2 * _attrCapacity);
+    IrStore &store = _ctx->irStore();
+    auto *grown =
+        static_cast<NamedAttr *>(store.allocate(cap * sizeof(NamedAttr)));
+    for (unsigned i = 0; i < _numAttrs; ++i) {
+        new (&grown[i]) NamedAttr(std::move(_attrs[i]));
+        _attrs[i].~NamedAttr();
+    }
+    if (_attrs != inlineAttrStorage())
+        store.deallocate(_attrs, _attrCapacity * sizeof(NamedAttr));
+    _attrs = grown;
+    _attrCapacity = cap;
+}
+
+void
+Operation::removeAttr(std::string_view name)
+{
+    _ctx->noteIrChange();
+    for (unsigned i = 0; i < _numAttrs; ++i) {
+        if (_attrs[i].first != name)
+            continue;
+        std::move(_attrs + i + 1, _attrs + _numAttrs, _attrs + i);
+        _attrs[--_numAttrs].~NamedAttr();
+        return;
+    }
+}
+
 int64_t
 Operation::intAttr(std::string_view name) const
 {
-    const Attribute *a = _attrs.lookup(name);
+    const Attribute *a = attrs().lookup(name);
     eq_assert(a && a->isInt(), "op '", this->name(), "' missing int attr '",
               name, "'");
     return a->asInt();
@@ -280,14 +376,14 @@ Operation::intAttr(std::string_view name) const
 int64_t
 Operation::intAttrOr(std::string_view name, int64_t dflt) const
 {
-    const Attribute *a = _attrs.lookup(name);
+    const Attribute *a = attrs().lookup(name);
     return a && a->isInt() ? a->asInt() : dflt;
 }
 
 const std::string &
 Operation::strAttr(std::string_view name) const
 {
-    const Attribute *a = _attrs.lookup(name);
+    const Attribute *a = attrs().lookup(name);
     eq_assert(a && a->isString(), "op '", this->name(),
               "' missing string attr '", name, "'");
     return a->asString();
@@ -348,19 +444,17 @@ Operation::moveToEnd(Block *target)
 Operation *
 Operation::clone(std::map<ValueImpl *, Value> &mapping) const
 {
-    std::vector<Type> result_types;
-    result_types.reserve(_numResults);
+    SmallVector<Type, 4> result_types;
     for (unsigned i = 0; i < _numResults; ++i)
         result_types.push_back(resultStorage()[i].type);
-    std::vector<Value> operands;
-    operands.reserve(_numOperands);
+    SmallVector<Value, 8> operands;
     for (unsigned i = 0; i < _numOperands; ++i) {
         ValueImpl *impl = _operands[i].value;
         auto it = mapping.find(impl);
         operands.push_back(it != mapping.end() ? it->second : Value(impl));
     }
     Operation *copy = Operation::create(*_ctx, name(), result_types,
-                                        operands, _attrs, _numRegions);
+                                        operands, attrs(), _numRegions);
     for (unsigned i = 0; i < _numResults; ++i)
         mapping[&resultStorage()[i]] = copy->result(i);
     for (unsigned r = 0; r < _numRegions; ++r) {
@@ -476,7 +570,8 @@ Block::destroyContents()
     _size = 0;
     for (ArgChunk *chunk = _argsHead; chunk;) {
         ArgChunk *next = chunk->next;
-        ::operator delete(chunk);
+        store().deallocate(chunk, sizeof(ArgChunk) +
+                                      chunk->capacity * sizeof(ValueImpl));
         chunk = next;
     }
     _argsHead = _argsTail = nullptr;
@@ -489,7 +584,8 @@ Block::addArgument(Type t)
     if (!_argsTail || _argsTail->size == _argsTail->capacity) {
         // Launch bodies capture up to about eight values: one chunk.
         unsigned cap = std::max(8u, _numArgs);
-        void *mem = ::operator new(sizeof(ArgChunk) + cap * sizeof(ValueImpl));
+        void *mem =
+            store().allocate(sizeof(ArgChunk) + cap * sizeof(ValueImpl));
         auto *chunk = new (mem) ArgChunk{nullptr, 0, cap};
         (_argsTail ? _argsTail->next : _argsHead) = chunk;
         _argsTail = chunk;
@@ -559,6 +655,12 @@ Block::remove(Operation *op)
     op->_ctx->noteIrChange();
 }
 
+IrStore &
+Block::store() const
+{
+    return _parent->parentOp()->context().irStore();
+}
+
 Block::iterator
 Block::find(Operation *op)
 {
@@ -585,9 +687,11 @@ Block::noteIrChange()
 
 Region::~Region()
 {
+    IrStore &store = _parent->context().irStore();
     for (Block *block = _first; block;) {
         Block *next = block->_nextBlock;
-        delete block;
+        block->~Block();
+        store.deallocate(block, sizeof(Block));
         block = next;
     }
 }
@@ -604,17 +708,25 @@ Region::numBlocks() const
 Block *
 Region::addBlock()
 {
-    auto *block = new Block();
-    push_back(block);
+    Context &ctx = _parent->context();
+    auto *block = new (ctx.irStore().allocate(sizeof(Block))) Block();
+    block->_parent = this;
+    (_last ? _last->_nextBlock : _first) = block;
+    _last = block;
+    ctx.noteIrChange();
     return block;
 }
 
 void
-Region::push_back(Block *block)
+Region::takeBody(Region &other)
 {
-    block->_parent = this;
-    (_last ? _last->_nextBlock : _first) = block;
-    _last = block;
+    if (!other._first)
+        return;
+    for (Block *block = other._first; block; block = block->_nextBlock)
+        block->_parent = this;
+    (_last ? _last->_nextBlock : _first) = other._first;
+    _last = other._last;
+    other._first = other._last = nullptr;
     _parent->context().noteIrChange();
 }
 

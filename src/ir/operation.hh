@@ -6,18 +6,24 @@
  * Operation owns its Regions. Operations are created detached via
  * Operation::create and become owned when inserted into a block.
  *
- * Storage, laid out as MLIR lays out its ops: each Operation is one heap
- * allocation holding the op, its result values, its regions and its
- * operand slots. Operand slots are sized at creation; appendOperand
- * beyond that moves them to a separate array. A Block links its ops
- * through prev/next pointers inside each Operation, so insert, remove,
- * find and moveBefore are O(1), and a Region links its blocks the same
- * way. Block arguments live in a short chain of argument chunks, so
- * their addresses never move.
+ * Storage, laid out as MLIR lays out its ops: each Operation is one
+ * block of its Context's IrStore (ir/store.hh) holding the op, its
+ * result values, its regions, its operand slots and its attributes.
+ * Operand and attribute slots are sized at creation; appendOperand or
+ * a new setAttr beyond that moves them to a separate block of the
+ * store. A Block links its ops through prev/next pointers inside each
+ * Operation, so insert, remove, find and moveBefore are O(1), and a
+ * Region links its blocks the same way. Block arguments live in a
+ * short chain of argument chunks, so their addresses never move.
+ * Blocks and argument chunks come from the store too, so building a
+ * module makes no heap allocation of its own once the store has
+ * chunks, and a rebuild in the same Context reuses the chunks of the
+ * module it replaced.
  *
  * Teardown of a whole tree (OwningOpRef::reset, Operation::erase, a
  * Block's destructor) first drops every operand reference in the tree,
- * then frees each op: about one free per op.
+ * then returns each op to the store's free lists; the death of the
+ * last tree of a Context rewinds the store (see ir/store.hh).
  */
 
 #ifndef EQ_IR_OPERATION_HH
@@ -50,12 +56,12 @@ class Operation {
      * @param name full op name, e.g. "equeue.launch"
      * @param result_types one entry per result
      * @param operands SSA operands (use lists updated)
-     * @param attrs attribute dictionary
+     * @param attrs attributes (an AttrDict converts), copied into the op
      * @param num_regions number of (initially empty) regions
      */
     static Operation *create(Context &ctx, std::string_view name,
                              TypeRange result_types, ValueRange operands,
-                             AttrDict attrs = {},
+                             AttrView attrs = {},
                              unsigned num_regions = 0);
 
     Operation(const Operation &) = delete;
@@ -107,20 +113,12 @@ class Operation {
 
     /// @name Attributes
     /// @{
-    Attribute attr(std::string_view name) const { return _attrs.get(name); }
-    void
-    setAttr(std::string_view name, Attribute a)
-    {
-        _attrs.set(name, std::move(a));
-        _ctx->noteIrChange();
-    }
-    void
-    removeAttr(std::string_view name)
-    {
-        _attrs.erase(name);
-        _ctx->noteIrChange();
-    }
-    const AttrDict &attrs() const { return _attrs; }
+    Attribute attr(std::string_view name) const { return attrs().get(name); }
+    /** Insert or overwrite. */
+    void setAttr(std::string_view name, Attribute a);
+    /** Remove if present. */
+    void removeAttr(std::string_view name);
+    AttrView attrs() const { return AttrView(_attrs, _numAttrs); }
     /** Convenience accessors that fail loudly when missing. */
     int64_t intAttr(std::string_view name) const;
     int64_t intAttrOr(std::string_view name, int64_t dflt) const;
@@ -185,9 +183,9 @@ class Operation {
     friend class OwningOpRef;
     friend struct OpOperand;
 
-    Operation(Context &ctx, std::string_view name, AttrDict &&attrs,
-              unsigned num_results, unsigned num_regions,
-              unsigned num_operands);
+    Operation(Context &ctx, std::string_view name, unsigned num_results,
+              unsigned num_regions, unsigned num_operands,
+              unsigned num_attrs);
     ~Operation();
 
     [[noreturn, gnu::cold]] void operandOutOfRange(unsigned i) const;
@@ -203,7 +201,12 @@ class Operation {
     }
     Region *regionStorage() const;
     OpOperand *inlineOperandStorage() const;
+    NamedAttr *inlineAttrStorage() const;
+    /** The size of the op's block in the store. */
+    size_t storageBytes() const;
     /// @}
+    /** Make room for one more attribute. */
+    void growAttrs();
     /** verify() without the memo, for this op and every nested one:
      *  false, with the diagnostic in @p err, on the first failure. */
     bool verifyTree(std::string &err);
@@ -224,10 +227,15 @@ class Operation {
     unsigned _numRegions;
     unsigned _numOperands = 0;
     unsigned _operandCapacity;
+    unsigned _inlineOperands; ///< operand slots in the op's own block
+    unsigned _numAttrs = 0;
+    unsigned _attrCapacity;
+    unsigned _inlineAttrs; ///< attribute slots in the op's own block
     OpOperand *_operands; ///< inline storage until appendOperand grows it
-    AttrDict _attrs;
+    NamedAttr *_attrs;    ///< inline storage until setAttr grows it
     // Trailing storage: ValueImpl results[_numResults], Region
-    // regions[_numRegions], OpOperand operands[capacity at creation].
+    // regions[_numRegions], OpOperand operands[_inlineOperands],
+    // NamedAttr attrs[_inlineAttrs].
 };
 
 inline unsigned
@@ -239,7 +247,6 @@ OpOperand::index() const
 /** A straight-line sequence of operations with block arguments. */
 class Block {
   public:
-    Block() = default;
     ~Block();
 
     Block(const Block &) = delete;
@@ -311,6 +318,12 @@ class Block {
     friend class Operation;
     friend class Value;
 
+    /** Blocks are made by Region::addBlock only. */
+    Block() = default;
+
+    /** The store of the Context this block's region belongs to. */
+    IrStore &store() const;
+
     /** A fixed-capacity run of block arguments; chunks never move. */
     struct ArgChunk {
         ArgChunk *next;
@@ -372,9 +385,10 @@ class Region {
     size_t numBlocks() const;
     Block &front() { return *_first; }
     const Block &front() const { return *_first; }
+    /** Append a new empty block. */
     Block *addBlock();
-    /** Append a detached block, taking ownership. */
-    void push_back(Block *block);
+    /** Move every block of @p other to the end of this region. */
+    void takeBody(Region &other);
     iterator begin() const { return iterator(_first); }
     iterator end() const { return iterator(nullptr); }
 

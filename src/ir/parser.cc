@@ -293,21 +293,22 @@ class Parser {
 
         // Optional region list: ({ ... }, { ... })
         bool has_regions = false;
-        std::vector<std::vector<std::unique_ptr<Block>>> region_blocks;
+        // Each region is parsed into a holder op's region, since the op
+        // itself can be made only once its types are known.
+        std::vector<OwningOpRef> region_holders;
         if (_lex.cur().kind == Tok::LParen) {
             has_regions = true;
             _lex.advance();
             while (_lex.cur().kind == Tok::LBrace) {
                 _lex.advance();
-                auto blk = std::make_unique<Block>();
-                parseBlockBody(blk.get());
+                OwningOpRef holder(
+                    Operation::create(_ctx, op_name, {}, {}, {}, 1));
+                parseBlockBody(holder->region(0).addBlock());
                 if (!_error.empty())
                     return nullptr;
                 if (!expect(Tok::RBrace, "'}' closing region"))
                     return nullptr;
-                std::vector<std::unique_ptr<Block>> blocks;
-                blocks.push_back(std::move(blk));
-                region_blocks.push_back(std::move(blocks));
+                region_holders.push_back(std::move(holder));
                 if (_lex.cur().kind == Tok::Comma)
                     _lex.advance();
             }
@@ -371,16 +372,13 @@ class Parser {
         }
 
         Operation *op = Operation::create(_ctx, op_name, result_types,
-                                          operands, std::move(attrs),
+                                          operands, attrs,
                                           has_regions
-                                              ? region_blocks.size()
+                                              ? region_holders.size()
                                               : 0);
-        if (has_regions) {
-            for (size_t r = 0; r < region_blocks.size(); ++r)
-                for (auto &blk : region_blocks[r])
-                    op->region(static_cast<unsigned>(r))
-                        .push_back(blk.release());
-        }
+        for (size_t r = 0; r < region_holders.size(); ++r)
+            op->region(static_cast<unsigned>(r))
+                .takeBody(region_holders[r]->region(0));
 
         // Register results.
         if (!result_name.empty()) {

@@ -169,17 +169,13 @@ operandGroup(const OpSignature &sig, const Operation &op, unsigned g)
     return b;
 }
 
-std::vector<Value>
+SmallVector<Value, 16>
 layOutOperands(const OpSignature &sig,
                std::initializer_list<ValueRange> groups, AttrDict &attrs)
 {
     eq_assert(groups.size() == sig.numOperandGroups,
               "one operand list per signature group");
-    std::vector<Value> operands;
-    size_t total = 0;
-    for (ValueRange values : groups)
-        total += values.size();
-    operands.reserve(total);
+    SmallVector<Value, 16> operands;
     const ValueGroup *group = sig.operandGroups.data();
     for (ValueRange values : groups) {
         int64_t n = 0;

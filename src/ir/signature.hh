@@ -169,9 +169,9 @@ struct OperandGroups {
 /** The operands of an op with signature @p sig, given as one list per
  *  group (a null value leaves an optional group empty). Sets each
  *  counted or present optional group's attribute in @p attrs. */
-std::vector<Value> layOutOperands(const OpSignature &sig,
-                                  std::initializer_list<ValueRange> groups,
-                                  AttrDict &attrs);
+SmallVector<Value, 16> layOutOperands(const OpSignature &sig,
+                                      std::initializer_list<ValueRange> groups,
+                                      AttrDict &attrs);
 
 /** Check @p op's operands, results, attributes and regions against
  *  @p sig. Returns an empty string on success, else a diagnostic. */

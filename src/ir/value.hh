@@ -17,6 +17,7 @@
 #ifndef EQ_IR_VALUE_HH
 #define EQ_IR_VALUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -34,10 +35,11 @@ class Block;
 struct ValueImpl;
 
 /**
- * A non-owning view of a contiguous sequence. It binds a braced list
- * or a vector alike, so passing `{t1, t2}` to Operation::create copies
- * nothing. Only use it as a parameter: a view of a braced list dangles
- * once the enclosing full-expression ends.
+ * A non-owning view of a contiguous sequence. It binds a braced list,
+ * a vector or a SmallVector alike, so passing `{t1, t2}` to
+ * Operation::create copies nothing. Only use it as a
+ * parameter: a view of a braced list or of a temporary dangles once the
+ * enclosing full-expression ends.
  */
 template <typename T>
 class ArrayRef {
@@ -53,6 +55,7 @@ class ArrayRef {
 #pragma GCC diagnostic pop
 #endif
     ArrayRef(const std::vector<T> &v) : _data(v.data()), _size(v.size()) {}
+    ArrayRef(const T *data, size_t size) : _data(data), _size(size) {}
 
     const T *begin() const { return _data; }
     const T *end() const { return _data + _size; }
@@ -62,6 +65,47 @@ class ArrayRef {
 
   private:
     const T *_data = nullptr;
+    size_t _size = 0;
+};
+
+/**
+ * A vector whose first N elements live inline, so collecting up to N
+ * values (an op's operands before Operation::create) never touches the
+ * heap. T must be cheap to default-construct and copy.
+ */
+template <typename T, unsigned N>
+class SmallVector {
+  public:
+    void
+    push_back(const T &v)
+    {
+        if (_heap.empty() && _size < N) {
+            _inline[_size++] = v;
+            return;
+        }
+        if (_heap.empty())
+            _heap.assign(_inline.begin(), _inline.begin() + _size);
+        _heap.push_back(v);
+        ++_size;
+    }
+    void
+    append(ArrayRef<T> values)
+    {
+        for (const T &v : values)
+            push_back(v);
+    }
+
+    const T *
+    data() const
+    {
+        return _heap.empty() ? _inline.data() : _heap.data();
+    }
+    size_t size() const { return _size; }
+    operator ArrayRef<T>() const { return {data(), _size}; }
+
+  private:
+    std::array<T, N> _inline{};
+    std::vector<T> _heap; ///< every element, once there are more than N
     size_t _size = 0;
 };
 

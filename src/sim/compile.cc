@@ -129,7 +129,7 @@ hashAttr(uint64_t h, const ir::Attribute &a)
 }
 
 bool
-sameAttrs(const ir::AttrDict &a, const ir::AttrDict &b)
+sameAttrs(ir::AttrView a, ir::AttrView b)
 {
     if (a.size() != b.size())
         return false;

@@ -27,6 +27,9 @@ Session::rebuild(const BuildFn &build)
     // error, and retry the build later.
     _module = build(_ctx);
     assert(_module.get() && "Session build function returned no module");
+    // Dropping the old module rewound the context's IR store (when it
+    // was the last tree there): give back the chunks this one left.
+    _ctx.irStore().releaseUnused();
     _lastBuildSeconds =
         std::chrono::duration<double>(clock::now() - t0).count();
 }
@@ -35,6 +38,7 @@ void
 Session::releasePools()
 {
     _sim._impl->releasePools();
+    _ctx.irStore().releaseUnused();
 }
 
 SimReport

@@ -58,7 +58,9 @@ class Session {
     /**
      * Drop the current module (if any) and pin a fresh one built by
      * @p build; the next run() starts from a full engine reset. The
-     * build is self-timed (lastBuildSeconds).
+     * build is self-timed (lastBuildSeconds). The new module is carved
+     * from the IR store chunks the old one left (ir/store.hh), and the
+     * chunks it did not need are freed.
      */
     void rebuild(const BuildFn &build);
 
@@ -68,8 +70,9 @@ class Session {
 
     /** Free the engine's pooled run storage (the event store, the exec
      *  and env pools), which keeps the size of the largest run so far,
-     *  and drop the pinned module's numbering and programs; the context,
-     *  the dispatch tables and the last run's buffers stay. For a
+     *  and the IR store chunks no live IR uses, and drop the pinned
+     *  module's numbering and programs; the context, the dispatch
+     *  tables and the last run's buffers stay. For a
      *  session about to be rebuilt for another config that should not
      *  carry the earlier configs' peak footprint (the program cache
      *  recycling an evicted entry). The next run() renumbers and

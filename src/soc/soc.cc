@@ -89,7 +89,7 @@ struct SocEmitter {
                             static_cast<unsigned>(2 * (ts.ah + ts.aw)))
                            ->result(0);
             b.create<equeue::AddCompOp>(comp->result(0), pfx + "L1",
-                                        std::vector<Value>{l1});
+                                        ir::ValueRange{l1});
 
             int64_t pes = int64_t(ts.ah) * ts.aw;
             t.stageSrc = allocOn(b, sram, pes);
@@ -117,8 +117,7 @@ struct SocEmitter {
         const PeRegs &r = t.regs[h][w];
         std::vector<Value> captured{t.stageDst, t.link, r.stat};
         auto launch = b.create<equeue::LaunchOp>(
-            std::vector<Value>{dep}, t.pe[h][w], captured,
-            std::vector<ir::Type>{});
+            ir::ValueRange{dep}, t.pe[h][w], captured);
         {
             OpBuilder::InsertionGuard g(b);
             equeue::LaunchOp l(launch.op());
@@ -130,10 +129,10 @@ struct SocEmitter {
                              int64_t(h) * ts.aw + w, b.context().indexType())
                             ->result(0);
             Value v = b.create<equeue::ReadOp>(staged, link,
-                                               std::vector<Value>{idx})
+                                               ir::ValueRange{idx})
                           ->result(0);
             writeCell(b, v, stat);
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
+            b.create<equeue::ReturnOp>();
         }
         return launch->result(0);
     }
@@ -304,7 +303,7 @@ struct PipelineEmitter {
                       ->result(0);
         auto comp = b.create<equeue::CreateCompOp>(
             std::string("SysSRAM DMA_IN DMA_OUT"),
-            std::vector<Value>{sram, dmaIn, dmaOut});
+            ir::ValueRange{sram, dmaIn, dmaOut});
 
         src = allocOn(b, sram, cfg.tileElems);
         dst = allocOn(b, sram, cfg.tileElems);
@@ -320,7 +319,7 @@ struct PipelineEmitter {
                            ->result(0);
             b.create<equeue::AddCompOp>(
                 comp->result(0), pfx + " " + pfx + "_BUF",
-                std::vector<Value>{procs.back(), l1});
+                ir::ValueRange{procs.back(), l1});
             bufs.push_back(allocOn(b, l1, cfg.tileElems));
             hops.push_back(b.create<equeue::CreateConnectionOp>(
                                 std::string("Streaming"),
@@ -332,7 +331,7 @@ struct PipelineEmitter {
                             std::vector<int64_t>{cfg.tileElems}, 32u, 2u)
                            ->result(0);
         b.create<equeue::AddCompOp>(comp->result(0), "OUT_BUF",
-                                    std::vector<Value>{outMem});
+                                    ir::ValueRange{outMem});
         bufs.push_back(allocOn(b, outMem, cfg.tileElems));
     }
 
@@ -343,8 +342,7 @@ struct PipelineEmitter {
     emitStage(std::vector<Value> deps, int s)
     {
         std::vector<Value> captured{bufs[s], bufs[s + 1], hops[s]};
-        auto launch = b.create<equeue::LaunchOp>(deps, procs[s], captured,
-                                                 std::vector<ir::Type>{});
+        auto launch = b.create<equeue::LaunchOp>(deps, procs[s], captured);
         {
             OpBuilder::InsertionGuard g(b);
             equeue::LaunchOp l(launch.op());
@@ -360,7 +358,7 @@ struct PipelineEmitter {
                 b.setInsertionPointToEnd(&f.body());
                 Value idx = f.inductionVar();
                 Value v = b.create<equeue::ReadOp>(
-                               in, Value(), std::vector<Value>{idx})
+                               in, Value(), ir::ValueRange{idx})
                               ->result(0);
                 Value acc = b.create<arith::ConstantOp>(int64_t{0},
                                                         ctx.i32Type())
@@ -368,14 +366,14 @@ struct PipelineEmitter {
                 for (int k = 0; k < cfg.computePerElem; ++k)
                     acc = b.create<equeue::ExternOp>(
                                std::string("mac"),
-                               std::vector<Value>{v, v, acc},
-                               std::vector<ir::Type>{ctx.i32Type()})
+                               ir::ValueRange{v, v, acc},
+                               ir::TypeRange{ctx.i32Type()})
                               ->result(0);
                 b.create<equeue::WriteOp>(acc, out, hop,
-                                          std::vector<Value>{idx});
-                b.create<affine::YieldOp>(std::vector<Value>{});
+                                          ir::ValueRange{idx});
+                b.create<affine::YieldOp>();
             }
-            b.create<equeue::ReturnOp>(std::vector<Value>{});
+            b.create<equeue::ReturnOp>();
         }
         return launch->result(0);
     }

@@ -153,6 +153,7 @@ struct Emitter {
     {
         auto stage_start = b.create<equeue::ControlStartOp>();
         std::vector<Value> reads;
+        reads.reserve(r_eff * c_eff);
         for (int h = 0; h < r_eff; ++h)
             for (int w = 0; w < c_eff; ++w)
                 reads.push_back(emitStageR(stage_start->result(0), h, w,
@@ -160,6 +161,7 @@ struct Emitter {
         b.create<equeue::AwaitOp>(reads);
         auto pass_start = b.create<equeue::ControlStartOp>();
         std::vector<Value> writes;
+        writes.reserve(r_eff * c_eff);
         for (int h = 0; h < r_eff; ++h)
             for (int w = 0; w < c_eff; ++w)
                 writes.push_back(emitStageW(pass_start->result(0), h, w,
@@ -214,8 +216,7 @@ struct Emitter {
                     auto dep = b.create<equeue::ControlStartOp>();
                     auto cp = b.create<equeue::MemcpyOp>(
                         dep->result(0), src, dst, dma, wconn);
-                    b.create<equeue::AwaitOp>(
-                        std::vector<Value>{cp->result(0)});
+                    b.create<equeue::AwaitOp>(ir::ValueRange{cp->result(0)});
                 }
                 emitLoop(b, t, [&] { emitStep(r_eff, c_eff, true); });
                 if (with_drain)

@@ -18,7 +18,6 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "dialects/affine.hh"
 #include "dialects/equeue.hh"
@@ -43,7 +42,7 @@ struct PeRegs {
 inline ir::Value
 allocOn(ir::OpBuilder &b, ir::Value mem, int64_t elems)
 {
-    return b.create<equeue::AllocOp>(mem, std::vector<int64_t>{elems}, 32u)
+    return b.create<equeue::AllocOp>(mem, ir::ArrayRef<int64_t>{elems}, 32u)
         ->result(0);
 }
 
@@ -51,15 +50,14 @@ allocOn(ir::OpBuilder &b, ir::Value mem, int64_t elems)
 inline ir::Value
 readCell(ir::OpBuilder &b, ir::Value buf, ir::Value conn = {})
 {
-    return b.create<equeue::ReadOp>(buf, conn, std::vector<ir::Value>{})
-        ->result(0);
+    return b.create<equeue::ReadOp>(buf, conn)->result(0);
 }
 
 /** Write @p v to the whole of @p buf, over @p conn when one is given. */
 inline void
 writeCell(ir::OpBuilder &b, ir::Value v, ir::Value buf, ir::Value conn = {})
 {
-    b.create<equeue::WriteOp>(v, buf, conn, std::vector<ir::Value>{});
+    b.create<equeue::WriteOp>(v, buf, conn);
 }
 
 /** A counted loop of @p trip iterations whose body @p body emits;
@@ -74,7 +72,7 @@ emitLoop(ir::OpBuilder &b, int64_t trip, Body &&body)
     ir::OpBuilder::InsertionGuard g(b);
     b.setInsertionPointToEnd(&affine::ForOp(loop.op()).body());
     body();
-    b.create<affine::YieldOp>(std::vector<ir::Value>{});
+    b.create<affine::YieldOp>();
 }
 
 /**
@@ -89,13 +87,13 @@ addPe(ir::OpBuilder &b, ir::Value comp, const std::string &prefix, int h,
     ir::Value pe =
         b.create<equeue::CreateProcOp>(std::string("MAC"))->result(0);
     ir::Value rmem = b.create<equeue::CreateMemOp>(
-                          std::string("Register"), std::vector<int64_t>{16},
-                          32u, 8u)
+                          std::string("Register"),
+                          ir::ArrayRef<int64_t>{16}, 32u, 8u)
                          ->result(0);
     const std::string suffix = std::to_string(h) + "_" + std::to_string(w);
     b.create<equeue::AddCompOp>(
         comp, prefix + "PE_" + suffix + " " + prefix + "REG_" + suffix,
-        std::vector<ir::Value>{pe, rmem});
+        ir::ValueRange{pe, rmem});
     PeRegs r;
     r.inA = allocOn(b, rmem, 1);
     r.inB = allocOn(b, rmem, 1);
@@ -121,16 +119,15 @@ emitMacStage(ir::OpBuilder &b, ir::Value dep, ir::Value pe,
              const PeRegs &regs, ir::Value srcA, ir::Value connA,
              ir::Value srcB, ir::Value connB, scalesim::Dataflow dataflow)
 {
-    std::vector<ir::Value> captured{srcA,      srcB,      regs.acc,
-                                    regs.stat, regs.outA, regs.outB,
-                                    regs.outAcc};
+    ir::SmallVector<ir::Value, 16> captured;
+    captured.append({srcA, srcB, regs.acc, regs.stat, regs.outA, regs.outB,
+                     regs.outAcc});
     if (connA)
         captured.push_back(connA);
     if (connB)
         captured.push_back(connB);
-    auto launch = b.create<equeue::LaunchOp>(std::vector<ir::Value>{dep}, pe,
-                                             captured,
-                                             std::vector<ir::Type>{});
+    auto launch =
+        b.create<equeue::LaunchOp>(ir::ValueRange{dep}, pe, captured);
     ir::OpBuilder::InsertionGuard g(b);
     ir::Block &body = equeue::LaunchOp(launch.op()).body();
     b.setInsertionPointToEnd(&body);
@@ -149,16 +146,15 @@ emitMacStage(ir::OpBuilder &b, ir::Value dep, ir::Value pe,
         acc = readCell(b, body.argument(2));
     }
     ir::Value sum = b.create<equeue::ExternOp>(
-                         std::string("mac"),
-                         std::vector<ir::Value>{a, operand, acc},
-                         std::vector<ir::Type>{b.context().i32Type()})
+                         std::string("mac"), ir::ValueRange{a, operand, acc},
+                         ir::TypeRange{b.context().i32Type()})
                         ->result(0);
     if (dataflow == scalesim::Dataflow::OS)
         writeCell(b, sum, body.argument(2)); // resident accumulate
     else
         writeCell(b, sum, body.argument(6));
     writeCell(b, a, body.argument(4));
-    b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    b.create<equeue::ReturnOp>();
     return launch->result(0);
 }
 
@@ -180,7 +176,8 @@ emitMoves(ir::OpBuilder &b, ir::Value dep, ir::Value pe,
           std::initializer_list<ir::Value> sources,
           std::initializer_list<Move> moves)
 {
-    std::vector<ir::Value> captured(sources);
+    ir::SmallVector<ir::Value, 16> captured;
+    captured.append(sources);
     for (const Move &m : moves) {
         if (!m.dst)
             continue;
@@ -188,9 +185,8 @@ emitMoves(ir::OpBuilder &b, ir::Value dep, ir::Value pe,
         if (m.conn)
             captured.push_back(m.conn);
     }
-    auto launch = b.create<equeue::LaunchOp>(std::vector<ir::Value>{dep}, pe,
-                                             captured,
-                                             std::vector<ir::Type>{});
+    auto launch =
+        b.create<equeue::LaunchOp>(ir::ValueRange{dep}, pe, captured);
     ir::OpBuilder::InsertionGuard g(b);
     ir::Block &body = equeue::LaunchOp(launch.op()).body();
     b.setInsertionPointToEnd(&body);
@@ -202,7 +198,7 @@ emitMoves(ir::OpBuilder &b, ir::Value dep, ir::Value pe,
         ir::Value dst = body.argument(arg++);
         writeCell(b, v, dst, m.conn ? body.argument(arg++) : ir::Value());
     }
-    b.create<equeue::ReturnOp>(std::vector<ir::Value>{});
+    b.create<equeue::ReturnOp>();
     return launch->result(0);
 }
 

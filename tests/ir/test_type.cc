@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "ir/context.hh"
 
 namespace {
@@ -32,6 +35,46 @@ TEST(TypeTest, ShapedTypesDistinguishShapeAndBits)
     EXPECT_NE(a, c);
     EXPECT_NE(a, d);
     EXPECT_NE(a, ctx.tensorType({64}, 32));
+}
+
+TEST(TypeTest, ManyDistinctShapesInternOncePerShape)
+{
+    // Each of thousands of shapes must stay one type, distinct from
+    // every other, with its fields.
+    ir::Context ctx;
+    std::vector<ir::Type> types;
+    std::set<const ir::TypeStorage *> distinct;
+    for (int64_t h = 1; h <= 40; ++h) {
+        for (int64_t w = 1; w <= 40; ++w) {
+            types.push_back(ctx.bufferType({h, w}, 32));
+            types.push_back(ctx.tensorType({h, w}, 32));
+            types.push_back(ctx.tensorType({h, w, 2}, 8));
+            types.push_back(ctx.memrefType({h * w}, 16));
+        }
+    }
+    for (ir::Type t : types)
+        distinct.insert(t.impl());
+    // {h * w} repeats across (h, w) pairs with equal products.
+    std::set<int64_t> products;
+    for (int64_t h = 1; h <= 40; ++h)
+        for (int64_t w = 1; w <= 40; ++w)
+            products.insert(h * w);
+    EXPECT_EQ(distinct.size(), 3 * 40 * 40 + products.size());
+    size_t i = 0;
+    for (int64_t h = 1; h <= 40; ++h) {
+        for (int64_t w = 1; w <= 40; ++w) {
+            EXPECT_EQ(ctx.bufferType({h, w}, 32), types[i++]);
+            EXPECT_EQ(ctx.tensorType({h, w}, 32), types[i++]);
+            EXPECT_EQ(ctx.tensorType({h, w, 2}, 8), types[i++]);
+            ir::Type m = types[i++];
+            EXPECT_EQ(ctx.memrefType({h * w}, 16), m);
+            EXPECT_TRUE(m.isMemRef());
+            EXPECT_EQ(m.shape(), std::vector<int64_t>{h * w});
+            EXPECT_EQ(m.elemBits(), 16u);
+        }
+    }
+    EXPECT_EQ(ctx.intType(32), ctx.i32Type());
+    EXPECT_NE(ctx.tensorType({}, 32), ctx.tensorType({1}, 32));
 }
 
 TEST(TypeTest, NumElementsAndBytes)

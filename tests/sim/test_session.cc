@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -224,6 +225,75 @@ TEST(SimSession, PooledStateIsInvisibleInterp)
 TEST(SimSession, PooledStateIsInvisibleCompiled)
 {
     expectPoolsInvisible(sim::Backend::Compiled);
+}
+
+/**
+ * Session::rebuild drops the pinned module before building the next,
+ * so the context's IR store rewinds and the new module lands on the
+ * old one's addresses (ir/store.hh). Config B built on config A's
+ * addresses runs as on a fresh Simulator, report and trace, and
+ * verify() checks B afresh rather than trusting A's pass.
+ */
+void
+expectRewoundAddressesInvisible(sim::Backend backend)
+{
+    scalesim::Config a;
+    a.ah = a.aw = 4;
+    a.dataflow = scalesim::Dataflow::WS;
+    scalesim::Config b = a;
+    b.dataflow = scalesim::Dataflow::IS;
+    const std::string refA = freshRun(a, backend);
+    const std::string refB = freshRun(b, backend);
+    auto runPinned = [&](sim::Session &s) {
+        sim::SimReport r = s.run();
+        return render(r, s.simulator().trace());
+    };
+
+    sim::Session session(tracedOn(backend));
+    session.rebuild(systolicBuilder(a));
+    ASSERT_EQ(session.module()->verify(), "");
+    const ir::Operation *moduleA = session.module();
+    std::set<const ir::Operation *> opsA;
+    session.module()->walk([&](ir::Operation *op) { opsA.insert(op); });
+    EXPECT_EQ(runPinned(session), refA);
+
+    session.rebuild(systolicBuilder(b));
+    EXPECT_EQ(session.module(), moduleA);
+    size_t ops = 0, reused = 0;
+    session.module()->walk([&](ir::Operation *op) {
+        ++ops;
+        reused += opsA.count(op);
+    });
+    // The component structure, the same in both dataflows, lands op
+    // for op where A's did.
+    EXPECT_GT(4 * reused, ops) << reused << " of " << ops;
+    EXPECT_EQ(runPinned(session), refB);
+    EXPECT_EQ(runPinned(session), refB);
+
+    // A broken B on A's addresses: the verify memo still remembers
+    // A's module op there, and must not take B for it.
+    session.rebuild(systolicBuilder(a));
+    ASSERT_EQ(session.module()->verify(), "");
+    session.rebuild([&](ir::Context &ctx) {
+        ir::OwningOpRef m = systolic::buildSystolicModule(ctx, b);
+        ir::OpBuilder ob(ctx);
+        ob.setInsertionPointToEnd(&m->region(0).front());
+        ob.create("bogus.op", {}, {});
+        return m;
+    });
+    EXPECT_EQ(session.module(), moduleA);
+    EXPECT_EQ(session.module()->verify(),
+              "unregistered operation 'bogus.op'");
+}
+
+TEST(SimSession, RewoundAddressesAreInvisibleInterp)
+{
+    expectRewoundAddressesInvisible(sim::Backend::Interp);
+}
+
+TEST(SimSession, RewoundAddressesAreInvisibleCompiled)
+{
+    expectRewoundAddressesInvisible(sim::Backend::Compiled);
 }
 
 /**
